@@ -19,7 +19,7 @@ responder = scenario.responder()
 print("reciprocal backscatter links (uplink == downlink):")
 for i in range(5):
     down = scenario.sample_link_channel(11000000 + i, responder)
-    up = down.reciprocal()
+    up = down  # reciprocity: the uplink retraces the downlink's paths
     oracle = ProductFeedbackOracle(down, up)
     cfg, _ = run_controller(oracle, scenario.n_elements,
                             voltages=scenario.voltage_set, rng_seed=i)

@@ -16,10 +16,9 @@ from .surface import (CalibrationError, ElementCircuit, ResonanceError,
                       calibrate_inductances, varactor_at)
 from .matching import (MatchResult, SearchError, SweepGrid, best_admittance,
                        best_voltage, reflection_spectrum, sweep_through_power)
-from .channel import (ElementResponder, FeedbackSample, MultipathChannel,
-                      SurfaceConfig, backscatter_gain, baseline_channel,
-                      composite_channel, element_response, oneway_gain,
-                      rss_feedback, sample_channel)
+from .channel import (ElementResponder, MultipathChannel, SurfaceConfig,
+                      backscatter_gain, baseline_channel, composite_channel,
+                      oneway_gain, rss_feedback, sample_channel)
 from .control import (DEFAULT_VOLTAGE_SET, ControlState, ControlTrace, ProbeRecord,
                       brute_force_baseline, column_groups, config_hash,
                       element_groups, run_controller, stage1_uniform_probe,

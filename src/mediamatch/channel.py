@@ -16,21 +16,59 @@ from .cascade import StackSpec, solve_stack
 from .surface import ElementCircuit, admittance_at_voltage
 
 
-@dataclass(frozen=True)
 class SurfaceConfig:
-    """Per-element bias voltages."""
+    """Per-element bias voltages, held as an index vector over a voltage alphabet.
 
-    voltages: tuple[float, ...]
+    ``levels`` is the alphabet (a tuple of floats) and ``index`` a uint8
+    vector with one entry per element: element i is biased at
+    ``levels[index[i]]``.  ``voltages`` is the derived per-element tuple, and
+    two configurations are equal when they bias every element alike, whatever
+    their alphabets.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "voltages", tuple(float(v) for v in self.voltages))
+    __slots__ = ("levels", "index")
 
-    def __len__(self):
-        return len(self.voltages)
+    def __init__(self, voltages):
+        values = np.array(list(voltages), dtype=float)
+        if values.ndim != 1:
+            raise ValueError("voltages must be a flat sequence of numbers")
+        levels, index = np.unique(values, return_inverse=True)
+        if len(levels) > 256:
+            raise ValueError("a configuration holds at most 256 distinct voltages")
+        self.levels = tuple(levels.tolist())
+        self.index = index.astype(np.uint8)
+
+    @classmethod
+    def from_index(cls, levels, index) -> "SurfaceConfig":
+        """Element i at levels[index[i]]; the index vector is used as given."""
+        cfg = cls.__new__(cls)
+        cfg.levels = tuple(levels)
+        cfg.index = np.asarray(index, dtype=np.uint8)
+        return cfg
 
     @classmethod
     def uniform(cls, voltage: float, n: int) -> "SurfaceConfig":
-        return cls(voltages=(float(voltage),) * n)
+        return cls.from_index((float(voltage),), np.zeros(n, dtype=np.uint8))
+
+    @property
+    def voltages(self) -> tuple[float, ...]:
+        return tuple(np.asarray(self.levels)[self.index].tolist())
+
+    def __len__(self):
+        return len(self.index)
+
+    def __eq__(self, other):
+        if not isinstance(other, SurfaceConfig):
+            return NotImplemented
+        if self.levels == other.levels:
+            return bool(np.array_equal(self.index, other.index))
+        return self.voltages == other.voltages
+
+    def __hash__(self):
+        return hash(self.voltages)
+
+    def __repr__(self):
+        return f"SurfaceConfig(voltages={self.voltages!r})"
 
 
 class ElementResponder:
@@ -40,7 +78,8 @@ class ElementResponder:
     element's admittance at that voltage inserted as the shunt surface; it is
     identical for every element (infinite-surface approximation).  The bare
     response (no surface, Y_s = 0) anchors all gain comparisons.  Responses
-    are cached per voltage; repeated calls are bit-identical.
+    are cached per voltage and tabulated per voltage alphabet; repeated calls
+    are bit-identical.
     """
 
     def __init__(self, stack: StackSpec, circuit: ElementCircuit, frequency: float,
@@ -50,6 +89,7 @@ class ElementResponder:
         self.frequency = frequency
         self.coupling_offset = complex(coupling_offset)
         self._cache: dict[float, complex] = {}
+        self._tables: dict[tuple[float, ...], np.ndarray] = {}
         self.s_bare = solve_stack(stack, 0j, frequency).t
 
     def s(self, voltage: float) -> complex:
@@ -60,10 +100,11 @@ class ElementResponder:
                                          self.frequency).t
         return self._cache[v]
 
-
-def element_response(responder: ElementResponder, voltage: float) -> complex:
-    """s(V) for one element of the scenario surface."""
-    return responder.s(voltage)
+    def table(self, levels: tuple[float, ...]) -> np.ndarray:
+        """s(V) at every level of a voltage alphabet, as a complex array."""
+        if levels not in self._tables:
+            self._tables[levels] = np.array([self.s(v) for v in levels], dtype=complex)
+        return self._tables[levels]
 
 
 @dataclass(frozen=True)
@@ -79,10 +120,6 @@ class MultipathChannel:
     @property
     def n_elements(self) -> int:
         return len(self.h_elements)
-
-    def reciprocal(self) -> "MultipathChannel":
-        """The reverse-direction channel under reciprocity: identical paths."""
-        return self
 
 
 def sample_channel(seed: int, n_elements: int, env_power: float = 0.0,
@@ -117,20 +154,20 @@ def sample_channel(seed: int, n_elements: int, env_power: float = 0.0,
                             responder=responder, phase_jitter=jitter)
 
 
-def _responses(channel: MultipathChannel, config: SurfaceConfig) -> np.ndarray:
-    if channel.responder is None:
-        raise ValueError("channel has no element responder attached")
-    s = np.array([channel.responder.s(v) for v in config.voltages])
-    if channel.phase_jitter is not None:
-        s = s * channel.phase_jitter
-    return s
-
-
 def composite_channel(channel: MultipathChannel, config: SurfaceConfig) -> complex:
-    """h_env + sum_i s(V_i) h_i for one surface configuration."""
+    """h_env + sum_i s(V_i) h_i for one surface configuration.
+
+    s is gathered from the responder's table for the configuration's
+    alphabet, so a probe costs one gather and one product-sum over elements.
+    """
     if len(config) != channel.n_elements:
         raise ValueError(f"config length {len(config)} != channel N {channel.n_elements}")
-    return complex(channel.h_env + np.sum(_responses(channel, config) * channel.h_elements))
+    if channel.responder is None:
+        raise ValueError("channel has no element responder attached")
+    s = channel.responder.table(config.levels)[config.index]
+    if channel.phase_jitter is not None:
+        s = s * channel.phase_jitter
+    return complex(channel.h_env + np.sum(s * channel.h_elements))
 
 
 def baseline_channel(channel: MultipathChannel) -> complex:
@@ -141,16 +178,9 @@ def baseline_channel(channel: MultipathChannel) -> complex:
     return complex(channel.h_env + s * np.sum(channel.h_elements))
 
 
-@dataclass(frozen=True)
-class FeedbackSample:
-    rss_db: float
-    noise_seed: int | None
-    config: SurfaceConfig
-
-
 def rss_feedback(channel: MultipathChannel, config: SurfaceConfig,
                  noise_db: float | None = None, noise_seed: int | None = None,
-                 quantization_db: float | None = 0.1) -> FeedbackSample:
+                 quantization_db: float | None = 0.1) -> float:
     """RSS of the composite channel in dB, with optional additive noise.
 
     Noise is complex Gaussian with power 10^(noise_db/10) relative to a
@@ -168,7 +198,7 @@ def rss_feedback(channel: MultipathChannel, config: SurfaceConfig,
     rss = 20.0 * np.log10(mag) if mag > 0 else float("-inf")
     if quantization_db and np.isfinite(rss):
         rss = round(rss / quantization_db) * quantization_db
-    return FeedbackSample(rss_db=float(rss), noise_seed=noise_seed, config=config)
+    return float(rss)
 
 
 def backscatter_gain(downlink: MultipathChannel, uplink: MultipathChannel,
@@ -177,8 +207,8 @@ def backscatter_gain(downlink: MultipathChannel, uplink: MultipathChannel,
 
     The backscatter output is taken proportional to its input power, so the
     end-to-end magnitude is the product |h_down| * |h_up| and the dB gains of
-    the two directions add.  With uplink == downlink (reciprocal mode) the
-    result is exactly twice the one-way gain.
+    the two directions add.  With the downlink passed as the uplink
+    (reciprocal mode) the result is exactly twice the one-way gain.
     """
     if downlink.n_elements != uplink.n_elements:
         raise ValueError("downlink and uplink must share the element count")

@@ -58,9 +58,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args) -> None:
+    """Link and worker counts must be usable: --links >= 0, --parallel >= 1."""
+    if getattr(args, "links", 0) < 0:
+        raise ValueError(f"--links must be >= 0, got {args.links}")
+    if getattr(args, "parallel", 1) < 1:
+        raise ValueError(f"--parallel must be >= 1, got {args.parallel}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         scenario = load_scenario(args.scenario)
         if args.seed is not None:
             raw = dict(scenario.raw)

@@ -10,11 +10,17 @@ controller ever probed, so it can never regress below a measured state.
 The oracle is any callable SurfaceConfig -> rss_db.  Probes are issued
 strictly one at a time in trace order (feedback is stateful in a real
 deployment); only whole controller runs may execute concurrently.
+
+A configuration is a uint8 index vector over the voltage alphabet
+(``voltage_set``, or (v1, v0) for on/off configurations); the trace hash is
+unchanged, still taken over the per-element voltages it stands for.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +40,18 @@ def config_hash(voltages) -> str:
     Canonical form: voltages rendered with format(v, '.6g'), joined by
     commas, UTF-8 encoded, SHA-256, first 12 hex digits.
     """
-    text = ",".join(format(float(v), ".6g") for v in voltages)
+    return _digest(SurfaceConfig(voltages))
+
+
+@functools.lru_cache(maxsize=256)
+def _level_parts(levels: tuple[float, ...]) -> np.ndarray:
+    """Each level rendered once, comma included, ready to be gathered."""
+    return np.array([format(v, ".6g") + "," for v in levels], dtype=object)
+
+
+def _digest(config: SurfaceConfig) -> str:
+    """config_hash of the configuration's voltages, joined from its levels."""
+    text = "".join(_level_parts(config.levels)[config.index].tolist())[:-1]
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
@@ -78,8 +95,7 @@ class ControlTrace:
         """Line-oriented records: stage,probe_index,config_hash,rss_db."""
         lines = ["stage,probe_index,config_hash,rss_db"]
         for p in self.probes:
-            lines.append(f"{p.stage},{p.probe_index},{config_hash(p.config.voltages)},"
-                         f"{p.rss_db:.10g}")
+            lines.append(f"{p.stage},{p.probe_index},{_digest(p.config)},{p.rss_db:.10g}")
         return "\n".join(lines) + "\n"
 
 
@@ -90,9 +106,6 @@ class ControlState:
     v1: float
     v0: float
     on_set: frozenset[int] = frozenset()
-    off_set: frozenset[int] = frozenset()
-    budget_used: int = 0
-    best_seen: tuple[SurfaceConfig, float] | None = None
 
 
 def element_groups(n_elements: int) -> list[list[int]]:
@@ -105,18 +118,29 @@ def column_groups(rows: int, cols: int) -> list[list[int]]:
     return [[r * cols + c for r in range(rows)] for c in range(cols)]
 
 
-def _group_config(groups, on_mask, v1: float, v0: float, n_elements: int) -> SurfaceConfig:
-    voltages = np.full(n_elements, v0, dtype=float)
-    for gi, members in enumerate(groups):
-        if on_mask[gi]:
-            voltages[members] = v1
-    return SurfaceConfig(tuple(voltages))
+def _onoff_index(groups, masks, n_elements: int) -> np.ndarray:
+    """Index rows over (v1, v0), one per row of the on/off group masks.
+
+    Element e takes index 0 (v1) where its group is on and 1 (v0) otherwise;
+    elements in no group stay at v0.  Groups must be disjoint.
+    """
+    n_groups = len(groups)
+    members = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp)
+    owner = np.full(n_elements, n_groups)
+    owner[members] = np.repeat(np.arange(n_groups), [len(m) for m in groups])
+    if np.count_nonzero(owner != n_groups) != len(members):
+        raise ValueError("control groups must not share or repeat elements")
+    off = np.ones((len(masks), n_groups + 1), dtype=bool)
+    off[:, :n_groups] = masks == 0
+    return off.take(owner, axis=1).view(np.uint8)
 
 
 def _validate_voltage_set(voltages) -> tuple[float, ...]:
     vs = tuple(float(v) for v in voltages)
     if len(vs) < 2:
         raise ValueError("need at least two control voltages")
+    if len(vs) > 256:
+        raise ValueError("at most 256 control voltages")
     if any(b >= a for a, b in zip(vs, vs[1:])):
         raise ValueError("control voltages must be strictly decreasing")
     return vs
@@ -133,8 +157,9 @@ def stage1_uniform_probe(oracle, voltages, n_elements: int,
     vs = _validate_voltage_set(voltages)
     trace = trace if trace is not None else ControlTrace()
     seen = []
-    for v in vs:  # descending order makes strict comparisons resolve ties upward
-        cfg = SurfaceConfig.uniform(v, n_elements)
+    # descending order makes strict comparisons resolve ties upward
+    for k, v in enumerate(vs):
+        cfg = SurfaceConfig.from_index(vs, np.full(n_elements, k, dtype=np.uint8))
         rss = trace.record(1, cfg, oracle(cfg))
         seen.append((v, rss))
     v1, r1 = seen[0]
@@ -175,9 +200,10 @@ def stage2_majority_voting(oracle, v1: float, v0: float, n_elements: int,
 
     rng = np.random.default_rng(rng_seed)
     masks = rng.integers(0, 2, size=(n_configs, n_groups))
+    index = _onoff_index(groups, masks, n_elements)
     rss = np.empty(n_configs)
     for i in range(n_configs):
-        cfg = _group_config(groups, masks[i], v1, v0, n_elements)
+        cfg = SurfaceConfig.from_index((v1, v0), index[i])
         rss[i] = trace.record(2, cfg, oracle(cfg))
 
     median = np.median(rss)
@@ -205,21 +231,17 @@ def stage3_fine_tune(oracle, voltages, state: ControlState, n_elements: int,
     trace = trace if trace is not None else ControlTrace()
 
     def neighborhood(v: float):
-        i = vs.index(v)
-        return sorted({vs[j] for j in (i - 1, i, i + 1) if 0 <= j < len(vs)}, reverse=True)
+        i = vs.index(v)  # descending voltages: ascending indices
+        return [np.uint8(j) for j in (i - 1, i, i + 1) if 0 <= j < len(vs)]
 
     on = np.zeros(n_elements, dtype=bool)
     on[list(state.on_set)] = True
-    for cand1 in neighborhood(state.v1):
-        for cand0 in neighborhood(state.v0):
-            voltages_vec = np.where(on, cand1, cand0)
-            cfg = SurfaceConfig(tuple(voltages_vec))
-            rss = trace.record(3, cfg, oracle(cfg))
-            if state.best_seen is None or rss > state.best_seen[1]:
-                state.best_seen = (cfg, rss)
+    for k1 in neighborhood(state.v1):
+        for k0 in neighborhood(state.v0):
+            cfg = SurfaceConfig.from_index(vs, np.where(on, k1, k0))
+            trace.record(3, cfg, oracle(cfg))
 
-    best = trace.best_probe()
-    return best.config
+    return trace.best_probe().config
 
 
 def run_controller(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
@@ -237,14 +259,11 @@ def run_controller(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
     if v1 == v0:
         v0 = min(voltages)
         trace.notes.append(f"degenerate stage1, forcing v0={v0}")
-    on_set, off_set, _ = stage2_majority_voting(
+    on_set, _, _ = stage2_majority_voting(
         oracle, v1, v0, n_elements, n_configs=n_configs, rng_seed=rng_seed,
         groups=groups, trace=trace)
-    state = ControlState(v1=v1, v0=v0, on_set=on_set, off_set=off_set)
+    state = ControlState(v1=v1, v0=v0, on_set=on_set)
     final = stage3_fine_tune(oracle, voltages, state, n_elements, trace)
-    state.budget_used = trace.budget_used
-    best = trace.best_probe()
-    state.best_seen = (best.config, best.rss_db)
     return final, trace
 
 
@@ -262,10 +281,11 @@ def brute_force_baseline(oracle, groups, v1: float, v0: float, n_elements: int,
             f"enumeration of 2^{n_groups} configs exceeds cap {cap}; "
             "use randomized voting instead")
     trace = trace if trace is not None else ControlTrace()
+    codes = np.arange(2 ** n_groups)
+    index = _onoff_index(groups, (codes[:, None] >> np.arange(n_groups)) & 1, n_elements)
     best_cfg, best_rss = None, float("-inf")
-    for code in range(2 ** n_groups):
-        mask = [(code >> g) & 1 for g in range(n_groups)]
-        cfg = _group_config(groups, mask, v1, v0, n_elements)
+    for code in codes:
+        cfg = SurfaceConfig.from_index((v1, v0), index[code])
         rss = trace.record(2, cfg, oracle(cfg))
         if rss > best_rss:
             best_cfg, best_rss = cfg, rss

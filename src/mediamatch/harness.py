@@ -259,7 +259,7 @@ def cmd_backscatter(scenario: Scenario, out_dir, n_links: int) -> RunReport:
     for i in range(n_links):
         ch_seed, rng_seed, up_seed = _link_seeds(scenario, i)
         downlink = scenario.sample_link_channel(ch_seed, responder)
-        uplink = downlink.reciprocal() if scenario.channel.reciprocal_uplink \
+        uplink = downlink if scenario.channel.reciprocal_uplink \
             else scenario.sample_link_channel(up_seed, responder)
         oracle = ProductFeedbackOracle(downlink, uplink,
                                        quantization_db=scenario.channel.rss_quantization_db)
@@ -306,9 +306,9 @@ def _enum_pipeline(oracle, scenario: Scenario, groups):
         v0 = min(scenario.voltage_set)
     cfg, _, _ = brute_force_baseline(oracle, groups, v1, v0, scenario.n_elements,
                                      trace=trace)
-    on_set = frozenset(i for i, v in enumerate(cfg.voltages) if v == v1 and v1 != v0)
-    state = ControlState(v1=v1, v0=v0, on_set=on_set,
-                         off_set=frozenset(range(scenario.n_elements)) - on_set)
+    # cfg indexes (v1, v0): index 0 marks the elements the enumeration turned on
+    on_set = frozenset(np.flatnonzero(cfg.index == 0).tolist()) if v1 != v0 else frozenset()
+    state = ControlState(v1=v1, v0=v0, on_set=on_set)
     final = stage3_fine_tune(oracle, scenario.voltage_set, state,
                              scenario.n_elements, trace)
     return final, trace

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -126,10 +127,10 @@ class FeedbackOracle:
         seed = None
         if self.noise_db is not None:
             seed = (self.noise_seed * 1000003 + self.probes) & 0x7FFFFFFF
-        sample = rss_feedback(self.channel, config, noise_db=self.noise_db,
-                              noise_seed=seed, quantization_db=self.quantization_db)
+        rss = rss_feedback(self.channel, config, noise_db=self.noise_db,
+                           noise_seed=seed, quantization_db=self.quantization_db)
         self.probes += 1
-        return sample.rss_db
+        return rss
 
 
 class ProductFeedbackOracle:
@@ -155,10 +156,15 @@ class ProductFeedbackOracle:
 # ---------------------------------------------------------------------------
 # parsing
 
-def _expand_axis(spec) -> np.ndarray:
+def _expand_axis(name: str, spec) -> np.ndarray:
     """An axis is either an explicit list or {start, stop, step}."""
     if isinstance(spec, dict):
-        start, stop, step = spec["start"], spec["stop"], spec["step"]
+        start, stop, step = (float(spec[k]) for k in ("start", "stop", "step"))
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ScenarioError(f"sweep axis {name!r}: start and stop must be finite")
+        if not (math.isfinite(step) and step > 0):
+            raise ScenarioError(f"sweep axis {name!r}: step must be positive and finite, "
+                                f"got {step}")
         n = int(round((stop - start) / step))
         values = start + step * np.arange(n + 1)
         return values[values <= stop + 1e-12 * max(1.0, abs(stop))]
@@ -219,6 +225,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
             phase_jitter_std=float(ch.get("phase_jitter_std", 0.0)),
         )
 
+        rows, cols = int(raw.get("array_rows", 8)), int(raw.get("array_cols", 8))
+        if rows < 1 or cols < 1:
+            raise ScenarioError(f"array_rows and array_cols must be >= 1, got {rows}x{cols}")
+
         offset = raw.get("coupling_offset_s", [0.0, 0.0])
         spectrum_spec = raw.get("spectrum_hz", {"start": 1.8e9, "stop": 3.0e9, "points": 49})
         spectrum = np.linspace(float(spectrum_spec["start"]), float(spectrum_spec["stop"]),
@@ -233,12 +243,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
             surface_index=int(raw.get("surface_index", 0)),
             circuit=circuit,
             voltage_set=voltage_set,
-            rows=int(raw.get("array_rows", 8)),
-            cols=int(raw.get("array_cols", 8)),
+            rows=rows,
+            cols=cols,
             channel=channel,
             seed=int(raw.get("seed", 1)),
             coupling_offset=complex(float(offset[0]), float(offset[1])),
-            sweeps={k: _expand_axis(v) for k, v in raw.get("sweep", {}).items()},
+            sweeps={k: _expand_axis(k, v) for k, v in raw.get("sweep", {}).items()},
             spectrum=spectrum,
             raw=raw,
         )

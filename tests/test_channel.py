@@ -6,8 +6,8 @@ import pytest
 from mediamatch.cascade import StackSpec
 from mediamatch.channel import (ElementResponder, MultipathChannel, SurfaceConfig,
                                 backscatter_gain, baseline_channel,
-                                composite_channel, element_response, oneway_gain,
-                                rss_feedback, sample_channel)
+                                composite_channel, oneway_gain, rss_feedback,
+                                sample_channel)
 from mediamatch.media import AIR
 from mediamatch.scenario import default_water_scenario
 
@@ -33,14 +33,50 @@ class TestElementResponse:
         assert r.s_bare == pytest.approx(1.0 + 0j, abs=1e-12)
 
     def test_matched_beats_worst_level(self, scenario, responder):
-        mags = {v: abs(element_response(responder, v)) ** 2 for v in scenario.voltage_set}
+        mags = {v: abs(responder.s(v)) ** 2 for v in scenario.voltage_set}
         assert max(mags.values()) > min(mags.values())
         # matched voltage on the water default is 10 V; 0 V detunes hard
         assert mags[10.0] == max(mags.values())
         assert mags[0.0] == min(mags.values())
 
     def test_deterministic(self, responder):
-        assert element_response(responder, 7.5) == element_response(responder, 7.5)
+        assert responder.s(7.5) == responder.s(7.5)
+
+
+class TestSurfaceConfig:
+    def test_voltages_view(self):
+        cfg = SurfaceConfig((30.0, 0.0, 30.0))
+        assert cfg.voltages == (30.0, 0.0, 30.0)
+        assert all(type(v) is float for v in cfg.voltages)
+        assert len(cfg) == 3
+        assert cfg.index.dtype == np.uint8
+
+    def test_from_index(self):
+        cfg = SurfaceConfig.from_index((30.0, 10.0, 0.0), [2, 0, 1])
+        assert cfg.voltages == (0.0, 30.0, 10.0)
+
+    def test_equality_is_on_voltages_across_alphabets(self):
+        a = SurfaceConfig.from_index((30.0, 10.0, 0.0), [0, 2])
+        b = SurfaceConfig.from_index((30.0, 0.0), [0, 1])
+        assert a == b == SurfaceConfig([30, 0])
+        assert hash(a) == hash(b)
+        assert a != SurfaceConfig((0.0, 30.0))
+        assert SurfaceConfig.uniform(5.0, 3) == SurfaceConfig((5.0, 5.0, 5.0))
+
+    def test_alphabet_limit(self):
+        SurfaceConfig(np.arange(256.0))
+        with pytest.raises(ValueError):
+            SurfaceConfig(np.arange(257.0))
+
+    def test_composite_independent_of_alphabet(self, responder):
+        ch = sample_channel(8, 6, env_power=0.2, element_power=1.0, responder=responder,
+                            phase_jitter_std=0.3)
+        a = SurfaceConfig.from_index((30.0, 20.0, 10.0, 0.0), [3, 0, 0, 2, 1, 3])
+        b = SurfaceConfig(a.voltages)
+        assert composite_channel(ch, a) == composite_channel(ch, b)
+        want = ch.h_env + sum(responder.s(v) * j * h for v, j, h in
+                              zip(a.voltages, ch.phase_jitter, ch.h_elements))
+        assert composite_channel(ch, a) == pytest.approx(want, abs=1e-12)
 
 
 class TestSampleChannel:
@@ -114,26 +150,26 @@ class TestRssFeedback:
         ch = self.fixed_magnitude_channel(responder, 1.0)
         s = rss_feedback(ch, SurfaceConfig.uniform(10.0, 4), noise_db=None,
                          quantization_db=None)
-        assert s.rss_db == pytest.approx(0.0, abs=1e-12)
+        assert s == pytest.approx(0.0, abs=1e-12)
 
     def test_tenth_magnitude_is_minus_20db(self, responder):
         ch = self.fixed_magnitude_channel(responder, 0.1)
         s = rss_feedback(ch, SurfaceConfig.uniform(30.0, 4), noise_db=None,
                          quantization_db=None)
-        assert s.rss_db == pytest.approx(-20.0, abs=1e-12)
+        assert s == pytest.approx(-20.0, abs=1e-12)
 
     def test_noise_repeatable(self, responder):
         ch = sample_channel(11, 8, element_power=1.0, responder=responder)
         cfg = SurfaceConfig.uniform(5.0, 8)
         a = rss_feedback(ch, cfg, noise_db=-20.0, noise_seed=99)
         b = rss_feedback(ch, cfg, noise_db=-20.0, noise_seed=99)
-        assert a.rss_db == b.rss_db
+        assert a == b
 
     def test_quantization(self, responder):
         ch = sample_channel(12, 8, element_power=1.0, responder=responder)
         cfg = SurfaceConfig.uniform(5.0, 8)
         s = rss_feedback(ch, cfg, quantization_db=0.1)
-        assert round(s.rss_db * 10) == pytest.approx(s.rss_db * 10, abs=1e-9)
+        assert round(s * 10) == pytest.approx(s * 10, abs=1e-9)
 
 
 class TestBackscatterGain:
@@ -142,7 +178,7 @@ class TestBackscatterGain:
                             responder=responder)
         cfg = SurfaceConfig.uniform(10.0, 32)
         one = oneway_gain(ch, cfg)
-        two = backscatter_gain(ch, ch.reciprocal(), cfg)
+        two = backscatter_gain(ch, ch, cfg)
         assert two == pytest.approx(2 * one, abs=1e-9)
 
     def test_independent_channels_gains_add(self, responder):

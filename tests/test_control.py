@@ -118,7 +118,7 @@ class TestStage3:
             key = (max(cfg.voltages), min(cfg.voltages))
             return target.get(key, -10.0)
 
-        state = ControlState(v1=30.0, v0=0.0, on_set=frozenset({0}), off_set=frozenset({1}))
+        state = ControlState(v1=30.0, v0=0.0, on_set=frozenset({0}))
         trace = ControlTrace()
         final = stage3_fine_tune(oracle, DEFAULT_VOLTAGE_SET, state, 2, trace)
         assert max(final.voltages) == 20.0 and min(final.voltages) == 2.5
@@ -126,14 +126,14 @@ class TestStage3:
 
     def test_keeps_stage2_config_when_no_improvement(self):
         oracle = onoff_oracle([1.0, 1.0])
-        state = ControlState(v1=V1, v0=V0, on_set=frozenset({0, 1}), off_set=frozenset())
+        state = ControlState(v1=V1, v0=V0, on_set=frozenset({0, 1}))
         trace = ControlTrace()
         trace.record(2, SurfaceConfig((V1, V1)), oracle(SurfaceConfig((V1, V1))))
         final = stage3_fine_tune(oracle, DEFAULT_VOLTAGE_SET, state, 2, trace)
         assert final.voltages == (V1, V1)
 
     def test_probe_budget(self):
-        state = ControlState(v1=15.0, v0=5.0, on_set=frozenset({0}), off_set=frozenset({1}))
+        state = ControlState(v1=15.0, v0=5.0, on_set=frozenset({0}))
         trace = ControlTrace()
         stage3_fine_tune(lambda c: 0.0, DEFAULT_VOLTAGE_SET, state, 2, trace)
         assert trace.stage_probe_count(3) == 9  # interior voltages: full 3x3 grid
@@ -188,6 +188,18 @@ class TestBruteForce:
         base = 20 * np.log10(abs(h.sum()))
         assert rss - base == pytest.approx(want, abs=1e-9)
 
+    def test_overlapping_groups_rejected(self):
+        with pytest.raises(ValueError):
+            brute_force_baseline(lambda c: 0.0, [[0, 1], [1, 2]], V1, V0, 3)
+        with pytest.raises(ValueError):
+            stage2_majority_voting(lambda c: 0.0, V1, V0, 3, groups=[[0, 1], [1, 2]])
+
+    def test_ungrouped_elements_stay_off(self):
+        cfg, _, trace = brute_force_baseline(lambda c: float(c.voltages.count(V1)),
+                                             [[0], [2]], V1, V0, 4)
+        assert cfg.voltages == (V1, V0, V1, V0)
+        assert trace.budget_used == 4
+
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             brute_force_baseline(lambda c: 0.0, element_groups(17), V1, V0, 17)
@@ -205,6 +217,17 @@ class TestTraceSerialization:
         assert digest == config_hash((30.0, 0.0))
         assert float(rss) == -12.5
 
+    def test_trace_hash_matches_voltage_hash(self):
+        """Index configurations hash as the voltage vectors they stand for."""
+        rng = np.random.default_rng(4)
+        h = rng.normal(size=12) + 1j * rng.normal(size=12)
+        _, trace = run_controller(onoff_oracle(h), 12, rng_seed=9)
+        rows = trace.serialize().strip().split("\n")[1:]
+        assert len(rows) == len(trace.probes)
+        for row, probe in zip(rows, trace.probes):
+            assert row.split(",")[2] == config_hash(probe.config.voltages)
+
     def test_hash_is_canonical(self):
         assert config_hash((30.0, 0.0)) == config_hash([30, 0])
+        assert config_hash((30.0, 0.0)) == config_hash(v for v in (30, 0))
         assert config_hash((30.0, 0.0)) != config_hash((0.0, 30.0))

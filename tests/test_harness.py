@@ -181,6 +181,30 @@ class TestCli:
         rc = main(["match", "--scenario", str(path), "--out", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["links", "--links", "-3"],
+        ["links", "--parallel", "0"],
+        ["backscatter", "--links", "-1"],
+        ["bench-controller", "--links", "-2"],
+    ])
+    def test_bad_counts_are_config_errors(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--scenario", str(SCENARIOS / "water_links.json"),
+                          "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("config error:")
+        assert captured.out == ""
+        assert not (tmp_path / "summary.txt").exists()
+
+    def test_zero_sweep_step_is_config_error(self, tmp_path, capsys):
+        raw = default_water_dict(name="flat-axis")
+        raw["sweep"]["gap_mm"]["step"] = 0
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(raw))
+        rc = main(["sweep", "--scenario", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_seed_override_changes_hash(self, tmp_path, capsys):
         rc = main(["links", "--scenario", str(SCENARIOS / "water_links.json"),
                    "--out", str(tmp_path / "a"), "--links", "2"])
@@ -217,6 +241,25 @@ class TestScenarioParsing:
         sc = scenario_from_dict(raw)
         assert list(sc.sweeps["gap_mm"]) == [2.0, 3.0, 4.0]
         assert list(sc.sweeps["susceptance_s"]) == [0.0, 0.01]
+
+    @pytest.mark.parametrize("step", [0, 0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_axis_step_rejected(self, step):
+        raw = default_water_dict(name="bad-step")
+        raw["sweep"]["susceptance_s"]["step"] = step
+        with pytest.raises(ScenarioError, match="susceptance_s"):
+            scenario_from_dict(raw)
+
+    def test_infinite_axis_end_rejected(self):
+        raw = default_water_dict(name="bad-stop")
+        raw["sweep"]["gap_mm"]["stop"] = float("inf")
+        with pytest.raises(ScenarioError, match="gap_mm"):
+            scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("rows,cols", [(0, 8), (8, 0), (-2, 8)])
+    def test_empty_array_rejected(self, rows, cols):
+        raw = default_water_dict(name="no-array", array_rows=rows, array_cols=cols)
+        with pytest.raises(ScenarioError, match="array_rows"):
+            scenario_from_dict(raw)
 
     def test_hash_stability(self):
         a = scenario_from_dict(default_water_dict())
