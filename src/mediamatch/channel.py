@@ -19,11 +19,11 @@ from .surface import ElementCircuit, admittance_at_voltage
 class SurfaceConfig:
     """Per-element bias voltages, held as an index vector over a voltage alphabet.
 
-    ``levels`` is the alphabet (a tuple of floats) and ``index`` a uint8
-    vector with one entry per element: element i is biased at
-    ``levels[index[i]]``.  ``voltages`` is the derived per-element tuple, and
-    two configurations are equal when they bias every element alike, whatever
-    their alphabets.
+    ``levels`` is the alphabet (a tuple of floats) and ``index`` a read-only
+    unsigned vector (uint8 unless more than 256 distinct voltages are given)
+    with one entry per element: element i is biased at ``levels[index[i]]``.
+    ``voltages`` is the derived per-element tuple, and two configurations are
+    equal when they bias every element alike, whatever their alphabets.
     """
 
     __slots__ = ("levels", "index")
@@ -32,18 +32,22 @@ class SurfaceConfig:
         values = np.array(list(voltages), dtype=float)
         if values.ndim != 1:
             raise ValueError("voltages must be a flat sequence of numbers")
-        levels, index = np.unique(values, return_inverse=True)
-        if len(levels) > 256:
-            raise ValueError("a configuration holds at most 256 distinct voltages")
-        self.levels = tuple(levels.tolist())
-        self.index = index.astype(np.uint8)
+        # unique over the float64 bits, so 0.0 and -0.0 stay distinct levels
+        _, first, index = np.unique(values.view(np.int64), return_index=True,
+                                    return_inverse=True)
+        self.levels = tuple(values[first].tolist())
+        self.index = index.astype(np.min_scalar_type(max(len(first) - 1, 0)))
+        self.index.flags.writeable = False
 
     @classmethod
     def from_index(cls, levels, index) -> "SurfaceConfig":
-        """Element i at levels[index[i]]; the index vector is used as given."""
+        """Element i at levels[index[i]]; a writeable index is copied."""
         cfg = cls.__new__(cls)
         cfg.levels = tuple(levels)
         cfg.index = np.asarray(index, dtype=np.uint8)
+        if cfg.index.flags.writeable:
+            cfg.index = cfg.index.copy()
+            cfg.index.flags.writeable = False
         return cfg
 
     @classmethod
@@ -60,8 +64,6 @@ class SurfaceConfig:
     def __eq__(self, other):
         if not isinstance(other, SurfaceConfig):
             return NotImplemented
-        if self.levels == other.levels:
-            return bool(np.array_equal(self.index, other.index))
         return self.voltages == other.voltages
 
     def __hash__(self):

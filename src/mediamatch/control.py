@@ -40,18 +40,25 @@ def config_hash(voltages) -> str:
     Canonical form: voltages rendered with format(v, '.6g'), joined by
     commas, UTF-8 encoded, SHA-256, first 12 hex digits.
     """
-    return _digest(SurfaceConfig(voltages))
+    text = ",".join(format(float(v), ".6g") for v in voltages)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 @functools.lru_cache(maxsize=256)
-def _level_parts(levels: tuple[float, ...]) -> np.ndarray:
-    """Each level rendered once, comma included, ready to be gathered."""
-    return np.array([format(v, ".6g") + "," for v in levels], dtype=object)
+def _level_parts(levels: bytes) -> np.ndarray:
+    """Each level rendered once, comma included, ready to be gathered.
+
+    Keyed by the alphabet's float64 bytes: a tuple key would let (0.0,) and
+    (-0.0,) share one entry, and they render differently.
+    """
+    return np.array([format(v, ".6g") + "," for v in np.frombuffer(levels).tolist()],
+                    dtype=object)
 
 
 def _digest(config: SurfaceConfig) -> str:
     """config_hash of the configuration's voltages, joined from its levels."""
-    text = "".join(_level_parts(config.levels)[config.index].tolist())[:-1]
+    parts = _level_parts(np.array(config.levels, dtype=float).tobytes())
+    text = "".join(parts[config.index].tolist())[:-1]
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
@@ -132,7 +139,9 @@ def _onoff_index(groups, masks, n_elements: int) -> np.ndarray:
         raise ValueError("control groups must not share or repeat elements")
     off = np.ones((len(masks), n_groups + 1), dtype=bool)
     off[:, :n_groups] = masks == 0
-    return off.take(owner, axis=1).view(np.uint8)
+    index = off.take(owner, axis=1).view(np.uint8)
+    index.flags.writeable = False  # its rows become the configurations' indices
+    return index
 
 
 def _validate_voltage_set(voltages) -> tuple[float, ...]:

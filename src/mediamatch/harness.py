@@ -306,8 +306,7 @@ def _enum_pipeline(oracle, scenario: Scenario, groups):
         v0 = min(scenario.voltage_set)
     cfg, _, _ = brute_force_baseline(oracle, groups, v1, v0, scenario.n_elements,
                                      trace=trace)
-    # cfg indexes (v1, v0): index 0 marks the elements the enumeration turned on
-    on_set = frozenset(np.flatnonzero(cfg.index == 0).tolist()) if v1 != v0 else frozenset()
+    on_set = frozenset(i for i, v in enumerate(cfg.voltages) if v == v1 and v1 != v0)
     state = ControlState(v1=v1, v0=v0, on_set=on_set)
     final = stage3_fine_tune(oracle, scenario.voltage_set, state,
                              scenario.n_elements, trace)

@@ -63,10 +63,29 @@ class TestSurfaceConfig:
         assert a != SurfaceConfig((0.0, 30.0))
         assert SurfaceConfig.uniform(5.0, 3) == SurfaceConfig((5.0, 5.0, 5.0))
 
-    def test_alphabet_limit(self):
-        SurfaceConfig(np.arange(256.0))
-        with pytest.raises(ValueError):
-            SurfaceConfig(np.arange(257.0))
+    def test_repeated_level_compares_by_voltage(self):
+        a = SurfaceConfig.from_index((5.0, 5.0), [0, 1])
+        assert a == SurfaceConfig.from_index((5.0, 5.0), [1, 0]) == SurfaceConfig.uniform(5.0, 2)
+
+    def test_many_distinct_voltages(self):
+        assert SurfaceConfig(np.arange(256.0)).index.dtype == np.uint8
+        values = np.linspace(0.0, 30.0, 1024)
+        cfg = SurfaceConfig(values)
+        assert cfg.voltages == tuple(values.tolist())
+        assert len(cfg.levels) == 1024
+
+    def test_signed_zero_kept(self):
+        cfg = SurfaceConfig((0.0, -0.0, 0.0))
+        assert [np.signbit(v) for v in cfg.voltages] == [False, True, False]
+
+    def test_index_is_read_only(self):
+        index = np.array([0, 1, 0], dtype=np.uint8)
+        cfg = SurfaceConfig.from_index((30.0, 0.0), index)
+        index[0] = 1
+        assert cfg.voltages == (30.0, 0.0, 30.0)
+        for c in (cfg, SurfaceConfig((30.0, 0.0)), SurfaceConfig.uniform(5.0, 2)):
+            with pytest.raises(ValueError):
+                c.index[0] = 1
 
     def test_composite_independent_of_alphabet(self, responder):
         ch = sample_channel(8, 6, env_power=0.2, element_power=1.0, responder=responder,

@@ -1,5 +1,7 @@
 """Three-stage controller: stage behavior, budgets, voting, enumeration."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,26 @@ class TestTraceSerialization:
         assert len(rows) == len(trace.probes)
         for row, probe in zip(rows, trace.probes):
             assert row.split(",")[2] == config_hash(probe.config.voltages)
+
+    def test_hash_of_many_distinct_voltages(self):
+        values = np.linspace(0.0, 30.0, 1024)
+        text = ",".join(format(v, ".6g") for v in values.tolist())
+        assert config_hash(values) == hashlib.sha256(text.encode()).hexdigest()[:12]
+        trace = ControlTrace()
+        trace.record(1, SurfaceConfig(values), 0.0)
+        assert trace.serialize().split("\n")[1].split(",")[2] == config_hash(values)
+
+    def test_signed_zero_hashes_apart(self):
+        assert config_hash((0.0, -0.0)) == hashlib.sha256(b"0,-0").hexdigest()[:12]
+        trace = ControlTrace()
+        for levels in ((30.0, 0.0), (30.0, -0.0)):
+            trace.record(1, SurfaceConfig.from_index(levels, [0, 1]), 0.0)
+        trace.record(1, SurfaceConfig((0.0, -0.0)), 0.0)
+        rows = trace.serialize().strip().split("\n")[1:]
+        assert [r.split(",")[2] for r in rows] == [
+            config_hash(p.config.voltages) for p in trace.probes]
+        assert rows[0].split(",")[2] != rows[1].split(",")[2]
+        assert rows[2].split(",")[2] == config_hash((0.0, -0.0))
 
     def test_hash_is_canonical(self):
         assert config_hash((30.0, 0.0)) == config_hash([30, 0])
