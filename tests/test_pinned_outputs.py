@@ -2,19 +2,25 @@
 
 The determinism tests elsewhere compare two runs of one build; these digests
 were recorded once and fail on any byte that changes in links.csv, the
-per-link traces and channel dumps, backscatter.csv or bench_controller.csv.
-Besides the shipped scenarios they cover the feedback-noise, phase-jitter,
-separate-uplink and 16x16 paths, which no shipped scenario exercises.
+per-link traces and channel dumps, backscatter.csv, bench_controller.csv,
+the match spectra or the sweep heatmaps, and on any change of a value in the
+command's RunReport summary (summary.txt is left out: it embeds the absolute
+artifact paths).  Besides the shipped scenarios they cover the feedback-noise,
+phase-jitter, separate-uplink and 16x16 paths, a lossy gap and load, and a
+surface against the load half-space, which no shipped scenario exercises.
 A change that is meant to alter these outputs must say so and re-record them.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
-from mediamatch.harness import cmd_backscatter, cmd_bench_controller, cmd_links
-from mediamatch.scenario import default_water_dict, load_scenario, scenario_from_dict
+from mediamatch.harness import (cmd_backscatter, cmd_bench_controller, cmd_links,
+                                cmd_match, cmd_sweep)
+from mediamatch.scenario import (default_tissue_dict, default_water_dict,
+                                 load_scenario, scenario_from_dict)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -25,6 +31,32 @@ def _variant(name, channel=(), **top):
     raw["channel"].update(channel)
     return scenario_from_dict(raw)
 
+
+def _lossy_water():
+    """Water behind a lossy gap slab, into a lossy water half-space."""
+    raw = default_water_dict(name="lossy", load_medium="water_lossy",
+                             layers=[{"medium": "air", "thickness_mm": 4.0},
+                                     {"medium": "skin_lossy", "thickness_mm": 2.0}])
+    raw["media"] = {"water_lossy": {"relative_permittivity": 77.0,
+                                    "conductivity_s_per_m": 2.5},
+                    "skin_lossy": {"relative_permittivity": 38.0,
+                                   "conductivity_s_per_m": 1.4}}
+    return scenario_from_dict(raw)
+
+
+def _surface_at_load():
+    """The tissue stack with the surface against the muscle half-space."""
+    return scenario_from_dict(default_tissue_dict(name="at-load", surface_index=3))
+
+
+PHYSICS = {
+    **{name: (lambda name=name: load_scenario(SCENARIOS / f"{name}.json"))
+       for name in ("water_match", "tissue_match", "water_gap_heatmap",
+                    "water_gap_capacitance", "tissue_fat_heatmap",
+                    "tissue_fat_capacitance", "tissue_gap_heatmap", "tissue_depth")},
+    "lossy": _lossy_water,
+    "at_load": _surface_at_load,
+}
 
 RUNS = {
     "links-water": lambda out: cmd_links(load_scenario(SCENARIOS / "water_links.json"), out, 6),
@@ -38,20 +70,30 @@ RUNS = {
     "links-jitter": lambda out: cmd_links(_variant("jitter", {"phase_jitter_std": 0.3}), out, 4),
     "links-16x16": lambda out: cmd_links(
         _variant("16x16", array_rows=16, array_cols=16), out, 4),
+    **{f"match-{name}": (lambda out, make=make: cmd_match(make(), out))
+       for name, make in PHYSICS.items()},
+    **{f"sweep-{name}": (lambda out, make=make: cmd_sweep(make(), out))
+       for name, make in PHYSICS.items()},
 }
 
 PINNED = {
     "backscatter-uplink": {
         "backscatter.csv":
             "2699d64157469388723ca610fd0e6da0c25db53466715fea9bd58c171f193110",
+        "summary":
+            "484a31526c4bb1563b8aa725d54211febd8c0c6c9c0d4ebd32da4dc52554ef40",
     },
     "backscatter-water": {
         "backscatter.csv":
             "7365978888dfa86568a698e63b1fd15e8352215c9a2f64755047fc594a860bce",
+        "summary":
+            "529b62c34e08caa3916790fa90851ad9e090db4ef4d446c30ecf193908df10ce",
     },
     "bench-controller": {
         "bench_controller.csv":
             "5e4c3fe5b7bb5ae09c288efbc3d9bcd2e6e80d7e3c9edc3b052949fb435c49aa",
+        "summary":
+            "192a077ca2a03885449037dbd818677f4286253f8ea181407f0370d4523c40e9",
     },
     "links-16x16": {
         "channels/link_0000.csv":
@@ -64,6 +106,8 @@ PINNED = {
             "d0343ae7641fd078339acd8ce1b14e8b9e8bf46e8468e1bbd8bdf4e47e3c0090",
         "links.csv":
             "a354a46d44827f60063d969b0211cf2dab144b32a8187c66b1753164e8ed6909",
+        "summary":
+            "d493e008e454915b2e9f7f5741d02a5de60085fc8174ca4aca0e44ba639c5c42",
         "traces/link_0000.csv":
             "d4bcf97c8a6668aadde96605ab60824c450eb5f97bba6e478a0d0ab1361c6264",
         "traces/link_0001.csv":
@@ -84,6 +128,8 @@ PINNED = {
             "87109150b3b8e9f3b7d9b52a00b1f7327907c4ff18ff3cc6af5f6e24cf7bccc0",
         "links.csv":
             "25c448bd6873fca8c6015d800efcecad2d2eab50af4c63a66e29447673f102c3",
+        "summary":
+            "b2d1b0a8a26f5a43871bc242b3b564064a873b76e89a17451e2730ad090d9e26",
         "traces/link_0000.csv":
             "bddca92e9f21011abf804a58fb52b3671d98b90a5b1f55dfe12040bebb03a639",
         "traces/link_0001.csv":
@@ -104,6 +150,8 @@ PINNED = {
             "87109150b3b8e9f3b7d9b52a00b1f7327907c4ff18ff3cc6af5f6e24cf7bccc0",
         "links.csv":
             "11fd4b3926ba3874cc007e6f48aca776209cb35987c089b62fc2f44fac59af9c",
+        "summary":
+            "2fefa3ee72299555514b9884f68daf25ae6d478f7d6981d0edfd04a02eabf9a2",
         "traces/link_0000.csv":
             "efc37ba6e314046b4628c06e352d6592384e670fc5a9c825a3b0184d775ff6a3",
         "traces/link_0001.csv":
@@ -128,6 +176,8 @@ PINNED = {
             "39e7ca326ef60c649efdf9a4891515a8ec2916731ce64f9a2949aee6dccbb2b9",
         "links.csv":
             "21e69bcb59988f7d3f6dc28fc62b428f3a8a6bfd4cf80e5eba48e6ef2d604cf5",
+        "summary":
+            "e06b7915c7305d7b099e31381b8a43c1a3226ea9c5da5c5cdcd0b1b8b148f3f6",
         "traces/link_0000.csv":
             "b217f90a9dfcfb306f9b4e8c49b5728fdb5665e79f8cfb33a2cb9ddec32dfce2",
         "traces/link_0001.csv":
@@ -141,12 +191,180 @@ PINNED = {
         "traces/link_0005.csv":
             "c7f0c0d70d0fe15f38422aa6f8c47fb6990a357f42f10f28394f4cab08528c73",
     },
+    "match-at_load": {
+        "spectrum_admittance.csv":
+            "422c8427b1ec243f2554512792dab1b97f6b091446a3889a5ca595de881e29ca",
+        "spectrum_voltage.csv":
+            "462bca042c95a2cfed552ada7381d384b59a28c7ab94a4e1ce1705fbb559c537",
+        "summary":
+            "d4d678127a398228569770fcadac69c23253ab227b81aeb0cef37a20cf5b6ecc",
+    },
+    "match-lossy": {
+        "spectrum_admittance.csv":
+            "bbcc2fefaa540e4bfc0868d7109ab5868fd07b4107943b3999309772c4a92435",
+        "spectrum_voltage.csv":
+            "83c2cda94934fdded64f681aeca09769924b8077136627b34680f47c9b08d9cf",
+        "summary":
+            "a2436df0f786055ca293969c212f4a7988bc452584abe0fdf34501b4a3a6c32a",
+    },
+    "match-tissue_depth": {
+        "spectrum_admittance.csv":
+            "4088d64b80a8c83bb674d81d8fd537218dac817734abace54c25e3c478b3ae94",
+        "spectrum_voltage.csv":
+            "073008183d0f0b32cf032cb73a2ec640785653ae802730f62b0f6289a570c989",
+        "summary":
+            "329031167bf443df2c01dcb522e6af541bfc51391ff7d9607f8de23ca796d4f5",
+    },
+    "match-tissue_fat_capacitance": {
+        "spectrum_admittance.csv":
+            "4e81bcc4e1fedac8c3cd23d2a69f61730e45404eefac211af1ff578dd334f39d",
+        "spectrum_voltage.csv":
+            "1837e3948fa03ba1d714daa2727facbb1db30d0eadf2f6bcee440b152a145de4",
+        "summary":
+            "f190519e7e4ed7fdc0e41caf55e6628a950987e0845dbea2bb992ae58939d40c",
+    },
+    "match-tissue_fat_heatmap": {
+        "spectrum_admittance.csv":
+            "4e81bcc4e1fedac8c3cd23d2a69f61730e45404eefac211af1ff578dd334f39d",
+        "spectrum_voltage.csv":
+            "1837e3948fa03ba1d714daa2727facbb1db30d0eadf2f6bcee440b152a145de4",
+        "summary":
+            "f190519e7e4ed7fdc0e41caf55e6628a950987e0845dbea2bb992ae58939d40c",
+    },
+    "match-tissue_gap_heatmap": {
+        "spectrum_admittance.csv":
+            "4e81bcc4e1fedac8c3cd23d2a69f61730e45404eefac211af1ff578dd334f39d",
+        "spectrum_voltage.csv":
+            "1837e3948fa03ba1d714daa2727facbb1db30d0eadf2f6bcee440b152a145de4",
+        "summary":
+            "f190519e7e4ed7fdc0e41caf55e6628a950987e0845dbea2bb992ae58939d40c",
+    },
+    "match-tissue_match": {
+        "spectrum_admittance.csv":
+            "4e81bcc4e1fedac8c3cd23d2a69f61730e45404eefac211af1ff578dd334f39d",
+        "spectrum_voltage.csv":
+            "1837e3948fa03ba1d714daa2727facbb1db30d0eadf2f6bcee440b152a145de4",
+        "summary":
+            "f190519e7e4ed7fdc0e41caf55e6628a950987e0845dbea2bb992ae58939d40c",
+    },
+    "match-water_gap_capacitance": {
+        "spectrum_admittance.csv":
+            "50f253ee4f5b1f527e3e83d0a63ee09f6a866e4b474c507f6640ee4d06982fcb",
+        "spectrum_voltage.csv":
+            "3acdbd5bc6dd820bc47c006336224fe1f5c5f13d4465e032c8a324125cb404f6",
+        "summary":
+            "73a3420d12ae9d6cdfc6fdc59de0bc5f9a7b03d3806831e036774c05d84648f6",
+    },
+    "match-water_gap_heatmap": {
+        "spectrum_admittance.csv":
+            "50f253ee4f5b1f527e3e83d0a63ee09f6a866e4b474c507f6640ee4d06982fcb",
+        "spectrum_voltage.csv":
+            "3acdbd5bc6dd820bc47c006336224fe1f5c5f13d4465e032c8a324125cb404f6",
+        "summary":
+            "73a3420d12ae9d6cdfc6fdc59de0bc5f9a7b03d3806831e036774c05d84648f6",
+    },
+    "match-water_match": {
+        "spectrum_admittance.csv":
+            "50f253ee4f5b1f527e3e83d0a63ee09f6a866e4b474c507f6640ee4d06982fcb",
+        "spectrum_voltage.csv":
+            "3acdbd5bc6dd820bc47c006336224fe1f5c5f13d4465e032c8a324125cb404f6",
+        "summary":
+            "73a3420d12ae9d6cdfc6fdc59de0bc5f9a7b03d3806831e036774c05d84648f6",
+    },
+    "sweep-at_load": {
+        "summary":
+            "9d5ad2ae2be8bf629c673d9c89d503b4ae02bf3e0fe0391a93e7c6196fe244b5",
+        "sweep_fat_mm_capacitance_pf.csv":
+            "2fed850e685dea89827cf625dc8ae3b9bf9b280a487c7f0f8c51eebdaecbf5d5",
+        "sweep_fat_mm_susceptance_s.csv":
+            "84f67881002b5339919ca7665605beb8301baf237881fbdff9dc59d70b5c5661",
+        "sweep_gap_mm_capacitance_pf.csv":
+            "fbb0d114dcc017c59126fad21066df339f053cbca527e2d0a15fa9ada6c9fe64",
+        "sweep_gap_mm_susceptance_s.csv":
+            "547f4c186d4525903b8438163a09c4b2b188f9abad3f4c5a4d64a1e48ce5bf84",
+    },
+    "sweep-lossy": {
+        "summary":
+            "542802e46b82dac5116344d472c8ee6bb6fdb8b3d86f13f0b09851e91ea73873",
+        "sweep_gap_mm_capacitance_pf.csv":
+            "6558fbbd2d33750ccb2c0b82cdab5450770a560c3018b1feb082ee08285ff7da",
+        "sweep_gap_mm_susceptance_s.csv":
+            "5f28c86e5f5f5b6f038bfa108c938486df2890a3823ded5c89e95d447d836eab",
+    },
+    "sweep-tissue_depth": {
+        "summary":
+            "364e234a783d3485e3a2c5572e0ae7dc974d07f6055f0d20302fdd0d9806b308",
+        "sweep_fat_mm_capacitance_pf.csv":
+            "29cbeca046023df29a5e2b9c205e090ab5156a421b33c10dd33f4b5e454f2359",
+        "sweep_fat_mm_susceptance_s.csv":
+            "98c4eb6e531b72127a25547906818be8a9e4e8e0c7a2f18e6c2549ec083adcf0",
+        "sweep_gap_mm_capacitance_pf.csv":
+            "fb78a7d720cdcd4676314c1662a2a2e9a29ad04f507a0ac455d5ad1e936a8018",
+        "sweep_gap_mm_susceptance_s.csv":
+            "07b563acec332f4654ee9cfa6c146d100a8c1aefda2d783b6ad4fe2671228a67",
+    },
+    "sweep-tissue_fat_capacitance": {
+        "summary":
+            "bb56e0a30977cefe893e59080d676c81c8c1975ff452301c6f6726c6afd8f6b4",
+        "sweep_fat_mm_capacitance_pf.csv":
+            "1f7da0c4c65d1ca6f2816c28f8f1e7680048e01b369e20110c5ae7f8b857982d",
+    },
+    "sweep-tissue_fat_heatmap": {
+        "summary":
+            "f1a9a7e01f917948e6dad3530d911d6aa284f173cefe4cfb2bf7dc68a973e51e",
+        "sweep_fat_mm_susceptance_s.csv":
+            "82596048038a6e413e0b93bb30d12ecd6892a0b2c8dc89635d5fdc8d434d9609",
+    },
+    "sweep-tissue_gap_heatmap": {
+        "summary":
+            "bee5583f1800a817f679d290e47c140b88c4d1a2e929a41f5708a5145fe5a186",
+        "sweep_gap_mm_susceptance_s.csv":
+            "7a8c64f629d6c41b9622511056f6df11f2382cb5d0af295e26e4910d2c3fbece",
+    },
+    "sweep-tissue_match": {
+        "summary":
+            "dfce6bc4e5430139bf246feb85104a03b7e1990fb6a25a10bdd09b0bc98d2c5c",
+        "sweep_fat_mm_capacitance_pf.csv":
+            "1f7da0c4c65d1ca6f2816c28f8f1e7680048e01b369e20110c5ae7f8b857982d",
+        "sweep_fat_mm_susceptance_s.csv":
+            "82596048038a6e413e0b93bb30d12ecd6892a0b2c8dc89635d5fdc8d434d9609",
+        "sweep_gap_mm_capacitance_pf.csv":
+            "9026674cb8afbe5568413754f33503e3c36917be6d3c97a078e788130b0b9071",
+        "sweep_gap_mm_susceptance_s.csv":
+            "7a8c64f629d6c41b9622511056f6df11f2382cb5d0af295e26e4910d2c3fbece",
+    },
+    "sweep-water_gap_capacitance": {
+        "summary":
+            "37d075dd4009d4cb24c1ca90465bd973b32bf1e17620241f23e4e2765b8f949f",
+        "sweep_gap_mm_capacitance_pf.csv":
+            "44ae07ddca49542220b74d768a414147734622eeb6fae8640ddf1a26971e9178",
+    },
+    "sweep-water_gap_heatmap": {
+        "summary":
+            "8973052189bb82e8317d83b0b7700b61cf10bfb5fddb0934b0d257eaeb3c7a22",
+        "sweep_gap_mm_susceptance_s.csv":
+            "e4f8106fc1a9f7c126527be146ed47cd80416e948dc7ce5bdb0fc4f88ed36ac1",
+    },
+    "sweep-water_match": {
+        "summary":
+            "b2fd8e84a0e08cf6bfeca57f08ee29277d63bf682f35f457c13db8d26b2e6ea8",
+        "sweep_gap_mm_capacitance_pf.csv":
+            "44ae07ddca49542220b74d768a414147734622eeb6fae8640ddf1a26971e9178",
+        "sweep_gap_mm_susceptance_s.csv":
+            "e4f8106fc1a9f7c126527be146ed47cd80416e948dc7ce5bdb0fc4f88ed36ac1",
+    },
 }
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_csv_outputs_byte_identical(tmp_path, run):
-    RUNS[run](tmp_path)
-    got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+    report = RUNS[run](tmp_path)
+    got = {p.relative_to(tmp_path).as_posix(): _sha256(p.read_bytes())
            for p in sorted(tmp_path.rglob("*.csv"))}
+    # floats render with repr, so the canonical JSON changes with any bit
+    got["summary"] = _sha256(json.dumps(report.summary, sort_keys=True).encode())
     assert got == PINNED[run]
