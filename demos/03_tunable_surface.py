@@ -22,8 +22,8 @@ print("\n  V      C (pF)   R (ohm)   G (mS)     B (mS)    G/B")
 for v in DEFAULT_VOLTAGE_SET:
     c, r = varactor_at(SMV1405_TABLE, v)
     y = admittance_at_voltage(circuit, v, F)
-    print(f"{v:5.1f}   {c * 1e12:6.2f}   {r:6.2f}   {y.conductance * 1e3:7.4f}  "
-          f"{y.susceptance * 1e3:8.3f}   {y.conductance / y.susceptance:6.3f}")
+    print(f"{v:5.1f}   {c * 1e12:6.2f}   {r:6.2f}   {y.real * 1e3:7.4f}  "
+          f"{y.imag * 1e3:8.3f}   {y.real / y.imag:6.3f}")
 
 print("\nsusceptance spans ~0 to >100 mS while the conductance stays an order")
 print("of magnitude lower: a big tuning range at low loss.")
@@ -32,8 +32,8 @@ print("of magnitude lower: a big tuning range at low loss.")
 worst = 0.0
 for v in SMV1405_TABLE.voltages:
     c, r = varactor_at(SMV1405_TABLE, v)
-    ye = admittance_exact(circuit, c, r, F).value
-    ya = admittance_approx(circuit, c, r, F).value
+    ye = admittance_exact(circuit, c, r, F)
+    ya = admittance_approx(circuit, c, r, F)
     worst = max(worst, abs(ya - ye) / abs(ye))
 print(f"\nclosed-form approximation vs exact: worst relative error {worst:.2%}")
 
@@ -41,5 +41,5 @@ print(f"\nclosed-form approximation vs exact: worst relative error {worst:.2%}")
 print("\nB vs C on the calibrated circuit:")
 for c_pf in (0.7, 1.0, 1.5, 2.0, 3.0, 3.7):
     y = admittance_exact(circuit, c_pf * 1e-12, 0.4, F)
-    bar = "#" * int(y.susceptance * 400)
-    print(f"  {c_pf:4.1f} pF  {y.susceptance * 1e3:8.3f} mS |{bar}")
+    bar = "#" * int(y.imag * 400)
+    print(f"  {c_pf:4.1f} pF  {y.imag * 1e3:8.3f} mS |{bar}")

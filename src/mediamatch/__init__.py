@@ -8,10 +8,10 @@ multipath feedback channel, and the three-stage black-box surface controller.
 from .media import (AIR, BUILTIN_MEDIA, FAT, MUSCLE, SKIN, WATER, FresnelResult,
                     Layer, Medium, complex_permittivity, fresnel_interface,
                     get_medium, intrinsic_impedance, phase_constant)
-from .cascade import (AbcdMatrix, CascadeSolution, DegenerateStackError, StackSpec,
-                      cascade, line_abcd, shunt_abcd, solve_stack, through_power_db)
+from .cascade import (CascadeSolution, DegenerateStackError, StackSpec, solve_stack,
+                      through_power_db)
 from .surface import (CalibrationError, ElementCircuit, ResonanceError,
-                      SMV1405_TABLE, SurfaceAdmittance, VaractorTable,
+                      SMV1405_TABLE, VaractorTable,
                       admittance_approx, admittance_at_voltage, admittance_exact,
                       calibrate_inductances, varactor_at)
 from .matching import (MatchResult, SearchError, SweepGrid, best_admittance,

@@ -1,16 +1,25 @@
 """Cascaded two-port (ABCD) solution of a surface + layered-media stack.
 
 The stack between the source and load half-spaces is a product of 2x2
-transmission matrices: one shunt matrix for the surface admittance and one
-line matrix per medium layer.  End-to-end transmission and reflection follow
-from the composite matrix and the two half-space impedances:
+transmission matrices: the shunt [[1, 0], [Y, 1]] for the surface admittance
+and one line matrix per medium layer, multiplied left to right in propagation
+order.  End-to-end transmission and reflection follow from the composite
+matrix and the two half-space impedances:
 
     T = 2 / (A + B/Z_load + C Z_src + D Z_src/Z_load)
     Gamma = (A + B/Z_load - C Z_src - D Z_src/Z_load) / (same denominator)
+
+solve_stack is the one propagation kernel: it broadcasts over arrays of
+surface admittance and frequency, with matrices held as complex arrays of
+shape (2, 2) + batch.  Products are written in real arithmetic and
+magnitudes taken with np.hypot (numpy's vectorised complex multiply and abs
+round the last bit differently), so every point of an array call is
+bit-identical to the scalar call at that point.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,32 +29,8 @@ from .media import Layer, Medium, intrinsic_impedance, phase_constant
 DB_FLOOR = -200.0  # clamp used when emitting dB columns to files
 
 
-class DegenerateStackError(ValueError):
+class DegenerateStackError(RuntimeError):
     """The cascade denominator vanished (resonance singularity)."""
-
-
-@dataclass(frozen=True)
-class AbcdMatrix:
-    """2x2 transmission matrix; b in ohms, c in siemens, a and d unitless."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def det(self) -> complex:
-        return self.a * self.d - self.b * self.c
-
-    def __matmul__(self, other: "AbcdMatrix") -> "AbcdMatrix":
-        return AbcdMatrix(
-            a=self.a * other.a + self.b * other.c,
-            b=self.a * other.b + self.b * other.d,
-            c=self.c * other.a + self.d * other.c,
-            d=self.c * other.b + self.d * other.d,
-        )
-
-
-IDENTITY = AbcdMatrix(1.0 + 0j, 0j, 0j, 1.0 + 0j)
 
 
 @dataclass(frozen=True)
@@ -82,75 +67,95 @@ class StackSpec:
 
 @dataclass(frozen=True)
 class CascadeSolution:
-    t: complex               # E+_load / E+_src
-    gamma: complex           # E-_src / E+_src
-    through_power: float
-    reflected_power: float
+    """Scalars for a scalar solve; arrays (NaN at singular points) otherwise."""
+
+    t: complex | np.ndarray              # E+_load / E+_src
+    gamma: complex | np.ndarray          # E-_src / E+_src
+    through_power: float | np.ndarray
+    reflected_power: float | np.ndarray
 
 
-def shunt_abcd(admittance: complex) -> AbcdMatrix:
-    """ABCD matrix of a shunt admittance: [[1, 0], [Y, 1]]."""
-    if not np.isfinite(admittance):
-        raise ValueError(f"shunt admittance must be finite, got {admittance}")
-    return AbcdMatrix(1.0 + 0j, 0j, complex(admittance), 1.0 + 0j)
-
-
-def line_abcd(layer: Layer, frequency: float) -> AbcdMatrix:
-    """ABCD matrix of a transmission-line segment of one medium layer."""
-    z = intrinsic_impedance(layer.medium, frequency)
-    bl = phase_constant(layer.medium, frequency) * layer.thickness
-    return AbcdMatrix(
-        a=np.cos(bl),
-        b=1j * z * np.sin(bl),
-        c=1j * np.sin(bl) / z,
-        d=np.cos(bl),
-    )
-
-
-def cascade(matrices) -> AbcdMatrix:
-    """Left-to-right product of ABCD matrices in propagation order."""
-    matrices = list(matrices)
-    if not matrices:
-        raise ValueError("cascade of zero matrices is undefined")
-    out = matrices[0]
-    for m in matrices[1:]:
-        out = out @ m
+def _mul(x, y) -> np.ndarray:
+    """Complex x * y, elementwise, as (xr yr - xi yi) + j (xr yi + xi yr)."""
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    out = np.array(xr * yr - xi * yi, dtype=complex)
+    out.imag = xr * yi + xi * yr
     return out
 
 
-def stack_abcd(stack: StackSpec, surface_admittance: complex, frequency: float) -> AbcdMatrix:
-    """Composite ABCD of the full stack with the shunt surface inserted."""
-    mats = [line_abcd(layer, frequency) for layer in stack.layers]
-    mats.insert(stack.surface_index, shunt_abcd(surface_admittance))
-    return cascade(mats)
+def _power(z) -> np.ndarray:
+    """|z|^2, rounded as the scalar abs(z) ** 2 (pow, not a square)."""
+    return np.float_power(np.hypot(z.real, z.imag), 2)
 
 
-def solve_stack(stack: StackSpec, surface_admittance: complex, frequency: float) -> CascadeSolution:
-    """End-to-end T and Gamma of the stack for one surface admittance.
+# Searches and sweeps solve the same layers at the same frequencies again and
+# again: memoized per (medium or layer, frequency shape, float64 bytes), read-only.
+@functools.lru_cache(maxsize=1024)
+def _impedance(medium: Medium, shape: tuple, data: bytes) -> np.ndarray:
+    out = np.asarray(intrinsic_impedance(medium, np.frombuffer(data).reshape(shape)))
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _line(layer: Layer, shape: tuple, data: bytes) -> np.ndarray:
+    """Transmission-line matrices of one layer, shape (2, 2) + frequency shape."""
+    z = _impedance(layer.medium, shape, data)
+    bl = _mul(phase_constant(layer.medium, np.frombuffer(data).reshape(shape)),
+              layer.thickness)
+    cos, sin = np.cos(bl), np.sin(bl)
+    out = np.array([[cos, _mul(_mul(1j, z), sin)], [_mul(1j, sin) / z, cos]])
+    out.flags.writeable = False
+    return out
+
+
+def solve_stack(stack: StackSpec, surface_admittance, frequency) -> CascadeSolution:
+    """End-to-end T and Gamma of the stack, broadcast over admittance and frequency.
 
     through_power is the power fraction crossing into the load half-space,
     |T|^2 Re(1/Z_load*)/Re(1/Z_src*); for real impedances this is the familiar
     |T|^2 Z_src/Z_load.
 
-    Raises DegenerateStackError when the denominator magnitude is below 1e-12,
-    which signals a resonance singularity rather than a huge valid value.
+    A point whose denominator magnitude is below 1e-12 is a resonance
+    singularity rather than a huge valid value: a scalar solve raises
+    DegenerateStackError, an array solve returns NaN in every field there.
     """
-    m = stack_abcd(stack, surface_admittance, frequency)
-    z_src = intrinsic_impedance(stack.source_medium, frequency)
-    z_load = intrinsic_impedance(stack.load_medium, frequency)
-    den = m.a + m.b / z_load + m.c * z_src + m.d * z_src / z_load
-    if abs(den) < 1e-12:
-        raise DegenerateStackError(f"singular stack: |denominator| = {abs(den):.3e}")
-    t = 2.0 / den
-    gamma = (m.a + m.b / z_load - m.c * z_src - m.d * z_src / z_load) / den
-    flux_src = z_src.real / abs(z_src) ** 2
-    flux_load = z_load.real / abs(z_load) ** 2
-    return CascadeSolution(
-        t=complex(t),
-        gamma=complex(gamma),
-        through_power=float(abs(t) ** 2 * flux_load / flux_src),
-        reflected_power=float(abs(gamma) ** 2),
-    )
+    y = np.asarray(surface_admittance, dtype=complex)
+    f = np.asarray(frequency, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError(f"shunt admittance must be finite, got {surface_admittance}")
+    if y.size == 0 or f.size == 0:
+        raise ValueError("solve of zero admittances or frequencies is undefined")
+    nd = max(y.ndim, f.ndim)  # align both on the same trailing batch axes
+    y = y.reshape((1,) * (nd - y.ndim) + y.shape)
+    key, batch = (f.shape, f.tobytes()), (1,) * (nd - f.ndim) + f.shape
+    shunt = np.zeros((2, 2) + y.shape, dtype=complex)
+    shunt[0, 0], shunt[1, 0], shunt[1, 1] = 1.0, y, 1.0
+    mats = [_line(layer, *key).reshape((2, 2) + batch) for layer in stack.layers]
+    mats.insert(stack.surface_index, shunt)
+    m = mats[0]
+    for nxt in mats[1:]:  # m @ nxt, each entry summed as row . column
+        terms = _mul(m[:, :, None], nxt[None])
+        m = terms[:, 0] + terms[:, 1]
+    (a, b), (c, d) = m
+
+    z_src, z_load = (_impedance(medium, *key).reshape(batch)
+                     for medium in (stack.source_medium, stack.load_medium))
+    b_load, c_src, d_ratio = b / z_load, _mul(c, z_src), _mul(d, z_src) / z_load
+    den = a + b_load + c_src + d_ratio
+    size = np.hypot(den.real, den.imag)
+    singular = size < 1e-12
+    if nd == 0 and singular:
+        raise DegenerateStackError(f"singular stack: |denominator| = {size:.3e}")
+    with np.errstate(invalid="ignore"):  # NaN marks the singular points
+        den = np.where(singular, np.nan, den)
+        t = 2.0 / den
+        gamma = (a + b_load - c_src - d_ratio) / den
+    through = _power(t) * (z_load.real / _power(z_load)) / (z_src.real / _power(z_src))
+    reflected = _power(gamma)
+    if nd == 0:
+        return CascadeSolution(complex(t), complex(gamma), float(through), float(reflected))
+    return CascadeSolution(t, gamma, through, reflected)
 
 
 def through_power_db(stack: StackSpec, surface_admittance: complex, frequency: float) -> float:
@@ -159,8 +164,3 @@ def through_power_db(stack: StackSpec, surface_admittance: complex, frequency: f
     if p <= 0.0:
         return float("-inf")
     return float(10.0 * np.log10(p))
-
-
-def clamp_db(value: float, floor: float = DB_FLOOR) -> float:
-    """Clamp a dB value to the file-emission floor (keeps CSVs finite)."""
-    return max(float(value), floor)

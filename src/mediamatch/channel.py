@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import StackSpec, solve_stack
+from .cascade import DegenerateStackError, StackSpec, solve_stack
 from .surface import ElementCircuit, admittance_at_voltage
 
 
@@ -95,17 +95,20 @@ class ElementResponder:
         self.s_bare = solve_stack(stack, 0j, frequency).t
 
     def s(self, voltage: float) -> complex:
-        v = float(voltage)
-        if v not in self._cache:
-            ys = admittance_at_voltage(self.circuit, v, self.frequency).value
-            self._cache[v] = solve_stack(self.stack, ys + self.coupling_offset,
-                                         self.frequency).t
-        return self._cache[v]
+        return complex(self.table((float(voltage),))[0])
 
     def table(self, levels: tuple[float, ...]) -> np.ndarray:
-        """s(V) at every level of a voltage alphabet, as a complex array."""
+        """s(V) at every level of a voltage alphabet, as a complex array; the
+        levels not cached yet are solved in one call."""
         if levels not in self._tables:
-            self._tables[levels] = np.array([self.s(v) for v in levels], dtype=complex)
+            new = [v for v in dict.fromkeys(map(float, levels)) if v not in self._cache]
+            if new:
+                ys = np.array([admittance_at_voltage(self.circuit, v, self.frequency) for v in new])
+                t = solve_stack(self.stack, ys + self.coupling_offset, self.frequency).t
+                if np.isnan(t).any():
+                    raise DegenerateStackError("singular stack at a bias voltage")
+                self._cache.update(zip(new, t.tolist()))
+            self._tables[levels] = np.array([self._cache[float(v)] for v in levels], dtype=complex)
         return self._tables[levels]
 
 

@@ -7,7 +7,7 @@
     mediamatch bench-controller --scenario water.json --out out/
 
 Exit codes: 0 success, 2 scenario/config error, 3 infeasible search,
-4 oracle or budget violation.
+calibration or singular stack, 4 oracle or budget violation.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .cascade import DegenerateStackError
 from .harness import (BudgetError, cmd_backscatter, cmd_bench_controller,
                       cmd_links, cmd_match, cmd_sweep)
 from .matching import SearchError
@@ -93,7 +94,7 @@ def main(argv=None) -> int:
             return EXIT_INFEASIBLE
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SearchError as exc:
+    except (SearchError, DegenerateStackError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except BudgetError as exc:

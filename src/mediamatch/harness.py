@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import clamp_db
+from .cascade import DB_FLOOR
 from .channel import backscatter_gain, baseline_channel, oneway_gain
 from .control import (brute_force_baseline, column_groups, run_controller,
                       stage1_uniform_probe, stage3_fine_tune, ControlState,
@@ -107,10 +107,10 @@ def cmd_match(scenario: Scenario, out_dir) -> RunReport:
     report = RunReport("match", scenario.name, scenario.scenario_hash())
     report.csv_paths.append(_write_csv(
         out_dir / "spectrum_admittance.csv", "frequency_hz,reflection_db,reduction_db",
-        [(fr, clamp_db(r), red) for fr, r, red in spectrum_a]))
+        [(fr, max(r, DB_FLOOR), red) for fr, r, red in spectrum_a]))
     report.csv_paths.append(_write_csv(
         out_dir / "spectrum_voltage.csv", "frequency_hz,reflection_db,reduction_db",
-        [(fr, clamp_db(r), red) for fr, r, red in spectrum_v]))
+        [(fr, max(r, DB_FLOOR), red) for fr, r, red in spectrum_v]))
 
     at_f0 = min(spectrum_a, key=lambda row: abs(row[0] - f))
     report.summary.update({

@@ -2,7 +2,8 @@
 
 The matcher only ever searches purely imaginary surface admittances (an
 idealized lossless surface); conductance enters through the varactor path
-when optimizing over bias voltages instead.
+when optimizing over bias voltages instead.  Every grid is one solve_stack
+call; only the golden-section refinement solves point by point.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import DB_FLOOR, DegenerateStackError, StackSpec, clamp_db, solve_stack
+from .cascade import DB_FLOOR, DegenerateStackError, StackSpec, solve_stack
 from .surface import ElementCircuit, admittance_at_voltage, admittance_exact
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -52,12 +53,21 @@ class MatchResult:
     best_voltage: float | None = None
 
 
-def _through_db(stack: StackSpec, ys: complex, frequency: float) -> float:
+def _db(power, floor: float) -> np.ndarray:
+    """10 log10 of each power, ``floor`` where it is not positive (or NaN)."""
+    power = np.asarray(power)
+    out, ok = np.full(power.shape, floor), power > 0
+    out[ok] = 10.0 * np.log10(power[ok])
+    return out
+
+
+def _through_db(stack: StackSpec, ys, frequency: float):
+    """Through power in dB; -inf where nothing gets through or the stack is singular."""
     try:
-        p = solve_stack(stack, ys, frequency).through_power
-    except DegenerateStackError:
+        db = _db(solve_stack(stack, ys, frequency).through_power, float("-inf"))
+    except DegenerateStackError:  # raised by scalar solves only
         return float("-inf")
-    return 10.0 * np.log10(p) if p > 0 else float("-inf")
+    return db if db.ndim else float(db)
 
 
 def _axis2_admittance(name: str, value: float, circuit: ElementCircuit | None,
@@ -69,9 +79,7 @@ def _axis2_admittance(name: str, value: float, circuit: ElementCircuit | None,
         raise ValueError(f"axis {name!r} needs an ElementCircuit")
     if name == "capacitance_pf":
         c, r = value * 1e-12, _resistance_for_capacitance(circuit, value * 1e-12)
-        return admittance_exact(circuit, c, r, frequency).value
-    if name == "voltage_v":
-        return admittance_at_voltage(circuit, value, frequency).value
+        return admittance_exact(circuit, c, r, frequency)
     raise ValueError(f"unknown axis-2 interpretation {name!r}")
 
 
@@ -91,12 +99,11 @@ def sweep_through_power(stack_family, grid: SweepGrid,
     stack_family maps an axis-1 value (gap, fat thickness, ...) to a
     StackSpec.  Singular grid points are recorded at the -200 dB floor.
     """
+    ys = np.array([_axis2_admittance(grid.axis2_name, a2, circuit, grid.frequency)
+                   for a2 in grid.axis2_values])
     out = np.empty((len(grid.axis1_values), len(grid.axis2_values)))
     for i, a1 in enumerate(grid.axis1_values):
-        stack = stack_family(a1)
-        for j, a2 in enumerate(grid.axis2_values):
-            ys = _axis2_admittance(grid.axis2_name, a2, circuit, grid.frequency)
-            out[i, j] = clamp_db(_through_db(stack, ys, grid.frequency), DB_FLOOR)
+        out[i] = np.maximum(_through_db(stack_family(a1), ys, grid.frequency), DB_FLOOR)
     return out
 
 
@@ -120,7 +127,7 @@ def best_admittance(stack: StackSpec, frequency: float,
     bgrid = np.linspace(lo, hi, steps)
     if not np.any(np.isclose(bgrid, 0.0)):
         bgrid = np.sort(np.append(bgrid, 0.0))
-    vals = np.array([_through_db(stack, 1j * b, frequency) for b in bgrid])
+    vals = _through_db(stack, 1j * bgrid, frequency)
     if np.all(np.isinf(vals)):
         raise SearchError("all searched admittances were singular")
 
@@ -131,7 +138,7 @@ def best_admittance(stack: StackSpec, frequency: float,
     multimodal = np.any(rises[1:] & ~rises[:-1])
     if multimodal:
         dense = np.arange(lo, hi + 1e-4, 1e-4)
-        dvals = np.array([_through_db(stack, 1j * b, frequency) for b in dense])
+        dvals = _through_db(stack, 1j * dense, frequency)
         k = int(np.argmax(dvals))
         b_star = float(dense[k])
     else:
@@ -175,9 +182,10 @@ def best_voltage(stack: StackSpec, circuit: ElementCircuit, frequency: float,
             raise ValueError(f"voltage {v} V outside varactor table range [{lo}, {hi}] V")
 
     baseline = _through_db(stack, 0j, frequency)
+    order = sorted(voltages, reverse=True)  # descending, so strict > keeps higher V on ties
+    ys = np.array([admittance_at_voltage(circuit, v, frequency) for v in order])
     best_v, best_db = None, float("-inf")
-    for v in sorted(voltages, reverse=True):  # descending, so strict > keeps higher V on ties
-        db = _through_db(stack, admittance_at_voltage(circuit, v, frequency).value, frequency)
+    for v, db in zip(order, _through_db(stack, ys, frequency)):
         if db > best_db:
             best_v, best_db = v, db
     return MatchResult(
@@ -200,20 +208,19 @@ def reflection_spectrum(stack: StackSpec, frequencies, ys: complex | None = None
 
     Returns a list of (frequency, reflection_db, reduction_db) tuples.
     """
-    freqs = list(frequencies)
-    if any(b < a for a, b in zip(freqs, freqs[1:])):
+    freqs = np.array(list(frequencies), dtype=float)
+    if np.any(freqs[1:] < freqs[:-1]):
         raise ValueError("frequency list must be monotone non-decreasing")
     if (ys is None) == (voltage is None):
         raise ValueError("give either a fixed admittance or a (circuit, voltage) pair")
     if voltage is not None and circuit is None:
         raise ValueError("voltage mode needs the element circuit")
 
-    out = []
-    for f in freqs:
-        y = ys if ys is not None else admittance_at_voltage(circuit, voltage, f).value
-        refl = solve_stack(stack, y, f).reflected_power
-        bare = solve_stack(stack, 0j, f).reflected_power
-        refl_db = 10.0 * np.log10(refl) if refl > 0 else DB_FLOOR
-        bare_db = 10.0 * np.log10(bare) if bare > 0 else DB_FLOOR
-        out.append((float(f), float(refl_db), float(bare_db - refl_db)))
-    return out
+    if ys is None:
+        ys = np.array([admittance_at_voltage(circuit, voltage, f) for f in freqs])
+    refl = solve_stack(stack, ys, freqs).reflected_power
+    bare = solve_stack(stack, 0j, freqs).reflected_power
+    if np.isnan(refl).any() or np.isnan(bare).any():
+        raise DegenerateStackError("singular stack inside the spectrum")
+    refl_db, bare_db = _db(refl, DB_FLOOR), _db(bare, DB_FLOOR)
+    return [(float(f), float(r), float(b - r)) for f, r, b in zip(freqs, refl_db, bare_db)]

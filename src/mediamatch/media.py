@@ -4,8 +4,8 @@ A medium is described by its relative permittivity, relative permeability
 (1.0 for everything handled here) and conductivity.  Conductivity folds into
 a complex permittivity under the e^{+j omega t} time convention, so lossy
 media carry a negative imaginary part.  All derived quantities (intrinsic
-impedance, phase constant, interface reflection/transmission) follow from
-those three numbers.
+impedance and phase constant, at one frequency or an array of them;
+interface reflection/transmission) follow from those three numbers.
 """
 
 from __future__ import annotations
@@ -68,37 +68,37 @@ class FresnelResult:
     through_power: float    # |t|^2 * Re(Z_src) / Re(Z_dst) in the lossless case
 
 
-def _check_frequency(frequency: float) -> None:
-    if not np.isfinite(frequency) or frequency <= 0.0:
+def _check_frequency(frequency) -> None:
+    if not np.all(np.isfinite(frequency) & (np.asarray(frequency) > 0.0)):
         raise ValueError(f"frequency must be positive, got {frequency}")
 
 
-def complex_permittivity(medium: Medium, frequency: float) -> complex:
+def complex_permittivity(medium: Medium, frequency):
     """Relative permittivity including the conductive loss term.
 
     Under e^{+j omega t}: eps = eps_r - j sigma / (omega eps_0).
     """
     _check_frequency(frequency)
     omega = 2.0 * np.pi * frequency
-    return medium.relative_permittivity - 1j * medium.conductivity / (omega * EPS_VACUUM)
+    return medium.relative_permittivity - 1j * (medium.conductivity / (omega * EPS_VACUUM))
 
 
-def intrinsic_impedance(medium: Medium, frequency: float) -> complex:
+def intrinsic_impedance(medium: Medium, frequency):
     """Intrinsic wave impedance Z = Z_vac * sqrt(mu_r / eps_c), principal root."""
-    _check_frequency(frequency)
-    eps_c = complex_permittivity(medium, frequency)
-    return Z_VACUUM * np.sqrt(medium.relative_permeability / eps_c)
+    eps_c = np.asarray(complex_permittivity(medium, frequency))
+    # Python's complex division point by point: numpy's rounds arrays differently
+    ratio = [medium.relative_permeability / complex(e) for e in eps_c.flat]
+    return Z_VACUUM * np.sqrt(np.reshape(ratio, eps_c.shape))
 
 
-def phase_constant(medium: Medium, frequency: float) -> complex:
+def phase_constant(medium: Medium, frequency):
     """Wavenumber k = (omega/c) sqrt(mu_r eps_c) in rad/m.
 
     Purely real for lossless media; a positive imaginary magnitude encodes
     attenuation when sigma > 0.
     """
-    _check_frequency(frequency)
-    omega = 2.0 * np.pi * frequency
     eps_c = complex_permittivity(medium, frequency)
+    omega = 2.0 * np.pi * frequency
     return (omega / C_VACUUM) * np.sqrt(medium.relative_permeability * eps_c)
 
 

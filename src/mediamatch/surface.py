@@ -99,28 +99,16 @@ class ElementCircuit:
                 "patch inductance puts a table capacitance past series resonance")
 
 
-@dataclass(frozen=True)
-class SurfaceAdmittance:
-    """Y_s = G + jB with the passivity bookkeeping made explicit."""
-
-    value: complex
-
-    def __post_init__(self):
-        if self.value.real < -1e-15:
-            raise ValueError(f"negative conductance {self.value.real} (active surface?)")
-
-    @property
-    def conductance(self) -> float:
-        return self.value.real
-
-    @property
-    def susceptance(self) -> float:
-        return self.value.imag
+def _passive(admittance: complex) -> complex:
+    """The admittance itself; a negative conductance (an active surface) raises."""
+    if admittance.real < -1e-15:
+        raise ValueError(f"negative conductance {admittance.real} (active surface?)")
+    return admittance
 
 
 def admittance_exact(circuit: ElementCircuit, capacitance: float, resistance: float,
-                     frequency: float) -> SurfaceAdmittance:
-    """Exact two-branch evaluation of the element admittance."""
+                     frequency: float) -> complex:
+    """Exact two-branch evaluation of the element admittance Y_s = G + jB."""
     if capacitance <= 0 or resistance <= 0 or frequency <= 0:
         raise ValueError("capacitance, resistance and frequency must be positive")
     w = 2.0 * np.pi * frequency
@@ -128,11 +116,11 @@ def admittance_exact(circuit: ElementCircuit, capacitance: float, resistance: fl
         raise ResonanceError(
             f"1 - w^2 C L1 <= 0 at C={capacitance:.3e} F, f={frequency:.3e} Hz")
     branch = 1.0 / (1.0 / (1j * w * capacitance) + resistance + 1j * w * circuit.patch_inductance)
-    return SurfaceAdmittance(complex(branch + 1.0 / (1j * w * circuit.bias_wire_inductance)))
+    return _passive(complex(branch + 1.0 / (1j * w * circuit.bias_wire_inductance)))
 
 
 def admittance_approx(circuit: ElementCircuit, capacitance: float, resistance: float,
-                      frequency: float) -> SurfaceAdmittance:
+                      frequency: float) -> complex:
     """Closed-form small-loss approximation of admittance_exact.
 
     G ~ w^2 C^2 R / (1 - w^2 C L1)^2
@@ -150,11 +138,11 @@ def admittance_approx(circuit: ElementCircuit, capacitance: float, resistance: f
             f"1 - w^2 C L1 <= 0 at C={capacitance:.3e} F, f={frequency:.3e} Hz")
     g = (w * capacitance) ** 2 * resistance / factor ** 2
     b = w * capacitance / factor - 1.0 / (w * circuit.bias_wire_inductance)
-    return SurfaceAdmittance(complex(g, b))
+    return _passive(complex(g, b))
 
 
 def admittance_at_voltage(circuit: ElementCircuit, voltage: float,
-                          frequency: float) -> SurfaceAdmittance:
+                          frequency: float) -> complex:
     """Bias voltage -> (C, R) from the table -> exact admittance."""
     c, r = varactor_at(circuit.varactors, voltage)
     return admittance_exact(circuit, c, r, frequency)
@@ -207,7 +195,7 @@ def calibrate_inductances(table: VaractorTable, frequency: float,
         if not 1e-9 <= l2 <= 50e-9:
             continue
         circuit = ElementCircuit(l1, l2, table, frequency)
-        ys = [admittance_at_voltage(circuit, v, frequency).value for v in control_voltages]
+        ys = [admittance_at_voltage(circuit, v, frequency) for v in control_voltages]
         if any(y.real < 0 or y.real > max_loss_ratio * y.imag for y in ys):
             continue
         span = max(y.imag for y in ys)

@@ -1,93 +1,119 @@
-"""ABCD cascade: construction, reduction to the bare interface, conservation laws."""
+"""ABCD cascade: construction, reduction to the bare interface, conservation laws.
+
+The shunt, line and product classes check the ABCD algebra through what
+solve_stack returns: a zero shunt is the identity, the shunt and line
+matrices are unimodular (so transmission is reciprocal), and line matrices
+compose.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mediamatch.cascade import (AbcdMatrix, DegenerateStackError, IDENTITY, StackSpec,
-                                cascade, line_abcd, shunt_abcd, solve_stack,
-                                through_power_db)
-from mediamatch.media import AIR, Layer, Medium, WATER, fresnel_interface
+from mediamatch.cascade import DegenerateStackError, StackSpec, solve_stack, through_power_db
+from mediamatch.media import (AIR, Layer, Medium, WATER, fresnel_interface,
+                              intrinsic_impedance, phase_constant)
 
 import oracles
 
 F0 = 2.4e9
+Z0 = 376.730313668
 
 
 def random_lossless_medium(rng):
     return Medium("m", float(rng.uniform(1, 100)))
 
 
+def assert_reciprocal(stack, ys, abs_tol):
+    """Through power is the same solved from either side (det = 1)."""
+    fwd = solve_stack(stack, ys, F0).through_power
+    rev = solve_stack(stack.reversed(), ys, F0).through_power
+    assert fwd == pytest.approx(rev, abs=abs_tol)
+
+
 class TestShuntAbcd:
     def test_zero_admittance_is_identity(self):
-        assert shunt_abcd(0j) == IDENTITY
+        """At Y = 0 the surface position does not change the solution at all."""
+        layers = (Layer(AIR, 6e-3), Layer(Medium("m", 30.0), 4e-3))
+        sols = [solve_stack(StackSpec(AIR, WATER, layers, surface_index=k), 0j, F0)
+                for k in range(3)]
+        for sol in sols[1:]:
+            assert (sol.t, sol.gamma) == (sols[0].t, sols[0].gamma)
 
     def test_definitional(self):
-        m = shunt_abcd(0.05j)
-        assert (m.a, m.b, m.c, m.d) == (1, 0, 0.05j, 1)
+        # a lone shunt [[1, 0], [Y, 1]] between air half-spaces: den = 2 + Y Z0
+        sol = solve_stack(StackSpec(AIR, AIR), 0.05j, F0)
+        assert sol.t == pytest.approx(2.0 / (2.0 + 0.05j * Z0), abs=1e-12)
+        assert sol.gamma == pytest.approx(-0.05j * Z0 / (2.0 + 0.05j * Z0), abs=1e-12)
 
     def test_unimodular(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             y = complex(rng.normal(), rng.normal())
-            assert shunt_abcd(y).det() == pytest.approx(1.0, abs=1e-12)
+            assert_reciprocal(StackSpec(AIR, WATER), y, 1e-12)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            shunt_abcd(complex(np.inf, 0))
+            solve_stack(StackSpec(AIR, WATER), complex(np.inf, 0), F0)
 
 
 class TestLineAbcd:
     def test_tiny_length_is_identity(self):
-        m = line_abcd(Layer(AIR, 1e-12), F0)
-        assert abs(m.a - 1) < 1e-9 and abs(m.d - 1) < 1e-9
-        assert abs(m.b) < 1e-6 and abs(m.c) < 1e-9
+        bare = solve_stack(StackSpec(AIR, WATER), 0.01j, F0)
+        sol = solve_stack(StackSpec(AIR, WATER, (Layer(AIR, 1e-12),)), 0.01j, F0)
+        assert abs(sol.t - bare.t) < 1e-9 and abs(sol.gamma - bare.gamma) < 1e-9
 
     def test_quarter_wave_air(self):
-        # beta l = pi/2 at l = (pi/2) / (omega/c) = 31.2284 mm
-        m = line_abcd(Layer(AIR, 0.031228381041666666), F0)
-        assert abs(m.a) < 1e-6 and abs(m.d) < 1e-6
-        assert m.b == pytest.approx(376.730313668j, abs=1e-6)
-        assert m.c == pytest.approx(1j / 376.730313668, abs=1e-9)
+        # beta l = pi/2 at l = (pi/2) / (omega/c) = 31.2284 mm: the line turns
+        # the water load into Z0^2/Z_water, which reflects with the opposite sign
+        stack = StackSpec(AIR, WATER, (Layer(AIR, 0.031228381041666666),))
+        sol = solve_stack(stack, 0j, F0)
+        ref = fresnel_interface(AIR, WATER, F0)
+        assert sol.gamma == pytest.approx(-ref.gamma, abs=1e-6)
+        assert sol.through_power == pytest.approx(ref.through_power, abs=1e-6)
 
     def test_unimodular_random_lossless(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             layer = Layer(random_lossless_medium(rng), float(rng.uniform(1e-4, 5e-2)))
-            assert line_abcd(layer, F0).det() == pytest.approx(1.0, abs=1e-9)
+            assert_reciprocal(StackSpec(AIR, random_lossless_medium(rng), (layer,)), 0j, 1e-9)
 
 
 class TestCascade:
     def test_identity(self):
-        assert cascade([IDENTITY]) == IDENTITY
+        sol = solve_stack(StackSpec(AIR, AIR), 0j, F0)
+        assert (sol.t, sol.gamma) == (1.0, 0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            cascade([])
+            solve_stack(StackSpec(AIR, WATER), np.array([], dtype=complex), F0)
 
     def test_inverse_product(self):
-        """cascade(A, A^-1) == I for random unimodular matrices."""
+        """Two lines of one medium whose lengths add to half a wavelength
+        multiply to -I: T flips sign and Gamma is unchanged."""
         rng = np.random.default_rng(3)
         for _ in range(50):
-            a = complex(rng.normal(), rng.normal())
-            b = complex(rng.normal(), rng.normal())
-            c = complex(rng.normal(), rng.normal())
-            d = (1 + b * c) / a  # forces det = 1
-            m = AbcdMatrix(a, b, c, d)
-            inv = AbcdMatrix(d, -b, -c, a)
-            prod = cascade([m, inv])
-            assert prod.a == pytest.approx(1, abs=1e-9)
-            assert prod.d == pytest.approx(1, abs=1e-9)
-            assert abs(prod.b) < 1e-9 and abs(prod.c) < 1e-9
+            medium = random_lossless_medium(rng)
+            half = np.pi / phase_constant(medium, F0).real
+            first = float(rng.uniform(0.05, 0.95)) * half
+            bare = StackSpec(AIR, WATER)
+            lines = StackSpec(AIR, WATER, (Layer(medium, first), Layer(medium, half - first)))
+            ys = 1j * float(rng.uniform(0, 0.1))
+            want, got = solve_stack(bare, ys, F0), solve_stack(lines, ys, F0)
+            assert got.t == pytest.approx(-want.t, abs=1e-9)
+            assert got.gamma == pytest.approx(want.gamma, abs=1e-9)
 
     def test_surface_first_ordering(self):
         """Shunt-then-line equals the explicit product in that order."""
         stack = StackSpec(AIR, WATER, (Layer(AIR, 6e-3),), surface_index=0)
         ys = 0.007j
         via_solve = solve_stack(stack, ys, F0)
-        m = cascade([shunt_abcd(ys), line_abcd(Layer(AIR, 6e-3), F0)])
-        z0 = 376.730313668
-        zw = z0 / 9.0
-        den = m.a + m.b / zw + m.c * z0 + m.d * z0 / zw
+        z, bl = intrinsic_impedance(AIR, F0), phase_constant(AIR, F0) * 6e-3
+        line = np.array([[np.cos(bl), 1j * z * np.sin(bl)],
+                         [1j * np.sin(bl) / z, np.cos(bl)]])
+        m = np.array([[1, 0], [ys, 1]]) @ line
+        zw = Z0 / 9.0
+        den = m[0, 0] + m[0, 1] / zw + m[1, 0] * Z0 + m[1, 1] * Z0 / zw
         assert via_solve.t == pytest.approx(2.0 / den, abs=1e-12)
 
 
@@ -180,3 +206,50 @@ class TestSolveStack:
         stack = StackSpec(AIR, AIR)
         with pytest.raises(DegenerateStackError):
             solve_stack(stack, complex(-2.0 / 376.730313668, 0.0), F0)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=complex).tobytes()
+
+
+_media = st.builds(Medium, st.just("m"), st.floats(1.0, 90.0), st.just(1.0),
+                   st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+_admittances = st.lists(
+    st.one_of(st.floats(-0.2, 0.2).map(lambda b: 1j * b),
+              st.complex_numbers(max_magnitude=0.2, allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=4)
+
+
+class TestBroadcast:
+    """An array call equals the per-point scalar calls bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(src=_media, load=_media,
+           layers=st.lists(st.builds(Layer, _media, st.floats(1e-4, 5e-2)), max_size=3),
+           ys=_admittances, freqs=st.lists(st.floats(1e8, 1e10), min_size=1, max_size=3))
+    def test_array_call_equals_point_calls(self, src, load, layers, ys, freqs):
+        for index in range(len(layers) + 1):
+            stack = StackSpec(src, load, tuple(layers), surface_index=index)
+            grid = solve_stack(stack, np.array(ys)[:, None], np.array(freqs)[None, :])
+            row = solve_stack(stack, np.array(ys), freqs[0])
+            assert _bits(row.t) == _bits(grid.t[:, 0])
+            for i, y in enumerate(ys):
+                for j, f in enumerate(freqs):
+                    try:
+                        point = solve_stack(stack, y, f)
+                    except DegenerateStackError:
+                        assert np.isnan(grid.t[i, j])
+                        continue
+                    for name in ("t", "gamma", "through_power", "reflected_power"):
+                        assert _bits(getattr(grid, name)[i, j]) == _bits(getattr(point, name))
+
+    def test_singular_point_is_nan(self):
+        stack = StackSpec(AIR, AIR)
+        ys = np.array([0.01j, complex(-2.0 / Z0, 0.0), 0.02j])
+        sol = solve_stack(stack, ys, F0)
+        assert all(np.isnan(getattr(sol, name)[1])
+                   for name in ("t", "gamma", "through_power", "reflected_power"))
+        for i in (0, 2):
+            assert _bits(sol.t[i]) == _bits(solve_stack(stack, ys[i], F0).t)
+        with pytest.raises(DegenerateStackError):
+            solve_stack(stack, ys[1], F0)

@@ -42,6 +42,17 @@ class TestElementResponse:
     def test_deterministic(self, responder):
         assert responder.s(7.5) == responder.s(7.5)
 
+    def test_table_equals_point_responses(self, scenario):
+        """A table solves its uncached levels in one call; each entry is
+        bit-identical to s(V) solved alone, whatever was cached before."""
+        levels = (30.0, 12.5, 0.0, 12.5)
+        by_table = scenario.responder().table(levels)
+        alone = [scenario.responder().s(v) for v in levels]
+        assert by_table.tobytes() == np.array(alone).tobytes()
+        mixed = scenario.responder()
+        mixed.s(0.0)
+        assert mixed.table(levels).tobytes() == by_table.tobytes()
+
 
 class TestSurfaceConfig:
     def test_voltages_view(self):

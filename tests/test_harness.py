@@ -12,6 +12,7 @@ from mediamatch.harness import (BudgetError, cmd_backscatter, cmd_bench_controll
                                 validate_trace)
 from mediamatch.control import ControlTrace
 from mediamatch.channel import SurfaceConfig
+from mediamatch.surface import admittance_at_voltage
 from mediamatch.scenario import (ScenarioError, default_tissue_dict,
                                  default_water_dict, load_scenario,
                                  scenario_from_dict)
@@ -180,6 +181,20 @@ class TestCli:
         path.write_text(json.dumps(raw))
         rc = main(["match", "--scenario", str(path), "--out", str(tmp_path)])
         assert rc == 3
+
+    def test_singular_stack_is_infeasible(self, tmp_path, capsys):
+        """An active coupling offset that cancels 2/Z0 + Y(30 V) nulls the
+        denominator of an air|air stack without layers."""
+        raw = default_water_dict(name="singular", load_medium="air", layers=[])
+        scenario = scenario_from_dict(raw)
+        offset = -2.0 / 376.730313668 - admittance_at_voltage(scenario.circuit, 30.0,
+                                                              scenario.frequency)
+        raw["coupling_offset_s"] = [offset.real, offset.imag]
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(raw))
+        rc = main(["links", "--scenario", str(path), "--out", str(tmp_path), "--links", "1"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("infeasible: singular stack")
 
     @pytest.mark.parametrize("argv", [
         ["links", "--links", "-3"],

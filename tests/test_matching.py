@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mediamatch.cascade import StackSpec, through_power_db
+from mediamatch import matching
+from mediamatch.cascade import DB_FLOOR, DegenerateStackError, StackSpec, through_power_db
 from mediamatch.matching import (SweepGrid, best_admittance, best_voltage,
                                  reflection_spectrum, sweep_through_power)
 from mediamatch.media import AIR, FAT, Layer, MUSCLE, SKIN, WATER
@@ -176,3 +177,34 @@ class TestReflectionSpectrum:
             reflection_spectrum(stack, [2.4e9], ys=0.01j, circuit=scenario.circuit, voltage=5.0)
         with pytest.raises(ValueError):
             reflection_spectrum(stack, [2.7e9, 2.4e9], ys=0.01j)
+
+
+class TestSingularPoint:
+    """The active Y = -2/Z0 nulls the denominator of a bare air|air stack.
+
+    Passive surfaces cannot reach it, so the sweep and the voltage search get
+    it through a patched admittance; the grid is still solved in one call.
+    """
+
+    SINGULAR = complex(-2.0 / 376.730313668, 0.0)
+
+    def test_sweep_records_the_floor(self, monkeypatch):
+        real = matching._axis2_admittance
+        monkeypatch.setattr(matching, "_axis2_admittance", lambda name, value, *rest:
+                            self.SINGULAR if value == 0.02 else real(name, value, *rest))
+        grid = SweepGrid("gap_mm", (1.0, 2.0), "susceptance_s", (0.0, 0.01, 0.02, 0.03), F0)
+        m = sweep_through_power(lambda g: StackSpec(AIR, AIR), grid)
+        assert np.all(m[:, 2] == DB_FLOOR)
+        assert np.all(m[:, [0, 1, 3]] > DB_FLOOR)
+
+    def test_voltage_search_skips_it(self, monkeypatch, scenario):
+        real = matching.admittance_at_voltage
+        monkeypatch.setattr(matching, "admittance_at_voltage", lambda circuit, v, f:
+                            self.SINGULAR if v == 30.0 else real(circuit, v, f))
+        m = best_voltage(StackSpec(AIR, AIR), scenario.circuit, F0, [30.0, 5.0])
+        assert m.best_voltage == 5.0
+        assert np.isfinite(m.through_power_db)
+
+    def test_spectrum_raises(self):
+        with pytest.raises(DegenerateStackError):
+            reflection_spectrum(StackSpec(AIR, AIR), [2.0e9, 2.4e9], ys=self.SINGULAR)
