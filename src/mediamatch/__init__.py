@@ -14,8 +14,8 @@ from .surface import (CalibrationError, ElementCircuit, ResonanceError,
                       SMV1405_TABLE, VaractorTable,
                       admittance_approx, admittance_at_voltage, admittance_exact,
                       calibrate_inductances, varactor_at)
-from .matching import (MatchResult, SearchError, SweepGrid, best_admittance,
-                       best_voltage, reflection_spectrum, sweep_through_power)
+from .matching import (MatchResult, SweepGrid, best_admittance, best_voltage,
+                       reflection_spectrum, sweep_through_power)
 from .channel import (ElementResponder, MultipathChannel, SurfaceConfig,
                       backscatter_gain, baseline_channel, composite_channel,
                       oneway_gain, rss_feedback, sample_channel)

@@ -6,8 +6,8 @@
     mediamatch backscatter      --scenario water.json --out out/ --links 45
     mediamatch bench-controller --scenario water.json --out out/
 
-Exit codes: 0 success, 2 scenario/config error, 3 infeasible search,
-calibration or singular stack, 4 oracle or budget violation.
+Exit codes: 0 success, 2 scenario/config error, 3 infeasible calibration
+or singular stack, 4 oracle or budget violation.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from pathlib import Path
 from .cascade import DegenerateStackError
 from .harness import (BudgetError, cmd_backscatter, cmd_bench_controller,
                       cmd_links, cmd_match, cmd_sweep)
-from .matching import SearchError
 from .scenario import ScenarioError, load_scenario, scenario_from_dict
 from .surface import CalibrationError
 
@@ -94,7 +93,7 @@ def main(argv=None) -> int:
             return EXIT_INFEASIBLE
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SearchError, DegenerateStackError) as exc:
+    except DegenerateStackError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except BudgetError as exc:

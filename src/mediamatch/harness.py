@@ -23,8 +23,7 @@ from .control import (brute_force_baseline, column_groups, run_controller,
                       stage1_uniform_probe, stage3_fine_tune, ControlState,
                       ControlTrace)
 from .matching import SweepGrid, best_admittance, best_voltage, reflection_spectrum, sweep_through_power
-from .scenario import (FeedbackOracle, ProductFeedbackOracle, Scenario,
-                       scenario_from_dict)
+from .scenario import FeedbackOracle, ProductFeedbackOracle, Scenario
 
 
 class BudgetError(RuntimeError):
@@ -169,8 +168,7 @@ def _link_seeds(scenario: Scenario, index: int) -> tuple[int, int, int]:
     return base, base + 500000, base + 10000019
 
 
-def _run_one_link(raw: dict, index: int) -> dict:
-    scenario = scenario_from_dict(raw)
+def _run_one_link(scenario: Scenario, index: int) -> dict:
     responder = scenario.responder()
     ch_seed, rng_seed, _ = _link_seeds(scenario, index)
     channel = scenario.sample_link_channel(ch_seed, responder)
@@ -210,9 +208,9 @@ def cmd_links(scenario: Scenario, out_dir, n_links: int, parallel: int = 1) -> R
 
     if parallel > 1 and n_links > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(_run_one_link, [scenario.raw] * n_links, range(n_links)))
+            results = list(pool.map(_run_one_link, [scenario] * n_links, range(n_links)))
     else:
-        results = [_run_one_link(scenario.raw, i) for i in range(n_links)]
+        results = [_run_one_link(scenario, i) for i in range(n_links)]
     results.sort(key=lambda r: r["link"])
 
     for r in results:

@@ -3,7 +3,7 @@
 The matcher only ever searches purely imaginary surface admittances (an
 idealized lossless surface); conductance enters through the varactor path
 when optimizing over bias voltages instead.  Every grid is one solve_stack
-call; only the golden-section refinement solves point by point.
+call; the continuous search is closed-form and solves three points.
 """
 
 from __future__ import annotations
@@ -14,13 +14,6 @@ import numpy as np
 
 from .cascade import DB_FLOOR, DegenerateStackError, StackSpec, solve_stack
 from .surface import ElementCircuit, admittance_at_voltage, admittance_exact
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-class SearchError(RuntimeError):
-    """Every candidate the search evaluated was singular."""
-
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -107,60 +100,28 @@ def sweep_through_power(stack_family, grid: SweepGrid,
     return out
 
 
-def best_admittance(stack: StackSpec, frequency: float,
-                    susceptance_range: tuple[float, float] = (0.0, 0.12),
-                    steps: int = 61) -> MatchResult:
-    """Grid search over purely imaginary Y_s, then golden-section refinement.
+def best_admittance(stack: StackSpec, frequency: float) -> MatchResult:
+    """Exact best purely imaginary Y_s = jB over B in [0, 0.12] S.
 
-    The coarse grid always includes Y_s = 0, so the reported gain can never
-    be negative.  Refinement narrows the bracket around the best grid point
-    to 1e-4 S.  If the coarse profile is not unimodal the golden-section
-    assumption is void and the search falls back to a dense 1e-4 S grid.
+    Wherever the surface sits, the cascade denominator is affine in its
+    admittance, den(Y) = alpha + beta Y, and T = 2 / den.  The solves at
+    Y = 0 and Y = j give alpha and j beta, so |den(jB)|^2 is a convex
+    quadratic in B whose minimiser, -Re(conj(alpha) j beta) / |beta|^2
+    clipped to the range, maximises the through power.  Y_s = 0 is reported
+    unless that point is strictly better, so the gain is never negative.
     """
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    lo, hi = susceptance_range
-    if lo >= hi:
-        raise ValueError("susceptance_range must be increasing")
+    bare = solve_stack(stack, 0j, frequency)
+    alpha = 2.0 / bare.t
+    j_beta = 2.0 / solve_stack(stack, 1j, frequency).t - alpha
+    b_star = min(max(-(alpha.conjugate() * j_beta).real / abs(j_beta) ** 2, 0.0), 0.12)
 
-    baseline = _through_db(stack, 0j, frequency)
-    bgrid = np.linspace(lo, hi, steps)
-    if not np.any(np.isclose(bgrid, 0.0)):
-        bgrid = np.sort(np.append(bgrid, 0.0))
-    vals = _through_db(stack, 1j * bgrid, frequency)
-    if np.all(np.isinf(vals)):
-        raise SearchError("all searched admittances were singular")
-
-    k = int(np.argmax(vals))
-    finite = vals[np.isfinite(vals)]
-    # unimodality check on the coarse profile: a single rising-then-falling run
-    rises = np.diff(finite) > 0
-    multimodal = np.any(rises[1:] & ~rises[:-1])
-    if multimodal:
-        dense = np.arange(lo, hi + 1e-4, 1e-4)
-        dvals = _through_db(stack, 1j * dense, frequency)
-        k = int(np.argmax(dvals))
-        b_star = float(dense[k])
-    else:
-        b_lo = bgrid[max(k - 1, 0)]
-        b_hi = bgrid[min(k + 1, len(bgrid) - 1)]
-        while b_hi - b_lo > 1e-4:
-            m1 = b_hi - _GOLDEN * (b_hi - b_lo)
-            m2 = b_lo + _GOLDEN * (b_hi - b_lo)
-            if _through_db(stack, 1j * m1, frequency) < _through_db(stack, 1j * m2, frequency):
-                b_lo = m1
-            else:
-                b_hi = m2
-        b_star = float(0.5 * (b_lo + b_hi))
-
+    baseline = float(_db(bare.through_power, float("-inf")))
     best_db = _through_db(stack, 1j * b_star, frequency)
-    if best_db < vals[k]:  # never report worse than a grid point actually seen
-        b_star, best_db = float(bgrid[k]), float(vals[k])
-    if best_db < baseline:
+    if not best_db > baseline:
         b_star, best_db = 0.0, baseline
     return MatchResult(
         through_power_db=float(best_db),
-        baseline_db=float(baseline),
+        baseline_db=baseline,
         gain_db=float(best_db - baseline),
         best_admittance=1j * b_star,
     )

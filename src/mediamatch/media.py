@@ -1,11 +1,11 @@
 """Electromagnetic media and the bare two-medium interface.
 
 A medium is described by its relative permittivity, relative permeability
-(1.0 for everything handled here) and conductivity.  Conductivity folds into
-a complex permittivity under the e^{+j omega t} time convention, so lossy
-media carry a negative imaginary part.  All derived quantities (intrinsic
-impedance and phase constant, at one frequency or an array of them;
-interface reflection/transmission) follow from those three numbers.
+(positive; 1.0 for every built-in medium) and conductivity.  Conductivity
+folds into a complex permittivity under the e^{+j omega t} time convention,
+so lossy media carry a negative imaginary part.  All derived quantities
+(intrinsic impedance and phase constant, at one frequency or an array of
+them; interface reflection/transmission) follow from those three numbers.
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ EPS_VACUUM = 8.8541878128e-12   # F/m
 
 @dataclass(frozen=True)
 class Medium:
-    """A homogeneous, non-magnetic propagation medium.
+    """A homogeneous propagation medium.
 
-    relative_permittivity is dimensionless (>= 1), conductivity is in S/m.
+    relative_permittivity is dimensionless (>= 1), relative_permeability is
+    dimensionless (> 0, else the wave impedance is zero or imaginary and
+    carries no power), conductivity is in S/m.
     """
 
     name: str
@@ -35,8 +37,9 @@ class Medium:
     def __post_init__(self):
         if not np.isfinite(self.relative_permittivity) or self.relative_permittivity < 1.0:
             raise ValueError(f"relative_permittivity must be >= 1, got {self.relative_permittivity}")
-        if not np.isfinite(self.relative_permeability):
-            raise ValueError("relative_permeability must be finite")
+        if not np.isfinite(self.relative_permeability) or self.relative_permeability <= 0.0:
+            raise ValueError(
+                f"relative_permeability must be > 0, got {self.relative_permeability}")
         if not np.isfinite(self.conductivity) or self.conductivity < 0.0:
             raise ValueError(f"conductivity must be >= 0, got {self.conductivity}")
 

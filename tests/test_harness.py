@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from mediamatch import scenario as scenario_mod
 from mediamatch.cli import main
 from mediamatch.harness import (BudgetError, cmd_backscatter, cmd_bench_controller,
                                 cmd_links, cmd_match, cmd_sweep, median_lower,
@@ -116,6 +117,18 @@ class TestLinksCommand:
         cmd_links(scenario, tmp_path / "par", 6, parallel=3)
         assert sha(tmp_path / "serial/links.csv") == sha(tmp_path / "par/links.csv")
 
+    def test_scenario_parsed_once(self, tmp_path, monkeypatch):
+        """A "calibrate" circuit is calibrated when the scenario is parsed,
+        not again for every link."""
+        calls = []
+        real = scenario_mod.calibrate_inductances
+        monkeypatch.setattr(scenario_mod, "calibrate_inductances",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        raw = default_water_dict(name="cal-links")
+        raw["circuit"] = "calibrate"
+        cmd_links(scenario_from_dict(raw), tmp_path, 3)
+        assert len(calls) == 1
+
     def test_channel_dump_written(self, tmp_path):
         scenario = load_scenario(SCENARIOS / "water_links.json")
         cmd_links(scenario, tmp_path, 1)
@@ -217,6 +230,17 @@ class TestCli:
         path = tmp_path / "flat.json"
         path.write_text(json.dumps(raw))
         rc = main(["sweep", "--scenario", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("mu_r", [-1.0, 0.0])
+    def test_non_positive_permeability_is_config_error(self, tmp_path, capsys, mu_r):
+        raw = default_water_dict(name="reactive", load_medium="reactive")
+        raw["media"] = {"reactive": {"relative_permittivity": 1.0,
+                                     "relative_permeability": mu_r}}
+        path = tmp_path / "reactive.json"
+        path.write_text(json.dumps(raw))
+        rc = main(["match", "--scenario", str(path), "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error:")
 

@@ -2,17 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mediamatch import matching
-from mediamatch.cascade import DB_FLOOR, DegenerateStackError, StackSpec, through_power_db
+from mediamatch.cascade import (DB_FLOOR, DegenerateStackError, StackSpec, solve_stack,
+                                through_power_db)
 from mediamatch.matching import (SweepGrid, best_admittance, best_voltage,
                                  reflection_spectrum, sweep_through_power)
-from mediamatch.media import AIR, FAT, Layer, MUSCLE, SKIN, WATER
+from mediamatch.media import AIR, FAT, Layer, MUSCLE, Medium, SKIN, WATER
 from mediamatch.scenario import default_tissue_scenario, default_water_scenario
 
 import oracles
 
 F0 = 2.4e9
+
+
+_media = st.builds(Medium, st.just("m"), st.floats(1.0, 90.0), st.just(1.0),
+                   st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
 
 
 def water_stack(gap_mm=6.0):
@@ -46,7 +52,7 @@ class TestBestAdmittance:
         assert m.through_power_db == pytest.approx(0.0, abs=1e-12)
 
     def test_no_worse_than_any_grid_point(self):
-        m = best_admittance(water_stack(3.0), F0, steps=25)
+        m = best_admittance(water_stack(3.0), F0)
         for b in np.linspace(0.0, 0.12, 25):
             assert m.through_power_db >= through_power_db(water_stack(3.0), 1j * b, F0) - 1e-12
 
@@ -66,11 +72,26 @@ class TestBestAdmittance:
             m = best_admittance(water_stack(float(gap)), F0)
             assert m.through_power_db == pytest.approx(10 * np.log10(bound), abs=5e-3)
 
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            best_admittance(water_stack(), F0, steps=1)
-        with pytest.raises(ValueError):
-            best_admittance(water_stack(), F0, susceptance_range=(0.1, 0.0))
+    def test_closed_form_equals_oracle_susceptance(self):
+        """The clamped minimiser is the oracle's exact optimum, not a bracket."""
+        for gap in range(1, 31):
+            m = best_admittance(water_stack(float(gap)), F0)
+            b_want = oracles.optimal_susceptance([(1.0, 0.0, gap * 1e-3)], (81.0, 0.0), F0)
+            assert m.best_admittance.imag == pytest.approx(np.clip(b_want, 0.0, 0.12),
+                                                          abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(src=_media, load=_media,
+           layers=st.lists(st.builds(Layer, _media, st.floats(1e-4, 3e-2)), max_size=3))
+    def test_no_worse_than_a_dense_grid(self, src, load, layers):
+        """Lossless and lossy stacks, the surface at every index."""
+        bgrid = np.linspace(0.0, 0.12, 1201)
+        for index in range(len(layers) + 1):
+            stack = StackSpec(src, load, tuple(layers), surface_index=index)
+            m = best_admittance(stack, F0)
+            grid_db = 10.0 * np.log10(solve_stack(stack, 1j * bgrid, F0).through_power)
+            assert m.gain_db >= 0.0
+            assert m.through_power_db >= grid_db.max() - 1e-12
 
 
 @pytest.fixture(scope="module")

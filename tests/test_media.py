@@ -15,6 +15,11 @@ class TestMediumValidation:
         with pytest.raises(ValueError):
             Medium("bogus", 0.5)
 
+    @pytest.mark.parametrize("mu_r", [-1.0, 0.0])
+    def test_non_positive_permeability_rejected(self, mu_r):
+        with pytest.raises(ValueError, match="relative_permeability"):
+            Medium("bogus", 1.0, mu_r)
+
     def test_negative_conductivity_rejected(self):
         with pytest.raises(ValueError):
             Medium("bogus", 2.0, conductivity=-1.0)

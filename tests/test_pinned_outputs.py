@@ -193,83 +193,83 @@ PINNED = {
     },
     "match-at_load": {
         "spectrum_admittance.csv":
-            "422c8427b1ec243f2554512792dab1b97f6b091446a3889a5ca595de881e29ca",
+            "ae5f0ed98117daaa8f921cca4cf9cd67afde74971930693d419a98c9eb1bc3c9",
         "spectrum_voltage.csv":
             "462bca042c95a2cfed552ada7381d384b59a28c7ab94a4e1ce1705fbb559c537",
         "summary":
-            "d4d678127a398228569770fcadac69c23253ab227b81aeb0cef37a20cf5b6ecc",
+            "e3fb29698dfc872245c852153298d5bbc9774c79d0640c723e7e1581aed3061e",
     },
     "match-lossy": {
         "spectrum_admittance.csv":
-            "bbcc2fefaa540e4bfc0868d7109ab5868fd07b4107943b3999309772c4a92435",
+            "c1129e59516bacc30d482db6b570ce37cbf7f32cf6d22933f717d5f7bb3f862c",
         "spectrum_voltage.csv":
             "83c2cda94934fdded64f681aeca09769924b8077136627b34680f47c9b08d9cf",
         "summary":
-            "a2436df0f786055ca293969c212f4a7988bc452584abe0fdf34501b4a3a6c32a",
+            "68618f4e23327e25230d44c16bbfcd455edb59fa89835fba1acad698062a7b99",
     },
     "match-tissue_depth": {
         "spectrum_admittance.csv":
-            "4088d64b80a8c83bb674d81d8fd537218dac817734abace54c25e3c478b3ae94",
+            "64c48f5c7da8135098eea30f1789e4ab75265046be54a01fb0524f2baab087bb",
         "spectrum_voltage.csv":
             "073008183d0f0b32cf032cb73a2ec640785653ae802730f62b0f6289a570c989",
         "summary":
-            "329031167bf443df2c01dcb522e6af541bfc51391ff7d9607f8de23ca796d4f5",
+            "429b1b82d852abb79b02b9d98dee5243ebcad6a6e08e0c7da55f7657380096bf",
     },
     "match-tissue_fat_capacitance": {
         "spectrum_admittance.csv":
-            "4e81bcc4e1fedac8c3cd23d2a69f61730e45404eefac211af1ff578dd334f39d",
+            "85b682660ec79652d6bb6e3672fb01f84f46ece7398e9b406ef803d8a95715c7",
         "spectrum_voltage.csv":
             "1837e3948fa03ba1d714daa2727facbb1db30d0eadf2f6bcee440b152a145de4",
         "summary":
-            "f190519e7e4ed7fdc0e41caf55e6628a950987e0845dbea2bb992ae58939d40c",
+            "86713f5499f6de3ea01b59e72690bb4ce7b110c2a79b5d7283541656e2a0b97b",
     },
     "match-tissue_fat_heatmap": {
         "spectrum_admittance.csv":
-            "4e81bcc4e1fedac8c3cd23d2a69f61730e45404eefac211af1ff578dd334f39d",
+            "85b682660ec79652d6bb6e3672fb01f84f46ece7398e9b406ef803d8a95715c7",
         "spectrum_voltage.csv":
             "1837e3948fa03ba1d714daa2727facbb1db30d0eadf2f6bcee440b152a145de4",
         "summary":
-            "f190519e7e4ed7fdc0e41caf55e6628a950987e0845dbea2bb992ae58939d40c",
+            "86713f5499f6de3ea01b59e72690bb4ce7b110c2a79b5d7283541656e2a0b97b",
     },
     "match-tissue_gap_heatmap": {
         "spectrum_admittance.csv":
-            "4e81bcc4e1fedac8c3cd23d2a69f61730e45404eefac211af1ff578dd334f39d",
+            "85b682660ec79652d6bb6e3672fb01f84f46ece7398e9b406ef803d8a95715c7",
         "spectrum_voltage.csv":
             "1837e3948fa03ba1d714daa2727facbb1db30d0eadf2f6bcee440b152a145de4",
         "summary":
-            "f190519e7e4ed7fdc0e41caf55e6628a950987e0845dbea2bb992ae58939d40c",
+            "86713f5499f6de3ea01b59e72690bb4ce7b110c2a79b5d7283541656e2a0b97b",
     },
     "match-tissue_match": {
         "spectrum_admittance.csv":
-            "4e81bcc4e1fedac8c3cd23d2a69f61730e45404eefac211af1ff578dd334f39d",
+            "85b682660ec79652d6bb6e3672fb01f84f46ece7398e9b406ef803d8a95715c7",
         "spectrum_voltage.csv":
             "1837e3948fa03ba1d714daa2727facbb1db30d0eadf2f6bcee440b152a145de4",
         "summary":
-            "f190519e7e4ed7fdc0e41caf55e6628a950987e0845dbea2bb992ae58939d40c",
+            "86713f5499f6de3ea01b59e72690bb4ce7b110c2a79b5d7283541656e2a0b97b",
     },
     "match-water_gap_capacitance": {
         "spectrum_admittance.csv":
-            "50f253ee4f5b1f527e3e83d0a63ee09f6a866e4b474c507f6640ee4d06982fcb",
+            "63d3679d5299496e5ababa489750ef99ea00cb9435cc7394997f7e00bbfb6396",
         "spectrum_voltage.csv":
             "3acdbd5bc6dd820bc47c006336224fe1f5c5f13d4465e032c8a324125cb404f6",
         "summary":
-            "73a3420d12ae9d6cdfc6fdc59de0bc5f9a7b03d3806831e036774c05d84648f6",
+            "c8c6a50281732a3e6d73414cf3f7bc2a2db15435c389afe427cc206e86027f62",
     },
     "match-water_gap_heatmap": {
         "spectrum_admittance.csv":
-            "50f253ee4f5b1f527e3e83d0a63ee09f6a866e4b474c507f6640ee4d06982fcb",
+            "63d3679d5299496e5ababa489750ef99ea00cb9435cc7394997f7e00bbfb6396",
         "spectrum_voltage.csv":
             "3acdbd5bc6dd820bc47c006336224fe1f5c5f13d4465e032c8a324125cb404f6",
         "summary":
-            "73a3420d12ae9d6cdfc6fdc59de0bc5f9a7b03d3806831e036774c05d84648f6",
+            "c8c6a50281732a3e6d73414cf3f7bc2a2db15435c389afe427cc206e86027f62",
     },
     "match-water_match": {
         "spectrum_admittance.csv":
-            "50f253ee4f5b1f527e3e83d0a63ee09f6a866e4b474c507f6640ee4d06982fcb",
+            "63d3679d5299496e5ababa489750ef99ea00cb9435cc7394997f7e00bbfb6396",
         "spectrum_voltage.csv":
             "3acdbd5bc6dd820bc47c006336224fe1f5c5f13d4465e032c8a324125cb404f6",
         "summary":
-            "73a3420d12ae9d6cdfc6fdc59de0bc5f9a7b03d3806831e036774c05d84648f6",
+            "c8c6a50281732a3e6d73414cf3f7bc2a2db15435c389afe427cc206e86027f62",
     },
     "sweep-at_load": {
         "summary":
