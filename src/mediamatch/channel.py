@@ -159,20 +159,50 @@ def sample_channel(seed: int, n_elements: int, env_power: float = 0.0,
                             responder=responder, phase_jitter=jitter)
 
 
-def composite_channel(channel: MultipathChannel, config: SurfaceConfig) -> complex:
-    """h_env + sum_i s(V_i) h_i for one surface configuration.
+#: Probe rows per block in composite_channels: the complex temporaries stay at
+#: PROBE_BLOCK x N values (2 MB at N = 1024) whatever the number of probes.
+PROBE_BLOCK = 128
 
-    s is gathered from the responder's table for the configuration's
-    alphabet, so a probe costs one gather and one product-sum over elements.
+
+def composite_channels(channel: MultipathChannel, levels, index) -> np.ndarray:
+    """h_env + sum_i s(V_i) h_i for every row of an (n, N) index matrix.
+
+    Row k is biased at levels[index[k]].  Each row is gathered from the
+    responder's table for the alphabet, multiplied in place and summed along
+    its own contiguous axis, which runs the same numpy loops, in the same
+    order, as a lone row does as a vector; every entry therefore equals the
+    one-row result bit for bit.
     """
-    if len(config) != channel.n_elements:
-        raise ValueError(f"config length {len(config)} != channel N {channel.n_elements}")
+    index = np.asarray(index)
+    if index.ndim != 2 or index.shape[1] != channel.n_elements:
+        raise ValueError(f"config length {index.shape[-1]} != channel N {channel.n_elements}")
     if channel.responder is None:
         raise ValueError("channel has no element responder attached")
-    s = channel.responder.table(config.levels)[config.index]
-    if channel.phase_jitter is not None:
-        s = s * channel.phase_jitter
-    return complex(channel.h_env + np.sum(s * channel.h_elements))
+    table = channel.responder.table(tuple(levels))
+    jitter, h = channel.phase_jitter, channel.h_elements
+    out = np.empty(len(index), dtype=complex)
+    for start in range(0, len(index), PROBE_BLOCK):
+        rows = index[start:start + PROBE_BLOCK]
+        if len(rows) == 1:
+            # a lone row stays a vector: numpy multiplies a 1 x 1 block by
+            # another loop than a length-1 vector, and the last bit can differ
+            s = table[rows[0]]
+            if jitter is not None:
+                s = s * jitter
+            out[start] = np.sum(s * h)
+            continue
+        s = table.take(rows)
+        if jitter is not None:
+            s *= jitter
+        s *= h
+        s.sum(axis=1, out=out[start:start + PROBE_BLOCK])
+    out += channel.h_env
+    return out
+
+
+def composite_channel(channel: MultipathChannel, config: SurfaceConfig) -> complex:
+    """h_env + sum_i s(V_i) h_i for one surface configuration."""
+    return complex(composite_channels(channel, config.levels, config.index[None])[0])
 
 
 def baseline_channel(channel: MultipathChannel) -> complex:
@@ -181,6 +211,38 @@ def baseline_channel(channel: MultipathChannel) -> complex:
         raise ValueError("channel has no element responder attached")
     s = channel.responder.s_bare
     return complex(channel.h_env + s * np.sum(channel.h_elements))
+
+
+def rss_db(magnitude, quantization_db: float | None = 0.1) -> np.ndarray:
+    """RSS in dB of channel magnitudes, on a quantization_db grid if one is set.
+
+    A magnitude that is not positive reads -inf; non-finite readings are not
+    quantized.  Rounding is half to even, as Python's round, and a reading that
+    rounds to zero is +0.0, never -0.0.
+    """
+    magnitude = np.asarray(magnitude, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rss = 20.0 * np.log10(magnitude)
+    rss[~(magnitude > 0)] = float("-inf")
+    if quantization_db:
+        rss = np.where(np.isfinite(rss),
+                       np.round(rss / quantization_db) * quantization_db + 0.0, rss)
+    return rss
+
+
+def feedback_batch(channel: MultipathChannel, levels, index, noise_db: float | None = None,
+                   noise_seeds=None, quantization_db: float | None = 0.1) -> np.ndarray:
+    """rss_feedback of every row of an (n, N) index matrix over levels.
+
+    noise_seeds holds one seed per row; it is read only when noise_db is set.
+    """
+    h = composite_channels(channel, levels, index)
+    if noise_db is not None:
+        s = np.sqrt(10.0 ** (noise_db / 10.0) / 2.0)
+        for k, seed in enumerate(noise_seeds):
+            rng = np.random.default_rng(seed)
+            h[k] += complex(rng.normal(0.0, s) + 1j * rng.normal(0.0, s))
+    return rss_db(np.hypot(h.real, h.imag), quantization_db)
 
 
 def rss_feedback(channel: MultipathChannel, config: SurfaceConfig,
@@ -194,16 +256,8 @@ def rss_feedback(channel: MultipathChannel, config: SurfaceConfig,
     by default (typical RSSI resolution); pass quantization_db=None for a
     continuous readout.
     """
-    h = composite_channel(channel, config)
-    if noise_db is not None:
-        rng = np.random.default_rng(noise_seed)
-        s = np.sqrt(10.0 ** (noise_db / 10.0) / 2.0)
-        h = h + complex(rng.normal(0.0, s) + 1j * rng.normal(0.0, s))
-    mag = abs(h)
-    rss = 20.0 * np.log10(mag) if mag > 0 else float("-inf")
-    if quantization_db and np.isfinite(rss):
-        rss = round(rss / quantization_db) * quantization_db
-    return float(rss)
+    return float(feedback_batch(channel, config.levels, config.index[None], noise_db,
+                                [noise_seed], quantization_db)[0])
 
 
 def backscatter_gain(downlink: MultipathChannel, uplink: MultipathChannel,

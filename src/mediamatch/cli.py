@@ -19,7 +19,7 @@ from pathlib import Path
 from .cascade import DegenerateStackError
 from .harness import (BudgetError, cmd_backscatter, cmd_bench_controller,
                       cmd_links, cmd_match, cmd_sweep)
-from .scenario import ScenarioError, load_scenario, scenario_from_dict
+from .scenario import ScenarioError, read_scenario_dict, scenario_from_dict
 from .surface import CalibrationError
 
 EXIT_OK = 0
@@ -70,11 +70,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_counts(args)
-        scenario = load_scenario(args.scenario)
+        raw = read_scenario_dict(args.scenario)
         if args.seed is not None:
-            raw = dict(scenario.raw)
             raw["seed"] = args.seed
-            scenario = scenario_from_dict(raw)
+        scenario = scenario_from_dict(raw)
         out = Path(args.out)
 
         if args.command == "match":

@@ -7,9 +7,14 @@ fine-tunes v1 and v0 to adjacent control voltages without touching the
 on/off split.  The returned configuration is the argmax over everything the
 controller ever probed, so it can never regress below a measured state.
 
-The oracle is any callable SurfaceConfig -> rss_db.  Probes are issued
-strictly one at a time in trace order (feedback is stateful in a real
-deployment); only whole controller runs may execute concurrently.
+The oracle is any callable SurfaceConfig -> rss_db.  It may also offer
+``batch(levels, index) -> ndarray``, which measures every row of an (n, N)
+index matrix; probe i of a batch must return exactly what the i-th of n
+sequential calls would (feedback is stateful in a real deployment, so a noisy
+oracle keys its noise by probe count).  Every stage sends its probes through
+one path, ``_probe_many``, which uses ``batch`` when the oracle has it and
+calls the oracle row by row otherwise, and records the probes in trace order.
+Only whole controller runs may execute concurrently.
 
 A configuration is a uint8 index vector over the voltage alphabet
 (``voltage_set``, or (v1, v0) for on/off configurations); the trace hash is
@@ -44,22 +49,52 @@ def config_hash(voltages) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
+#: Probe rows rendered per block in _digests: the gathered level words stay
+#: at HASH_BLOCK x (N + 1) words (1 MB at N = 1024 with 4-byte words).
+HASH_BLOCK = 256
+
+
 @functools.lru_cache(maxsize=256)
-def _level_parts(levels: bytes) -> np.ndarray:
-    """Each level rendered once, comma included, ready to be gathered.
+def _level_words(levels: bytes) -> np.ndarray:
+    """Each level rendered once, comma included, as one NUL-padded word.
 
     Keyed by the alphabet's float64 bytes: a tuple key would let (0.0,) and
-    (-0.0,) share one entry, and they render differently.
+    (-0.0,) share one entry, and they render differently.  Words are 4, 8 or
+    16 bytes wide, the widths numpy gathers fastest; a '.6g' rendering and
+    its comma take at most 14 bytes.
     """
-    return np.array([format(v, ".6g") + "," for v in np.frombuffer(levels).tolist()],
-                    dtype=object)
+    parts = [format(v, ".6g").encode() + b"," for v in np.frombuffer(levels).tolist()]
+    longest = max(map(len, parts), default=0)
+    return np.array(parts, dtype=f"S{4 if longest <= 4 else 8 if longest <= 8 else 16}")
 
 
-def _digest(config: SurfaceConfig) -> str:
-    """config_hash of the configuration's voltages, joined from its levels."""
-    parts = _level_parts(np.array(config.levels, dtype=float).tobytes())
-    text = "".join(parts[config.index].tolist())[:-1]
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+def _digests(configs) -> list[str]:
+    """config_hash of every configuration's voltages, in order.
+
+    Configurations are grouped by alphabet and length.  A block of rows is
+    gathered from the level words, each row closed by a newline word; one
+    translate drops the NUL padding and one split cuts the rows, each of which
+    is then hashed without its trailing comma.
+    """
+    groups: dict = {}
+    levels, key = None, None
+    for i, cfg in enumerate(configs):
+        if cfg.levels is not levels:  # runs of probes share one alphabet tuple
+            levels = cfg.levels
+            key = np.array(levels, dtype=float).tobytes()
+        groups.setdefault((key, len(cfg)), []).append(i)
+    out = [""] * len(configs)
+    for (key, n), members in groups.items():
+        words = _level_words(key)
+        for start in range(0, len(members), HASH_BLOCK):
+            block = members[start:start + HASH_BLOCK]
+            text = np.empty((len(block), n + 1), dtype=words.dtype)
+            text[:, n] = b"\n"
+            text[:, :n] = words.take(np.stack([configs[i].index for i in block]))
+            rows = text.tobytes().translate(None, b"\0").split(b"\n")
+            for i, row in zip(block, rows):
+                out[i] = hashlib.sha256(row[:-1]).hexdigest()[:12]
+    return out
 
 
 @dataclass(frozen=True)
@@ -101,8 +136,9 @@ class ControlTrace:
     def serialize(self) -> str:
         """Line-oriented records: stage,probe_index,config_hash,rss_db."""
         lines = ["stage,probe_index,config_hash,rss_db"]
-        for p in self.probes:
-            lines.append(f"{p.stage},{p.probe_index},{_digest(p.config)},{p.rss_db:.10g}")
+        digests = _digests([p.config for p in self.probes])
+        for p, digest in zip(self.probes, digests):
+            lines.append(f"{p.stage},{p.probe_index},{digest},{p.rss_db:.10g}")
         return "\n".join(lines) + "\n"
 
 
@@ -139,8 +175,32 @@ def _onoff_index(groups, masks, n_elements: int) -> np.ndarray:
         raise ValueError("control groups must not share or repeat elements")
     off = np.ones((len(masks), n_groups + 1), dtype=bool)
     off[:, :n_groups] = masks == 0
-    index = off.take(owner, axis=1).view(np.uint8)
-    index.flags.writeable = False  # its rows become the configurations' indices
+    return _read_only(off.take(owner, axis=1).view(np.uint8))
+
+
+def _probe_many(oracle, trace: ControlTrace, stage: int, levels, index) -> np.ndarray:
+    """Measure every row of an (n, N) index matrix over levels, in order.
+
+    Uses ``oracle.batch(levels, index)`` when the oracle has it and calls the
+    oracle once per row otherwise; every probe is recorded in the trace in row
+    order.  Returns the readings as a float array.
+    """
+    configs = [SurfaceConfig.from_index(levels, row) for row in index]
+    batch = getattr(oracle, "batch", None)
+    if batch is not None:
+        rss = np.asarray(batch(levels, index), dtype=float)
+        if rss.shape != (len(configs),):
+            raise ValueError(f"oracle batch returned shape {rss.shape} for {len(configs)} probes")
+    else:
+        rss = np.array([oracle(cfg) for cfg in configs], dtype=float)
+    for cfg, r in zip(configs, rss.tolist()):
+        trace.record(stage, cfg, r)
+    return rss
+
+
+def _read_only(index: np.ndarray) -> np.ndarray:
+    """The index matrix made read-only: its rows become configurations' indices."""
+    index.flags.writeable = False
     return index
 
 
@@ -165,12 +225,10 @@ def stage1_uniform_probe(oracle, voltages, n_elements: int,
     """
     vs = _validate_voltage_set(voltages)
     trace = trace if trace is not None else ControlTrace()
-    seen = []
+    index = np.repeat(np.arange(len(vs), dtype=np.uint8)[:, None], n_elements, axis=1)
+    rss = _probe_many(oracle, trace, 1, vs, _read_only(index))
+    seen = list(zip(vs, rss.tolist()))
     # descending order makes strict comparisons resolve ties upward
-    for k, v in enumerate(vs):
-        cfg = SurfaceConfig.from_index(vs, np.full(n_elements, k, dtype=np.uint8))
-        rss = trace.record(1, cfg, oracle(cfg))
-        seen.append((v, rss))
     v1, r1 = seen[0]
     v0, r0 = seen[0]
     for v, r in seen[1:]:
@@ -209,11 +267,7 @@ def stage2_majority_voting(oracle, v1: float, v0: float, n_elements: int,
 
     rng = np.random.default_rng(rng_seed)
     masks = rng.integers(0, 2, size=(n_configs, n_groups))
-    index = _onoff_index(groups, masks, n_elements)
-    rss = np.empty(n_configs)
-    for i in range(n_configs):
-        cfg = SurfaceConfig.from_index((v1, v0), index[i])
-        rss[i] = trace.record(2, cfg, oracle(cfg))
+    rss = _probe_many(oracle, trace, 2, (v1, v0), _onoff_index(groups, masks, n_elements))
 
     median = np.median(rss)
     voting = rss > median
@@ -241,14 +295,14 @@ def stage3_fine_tune(oracle, voltages, state: ControlState, n_elements: int,
 
     def neighborhood(v: float):
         i = vs.index(v)  # descending voltages: ascending indices
-        return [np.uint8(j) for j in (i - 1, i, i + 1) if 0 <= j < len(vs)]
+        return [j for j in (i - 1, i, i + 1) if 0 <= j < len(vs)]
 
     on = np.zeros(n_elements, dtype=bool)
     on[list(state.on_set)] = True
-    for k1 in neighborhood(state.v1):
-        for k0 in neighborhood(state.v0):
-            cfg = SurfaceConfig.from_index(vs, np.where(on, k1, k0))
-            trace.record(3, cfg, oracle(cfg))
+    moves = np.array(list(itertools.product(neighborhood(state.v1), neighborhood(state.v0))),
+                     dtype=np.uint8)
+    index = np.where(on, moves[:, :1], moves[:, 1:])
+    _probe_many(oracle, trace, 3, vs, _read_only(index))
 
     return trace.best_probe().config
 
@@ -292,10 +346,10 @@ def brute_force_baseline(oracle, groups, v1: float, v0: float, n_elements: int,
     trace = trace if trace is not None else ControlTrace()
     codes = np.arange(2 ** n_groups)
     index = _onoff_index(groups, (codes[:, None] >> np.arange(n_groups)) & 1, n_elements)
-    best_cfg, best_rss = None, float("-inf")
-    for code in codes:
-        cfg = SurfaceConfig.from_index((v1, v0), index[code])
-        rss = trace.record(2, cfg, oracle(cfg))
-        if rss > best_rss:
-            best_cfg, best_rss = cfg, rss
-    return best_cfg, best_rss, trace
+    rss = _probe_many(oracle, trace, 2, (v1, v0), index)
+    # the first strict maximum above -inf, as a running "rss > best" scan finds it
+    ranked = np.where(np.isnan(rss), float("-inf"), rss)
+    best = int(np.argmax(ranked))
+    if ranked[best] == float("-inf"):
+        return None, float("-inf"), trace
+    return SurfaceConfig.from_index((v1, v0), index[best]), float(rss[best]), trace

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cascade import StackSpec
 from .channel import (ElementResponder, MultipathChannel, SurfaceConfig,
-                      composite_channel, rss_feedback, sample_channel)
+                      composite_channels, feedback_batch, rss_db, sample_channel)
 from .control import DEFAULT_VOLTAGE_SET
 from .media import BUILTIN_MEDIA, Layer, Medium
 from .surface import (CalibrationError, SMV1405_TABLE, ElementCircuit,
@@ -112,7 +112,9 @@ class FeedbackOracle:
     """RSS feedback for the controller, with deterministic per-probe noise.
 
     Each probe gets its own derived noise seed so a replay with the same
-    base seed reproduces the identical sequence.
+    base seed reproduces the identical sequence.  ``batch`` measures every row
+    of an index matrix at once; row i reads exactly what the i-th of as many
+    sequential calls would, noise seed included.
     """
 
     def __init__(self, channel: MultipathChannel, noise_db: float | None = None,
@@ -123,14 +125,18 @@ class FeedbackOracle:
         self.noise_seed = noise_seed
         self.probes = 0
 
-    def __call__(self, config: SurfaceConfig) -> float:
-        seed = None
+    def batch(self, levels, index) -> np.ndarray:
+        first = self.noise_seed * 1000003 + self.probes
+        seeds = None
         if self.noise_db is not None:
-            seed = (self.noise_seed * 1000003 + self.probes) & 0x7FFFFFFF
-        rss = rss_feedback(self.channel, config, noise_db=self.noise_db,
-                           noise_seed=seed, quantization_db=self.quantization_db)
-        self.probes += 1
+            seeds = [(first + i) & 0x7FFFFFFF for i in range(len(index))]
+        rss = feedback_batch(self.channel, levels, index, noise_db=self.noise_db,
+                             noise_seeds=seeds, quantization_db=self.quantization_db)
+        self.probes += len(rss)
         return rss
+
+    def __call__(self, config: SurfaceConfig) -> float:
+        return float(self.batch(config.levels, config.index[None])[0])
 
 
 class ProductFeedbackOracle:
@@ -144,13 +150,14 @@ class ProductFeedbackOracle:
         self.uplink = uplink
         self.quantization_db = quantization_db
 
+    def batch(self, levels, index) -> np.ndarray:
+        down = composite_channels(self.downlink, levels, index)
+        up = composite_channels(self.uplink, levels, index)
+        magnitude = np.hypot(down.real, down.imag) * np.hypot(up.real, up.imag)
+        return rss_db(magnitude, self.quantization_db)
+
     def __call__(self, config: SurfaceConfig) -> float:
-        mag = abs(composite_channel(self.downlink, config)) \
-            * abs(composite_channel(self.uplink, config))
-        rss = 20.0 * np.log10(mag) if mag > 0 else float("-inf")
-        if self.quantization_db and np.isfinite(rss):
-            rss = round(rss / self.quantization_db) * self.quantization_db
-        return float(rss)
+        return float(self.batch(config.levels, config.index[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +189,35 @@ def _parse_medium(name: str, entry, registry) -> Medium:
     )
 
 
+def _object(value, what: str) -> dict:
+    """A JSON object (a dict); anything else is a ScenarioError."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _finite(value, what: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ScenarioError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def _whole(value, what: str) -> int:
+    """An integral count: 8 and 8.0 pass, 2.5 (which int() would cut to 2) does not."""
+    if isinstance(value, int):
+        return value
+    number = float(value)
+    if not number.is_integer():
+        raise ScenarioError(f"{what} must be a whole number, got {value!r}")
+    return int(number)
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
+    _object(raw, "the scenario")
     try:
         registry = dict(BUILTIN_MEDIA)
-        for name, entry in raw.get("media", {}).items():
+        for name, entry in _object(raw.get("media", {}), "media").items():
             registry[name] = _parse_medium(name, entry, registry)
 
         def medium(name: str) -> Medium:
@@ -214,18 +246,21 @@ def scenario_from_dict(raw: dict) -> Scenario:
                 design_frequency=frequency,
             )
 
-        ch = raw.get("channel", {})
+        ch = _object(raw.get("channel", {}), "channel")
         channel = ChannelParams(
             env_power=float(ch.get("env_power", 0.25)),
             element_power=float(ch.get("element_power", 1.0 / 64.0)),
-            noise_db=None if ch.get("noise_db") is None else float(ch["noise_db"]),
+            noise_db=(None if ch.get("noise_db") is None
+                      else _finite(ch["noise_db"], "channel.noise_db")),
             rss_quantization_db=(None if ch.get("rss_quantization_db", 0.1) is None
                                  else float(ch.get("rss_quantization_db", 0.1))),
             reciprocal_uplink=bool(ch.get("reciprocal_uplink", True)),
-            phase_jitter_std=float(ch.get("phase_jitter_std", 0.0)),
+            phase_jitter_std=_finite(ch.get("phase_jitter_std", 0.0),
+                                     "channel.phase_jitter_std"),
         )
 
-        rows, cols = int(raw.get("array_rows", 8)), int(raw.get("array_cols", 8))
+        rows = _whole(raw.get("array_rows", 8), "array_rows")
+        cols = _whole(raw.get("array_cols", 8), "array_cols")
         if rows < 1 or cols < 1:
             raise ScenarioError(f"array_rows and array_cols must be >= 1, got {rows}x{cols}")
 
@@ -248,7 +283,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
             channel=channel,
             seed=int(raw.get("seed", 1)),
             coupling_offset=complex(float(offset[0]), float(offset[1])),
-            sweeps={k: _expand_axis(k, v) for k, v in raw.get("sweep", {}).items()},
+            sweeps={k: _expand_axis(k, v)
+                    for k, v in _object(raw.get("sweep", {}), "sweep").items()},
             spectrum=spectrum,
             raw=raw,
         )
@@ -258,13 +294,18 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ScenarioError(f"bad scenario: {exc}") from exc
 
 
-def load_scenario(path) -> Scenario:
+def read_scenario_dict(path) -> dict:
+    """The JSON object of a scenario file, its fields not yet checked."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    return scenario_from_dict(raw)
+    return _object(raw, f"scenario file {path}")
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_dict(read_scenario_dict(path))
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,41 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_seed_override_parses_once(self, tmp_path, monkeypatch):
+        """--seed is applied to the file's dict before the one parse, so a
+        "calibrate" circuit is calibrated once."""
+        calls = []
+        real = scenario_mod.calibrate_inductances
+        monkeypatch.setattr(scenario_mod, "calibrate_inductances",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        raw = default_water_dict(name="cal-seed")
+        raw["circuit"] = "calibrate"
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(raw))
+        rc = main(["links", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                   "--links", "1", "--seed", "5"])
+        assert rc == 0
+        assert len(calls) == 1
+        assert (tmp_path / "out/links.csv").read_text().split("\n")[1].startswith("0,5000000,")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"water"', "null"])
+    def test_non_object_scenario_is_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "list.json"
+        path.write_text(text)
+        rc = main(["links", "--scenario", str(path), "--out", str(tmp_path), "--links", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_nan_noise_is_config_error(self, tmp_path, capsys):
+        raw = default_water_dict(name="nan-noise")
+        raw["channel"]["noise_db"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(raw))
+        rc = main(["links", "--scenario", str(path), "--out", str(tmp_path), "--links", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "links.csv").exists()
+
     def test_seed_override_changes_hash(self, tmp_path, capsys):
         rc = main(["links", "--scenario", str(SCENARIOS / "water_links.json"),
                    "--out", str(tmp_path / "a"), "--links", "2"])
@@ -298,6 +333,33 @@ class TestScenarioParsing:
     def test_empty_array_rejected(self, rows, cols):
         raw = default_water_dict(name="no-array", array_rows=rows, array_cols=cols)
         with pytest.raises(ScenarioError, match="array_rows"):
+            scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("field", ["noise_db", "phase_jitter_std"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_channel_field_rejected(self, field, value):
+        raw = default_water_dict(name="bad-channel")
+        raw["channel"][field] = value
+        with pytest.raises(ScenarioError, match=field):
+            scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("rows,cols", [(2.5, 8), (8, 7.9), (float("nan"), 8),
+                                           (8, float("inf"))])
+    def test_fractional_array_rejected(self, rows, cols):
+        raw = default_water_dict(name="half-array", array_rows=rows, array_cols=cols)
+        with pytest.raises(ScenarioError, match="whole number"):
+            scenario_from_dict(raw)
+
+    def test_whole_float_array_accepted(self):
+        sc = scenario_from_dict(default_water_dict(name="float-array", array_rows=4.0,
+                                                   array_cols=2))
+        assert (sc.rows, sc.cols) == (4, 2)
+
+    @pytest.mark.parametrize("section", ["channel", "media", "sweep"])
+    def test_non_object_section_rejected(self, section):
+        raw = default_water_dict(name="bad-section")
+        raw[section] = [1, 2]
+        with pytest.raises(ScenarioError, match=section):
             scenario_from_dict(raw)
 
     def test_hash_stability(self):
