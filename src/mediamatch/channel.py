@@ -41,13 +41,19 @@ class SurfaceConfig:
 
     @classmethod
     def from_index(cls, levels, index) -> "SurfaceConfig":
-        """Element i at levels[index[i]]; a writeable index is copied."""
+        """Element i at levels[index[i]]; a writeable index is copied.
+
+        The index is held as the narrowest unsigned type that covers the
+        alphabet; an entry outside [0, len(levels)) raises ValueError.
+        """
         cfg = cls.__new__(cls)
         cfg.levels = tuple(levels)
-        cfg.index = np.asarray(index, dtype=np.uint8)
-        if cfg.index.flags.writeable:
-            cfg.index = cfg.index.copy()
-            cfg.index.flags.writeable = False
+        index = np.asarray(index)
+        top = len(cfg.levels) - 1
+        if index.size and not (index.min() >= 0 and index.max() <= top):
+            raise ValueError(f"index entries must lie in [0, {top}] for {top + 1} levels")
+        cfg.index = index.astype(np.min_scalar_type(max(top, 0)), copy=index.flags.writeable)
+        cfg.index.flags.writeable = False
         return cfg
 
     @classmethod

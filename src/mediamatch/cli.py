@@ -2,9 +2,9 @@
 
     mediamatch match            --scenario water.json --out out/
     mediamatch sweep            --scenario water.json --out out/
-    mediamatch links            --scenario water.json --out out/ --links 45
-    mediamatch backscatter      --scenario water.json --out out/ --links 45
-    mediamatch bench-controller --scenario water.json --out out/
+    mediamatch links            --scenario water.json --out out/ --links 45 [--parallel 2]
+    mediamatch backscatter      --scenario water.json --out out/ --links 45 [--parallel 2]
+    mediamatch bench-controller --scenario water.json --out out/ [--parallel 2]
 
 Exit codes: 0 success, 2 scenario/config error, 3 infeasible calibration
 or singular stack, 4 oracle or budget violation.
@@ -44,17 +44,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p = sub.add_parser("sweep", help="through-power heatmap grids")
     common(p)
-    p = sub.add_parser("links", help="controller over seeded multipath links")
-    common(p)
-    p.add_argument("--links", type=int, default=45, help="number of links")
-    p.add_argument("--parallel", type=int, default=1, help="worker processes")
-    p = sub.add_parser("backscatter", help="two-way channel-product emulation")
-    common(p)
-    p.add_argument("--links", type=int, default=45, help="number of links")
-    p = sub.add_parser("bench-controller", help="voting vs enumeration comparison")
-    common(p)
-    p.add_argument("--links", type=int, default=100, dest="links",
-                   help="number of seeded channels")
+    for name, links, text in (("links", 45, "controller over seeded multipath links"),
+                              ("backscatter", 45, "two-way channel-product emulation"),
+                              ("bench-controller", 100, "voting vs enumeration comparison")):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--links", type=int, default=links, help="number of seeded links")
+        p.add_argument("--parallel", type=int, default=1, help="worker processes")
     return parser
 
 
@@ -83,9 +79,10 @@ def main(argv=None) -> int:
         elif args.command == "links":
             report = cmd_links(scenario, out, args.links, parallel=args.parallel)
         elif args.command == "backscatter":
-            report = cmd_backscatter(scenario, out, args.links)
+            report = cmd_backscatter(scenario, out, args.links, parallel=args.parallel)
         else:
-            report = cmd_bench_controller(scenario, out, n_seeds=args.links)
+            report = cmd_bench_controller(scenario, out, n_seeds=args.links,
+                                          parallel=args.parallel)
     except (ScenarioError, FileNotFoundError, ValueError) as exc:
         if isinstance(exc, CalibrationError):
             print(f"infeasible: {exc}", file=sys.stderr)

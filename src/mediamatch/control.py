@@ -13,12 +13,15 @@ index matrix; probe i of a batch must return exactly what the i-th of n
 sequential calls would (feedback is stateful in a real deployment, so a noisy
 oracle keys its noise by probe count).  Every stage sends its probes through
 one path, ``_probe_many``, which uses ``batch`` when the oracle has it and
-calls the oracle row by row otherwise, and records the probes in trace order.
-Only whole controller runs may execute concurrently.
+calls the oracle row by row otherwise.  Only whole controller runs may
+execute concurrently.
 
 A configuration is a uint8 index vector over the voltage alphabet
-(``voltage_set``, or (v1, v0) for on/off configurations); the trace hash is
-unchanged, still taken over the per-element voltages it stands for.
+(``voltage_set``, or (v1, v0) for on/off configurations).  The trace is a
+list of probe blocks, one per ``_probe_many`` call: the stage, the alphabet,
+the read-only index matrix and the readings.  Probes keep the order they were
+measured in, and the trace hash is still taken over the per-element voltages
+a row stands for.
 """
 
 from __future__ import annotations
@@ -68,37 +71,30 @@ def _level_words(levels: bytes) -> np.ndarray:
     return np.array(parts, dtype=f"S{4 if longest <= 4 else 8 if longest <= 8 else 16}")
 
 
-def _digests(configs) -> list[str]:
-    """config_hash of every configuration's voltages, in order.
+def _digests(levels, index) -> list[str]:
+    """config_hash of every row of an (n, N) index matrix over levels, in order.
 
-    Configurations are grouped by alphabet and length.  A block of rows is
-    gathered from the level words, each row closed by a newline word; one
-    translate drops the NUL padding and one split cuts the rows, each of which
-    is then hashed without its trailing comma.
+    A block of rows is gathered from the level words, each row closed by a
+    newline word; one translate drops the NUL padding and one split cuts the
+    rows, each of which is then hashed without its trailing comma.
     """
-    groups: dict = {}
-    levels, key = None, None
-    for i, cfg in enumerate(configs):
-        if cfg.levels is not levels:  # runs of probes share one alphabet tuple
-            levels = cfg.levels
-            key = np.array(levels, dtype=float).tobytes()
-        groups.setdefault((key, len(cfg)), []).append(i)
-    out = [""] * len(configs)
-    for (key, n), members in groups.items():
-        words = _level_words(key)
-        for start in range(0, len(members), HASH_BLOCK):
-            block = members[start:start + HASH_BLOCK]
-            text = np.empty((len(block), n + 1), dtype=words.dtype)
-            text[:, n] = b"\n"
-            text[:, :n] = words.take(np.stack([configs[i].index for i in block]))
-            rows = text.tobytes().translate(None, b"\0").split(b"\n")
-            for i, row in zip(block, rows):
-                out[i] = hashlib.sha256(row[:-1]).hexdigest()[:12]
+    words = _level_words(np.array(levels, dtype=float).tobytes())
+    n = index.shape[1]
+    out = []
+    for start in range(0, len(index), HASH_BLOCK):
+        rows = index[start:start + HASH_BLOCK]
+        text = np.empty((len(rows), n + 1), dtype=words.dtype)
+        text[:, n] = b"\n"
+        text[:, :n] = words.take(rows)
+        out += [hashlib.sha256(row[:-1]).hexdigest()[:12]
+                for row in text.tobytes().translate(None, b"\0").split(b"\n")[:-1]]
     return out
 
 
 @dataclass(frozen=True)
 class ProbeRecord:
+    """One probe of a trace, built on demand from its block."""
+
     stage: int
     probe_index: int
     config: SurfaceConfig
@@ -107,38 +103,69 @@ class ProbeRecord:
 
 @dataclass
 class ControlTrace:
-    """Everything the controller measured, in the order it measured it."""
+    """Everything the controller measured, in the order it measured it.
 
-    probes: list[ProbeRecord] = field(default_factory=list)
+    ``blocks`` holds one (stage, levels, index, rss) entry per batch of
+    probes: row k of the read-only (n, N) index matrix over the alphabet
+    ``levels`` read rss[k].  Probe indices run on across blocks.
+    """
+
+    blocks: list[tuple] = field(default_factory=list)
     low_contrast: bool = False
     notes: list[str] = field(default_factory=list)
 
-    def record(self, stage: int, config: SurfaceConfig, rss_db: float) -> float:
-        self.probes.append(ProbeRecord(stage, len(self.probes), config, float(rss_db)))
-        return float(rss_db)
+    def append(self, stage: int, levels, index, rss) -> None:
+        """Record a block of probes; a writeable index matrix is copied."""
+        index = np.asarray(index)
+        rss = np.array(rss, dtype=float)
+        if index.ndim != 2 or rss.shape != (len(index),):
+            raise ValueError(f"probe batch of {rss.shape} readings for an index of {index.shape}")
+        if index.flags.writeable:
+            index = index.copy()
+        self.blocks.append((stage, tuple(levels), _read_only(index), _read_only(rss)))
 
     def stage_probe_count(self, stage: int) -> int:
-        return sum(1 for p in self.probes if p.stage == stage)
+        return sum(len(rss) for s, _, _, rss in self.blocks if s == stage)
 
     @property
     def budget_used(self) -> int:
-        return len(self.probes)
+        return sum(len(rss) for *_, rss in self.blocks)
+
+    @property
+    def probes(self) -> list[ProbeRecord]:
+        """Every probe as a record, in trace order (an on-demand view)."""
+        counter = itertools.count()
+        return [ProbeRecord(stage, next(counter), SurfaceConfig.from_index(levels, row), r)
+                for stage, levels, index, rss in self.blocks
+                for row, r in zip(index, rss.tolist())]
 
     def best_probe(self, through_stage: int | None = None) -> ProbeRecord:
-        pool = self.probes if through_stage is None else [
-            p for p in self.probes if p.stage <= through_stage]
-        best = pool[0]
-        for p in pool[1:]:
-            if p.rss_db > best.rss_db:
-                best = p
-        return best
+        """The first probe with the highest reading up to through_stage.
+
+        Picks what a running "reading > best" scan from the first probe picks:
+        a NaN reading never wins, except as the very first probe, which then
+        stays.  Raises ValueError when no probe qualifies.
+        """
+        best, offset = None, 0
+        for stage, levels, index, rss in self.blocks:
+            if len(rss) and (through_stage is None or stage <= through_stage):
+                k = 0 if best is None and np.isnan(rss[0]) else _first_max(rss)
+                if best is None or rss[k] > best[0]:
+                    best = (rss[k], stage, offset + k, levels, index[k])
+            offset += len(rss)
+        if best is None:
+            raise ValueError(f"no probes through stage {through_stage}")
+        rss_db, stage, probe_index, levels, row = best
+        return ProbeRecord(stage, probe_index, SurfaceConfig.from_index(levels, row),
+                           float(rss_db))
 
     def serialize(self) -> str:
         """Line-oriented records: stage,probe_index,config_hash,rss_db."""
         lines = ["stage,probe_index,config_hash,rss_db"]
-        digests = _digests([p.config for p in self.probes])
-        for p, digest in zip(self.probes, digests):
-            lines.append(f"{p.stage},{p.probe_index},{digest},{p.rss_db:.10g}")
+        for stage, levels, index, rss in self.blocks:
+            first = len(lines) - 1
+            lines += [f"{stage},{first + k},{digest},{r:.10g}" for k, (digest, r)
+                      in enumerate(zip(_digests(levels, index), rss.tolist()))]
         return "\n".join(lines) + "\n"
 
 
@@ -182,20 +209,22 @@ def _probe_many(oracle, trace: ControlTrace, stage: int, levels, index) -> np.nd
     """Measure every row of an (n, N) index matrix over levels, in order.
 
     Uses ``oracle.batch(levels, index)`` when the oracle has it and calls the
-    oracle once per row otherwise; every probe is recorded in the trace in row
-    order.  Returns the readings as a float array.
+    oracle once per row otherwise; the probes go into the trace as one block.
+    Returns the readings as a float array.
     """
-    configs = [SurfaceConfig.from_index(levels, row) for row in index]
     batch = getattr(oracle, "batch", None)
     if batch is not None:
         rss = np.asarray(batch(levels, index), dtype=float)
-        if rss.shape != (len(configs),):
-            raise ValueError(f"oracle batch returned shape {rss.shape} for {len(configs)} probes")
     else:
-        rss = np.array([oracle(cfg) for cfg in configs], dtype=float)
-    for cfg, r in zip(configs, rss.tolist()):
-        trace.record(stage, cfg, r)
+        rss = np.array([oracle(SurfaceConfig.from_index(levels, row)) for row in index],
+                       dtype=float)
+    trace.append(stage, levels, index, rss)
     return rss
+
+
+def _first_max(rss: np.ndarray) -> int:
+    """Index of the first maximum of the readings, a NaN counting as -inf."""
+    return int(np.argmax(np.where(np.isnan(rss), -np.inf, rss)))
 
 
 def _read_only(index: np.ndarray) -> np.ndarray:
@@ -227,15 +256,10 @@ def stage1_uniform_probe(oracle, voltages, n_elements: int,
     trace = trace if trace is not None else ControlTrace()
     index = np.repeat(np.arange(len(vs), dtype=np.uint8)[:, None], n_elements, axis=1)
     rss = _probe_many(oracle, trace, 1, vs, _read_only(index))
-    seen = list(zip(vs, rss.tolist()))
-    # descending order makes strict comparisons resolve ties upward
-    v1, r1 = seen[0]
-    v0, r0 = seen[0]
-    for v, r in seen[1:]:
-        if r > r1:
-            v1, r1 = v, r
-        if r < r0:
-            v0, r0 = v, r
+    # descending order makes first extremes resolve ties upward; as in a
+    # running scan, a NaN first reading stays both extremes
+    i1, i0 = (0, 0) if np.isnan(rss[0]) else (_first_max(rss), _first_max(-rss))
+    (v1, r1), (v0, r0) = (vs[i1], rss[i1]), (vs[i0], rss[i0])
     if r1 - r0 < 1e-12:
         trace.low_contrast = True
         trace.notes.append("stage1: low-contrast feedback, extreme states are ties")
@@ -266,7 +290,7 @@ def stage2_majority_voting(oracle, v1: float, v0: float, n_elements: int,
     trace = trace if trace is not None else ControlTrace()
 
     rng = np.random.default_rng(rng_seed)
-    masks = rng.integers(0, 2, size=(n_configs, n_groups))
+    masks = rng.integers(0, 2, size=(n_configs, n_groups)).astype(bool)
     rss = _probe_many(oracle, trace, 2, (v1, v0), _onoff_index(groups, masks, n_elements))
 
     median = np.median(rss)
@@ -275,10 +299,10 @@ def stage2_majority_voting(oracle, v1: float, v0: float, n_elements: int,
     votes = masks[voting].sum(axis=0) if n_voting else np.zeros(n_groups, dtype=int)
     on_mask = votes > n_voting / 2.0  # strict majority of the voting configs
 
-    on_set, off_set = set(), set()
-    for gi, members in enumerate(groups):
-        (on_set if on_mask[gi] else off_set).update(members)
-    return frozenset(on_set), frozenset(off_set), trace
+    on = on_mask.tolist()
+    on_set = frozenset(itertools.chain.from_iterable(g for g, x in zip(groups, on) if x))
+    off_set = frozenset(itertools.chain.from_iterable(g for g, x in zip(groups, on) if not x))
+    return on_set, off_set, trace
 
 
 def stage3_fine_tune(oracle, voltages, state: ControlState, n_elements: int,
@@ -348,8 +372,7 @@ def brute_force_baseline(oracle, groups, v1: float, v0: float, n_elements: int,
     index = _onoff_index(groups, (codes[:, None] >> np.arange(n_groups)) & 1, n_elements)
     rss = _probe_many(oracle, trace, 2, (v1, v0), index)
     # the first strict maximum above -inf, as a running "rss > best" scan finds it
-    ranked = np.where(np.isnan(rss), float("-inf"), rss)
-    best = int(np.argmax(ranked))
-    if ranked[best] == float("-inf"):
+    best = _first_max(rss)
+    if not rss[best] > float("-inf"):
         return None, float("-inf"), trace
     return SurfaceConfig.from_index((v1, v0), index[best]), float(rss[best]), trace

@@ -60,13 +60,15 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
+def _csv_text(header: str, rows) -> str:
+    return "".join([header + "\n"] + [
+        ",".join(format(x, ".12g") if isinstance(x, float) else str(x) for x in row) + "\n"
+        for row in rows])
+
+
 def _write_csv(path: Path, header: str, rows) -> str:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(format(x, ".12g") if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
+    path.write_text(_csv_text(header, rows), encoding="utf-8", newline="\n")
     return str(path)
 
 
@@ -78,9 +80,7 @@ def _finish(report: RunReport, out_dir: Path) -> RunReport:
 
 def validate_trace(trace: ControlTrace, n_voltages: int, n_stage2: int) -> None:
     """Assert the 8/2N/9-style probe budget from the trace itself."""
-    s1 = trace.stage_probe_count(1)
-    s2 = trace.stage_probe_count(2)
-    s3 = trace.stage_probe_count(3)
+    s1, s2, s3 = (trace.stage_probe_count(stage) for stage in (1, 2, 3))
     if s1 != n_voltages or s2 != n_stage2 or s3 > 9:
         raise BudgetError(
             f"budget violation: stages {s1}/{s2}/{s3}, expected "
@@ -160,139 +160,17 @@ def cmd_sweep(scenario: Scenario, out_dir) -> RunReport:
 
 
 # ---------------------------------------------------------------------------
-# links
+# links, backscatter, bench-controller: one per-link pipeline
+
+#: Stage-2 probe count for the column-granularity voting variant; the
+#: 8-column benchmark runs 32 random configurations.
+COLUMN_VOTING_CONFIGS = 32
+
 
 def _link_seeds(scenario: Scenario, index: int) -> tuple[int, int, int]:
     """(channel seed, voting rng seed, uplink channel seed) for one link."""
     base = scenario.seed * 1000000 + index
     return base, base + 500000, base + 10000019
-
-
-def _run_one_link(scenario: Scenario, index: int) -> dict:
-    responder = scenario.responder()
-    ch_seed, rng_seed, _ = _link_seeds(scenario, index)
-    channel = scenario.sample_link_channel(ch_seed, responder)
-    oracle = FeedbackOracle(channel, noise_db=scenario.channel.noise_db,
-                            quantization_db=scenario.channel.rss_quantization_db,
-                            noise_seed=ch_seed)
-    cfg, trace = run_controller(oracle, scenario.n_elements,
-                                voltages=scenario.voltage_set, rng_seed=rng_seed)
-    validate_trace(trace, len(scenario.voltage_set), 2 * scenario.n_elements)
-
-    base_db = 20.0 * np.log10(abs(baseline_channel(channel)))
-    stage1_db = trace.best_probe(through_stage=1).rss_db
-    stage2_db = trace.best_probe(through_stage=2).rss_db
-    final_db = trace.best_probe().rss_db
-    return {
-        "link": index,
-        "seed": ch_seed,
-        "baseline_db": float(base_db),
-        "final_db": float(final_db),
-        "gain_db": float(oneway_gain(channel, cfg)),
-        "stage1_gain_db": float(stage1_db - base_db),
-        "stage12_gain_db": float(stage2_db - base_db),
-        "stage3_increment_db": float(final_db - stage2_db),
-        "probes_stage1": trace.stage_probe_count(1),
-        "probes_stage2": trace.stage_probe_count(2),
-        "probes_stage3": trace.stage_probe_count(3),
-        "trace": trace.serialize(),
-        "channel": [(channel.h_env.real, channel.h_env.imag)] + [
-            (z.real, z.imag) for z in channel.h_elements],
-    }
-
-
-def cmd_links(scenario: Scenario, out_dir, n_links: int, parallel: int = 1) -> RunReport:
-    """Sample n_links seeded channels and run the controller on each."""
-    out_dir = Path(out_dir)
-    report = RunReport("links", scenario.name, scenario.scenario_hash())
-
-    if parallel > 1 and n_links > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(_run_one_link, [scenario] * n_links, range(n_links)))
-    else:
-        results = [_run_one_link(scenario, i) for i in range(n_links)]
-    results.sort(key=lambda r: r["link"])
-
-    for r in results:
-        (out_dir / "traces").mkdir(parents=True, exist_ok=True)
-        (out_dir / "traces" / f"link_{r['link']:04d}.csv").write_text(r["trace"])
-        _write_csv(out_dir / "channels" / f"link_{r['link']:04d}.csv", "path,re,im",
-                   [("env" if i == 0 else f"element_{i - 1}", float(re), float(im))
-                    for i, (re, im) in enumerate(r["channel"])])
-
-    report.csv_paths.append(_write_csv(
-        out_dir / "links.csv",
-        "link,seed,baseline_db,final_db,gain_db,stage1_gain_db,stage12_gain_db,"
-        "stage3_increment_db,probes_stage1,probes_stage2,probes_stage3",
-        [(r["link"], r["seed"], r["baseline_db"], r["final_db"], r["gain_db"],
-          r["stage1_gain_db"], r["stage12_gain_db"], r["stage3_increment_db"],
-          r["probes_stage1"], r["probes_stage2"], r["probes_stage3"]) for r in results]))
-
-    if results:
-        gains = [r["gain_db"] for r in results]
-        report.summary.update({
-            "n_links": len(results),
-            "median_gain_db": median_lower(gains),
-            "p10_gain_db": percentile_lower(gains, 10.0),
-            "p90_gain_db": percentile_lower(gains, 90.0),
-            "max_gain_db": float(max(gains)),
-            "total_probes": sum(r["probes_stage1"] + r["probes_stage2"] + r["probes_stage3"]
-                                for r in results),
-        })
-    else:
-        report.summary["n_links"] = 0
-    return _finish(report, out_dir)
-
-
-# ---------------------------------------------------------------------------
-# backscatter
-
-def cmd_backscatter(scenario: Scenario, out_dir, n_links: int) -> RunReport:
-    """Two-way emulation: controller driven by the product-channel feedback."""
-    out_dir = Path(out_dir)
-    report = RunReport("backscatter", scenario.name, scenario.scenario_hash())
-    responder = scenario.responder()
-
-    rows = []
-    for i in range(n_links):
-        ch_seed, rng_seed, up_seed = _link_seeds(scenario, i)
-        downlink = scenario.sample_link_channel(ch_seed, responder)
-        uplink = downlink if scenario.channel.reciprocal_uplink \
-            else scenario.sample_link_channel(up_seed, responder)
-        oracle = ProductFeedbackOracle(downlink, uplink,
-                                       quantization_db=scenario.channel.rss_quantization_db)
-        cfg, trace = run_controller(oracle, scenario.n_elements,
-                                    voltages=scenario.voltage_set, rng_seed=rng_seed)
-        validate_trace(trace, len(scenario.voltage_set), 2 * scenario.n_elements)
-        rows.append((i, ch_seed,
-                     float(oneway_gain(downlink, cfg)),
-                     float(oneway_gain(uplink, cfg)),
-                     float(backscatter_gain(downlink, uplink, cfg))))
-
-    report.csv_paths.append(_write_csv(
-        out_dir / "backscatter.csv",
-        "link,seed,gain_down_db,gain_up_db,backscatter_db", rows))
-    if rows:
-        bs = [r[4] for r in rows]
-        down = [r[2] for r in rows]
-        report.summary.update({
-            "n_links": len(rows),
-            "median_backscatter_db": median_lower(bs),
-            "max_backscatter_db": float(max(bs)),
-            "median_oneway_db": median_lower(down),
-            "reciprocal_uplink": scenario.channel.reciprocal_uplink,
-        })
-    else:
-        report.summary["n_links"] = 0
-    return _finish(report, out_dir)
-
-
-# ---------------------------------------------------------------------------
-# bench-controller
-
-#: Stage-2 probe count for the column-granularity voting variant; the
-#: 8-column benchmark runs 32 random configurations.
-COLUMN_VOTING_CONFIGS = 32
 
 
 def _enum_pipeline(oracle, scenario: Scenario, groups):
@@ -311,54 +189,148 @@ def _enum_pipeline(oracle, scenario: Scenario, groups):
     return final, trace
 
 
-def cmd_bench_controller(scenario: Scenario, out_dir, n_seeds: int = 100) -> RunReport:
-    """Randomized voting vs exhaustive enumeration vs column-wise control."""
-    out_dir = Path(out_dir)
-    report = RunReport("bench-controller", scenario.name, scenario.scenario_hash())
-    responder = scenario.responder()
-    cols = column_groups(scenario.rows, scenario.cols)
+def run_link(scenario: Scenario, responder, index: int, mode: str):
+    """Link `index` of the links, backscatter or bench-controller command.
 
-    rows = []
-    for i in range(n_seeds):
-        ch_seed, rng_seed, _ = _link_seeds(scenario, i)
-        channel = scenario.sample_link_channel(ch_seed, responder)
+    Returns (CSV row, files): files maps a path under the output directory to
+    its text, the link's trace and channel dump for links and none otherwise.
+    """
+    ch_seed, rng_seed, up_seed = _link_seeds(scenario, index)
+    channel = scenario.sample_link_channel(ch_seed, responder)
+    n, vs = scenario.n_elements, scenario.voltage_set
 
-        def fresh_oracle():
-            return FeedbackOracle(channel, noise_db=scenario.channel.noise_db,
-                                  quantization_db=scenario.channel.rss_quantization_db,
-                                  noise_seed=ch_seed)
+    def control(oracle, n_configs=None, groups=None):
+        cfg, trace = run_controller(oracle, n, voltages=vs, rng_seed=rng_seed,
+                                    n_configs=n_configs, groups=groups)
+        validate_trace(trace, len(vs), n_configs or 2 * n)
+        return cfg, trace
 
-        cfg_e, tr_e = run_controller(fresh_oracle(), scenario.n_elements,
-                                     voltages=scenario.voltage_set, rng_seed=rng_seed)
-        validate_trace(tr_e, len(scenario.voltage_set), 2 * scenario.n_elements)
+    def feedback():
+        return FeedbackOracle(channel, noise_db=scenario.channel.noise_db,
+                              quantization_db=scenario.channel.rss_quantization_db,
+                              noise_seed=ch_seed)
 
-        cfg_c, tr_c = run_controller(fresh_oracle(), scenario.n_elements,
-                                     voltages=scenario.voltage_set, rng_seed=rng_seed,
-                                     n_configs=COLUMN_VOTING_CONFIGS, groups=cols)
-        validate_trace(tr_c, len(scenario.voltage_set), COLUMN_VOTING_CONFIGS)
+    if mode == "backscatter":
+        uplink = channel if scenario.channel.reciprocal_uplink \
+            else scenario.sample_link_channel(up_seed, responder)
+        cfg, _ = control(ProductFeedbackOracle(
+            channel, uplink, quantization_db=scenario.channel.rss_quantization_db))
+        return (index, ch_seed, oneway_gain(channel, cfg), oneway_gain(uplink, cfg),
+                backscatter_gain(channel, uplink, cfg)), {}
+    if mode == "bench-controller":
+        cols = column_groups(scenario.rows, scenario.cols)
+        cfg_e, tr_e = control(feedback())
+        cfg_c, tr_c = control(feedback(), COLUMN_VOTING_CONFIGS, cols)
+        cfg_n, tr_n = _enum_pipeline(feedback(), scenario, cols)
+        return (index, ch_seed, *(oneway_gain(channel, c) for c in (cfg_e, cfg_c, cfg_n)),
+                tr_e.budget_used, tr_c.budget_used, tr_n.budget_used), {}
 
-        cfg_n, tr_n = _enum_pipeline(fresh_oracle(), scenario, cols)
+    cfg, trace = control(feedback())
+    base_db = float(20.0 * np.log10(abs(baseline_channel(channel))))
+    stage1_db = trace.best_probe(through_stage=1).rss_db
+    stage2_db = trace.best_probe(through_stage=2).rss_db
+    final_db = trace.best_probe().rss_db
+    dump = [("env", channel.h_env.real, channel.h_env.imag)] + [
+        (f"element_{i}", z.real, z.imag) for i, z in enumerate(channel.h_elements.tolist())]
+    return (index, ch_seed, base_db, final_db, oneway_gain(channel, cfg),
+            stage1_db - base_db, stage2_db - base_db, final_db - stage2_db,
+            *(trace.stage_probe_count(s) for s in (1, 2, 3))), {
+        f"traces/link_{index:04d}.csv": trace.serialize(),
+        f"channels/link_{index:04d}.csv": _csv_text("path,re,im", dump)}
 
-        rows.append((i, ch_seed,
-                     float(oneway_gain(channel, cfg_e)),
-                     float(oneway_gain(channel, cfg_c)),
-                     float(oneway_gain(channel, cfg_n)),
-                     tr_e.budget_used, tr_c.budget_used, tr_n.budget_used))
 
-    report.csv_paths.append(_write_csv(
-        out_dir / "bench_controller.csv",
-        "seed_index,seed,element_voting_db,column_voting_db,column_enum_db,"
-        "probes_element,probes_column,probes_enum", rows))
+#: A worker process's (scenario, responder), built once by _start_worker.
+_worker_state = None
+
+
+def _start_worker(scenario: Scenario) -> None:
+    global _worker_state
+    _worker_state = (scenario, scenario.responder())
+
+
+def _worker_link(index: int, mode: str):
+    return run_link(*_worker_state, index, mode)
+
+
+#: The CSV each link command writes, and its header.
+_LINK_CSV = {
+    "links": ("links.csv", "link,seed,baseline_db,final_db,gain_db,stage1_gain_db,"
+              "stage12_gain_db,stage3_increment_db,probes_stage1,probes_stage2,probes_stage3"),
+    "backscatter": ("backscatter.csv", "link,seed,gain_down_db,gain_up_db,backscatter_db"),
+    "bench-controller": ("bench_controller.csv", "seed_index,seed,element_voting_db,"
+                         "column_voting_db,column_enum_db,probes_element,probes_column,"
+                         "probes_enum"),
+}
+
+
+def _run_links(mode: str, scenario: Scenario, out_dir: Path, n_links: int,
+               parallel: int) -> tuple[RunReport, list[tuple]]:
+    """run_link over links 0..n_links-1, in `parallel` worker processes when
+    that is above 1, with one responder per process.  Writes every link's
+    files and the command's CSV; returns the report and the rows in link order."""
+    if parallel > 1 and n_links > 1:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=parallel, initializer=_start_worker,
+                initargs=(scenario,)) as pool:
+            results = list(pool.map(_worker_link, range(n_links), [mode] * n_links))
+    else:
+        responder = scenario.responder()
+        results = [run_link(scenario, responder, i, mode) for i in range(n_links)]
+    for folder in {Path(name).parent for _, files in results for name in files}:
+        (out_dir / folder).mkdir(parents=True, exist_ok=True)
+    for _, files in results:
+        for name, text in files.items():
+            (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
+    rows = [row for row, _ in results]
+    report = RunReport(mode, scenario.name, scenario.scenario_hash())
+    name, header = _LINK_CSV[mode]
+    report.csv_paths.append(_write_csv(out_dir / name, header, rows))
+    return report, rows
+
+
+def cmd_links(scenario: Scenario, out_dir, n_links: int, parallel: int = 1) -> RunReport:
+    """Sample n_links seeded channels and run the controller on each."""
+    report, rows = _run_links("links", scenario, Path(out_dir), n_links, parallel)
+    report.summary["n_links"] = len(rows)
     if rows:
-        elem = [r[2] for r in rows]
-        colv = [r[3] for r in rows]
-        enum = [r[4] for r in rows]
+        gains = [r[4] for r in rows]
+        report.summary.update({
+            "median_gain_db": median_lower(gains),
+            "p10_gain_db": percentile_lower(gains, 10.0),
+            "p90_gain_db": percentile_lower(gains, 90.0),
+            "max_gain_db": float(max(gains)),
+            "total_probes": sum(sum(r[8:]) for r in rows),
+        })
+    return _finish(report, Path(out_dir))
+
+
+def cmd_backscatter(scenario: Scenario, out_dir, n_links: int, parallel: int = 1) -> RunReport:
+    """Two-way emulation: controller driven by the product-channel feedback."""
+    report, rows = _run_links("backscatter", scenario, Path(out_dir), n_links, parallel)
+    report.summary["n_links"] = len(rows)
+    if rows:
+        bs = [r[4] for r in rows]
+        report.summary.update({
+            "median_backscatter_db": median_lower(bs),
+            "max_backscatter_db": float(max(bs)),
+            "median_oneway_db": median_lower([r[2] for r in rows]),
+            "reciprocal_uplink": scenario.channel.reciprocal_uplink,
+        })
+    return _finish(report, Path(out_dir))
+
+
+def cmd_bench_controller(scenario: Scenario, out_dir, n_seeds: int = 100,
+                         parallel: int = 1) -> RunReport:
+    """Randomized voting vs exhaustive enumeration vs column-wise control."""
+    report, rows = _run_links("bench-controller", scenario, Path(out_dir), n_seeds, parallel)
+    if rows:
+        elem, colv, enum = (median_lower([r[c] for r in rows]) for c in (2, 3, 4))
         report.summary.update({
             "n_seeds": len(rows),
-            "median_element_voting_db": median_lower(elem),
-            "median_column_voting_db": median_lower(colv),
-            "median_column_enum_db": median_lower(enum),
-            "voting_vs_enum_db": median_lower(enum) - median_lower(colv),
-            "element_vs_column_db": median_lower(elem) - median_lower(colv),
+            "median_element_voting_db": elem,
+            "median_column_voting_db": colv,
+            "median_column_enum_db": enum,
+            "voting_vs_enum_db": enum - colv,
+            "element_vs_column_db": elem - colv,
         })
-    return _finish(report, out_dir)
+    return _finish(report, Path(out_dir))

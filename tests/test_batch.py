@@ -207,20 +207,23 @@ class TestBlockDigests:
     def test_equal_config_hash(self):
         """Mixed alphabets and lengths in one trace, signed zeros, 4-, 8- and
         16-byte level words, the widest '.6g' rendering, more than 256
-        levels, and probe counts and lengths that are not multiples of the
-        blocks."""
+        levels (a uint16 index), an empty config, and blocks of one row or of
+        row counts and lengths that are not multiples of HASH_BLOCK."""
         rng = np.random.default_rng(7)
         alphabets = [VS, (30.0, 0.0), (30.0, -0.0), (0.0, -0.0), (12.5, 2.34567),
                      (-1.23456e-7, 2.5), (123456789.0, 1.0, 0.0),
                      (-2.2250738585072014e-308,)]
+        sizes = (1, 2 * HASH_BLOCK + 5, 3, HASH_BLOCK, HASH_BLOCK - 1)
         trace = ControlTrace()
-        for k in range(2 * HASH_BLOCK + 5):
+        for k in range(3 * len(alphabets)):
             levels = alphabets[k % len(alphabets)] if k % 3 else (30.0, 0.0)
             n = 37 if k % 11 else 5
-            index = rng.integers(0, len(levels), n).astype(np.uint8)
-            trace.record(2, SurfaceConfig.from_index(levels, index), 0.0)
-        trace.record(1, SurfaceConfig(np.linspace(0.0, 30.0, 300)), 0.0)
-        trace.record(1, SurfaceConfig(()), 0.0)
+            index = rng.integers(0, len(levels), (sizes[k % len(sizes)], n)).astype(np.uint8)
+            trace.append(2, levels, index, np.zeros(len(index)))
+        wide = SurfaceConfig(np.linspace(0.0, 30.0, 300))
+        assert wide.index.dtype == np.uint16
+        trace.append(1, wide.levels, np.stack([wide.index, wide.index[::-1]]), [0.0, 0.0])
+        trace.append(1, (), np.zeros((2, 0), np.uint8), [0.0, 0.0])
         rows = trace.serialize().split("\n")[1:-1]
         assert len(rows) == len(trace.probes)
         assert [row.split(",")[2] for row in rows] == [

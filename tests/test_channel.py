@@ -85,6 +85,23 @@ class TestSurfaceConfig:
         assert cfg.voltages == tuple(values.tolist())
         assert len(cfg.levels) == 1024
 
+    def test_wide_index_round_trips(self):
+        """An index over more than 256 levels keeps a wide unsigned type
+        instead of wrapping modulo 256."""
+        levels = tuple(float(v) for v in range(300))
+        assert SurfaceConfig.from_index(levels, np.array([299], np.uint16)).voltages == (299.0,)
+        cfg = SurfaceConfig(np.linspace(0.0, 30.0, 300))
+        again = SurfaceConfig.from_index(cfg.levels, cfg.index)
+        assert again.index.dtype == cfg.index.dtype == np.uint16
+        assert again.voltages == cfg.voltages
+        assert SurfaceConfig.from_index((30.0, 0.0), np.array([1, 0], np.int64)).index.dtype \
+            == np.uint8
+
+    @pytest.mark.parametrize("index", [[-1, 0], [0, 3], np.array([256], np.uint16), [300]])
+    def test_index_out_of_range_rejected(self, index):
+        with pytest.raises(ValueError, match="index entries"):
+            SurfaceConfig.from_index((30.0, 15.0, 0.0), index)
+
     def test_signed_zero_kept(self):
         cfg = SurfaceConfig((0.0, -0.0, 0.0))
         assert [np.signbit(v) for v in cfg.voltages] == [False, True, False]

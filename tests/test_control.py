@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mediamatch.channel import SurfaceConfig
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, ControlState, ControlTrace,
@@ -29,7 +30,30 @@ def onoff_oracle(h, h_env=0j, s_on=1.0, s_off=0.0, on_voltage=V1):
     return oracle
 
 
+READINGS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, float("inf"), float("-inf"), float("nan")]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
 class TestStage1:
+    @settings(max_examples=200, deadline=None)
+    @given(readings=st.lists(READINGS, min_size=len(DEFAULT_VOLTAGE_SET),
+                             max_size=len(DEFAULT_VOLTAGE_SET)))
+    def test_extremes_match_running_scan(self, readings):
+        """v1 and v0 are what a running strict scan from the highest voltage
+        keeps, for ties, signed zeros, +-inf and NaN readings alike."""
+        by_voltage = dict(zip(DEFAULT_VOLTAGE_SET, readings))
+        v1, v0, trace = stage1_uniform_probe(lambda c: by_voltage[c.voltages[0]],
+                                             DEFAULT_VOLTAGE_SET, 2)
+        seen = list(zip(DEFAULT_VOLTAGE_SET, readings))
+        (w1, r1), (w0, r0) = seen[0], seen[0]
+        for v, r in seen[1:]:
+            if r > r1:
+                w1, r1 = v, r
+            if r < r0:
+                w0, r0 = v, r
+        assert (v1, v0, trace.low_contrast) == (w1, w0, r1 - r0 < 1e-12)
+
     def test_extremes_on_monotone_toy(self):
         """Response magnitude rising as the voltage falls: v1 = 0 V, v0 = 30 V."""
         level = {v: i + 1.0 for i, v in enumerate(DEFAULT_VOLTAGE_SET)}
@@ -130,7 +154,7 @@ class TestStage3:
         oracle = onoff_oracle([1.0, 1.0])
         state = ControlState(v1=V1, v0=V0, on_set=frozenset({0, 1}))
         trace = ControlTrace()
-        trace.record(2, SurfaceConfig((V1, V1)), oracle(SurfaceConfig((V1, V1))))
+        trace.append(2, (V1,), [[0, 0]], [oracle(SurfaceConfig((V1, V1)))])
         final = stage3_fine_tune(oracle, DEFAULT_VOLTAGE_SET, state, 2, trace)
         assert final.voltages == (V1, V1)
 
@@ -207,10 +231,73 @@ class TestBruteForce:
             brute_force_baseline(lambda c: 0.0, element_groups(17), V1, V0, 17)
 
 
+def loop_best(probes, through_stage):
+    """The per-probe scan the columnar trace replaced, kept as the reference:
+    the first probe, then every strictly higher reading."""
+    pool = probes if through_stage is None else [p for p in probes if p[0] <= through_stage]
+    best = pool[0]
+    for p in pool[1:]:
+        if p[2] > best[2]:
+            best = p
+    return best
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestColumnarTrace:
+    @settings(max_examples=300, deadline=None)
+    @given(readings=st.lists(READINGS, max_size=30),
+           cuts=st.sets(st.integers(0, 30), max_size=6),
+           stages=st.lists(st.integers(1, 3), min_size=7, max_size=7),
+           through_stage=st.sampled_from([None, 1, 2, 3]))
+    def test_matches_per_probe_loop(self, readings, cuts, stages, through_stage):
+        """Ties, signed zeros, +-inf and NaN readings in blocks cut at random
+        boundaries (empty blocks included) pick what the per-probe scan picks."""
+        bounds = [0] + sorted(c for c in cuts if c <= len(readings)) + [len(readings)]
+        trace, probes = ControlTrace(), []
+        for stage, lo, hi in zip(stages, bounds, bounds[1:]):
+            # probe i sits at voltage i, so the picked config names its probe
+            trace.append(stage, tuple(map(float, range(lo, hi))),
+                         np.arange(hi - lo, dtype=np.uint8)[:, None], readings[lo:hi])
+            probes += [(stage, i, readings[i]) for i in range(lo, hi)]
+        assert trace.budget_used == len(probes)
+        for stage in (1, 2, 3):
+            assert trace.stage_probe_count(stage) == sum(1 for p in probes if p[0] == stage)
+        try:
+            want = loop_best(probes, through_stage)
+        except IndexError:
+            with pytest.raises(ValueError, match="no probes"):
+                trace.best_probe(through_stage)
+            return
+        got = trace.best_probe(through_stage)
+        assert (got.stage, got.probe_index, _bits(got.rss_db)) == (want[0], want[1], _bits(want[2]))
+        assert got.config.voltages == (float(want[1]),)
+
+    def test_nan_reading(self):
+        trace = ControlTrace()
+        trace.append(1, (30.0, 0.0), [[0], [1]], [1.0, float("nan")])
+        trace.append(2, (30.0, 0.0), [[0]], [2.0])
+        assert trace.best_probe().probe_index == 2
+        first_nan = ControlTrace()
+        first_nan.append(1, (30.0, 0.0), [[0], [1]], [float("nan"), 5.0])
+        assert first_nan.best_probe().probe_index == 0
+
+    def test_blocks_are_read_only_copies(self):
+        trace = ControlTrace()
+        index = np.array([[0, 1]], dtype=np.uint8)
+        trace.append(1, (30.0, 0.0), index, [1.0])
+        index[0, 0] = 1
+        assert trace.best_probe().config.voltages == (30.0, 0.0)
+        with pytest.raises(ValueError, match="batch"):
+            trace.append(1, (30.0, 0.0), index, [1.0, 2.0])
+
+
 class TestTraceSerialization:
     def test_line_format(self):
         trace = ControlTrace()
-        trace.record(1, SurfaceConfig((30.0, 0.0)), -12.5)
+        trace.append(1, (30.0, 0.0), [[0, 1]], [-12.5])
         text = trace.serialize()
         lines = text.strip().split("\n")
         assert lines[0] == "stage,probe_index,config_hash,rss_db"
@@ -234,15 +321,17 @@ class TestTraceSerialization:
         text = ",".join(format(v, ".6g") for v in values.tolist())
         assert config_hash(values) == hashlib.sha256(text.encode()).hexdigest()[:12]
         trace = ControlTrace()
-        trace.record(1, SurfaceConfig(values), 0.0)
+        cfg = SurfaceConfig(values)
+        trace.append(1, cfg.levels, cfg.index[None], [0.0])
         assert trace.serialize().split("\n")[1].split(",")[2] == config_hash(values)
 
     def test_signed_zero_hashes_apart(self):
         assert config_hash((0.0, -0.0)) == hashlib.sha256(b"0,-0").hexdigest()[:12]
         trace = ControlTrace()
         for levels in ((30.0, 0.0), (30.0, -0.0)):
-            trace.record(1, SurfaceConfig.from_index(levels, [0, 1]), 0.0)
-        trace.record(1, SurfaceConfig((0.0, -0.0)), 0.0)
+            trace.append(1, levels, [[0, 1]], [0.0])
+        cfg = SurfaceConfig((0.0, -0.0))
+        trace.append(1, cfg.levels, cfg.index[None], [0.0])
         rows = trace.serialize().strip().split("\n")[1:]
         assert [r.split(",")[2] for r in rows] == [
             config_hash(p.config.voltages) for p in trace.probes]

@@ -12,7 +12,6 @@ from mediamatch.harness import (BudgetError, cmd_backscatter, cmd_bench_controll
                                 cmd_links, cmd_match, cmd_sweep, median_lower,
                                 validate_trace)
 from mediamatch.control import ControlTrace
-from mediamatch.channel import SurfaceConfig
 from mediamatch.surface import admittance_at_voltage
 from mediamatch.scenario import (ScenarioError, default_tissue_dict,
                                  default_water_dict, load_scenario,
@@ -112,10 +111,33 @@ class TestLinksCommand:
         assert sha(tmp_path / "a/traces/link_0003.csv") == sha(tmp_path / "b/traces/link_0003.csv")
 
     def test_parallel_matches_serial(self, tmp_path):
+        """Every file each link command writes (traces, channel dumps, CSVs,
+        summary) is the same with one process and with two workers."""
+        runs = [(cmd_links, "water_links.json", 6), (cmd_backscatter, "water_backscatter.json", 5),
+                (cmd_bench_controller, "controller_bench.json", 3)]
+        for command, name, n_links in runs:
+            scenario = load_scenario(SCENARIOS / name)
+            trees = []
+            for parallel in (1, 2):
+                out = tmp_path / f"{command.__name__}-{parallel}"
+                command(scenario, out, n_links, parallel=parallel)
+                trees.append({path.relative_to(out).as_posix():
+                              path.read_text().replace(str(out), "<out>")
+                              for path in sorted(out.rglob("*")) if path.is_file()})
+            assert trees[0] == trees[1]
+            assert "summary.txt" in trees[0]
+
+    def test_responder_built_once_per_command(self, tmp_path, monkeypatch):
+        """Serial link commands build the element responder once, not per link."""
+        calls = []
+        real = scenario_mod.Scenario.responder
+        monkeypatch.setattr(scenario_mod.Scenario, "responder",
+                            lambda self, **kw: calls.append(1) or real(self, **kw))
         scenario = load_scenario(SCENARIOS / "water_links.json")
-        cmd_links(scenario, tmp_path / "serial", 6, parallel=1)
-        cmd_links(scenario, tmp_path / "par", 6, parallel=3)
-        assert sha(tmp_path / "serial/links.csv") == sha(tmp_path / "par/links.csv")
+        for command in (cmd_links, cmd_backscatter, cmd_bench_controller):
+            calls.clear()
+            command(scenario, tmp_path / command.__name__, 3)
+            assert len(calls) == 1, command.__name__
 
     def test_scenario_parsed_once(self, tmp_path, monkeypatch):
         """A "calibrate" circuit is calibrated when the scenario is parsed,
@@ -163,7 +185,7 @@ class TestBackscatterCommand:
 class TestBudgetValidation:
     def test_validate_trace_raises(self):
         trace = ControlTrace()
-        trace.record(1, SurfaceConfig((30.0,)), -1.0)
+        trace.append(1, (30.0,), [[0]], [-1.0])
         with pytest.raises(BudgetError):
             validate_trace(trace, n_voltages=7, n_stage2=128)
 
@@ -214,6 +236,8 @@ class TestCli:
         ["links", "--parallel", "0"],
         ["backscatter", "--links", "-1"],
         ["bench-controller", "--links", "-2"],
+        ["backscatter", "--parallel", "0"],
+        ["bench-controller", "--parallel", "-1"],
     ])
     def test_bad_counts_are_config_errors(self, tmp_path, capsys, argv):
         rc = main(argv + ["--scenario", str(SCENARIOS / "water_links.json"),
@@ -223,6 +247,17 @@ class TestCli:
         assert captured.err.startswith("config error:")
         assert captured.out == ""
         assert not (tmp_path / "summary.txt").exists()
+
+    @pytest.mark.parametrize("command", ["links", "backscatter", "bench-controller"])
+    def test_parallel_flag_on_every_link_command(self, tmp_path, capsys, command):
+        outputs = []
+        for parallel in ("1", "2"):
+            rc = main([command, "--scenario", str(SCENARIOS / "water_links.json"),
+                       "--out", str(tmp_path / parallel), "--links", "2",
+                       "--parallel", parallel])
+            assert rc == 0
+            outputs.append(capsys.readouterr().out.replace(str(tmp_path / parallel), "<out>"))
+        assert outputs[0] == outputs[1]
 
     def test_zero_sweep_step_is_config_error(self, tmp_path, capsys):
         raw = default_water_dict(name="flat-axis")
