@@ -1,20 +1,22 @@
-"""Cascaded two-port (ABCD) solution of a surface + layered-media stack.
+"""Surface + layered-media stack, solved through the affine form of its shunt.
 
-The stack between the source and load half-spaces is a product of 2x2
-transmission matrices: the shunt [[1, 0], [Y, 1]] for the surface admittance
-and one line matrix per medium layer, multiplied left to right in propagation
-order.  End-to-end transmission and reflection follow from the composite
-matrix and the two half-space impedances:
+The stack between the source and load half-spaces is a chain M of 2x2
+transmission (ABCD) matrices: one line matrix per layer, with the shunt
+[[1, 0], [Y, 1]] of the surface admittance Y at the surface's position.  With
+r = [1, Z_src], r' = [1, -Z_src] and c = [1, 1/Z_load]^T,
 
-    T = 2 / (A + B/Z_load + C Z_src + D Z_src/Z_load)
-    Gamma = (A + B/Z_load - C Z_src - D Z_src/Z_load) / (same denominator)
+    T = 2 / (r M c)        Gamma = (r' M c) / (r M c)
 
-solve_stack is the one propagation kernel: it broadcasts over arrays of
-surface admittance and frequency, with matrices held as complex arrays of
-shape (2, 2) + batch.  Products are written in real arithmetic and
-magnitudes taken with np.hypot (numpy's vectorised complex multiply and abs
-round the last bit differently), so every point of an array call is
-bit-identical to the scalar call at that point.
+The shunt is the identity plus Y in its lower-left entry, so r M c =
+alpha + beta Y and r' M c = alpha_gamma + beta_gamma Y.  alpha (alpha_gamma)
+is r L c (r' L c) for the chain L of the lines alone; beta (beta_gamma) is the
+second entry of r (r') carried through the lines before the surface times the
+first entry of c carried back through the lines after it.  The through power
+is |T|^2 kappa with kappa = Re(1/Z_load*) / Re(1/Z_src*).
+
+stack_coefficients does the chain product once per (stack, frequencies),
+memoized; solve_stack evaluates the expressions above with numpy broadcasting
+over admittance and frequency.
 """
 
 from __future__ import annotations
@@ -75,38 +77,37 @@ class CascadeSolution:
     reflected_power: float | np.ndarray
 
 
-def _mul(x, y) -> np.ndarray:
-    """Complex x * y, elementwise, as (xr yr - xi yi) + j (xr yi + xi yr)."""
-    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-    out = np.array(xr * yr - xi * yi, dtype=complex)
-    out.imag = xr * yi + xi * yr
-    return out
-
-
-def _power(z) -> np.ndarray:
-    """|z|^2, rounded as the scalar abs(z) ** 2 (pow, not a square)."""
-    return np.float_power(np.hypot(z.real, z.imag), 2)
-
-
-# Searches and sweeps solve the same layers at the same frequencies again and
-# again: memoized per (medium or layer, frequency shape, float64 bytes), read-only.
+# Searches, sweeps and responders solve the same stack at the same frequencies
+# again and again: memoized per (stack, frequency shape, float64 bytes), read-only.
 @functools.lru_cache(maxsize=1024)
-def _impedance(medium: Medium, shape: tuple, data: bytes) -> np.ndarray:
-    out = np.asarray(intrinsic_impedance(medium, np.frombuffer(data).reshape(shape)))
-    out.flags.writeable = False
+def _coefficients(stack: StackSpec, shape: tuple, data: bytes) -> tuple:
+    f = np.frombuffer(data).reshape(shape)
+    z_src, z_load = (intrinsic_impedance(m, f) for m in (stack.source_medium, stack.load_medium))
+    lines = []  # (A = D, B, C) of each layer's line matrix
+    for layer in stack.layers:
+        z = intrinsic_impedance(layer.medium, f)
+        bl = phase_constant(layer.medium, f) * layer.thickness
+        lines.append((np.cos(bl), 1j * z * np.sin(bl), 1j * np.sin(bl) / z))
+    x, y = np.ones((2,) + shape, dtype=complex), np.array([z_src, -z_src])  # rows r, r'
+    y_after = [y]  # second entries of the rows after 0, 1, ... lines
+    for a, b, c in lines:
+        x, y = x * a + y * c, x * b + y * a
+        y_after.append(y)
+    u, v = np.ones(shape, dtype=complex), 1.0 / z_load  # column c
+    for a, b, c in reversed(lines[stack.surface_index:]):
+        u, v = a * u + b * v, c * u + a * v
+    (alpha, alpha_gamma), (beta, beta_gamma) = x + y / z_load, y_after[stack.surface_index] * u
+    kappa = (z_load.real / abs(z_load) ** 2) / (z_src.real / abs(z_src) ** 2)
+    out = tuple(map(np.asarray, (alpha, beta, alpha_gamma, beta_gamma, kappa)))
+    for array in out:
+        array.flags.writeable = False
     return out
 
 
-@functools.lru_cache(maxsize=1024)
-def _line(layer: Layer, shape: tuple, data: bytes) -> np.ndarray:
-    """Transmission-line matrices of one layer, shape (2, 2) + frequency shape."""
-    z = _impedance(layer.medium, shape, data)
-    bl = _mul(phase_constant(layer.medium, np.frombuffer(data).reshape(shape)),
-              layer.thickness)
-    cos, sin = np.cos(bl), np.sin(bl)
-    out = np.array([[cos, _mul(_mul(1j, z), sin)], [_mul(1j, sin) / z, cos]])
-    out.flags.writeable = False
-    return out
+def stack_coefficients(stack: StackSpec, frequency) -> tuple:
+    """(alpha, beta, alpha_gamma, beta_gamma, kappa), each shaped like frequency."""
+    f = np.asarray(frequency, dtype=float)
+    return _coefficients(stack, f.shape, f.tobytes())
 
 
 def solve_stack(stack: StackSpec, surface_admittance, frequency) -> CascadeSolution:
@@ -126,34 +127,18 @@ def solve_stack(stack: StackSpec, surface_admittance, frequency) -> CascadeSolut
         raise ValueError(f"shunt admittance must be finite, got {surface_admittance}")
     if y.size == 0 or f.size == 0:
         raise ValueError("solve of zero admittances or frequencies is undefined")
-    nd = max(y.ndim, f.ndim)  # align both on the same trailing batch axes
-    y = y.reshape((1,) * (nd - y.ndim) + y.shape)
-    key, batch = (f.shape, f.tobytes()), (1,) * (nd - f.ndim) + f.shape
-    shunt = np.zeros((2, 2) + y.shape, dtype=complex)
-    shunt[0, 0], shunt[1, 0], shunt[1, 1] = 1.0, y, 1.0
-    mats = [_line(layer, *key).reshape((2, 2) + batch) for layer in stack.layers]
-    mats.insert(stack.surface_index, shunt)
-    m = mats[0]
-    for nxt in mats[1:]:  # m @ nxt, each entry summed as row . column
-        terms = _mul(m[:, :, None], nxt[None])
-        m = terms[:, 0] + terms[:, 1]
-    (a, b), (c, d) = m
-
-    z_src, z_load = (_impedance(medium, *key).reshape(batch)
-                     for medium in (stack.source_medium, stack.load_medium))
-    b_load, c_src, d_ratio = b / z_load, _mul(c, z_src), _mul(d, z_src) / z_load
-    den = a + b_load + c_src + d_ratio
-    size = np.hypot(den.real, den.imag)
+    alpha, beta, alpha_gamma, beta_gamma, kappa = stack_coefficients(stack, f)
+    den = alpha + beta * y
+    size = abs(den)
     singular = size < 1e-12
-    if nd == 0 and singular:
+    if den.ndim == 0 and singular:
         raise DegenerateStackError(f"singular stack: |denominator| = {size:.3e}")
     with np.errstate(invalid="ignore"):  # NaN marks the singular points
         den = np.where(singular, np.nan, den)
         t = 2.0 / den
-        gamma = (a + b_load - c_src - d_ratio) / den
-    through = _power(t) * (z_load.real / _power(z_load)) / (z_src.real / _power(z_src))
-    reflected = _power(gamma)
-    if nd == 0:
+        gamma = (alpha_gamma + beta_gamma * y) / den
+    through, reflected = abs(t) ** 2 * kappa, abs(gamma) ** 2
+    if den.ndim == 0:
         return CascadeSolution(complex(t), complex(gamma), float(through), float(reflected))
     return CascadeSolution(t, gamma, through, reflected)
 

@@ -44,11 +44,14 @@ class SurfaceConfig:
         """Element i at levels[index[i]]; a writeable index is copied.
 
         The index is held as the narrowest unsigned type that covers the
-        alphabet; an entry outside [0, len(levels)) raises ValueError.
+        alphabet; a non-empty index that is not of an integer dtype (float and
+        bool included) or has an entry outside [0, len(levels)) raises ValueError.
         """
         cfg = cls.__new__(cls)
         cfg.levels = tuple(levels)
         index = np.asarray(index)
+        if index.size and index.dtype.kind not in "iu":
+            raise ValueError(f"index must be of an integer dtype, got {index.dtype}")
         top = len(cfg.levels) - 1
         if index.size and not (index.min() >= 0 and index.max() <= top):
             raise ValueError(f"index entries must lie in [0, {top}] for {top + 1} levels")

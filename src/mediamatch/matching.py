@@ -3,7 +3,8 @@
 The matcher only ever searches purely imaginary surface admittances (an
 idealized lossless surface); conductance enters through the varactor path
 when optimizing over bias voltages instead.  Every grid is one solve_stack
-call; the continuous search is closed-form and solves three points.
+call, and the continuous search reads the minimiser straight off the stack's
+affine coefficients.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import DB_FLOOR, DegenerateStackError, StackSpec, solve_stack
+from .cascade import DB_FLOOR, DegenerateStackError, StackSpec, solve_stack, stack_coefficients
 from .surface import ElementCircuit, admittance_at_voltage, admittance_exact
 
 @dataclass(frozen=True)
@@ -54,13 +55,9 @@ def _db(power, floor: float) -> np.ndarray:
     return out
 
 
-def _through_db(stack: StackSpec, ys, frequency: float):
+def _through_db(stack: StackSpec, ys: np.ndarray, frequency: float) -> np.ndarray:
     """Through power in dB; -inf where nothing gets through or the stack is singular."""
-    try:
-        db = _db(solve_stack(stack, ys, frequency).through_power, float("-inf"))
-    except DegenerateStackError:  # raised by scalar solves only
-        return float("-inf")
-    return db if db.ndim else float(db)
+    return _db(solve_stack(stack, ys, frequency).through_power, float("-inf"))
 
 
 def _axis2_admittance(name: str, value: float, circuit: ElementCircuit | None,
@@ -104,24 +101,19 @@ def best_admittance(stack: StackSpec, frequency: float) -> MatchResult:
     """Exact best purely imaginary Y_s = jB over B in [0, 0.12] S.
 
     Wherever the surface sits, the cascade denominator is affine in its
-    admittance, den(Y) = alpha + beta Y, and T = 2 / den.  The solves at
-    Y = 0 and Y = j give alpha and j beta, so |den(jB)|^2 is a convex
-    quadratic in B whose minimiser, -Re(conj(alpha) j beta) / |beta|^2
+    admittance, den(Y) = alpha + beta Y, and T = 2 / den.  So |den(jB)|^2 is
+    a convex quadratic in B whose minimiser, Im(conj(alpha) beta) / |beta|^2
     clipped to the range, maximises the through power.  Y_s = 0 is reported
     unless that point is strictly better, so the gain is never negative.
     """
-    bare = solve_stack(stack, 0j, frequency)
-    alpha = 2.0 / bare.t
-    j_beta = 2.0 / solve_stack(stack, 1j, frequency).t - alpha
-    b_star = min(max(-(alpha.conjugate() * j_beta).real / abs(j_beta) ** 2, 0.0), 0.12)
-
-    baseline = float(_db(bare.through_power, float("-inf")))
-    best_db = _through_db(stack, 1j * b_star, frequency)
+    alpha, beta = stack_coefficients(stack, frequency)[:2]
+    b_star = float(np.clip((alpha.conjugate() * beta).imag / abs(beta) ** 2, 0.0, 0.12))
+    baseline, best_db = _through_db(stack, np.array([0j, 1j * b_star]), frequency)
     if not best_db > baseline:
         b_star, best_db = 0.0, baseline
     return MatchResult(
         through_power_db=float(best_db),
-        baseline_db=baseline,
+        baseline_db=float(baseline),
         gain_db=float(best_db - baseline),
         best_admittance=1j * b_star,
     )
@@ -142,11 +134,11 @@ def best_voltage(stack: StackSpec, circuit: ElementCircuit, frequency: float,
         if not lo <= v <= hi:
             raise ValueError(f"voltage {v} V outside varactor table range [{lo}, {hi}] V")
 
-    baseline = _through_db(stack, 0j, frequency)
     order = sorted(voltages, reverse=True)  # descending, so strict > keeps higher V on ties
-    ys = np.array([admittance_at_voltage(circuit, v, frequency) for v in order])
+    ys = np.array([0j] + [admittance_at_voltage(circuit, v, frequency) for v in order])
+    baseline, *dbs = _through_db(stack, ys, frequency)
     best_v, best_db = None, float("-inf")
-    for v, db in zip(order, _through_db(stack, ys, frequency)):
+    for v, db in zip(order, dbs):
         if db > best_db:
             best_v, best_db = v, db
     return MatchResult(

@@ -247,13 +247,19 @@ def scenario_from_dict(raw: dict) -> Scenario:
             )
 
         ch = _object(raw.get("channel", {}), "channel")
+        env_power, element_power = (_finite(ch.get(k, d), f"channel.{k}") for k, d in
+                                    (("env_power", 0.25), ("element_power", 1.0 / 64.0)))
+        if env_power < 0 or element_power < 0:
+            raise ScenarioError(f"channel powers must be >= 0, got {env_power}, {element_power}")
+        step = ch.get("rss_quantization_db", 0.1)
+        if step is not None and not _finite(step, "channel.rss_quantization_db") > 0:
+            raise ScenarioError(f"channel.rss_quantization_db must be null or > 0, got {step!r}")
         channel = ChannelParams(
-            env_power=float(ch.get("env_power", 0.25)),
-            element_power=float(ch.get("element_power", 1.0 / 64.0)),
+            env_power=env_power,
+            element_power=element_power,
             noise_db=(None if ch.get("noise_db") is None
                       else _finite(ch["noise_db"], "channel.noise_db")),
-            rss_quantization_db=(None if ch.get("rss_quantization_db", 0.1) is None
-                                 else float(ch.get("rss_quantization_db", 0.1))),
+            rss_quantization_db=None if step is None else float(step),
             reciprocal_uplink=bool(ch.get("reciprocal_uplink", True)),
             phase_jitter_std=_finite(ch.get("phase_jitter_std", 0.0),
                                      "channel.phase_jitter_std"),
@@ -267,7 +273,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         offset = raw.get("coupling_offset_s", [0.0, 0.0])
         spectrum_spec = raw.get("spectrum_hz", {"start": 1.8e9, "stop": 3.0e9, "points": 49})
         spectrum = np.linspace(float(spectrum_spec["start"]), float(spectrum_spec["stop"]),
-                               int(spectrum_spec["points"]))
+                               _whole(spectrum_spec["points"], "spectrum_hz.points"))
 
         return Scenario(
             name=str(raw.get("name", "unnamed")),
@@ -275,20 +281,21 @@ def scenario_from_dict(raw: dict) -> Scenario:
             source_medium=medium(raw.get("source_medium", "air")),
             load_medium=medium(raw["load_medium"]),
             layers=layers,
-            surface_index=int(raw.get("surface_index", 0)),
+            surface_index=_whole(raw.get("surface_index", 0), "surface_index"),
             circuit=circuit,
             voltage_set=voltage_set,
             rows=rows,
             cols=cols,
             channel=channel,
-            seed=int(raw.get("seed", 1)),
-            coupling_offset=complex(float(offset[0]), float(offset[1])),
+            seed=_whole(raw.get("seed", 1), "seed"),
+            coupling_offset=complex(_finite(offset[0], "coupling_offset_s[0]"),
+                                    _finite(offset[1], "coupling_offset_s[1]")),
             sweeps={k: _expand_axis(k, v)
                     for k, v in _object(raw.get("sweep", {}), "sweep").items()},
             spectrum=spectrum,
             raw=raw,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         if isinstance(exc, (ScenarioError, CalibrationError)):
             raise
         raise ScenarioError(f"bad scenario: {exc}") from exc

@@ -102,6 +102,14 @@ class TestSurfaceConfig:
         with pytest.raises(ValueError, match="index entries"):
             SurfaceConfig.from_index((30.0, 15.0, 0.0), index)
 
+    @pytest.mark.parametrize("index", [[1.5], [1.0, 0.0], [True], np.array([False, True])])
+    def test_non_integer_index_rejected(self, index):
+        with pytest.raises(ValueError, match="integer dtype"):
+            SurfaceConfig.from_index((1.0, 2.0, 3.0), index)
+
+    def test_empty_index_accepted(self):
+        assert len(SurfaceConfig.from_index((1.0,), [])) == 0
+
     def test_signed_zero_kept(self):
         cfg = SurfaceConfig((0.0, -0.0, 0.0))
         assert [np.signbit(v) for v in cfg.voltages] == [False, True, False]

@@ -314,6 +314,35 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "links.csv").exists()
 
+    @pytest.mark.parametrize("command, field, value", [
+        ("links", "channel.element_power", float("nan")),
+        ("links", "channel.env_power", float("nan")),
+        ("links", "channel.env_power", -0.5),
+        ("links", "channel.rss_quantization_db", float("nan")),
+        ("links", "channel.rss_quantization_db", -0.1),
+        ("links", "channel.rss_quantization_db", 0.0),
+        ("match", "surface_index", 1.5),
+        ("links", "seed", 2.5),
+        ("match", "spectrum_hz.points", 4.5),
+        ("match", "coupling_offset_s", [float("nan"), 0.0]),
+        ("match", "coupling_offset_s", [0.0]),
+    ])
+    def test_malformed_number_is_config_error(self, tmp_path, capsys, command, field, value):
+        raw = default_water_dict(name="malformed")
+        *parents, key = field.split(".")
+        entry = raw
+        for name in parents:
+            entry = entry[name]
+        entry[key] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        argv = [command, "--scenario", str(path), "--out", str(out)]
+        rc = main(argv + (["--links", "1"] if command == "links" else []))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     def test_seed_override_changes_hash(self, tmp_path, capsys):
         rc = main(["links", "--scenario", str(SCENARIOS / "water_links.json"),
                    "--out", str(tmp_path / "a"), "--links", "2"])

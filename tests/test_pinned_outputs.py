@@ -81,19 +81,19 @@ PINNED = {
         "backscatter.csv":
             "2699d64157469388723ca610fd0e6da0c25db53466715fea9bd58c171f193110",
         "summary":
-            "484a31526c4bb1563b8aa725d54211febd8c0c6c9c0d4ebd32da4dc52554ef40",
+            "448b0b51a726e402053f044790625398afd1eb6241fe1fee284247a65fe21ac3",
     },
     "backscatter-water": {
         "backscatter.csv":
             "7365978888dfa86568a698e63b1fd15e8352215c9a2f64755047fc594a860bce",
         "summary":
-            "529b62c34e08caa3916790fa90851ad9e090db4ef4d446c30ecf193908df10ce",
+            "b37a5a97e0d6ca2c9531f85e63b93fba1020bba562cdd934a3c398b077d9a3d5",
     },
     "bench-controller": {
         "bench_controller.csv":
             "5e4c3fe5b7bb5ae09c288efbc3d9bcd2e6e80d7e3c9edc3b052949fb435c49aa",
         "summary":
-            "192a077ca2a03885449037dbd818677f4286253f8ea181407f0370d4523c40e9",
+            "654307cee2dc2f9fe8c1bcce98b7178cb518912125d36fd9b59c3fcd9c45738a",
     },
     "links-16x16": {
         "channels/link_0000.csv":
@@ -107,7 +107,7 @@ PINNED = {
         "links.csv":
             "a354a46d44827f60063d969b0211cf2dab144b32a8187c66b1753164e8ed6909",
         "summary":
-            "d493e008e454915b2e9f7f5741d02a5de60085fc8174ca4aca0e44ba639c5c42",
+            "542505f43a186d09575db60ecc7b659601fb2a12f04978b11806a7a9b13d8f52",
         "traces/link_0000.csv":
             "d4bcf97c8a6668aadde96605ab60824c450eb5f97bba6e478a0d0ab1361c6264",
         "traces/link_0001.csv":
@@ -129,7 +129,7 @@ PINNED = {
         "links.csv":
             "25c448bd6873fca8c6015d800efcecad2d2eab50af4c63a66e29447673f102c3",
         "summary":
-            "b2d1b0a8a26f5a43871bc242b3b564064a873b76e89a17451e2730ad090d9e26",
+            "be52f25a4a7327c392b35f01f99b92784d6fcaa148b9d60fa1bf27337d6084bf",
         "traces/link_0000.csv":
             "bddca92e9f21011abf804a58fb52b3671d98b90a5b1f55dfe12040bebb03a639",
         "traces/link_0001.csv":
@@ -151,7 +151,7 @@ PINNED = {
         "links.csv":
             "11fd4b3926ba3874cc007e6f48aca776209cb35987c089b62fc2f44fac59af9c",
         "summary":
-            "2fefa3ee72299555514b9884f68daf25ae6d478f7d6981d0edfd04a02eabf9a2",
+            "4f11ec38f1c3c9230781af17b024b719eb0845579131c7170b64187d84a09d8d",
         "traces/link_0000.csv":
             "efc37ba6e314046b4628c06e352d6592384e670fc5a9c825a3b0184d775ff6a3",
         "traces/link_0001.csv":
@@ -177,7 +177,7 @@ PINNED = {
         "links.csv":
             "21e69bcb59988f7d3f6dc28fc62b428f3a8a6bfd4cf80e5eba48e6ef2d604cf5",
         "summary":
-            "e06b7915c7305d7b099e31381b8a43c1a3226ea9c5da5c5cdcd0b1b8b148f3f6",
+            "52079d5fbe4d74c18b3de95d488f295e2b1b236015c04de3d875cb747d7d26f7",
         "traces/link_0000.csv":
             "b217f90a9dfcfb306f9b4e8c49b5728fdb5665e79f8cfb33a2cb9ddec32dfce2",
         "traces/link_0001.csv":
@@ -193,11 +193,11 @@ PINNED = {
     },
     "match-at_load": {
         "spectrum_admittance.csv":
-            "ae5f0ed98117daaa8f921cca4cf9cd67afde74971930693d419a98c9eb1bc3c9",
+            "9cba709c8ed1db03a1421918813a600f44b7e321f2511af1be56db3832a4047e",
         "spectrum_voltage.csv":
-            "462bca042c95a2cfed552ada7381d384b59a28c7ab94a4e1ce1705fbb559c537",
+            "567c60771a0e791acc29dde8e4d47b2ce79ce54da63375e0e8d45739272b9473",
         "summary":
-            "e3fb29698dfc872245c852153298d5bbc9774c79d0640c723e7e1581aed3061e",
+            "424435bbfb519e3249d3883cda97665d6c16fe4e6ba36d68d4053632c8acc562",
     },
     "match-lossy": {
         "spectrum_admittance.csv":
@@ -205,7 +205,7 @@ PINNED = {
         "spectrum_voltage.csv":
             "83c2cda94934fdded64f681aeca09769924b8077136627b34680f47c9b08d9cf",
         "summary":
-            "68618f4e23327e25230d44c16bbfcd455edb59fa89835fba1acad698062a7b99",
+            "3cb77943f624ef5f6e0b81af459ad128db5c6128dc9c2bcb4438b34b3803d872",
     },
     "match-tissue_depth": {
         "spectrum_admittance.csv":
@@ -213,7 +213,7 @@ PINNED = {
         "spectrum_voltage.csv":
             "073008183d0f0b32cf032cb73a2ec640785653ae802730f62b0f6289a570c989",
         "summary":
-            "429b1b82d852abb79b02b9d98dee5243ebcad6a6e08e0c7da55f7657380096bf",
+            "a4e743d0343596800b659f942193d4c3559f4c6bac9601b6b1d8a3ce04293efc",
     },
     "match-tissue_fat_capacitance": {
         "spectrum_admittance.csv":
@@ -221,7 +221,7 @@ PINNED = {
         "spectrum_voltage.csv":
             "1837e3948fa03ba1d714daa2727facbb1db30d0eadf2f6bcee440b152a145de4",
         "summary":
-            "86713f5499f6de3ea01b59e72690bb4ce7b110c2a79b5d7283541656e2a0b97b",
+            "74d22eb68ad87ee4f9dd6dbe5c56defc6290741cf9b91728b0dfda333b8ead02",
     },
     "match-tissue_fat_heatmap": {
         "spectrum_admittance.csv":
@@ -229,7 +229,7 @@ PINNED = {
         "spectrum_voltage.csv":
             "1837e3948fa03ba1d714daa2727facbb1db30d0eadf2f6bcee440b152a145de4",
         "summary":
-            "86713f5499f6de3ea01b59e72690bb4ce7b110c2a79b5d7283541656e2a0b97b",
+            "74d22eb68ad87ee4f9dd6dbe5c56defc6290741cf9b91728b0dfda333b8ead02",
     },
     "match-tissue_gap_heatmap": {
         "spectrum_admittance.csv":
@@ -237,7 +237,7 @@ PINNED = {
         "spectrum_voltage.csv":
             "1837e3948fa03ba1d714daa2727facbb1db30d0eadf2f6bcee440b152a145de4",
         "summary":
-            "86713f5499f6de3ea01b59e72690bb4ce7b110c2a79b5d7283541656e2a0b97b",
+            "74d22eb68ad87ee4f9dd6dbe5c56defc6290741cf9b91728b0dfda333b8ead02",
     },
     "match-tissue_match": {
         "spectrum_admittance.csv":
@@ -245,7 +245,7 @@ PINNED = {
         "spectrum_voltage.csv":
             "1837e3948fa03ba1d714daa2727facbb1db30d0eadf2f6bcee440b152a145de4",
         "summary":
-            "86713f5499f6de3ea01b59e72690bb4ce7b110c2a79b5d7283541656e2a0b97b",
+            "74d22eb68ad87ee4f9dd6dbe5c56defc6290741cf9b91728b0dfda333b8ead02",
     },
     "match-water_gap_capacitance": {
         "spectrum_admittance.csv":
@@ -253,7 +253,7 @@ PINNED = {
         "spectrum_voltage.csv":
             "3acdbd5bc6dd820bc47c006336224fe1f5c5f13d4465e032c8a324125cb404f6",
         "summary":
-            "c8c6a50281732a3e6d73414cf3f7bc2a2db15435c389afe427cc206e86027f62",
+            "7932405ba18da8f2803c7a30eafa4f4e1f5ee6093ec9b21eeada40c33cdb85c8",
     },
     "match-water_gap_heatmap": {
         "spectrum_admittance.csv":
@@ -261,7 +261,7 @@ PINNED = {
         "spectrum_voltage.csv":
             "3acdbd5bc6dd820bc47c006336224fe1f5c5f13d4465e032c8a324125cb404f6",
         "summary":
-            "c8c6a50281732a3e6d73414cf3f7bc2a2db15435c389afe427cc206e86027f62",
+            "7932405ba18da8f2803c7a30eafa4f4e1f5ee6093ec9b21eeada40c33cdb85c8",
     },
     "match-water_match": {
         "spectrum_admittance.csv":
@@ -269,11 +269,11 @@ PINNED = {
         "spectrum_voltage.csv":
             "3acdbd5bc6dd820bc47c006336224fe1f5c5f13d4465e032c8a324125cb404f6",
         "summary":
-            "c8c6a50281732a3e6d73414cf3f7bc2a2db15435c389afe427cc206e86027f62",
+            "7932405ba18da8f2803c7a30eafa4f4e1f5ee6093ec9b21eeada40c33cdb85c8",
     },
     "sweep-at_load": {
         "summary":
-            "9d5ad2ae2be8bf629c673d9c89d503b4ae02bf3e0fe0391a93e7c6196fe244b5",
+            "a8ad098a64ce13194a05ae85ff9b972018b77858b6255ef299500d8bcd1a06e7",
         "sweep_fat_mm_capacitance_pf.csv":
             "2fed850e685dea89827cf625dc8ae3b9bf9b280a487c7f0f8c51eebdaecbf5d5",
         "sweep_fat_mm_susceptance_s.csv":
@@ -285,7 +285,7 @@ PINNED = {
     },
     "sweep-lossy": {
         "summary":
-            "542802e46b82dac5116344d472c8ee6bb6fdb8b3d86f13f0b09851e91ea73873",
+            "aa48393541e5a9e15e1dd2fa81b9375dded826566d93c865ba055c7c4bfd8a7f",
         "sweep_gap_mm_capacitance_pf.csv":
             "6558fbbd2d33750ccb2c0b82cdab5450770a560c3018b1feb082ee08285ff7da",
         "sweep_gap_mm_susceptance_s.csv":
@@ -293,7 +293,7 @@ PINNED = {
     },
     "sweep-tissue_depth": {
         "summary":
-            "364e234a783d3485e3a2c5572e0ae7dc974d07f6055f0d20302fdd0d9806b308",
+            "e44ea19890c9b7e769735eba30f5ee30b3330e35b341d56fbb58e6e9fe399df9",
         "sweep_fat_mm_capacitance_pf.csv":
             "29cbeca046023df29a5e2b9c205e090ab5156a421b33c10dd33f4b5e454f2359",
         "sweep_fat_mm_susceptance_s.csv":
@@ -305,25 +305,25 @@ PINNED = {
     },
     "sweep-tissue_fat_capacitance": {
         "summary":
-            "bb56e0a30977cefe893e59080d676c81c8c1975ff452301c6f6726c6afd8f6b4",
+            "24b44aeb7bf65d6f3fd911d749cbdcd14c4a9599f8ee168c183ce9df1696c35d",
         "sweep_fat_mm_capacitance_pf.csv":
             "1f7da0c4c65d1ca6f2816c28f8f1e7680048e01b369e20110c5ae7f8b857982d",
     },
     "sweep-tissue_fat_heatmap": {
         "summary":
-            "f1a9a7e01f917948e6dad3530d911d6aa284f173cefe4cfb2bf7dc68a973e51e",
+            "e8532007d907a28109e04c48039f7ce732e4ab0a8b3f59e2cf2e3a14d6ace26a",
         "sweep_fat_mm_susceptance_s.csv":
             "82596048038a6e413e0b93bb30d12ecd6892a0b2c8dc89635d5fdc8d434d9609",
     },
     "sweep-tissue_gap_heatmap": {
         "summary":
-            "bee5583f1800a817f679d290e47c140b88c4d1a2e929a41f5708a5145fe5a186",
+            "b74afd883d02cca88ad320883494511d25c1c0fc5768cbf37e6255ccdf7054c9",
         "sweep_gap_mm_susceptance_s.csv":
             "7a8c64f629d6c41b9622511056f6df11f2382cb5d0af295e26e4910d2c3fbece",
     },
     "sweep-tissue_match": {
         "summary":
-            "dfce6bc4e5430139bf246feb85104a03b7e1990fb6a25a10bdd09b0bc98d2c5c",
+            "7e0aa21ee6256efb658e852b8847818568d2086623e1f16a41ff7f157490faa8",
         "sweep_fat_mm_capacitance_pf.csv":
             "1f7da0c4c65d1ca6f2816c28f8f1e7680048e01b369e20110c5ae7f8b857982d",
         "sweep_fat_mm_susceptance_s.csv":
@@ -335,19 +335,19 @@ PINNED = {
     },
     "sweep-water_gap_capacitance": {
         "summary":
-            "37d075dd4009d4cb24c1ca90465bd973b32bf1e17620241f23e4e2765b8f949f",
+            "6a22a1b8a552b8f7d55580051faf0034ce4bec0660c527f301072c90835e8b36",
         "sweep_gap_mm_capacitance_pf.csv":
             "44ae07ddca49542220b74d768a414147734622eeb6fae8640ddf1a26971e9178",
     },
     "sweep-water_gap_heatmap": {
         "summary":
-            "8973052189bb82e8317d83b0b7700b61cf10bfb5fddb0934b0d257eaeb3c7a22",
+            "60af9ed5ada9ec59cbb61ecaccde52041773afad02993d545ca586d05e7e93fb",
         "sweep_gap_mm_susceptance_s.csv":
             "e4f8106fc1a9f7c126527be146ed47cd80416e948dc7ce5bdb0fc4f88ed36ac1",
     },
     "sweep-water_match": {
         "summary":
-            "b2fd8e84a0e08cf6bfeca57f08ee29277d63bf682f35f457c13db8d26b2e6ea8",
+            "e2565282261d71406beb7efa399562967f9986508d9a3b19a327ada9575fe728",
         "sweep_gap_mm_capacitance_pf.csv":
             "44ae07ddca49542220b74d768a414147734622eeb6fae8640ddf1a26971e9178",
         "sweep_gap_mm_susceptance_s.csv":
@@ -368,3 +368,24 @@ def test_csv_outputs_byte_identical(tmp_path, run):
     # floats render with repr, so the canonical JSON changes with any bit
     got["summary"] = _sha256(json.dumps(report.summary, sort_keys=True).encode())
     assert got == PINNED[run]
+
+
+if __name__ == "__main__":
+    # Print the digests of the current build in PINNED's layout, so that a
+    # deliberate re-pin is generated and reviewed as a diff:
+    #     PYTHONPATH=src python tests/test_pinned_outputs.py
+    import tempfile
+
+    print("PINNED = {")
+    for run in sorted(RUNS):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            report = RUNS[run](out)
+            got = {p.relative_to(out).as_posix(): _sha256(p.read_bytes())
+                   for p in sorted(out.rglob("*.csv"))}
+            got["summary"] = _sha256(json.dumps(report.summary, sort_keys=True).encode())
+        print(f'    "{run}": {{')
+        for name in sorted(got):
+            print(f'        "{name}":\n            "{got[name]}",')
+        print("    },")
+    print("}")
