@@ -27,6 +27,12 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_VIOLATION = 4
 
+_COMMANDS = {"match": cmd_match, "sweep": cmd_sweep, "links": cmd_links,
+             "backscatter": cmd_backscatter, "bench-controller": cmd_bench_controller}
+
+#: A --scenario or --out path that cannot be read or made a directory.
+_PATH_ERRORS = (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -70,20 +76,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             raw["seed"] = args.seed
         scenario = scenario_from_dict(raw)
-        out = Path(args.out)
-
-        if args.command == "match":
-            report = cmd_match(scenario, out)
-        elif args.command == "sweep":
-            report = cmd_sweep(scenario, out)
-        elif args.command == "links":
-            report = cmd_links(scenario, out, args.links, parallel=args.parallel)
-        elif args.command == "backscatter":
-            report = cmd_backscatter(scenario, out, args.links, parallel=args.parallel)
-        else:
-            report = cmd_bench_controller(scenario, out, n_seeds=args.links,
-                                          parallel=args.parallel)
-    except (ScenarioError, FileNotFoundError, ValueError) as exc:
+        counts = () if args.command in ("match", "sweep") else (args.links, args.parallel)
+        report = _COMMANDS[args.command](scenario, Path(args.out), *counts)
+    except (ScenarioError, ValueError, *_PATH_ERRORS) as exc:
         if isinstance(exc, CalibrationError):
             print(f"infeasible: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE

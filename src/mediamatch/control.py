@@ -160,13 +160,17 @@ class ControlTrace:
                            float(rss_db))
 
     def serialize(self) -> str:
-        """Line-oriented records: stage,probe_index,config_hash,rss_db."""
-        lines = ["stage,probe_index,config_hash,rss_db"]
+        """Records stage,probe_index,config_hash,rss_db; one line template per block."""
+        parts, first = ["stage,probe_index,config_hash,rss_db\n"], 0
         for stage, levels, index, rss in self.blocks:
-            first = len(lines) - 1
-            lines += [f"{stage},{first + k},{digest},{r:.10g}" for k, (digest, r)
-                      in enumerate(zip(_digests(levels, index), rss.tolist()))]
-        return "\n".join(lines) + "\n"
+            n = len(rss)
+            values = [stage] * (4 * n)
+            values[1::4] = range(first, first + n)
+            values[2::4] = _digests(levels, index)
+            values[3::4] = rss.tolist()
+            parts.append("%d,%d,%s,%.10g\n" * n % tuple(values))
+            first += n
+        return "".join(parts)
 
 
 @dataclass

@@ -7,6 +7,10 @@ derived from the scenario seed, so a command is reproducible from the
 
 Medians and percentiles use the lower-interpolation rule throughout
 (numpy percentile method="lower").
+
+CSV numbers: a float (numpy float64 included) is written format(x, ".12g"),
+an int or a string str(x), a trace's rss_db format(x, ".10g").  table_text
+renders whole columns through one line template and one ``%`` over all values.
 """
 
 from __future__ import annotations
@@ -50,30 +54,39 @@ class RunReport:
         lines = [f"command = {self.command}",
                  f"scenario = {self.scenario_name}",
                  f"scenario_hash = {self.scenario_hash}"]
-        for key, value in self.summary.items():
-            if isinstance(value, float):
-                lines.append(f"{key} = {value:.6g}")
-            else:
-                lines.append(f"{key} = {value}")
-        for p in self.csv_paths:
-            lines.append(f"artifact = {p}")
+        lines += [f"{key} = {value:.6g}" if isinstance(value, float) else f"{key} = {value}"
+                  for key, value in self.summary.items()]
+        lines += [f"artifact = {p}" for p in self.csv_paths]
         return "\n".join(lines) + "\n"
 
 
-def _csv_text(header: str, rows) -> str:
-    return "".join([header + "\n"] + [
-        ",".join(format(x, ".12g") if isinstance(x, float) else str(x) for x in row) + "\n"
-        for row in rows])
+def _column(values) -> tuple[str, list]:
+    """A column's format and values: '%.12g' if every value is a float, else
+    '%s' with any float in it rendered by format(x, ".12g")."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return "%.12g", values.tolist()
+    values = list(values)
+    if all(isinstance(x, float) for x in values):
+        return "%.12g", values
+    return "%s", [format(x, ".12g") if isinstance(x, float) else x for x in values]
 
 
-def _write_csv(path: Path, header: str, rows) -> str:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_csv_text(header, rows), encoding="utf-8", newline="\n")
+def table_text(header: str, columns) -> str:
+    """CSV text of equal-length columns (a sequence of them) under a header."""
+    formats, columns = zip(*map(_column, columns)) if len(columns) else ((), ((),))
+    flat = [None] * (len(columns) * len(columns[0]))
+    for k, column in enumerate(columns):
+        flat[k::len(columns)] = column
+    return header + "\n" + (",".join(formats) + "\n") * len(columns[0]) % tuple(flat)
+
+
+def write_table(path: Path, header: str, columns) -> str:
+    """Write table_text(header, columns) to path (whose folder must exist)."""
+    path.write_text(table_text(header, columns), encoding="utf-8", newline="\n")
     return str(path)
 
 
 def _finish(report: RunReport, out_dir: Path) -> RunReport:
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.txt").write_text(report.render())
     return report
 
@@ -92,7 +105,6 @@ def validate_trace(trace: ControlTrace, n_voltages: int, n_stage2: int) -> None:
 
 def cmd_match(scenario: Scenario, out_dir) -> RunReport:
     """Continuous + voltage matching and the reflection-reduction spectra."""
-    out_dir = Path(out_dir)
     stack = scenario.stack()
     f = scenario.frequency
 
@@ -104,12 +116,13 @@ def cmd_match(scenario: Scenario, out_dir) -> RunReport:
                                      circuit=scenario.circuit, voltage=volt.best_voltage)
 
     report = RunReport("match", scenario.name, scenario.scenario_hash())
-    report.csv_paths.append(_write_csv(
-        out_dir / "spectrum_admittance.csv", "frequency_hz,reflection_db,reduction_db",
-        [(fr, max(r, DB_FLOOR), red) for fr, r, red in spectrum_a]))
-    report.csv_paths.append(_write_csv(
-        out_dir / "spectrum_voltage.csv", "frequency_hz,reflection_db,reduction_db",
-        [(fr, max(r, DB_FLOOR), red) for fr, r, red in spectrum_v]))
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, spectrum in (("admittance", spectrum_a), ("voltage", spectrum_v)):
+        fr, refl, red = zip(*spectrum)
+        report.csv_paths.append(write_table(
+            out_dir / f"spectrum_{name}.csv", "frequency_hz,reflection_db,reduction_db",
+            [fr, [max(r, DB_FLOOR) for r in refl], red]))
 
     at_f0 = min(spectrum_a, key=lambda row: abs(row[0] - f))
     report.summary.update({
@@ -134,7 +147,6 @@ _AXIS2 = ("susceptance_s", "capacitance_pf")
 
 def cmd_sweep(scenario: Scenario, out_dir) -> RunReport:
     """Heatmap CSVs over every configured (structure x surface) axis pair."""
-    out_dir = Path(out_dir)
     report = RunReport("sweep", scenario.name, scenario.scenario_hash())
 
     pairs = [(a1, a2) for a1 in _AXIS1 for a2 in _AXIS2
@@ -142,19 +154,16 @@ def cmd_sweep(scenario: Scenario, out_dir) -> RunReport:
     if not pairs:
         raise ValueError("scenario defines no sweepable axis pair")
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for a1, a2 in pairs:
-        grid = SweepGrid(
-            axis1_name=a1, axis1_values=tuple(scenario.sweeps[a1]),
-            axis2_name=a2, axis2_values=tuple(scenario.sweeps[a2]),
-            frequency=scenario.frequency)
-        family = (lambda g: scenario.stack(gap_mm=g)) if a1 == "gap_mm" \
-            else (lambda t: scenario.stack(fat_mm=t))
-        matrix = sweep_through_power(family, grid, circuit=scenario.circuit)
-        rows = [(float(v1), float(v2), float(matrix[i, j]))
-                for i, v1 in enumerate(grid.axis1_values)
-                for j, v2 in enumerate(grid.axis2_values)]
-        report.csv_paths.append(_write_csv(
-            out_dir / f"sweep_{a1}_{a2}.csv", "axis1,axis2,through_power_db", rows))
+        v1, v2 = (np.asarray(scenario.sweeps[a], dtype=float) for a in (a1, a2))
+        grid = SweepGrid(a1, tuple(v1), a2, tuple(v2), scenario.frequency)
+        matrix = sweep_through_power(lambda v: scenario.stack(**{a1: v}), grid,
+                                     circuit=scenario.circuit)
+        report.csv_paths.append(write_table(
+            out_dir / f"sweep_{a1}_{a2}.csv", "axis1,axis2,through_power_db",
+            [np.repeat(v1, len(v2)), np.tile(v2, len(v1)), matrix.ravel()]))
         report.summary[f"max_db[{a1}x{a2}]"] = float(matrix.max())
     return _finish(report, out_dir)
 
@@ -230,13 +239,14 @@ def run_link(scenario: Scenario, responder, index: int, mode: str):
     stage1_db = trace.best_probe(through_stage=1).rss_db
     stage2_db = trace.best_probe(through_stage=2).rss_db
     final_db = trace.best_probe().rss_db
-    dump = [("env", channel.h_env.real, channel.h_env.imag)] + [
-        (f"element_{i}", z.real, z.imag) for i, z in enumerate(channel.h_elements.tolist())]
+    h = channel.h_elements
+    dump = [["env"] + [f"element_{i}" for i in range(len(h))],
+            [channel.h_env.real] + h.real.tolist(), [channel.h_env.imag] + h.imag.tolist()]
     return (index, ch_seed, base_db, final_db, oneway_gain(channel, cfg),
             stage1_db - base_db, stage2_db - base_db, final_db - stage2_db,
             *(trace.stage_probe_count(s) for s in (1, 2, 3))), {
         f"traces/link_{index:04d}.csv": trace.serialize(),
-        f"channels/link_{index:04d}.csv": _csv_text("path,re,im", dump)}
+        f"channels/link_{index:04d}.csv": table_text("path,re,im", dump)}
 
 
 #: A worker process's (scenario, responder), built once by _start_worker.
@@ -276,15 +286,16 @@ def _run_links(mode: str, scenario: Scenario, out_dir: Path, n_links: int,
     else:
         responder = scenario.responder()
         results = [run_link(scenario, responder, i, mode) for i in range(n_links)]
+    out_dir.mkdir(parents=True, exist_ok=True)
     for folder in {Path(name).parent for _, files in results for name in files}:
-        (out_dir / folder).mkdir(parents=True, exist_ok=True)
+        (out_dir / folder).mkdir(exist_ok=True)
     for _, files in results:
         for name, text in files.items():
             (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
     rows = [row for row, _ in results]
     report = RunReport(mode, scenario.name, scenario.scenario_hash())
     name, header = _LINK_CSV[mode]
-    report.csv_paths.append(_write_csv(out_dir / name, header, rows))
+    report.csv_paths.append(write_table(out_dir / name, header, list(zip(*rows))))
     return report, rows
 
 

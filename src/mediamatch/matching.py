@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import DB_FLOOR, DegenerateStackError, StackSpec, solve_stack, stack_coefficients
-from .surface import ElementCircuit, admittance_at_voltage, admittance_exact
+from .surface import ElementCircuit, admittance_at_voltage, admittance_exact, varactor_at
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -60,26 +60,22 @@ def _through_db(stack: StackSpec, ys: np.ndarray, frequency: float) -> np.ndarra
     return _db(solve_stack(stack, ys, frequency).through_power, float("-inf"))
 
 
-def _axis2_admittance(name: str, value: float, circuit: ElementCircuit | None,
-                      frequency: float) -> complex:
-    """Interpret an axis-2 coordinate as a surface admittance."""
+def _axis_admittances(name: str, values, circuit: ElementCircuit | None,
+                      frequency: float) -> np.ndarray:
+    """Surface admittance at each axis-2 coordinate.  A capacitance (pF) takes
+    the table's loss resistance at its clamped value, one np.interp per axis."""
     if name == "susceptance_s":
-        return 1j * value
+        return np.array([1j * value for value in values])
     if circuit is None:
         raise ValueError(f"axis {name!r} needs an ElementCircuit")
-    if name == "capacitance_pf":
-        c, r = value * 1e-12, _resistance_for_capacitance(circuit, value * 1e-12)
-        return admittance_exact(circuit, c, r, frequency)
-    raise ValueError(f"unknown axis-2 interpretation {name!r}")
-
-
-def _resistance_for_capacitance(circuit: ElementCircuit, capacitance: float) -> float:
-    """Loss resistance consistent with a capacitance, read off the varactor table."""
-    c = np.asarray(circuit.varactors.capacitances, dtype=float)
-    r = np.asarray(circuit.varactors.resistances, dtype=float)
-    order = np.argsort(c)
-    cap = min(max(capacitance, c.min()), c.max())
-    return float(np.interp(cap, c[order], r[order]))
+    if name != "capacitance_pf":
+        raise ValueError(f"unknown axis-2 interpretation {name!r}")
+    # C and R both fall with the bias voltage, so sorting each sorts the rows
+    c, r = np.sort(circuit.varactors.capacitances), np.sort(circuit.varactors.resistances)
+    caps = np.asarray(values, dtype=float) * 1e-12
+    res = np.interp(np.clip(caps, c[0], c[-1]), c, r)
+    return np.array([admittance_exact(circuit, cap, loss, frequency)
+                     for cap, loss in zip(caps.tolist(), res.tolist())])
 
 
 def sweep_through_power(stack_family, grid: SweepGrid,
@@ -89,8 +85,7 @@ def sweep_through_power(stack_family, grid: SweepGrid,
     stack_family maps an axis-1 value (gap, fat thickness, ...) to a
     StackSpec.  Singular grid points are recorded at the -200 dB floor.
     """
-    ys = np.array([_axis2_admittance(grid.axis2_name, a2, circuit, grid.frequency)
-                   for a2 in grid.axis2_values])
+    ys = _axis_admittances(grid.axis2_name, grid.axis2_values, circuit, grid.frequency)
     out = np.empty((len(grid.axis1_values), len(grid.axis2_values)))
     for i, a1 in enumerate(grid.axis1_values):
         out[i] = np.maximum(_through_db(stack_family(a1), ys, grid.frequency), DB_FLOOR)
@@ -155,9 +150,10 @@ def reflection_spectrum(stack: StackSpec, frequencies, ys: complex | None = None
     """Reflection vs frequency and the reduction against the bare stack.
 
     Exactly one of ys (a frequency-independent admittance) or
-    (circuit, voltage) must be given; in the latter case the admittance is
-    re-evaluated at every frequency, which is what moves the reflection
-    trough as the capacitance changes.
+    (circuit, voltage) must be given; in the latter case the voltage's (C, R)
+    is read off the varactor table once and the admittance is re-evaluated at
+    every frequency, which is what moves the reflection trough as the
+    capacitance changes.
 
     Returns a list of (frequency, reflection_db, reduction_db) tuples.
     """
@@ -170,10 +166,11 @@ def reflection_spectrum(stack: StackSpec, frequencies, ys: complex | None = None
         raise ValueError("voltage mode needs the element circuit")
 
     if ys is None:
-        ys = np.array([admittance_at_voltage(circuit, voltage, f) for f in freqs])
+        c, r = varactor_at(circuit.varactors, voltage)
+        ys = np.array([admittance_exact(circuit, c, r, f) for f in freqs.tolist()])
     refl = solve_stack(stack, ys, freqs).reflected_power
     bare = solve_stack(stack, 0j, freqs).reflected_power
     if np.isnan(refl).any() or np.isnan(bare).any():
         raise DegenerateStackError("singular stack inside the spectrum")
     refl_db, bare_db = _db(refl, DB_FLOOR), _db(bare, DB_FLOOR)
-    return [(float(f), float(r), float(b - r)) for f, r, b in zip(freqs, refl_db, bare_db)]
+    return list(zip(freqs.tolist(), refl_db.tolist(), (bare_db - refl_db).tolist()))

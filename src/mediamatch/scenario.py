@@ -275,6 +275,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
         spectrum = np.linspace(float(spectrum_spec["start"]), float(spectrum_spec["stop"]),
                                _whole(spectrum_spec["points"], "spectrum_hz.points"))
 
+        seed = _whole(raw.get("seed", 1), "seed")
+        if seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {seed}")
         return Scenario(
             name=str(raw.get("name", "unnamed")),
             frequency=frequency,
@@ -287,7 +290,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
             rows=rows,
             cols=cols,
             channel=channel,
-            seed=_whole(raw.get("seed", 1), "seed"),
+            seed=seed,
             coupling_offset=complex(_finite(offset[0], "coupling_offset_s[0]"),
                                     _finite(offset[1], "coupling_offset_s[1]")),
             sweeps={k: _expand_axis(k, v)

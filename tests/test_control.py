@@ -338,6 +338,22 @@ class TestTraceSerialization:
         assert rows[0].split(",")[2] != rows[1].split(",")[2]
         assert rows[2].split(",")[2] == config_hash((0.0, -0.0))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.lists(
+        st.one_of(st.floats(allow_subnormal=True), st.sampled_from([0.0, -0.0, 5e300])),
+        min_size=1, max_size=20)), max_size=5))
+    def test_matches_per_line_rendering(self, blocks):
+        """One template per block gives the bytes of one f-string per probe."""
+        trace = ControlTrace()
+        for stage, rss in blocks:
+            trace.append(stage, (30.0, 0.0), np.zeros((len(rss), 3), dtype=np.uint8), rss)
+        lines = ["stage,probe_index,config_hash,rss_db"]
+        for stage, rss in blocks:
+            first = len(lines) - 1
+            lines += [f"{stage},{first + k},{config_hash((30.0,) * 3)},{r:.10g}"
+                      for k, r in enumerate(rss)]
+        assert trace.serialize() == "\n".join(lines) + "\n"
+
     def test_hash_is_canonical(self):
         assert config_hash((30.0, 0.0)) == config_hash([30, 0])
         assert config_hash((30.0, 0.0)) == config_hash(v for v in (30, 0))

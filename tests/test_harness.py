@@ -4,13 +4,15 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mediamatch import scenario as scenario_mod
 from mediamatch.cli import main
 from mediamatch.harness import (BudgetError, cmd_backscatter, cmd_bench_controller,
                                 cmd_links, cmd_match, cmd_sweep, median_lower,
-                                validate_trace)
+                                table_text, validate_trace, write_table)
 from mediamatch.control import ControlTrace
 from mediamatch.surface import admittance_at_voltage
 from mediamatch.scenario import (ScenarioError, default_tissue_dict,
@@ -32,6 +34,77 @@ def read_heatmap(path: Path) -> dict:
         a1, a2, db = line.split(",")
         out[(float(a1), float(a2))] = float(db)
     return out
+
+
+def row_csv_text(header: str, rows) -> str:
+    """The per-value CSV formatter the commands used before table_text: the
+    reference its bytes are checked against."""
+    return "".join([header + "\n"] + [
+        ",".join(format(x, ".12g") if isinstance(x, float) else str(x) for x in row) + "\n"
+        for row in rows])
+
+
+_EDGE_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e300, -5e300,
+                5e-324, 2.2250738585072014e-308, 1e-310, 0.1, 1 / 3, 123456789012.5]
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_subnormal=True))
+_ints = st.one_of(st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1))
+
+#: Column kinds: each draws one value of the kind for a given row count.
+_KINDS = {
+    "float": _floats,
+    "np.float64": _floats.map(np.float64),
+    "np.float32": st.floats(width=32).map(np.float32),
+    "int": _ints,
+    "np.int64": st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    "np.int32": st.integers(-2 ** 31, 2 ** 31 - 1).map(np.int32),
+    "bool": st.booleans(),
+    "str": st.text(max_size=8),
+    "mixed": st.one_of(_floats, _ints, _floats.map(np.float64)),
+}
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(0, 12))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(_KINDS) + ["float64 array"]),
+                              min_size=1, max_size=6)):
+        if kind == "float64 array":
+            columns.append(np.array(draw(st.lists(_floats, min_size=n_rows,
+                                                  max_size=n_rows)), dtype=float))
+        else:
+            values = draw(st.lists(_KINDS[kind], min_size=n_rows, max_size=n_rows))
+            columns.append(draw(st.sampled_from([values, tuple(values)])))
+    return columns
+
+
+class TestTableText:
+    """table_text renders whole columns with one template, byte for byte what
+    the per-value formatter gives: floats '.12g', anything else str."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tables())
+    @example([np.array(_EDGE_FLOATS), list(range(len(_EDGE_FLOATS))),
+              [np.float64(x) for x in _EDGE_FLOATS], [str(x) for x in _EDGE_FLOATS]])
+    def test_matches_per_value_formatter(self, columns):
+        rows = list(zip(*columns))
+        header = ",".join(f"c{k}" for k in range(len(columns)))
+        assert table_text(header, columns) == row_csv_text(header, rows)
+
+    def test_no_rows_and_no_columns(self):
+        assert table_text("a,b", [[], ()]) == "a,b\n"
+        assert table_text("a,b", []) == "a,b\n"
+
+    def test_unequal_columns_raise(self):
+        with pytest.raises(ValueError):
+            table_text("a,b", [[1.0, 2.0], [3.0]])
+
+    def test_write_table_bytes(self, tmp_path):
+        columns = [["env", "element_0"], [0.5, -0.0], np.array([float("nan"), 1e-310])]
+        path = write_table(tmp_path / "t.csv", "path,re,im", columns)
+        assert path == str(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == \
+            row_csv_text("path,re,im", zip(*columns)).encode()
 
 
 class TestGoldenHeatmaps:
@@ -341,6 +414,39 @@ class TestCli:
         rc = main(argv + (["--links", "1"] if command == "links" else []))
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["scenario-dir", "out-file", "out-under-file"])
+    def test_path_errors_are_config_errors(self, tmp_path, capsys, bad):
+        """A directory as --scenario, an existing file as --out and an --out
+        under a file end in exit 2, not a traceback."""
+        scenario, out = str(SCENARIOS / "water_match.json"), tmp_path / "out"
+        (tmp_path / "file").write_text("x")
+        if bad == "scenario-dir":
+            scenario = str(tmp_path)
+        else:
+            out = tmp_path / "file" / ("sub" if bad == "out-under-file" else "")
+        rc = main(["match", "--scenario", scenario, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("config error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["match"], ["links", "--links", "0"], ["links", "--links", "1"]])
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, argv, where):
+        raw = default_water_dict(name="negative-seed")
+        if where == "file":
+            raw["seed"] = -5
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        rc = main(argv + ["--scenario", str(path), "--out", str(out)]
+                  + (["--seed", "-5"] if where == "flag" else []))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and "seed" in err
         assert not out.exists()
 
     def test_seed_override_changes_hash(self, tmp_path, capsys):

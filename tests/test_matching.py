@@ -11,6 +11,7 @@ from mediamatch.matching import (SweepGrid, best_admittance, best_voltage,
                                  reflection_spectrum, sweep_through_power)
 from mediamatch.media import AIR, FAT, Layer, MUSCLE, Medium, SKIN, WATER
 from mediamatch.scenario import default_tissue_scenario, default_water_scenario
+from mediamatch.surface import admittance_at_voltage, admittance_exact
 
 import oracles
 
@@ -200,6 +201,69 @@ class TestReflectionSpectrum:
             reflection_spectrum(stack, [2.7e9, 2.4e9], ys=0.01j)
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+class TestHoistedLookups:
+    """The varactor table is read once per axis or spectrum; every admittance
+    keeps the bits of the per-point lookup it replaces."""
+
+    @staticmethod
+    def per_point_capacitance(circuit, value, frequency):
+        """One capacitance-axis point as the sweep used to evaluate it."""
+        c = np.asarray(circuit.varactors.capacitances, dtype=float)
+        r = np.asarray(circuit.varactors.resistances, dtype=float)
+        order = np.argsort(c)
+        cap = min(max(value * 1e-12, c.min()), c.max())
+        return admittance_exact(circuit, value * 1e-12,
+                                float(np.interp(cap, c[order], r[order])), frequency)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.05, 6.0), st.integers(1, 5),
+                              st.sampled_from([0.71, 0.81, 0.9, 1.0, 1.32, 3.72])),
+                    min_size=1, max_size=40),
+           st.sampled_from([default_water_scenario, default_tissue_scenario]),
+           st.floats(2.2e9, 2.6e9))
+    def test_capacitance_axis(self, values, make, frequency):
+        circuit = make().circuit
+        got = matching._axis_admittances("capacitance_pf", tuple(values), circuit, frequency)
+        want = [self.per_point_capacitance(circuit, v, frequency) for v in values]
+        assert _bits(got) == _bits(want)
+
+    def test_capacitance_axis_errors(self, scenario):
+        with pytest.raises(ValueError, match="needs an ElementCircuit"):
+            matching._axis_admittances("capacitance_pf", (1.0,), None, F0)
+        with pytest.raises(ValueError, match="unknown"):
+            matching._axis_admittances("inductance_nh", (1.0,), scenario.circuit, F0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0.0, 2.5, 5.0, 10.0, 30.0]) | st.floats(0.0, 30.0),
+           st.lists(st.floats(1.5e9, 3.2e9), min_size=1, max_size=60).map(sorted))
+    def test_voltage_spectrum(self, voltage, freqs):
+        circuit = default_water_scenario().circuit
+        seen = []
+        real = matching.solve_stack
+
+        def spy(stack, admittance, frequency):
+            seen.append(admittance)
+            return real(stack, admittance, frequency)
+
+        matching.solve_stack = spy
+        try:
+            reflection_spectrum(water_stack(), freqs, circuit=circuit,
+                                voltage=voltage)
+        finally:
+            matching.solve_stack = real
+        want = [admittance_at_voltage(circuit, voltage, f)
+                for f in np.array(freqs, dtype=float)]
+        assert _bits(seen[0]) == _bits(want)
+
+    def test_voltage_outside_table_raises(self, scenario):
+        with pytest.raises(ValueError, match="outside table range"):
+            reflection_spectrum(water_stack(), [2.4e9], circuit=scenario.circuit, voltage=31.0)
+
+
 class TestSingularPoint:
     """The active Y = -2/Z0 nulls the denominator of a bare air|air stack.
 
@@ -210,9 +274,10 @@ class TestSingularPoint:
     SINGULAR = complex(-2.0 / 376.730313668, 0.0)
 
     def test_sweep_records_the_floor(self, monkeypatch):
-        real = matching._axis2_admittance
-        monkeypatch.setattr(matching, "_axis2_admittance", lambda name, value, *rest:
-                            self.SINGULAR if value == 0.02 else real(name, value, *rest))
+        real = matching._axis_admittances
+        monkeypatch.setattr(matching, "_axis_admittances", lambda name, values, *rest:
+                            np.where(np.equal(values, 0.02), self.SINGULAR,
+                                     real(name, values, *rest)))
         grid = SweepGrid("gap_mm", (1.0, 2.0), "susceptance_s", (0.0, 0.01, 0.02, 0.03), F0)
         m = sweep_through_power(lambda g: StackSpec(AIR, AIR), grid)
         assert np.all(m[:, 2] == DB_FLOOR)
