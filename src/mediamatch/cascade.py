@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .media import Layer, Medium, intrinsic_impedance, phase_constant
+from .media import Layer, Medium, _check_frequency, _impedance, _permittivity, _wavenumber
 
 DB_FLOOR = -200.0  # clamp used when emitting dB columns to files
 
@@ -82,11 +82,15 @@ class CascadeSolution:
 @functools.lru_cache(maxsize=1024)
 def _coefficients(stack: StackSpec, shape: tuple, data: bytes) -> tuple:
     f = np.frombuffer(data).reshape(shape)
-    z_src, z_load = (intrinsic_impedance(m, f) for m in (stack.source_medium, stack.load_medium))
+    _check_frequency(f)  # once per build: every medium's quantities share f
+    media = (stack.source_medium, stack.load_medium, *(layer.medium for layer in stack.layers))
+    eps = {m: _permittivity(m, f) for m in media}
+    z_src, z_load = (_impedance(m, eps[m]) for m in media[:2])
     lines = []  # (A = D, B, C) of each layer's line matrix
     for layer in stack.layers:
-        z = intrinsic_impedance(layer.medium, f)
-        bl = phase_constant(layer.medium, f) * layer.thickness
+        m = layer.medium
+        z = _impedance(m, eps[m])
+        bl = _wavenumber(m, eps[m], f) * layer.thickness
         lines.append((np.cos(bl), 1j * z * np.sin(bl), 1j * np.sin(bl) / z))
     x, y = np.ones((2,) + shape, dtype=complex), np.array([z_src, -z_src])  # rows r, r'
     y_after = [y]  # second entries of the rows after 0, 1, ... lines

@@ -21,7 +21,10 @@ A configuration is a uint8 index vector over the voltage alphabet
 list of probe blocks, one per ``_probe_many`` call: the stage, the alphabet,
 the read-only index matrix and the readings.  Probes keep the order they were
 measured in, and the trace hash is still taken over the per-element voltages
-a row stands for.
+a row stands for: ``_digests`` renders each row from a cached table of runs of
+up to 8 elements, whatever the alphabet.  Stage 2 draws its on/off masks and
+builds their index rows MASK_BLOCK rows at a time, so only the bool masks and
+the uint8 index matrix grow with the array.
 """
 
 from __future__ import annotations
@@ -41,6 +44,11 @@ DEFAULT_VOLTAGE_SET = (30.0, 20.0, 15.0, 10.0, 5.0, 2.5, 0.0)
 
 ENUMERATION_CAP = 65536
 
+#: Rows of stage 2's on/off masks drawn per generator call.  Drawing block by
+#: block gives the same random stream as one whole int64 draw, which at
+#: 64x64 elements would take 268 MB.
+MASK_BLOCK = 128
+
 
 def config_hash(voltages) -> str:
     """Canonical 12-hex-digit hash of an element-voltage vector.
@@ -52,42 +60,61 @@ def config_hash(voltages) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-#: Probe rows rendered per block in _digests: the gathered level words stay
-#: at HASH_BLOCK x (N + 1) words (1 MB at N = 1024 with 4-byte words).
+#: Probe rows hashed per block in _digests.
 HASH_BLOCK = 256
 
 
-@functools.lru_cache(maxsize=256)
-def _level_words(levels: bytes) -> np.ndarray:
-    """Each level rendered once, comma included, as one NUL-padded word.
+def _run_width(n_levels: int) -> int:
+    """Elements per run in _digests: the largest w <= 8 with n_levels**w <= 256, at least 1."""
+    return max([w for w in range(1, 9) if n_levels ** w <= 256], default=1)
 
+
+@functools.lru_cache(maxsize=256)
+def _run_table(levels: bytes, width: int) -> np.ndarray:
+    """Every run of `width` levels rendered once, as an object array of bytes.
+
+    Entry c is the '.6g' renderings of the run whose base-len(levels) code is
+    c (first element most significant), each closed by a comma, joined.
     Keyed by the alphabet's float64 bytes: a tuple key would let (0.0,) and
-    (-0.0,) share one entry, and they render differently.  Words are 4, 8 or
-    16 bytes wide, the widths numpy gathers fastest; a '.6g' rendering and
-    its comma take at most 14 bytes.
+    (-0.0,) share one entry, and they render differently.
     """
     parts = [format(v, ".6g").encode() + b"," for v in np.frombuffer(levels).tolist()]
-    longest = max(map(len, parts), default=0)
-    return np.array(parts, dtype=f"S{4 if longest <= 4 else 8 if longest <= 8 else 16}")
+    table = np.empty(len(parts) ** width, dtype=object)
+    table[:] = [b"".join(run) for run in itertools.product(parts, repeat=width)]
+    return table
+
+
+def _run_codes(rows: np.ndarray, base: int, width: int) -> np.ndarray:
+    """Base-`base` code of every run of `width` elements of each row."""
+    runs = rows.reshape(len(rows), -1, width)
+    codes = runs[..., 0].astype(np.intp)
+    for k in range(1, width):
+        codes *= base
+        codes += runs[..., k]
+    return codes
 
 
 def _digests(levels, index) -> list[str]:
     """config_hash of every row of an (n, N) index matrix over levels, in order.
 
-    A block of rows is gathered from the level words, each row closed by a
-    newline word; one translate drops the NUL padding and one split cuts the
-    rows, each of which is then hashed without its trailing comma.
+    Each row is cut into runs of _run_width(len(levels)) elements (8 for an
+    on/off pair, 2 for the 7-level set, 1 past 16 levels), with a shorter last
+    run.  A run's code picks its rendering from a cached table, so a row
+    becomes one join of N/width table entries and one SHA-256 of it without
+    its trailing comma, HASH_BLOCK rows at a time.
     """
-    words = _level_words(np.array(levels, dtype=float).tobytes())
-    n = index.shape[1]
+    key = np.array(levels, dtype=float).tobytes()
+    base, n = len(levels), index.shape[1]
+    width = _run_width(base)
+    cut = n - n % width
+    table, tail = _run_table(key, width), _run_table(key, n - cut)
     out = []
     for start in range(0, len(index), HASH_BLOCK):
         rows = index[start:start + HASH_BLOCK]
-        text = np.empty((len(rows), n + 1), dtype=words.dtype)
-        text[:, n] = b"\n"
-        text[:, :n] = words.take(rows)
-        out += [hashlib.sha256(row[:-1]).hexdigest()[:12]
-                for row in text.tobytes().translate(None, b"\0").split(b"\n")[:-1]]
+        text = table.take(_run_codes(rows[:, :cut], base, width))
+        if cut < n:
+            text = np.hstack([text, tail.take(_run_codes(rows[:, cut:], base, n - cut))])
+        out += [hashlib.sha256(b"".join(row)[:-1]).hexdigest()[:12] for row in text.tolist()]
     return out
 
 
@@ -204,9 +231,13 @@ def _onoff_index(groups, masks, n_elements: int) -> np.ndarray:
     owner[members] = np.repeat(np.arange(n_groups), [len(m) for m in groups])
     if np.count_nonzero(owner != n_groups) != len(members):
         raise ValueError("control groups must not share or repeat elements")
-    off = np.ones((len(masks), n_groups + 1), dtype=bool)
-    off[:, :n_groups] = masks == 0
-    return _read_only(off.take(owner, axis=1).view(np.uint8))
+    index = np.empty((len(masks), n_elements), dtype=bool)
+    off = np.ones((MASK_BLOCK, n_groups + 1), dtype=bool)  # last column: no group
+    for start in range(0, len(masks), MASK_BLOCK):
+        rows = masks[start:start + MASK_BLOCK]
+        np.logical_not(rows, out=off[:len(rows), :n_groups])
+        off[:len(rows)].take(owner, axis=1, out=index[start:start + len(rows)])
+    return _read_only(index.view(np.uint8))
 
 
 def _probe_many(oracle, trace: ControlTrace, stage: int, levels, index) -> np.ndarray:
@@ -294,7 +325,10 @@ def stage2_majority_voting(oracle, v1: float, v0: float, n_elements: int,
     trace = trace if trace is not None else ControlTrace()
 
     rng = np.random.default_rng(rng_seed)
-    masks = rng.integers(0, 2, size=(n_configs, n_groups)).astype(bool)
+    masks = np.empty((n_configs, n_groups), dtype=bool)
+    for start in range(0, n_configs, MASK_BLOCK):  # the int64 draw, a block at a time
+        block = masks[start:start + MASK_BLOCK]
+        block[...] = rng.integers(0, 2, size=block.shape)
     rss = _probe_many(oracle, trace, 2, (v1, v0), _onoff_index(groups, masks, n_elements))
 
     median = np.median(rss)

@@ -82,16 +82,12 @@ def complex_permittivity(medium: Medium, frequency):
     Under e^{+j omega t}: eps = eps_r - j sigma / (omega eps_0).
     """
     _check_frequency(frequency)
-    omega = 2.0 * np.pi * frequency
-    return medium.relative_permittivity - 1j * (medium.conductivity / (omega * EPS_VACUUM))
+    return _permittivity(medium, frequency)
 
 
 def intrinsic_impedance(medium: Medium, frequency):
     """Intrinsic wave impedance Z = Z_vac * sqrt(mu_r / eps_c), principal root."""
-    eps_c = np.asarray(complex_permittivity(medium, frequency))
-    # Python's complex division point by point: numpy's rounds arrays differently
-    ratio = [medium.relative_permeability / complex(e) for e in eps_c.flat]
-    return Z_VACUUM * np.sqrt(np.reshape(ratio, eps_c.shape))
+    return _impedance(medium, complex_permittivity(medium, frequency))
 
 
 def phase_constant(medium: Medium, frequency):
@@ -100,7 +96,25 @@ def phase_constant(medium: Medium, frequency):
     Purely real for lossless media; a positive imaginary magnitude encodes
     attenuation when sigma > 0.
     """
-    eps_c = complex_permittivity(medium, frequency)
+    return _wavenumber(medium, complex_permittivity(medium, frequency), frequency)
+
+
+# The three quantities above without the frequency check, for callers that
+# validate a frequency array once and derive several quantities from it.
+
+def _permittivity(medium: Medium, frequency):
+    omega = 2.0 * np.pi * frequency
+    return medium.relative_permittivity - 1j * (medium.conductivity / (omega * EPS_VACUUM))
+
+
+def _impedance(medium: Medium, eps_c):
+    eps_c = np.asarray(eps_c)
+    # Python's complex division point by point: numpy's rounds arrays differently
+    ratio = [medium.relative_permeability / complex(e) for e in eps_c.flat]
+    return Z_VACUUM * np.sqrt(np.reshape(ratio, eps_c.shape))
+
+
+def _wavenumber(medium: Medium, eps_c, frequency):
     omega = 2.0 * np.pi * frequency
     return (omega / C_VACUUM) * np.sqrt(medium.relative_permeability * eps_c)
 

@@ -204,7 +204,10 @@ def _finite(value, what: str) -> float:
 
 
 def _whole(value, what: str) -> int:
-    """An integral count: 8 and 8.0 pass, 2.5 (which int() would cut to 2) does not."""
+    """An integral count: 8 and 8.0 pass, 2.5 (which int() would cut to 2) and
+    true/false (which Python counts as 1/0) do not."""
+    if isinstance(value, bool):
+        raise ScenarioError(f"{what} must be a whole number, got {value!r}")
     if isinstance(value, int):
         return value
     number = float(value)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mediamatch.channel import SurfaceConfig
-from mediamatch.control import (DEFAULT_VOLTAGE_SET, ControlState, ControlTrace,
+from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, MASK_BLOCK, ControlState,
+                                ControlTrace, _digests, _onoff_index, _run_width,
                                 brute_force_baseline, column_groups, config_hash,
                                 element_groups, run_controller,
                                 stage1_uniform_probe, stage2_majority_voting,
@@ -358,3 +359,64 @@ class TestTraceSerialization:
         assert config_hash((30.0, 0.0)) == config_hash([30, 0])
         assert config_hash((30.0, 0.0)) == config_hash(v for v in (30, 0))
         assert config_hash((30.0, 0.0)) != config_hash((0.0, 30.0))
+
+
+#: Levels whose '.6g' renderings are short, long (more than 8 bytes with the
+#: comma), signed zeros, or anything a float can be.
+LEVELS = st.one_of(
+    st.sampled_from([0.0, -0.0, 30.0, 2.5, -1.23456e-7, -2.2250738585072014e-308,
+                     123456789.0, float("inf"), float("nan")]),
+    st.floats(allow_subnormal=True))
+
+
+class TestRunDigests:
+    """_digests codes runs of up to 8 elements into a table of renderings;
+    every row must still hash as config_hash of the voltages it stands for."""
+
+    def test_run_widths(self):
+        widths = {n: _run_width(n) for n in (1, 2, 3, 4, 6, 7, 16, 17, 256, 300)}
+        assert widths == {1: 8, 2: 8, 3: 5, 4: 4, 6: 3, 7: 2, 16: 2, 17: 1, 256: 1, 300: 1}
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_levels=st.sampled_from([1, 2, 3, 7, 16, 17, 300]),
+           n=st.one_of(st.sampled_from([0, 1, 7, 8, 9, 17]), st.integers(0, 40)),
+           n_rows=st.sampled_from([0, 1, 2, HASH_BLOCK - 1, HASH_BLOCK, HASH_BLOCK + 1,
+                                   2 * HASH_BLOCK + 3]),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_matches_config_hash(self, n_levels, n, n_rows, seed, data):
+        levels = tuple(data.draw(st.lists(LEVELS, min_size=n_levels, max_size=n_levels)))
+        dtype = np.uint8 if n_levels <= 256 else np.uint16
+        index = np.random.default_rng(seed).integers(0, n_levels, (n_rows, n)).astype(dtype)
+        assert _digests(levels, index) == [
+            config_hash([levels[k] for k in row]) for row in index.tolist()]
+
+    def test_signed_zero_tables_stay_apart(self):
+        index = np.zeros((1, 9), dtype=np.uint8)
+        assert _digests((0.0, 1.0), index) == [config_hash((0.0,) * 9)]
+        assert _digests((-0.0, 1.0), index) == [config_hash((-0.0,) * 9)]
+        assert config_hash((0.0,) * 9) != config_hash((-0.0,) * 9)
+
+
+class TestStreamedStage2:
+    """Stage 2 draws its masks MASK_BLOCK rows at a time: the same stream as
+    one whole int64 draw, so the probed index rows are unchanged."""
+
+    ROWS, COLS = 5, 13
+
+    @pytest.mark.parametrize("n_configs", [1, MASK_BLOCK - 1, MASK_BLOCK, MASK_BLOCK + 1, 300])
+    @pytest.mark.parametrize("grouping", ["element", "column"])
+    def test_index_equals_whole_draw(self, n_configs, grouping):
+        n = self.ROWS * self.COLS
+        groups = element_groups(n) if grouping == "element" else \
+            column_groups(self.ROWS, self.COLS)
+        rng = np.random.default_rng(11)
+        h = rng.normal(size=n) + 1j * rng.normal(size=n)
+        trace = ControlTrace()
+        stage2_majority_voting(onoff_oracle(h), V1, V0, n, n_configs=n_configs,
+                               rng_seed=5, groups=groups, trace=trace)
+        whole = np.random.default_rng(5).integers(0, 2, size=(n_configs, len(groups)))
+        (_, _, index, _), = trace.blocks
+        assert index.dtype == np.uint8
+        np.testing.assert_array_equal(index, _onoff_index(groups, whole, n))
+        owner = np.arange(n) if grouping == "element" else np.arange(n) % self.COLS
+        np.testing.assert_array_equal(index, 1 - whole[:, owner])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from mediamatch import scenario as scenario_mod
 from mediamatch.cli import main
 from mediamatch.harness import (BudgetError, cmd_backscatter, cmd_bench_controller,
                                 cmd_links, cmd_match, cmd_sweep, median_lower,
-                                table_text, validate_trace, write_table)
+                                run_link, table_text, validate_trace, write_table)
 from mediamatch.control import ControlTrace
 from mediamatch.surface import admittance_at_voltage
 from mediamatch.scenario import (ScenarioError, default_tissue_dict,
@@ -232,6 +233,24 @@ class TestLinksCommand:
         assert dump[1].startswith("env,")
         assert len(dump) == 2 + scenario.n_elements
 
+    def test_32x32_link_memory_peak(self):
+        """One 32x32 link allocates at most 12 MB at its peak: stage 2 never
+        holds its whole int64 mask draw or a whole-matrix temporary."""
+        raw = json.loads((SCENARIOS / "water_links.json").read_text())
+        raw.update(array_rows=32, array_cols=32)
+        raw["channel"]["element_power"] = 1.0 / 1024
+        scenario = scenario_from_dict(raw)
+        responder = scenario.responder()
+        tracemalloc.start()
+        try:
+            row, files = run_link(scenario, responder, 0, "links")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row[-2] == 2 * 1024  # stage-2 probes
+        assert len(files["traces/link_0000.csv"].splitlines()) == 1 + sum(row[-3:])
+        assert peak <= 12 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
     def test_first_two_stages_carry_the_gain(self, tmp_path):
         """Median gain after stages 1+2 dominates the stage-3 increment."""
         scenario = load_scenario(SCENARIOS / "water_links.json")
@@ -414,6 +433,31 @@ class TestCli:
         rc = main(argv + (["--links", "1"] if command == "links" else []))
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("links", "seed", True),
+        ("links", "array_rows", True),
+        ("links", "array_cols", True),
+        ("match", "surface_index", False),
+        ("match", "spectrum_hz.points", True),
+    ])
+    def test_boolean_count_is_config_error(self, tmp_path, capsys, command, field, value):
+        """JSON true/false is no whole number, though Python counts it as 1/0."""
+        raw = default_water_dict(name="boolean-count")
+        *parents, key = field.split(".")
+        entry = raw
+        for name in parents:
+            entry = entry[name]
+        entry[key] = value
+        path = tmp_path / "boolean.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        argv = [command, "--scenario", str(path), "--out", str(out)]
+        rc = main(argv + (["--links", "1"] if command == "links" else []))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and key in err
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["scenario-dir", "out-file", "out-under-file"])
