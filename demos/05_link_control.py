@@ -9,7 +9,8 @@ import numpy as np
 
 from mediamatch import run_controller, oneway_gain, baseline_channel
 from mediamatch.harness import median_lower
-from mediamatch.scenario import FeedbackOracle, default_water_scenario
+from mediamatch.channel import FeedbackOracle
+from mediamatch.scenario import default_water_scenario
 
 scenario = default_water_scenario(seed=5)
 responder = scenario.responder()

@@ -9,8 +9,8 @@ import numpy as np
 
 from mediamatch import (backscatter_gain, best_admittance, oneway_gain,
                         run_controller, through_power_db)
-from mediamatch.scenario import (ProductFeedbackOracle, default_water_scenario,
-                                 load_scenario)
+from mediamatch.channel import ProductFeedbackOracle
+from mediamatch.scenario import default_water_scenario, load_scenario
 from pathlib import Path
 
 scenario = default_water_scenario(seed=11)

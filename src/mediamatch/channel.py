@@ -3,7 +3,9 @@
 Channels are synthesized (the real system measures them): environment and
 per-element paths are circularly-symmetric complex Gaussians drawn from a
 seeded numpy Generator (PCG64), so every sampled quantity is a pure function
-of (seed, params) and full runs replay bit-identically.
+of (seed, params) and full runs replay bit-identically.  FeedbackOracle and
+ProductFeedbackOracle make the RSS readings the controller sees (noise
+keying and quantization included).
 """
 
 from __future__ import annotations
@@ -239,34 +241,62 @@ def rss_db(magnitude, quantization_db: float | None = 0.1) -> np.ndarray:
     return rss
 
 
-def feedback_batch(channel: MultipathChannel, levels, index, noise_db: float | None = None,
-                   noise_seeds=None, quantization_db: float | None = 0.1) -> np.ndarray:
-    """rss_feedback of every row of an (n, N) index matrix over levels.
-
-    noise_seeds holds one seed per row; it is read only when noise_db is set.
-    """
-    h = composite_channels(channel, levels, index)
-    if noise_db is not None:
-        s = np.sqrt(10.0 ** (noise_db / 10.0) / 2.0)
-        for k, seed in enumerate(noise_seeds):
-            rng = np.random.default_rng(seed)
-            h[k] += complex(rng.normal(0.0, s) + 1j * rng.normal(0.0, s))
-    return rss_db(np.hypot(h.real, h.imag), quantization_db)
-
-
-def rss_feedback(channel: MultipathChannel, config: SurfaceConfig,
-                 noise_db: float | None = None, noise_seed: int | None = None,
-                 quantization_db: float | None = 0.1) -> float:
-    """RSS of the composite channel in dB, with optional additive noise.
+class FeedbackOracle:
+    """RSS feedback for the controller: the composite channel with optional
+    additive noise, read by rss_db.
 
     Noise is complex Gaussian with power 10^(noise_db/10) relative to a
-    unit-magnitude channel, drawn from its own seed so that repeated samples
-    with the same seeds are identical.  RSS is reported at 0.1 dB granularity
-    by default (typical RSSI resolution); pass quantization_db=None for a
-    continuous readout.
+    unit-magnitude channel.  Each probe draws it from its own seed, derived
+    from noise_seed and the probe count, so a replay with the same base seed
+    reproduces the identical sequence.  RSS is read at 0.1 dB granularity by
+    default (typical RSSI resolution); quantization_db=None reads it
+    continuously.  ``batch`` measures every row of an index matrix at once;
+    row i reads exactly what the i-th of as many sequential calls would,
+    noise seed included.
     """
-    return float(feedback_batch(channel, config.levels, config.index[None], noise_db,
-                                [noise_seed], quantization_db)[0])
+
+    def __init__(self, channel: MultipathChannel, noise_db: float | None = None,
+                 quantization_db: float | None = 0.1, noise_seed: int = 0):
+        self.channel = channel
+        self.noise_db = noise_db
+        self.quantization_db = quantization_db
+        self.noise_seed = noise_seed
+        self.probes = 0
+
+    def batch(self, levels, index) -> np.ndarray:
+        h = composite_channels(self.channel, levels, index)
+        if self.noise_db is not None:
+            s = np.sqrt(10.0 ** (self.noise_db / 10.0) / 2.0)
+            first = self.noise_seed * 1000003 + self.probes
+            for k in range(len(h)):
+                rng = np.random.default_rng((first + k) & 0x7FFFFFFF)
+                h[k] += complex(rng.normal(0.0, s) + 1j * rng.normal(0.0, s))
+        self.probes += len(h)
+        return rss_db(np.hypot(h.real, h.imag), self.quantization_db)
+
+    def __call__(self, config: SurfaceConfig) -> float:
+        return float(self.batch(config.levels, config.index[None])[0])
+
+
+class ProductFeedbackOracle:
+    """Backscatter feedback: the dB sum of both directions' RSS."""
+
+    def __init__(self, downlink: MultipathChannel, uplink: MultipathChannel,
+                 quantization_db: float | None = 0.1):
+        if downlink.n_elements != uplink.n_elements:
+            raise ValueError("backscatter directions must share the element count")
+        self.downlink = downlink
+        self.uplink = uplink
+        self.quantization_db = quantization_db
+
+    def batch(self, levels, index) -> np.ndarray:
+        down = composite_channels(self.downlink, levels, index)
+        up = composite_channels(self.uplink, levels, index)
+        magnitude = np.hypot(down.real, down.imag) * np.hypot(up.real, up.imag)
+        return rss_db(magnitude, self.quantization_db)
+
+    def __call__(self, config: SurfaceConfig) -> float:
+        return float(self.batch(config.levels, config.index[None])[0])
 
 
 def backscatter_gain(downlink: MultipathChannel, uplink: MultipathChannel,

@@ -22,12 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from .cascade import DB_FLOOR
-from .channel import backscatter_gain, baseline_channel, oneway_gain
+from .channel import (FeedbackOracle, ProductFeedbackOracle, backscatter_gain,
+                      baseline_channel, oneway_gain)
 from .control import (brute_force_baseline, column_groups, run_controller,
                       stage1_uniform_probe, stage3_fine_tune, ControlState,
                       ControlTrace)
 from .matching import SweepGrid, best_admittance, best_voltage, reflection_spectrum, sweep_through_power
-from .scenario import FeedbackOracle, ProductFeedbackOracle, Scenario
+from .scenario import Scenario
 
 
 class BudgetError(RuntimeError):
@@ -191,7 +192,9 @@ def _enum_pipeline(oracle, scenario: Scenario, groups):
         v0 = min(scenario.voltage_set)
     cfg, _, _ = brute_force_baseline(oracle, groups, v1, v0, scenario.n_elements,
                                      trace=trace)
-    on_set = frozenset(i for i, v in enumerate(cfg.voltages) if v == v1 and v1 != v0)
+    # no configuration reads above -inf (a silent channel): stage 3 starts all off
+    on_set = frozenset() if cfg is None else frozenset(
+        i for i, v in enumerate(cfg.voltages) if v == v1 and v1 != v0)
     state = ControlState(v1=v1, v0=v0, on_set=on_set)
     final = stage3_fine_tune(oracle, scenario.voltage_set, state,
                              scenario.n_elements, trace)

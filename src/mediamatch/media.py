@@ -10,6 +10,7 @@ them; interface reflection/transmission) follow from those three numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +36,12 @@ class Medium:
     conductivity: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.relative_permittivity) or self.relative_permittivity < 1.0:
+        if not math.isfinite(self.relative_permittivity) or self.relative_permittivity < 1.0:
             raise ValueError(f"relative_permittivity must be >= 1, got {self.relative_permittivity}")
-        if not np.isfinite(self.relative_permeability) or self.relative_permeability <= 0.0:
+        if not math.isfinite(self.relative_permeability) or self.relative_permeability <= 0.0:
             raise ValueError(
                 f"relative_permeability must be > 0, got {self.relative_permeability}")
-        if not np.isfinite(self.conductivity) or self.conductivity < 0.0:
+        if not math.isfinite(self.conductivity) or self.conductivity < 0.0:
             raise ValueError(f"conductivity must be >= 0, got {self.conductivity}")
 
     def with_conductivity(self, sigma: float, name: str | None = None) -> "Medium":
@@ -57,7 +58,7 @@ class Layer:
     thickness: float
 
     def __post_init__(self):
-        if not np.isfinite(self.thickness) or self.thickness <= 0.0:
+        if not math.isfinite(self.thickness) or self.thickness <= 0.0:
             raise ValueError(f"layer thickness must be positive and finite, got {self.thickness}")
 
 

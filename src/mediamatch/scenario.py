@@ -4,7 +4,9 @@ Scenarios are JSON with SI units spelled out in the key names (thickness_mm,
 patch_inductance_nh, ...) so unit mistakes stay visible.  A scenario pins the
 media stack, the element circuit (explicit inductances or a "calibrate"
 directive), the array geometry, the control voltage set, channel statistics
-and every seed, which makes re-running a file bit-identical.
+and every seed, which makes re-running a file bit-identical.  One table,
+_FIELDS, gives every field's kind and default, and one pass over it reads a
+scenario or names the field that is malformed.
 """
 
 from __future__ import annotations
@@ -12,18 +14,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .cascade import StackSpec
-from .channel import (ElementResponder, MultipathChannel, SurfaceConfig,
-                      composite_channels, feedback_batch, rss_db, sample_channel)
+from .channel import ElementResponder, MultipathChannel, sample_channel
 from .control import DEFAULT_VOLTAGE_SET
 from .media import BUILTIN_MEDIA, Layer, Medium
-from .surface import (CalibrationError, SMV1405_TABLE, ElementCircuit,
-                      calibrate_inductances)
+from .surface import SMV1405_TABLE, ElementCircuit, calibrate_inductances
 
 
 class ScenarioError(ValueError):
@@ -32,12 +33,14 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelParams:
-    env_power: float = 0.25
-    element_power: float = 1.0 / 64.0
-    noise_db: float | None = None
-    rss_quantization_db: float | None = 0.1
-    reciprocal_uplink: bool = True
-    phase_jitter_std: float = 0.0
+    """The scenario's "channel" object; its defaults are in _FIELDS."""
+
+    env_power: float
+    element_power: float
+    noise_db: float | None
+    rss_quantization_db: float | None
+    reciprocal_uplink: bool
+    phase_jitter_std: float
 
 
 @dataclass
@@ -108,203 +111,151 @@ class Scenario:
         )
 
 
-class FeedbackOracle:
-    """RSS feedback for the controller, with deterministic per-probe noise.
-
-    Each probe gets its own derived noise seed so a replay with the same
-    base seed reproduces the identical sequence.  ``batch`` measures every row
-    of an index matrix at once; row i reads exactly what the i-th of as many
-    sequential calls would, noise seed included.
-    """
-
-    def __init__(self, channel: MultipathChannel, noise_db: float | None = None,
-                 quantization_db: float | None = 0.1, noise_seed: int = 0):
-        self.channel = channel
-        self.noise_db = noise_db
-        self.quantization_db = quantization_db
-        self.noise_seed = noise_seed
-        self.probes = 0
-
-    def batch(self, levels, index) -> np.ndarray:
-        first = self.noise_seed * 1000003 + self.probes
-        seeds = None
-        if self.noise_db is not None:
-            seeds = [(first + i) & 0x7FFFFFFF for i in range(len(index))]
-        rss = feedback_batch(self.channel, levels, index, noise_db=self.noise_db,
-                             noise_seeds=seeds, quantization_db=self.quantization_db)
-        self.probes += len(rss)
-        return rss
-
-    def __call__(self, config: SurfaceConfig) -> float:
-        return float(self.batch(config.levels, config.index[None])[0])
-
-
-class ProductFeedbackOracle:
-    """Backscatter feedback: the dB sum of both directions' RSS."""
-
-    def __init__(self, downlink: MultipathChannel, uplink: MultipathChannel,
-                 quantization_db: float | None = 0.1):
-        if downlink.n_elements != uplink.n_elements:
-            raise ValueError("backscatter directions must share the element count")
-        self.downlink = downlink
-        self.uplink = uplink
-        self.quantization_db = quantization_db
-
-    def batch(self, levels, index) -> np.ndarray:
-        down = composite_channels(self.downlink, levels, index)
-        up = composite_channels(self.uplink, levels, index)
-        magnitude = np.hypot(down.real, down.imag) * np.hypot(up.real, up.imag)
-        return rss_db(magnitude, self.quantization_db)
-
-    def __call__(self, config: SurfaceConfig) -> float:
-        return float(self.batch(config.levels, config.index[None])[0])
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
-def _expand_axis(name: str, spec) -> np.ndarray:
-    """An axis is either an explicit list or {start, stop, step}."""
-    if isinstance(spec, dict):
-        start, stop, step = (float(spec[k]) for k in ("start", "stop", "step"))
-        if not (math.isfinite(start) and math.isfinite(stop)):
-            raise ScenarioError(f"sweep axis {name!r}: start and stop must be finite")
-        if not (math.isfinite(step) and step > 0):
-            raise ScenarioError(f"sweep axis {name!r}: step must be positive and finite, "
-                                f"got {step}")
-        n = int(round((stop - start) / step))
-        values = start + step * np.arange(n + 1)
-        return values[values <= stop + 1e-12 * max(1.0, abs(stop))]
-    return np.asarray(spec, dtype=float)
+_MAX = sys.float_info.max
+#: Number kinds, named as a message reads them: (type, lowest, highest value).
+_NUMBERS = {"a number": (float, -_MAX, _MAX), "a number > 0": (float, 5e-324, _MAX),
+            "a number >= 0": (float, 0.0, _MAX), "a number >= 1": (float, 1.0, _MAX),
+            "a whole number": (int, -math.inf, math.inf),
+            "a whole number >= 0": (int, 0, math.inf), "a whole number >= 1": (int, 1, math.inf)}
+#: The Python type of each other kind's JSON values.
+_TYPES = {"a string": str, "true or false": bool, "null": type(None), '"calibrate"': str,
+          "an object": dict, "a map": dict, "a list": list, "a non-empty list of numbers": list,
+          "a list of two numbers": list}
+_AXIS = {"": ("null|a non-empty list of numbers|an object", None), ".start": ("a number", ...),
+         ".stop": ("a number", ...), ".step": ("a number > 0", ...)}
+#: Every scenario field by JSON path: (kind, default), ... for a required one.
+#: "a.b" is key b of object a and "a.*" each entry of list a or map a (an object
+#: with free keys); an object takes no other keys.  "x|y" is an x or a y.
+_FIELDS = {
+    "name": ("a string", "unnamed"), "frequency_hz": ("a number > 0", 2.4e9),
+    "source_medium": ("a string", "air"), "load_medium": ("a string", ...),
+    "media": ("a map", {}), "media.*": ("an object", ...),
+    "media.*.relative_permittivity": ("a number >= 1", ...),
+    "media.*.relative_permeability": ("a number > 0", 1.0),
+    "media.*.conductivity_s_per_m": ("a number >= 0", 0.0),
+    "layers": ("a list", []), "layers.*": ("an object", ...),
+    "layers.*.medium": ("a string", ...), "layers.*.thickness_mm": ("a number > 0", ...),
+    "surface_index": ("a whole number >= 0", 0),
+    "circuit": ('"calibrate"|an object', "calibrate"),
+    "circuit.patch_inductance_nh": ("a number > 0", ...),
+    "circuit.bias_wire_inductance_nh": ("a number > 0", ...),
+    "calibration_target_s": ("a list of two numbers", [0.0, 0.1]),
+    "voltage_set_v": ("a non-empty list of numbers", list(DEFAULT_VOLTAGE_SET)),
+    "array_rows": ("a whole number", 8), "array_cols": ("a whole number", 8),
+    "channel": ("an object", {}),
+    "channel.env_power": ("a number >= 0", 0.25),
+    "channel.element_power": ("a number >= 0", 1.0 / 64.0),
+    "channel.noise_db": ("null|a number", None),
+    "channel.rss_quantization_db": ("null|a number > 0", 0.1),
+    "channel.reciprocal_uplink": ("true or false", True),
+    "channel.phase_jitter_std": ("a number", 0.0),
+    "seed": ("a whole number >= 0", 1),
+    "coupling_offset_s": ("a list of two numbers", [0.0, 0.0]),
+    "sweep": ("an object", {}),
+    **{f"sweep.{axis}{key}": field for key, field in _AXIS.items()
+       for axis in ("gap_mm", "fat_mm", "susceptance_s", "capacitance_pf")},
+    "spectrum_hz": ("an object", {}),
+    "spectrum_hz.start": ("a number > 0", 1.8e9), "spectrum_hz.stop": ("a number > 0", 3.0e9),
+    "spectrum_hz.points": ("a whole number >= 1", 49),
+}
 
 
-def _parse_medium(name: str, entry, registry) -> Medium:
-    if name in registry and entry is None:
-        return registry[name]
-    return Medium(
-        name=name,
-        relative_permittivity=float(entry["relative_permittivity"]),
-        relative_permeability=float(entry.get("relative_permeability", 1.0)),
-        conductivity=float(entry.get("conductivity_s_per_m", 0.0)),
-    )
+def _name(parent, key) -> str:
+    """The dotted name of entry `key` of parent, a (parent, key) pair or ""."""
+    parent = _name(*parent) if parent else ""
+    return f"{parent}[{key}]" if type(key) is int else f"{parent}.{key}" if parent else key
 
 
-def _object(value, what: str) -> dict:
-    """A JSON object (a dict); anything else is a ScenarioError."""
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _finite(value, what: str) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ScenarioError(f"{what} must be finite, got {value!r}")
-    return number
-
-
-def _whole(value, what: str) -> int:
-    """An integral count: 8 and 8.0 pass, 2.5 (which int() would cut to 2) and
-    true/false (which Python counts as 1/0) do not."""
-    if isinstance(value, bool):
-        raise ScenarioError(f"{what} must be a whole number, got {value!r}")
-    if isinstance(value, int):
+def _check(value, kind: str, pattern: str, parent, key):
+    """value read as a `kind` field, _FIELDS[pattern], named _name(parent, key): a
+    number as its kind's type, a list of numbers as a tuple, an object as a dict."""
+    one = _BY_TYPE[kind].get(type(value))
+    if one == "an object":
+        path, checked = (parent, key), {}
+        for sub_key, sub_kind, sub, default, plain, of, low, high in _KEYS[pattern]:
+            item = value.get(sub_key, default)
+            if item is default:  # absent
+                if item is ...:
+                    raise ScenarioError(f"{_name(path, sub_key)} is required")
+            elif not (type(item) is of and low <= item <= high or type(item) is plain):
+                item = _check(item, sub_kind, sub, path, sub_key)
+            checked[sub_key] = item
+        if not checked.keys() >= value.keys():
+            raise ScenarioError(f"unknown field {_name(path, min(value.keys() - checked.keys()))}")
+        return checked
+    elif one in _NUMBERS:
+        of, low, high = _NUMBERS[one]
+        if (of is float or type(value) is int or value.is_integer()) and low <= value <= high:
+            return of(value)
+    elif one in ("a map", "a list"):
+        path, (_, sub_kind, sub, *_) = (parent, key), _KEYS[pattern][0]
+        if one == "a map":
+            return {k: _check(item, sub_kind, sub, path, k) for k, item in value.items()}
+        return [_check(item, sub_kind, sub, path, i) for i, item in enumerate(value)]
+    elif one in ("a non-empty list of numbers", "a list of two numbers"):
+        if len(value) == 2 if one == "a list of two numbers" else value:
+            return tuple([item if type(item) is float and -_MAX <= item <= _MAX
+                          else _check(item, "a number", "", (parent, key), i)
+                          for i, item in enumerate(value)])
+    elif one is not None and (one != '"calibrate"' or value == "calibrate"):
         return value
-    number = float(value)
-    if not number.is_integer():
-        raise ScenarioError(f"{what} must be a whole number, got {value!r}")
-    return int(number)
+    raise ScenarioError(f"{_name(parent, key) or 'the scenario'} must be "
+                        f"{kind.replace('|', ' or ')}, got {value!r}")
+
+
+#: Each field kind's kinds by Python type, and each object's keys (a map's or
+#: list's "*") as (key, kind, field path, checked default, and what is taken as
+#: it is: the type of a string, boolean or null kind, a number kind's bounds).
+_BY_TYPE, _KEYS = {}, {}
+for _path, (_kind, _default) in sorted(_FIELDS.items(), key=lambda f: -f[0].count(".")):
+    _parent, _, _key = _path.rpartition(".")  # children come first, for the defaults
+    _kinds = _kind.split("|")
+    _BY_TYPE[_kind] = {of: one for one in _kinds for of in
+                       ((int, float, np.float64) if one in _NUMBERS else (_TYPES[one],))}
+    _default = _default if _default is ... else _check(_default, _kind, _path, "", _key)
+    _plain = next((_TYPES[k] for k in _kinds if k in ("a string", "true or false", "null")), None)
+    _number = next((_NUMBERS[k] for k in _kinds if k in _NUMBERS), (None, 0, 0))
+    _KEYS.setdefault(_parent, []).append((_key, _kind, _path, _default, _plain, *_number))
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    _object(raw, "the scenario")
-    try:
-        registry = dict(BUILTIN_MEDIA)
-        for name, entry in _object(raw.get("media", {}), "media").items():
-            registry[name] = _parse_medium(name, entry, registry)
-
-        def medium(name: str) -> Medium:
-            if name not in registry:
-                raise ScenarioError(f"unknown medium {name!r}")
-            return registry[name]
-
-        frequency = float(raw.get("frequency_hz", 2.4e9))
-        layers = tuple(
-            Layer(medium(entry["medium"]), float(entry["thickness_mm"]) * 1e-3)
-            for entry in raw.get("layers", []))
-
-        voltage_set = tuple(float(v) for v in raw.get("voltage_set_v", DEFAULT_VOLTAGE_SET))
-
-        circuit_spec = raw.get("circuit", "calibrate")
-        if circuit_spec == "calibrate":
-            target = raw.get("calibration_target_s", [0.0, 0.1])
-            circuit = calibrate_inductances(SMV1405_TABLE, frequency,
-                                            target_span=(float(target[0]), float(target[1])),
-                                            control_voltages=voltage_set)
-        else:
-            circuit = ElementCircuit(
-                patch_inductance=float(circuit_spec["patch_inductance_nh"]) * 1e-9,
-                bias_wire_inductance=float(circuit_spec["bias_wire_inductance_nh"]) * 1e-9,
-                varactors=SMV1405_TABLE,
-                design_frequency=frequency,
-            )
-
-        ch = _object(raw.get("channel", {}), "channel")
-        env_power, element_power = (_finite(ch.get(k, d), f"channel.{k}") for k, d in
-                                    (("env_power", 0.25), ("element_power", 1.0 / 64.0)))
-        if env_power < 0 or element_power < 0:
-            raise ScenarioError(f"channel powers must be >= 0, got {env_power}, {element_power}")
-        step = ch.get("rss_quantization_db", 0.1)
-        if step is not None and not _finite(step, "channel.rss_quantization_db") > 0:
-            raise ScenarioError(f"channel.rss_quantization_db must be null or > 0, got {step!r}")
-        channel = ChannelParams(
-            env_power=env_power,
-            element_power=element_power,
-            noise_db=(None if ch.get("noise_db") is None
-                      else _finite(ch["noise_db"], "channel.noise_db")),
-            rss_quantization_db=None if step is None else float(step),
-            reciprocal_uplink=bool(ch.get("reciprocal_uplink", True)),
-            phase_jitter_std=_finite(ch.get("phase_jitter_std", 0.0),
-                                     "channel.phase_jitter_std"),
-        )
-
-        rows = _whole(raw.get("array_rows", 8), "array_rows")
-        cols = _whole(raw.get("array_cols", 8), "array_cols")
-        if rows < 1 or cols < 1:
-            raise ScenarioError(f"array_rows and array_cols must be >= 1, got {rows}x{cols}")
-
-        offset = raw.get("coupling_offset_s", [0.0, 0.0])
-        spectrum_spec = raw.get("spectrum_hz", {"start": 1.8e9, "stop": 3.0e9, "points": 49})
-        spectrum = np.linspace(float(spectrum_spec["start"]), float(spectrum_spec["stop"]),
-                               _whole(spectrum_spec["points"], "spectrum_hz.points"))
-
-        seed = _whole(raw.get("seed", 1), "seed")
-        if seed < 0:
-            raise ScenarioError(f"seed must be >= 0, got {seed}")
-        return Scenario(
-            name=str(raw.get("name", "unnamed")),
-            frequency=frequency,
-            source_medium=medium(raw.get("source_medium", "air")),
-            load_medium=medium(raw["load_medium"]),
-            layers=layers,
-            surface_index=_whole(raw.get("surface_index", 0), "surface_index"),
-            circuit=circuit,
-            voltage_set=voltage_set,
-            rows=rows,
-            cols=cols,
-            channel=channel,
-            seed=seed,
-            coupling_offset=complex(_finite(offset[0], "coupling_offset_s[0]"),
-                                    _finite(offset[1], "coupling_offset_s[1]")),
-            sweeps={k: _expand_axis(k, v)
-                    for k, v in _object(raw.get("sweep", {}), "sweep").items()},
-            spectrum=spectrum,
-            raw=raw,
-        )
-    except (LookupError, TypeError, ValueError) as exc:
-        if isinstance(exc, (ScenarioError, CalibrationError)):
-            raise
-        raise ScenarioError(f"bad scenario: {exc}") from exc
+    """The Scenario of a JSON object; a malformed field raises ScenarioError."""
+    fields = _check(raw, "an object", "", "", "")
+    media = {**BUILTIN_MEDIA, **{n: Medium(n, *m.values()) for n, m in fields["media"].items()}}
+    names = {fields["source_medium"], fields["load_medium"],
+             *(layer["medium"] for layer in fields["layers"])}
+    if not media.keys() >= names:
+        raise ScenarioError(f"unknown medium {sorted(names - media.keys())[0]!r}")
+    frequency, voltage_set = fields["frequency_hz"], fields["voltage_set_v"]
+    if (nh := fields["circuit"]) == "calibrate":
+        circuit = calibrate_inductances(SMV1405_TABLE, frequency, control_voltages=voltage_set,
+                                        target_span=fields["calibration_target_s"])
+    else:
+        circuit = ElementCircuit(nh["patch_inductance_nh"] * 1e-9,
+                                 nh["bias_wire_inductance_nh"] * 1e-9, SMV1405_TABLE, frequency)
+    rows, cols = fields["array_rows"], fields["array_cols"]
+    if rows < 1 or cols < 1:
+        raise ScenarioError(f"array_rows and array_cols must be >= 1, got {rows}x{cols}")
+    sweeps = {}
+    for name, axis in fields["sweep"].items():
+        if type(axis) is dict:
+            start, stop, step = axis.values()
+            values = start + step * np.arange(int(round((stop - start) / step)) + 1)
+            sweeps[name] = values[values <= stop + 1e-12 * max(1.0, abs(stop))]
+        elif axis is not None:
+            sweeps[name] = np.array(axis)
+    return Scenario(
+        name=fields["name"], frequency=frequency, source_medium=media[fields["source_medium"]],
+        load_medium=media[fields["load_medium"]],
+        layers=tuple(Layer(media[layer["medium"]], layer["thickness_mm"] * 1e-3)
+                     for layer in fields["layers"]),
+        surface_index=fields["surface_index"], circuit=circuit, voltage_set=voltage_set,
+        rows=rows, cols=cols, channel=ChannelParams(**fields["channel"]), seed=fields["seed"],
+        coupling_offset=complex(*fields["coupling_offset_s"]), sweeps=sweeps,
+        spectrum=np.linspace(*fields["spectrum_hz"].values()), raw=raw)
 
 
 def read_scenario_dict(path) -> dict:
@@ -314,7 +265,10 @@ def read_scenario_dict(path) -> dict:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    return _object(raw, f"scenario file {path}")
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"scenario file {path} must be a JSON object, "
+                            f"got {type(raw).__name__}")
+    return raw
 
 
 def load_scenario(path) -> Scenario:

@@ -93,8 +93,8 @@ class ElementCircuit:
         if self.patch_inductance <= 0 or self.bias_wire_inductance <= 0:
             raise ValueError("inductances must be positive")
         w = 2.0 * np.pi * self.design_frequency
-        factors = 1.0 - w * w * np.asarray(self.varactors.capacitances) * self.patch_inductance
-        if np.any(factors <= 0):
+        # the factor 1 - w^2 C L1 is least at the largest table capacitance
+        if 1.0 - w * w * max(self.varactors.capacitances) * self.patch_inductance <= 0:
             raise ResonanceError(
                 "patch inductance puts a table capacitance past series resonance")
 

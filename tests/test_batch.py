@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mediamatch.channel import (PROBE_BLOCK, MultipathChannel, SurfaceConfig,
-                                composite_channel, composite_channels, rss_db,
-                                sample_channel)
+from mediamatch.channel import (PROBE_BLOCK, FeedbackOracle, MultipathChannel,
+                                ProductFeedbackOracle, SurfaceConfig, composite_channel,
+                                composite_channels, rss_db, sample_channel)
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, ControlTrace,
                                 _probe_many, brute_force_baseline, column_groups,
                                 config_hash, run_controller)
-from mediamatch.scenario import (FeedbackOracle, ProductFeedbackOracle,
-                                 default_water_scenario)
+from mediamatch.scenario import default_water_scenario
 
 VS = DEFAULT_VOLTAGE_SET
 

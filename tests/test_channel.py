@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from mediamatch.cascade import StackSpec
-from mediamatch.channel import (ElementResponder, MultipathChannel, SurfaceConfig,
-                                backscatter_gain, baseline_channel,
-                                composite_channel, oneway_gain, rss_feedback,
-                                sample_channel)
+from mediamatch.channel import (ElementResponder, FeedbackOracle, MultipathChannel,
+                                SurfaceConfig, backscatter_gain, baseline_channel,
+                                composite_channel, oneway_gain, sample_channel)
 from mediamatch.media import AIR
 from mediamatch.scenario import default_water_scenario
 
@@ -203,27 +202,27 @@ class TestRssFeedback:
 
     def test_zero_db_at_unit_magnitude(self, responder):
         ch = self.fixed_magnitude_channel(responder, 1.0)
-        s = rss_feedback(ch, SurfaceConfig.uniform(10.0, 4), noise_db=None,
-                         quantization_db=None)
+        s = FeedbackOracle(ch, noise_db=None, quantization_db=None)(
+            SurfaceConfig.uniform(10.0, 4))
         assert s == pytest.approx(0.0, abs=1e-12)
 
     def test_tenth_magnitude_is_minus_20db(self, responder):
         ch = self.fixed_magnitude_channel(responder, 0.1)
-        s = rss_feedback(ch, SurfaceConfig.uniform(30.0, 4), noise_db=None,
-                         quantization_db=None)
+        s = FeedbackOracle(ch, noise_db=None, quantization_db=None)(
+            SurfaceConfig.uniform(30.0, 4))
         assert s == pytest.approx(-20.0, abs=1e-12)
 
     def test_noise_repeatable(self, responder):
         ch = sample_channel(11, 8, element_power=1.0, responder=responder)
         cfg = SurfaceConfig.uniform(5.0, 8)
-        a = rss_feedback(ch, cfg, noise_db=-20.0, noise_seed=99)
-        b = rss_feedback(ch, cfg, noise_db=-20.0, noise_seed=99)
+        a = FeedbackOracle(ch, noise_db=-20.0, noise_seed=99)(cfg)
+        b = FeedbackOracle(ch, noise_db=-20.0, noise_seed=99)(cfg)
         assert a == b
 
     def test_quantization(self, responder):
         ch = sample_channel(12, 8, element_power=1.0, responder=responder)
         cfg = SurfaceConfig.uniform(5.0, 8)
-        s = rss_feedback(ch, cfg, quantization_db=0.1)
+        s = FeedbackOracle(ch, quantization_db=0.1)(cfg)
         assert round(s * 10) == pytest.approx(s * 10, abs=1e-9)
 
 

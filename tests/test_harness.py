@@ -1,7 +1,11 @@
 """Harness commands, golden heatmaps, CSV determinism, CLI exit codes."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -418,8 +422,25 @@ class TestCli:
         ("match", "spectrum_hz.points", 4.5),
         ("match", "coupling_offset_s", [float("nan"), 0.0]),
         ("match", "coupling_offset_s", [0.0]),
+        # JSON true/false is no whole number, though Python counts it as 1/0
+        ("links", "seed", True),
+        ("links", "array_rows", True),
+        ("links", "array_cols", True),
+        ("match", "surface_index", False),
+        ("match", "spectrum_hz.points", True),
+        # values of the wrong JSON type or length, and keys no object defines
+        ("links", "voltage_set_v", "30"),
+        ("backscatter", "channel.reciprocal_uplink", "false"),
+        ("match", "coupling_offset_s", [0, 0, 5]),
+        ("links", "channel.rss_quantization_db", True),
+        ("match", "frequency_hz", "2.4e9"),
+        ("match", "name", 5),
+        ("sweep", "sweep.susceptance_s", [0.0, float("nan")]),
+        ("links", "array_row", 16),
+        ("links", "channel.env_powr", 0.25),
     ])
     def test_malformed_number_is_config_error(self, tmp_path, capsys, command, field, value):
+        """A malformed field, a number or otherwise, exits 2 naming the field."""
         raw = default_water_dict(name="malformed")
         *parents, key = field.split(".")
         entry = raw
@@ -430,35 +451,25 @@ class TestCli:
         path.write_text(json.dumps(raw))
         out = tmp_path / "out"
         argv = [command, "--scenario", str(path), "--out", str(out)]
-        rc = main(argv + (["--links", "1"] if command == "links" else []))
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("config error:")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command, field, value", [
-        ("links", "seed", True),
-        ("links", "array_rows", True),
-        ("links", "array_cols", True),
-        ("match", "surface_index", False),
-        ("match", "spectrum_hz.points", True),
-    ])
-    def test_boolean_count_is_config_error(self, tmp_path, capsys, command, field, value):
-        """JSON true/false is no whole number, though Python counts it as 1/0."""
-        raw = default_water_dict(name="boolean-count")
-        *parents, key = field.split(".")
-        entry = raw
-        for name in parents:
-            entry = entry[name]
-        entry[key] = value
-        path = tmp_path / "boolean.json"
-        path.write_text(json.dumps(raw))
-        out = tmp_path / "out"
-        argv = [command, "--scenario", str(path), "--out", str(out)]
-        rc = main(argv + (["--links", "1"] if command == "links" else []))
+        rc = main(argv + (["--links", "1"] if command in ("links", "backscatter") else []))
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("config error:") and key in err
+        assert err.startswith("config error:") and field in err
         assert not out.exists()
+
+    def test_silent_channel_finishes_every_link_command(self, tmp_path, capsys):
+        """With no path power every reading is -inf; bench-controller's
+        enumeration then finds no best configuration and, as links and
+        backscatter do, finishes with -inf gains."""
+        raw = default_water_dict(name="silent", array_rows=2, array_cols=4)
+        raw["channel"].update(env_power=0, element_power=0)
+        path = tmp_path / "silent.json"
+        path.write_text(json.dumps(raw))
+        for command in ("links", "backscatter", "bench-controller"):
+            rc = main([command, "--scenario", str(path), "--out", str(tmp_path / command),
+                       "--links", "2"])
+            assert rc == 0
+        assert "median_column_enum_db = -inf" in capsys.readouterr().out
 
     @pytest.mark.parametrize("bad", ["scenario-dir", "out-file", "out-under-file"])
     def test_path_errors_are_config_errors(self, tmp_path, capsys, bad):
@@ -596,6 +607,72 @@ class TestScenarioParsing:
         assert best_base != best_coupled
         # coupling costs little once re-tuned
         assert abs(rc.s(best_coupled)) >= 0.8 * abs(rb.s(best_base))
+
+
+def _fuzz_base() -> dict:
+    """default_water_dict on a 2x2 array with short sweep axes and spectrum."""
+    raw = default_water_dict(name="fuzz", array_rows=2, array_cols=2)
+    raw["sweep"] = {"gap_mm": {"start": 2.0, "stop": 4.0, "step": 1.0},
+                    "susceptance_s": [0.0, 0.05],
+                    "capacitance_pf": {"start": 0.71, "stop": 3.72, "step": 1.0}}
+    raw["spectrum_hz"]["points"] = 3
+    return raw
+
+
+def _paths(entry, prefix=""):
+    for key, value in entry.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + key + ".")
+
+
+#: Every field of the fuzzed scenario, those it leaves at their defaults, and
+#: keys no object defines.
+_FUZZ_PATHS = sorted(_paths(_fuzz_base())) + [
+    "media", "calibration_target_s", "coupling_offset_s", "channel.phase_jitter_std",
+    "array_row", "channel.env_powr", "sweep.gap_mm.stepp", "spectrum_hz.point"]
+#: Values of every JSON kind, in and out of range, none of them large: a count
+#: or a sweep step drawn here keeps the arrays small.  The small numbers are in
+#: range for most numeric fields, so that some runs get past the parse.
+_FUZZ_VALUES = st.sampled_from([
+    None, True, False, 0, -1, -0.0, 2.5, float("nan"), float("inf"), float("-inf"), "", "x",
+    "calibrate", "30", [], [0], [1.0, 2.0], [0, 0, 5], [float("nan")], {}, {"x": 1},
+    {"start": 0, "stop": 1, "step": 0.5}, {"relative_permittivity": 0.5},
+    [{"medium": "air", "thickness_mm": 1}]]) | st.sampled_from([0.25, 1, 2, 3.0, 4])
+
+
+class TestScenarioFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from(_FUZZ_PATHS), _FUZZ_VALUES),
+                          min_size=1, max_size=2),
+           command=st.sampled_from(["match", "sweep", "links", "backscatter", "bench-controller"]),
+           links=st.integers(0, 2) | st.just(-1), parallel=st.just(1) | st.integers(-1, 0),
+           seed=st.none() | st.sampled_from([-1, 0, 3]))
+    def test_cli_ends_in_a_documented_exit_code(self, edits, command, links, parallel, seed):
+        """One or two fields set to another JSON kind, an out-of-range value or
+        an unknown key, with fuzzed counts: the CLI returns 0, 2, 3 or 4 and
+        never raises.  --parallel is 1 or below, so no worker process starts."""
+        raw = _fuzz_base()
+        for field, value in edits:
+            *parents, key = field.split(".")
+            entry = raw
+            for name in parents:
+                entry = entry.get(name) if isinstance(entry, dict) else None
+            if isinstance(entry, dict):
+                entry[key] = copy.deepcopy(value)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.json"
+            path.write_text(json.dumps(raw))
+            argv = [command, "--scenario", str(path), "--out", str(Path(tmp) / "out")]
+            if command not in ("match", "sweep"):
+                argv += ["--links", str(links), "--parallel", str(parallel)]
+            if seed is not None:
+                argv += ["--seed", str(seed)]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv)
+        assert rc in (0, 2, 3, 4)
+        assert rc == 0 or err.getvalue().startswith(("config error:", "infeasible:", "violation:"))
 
 
 class TestBenchCommand:
