@@ -14,14 +14,17 @@ second entry of r (r') carried through the lines before the surface times the
 first entry of c carried back through the lines after it.  The through power
 is |T|^2 kappa with kappa = Re(1/Z_load*) / Re(1/Z_src*).
 
-stack_coefficients does the chain product once per (stack, frequencies),
-memoized; solve_stack evaluates the expressions above with numpy broadcasting
-over admittance and frequency.
+stack_coefficients does the chain product once per (structure, layer
+thicknesses, frequencies), memoized.  The thicknesses may carry leading rows
+axes, over which bl = k d broadcasts, so one build covers a sweep's family of
+stacks.  solve_stack evaluates the expressions above with numpy broadcasting
+over rows, admittance and frequency.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +60,12 @@ class StackSpec:
             raise ValueError(
                 f"surface_index {self.surface_index} outside [0, {len(self.layers)}]")
 
+    @property
+    def structure(self) -> tuple:
+        """(source, load, layer media, surface_index): all but the thicknesses."""
+        return (self.source_medium, self.load_medium,
+                tuple(layer.medium for layer in self.layers), self.surface_index)
+
     def reversed(self) -> "StackSpec":
         """The same physical stack solved from the load side."""
         return StackSpec(
@@ -77,30 +86,43 @@ class CascadeSolution:
     reflected_power: float | np.ndarray
 
 
+def _scalar_times(p, q) -> np.ndarray:
+    """p * q with each real product rounded apart, as numpy complex scalars
+    multiply; numpy's array loop fuses them (FMA) where the CPU has it."""
+    out = np.empty(np.broadcast_shapes(np.shape(p), np.shape(q)), dtype=complex)
+    out.real, out.imag = p.real * q.real - p.imag * q.imag, p.real * q.imag + p.imag * q.real
+    return out
+
+
 # Searches, sweeps and responders solve the same stack at the same frequencies
-# again and again: memoized per (stack, frequency shape, float64 bytes), read-only.
+# again and again: memoized per (structure, thicknesses, frequencies), read-only.
 @functools.lru_cache(maxsize=1024)
-def _coefficients(stack: StackSpec, shape: tuple, data: bytes) -> tuple:
+def _coefficients(structure: tuple, rows: tuple, thicknesses: bytes, shape: tuple,
+                  data: bytes) -> tuple:
+    source, load, layer_media, surface_index = structure
     f = np.frombuffer(data).reshape(shape)
+    d = np.frombuffer(thicknesses).reshape(rows + (len(layer_media),))
     _check_frequency(f)  # once per build: every medium's quantities share f
-    media = (stack.source_medium, stack.load_medium, *(layer.medium for layer in stack.layers))
-    eps = {m: _permittivity(m, f) for m in media}
-    z_src, z_load = (_impedance(m, eps[m]) for m in media[:2])
+    # A one-frequency stack's entries are numpy scalars, which round each real
+    # product apart: a rows build multiplies as they do, keeping each row's bits.
+    times = _scalar_times if rows and f.ndim == 0 else operator.mul
+    eps = {m: _permittivity(m, f) for m in (source, load, *layer_media)}
+    z_src, z_load = _impedance(source, eps[source]), _impedance(load, eps[load])
     lines = []  # (A = D, B, C) of each layer's line matrix
-    for layer in stack.layers:
-        m = layer.medium
+    for j, m in enumerate(layer_media):
         z = _impedance(m, eps[m])
-        bl = _wavenumber(m, eps[m], f) * layer.thickness
-        lines.append((np.cos(bl), 1j * z * np.sin(bl), 1j * np.sin(bl) / z))
-    x, y = np.ones((2,) + shape, dtype=complex), np.array([z_src, -z_src])  # rows r, r'
+        bl = _wavenumber(m, eps[m], f) * d[..., j].reshape(rows + (1,) * len(shape))
+        lines.append((np.cos(bl), times(1j * z, np.sin(bl)), 1j * np.sin(bl) / z))
+    x = np.ones((2,) + rows + shape, dtype=complex)  # rows r, r', stacked ahead of rows
+    y = np.array([z_src, -z_src]).reshape((2,) + (1,) * len(rows) + shape)
     y_after = [y]  # second entries of the rows after 0, 1, ... lines
     for a, b, c in lines:
         x, y = x * a + y * c, x * b + y * a
         y_after.append(y)
-    u, v = np.ones(shape, dtype=complex), 1.0 / z_load  # column c
-    for a, b, c in reversed(lines[stack.surface_index:]):
-        u, v = a * u + b * v, c * u + a * v
-    (alpha, alpha_gamma), (beta, beta_gamma) = x + y / z_load, y_after[stack.surface_index] * u
+    u, v = np.ones(rows + shape, dtype=complex), 1.0 / z_load  # column c
+    for a, b, c in reversed(lines[surface_index:]):
+        u, v = times(a, u) + times(b, v), times(c, u) + times(a, v)
+    (alpha, alpha_gamma), (beta, beta_gamma) = x + y / z_load, y_after[surface_index] * u
     kappa = (z_load.real / abs(z_load) ** 2) / (z_src.real / abs(z_src) ** 2)
     out = tuple(map(np.asarray, (alpha, beta, alpha_gamma, beta_gamma, kappa)))
     for array in out:
@@ -108,18 +130,26 @@ def _coefficients(stack: StackSpec, shape: tuple, data: bytes) -> tuple:
     return out
 
 
-def stack_coefficients(stack: StackSpec, frequency) -> tuple:
-    """(alpha, beta, alpha_gamma, beta_gamma, kappa), each shaped like frequency."""
+def stack_coefficients(stack: StackSpec, frequency, thicknesses=None) -> tuple:
+    """(alpha, beta, alpha_gamma, beta_gamma, kappa), each shaped like frequency.
+
+    thicknesses (m), shaped (rows..., len(stack.layers)), replaces the stack's
+    own and puts its leading rows axes on the first four.
+    """
     f = np.asarray(frequency, dtype=float)
-    return _coefficients(stack, f.shape, f.tobytes())
+    d = np.asarray([layer.thickness for layer in stack.layers] if thicknesses is None
+                   else thicknesses, dtype=float)
+    return _coefficients(stack.structure, d.shape[:-1], d.tobytes(), f.shape, f.tobytes())
 
 
-def solve_stack(stack: StackSpec, surface_admittance, frequency) -> CascadeSolution:
+def solve_stack(stack: StackSpec, surface_admittance, frequency,
+                thicknesses=None) -> CascadeSolution:
     """End-to-end T and Gamma of the stack, broadcast over admittance and frequency.
 
     through_power is the power fraction crossing into the load half-space,
     |T|^2 Re(1/Z_load*)/Re(1/Z_src*); for real impedances this is the familiar
-    |T|^2 Z_src/Z_load.
+    |T|^2 Z_src/Z_load.  thicknesses is as in stack_coefficients; its rows
+    axes broadcast against the admittance's.
 
     A point whose denominator magnitude is below 1e-12 is a resonance
     singularity rather than a huge valid value: a scalar solve raises
@@ -131,7 +161,7 @@ def solve_stack(stack: StackSpec, surface_admittance, frequency) -> CascadeSolut
         raise ValueError(f"shunt admittance must be finite, got {surface_admittance}")
     if y.size == 0 or f.size == 0:
         raise ValueError("solve of zero admittances or frequencies is undefined")
-    alpha, beta, alpha_gamma, beta_gamma, kappa = stack_coefficients(stack, f)
+    alpha, beta, alpha_gamma, beta_gamma, kappa = stack_coefficients(stack, f, thicknesses)
     den = alpha + beta * y
     size = abs(den)
     singular = size < 1e-12

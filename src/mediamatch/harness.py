@@ -157,14 +157,18 @@ def cmd_sweep(scenario: Scenario, out_dir) -> RunReport:
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    axes = {a: np.asarray(scenario.sweeps[a], dtype=float) for pair in pairs for a in pair}
+    # each axis value formatted once, to the text table_text gives a float; the
+    # axis columns repeat references to these strings, not one string per cell
+    text = {a: ["%.12g" % x for x in v.tolist()] for a, v in axes.items()}
     for a1, a2 in pairs:
-        v1, v2 = (np.asarray(scenario.sweeps[a], dtype=float) for a in (a1, a2))
+        v1, v2 = axes[a1], axes[a2]
         grid = SweepGrid(a1, tuple(v1), a2, tuple(v2), scenario.frequency)
         matrix = sweep_through_power(lambda v: scenario.stack(**{a1: v}), grid,
                                      circuit=scenario.circuit)
         report.csv_paths.append(write_table(
             out_dir / f"sweep_{a1}_{a2}.csv", "axis1,axis2,through_power_db",
-            [np.repeat(v1, len(v2)), np.tile(v2, len(v1)), matrix.ravel()]))
+            [[s for s in text[a1] for _ in range(len(v2))], text[a2] * len(v1), matrix.ravel()]))
         report.summary[f"max_db[{a1}x{a2}]"] = float(matrix.max())
     return _finish(report, out_dir)
 

@@ -55,9 +55,10 @@ def _db(power, floor: float) -> np.ndarray:
     return out
 
 
-def _through_db(stack: StackSpec, ys: np.ndarray, frequency: float) -> np.ndarray:
+def _through_db(stack: StackSpec, ys: np.ndarray, frequency: float,
+                thicknesses=None) -> np.ndarray:
     """Through power in dB; -inf where nothing gets through or the stack is singular."""
-    return _db(solve_stack(stack, ys, frequency).through_power, float("-inf"))
+    return _db(solve_stack(stack, ys, frequency, thicknesses).through_power, float("-inf"))
 
 
 def _axis_admittances(name: str, values, circuit: ElementCircuit | None,
@@ -83,13 +84,18 @@ def sweep_through_power(stack_family, grid: SweepGrid,
     """Dense matrix of through power (dB), rows = axis1, cols = axis2.
 
     stack_family maps an axis-1 value (gap, fat thickness, ...) to a
-    StackSpec.  Singular grid points are recorded at the -200 dB floor.
+    StackSpec.  Its stacks may differ only in layer thicknesses: they must share
+    source, load, layer media and surface_index, else ValueError names the
+    axis.  The grid is one chain build over the stacked thicknesses and one
+    broadcast solve.  Singular grid points are recorded at the -200 dB floor.
     """
     ys = _axis_admittances(grid.axis2_name, grid.axis2_values, circuit, grid.frequency)
-    out = np.empty((len(grid.axis1_values), len(grid.axis2_values)))
-    for i, a1 in enumerate(grid.axis1_values):
-        out[i] = np.maximum(_through_db(stack_family(a1), ys, grid.frequency), DB_FLOOR)
-    return out
+    stacks = [stack_family(a1) for a1 in grid.axis1_values]
+    if any(stack.structure != stacks[0].structure for stack in stacks):
+        raise ValueError(f"axis {grid.axis1_name!r}: stacks differ in more than thicknesses")
+    # rows axes (axis 1, 1), so that the axis-2 admittances broadcast along the last
+    thicknesses = [[[layer.thickness for layer in stack.layers]] for stack in stacks]
+    return np.maximum(_through_db(stacks[0], ys, grid.frequency, thicknesses), DB_FLOOR)
 
 
 def best_admittance(stack: StackSpec, frequency: float) -> MatchResult:

@@ -115,6 +115,8 @@ class Scenario:
 # parsing
 
 _MAX = sys.float_info.max
+#: Most points a {start, stop, step} sweep axis expands to.
+MAX_AXIS_POINTS = 100_000
 #: Number kinds, named as a message reads them: (type, lowest, highest value).
 _NUMBERS = {"a number": (float, -_MAX, _MAX), "a number > 0": (float, 5e-324, _MAX),
             "a number >= 0": (float, 0.0, _MAX), "a number >= 1": (float, 1.0, _MAX),
@@ -243,7 +245,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
     for name, axis in fields["sweep"].items():
         if type(axis) is dict:
             start, stop, step = axis.values()
-            values = start + step * np.arange(int(round((stop - start) / step)) + 1)
+            steps = (stop - start) / step  # inf when the span overflows
+            if not (math.isfinite(steps) and 0 <= round(steps) < MAX_AXIS_POINTS):
+                raise ScenarioError(f"sweep.{name} must rise to stop in at most {MAX_AXIS_POINTS} "
+                                    f"points, got (stop - start) / step = {steps:.6g}")
+            with np.errstate(over="ignore"):  # a value past stop may overflow; it is dropped
+                values = start + step * np.arange(round(steps) + 1)
             sweeps[name] = values[values <= stop + 1e-12 * max(1.0, abs(stop))]
         elif axis is not None:
             sweeps[name] = np.array(axis)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mediamatch.cascade import DegenerateStackError, StackSpec, solve_stack, through_power_db
+from mediamatch.cascade import (DegenerateStackError, StackSpec, solve_stack,
+                                stack_coefficients, through_power_db)
 from mediamatch.media import (AIR, Layer, Medium, WATER, fresnel_interface,
                               intrinsic_impedance, phase_constant)
 
@@ -232,6 +233,22 @@ class TestBroadcast:
                 want = oracles.through_power_lossless(
                     [(e, 0.0, th) for e, th in layers], (src, 0.0), (load, 0.0), b, f)
                 assert got.through_power[i, j] == pytest.approx(want, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(media=st.lists(st.tuples(_eps, st.floats(0.0, 40.0)), min_size=3, max_size=5),
+           thicknesses=st.lists(st.floats(1e-4, 5e-2), min_size=6, max_size=6),
+           where=st.integers(0, 3), frequency=st.sampled_from([F0, (1.8e9, 2.4e9, 3.0e9)]))
+    def test_rows_equal_single_stacks(self, media, thicknesses, where, frequency):
+        """Thicknesses with rows axes give each row's single-stack coefficients
+        bit for bit, lossy layers included, at one frequency or several."""
+        (src, load, *layers) = [Medium(f"m{k}", e, 1.0, s) for k, (e, s) in enumerate(media)]
+        rows = np.reshape(thicknesses[:2 * len(layers)], (2, 1, len(layers)))
+        stacks = [StackSpec(src, load, tuple(map(Layer, layers, row[0])),
+                            min(where, len(layers))) for row in rows.tolist()]
+        got = stack_coefficients(stacks[0], frequency, rows)
+        for r, stack in enumerate(stacks):
+            for g, want in zip(got[:4], stack_coefficients(stack, frequency)):
+                assert _bits(g[r, 0]) == _bits(want)
 
     def test_singular_point_is_nan(self):
         stack = StackSpec(AIR, AIR)

@@ -168,6 +168,18 @@ class TestSweepCommand:
         for gap in range(2, 13):
             assert table[(float(gap), 0.0)] == pytest.approx(-4.436974992, abs=1e-6)
 
+    def test_axis_columns_equal_per_cell_formatting(self, tmp_path):
+        """The axis columns, formatted once per value, give the text of each
+        cell formatted apart, for arange values with rounding tails."""
+        scenario = scenario_from_dict(default_water_dict(name="axis-text"))
+        v1, v2 = scenario.sweeps["gap_mm"], scenario.sweeps["capacitance_pf"]
+        assert any(len(format(x, ".12g")) < len(repr(x)) for x in v2.tolist())  # tails
+        cmd_sweep(scenario, tmp_path)
+        rows = [line.split(",") for line in
+                (tmp_path / "sweep_gap_mm_capacitance_pf.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == [format(x, ".12g") for x in np.repeat(v1, len(v2)).tolist()]
+        assert [r[1] for r in rows] == [format(x, ".12g") for x in np.tile(v2, len(v1)).tolist()]
+
     def test_no_axes_is_config_error(self, tmp_path):
         raw = default_water_dict(name="no-sweep")
         raw["sweep"] = {}
@@ -548,6 +560,26 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="susceptance_s"):
             scenario_from_dict(raw)
 
+    @pytest.mark.parametrize("axis", [
+        {"start": -1e308, "stop": 1e308, "step": 1},       # the span overflows
+        {"start": 0.0, "stop": 1.0, "step": 1e-300},       # far past the cap
+        {"start": 0.0, "stop": scenario_mod.MAX_AXIS_POINTS, "step": 1},  # one too many
+        {"start": 4.0, "stop": 2.0, "step": 1.0},          # reversed
+    ])
+    def test_axis_span_is_config_error(self, tmp_path, capsys, axis):
+        raw = default_water_dict(name="span")
+        raw["sweep"]["gap_mm"] = axis
+        path = tmp_path / "span.json"
+        path.write_text(json.dumps(raw))
+        rc = main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: sweep.gap_mm ")
+
+    def test_axis_at_the_point_cap(self):
+        raw = default_water_dict(name="cap")
+        raw["sweep"]["gap_mm"] = {"start": 1.0, "stop": scenario_mod.MAX_AXIS_POINTS, "step": 1}
+        assert len(scenario_from_dict(raw).sweeps["gap_mm"]) == scenario_mod.MAX_AXIS_POINTS
+
     def test_infinite_axis_end_rejected(self):
         raw = default_water_dict(name="bad-stop")
         raw["sweep"]["gap_mm"]["stop"] = float("inf")
@@ -639,19 +671,29 @@ _FUZZ_VALUES = st.sampled_from([
     "calibrate", "30", [], [0], [1.0, 2.0], [0, 0, 5], [float("nan")], {}, {"x": 1},
     {"start": 0, "stop": 1, "step": 0.5}, {"relative_permittivity": 0.5},
     [{"medium": "air", "thickness_mm": 1}]]) | st.sampled_from([0.25, 1, 2, 3.0, 4])
+#: {start, stop, step} axes: spans that overflow or are reversed, steps that are
+#: tiny, zero or negative.  Ends and steps are drawn so that an axis the cap
+#: lets through has at most 11 points.
+_AXIS_ENDS = st.sampled_from([-1e308, -1.0, 0.0, 0.5, 2.0, 4.0, 1e308])
+_FUZZ_AXES = st.fixed_dictionaries({
+    "start": _AXIS_ENDS, "stop": _AXIS_ENDS,
+    "step": st.sampled_from([5e-324, 1e-300, 1e-6, 0.5, 2.0, 1e308, 0.0, -0.0, -1.0])})
+_AXIS_PATHS = [f"sweep.{axis}" for axis in ("gap_mm", "susceptance_s", "capacitance_pf")]
 
 
 class TestScenarioFuzz:
-    @settings(max_examples=80, deadline=None)
-    @given(edits=st.lists(st.tuples(st.sampled_from(_FUZZ_PATHS), _FUZZ_VALUES),
+    @settings(max_examples=120, deadline=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from(_FUZZ_PATHS), _FUZZ_VALUES)
+                          | st.tuples(st.sampled_from(_AXIS_PATHS), _FUZZ_AXES),
                           min_size=1, max_size=2),
            command=st.sampled_from(["match", "sweep", "links", "backscatter", "bench-controller"]),
            links=st.integers(0, 2) | st.just(-1), parallel=st.just(1) | st.integers(-1, 0),
            seed=st.none() | st.sampled_from([-1, 0, 3]))
     def test_cli_ends_in_a_documented_exit_code(self, edits, command, links, parallel, seed):
-        """One or two fields set to another JSON kind, an out-of-range value or
-        an unknown key, with fuzzed counts: the CLI returns 0, 2, 3 or 4 and
-        never raises.  --parallel is 1 or below, so no worker process starts."""
+        """One or two fields set to another JSON kind, an out-of-range value, an
+        unknown key or a fuzzed sweep axis, with fuzzed counts: the CLI returns
+        0, 2, 3 or 4 and never raises.  --parallel is 1 or below, so no worker
+        process starts."""
         raw = _fuzz_base()
         for field, value in edits:
             *parents, key = field.split(".")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mediamatch import matching
+from mediamatch import cascade, matching
 from mediamatch.cascade import (DB_FLOOR, DegenerateStackError, StackSpec, solve_stack,
                                 through_power_db)
 from mediamatch.matching import (SweepGrid, best_admittance, best_voltage,
@@ -150,6 +150,58 @@ class TestSweep:
         argmaxes = [bgrid[int(np.argmax(m[i]))] for i in range(m.shape[0])]
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(argmaxes, argmaxes[1:]))
         assert argmaxes[0] > argmaxes[-1]
+
+    @staticmethod
+    def per_row(stack_family, grid, circuit=None):
+        """The reference sweep: one solve_stack per axis-1 value, floor included."""
+        ys = matching._axis_admittances(grid.axis2_name, grid.axis2_values, circuit, F0)
+        return np.array([
+            np.maximum(matching._db(solve_stack(stack_family(a1), ys, F0).through_power,
+                                    float("-inf")), DB_FLOOR)
+            for a1 in grid.axis1_values])
+
+    _LOSSY_FAT = FAT.with_conductivity(40.0)
+
+    @pytest.mark.parametrize("axis1,family", [
+        ("gap_mm", lambda g: StackSpec(AIR, WATER.with_conductivity(2.5), (
+            Layer(AIR, g * 1e-3), Layer(SKIN.with_conductivity(1.4), 2e-3)))),
+        ("gap_mm", lambda g: StackSpec(AIR, WATER, (Layer(AIR, g * 1e-3),), surface_index=1)),
+        ("fat_mm", lambda f: StackSpec(AIR, MUSCLE, (
+            Layer(AIR, 6e-3), Layer(SKIN, 2.5e-3),
+            Layer(TestSweep._LOSSY_FAT, f * 1e-3)), surface_index=2)),
+    ], ids=["lossy-water", "surface-at-load", "surface-inside-tissue"])
+    @pytest.mark.parametrize("axis2", ["susceptance_s", "capacitance_pf"])
+    def test_broadcast_equals_per_row_solves(self, axis1, family, axis2):
+        """One chain build and one solve per grid give every bit of the per-row
+        solves, the -200 dB floor of the thick lossy fat rows included.  Lossy
+        layers make every line entry complex, where a product that fused its
+        real products would move last bits."""
+        values1 = np.arange(2.0, 12.0, 0.25) if axis1 == "gap_mm" else np.arange(5.0, 80.0, 2.5)
+        values2 = (np.arange(0.0, 0.12, 0.002) if axis2 == "susceptance_s"
+                   else np.arange(0.71, 3.72, 0.05))
+        grid = SweepGrid(axis1, tuple(values1), axis2, tuple(values2), F0)
+        circuit = default_water_scenario().circuit
+        m = sweep_through_power(family, grid, circuit)
+        assert np.array_equal(m, self.per_row(family, grid, circuit))
+        assert axis1 == "gap_mm" or (m == DB_FLOOR).any()
+
+    def test_one_chain_build_per_grid(self):
+        grid = self.grid(np.arange(2.0, 12.0, 0.5), (0.0, 0.01, 0.02))
+        cascade._coefficients.cache_clear()
+        sweep_through_power(water_stack, grid)
+        assert cascade._coefficients.cache_info().misses == 1
+        sweep_through_power(water_stack, grid)
+        assert cascade._coefficients.cache_info().misses == 1
+
+    @pytest.mark.parametrize("family", [
+        lambda g: water_stack(g) if g < 4.0 else StackSpec(AIR, MUSCLE, (Layer(AIR, g * 1e-3),)),
+        lambda g: water_stack(g) if g < 4.0 else StackSpec(AIR, WATER, (Layer(SKIN, g * 1e-3),)),
+        lambda g: StackSpec(AIR, WATER, (Layer(AIR, g * 1e-3),), surface_index=int(g >= 4.0)),
+        lambda g: water_stack(g) if g < 4.0 else tissue_stack(g),
+    ], ids=["load", "layer-medium", "surface-index", "layer-count"])
+    def test_family_must_share_its_structure(self, family):
+        with pytest.raises(ValueError, match="gap_mm"):
+            sweep_through_power(family, self.grid((2.0, 3.0, 4.0, 5.0), (0.0, 0.01)))
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
