@@ -162,12 +162,13 @@ def solve_stack(stack: StackSpec, surface_admittance, frequency,
     if y.size == 0 or f.size == 0:
         raise ValueError("solve of zero admittances or frequencies is undefined")
     alpha, beta, alpha_gamma, beta_gamma, kappa = stack_coefficients(stack, f, thicknesses)
-    den = alpha + beta * y
+    with np.errstate(over="ignore"):  # a huge admittance overflows to inf: T = 0
+        den = alpha + beta * y
     size = abs(den)
     singular = size < 1e-12
     if den.ndim == 0 and singular:
         raise DegenerateStackError(f"singular stack: |denominator| = {size:.3e}")
-    with np.errstate(invalid="ignore"):  # NaN marks the singular points
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN marks the singular points
         den = np.where(singular, np.nan, den)
         t = 2.0 / den
         gamma = (alpha_gamma + beta_gamma * y) / den

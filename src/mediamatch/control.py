@@ -22,9 +22,12 @@ list of probe blocks, one per ``_probe_many`` call: the stage, the alphabet,
 the read-only index matrix and the readings.  Probes keep the order they were
 measured in, and the trace hash is still taken over the per-element voltages
 a row stands for: ``_digests`` renders each row from a cached table of runs of
-up to 8 elements, whatever the alphabet.  Stage 2 draws its on/off masks and
-builds their index rows MASK_BLOCK rows at a time, so only the bool masks and
-the uint8 index matrix grow with the array.
+up to 8 elements, whatever the alphabet.  Stage 2 draws its on/off masks
+MASK_BLOCK rows at a time, so only the bool masks and the uint8 index matrix
+grow with the array.  Its stream is defined by PCG64's raw 64-bit words: mask
+bit k is the sign bit of the k-th 32-bit half of the output, low half first
+(what ``default_rng(seed).integers(0, 2)`` draws today, without resting on
+``Generator.integers`` internals).  ROADMAP item 5 will still redefine it.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ DEFAULT_VOLTAGE_SET = (30.0, 20.0, 15.0, 10.0, 5.0, 2.5, 0.0)
 
 ENUMERATION_CAP = 65536
 
-#: Rows of stage 2's on/off masks drawn per generator call.  Drawing block by
-#: block gives the same random stream as one whole int64 draw, which at
-#: 64x64 elements would take 268 MB.
+#: Rows of stage 2's on/off masks drawn per generator call.  Even, so every
+#: block but the last uses whole raw words; each block's words are dropped
+#: before the next is drawn.
 MASK_BLOCK = 128
 
 
@@ -86,8 +89,10 @@ def _run_table(levels: bytes, width: int) -> np.ndarray:
 
 def _run_codes(rows: np.ndarray, base: int, width: int) -> np.ndarray:
     """Base-`base` code of every run of `width` elements of each row."""
+    if base == 2:  # packbits puts the first element in the top bit
+        return np.packbits(rows, axis=1) >> (8 - width)
     runs = rows.reshape(len(rows), -1, width)
-    codes = runs[..., 0].astype(np.intp)
+    codes = runs[..., 0].astype(np.min_scalar_type(base ** width - 1))
     for k in range(1, width):
         codes *= base
         codes += runs[..., k]
@@ -231,6 +236,8 @@ def _onoff_index(groups, masks, n_elements: int) -> np.ndarray:
     owner[members] = np.repeat(np.arange(n_groups), [len(m) for m in groups])
     if np.count_nonzero(owner != n_groups) != len(members):
         raise ValueError("control groups must not share or repeat elements")
+    if n_groups == n_elements and np.array_equal(owner, np.arange(n_elements)):
+        return _read_only(np.logical_not(masks).view(np.uint8))  # element e is group e
     index = np.empty((len(masks), n_elements), dtype=bool)
     off = np.ones((MASK_BLOCK, n_groups + 1), dtype=bool)  # last column: no group
     for start in range(0, len(masks), MASK_BLOCK):
@@ -295,7 +302,9 @@ def stage1_uniform_probe(oracle, voltages, n_elements: int,
     # running scan, a NaN first reading stays both extremes
     i1, i0 = (0, 0) if np.isnan(rss[0]) else (_first_max(rss), _first_max(-rss))
     (v1, r1), (v0, r0) = (vs[i1], rss[i1]), (vs[i0], rss[i0])
-    if r1 - r0 < 1e-12:
+    with np.errstate(invalid="ignore"):  # two -inf readings differ by NaN
+        low_contrast = r1 - r0 < 1e-12
+    if low_contrast:
         trace.low_contrast = True
         trace.notes.append("stage1: low-contrast feedback, extreme states are ties")
     return v1, v0, trace
@@ -324,11 +333,13 @@ def stage2_majority_voting(oracle, v1: float, v0: float, n_elements: int,
         raise ValueError("n_configs must be >= 1")
     trace = trace if trace is not None else ControlTrace()
 
-    rng = np.random.default_rng(rng_seed)
+    bits = np.random.PCG64(rng_seed)
     masks = np.empty((n_configs, n_groups), dtype=bool)
-    for start in range(0, n_configs, MASK_BLOCK):  # the int64 draw, a block at a time
+    for start in range(0, n_configs, MASK_BLOCK):  # bit k: sign of 32-bit half k
         block = masks[start:start + MASK_BLOCK]
-        block[...] = rng.integers(0, 2, size=block.shape)
+        words = bits.random_raw((block.size + 1) // 2).astype("<u8", copy=False).view("<i4")
+        np.less(words[:block.size].reshape(block.shape), 0, out=block)
+        del words
     rss = _probe_many(oracle, trace, 2, (v1, v0), _onoff_index(groups, masks, n_elements))
 
     median = np.median(rss)

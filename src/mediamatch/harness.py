@@ -242,7 +242,8 @@ def run_link(scenario: Scenario, responder, index: int, mode: str):
                 tr_e.budget_used, tr_c.budget_used, tr_n.budget_used), {}
 
     cfg, trace = control(feedback())
-    base_db = float(20.0 * np.log10(abs(baseline_channel(channel))))
+    with np.errstate(divide="ignore"):  # a silent channel's baseline is -inf dB
+        base_db = float(20.0 * np.log10(abs(baseline_channel(channel))))
     stage1_db = trace.best_probe(through_stage=1).rss_db
     stage2_db = trace.best_probe(through_stage=2).rss_db
     final_db = trace.best_probe().rss_db

@@ -32,7 +32,7 @@ class SweepGrid:
             v = np.asarray(values, dtype=float)
             if v.size == 0:
                 raise ValueError(f"axis {name!r} is empty")
-            if v.size > 1 and not (np.all(np.diff(v) > 0) or np.all(np.diff(v) < 0)):
+            if v.size > 1 and not (np.all(v[1:] > v[:-1]) or np.all(v[1:] < v[:-1])):
                 raise ValueError(f"axis {name!r} must be strictly monotone")
 
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from mediamatch.channel import SurfaceConfig
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, MASK_BLOCK, ControlState,
-                                ControlTrace, _digests, _onoff_index, _run_width,
+                                ControlTrace, _digests, _onoff_index, _run_codes,
+                                _run_width,
                                 brute_force_baseline, column_groups, config_hash,
                                 element_groups, run_controller,
                                 stage1_uniform_probe, stage2_majority_voting,
@@ -398,8 +399,10 @@ class TestRunDigests:
 
 
 class TestStreamedStage2:
-    """Stage 2 draws its masks MASK_BLOCK rows at a time: the same stream as
-    one whole int64 draw, so the probed index rows are unchanged."""
+    """Stage 2 draws its masks MASK_BLOCK rows at a time from PCG64's raw
+    words, one sign bit per 32-bit half: the stream default_rng(seed).integers
+    (0, 2) gives in one whole draw, so the probed index rows are unchanged
+    (until ROADMAP item 5 redefines the stream)."""
 
     ROWS, COLS = 5, 13
 
@@ -420,3 +423,70 @@ class TestStreamedStage2:
         np.testing.assert_array_equal(index, _onoff_index(groups, whole, n))
         owner = np.arange(n) if grouping == "element" else np.arange(n) % self.COLS
         np.testing.assert_array_equal(index, 1 - whole[:, owner])
+
+
+class _Silent:
+    """A batch oracle that reads 0 dB for every probe."""
+
+    def __call__(self, config):
+        return 0.0
+
+    def batch(self, levels, index):
+        return np.zeros(len(index))
+
+
+class TestRawWordStage2:
+    """The masks come from raw PCG64 words; they must equal one whole
+    Generator.integers(0, 2) draw, a half-used last word included."""
+
+    def test_mask_block_is_even(self):
+        assert MASK_BLOCK % 2 == 0  # only the last block can end mid-word
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63 - 1),
+           n_groups=st.integers(0, 20).map(lambda k: 2 * k + 1),
+           n_configs=st.one_of(st.sampled_from([1, MASK_BLOCK - 1, MASK_BLOCK + 1,
+                                                2 * MASK_BLOCK + 1]),
+                               st.integers(1, 3 * MASK_BLOCK + 1)))
+    def test_masks_equal_whole_integers_draw(self, seed, n_groups, n_configs):
+        trace = ControlTrace()
+        stage2_majority_voting(_Silent(), V1, V0, n_groups, n_configs=n_configs,
+                               rng_seed=seed, trace=trace)
+        (_, _, index, _), = trace.blocks
+        whole = np.random.default_rng(seed).integers(0, 2, size=(n_configs, n_groups))
+        np.testing.assert_array_equal(index == 0, whole.astype(bool))
+
+
+class TestOnOffIndex:
+    N = 13
+
+    @pytest.mark.parametrize("groups", [
+        [[e] for e in reversed(range(N))],           # singletons out of order
+        [[e] for e in range(N - 1)] + [[]],          # N groups, one element in none
+        [[e] for e in range(N) if e % 3],            # fewer groups than elements
+        column_groups(3, 4)])                        # columns, element 12 in none
+    def test_general_path(self, groups):
+        masks = np.random.default_rng(4).integers(
+            0, 2, (MASK_BLOCK + 3, len(groups))).astype(bool)
+        owner = np.full(self.N, len(groups))
+        for g, members in enumerate(groups):
+            owner[members] = g
+        on = np.hstack([masks, np.zeros((len(masks), 1), dtype=bool)])  # no group: off
+        index = _onoff_index(groups, masks, self.N)
+        assert index.dtype == np.uint8 and not index.flags.writeable
+        np.testing.assert_array_equal(index, 1 - on[:, owner])
+
+
+class TestOnOffRunCodes:
+    @pytest.mark.parametrize("n", [7, 8, 9, 16, 17, 23])  # N % 8 in {7, 0, 1}
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_packed_codes_equal_multiply_add(self, n, dtype):
+        rows = np.random.default_rng(n).integers(0, 2, (HASH_BLOCK + 1, n)).astype(dtype)
+        cut = n - n % 8
+        for part, width in ((rows[:, :cut], 8), (rows[:, cut:], n - cut)):
+            if width:
+                runs = part.reshape(len(part), -1, width).astype(np.intp)
+                expected = np.zeros(runs.shape[:2], dtype=np.intp)
+                for k in range(width):
+                    expected = expected * 2 + runs[..., k]
+                np.testing.assert_array_equal(_run_codes(part, 2, width), expected)

@@ -251,7 +251,7 @@ class TestLinksCommand:
 
     def test_32x32_link_memory_peak(self):
         """One 32x32 link allocates at most 12 MB at its peak: stage 2 never
-        holds its whole int64 mask draw or a whole-matrix temporary."""
+        holds all of its masks' raw words or a whole-matrix temporary."""
         raw = json.loads((SCENARIOS / "water_links.json").read_text())
         raw.update(array_rows=32, array_cols=32)
         raw["channel"]["element_power"] = 1.0 / 1024
