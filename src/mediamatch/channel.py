@@ -170,45 +170,94 @@ def sample_channel(seed: int, n_elements: int, env_power: float = 0.0,
                             responder=responder, phase_jitter=jitter)
 
 
-#: Probe rows per block in composite_channels: the complex temporaries stay at
-#: PROBE_BLOCK x N values (2 MB at N = 1024) whatever the number of probes.
-PROBE_BLOCK = 128
+class ChannelStack:
+    """L channels on one responder, stacked along a leading links axis:
+    ``h_env`` (L,), ``h_elements`` (L, N) and ``phase_jitter`` (L, N), or None
+    when no link has it.  Takes one MultipathChannel or a sequence of them."""
+
+    def __init__(self, channels):
+        channels = [channels] if isinstance(channels, MultipathChannel) else list(channels)
+        if len({(c.n_elements, id(c.responder), c.phase_jitter is None)
+                for c in channels}) != 1:
+            raise ValueError("stacked channels must share their element count and "
+                             "responder, and have phase jitter all or none")
+        self.h_env = np.array([c.h_env for c in channels])
+        self.h_elements = np.stack([c.h_elements for c in channels])
+        self.responder = channels[0].responder
+        self.phase_jitter = None if channels[0].phase_jitter is None else \
+            np.stack([c.phase_jitter for c in channels])
 
 
-def composite_channels(channel: MultipathChannel, levels, index) -> np.ndarray:
-    """h_env + sum_i s(V_i) h_i for every row of an (n, N) index matrix.
+#: Probe rows per composite_channels block at N = 1024.  A block holds whole
+#: links, or rows of one link, of at most PROBE_BLOCK x 1024 complex values
+#: (512 kB of temporaries, small enough to stay in cache) whatever the number
+#: of links and probes: a 32 x 32 link runs in blocks of 32 probes, and the
+#: stage 2 of 8 x 8 links four links at a time.
+PROBE_BLOCK = 32
+_BLOCK_VALUES = PROBE_BLOCK * 1024
 
-    Row k is biased at levels[index[k]].  Each row is gathered from the
-    responder's table for the alphabet, multiplied in place and summed along
-    its own contiguous axis, which runs the same numpy loops, in the same
-    order, as a lone row does as a vector; every entry therefore equals the
-    one-row result bit for bit.
+
+def composite_channels(channel, levels, index) -> np.ndarray:
+    """h_env + sum_i s(V_i) h_i for every probe row of an index matrix.
+
+    ``channel`` is one MultipathChannel with an (n, N) index over the alphabet
+    ``levels``, giving (n,) values, or a ChannelStack of L links with an
+    (L, n, N) index and a sequence of L alphabets, giving (L, n).  The rows
+    run in blocks of whole links, or of one link's rows, of at most
+    PROBE_BLOCK x 1024 values.  Each row is gathered from the responder's
+    table for its link's alphabet, multiplied in place and summed along its
+    own contiguous axis: the same numpy loops, in the same order, as a lone
+    row takes as a vector, so every entry equals the one-row result bit for
+    bit, whatever links and rows share its block.
     """
     index = np.asarray(index)
-    if index.ndim != 2 or index.shape[1] != channel.n_elements:
-        raise ValueError(f"config length {index.shape[-1]} != channel N {channel.n_elements}")
+    if isinstance(channel, MultipathChannel):
+        h_env, h = channel.h_env, channel.h_elements[None]
+        jitter = None if channel.phase_jitter is None else channel.phase_jitter[None]
+        index, levels = index[None], [levels]
+    else:
+        h_env, h, jitter = channel.h_env[:, None], channel.h_elements, channel.phase_jitter
+    if index.ndim != 3 or index.shape[2] != h.shape[1]:
+        raise ValueError(f"config length {index.shape[-1]} != channel N {h.shape[1]}")
+    if len(index) != len(h) or len(levels) != len(h):
+        raise ValueError(f"{len(index)} links of probes and {len(levels)} alphabets "
+                         f"for {len(h)} channels")
     if channel.responder is None:
         raise ValueError("channel has no element responder attached")
-    table = channel.responder.table(tuple(levels))
-    jitter, h = channel.phase_jitter, channel.h_elements
-    out = np.empty(len(index), dtype=complex)
-    for start in range(0, len(index), PROBE_BLOCK):
-        rows = index[start:start + PROBE_BLOCK]
-        if len(rows) == 1:
-            # a lone row stays a vector: numpy multiplies a 1 x 1 block by
-            # another loop than a length-1 vector, and the last bit can differ
-            s = table[rows[0]]
+    n_links, n_rows, n = index.shape
+    tables = [channel.responder.table(tuple(lv)) for lv in levels]
+    shared = all(t is tables[0] for t in tables)
+    rows = max(1, min(n_rows, _BLOCK_VALUES // max(n, 1)))
+    links = max(1, _BLOCK_VALUES // max(n * n_rows, 1)) if rows == n_rows else 1
+    out = np.empty((n_links, n_rows), dtype=complex)
+    if n_links * n_rows > 1:  # blocks gather with mode="clip": check the entries once
+        if index.size and not (index.min() >= 0 and index.max() < min(map(len, tables))):
+            raise IndexError(f"index entries must lie in [0, {min(map(len, tables)) - 1}]")
+        buffer = np.empty(min(links, n_links) * rows * n, dtype=complex)
+    for l0 in range(0, n_links, links):
+        ls = slice(l0, l0 + links)
+        for r0 in range(0, n_rows, rows):
+            block = index[ls, r0:r0 + rows]
+            if block.shape[0] * block.shape[1] == 1:
+                # a lone row stays a vector: numpy multiplies a 1 x 1 block by
+                # another loop than a length-1 vector, and the last bit can differ
+                s = tables[l0][block[0, 0]]
+                if jitter is not None:
+                    s = s * jitter[l0]
+                out[l0, r0] = np.sum(s * h[l0])
+                continue
+            s = buffer[:block.size].reshape(block.shape)
+            if shared:
+                tables[0].take(block, out=s, mode="clip")
+            else:
+                for table, link_rows, link_s in zip(tables[ls], block, s):
+                    table.take(link_rows, out=link_s, mode="clip")
             if jitter is not None:
-                s = s * jitter
-            out[start] = np.sum(s * h)
-            continue
-        s = table.take(rows)
-        if jitter is not None:
-            s *= jitter
-        s *= h
-        s.sum(axis=1, out=out[start:start + PROBE_BLOCK])
-    out += channel.h_env
-    return out
+                s *= jitter[ls, None]
+            s *= h[ls, None]
+            s.sum(axis=2, out=out[ls, r0:r0 + rows])
+    out += h_env
+    return out[0] if isinstance(channel, MultipathChannel) else out
 
 
 def composite_channel(channel: MultipathChannel, config: SurfaceConfig) -> complex:
@@ -253,47 +302,73 @@ class FeedbackOracle:
     continuously.  ``batch`` measures every row of an index matrix at once;
     row i reads exactly what the i-th of as many sequential calls would,
     noise seed included.
+
+    Given a sequence of L channels and as many noise seeds, the oracle reads
+    L links at once: ``batch`` then takes L alphabets and an (L, n, N) index
+    and returns (L, n) readings, each link keyed by its own seed and probe
+    count (``probes``, one per link).  ``rows`` marks how many leading rows of
+    each link are probes; the rest is padding, read without noise and not
+    counted.  copy.copy gives an oracle that goes on from the same probe
+    counts on its own.
     """
 
-    def __init__(self, channel: MultipathChannel, noise_db: float | None = None,
-                 quantization_db: float | None = 0.1, noise_seed: int = 0):
-        self.channel = channel
+    def __init__(self, channel, noise_db: float | None = None,
+                 quantization_db: float | None = 0.1, noise_seed=0):
+        self.links = ChannelStack(channel)
         self.noise_db = noise_db
         self.quantization_db = quantization_db
-        self.noise_seed = noise_seed
-        self.probes = 0
+        self.noise_seeds = [int(s) for s in (noise_seed if np.ndim(noise_seed) else [noise_seed])]
+        if len(self.noise_seeds) != len(self.links.h_env):
+            raise ValueError(f"{len(self.noise_seeds)} noise seeds for "
+                             f"{len(self.links.h_env)} links")
+        self.probes = np.zeros(len(self.noise_seeds), dtype=np.int64)
 
-    def batch(self, levels, index) -> np.ndarray:
-        h = composite_channels(self.channel, levels, index)
+    def batch(self, levels, index, rows=None) -> np.ndarray:
+        one = np.ndim(index) == 2
+        if one:
+            levels, index = [levels], np.asarray(index)[None]
+        h = composite_channels(self.links, levels, index)
+        rows = [h.shape[1]] * len(h) if rows is None else list(rows)
         if self.noise_db is not None:
             s = np.sqrt(10.0 ** (self.noise_db / 10.0) / 2.0)
-            first = self.noise_seed * 1000003 + self.probes
-            for k in range(len(h)):
-                rng = np.random.default_rng((first + k) & 0x7FFFFFFF)
-                h[k] += complex(rng.normal(0.0, s) + 1j * rng.normal(0.0, s))
-        self.probes += len(h)
-        return rss_db(np.hypot(h.real, h.imag), self.quantization_db)
+            for link, (seed, done, n) in enumerate(zip(self.noise_seeds, self.probes.tolist(),
+                                                      rows)):
+                first = seed * 1000003 + done
+                for k in range(n):
+                    rng = np.random.default_rng((first + k) & 0x7FFFFFFF)
+                    h[link, k] += complex(rng.normal(0.0, s) + 1j * rng.normal(0.0, s))
+        self.probes = self.probes + rows  # a new array: copies keep their own counts
+        rss = rss_db(np.hypot(h.real, h.imag), self.quantization_db)
+        return rss[0] if one else rss
 
     def __call__(self, config: SurfaceConfig) -> float:
         return float(self.batch(config.levels, config.index[None])[0])
 
 
 class ProductFeedbackOracle:
-    """Backscatter feedback: the dB sum of both directions' RSS."""
+    """Backscatter feedback: the dB sum of both directions' RSS.
 
-    def __init__(self, downlink: MultipathChannel, uplink: MultipathChannel,
-                 quantization_db: float | None = 0.1):
-        if downlink.n_elements != uplink.n_elements:
+    Like FeedbackOracle, it reads one link or a stack of L (a sequence of
+    channels per direction; the same sequence for a reciprocal uplink).
+    """
+
+    def __init__(self, downlink, uplink, quantization_db: float | None = 0.1):
+        self.downlink = ChannelStack(downlink)
+        self.uplink = self.downlink if uplink is downlink else ChannelStack(uplink)
+        if self.downlink.h_elements.shape != self.uplink.h_elements.shape:
             raise ValueError("backscatter directions must share the element count")
-        self.downlink = downlink
-        self.uplink = uplink
         self.quantization_db = quantization_db
 
-    def batch(self, levels, index) -> np.ndarray:
+    def batch(self, levels, index, rows=None) -> np.ndarray:
+        one = np.ndim(index) == 2
+        if one:
+            levels, index = [levels], np.asarray(index)[None]
         down = composite_channels(self.downlink, levels, index)
-        up = composite_channels(self.uplink, levels, index)
+        up = down if self.uplink is self.downlink else \
+            composite_channels(self.uplink, levels, index)
         magnitude = np.hypot(down.real, down.imag) * np.hypot(up.real, up.imag)
-        return rss_db(magnitude, self.quantization_db)
+        rss = rss_db(magnitude, self.quantization_db)
+        return rss[0] if one else rss
 
     def __call__(self, config: SurfaceConfig) -> float:
         return float(self.batch(config.levels, config.index[None])[0])

@@ -11,10 +11,16 @@ The oracle is any callable SurfaceConfig -> rss_db.  It may also offer
 ``batch(levels, index) -> ndarray``, which measures every row of an (n, N)
 index matrix; probe i of a batch must return exactly what the i-th of n
 sequential calls would (feedback is stateful in a real deployment, so a noisy
-oracle keys its noise by probe count).  Every stage sends its probes through
-one path, ``_probe_many``, which uses ``batch`` when the oracle has it and
-calls the oracle row by row otherwise.  Only whole controller runs may
-execute concurrently.
+oracle keys its noise by probe count).  An oracle of L stacked links (see
+channel.FeedbackOracle) also takes ``batch(levels, index, rows)`` with L
+alphabets and an (L, n, N) index stack, and returns (L, n) readings: link l's
+first rows[l] rows are its probes, read as its own one-link oracle would read
+them, and the rest is padding that it neither counts nor keys noise by.
+Every stage sends its probes through one path, ``_probe_many``: one link goes
+to ``batch`` when the oracle has it and to one call per row otherwise; a
+batch of links goes to the stacked ``batch``.  ``run_controllers`` runs the
+stages on a LinkBatch of links together, and ``run_controller`` is its
+one-link case.  Only whole controller runs may execute concurrently.
 
 A configuration is a uint8 index vector over the voltage alphabet
 (``voltage_set``, or (v1, v0) for on/off configurations).  The trace is a
@@ -147,13 +153,16 @@ class ControlTrace:
     notes: list[str] = field(default_factory=list)
 
     def append(self, stage: int, levels, index, rss) -> None:
-        """Record a block of probes; a writeable index matrix is copied."""
+        """Record a block of probes; a writeable index or reading array is
+        copied, a read-only one (a view of a batch) is kept as it is."""
         index = np.asarray(index)
-        rss = np.array(rss, dtype=float)
+        rss = np.asarray(rss, dtype=float)
         if index.ndim != 2 or rss.shape != (len(index),):
             raise ValueError(f"probe batch of {rss.shape} readings for an index of {index.shape}")
         if index.flags.writeable:
             index = index.copy()
+        if rss.flags.writeable:
+            rss = rss.copy()
         self.blocks.append((stage, tuple(levels), _read_only(index), _read_only(rss)))
 
     def stage_probe_count(self, stage: int) -> int:
@@ -181,7 +190,7 @@ class ControlTrace:
         best, offset = None, 0
         for stage, levels, index, rss in self.blocks:
             if len(rss) and (through_stage is None or stage <= through_stage):
-                k = 0 if best is None and np.isnan(rss[0]) else _first_max(rss)
+                k = 0 if best is None and np.isnan(rss[0]) else int(_first_max(rss))
                 if best is None or rss[k] > best[0]:
                     best = (rss[k], stage, offset + k, levels, index[k])
             offset += len(rss)
@@ -205,6 +214,66 @@ class ControlTrace:
         return "".join(parts)
 
 
+class LinkBatch:
+    """Controller runs on L links, one trace each, carried through the stages
+    together.
+
+    Every stage probes the L links with one (L, n, N) index stack.  The batch
+    keeps, per link, the on/off voltages of stage 1 (``v1``, ``v0``: length-L
+    arrays), the elements stage 2 left on (``on``: an (L, N) bool matrix) and
+    the best probe so far, picked as ControlTrace.best_probe picks it from
+    the trace: ``best_db[:, s - 1]`` is the best reading through stage s, and
+    ``configs()`` the best configurations.
+    """
+
+    def __init__(self, traces):
+        self.traces = list(traces)
+        self.v1 = self.v0 = self.on = None
+        self.best_db = np.full((len(self.traces), 3), np.nan)
+        self._best = [None] * len(self.traces)  # (levels, index row) of each link's best
+
+    @classmethod
+    def new(cls, n_links: int) -> "LinkBatch":
+        return cls(ControlTrace() for _ in range(n_links))
+
+    def __len__(self) -> int:
+        return len(self.traces)
+
+    def fork(self) -> "LinkBatch":
+        """A copy whose traces go on from this batch's blocks on their own."""
+        other = LinkBatch(ControlTrace(list(t.blocks), t.low_contrast, list(t.notes))
+                          for t in self.traces)
+        other.v1, other.v0, other.on = self.v1, self.v0, self.on
+        other.best_db, other._best = self.best_db.copy(), list(self._best)
+        return other
+
+    def configs(self) -> list[SurfaceConfig]:
+        """Each link's best probed configuration."""
+        return [SurfaceConfig.from_index(levels, row) for levels, row in self._best]
+
+    def keep_best(self, stage: int, levels, index, rss, rows) -> None:
+        """Fold a block of (L, n) readings, the first rows[l] of link l real,
+        into each link's best probe: the first maximum of the block (a NaN
+        counting as -inf) replaces the best when strictly above it, and a NaN
+        very first reading stays best, as in a running scan."""
+        real = np.arange(rss.shape[1]) < np.asarray(rows)[:, None]
+        k = _first_max(np.where(real, rss, -np.inf))
+        fresh = np.array([best is None for best in self._best])
+        k[fresh & np.isnan(rss[:, 0])] = 0
+        value = rss[np.arange(len(rss)), k]
+        better = fresh | (value > self.best_db[:, stage - 1])
+        for link in np.flatnonzero(better).tolist():
+            self._best[link] = (levels[link], index[link, k[link]])
+        self.best_db[:, stage - 1:] = np.where(better, value, self.best_db[:, stage - 1])[:, None]
+
+
+def _as_batch(trace) -> LinkBatch:
+    """A LinkBatch as given, or a one-link batch around a trace (a new one for None)."""
+    if isinstance(trace, LinkBatch):
+        return trace
+    return LinkBatch([trace if trace is not None else ControlTrace()])
+
+
 @dataclass
 class ControlState:
     """Interim controller state threaded through the stages."""
@@ -224,53 +293,84 @@ def column_groups(rows: int, cols: int) -> list[list[int]]:
     return [[r * cols + c for r in range(rows)] for c in range(cols)]
 
 
-def _onoff_index(groups, masks, n_elements: int) -> np.ndarray:
-    """Index rows over (v1, v0), one per row of the on/off group masks.
-
-    Element e takes index 0 (v1) where its group is on and 1 (v0) otherwise;
-    elements in no group stay at v0.  Groups must be disjoint.
-    """
+def _owners(groups, n_elements: int) -> np.ndarray:
+    """The group of every element, len(groups) for an element in none.
+    Groups must be disjoint."""
     n_groups = len(groups)
     members = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp)
     owner = np.full(n_elements, n_groups)
     owner[members] = np.repeat(np.arange(n_groups), [len(m) for m in groups])
     if np.count_nonzero(owner != n_groups) != len(members):
         raise ValueError("control groups must not share or repeat elements")
+    return owner
+
+
+def _onoff_index(groups, masks, n_elements: int) -> np.ndarray:
+    """Index rows over (v1, v0), one per row of the on/off group masks.
+
+    Element e takes index 0 (v1) where its group is on and 1 (v0) otherwise;
+    elements in no group stay at v0.  Groups must be disjoint.  Leading axes
+    of the masks (a links axis) carry over to the index.
+    """
+    n_groups = len(groups)
+    owner = _owners(groups, n_elements)
     if n_groups == n_elements and np.array_equal(owner, np.arange(n_elements)):
         return _read_only(np.logical_not(masks).view(np.uint8))  # element e is group e
-    index = np.empty((len(masks), n_elements), dtype=bool)
+    flat = masks.reshape(-1, n_groups)
+    index = np.empty((len(flat), n_elements), dtype=bool)
     off = np.ones((MASK_BLOCK, n_groups + 1), dtype=bool)  # last column: no group
-    for start in range(0, len(masks), MASK_BLOCK):
-        rows = masks[start:start + MASK_BLOCK]
+    for start in range(0, len(flat), MASK_BLOCK):
+        rows = flat[start:start + MASK_BLOCK]
         np.logical_not(rows, out=off[:len(rows), :n_groups])
         off[:len(rows)].take(owner, axis=1, out=index[start:start + len(rows)])
-    return _read_only(index.view(np.uint8))
+    return _read_only(index.view(np.uint8).reshape(*masks.shape[:-1], n_elements))
 
 
-def _probe_many(oracle, trace: ControlTrace, stage: int, levels, index) -> np.ndarray:
-    """Measure every row of an (n, N) index matrix over levels, in order.
+def _probe_many(oracle, trace, stage: int, levels, index, rows=None) -> np.ndarray:
+    """Measure every probe row of one link or of a batch of links, in order.
 
-    Uses ``oracle.batch(levels, index)`` when the oracle has it and calls the
-    oracle once per row otherwise; the probes go into the trace as one block.
-    Returns the readings as a float array.
+    With a ControlTrace (one link), ``levels`` is one alphabet and ``index``
+    an (n, N) matrix; returns the (n,) readings.  With a LinkBatch of L links,
+    ``levels`` holds L alphabets and ``index`` is an (L, n, N) stack whose
+    first rows[l] rows of link l are probes (all rows by default) and the
+    rest padding; returns (L, n) readings.  One link goes to the oracle as an
+    (n, N) matrix, through ``oracle.batch(levels, index)`` when the oracle has
+    it and one call per row otherwise; more links need a stacked oracle's
+    ``batch(levels, index, rows)``.  Each link's probes go into its trace as
+    one block, padding left out, and into its best probe.
     """
+    if not isinstance(trace, LinkBatch):
+        return _probe_many(oracle, _as_batch(trace), stage, [levels], np.asarray(index)[None])[0]
+    links, rows = trace, [index.shape[1]] * len(trace) if rows is None else list(rows)
     batch = getattr(oracle, "batch", None)
-    if batch is not None:
-        rss = np.asarray(batch(levels, index), dtype=float)
+    if len(links) == 1:
+        index, rows = index[:, :rows[0]], rows[:1]
+        if batch is not None:
+            rss = batch(levels[0], index[0])
+        else:
+            rss = [oracle(SurfaceConfig.from_index(levels[0], row)) for row in index[0]]
+        rss = np.array(rss, dtype=float)[None]
+    elif batch is not None:
+        rss = np.array(batch(levels, index, rows), dtype=float)
     else:
-        rss = np.array([oracle(SurfaceConfig.from_index(levels, row)) for row in index],
-                       dtype=float)
-    trace.append(stage, levels, index, rss)
+        raise ValueError("a batch of links needs an oracle with a stacked batch()")
+    if rss.shape != index.shape[:2]:
+        raise ValueError(f"probe batch of {rss.shape[1:]} readings for an index of "
+                         f"{index.shape[1:]}")
+    _read_only(rss)
+    for link, (trace, n) in enumerate(zip(links.traces, rows)):
+        trace.append(stage, levels[link], index[link, :n], rss[link, :n])
+    links.keep_best(stage, levels, index, rss, rows)
     return rss
 
 
-def _first_max(rss: np.ndarray) -> int:
-    """Index of the first maximum of the readings, a NaN counting as -inf."""
-    return int(np.argmax(np.where(np.isnan(rss), -np.inf, rss)))
+def _first_max(rss: np.ndarray):
+    """Index of the first maximum of the readings (of each row), a NaN counting as -inf."""
+    return np.argmax(np.where(np.isnan(rss), -np.inf, rss), axis=-1)
 
 
 def _read_only(index: np.ndarray) -> np.ndarray:
-    """The index matrix made read-only: its rows become configurations' indices."""
+    """The array made read-only: index rows become configurations' indices."""
     index.flags.writeable = False
     return index
 
@@ -286,33 +386,39 @@ def _validate_voltage_set(voltages) -> tuple[float, ...]:
     return vs
 
 
-def stage1_uniform_probe(oracle, voltages, n_elements: int,
-                         trace: ControlTrace | None = None):
+def stage1_uniform_probe(oracle, voltages, n_elements: int, trace=None):
     """Probe each control voltage uniformly; pick the extreme responders.
 
     Ties go to the higher voltage for both v1 and v0 (which means a constant
     oracle degenerates to v1 == v0; the run is then flagged low-contrast).
-    Returns (v1, v0, trace).
+    Returns (v1, v0, trace).  With a LinkBatch for ``trace``, probes its L
+    links at once and returns (v1, v0, batch) with length-L v1 and v0, which
+    the batch keeps too.
     """
     vs = _validate_voltage_set(voltages)
-    trace = trace if trace is not None else ControlTrace()
+    links = _as_batch(trace)
     index = np.repeat(np.arange(len(vs), dtype=np.uint8)[:, None], n_elements, axis=1)
-    rss = _probe_many(oracle, trace, 1, vs, _read_only(index))
+    rss = _probe_many(oracle, links, 1, [vs] * len(links),
+                      np.broadcast_to(index, (len(links), *index.shape)))
     # descending order makes first extremes resolve ties upward; as in a
     # running scan, a NaN first reading stays both extremes
-    i1, i0 = (0, 0) if np.isnan(rss[0]) else (_first_max(rss), _first_max(-rss))
-    (v1, r1), (v0, r0) = (vs[i1], rss[i1]), (vs[i0], rss[i0])
+    nan = np.isnan(rss[:, 0])
+    i1, i0 = np.where(nan, 0, _first_max(rss)), np.where(nan, 0, _first_max(-rss))
+    rows = np.arange(len(rss))
     with np.errstate(invalid="ignore"):  # two -inf readings differ by NaN
-        low_contrast = r1 - r0 < 1e-12
-    if low_contrast:
-        trace.low_contrast = True
-        trace.notes.append("stage1: low-contrast feedback, extreme states are ties")
-    return v1, v0, trace
+        low_contrast = rss[rows, i1] - rss[rows, i0] < 1e-12
+    for link in np.flatnonzero(low_contrast).tolist():
+        links.traces[link].low_contrast = True
+        links.traces[link].notes.append("stage1: low-contrast feedback, extreme states are ties")
+    links.v1, links.v0 = np.array(vs)[i1], np.array(vs)[i0]
+    if trace is links:
+        return links.v1, links.v0, links
+    return vs[i1[0]], vs[i0[0]], links.traces[0]
 
 
-def stage2_majority_voting(oracle, v1: float, v0: float, n_elements: int,
-                           n_configs: int | None = None, rng_seed: int = 0,
-                           groups=None, trace: ControlTrace | None = None):
+def stage2_majority_voting(oracle, v1, v0, n_elements: int,
+                           n_configs: int | None = None, rng_seed=0,
+                           groups=None, trace=None):
     """Randomized majority voting over on/off configurations.
 
     Draws n_configs (default 2x the number of control groups) uniform random
@@ -321,9 +427,15 @@ def stage2_majority_voting(oracle, v1: float, v0: float, n_elements: int,
     turned on.  A group ends up on when it collects votes from more than half
     of the voting configurations; exactly half goes to off.
 
-    Returns (on_set, off_set, trace) with element index sets.
+    Returns (on_set, off_set, trace) with element index sets.  With a
+    LinkBatch for ``trace``, v1, v0 and rng_seed hold one entry per link, each
+    link draws its masks from its own seed, and it returns (on, off, batch)
+    as (L, N) bool matrices; the batch keeps ``on``.
     """
-    if v1 == v0:
+    links = _as_batch(trace)
+    v1 = np.broadcast_to(np.asarray(v1, dtype=float), len(links))
+    v0 = np.broadcast_to(np.asarray(v0, dtype=float), len(links))
+    if np.any(v1 == v0):
         raise ValueError("stage 2 needs distinct on/off voltages (v1 != v0)")
     groups = groups if groups is not None else element_groups(n_elements)
     n_groups = len(groups)
@@ -331,97 +443,136 @@ def stage2_majority_voting(oracle, v1: float, v0: float, n_elements: int,
         n_configs = 2 * n_groups
     if n_configs < 1:
         raise ValueError("n_configs must be >= 1")
-    trace = trace if trace is not None else ControlTrace()
 
-    bits = np.random.PCG64(rng_seed)
-    masks = np.empty((n_configs, n_groups), dtype=bool)
-    for start in range(0, n_configs, MASK_BLOCK):  # bit k: sign of 32-bit half k
-        block = masks[start:start + MASK_BLOCK]
-        words = bits.random_raw((block.size + 1) // 2).astype("<u8", copy=False).view("<i4")
-        np.less(words[:block.size].reshape(block.shape), 0, out=block)
-        del words
-    rss = _probe_many(oracle, trace, 2, (v1, v0), _onoff_index(groups, masks, n_elements))
+    masks = np.empty((len(links), n_configs, n_groups), dtype=bool)
+    seeds = rng_seed if np.ndim(rng_seed) else [rng_seed] * len(links)
+    for link_masks, seed in zip(masks, seeds):
+        bits = np.random.PCG64(seed)
+        for start in range(0, n_configs, MASK_BLOCK):  # bit k: sign of 32-bit half k
+            block = link_masks[start:start + MASK_BLOCK]
+            words = bits.random_raw((block.size + 1) // 2).astype("<u8", copy=False).view("<i4")
+            np.less(words[:block.size].reshape(block.shape), 0, out=block)
+            del words
+    rss = _probe_many(oracle, links, 2, list(zip(v1.tolist(), v0.tolist())),
+                      _onoff_index(groups, masks, n_elements))
 
-    median = np.median(rss)
-    voting = rss > median
-    n_voting = int(np.count_nonzero(voting))
-    votes = masks[voting].sum(axis=0) if n_voting else np.zeros(n_groups, dtype=int)
-    on_mask = votes > n_voting / 2.0  # strict majority of the voting configs
+    voting = rss > np.median(rss, axis=1, keepdims=True)
+    n_voting = np.count_nonzero(voting, axis=1)
+    votes = np.count_nonzero(masks & voting[:, :, None], axis=1)
+    on_groups = np.zeros((len(links), n_groups + 1), dtype=bool)  # last column: no group
+    on_groups[:, :n_groups] = votes > n_voting[:, None] / 2.0  # strict majority of the voters
+    owner = _owners(groups, n_elements)
+    links.on = on_groups[:, owner]
+    off = (owner < n_groups) & ~links.on
+    if trace is links:
+        return links.on, off, links
+    return (frozenset(np.flatnonzero(links.on[0]).tolist()),
+            frozenset(np.flatnonzero(off[0]).tolist()), links.traces[0])
 
-    on = on_mask.tolist()
-    on_set = frozenset(itertools.chain.from_iterable(g for g, x in zip(groups, on) if x))
-    off_set = frozenset(itertools.chain.from_iterable(g for g, x in zip(groups, on) if not x))
-    return on_set, off_set, trace
 
-
-def stage3_fine_tune(oracle, voltages, state: ControlState, n_elements: int,
-                     trace: ControlTrace | None = None) -> SurfaceConfig:
+def stage3_fine_tune(oracle, voltages, state: ControlState | None, n_elements: int,
+                     trace=None):
     """Fine-tune v1/v0 over adjacent control voltages, on/off split fixed.
 
     Probes the 3x3 grid of (adjacent-lower, same, adjacent-higher) moves for
     v1 and v0 (up to 9 probes; fewer at the ends of the voltage set) and
     returns the best configuration over the entire trace, so anything stage 1
-    or 2 measured can still win.
+    or 2 measured can still win.  With a LinkBatch for ``trace`` (and no
+    ``state``), fine-tunes its L links from the batch's v1, v0 and on, padding
+    every link's moves to the most any link has, and returns the batch.
     """
     vs = _validate_voltage_set(voltages)
-    trace = trace if trace is not None else ControlTrace()
+    links = _as_batch(trace)
+    if trace is links:
+        v1, v0, on = links.v1.tolist(), links.v0.tolist(), links.on
+    else:
+        v1, v0, on = [state.v1], [state.v0], np.zeros((1, n_elements), dtype=bool)
+        on[0, list(state.on_set)] = True
 
     def neighborhood(v: float):
         i = vs.index(v)  # descending voltages: ascending indices
         return [j for j in (i - 1, i, i + 1) if 0 <= j < len(vs)]
 
-    on = np.zeros(n_elements, dtype=bool)
-    on[list(state.on_set)] = True
-    moves = np.array(list(itertools.product(neighborhood(state.v1), neighborhood(state.v0))),
-                     dtype=np.uint8)
-    index = np.where(on, moves[:, :1], moves[:, 1:])
-    _probe_many(oracle, trace, 3, vs, _read_only(index))
+    moves = [list(itertools.product(neighborhood(a), neighborhood(b))) for a, b in zip(v1, v0)]
+    rows = [len(m) for m in moves]
+    grid = np.array([m + m[-1:] * (max(rows) - len(m)) for m in moves], dtype=np.uint8)
+    index = np.where(on[:, None, :], grid[:, :, :1], grid[:, :, 1:])
+    _probe_many(oracle, links, 3, [vs] * len(links), _read_only(index), rows)
+    if trace is links:
+        return links
+    return links.traces[0].best_probe().config
 
-    return trace.best_probe().config
+
+def run_controllers(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
+                    n_configs: int | None = None, rng_seeds=(0,), groups=None,
+                    stage2=None, links: LinkBatch | None = None) -> LinkBatch:
+    """Run the three stages on a batch of links, one per rng seed; returns the batch.
+
+    The oracle reads one link per probe row, or, for more than one link, a
+    stack of them (see FeedbackOracle).  ``stage2`` replaces majority voting
+    with a function called as brute_force_baseline is (``groups``, then the
+    batch for ``trace``).  A ``links`` batch that has been through stage 1
+    goes on from there.  Total probes per link are bounded by len(voltages)
+    + n_configs + 9.  A constant (low-contrast) stage-1 outcome would leave
+    v1 == v0; the controller then substitutes the lowest control voltage for
+    v0 so the later stages stay well-defined.
+    """
+    if links is None:
+        links = LinkBatch.new(len(rng_seeds))
+        stage1_uniform_probe(oracle, voltages, n_elements, links)
+    degenerate = links.v1 == links.v0
+    if degenerate.any():
+        links.v0 = np.where(degenerate, min(voltages), links.v0)
+        for link in np.flatnonzero(degenerate).tolist():
+            links.traces[link].notes.append(f"degenerate stage1, forcing v0={min(voltages)}")
+    if stage2 is None:
+        stage2_majority_voting(oracle, links.v1, links.v0, n_elements, n_configs=n_configs,
+                               rng_seed=rng_seeds, groups=groups, trace=links)
+    else:
+        stage2(oracle, groups, links.v1, links.v0, n_elements, trace=links)
+    return stage3_fine_tune(oracle, voltages, None, n_elements, links)
 
 
 def run_controller(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
                    n_configs: int | None = None, rng_seed: int = 0,
                    groups=None):
-    """Run the three stages in order; returns (final config, trace).
-
-    Total probes are bounded by len(voltages) + n_configs + 9.  A constant
-    (low-contrast) stage-1 outcome would leave v1 == v0; the controller then
-    substitutes the lowest control voltage for v0 so the later stages stay
-    well-defined.
-    """
-    trace = ControlTrace()
-    v1, v0, _ = stage1_uniform_probe(oracle, voltages, n_elements, trace)
-    if v1 == v0:
-        v0 = min(voltages)
-        trace.notes.append(f"degenerate stage1, forcing v0={v0}")
-    on_set, _, _ = stage2_majority_voting(
-        oracle, v1, v0, n_elements, n_configs=n_configs, rng_seed=rng_seed,
-        groups=groups, trace=trace)
-    state = ControlState(v1=v1, v0=v0, on_set=on_set)
-    final = stage3_fine_tune(oracle, voltages, state, n_elements, trace)
-    return final, trace
+    """run_controllers on one link; returns (final config, trace)."""
+    links = run_controllers(oracle, n_elements, voltages, n_configs, [rng_seed], groups)
+    return links.configs()[0], links.traces[0]
 
 
-def brute_force_baseline(oracle, groups, v1: float, v0: float, n_elements: int,
-                         cap: int = ENUMERATION_CAP,
-                         trace: ControlTrace | None = None):
+def brute_force_baseline(oracle, groups, v1, v0, n_elements: int,
+                         cap: int = ENUMERATION_CAP, trace=None):
     """Exhaustive argmax over all 2^len(groups) on/off assignments.
 
     Refuses group counts whose enumeration would exceed the cap.  Returns
-    (config, rss_db, trace).
+    (config, rss_db, trace); config is None when no reading is above -inf.
+    With a LinkBatch for ``trace``, v1 and v0 hold one entry per link, and it
+    returns (on, rss_db, batch): ``on`` (kept by the batch) is the (L, N) bool
+    matrix of the elements each link's best assignment turns on, none where
+    no reading is above -inf.
     """
     n_groups = len(groups)
     if 2 ** n_groups > cap:
         raise ValueError(
             f"enumeration of 2^{n_groups} configs exceeds cap {cap}; "
             "use randomized voting instead")
-    trace = trace if trace is not None else ControlTrace()
+    links = _as_batch(trace)
+    v1 = np.broadcast_to(np.asarray(v1, dtype=float), len(links))
+    v0 = np.broadcast_to(np.asarray(v0, dtype=float), len(links))
+    levels = list(zip(v1.tolist(), v0.tolist()))
     codes = np.arange(2 ** n_groups)
     index = _onoff_index(groups, (codes[:, None] >> np.arange(n_groups)) & 1, n_elements)
-    rss = _probe_many(oracle, trace, 2, (v1, v0), index)
+    rss = _probe_many(oracle, links, 2, levels,
+                      np.broadcast_to(index, (len(links), *index.shape)))
     # the first strict maximum above -inf, as a running "rss > best" scan finds it
     best = _first_max(rss)
-    if not rss[best] > float("-inf"):
-        return None, float("-inf"), trace
-    return SurfaceConfig.from_index((v1, v0), index[best]), float(rss[best]), trace
+    best_db = rss[np.arange(len(rss)), best]
+    found = best_db > float("-inf")
+    links.on = (index[best] == 0) & (found & (v1 != v0))[:, None]
+    if trace is links:
+        return links.on, best_db, links
+    if not found[0]:
+        return None, float("-inf"), links.traces[0]
+    return (SurfaceConfig.from_index(levels[0], index[best[0]]), float(best_db[0]),
+            links.traces[0])

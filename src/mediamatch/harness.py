@@ -16,6 +16,7 @@ renders whole columns through one line template and one ``%`` over all values.
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,9 +25,8 @@ import numpy as np
 from .cascade import DB_FLOOR
 from .channel import (FeedbackOracle, ProductFeedbackOracle, backscatter_gain,
                       baseline_channel, oneway_gain)
-from .control import (brute_force_baseline, column_groups, run_controller,
-                      stage1_uniform_probe, stage3_fine_tune, ControlState,
-                      ControlTrace)
+from .control import (ControlTrace, LinkBatch, brute_force_baseline, column_groups,
+                      run_controllers, stage1_uniform_probe)
 from .matching import SweepGrid, best_admittance, best_voltage, reflection_spectrum, sweep_through_power
 from .scenario import Scenario
 
@@ -181,80 +181,83 @@ def cmd_sweep(scenario: Scenario, out_dir) -> RunReport:
 COLUMN_VOTING_CONFIGS = 32
 
 
+#: Stage-2 index entries (probes x elements) one batch of links may hold: 16
+#: links of 8 x 8, one of 16 x 16 or larger.  A batch has at least one link.
+LINK_BATCH = 2 ** 17
+
+
 def _link_seeds(scenario: Scenario, index: int) -> tuple[int, int, int]:
     """(channel seed, voting rng seed, uplink channel seed) for one link."""
     base = scenario.seed * 1000000 + index
     return base, base + 500000, base + 10000019
 
 
-def _enum_pipeline(oracle, scenario: Scenario, groups):
-    """Stage 1 + exhaustive on/off enumeration + stage-3 fine tune."""
-    trace = ControlTrace()
-    v1, v0, _ = stage1_uniform_probe(oracle, scenario.voltage_set,
-                                     scenario.n_elements, trace)
-    if v1 == v0:
-        v0 = min(scenario.voltage_set)
-    cfg, _, _ = brute_force_baseline(oracle, groups, v1, v0, scenario.n_elements,
-                                     trace=trace)
-    # no configuration reads above -inf (a silent channel): stage 3 starts all off
-    on_set = frozenset() if cfg is None else frozenset(
-        i for i, v in enumerate(cfg.voltages) if v == v1 and v1 != v0)
-    state = ControlState(v1=v1, v0=v0, on_set=on_set)
-    final = stage3_fine_tune(oracle, scenario.voltage_set, state,
-                             scenario.n_elements, trace)
-    return final, trace
+def run_links(scenario: Scenario, responder, indices, mode: str) -> list[tuple]:
+    """Links `indices` of the links, backscatter or bench-controller command,
+    run as one batch: every controller stage probes all of them at once.
 
-
-def run_link(scenario: Scenario, responder, index: int, mode: str):
-    """Link `index` of the links, backscatter or bench-controller command.
-
-    Returns (CSV row, files): files maps a path under the output directory to
-    its text, the link's trace and channel dump for links and none otherwise.
+    Returns one (CSV row, files) pair per link, in order: files maps a path
+    under the output directory to its text, the link's trace and channel dump
+    for links and none otherwise.  A link's row and files depend only on the
+    scenario and its index, not on the links it shares the batch with.
     """
-    ch_seed, rng_seed, up_seed = _link_seeds(scenario, index)
-    channel = scenario.sample_link_channel(ch_seed, responder)
+    seeds = [_link_seeds(scenario, i) for i in indices]
+    ch_seeds, rng_seeds, _ = zip(*seeds)
+    channels = [scenario.sample_link_channel(seed, responder) for seed in ch_seeds]
     n, vs = scenario.n_elements, scenario.voltage_set
 
-    def control(oracle, n_configs=None, groups=None):
-        cfg, trace = run_controller(oracle, n, voltages=vs, rng_seed=rng_seed,
-                                    n_configs=n_configs, groups=groups)
-        validate_trace(trace, len(vs), n_configs or 2 * n)
-        return cfg, trace
+    def control(oracle, n_configs=None, groups=None, stage2=None, links=None):
+        links = run_controllers(oracle, n, voltages=vs, n_configs=n_configs,
+                                rng_seeds=rng_seeds, groups=groups, stage2=stage2, links=links)
+        if stage2 is None:
+            for trace in links.traces:
+                validate_trace(trace, len(vs), n_configs or 2 * n)
+        return links
 
     def feedback():
-        return FeedbackOracle(channel, noise_db=scenario.channel.noise_db,
+        return FeedbackOracle(channels, noise_db=scenario.channel.noise_db,
                               quantization_db=scenario.channel.rss_quantization_db,
-                              noise_seed=ch_seed)
+                              noise_seed=ch_seeds)
 
     if mode == "backscatter":
-        uplink = channel if scenario.channel.reciprocal_uplink \
-            else scenario.sample_link_channel(up_seed, responder)
-        cfg, _ = control(ProductFeedbackOracle(
-            channel, uplink, quantization_db=scenario.channel.rss_quantization_db))
-        return (index, ch_seed, oneway_gain(channel, cfg), oneway_gain(uplink, cfg),
-                backscatter_gain(channel, uplink, cfg)), {}
+        uplinks = channels if scenario.channel.reciprocal_uplink \
+            else [scenario.sample_link_channel(s[2], responder) for s in seeds]
+        links = control(ProductFeedbackOracle(
+            channels, uplinks, quantization_db=scenario.channel.rss_quantization_db))
+        return [((i, seed, oneway_gain(down, cfg), oneway_gain(up, cfg),
+                  backscatter_gain(down, up, cfg)), {})
+                for i, seed, down, up, cfg in zip(indices, ch_seeds, channels, uplinks,
+                                                   links.configs())]
     if mode == "bench-controller":
+        # the three variants would each read stage 1 alike from a fresh oracle:
+        # it is read once, and each variant goes on from there on its own copy
         cols = column_groups(scenario.rows, scenario.cols)
-        cfg_e, tr_e = control(feedback())
-        cfg_c, tr_c = control(feedback(), COLUMN_VOTING_CONFIGS, cols)
-        cfg_n, tr_n = _enum_pipeline(feedback(), scenario, cols)
-        return (index, ch_seed, *(oneway_gain(channel, c) for c in (cfg_e, cfg_c, cfg_n)),
-                tr_e.budget_used, tr_c.budget_used, tr_n.budget_used), {}
+        oracle, start = feedback(), LinkBatch.new(len(seeds))
+        stage1_uniform_probe(oracle, vs, n, start)
+        runs = [control(copy.copy(oracle), links=start.fork()),
+                control(copy.copy(oracle), COLUMN_VOTING_CONFIGS, cols, links=start.fork()),
+                control(oracle, None, cols, brute_force_baseline, links=start)]
+        configs = [run.configs() for run in runs]
+        return [((i, seed, *(oneway_gain(channel, cfgs[k]) for cfgs in configs),
+                  *(run.traces[k].budget_used for run in runs)), {})
+                for k, (i, seed, channel) in enumerate(zip(indices, ch_seeds, channels))]
 
-    cfg, trace = control(feedback())
-    with np.errstate(divide="ignore"):  # a silent channel's baseline is -inf dB
-        base_db = float(20.0 * np.log10(abs(baseline_channel(channel))))
-    stage1_db = trace.best_probe(through_stage=1).rss_db
-    stage2_db = trace.best_probe(through_stage=2).rss_db
-    final_db = trace.best_probe().rss_db
-    h = channel.h_elements
-    dump = [["env"] + [f"element_{i}" for i in range(len(h))],
-            [channel.h_env.real] + h.real.tolist(), [channel.h_env.imag] + h.imag.tolist()]
-    return (index, ch_seed, base_db, final_db, oneway_gain(channel, cfg),
-            stage1_db - base_db, stage2_db - base_db, final_db - stage2_db,
-            *(trace.stage_probe_count(s) for s in (1, 2, 3))), {
-        f"traces/link_{index:04d}.csv": trace.serialize(),
-        f"channels/link_{index:04d}.csv": table_text("path,re,im", dump)}
+    links = control(feedback())
+    results = []
+    for i, seed, channel, trace, cfg, best in zip(indices, ch_seeds, channels, links.traces,
+                                                  links.configs(), links.best_db.tolist()):
+        with np.errstate(divide="ignore"):  # a silent channel's baseline is -inf dB
+            base_db = float(20.0 * np.log10(abs(baseline_channel(channel))))
+        stage1_db, stage2_db, final_db = best
+        h = channel.h_elements
+        dump = [["env"] + [f"element_{e}" for e in range(len(h))],
+                [channel.h_env.real] + h.real.tolist(), [channel.h_env.imag] + h.imag.tolist()]
+        results.append(((i, seed, base_db, final_db, oneway_gain(channel, cfg),
+                         stage1_db - base_db, stage2_db - base_db, final_db - stage2_db,
+                         *(trace.stage_probe_count(s) for s in (1, 2, 3))), {
+            f"traces/link_{i:04d}.csv": trace.serialize(),
+            f"channels/link_{i:04d}.csv": table_text("path,re,im", dump)}))
+    return results
 
 
 #: A worker process's (scenario, responder), built once by _start_worker.
@@ -266,8 +269,8 @@ def _start_worker(scenario: Scenario) -> None:
     _worker_state = (scenario, scenario.responder())
 
 
-def _worker_link(index: int, mode: str):
-    return run_link(*_worker_state, index, mode)
+def _worker_links(indices: range, mode: str) -> list[tuple]:
+    return run_links(*_worker_state, indices, mode)
 
 
 #: The CSV each link command writes, and its header.
@@ -281,19 +284,33 @@ _LINK_CSV = {
 }
 
 
+def _batches(scenario: Scenario, n_links: int, parallel: int) -> list[range]:
+    """Links 0..n_links-1 cut into contiguous batches of near-equal size: as
+    few as hold at most LINK_BATCH stage-2 index entries each (one link at
+    least), but no fewer than `parallel` while there are links to spread."""
+    n = scenario.n_elements
+    count = max(-(-n_links // max(1, LINK_BATCH // (2 * n * n))), min(parallel, n_links))
+    edges = [n_links * k // count for k in range(count + 1)] if count else [0]
+    return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def _run_links(mode: str, scenario: Scenario, out_dir: Path, n_links: int,
                parallel: int) -> tuple[RunReport, list[tuple]]:
-    """run_link over links 0..n_links-1, in `parallel` worker processes when
-    that is above 1, with one responder per process.  Writes every link's
-    files and the command's CSV; returns the report and the rows in link order."""
-    if parallel > 1 and n_links > 1:
+    """run_links over links 0..n_links-1, batch by batch: serially, or as one
+    task per batch in min(parallel, batches) worker processes with one
+    responder each.  Writes every link's files and the command's CSV; returns
+    the report and the rows in link order."""
+    batches = _batches(scenario, n_links, parallel)
+    workers = min(parallel, len(batches))
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=parallel, initializer=_start_worker,
+                max_workers=workers, initializer=_start_worker,
                 initargs=(scenario,)) as pool:
-            results = list(pool.map(_worker_link, range(n_links), [mode] * n_links))
+            done = list(pool.map(_worker_links, batches, [mode] * len(batches)))
     else:
         responder = scenario.responder()
-        results = [run_link(scenario, responder, i, mode) for i in range(n_links)]
+        done = [run_links(scenario, responder, batch, mode) for batch in batches]
+    results = [result for batch in done for result in batch]
     out_dir.mkdir(parents=True, exist_ok=True)
     for folder in {Path(name).parent for _, files in results for name in files}:
         (out_dir / folder).mkdir(exist_ok=True)

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mediamatch import scenario as scenario_mod
+from mediamatch import harness, scenario as scenario_mod
 from mediamatch.cli import main
 from mediamatch.harness import (BudgetError, cmd_backscatter, cmd_bench_controller,
                                 cmd_links, cmd_match, cmd_sweep, median_lower,
-                                run_link, table_text, validate_trace, write_table)
+                                run_links, table_text, validate_trace, write_table)
 from mediamatch.control import ControlTrace
 from mediamatch.surface import admittance_at_voltage
 from mediamatch.scenario import (ScenarioError, default_tissue_dict,
@@ -249,9 +249,10 @@ class TestLinksCommand:
         assert dump[1].startswith("env,")
         assert len(dump) == 2 + scenario.n_elements
 
-    def test_32x32_link_memory_peak(self):
-        """One 32x32 link allocates at most 12 MB at its peak: stage 2 never
-        holds all of its masks' raw words or a whole-matrix temporary."""
+    @staticmethod
+    def _32x32_peak(n_links: int) -> int:
+        """tracemalloc peak of links 0..n_links-1 of a 32x32 scenario, batch
+        by batch as the links command cuts them, checking every row."""
         raw = json.loads((SCENARIOS / "water_links.json").read_text())
         raw.update(array_rows=32, array_cols=32)
         raw["channel"]["element_power"] = 1.0 / 1024
@@ -259,12 +260,26 @@ class TestLinksCommand:
         responder = scenario.responder()
         tracemalloc.start()
         try:
-            row, files = run_link(scenario, responder, 0, "links")
+            results = [result for batch in harness._batches(scenario, n_links, 1)
+                       for result in run_links(scenario, responder, batch, "links")]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert row[-2] == 2 * 1024  # stage-2 probes
-        assert len(files["traces/link_0000.csv"].splitlines()) == 1 + sum(row[-3:])
+        assert len(results) == n_links
+        for i, (row, files) in enumerate(results):
+            assert row[-2] == 2 * 1024  # stage-2 probes
+            assert len(files[f"traces/link_{i:04d}.csv"].splitlines()) == 1 + sum(row[-3:])
+        return peak
+
+    def test_32x32_link_memory_peak(self):
+        """One 32x32 link allocates at most 12 MB at its peak: stage 2 never
+        holds all of its masks' raw words or a whole-matrix temporary."""
+        peak = self._32x32_peak(1)
+        assert peak <= 12 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+    def test_two_32x32_links_memory_peak(self):
+        """Two 32x32 links stay within the same 12 MB: they run one per batch."""
+        peak = self._32x32_peak(2)
         assert peak <= 12 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
     def test_first_two_stages_carry_the_gain(self, tmp_path):

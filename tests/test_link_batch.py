@@ -1,0 +1,364 @@
+"""Links run as batches: stacked channels and oracles, batch-invariant link
+outputs, the bounded worker pool, the shared stage 1 of bench-controller and
+``python -m mediamatch``.
+
+A batch of L links goes through every controller stage at once: one (L, n, N)
+index stack per stage, read by an oracle that holds L channels.  A link's CSV
+row, trace and channel dump must not depend on which links share its batch,
+how the command cuts its links into batches, or how many worker processes
+run them.
+"""
+
+import copy
+import functools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mediamatch import harness
+from mediamatch.channel import (PROBE_BLOCK, ChannelStack, FeedbackOracle,
+                                ProductFeedbackOracle, composite_channels, oneway_gain,
+                                sample_channel)
+from mediamatch.control import (DEFAULT_VOLTAGE_SET, brute_force_baseline,
+                                column_groups, run_controller, run_controllers,
+                                stage1_uniform_probe, stage3_fine_tune, ControlState)
+from mediamatch.harness import (cmd_backscatter, cmd_bench_controller, cmd_links, run_links,
+                                table_text)
+from mediamatch.scenario import default_water_scenario, scenario_from_dict
+
+REPO = Path(__file__).resolve().parent.parent
+SCENARIOS = REPO / "scenarios"
+VS = DEFAULT_VOLTAGE_SET
+MODES = ("links", "backscatter", "bench-controller")
+
+
+@functools.lru_cache(maxsize=None)
+def responder():
+    return default_water_scenario().responder()
+
+
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values).tobytes()
+
+
+def _channels(n_links, n, jitter=0.0, seed=0):
+    return [sample_channel(seed + k, n, env_power=0.25, element_power=1.0 / n,
+                           responder=responder(), phase_jitter_std=jitter)
+            for k in range(n_links)]
+
+
+def _levels(n_links, shared):
+    """One alphabet for every link, or a different on/off pair per link."""
+    return [VS] * n_links if shared else [(VS[k % 3], VS[3 + k % 4]) for k in range(n_links)]
+
+
+class TestStackedComposite:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65])
+    @pytest.mark.parametrize("n_links,n_rows", [(1, 1), (1, 2), (2, 1), (3, 7), (5, 129)])
+    @pytest.mark.parametrize("jitter", [0.0, 0.4])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_rows_equal_one_link_calls(self, n, n_links, n_rows, jitter, shared):
+        """Every (link, probe) entry of a stacked call equals the link's own
+        one-link call bit for bit, lone rows and odd element counts included."""
+        channels = _channels(n_links, n, jitter)
+        levels = _levels(n_links, shared)
+        index = np.random.default_rng(n * n_rows).integers(
+            0, 2, (n_links, n_rows, n)).astype(np.uint8)
+        got = composite_channels(ChannelStack(channels), levels, index)
+        want = [composite_channels(c, lv, i) for c, lv, i in zip(channels, levels, index)]
+        assert _bits(got) == _bits(np.array(want))
+
+    @pytest.mark.parametrize("n_links,n_rows", [(1, PROBE_BLOCK + 1), (PROBE_BLOCK + 1, 1),
+                                                (2, PROBE_BLOCK + 1)])
+    def test_blocks_ending_on_a_single_row(self, n_links, n_rows):
+        """At N = 1024 a block holds PROBE_BLOCK rows of one link, or
+        PROBE_BLOCK one-row links: the row past them is a block of its own."""
+        channels = _channels(n_links, 1024)
+        index = np.random.default_rng(n_links).integers(
+            0, len(VS), (n_links, n_rows, 1024)).astype(np.uint8)
+        got = composite_channels(ChannelStack(channels), [VS] * n_links, index)
+        table = responder().table(VS)
+        want = [[c.h_env + np.sum(table[row] * c.h_elements) for row in rows]
+                for c, rows in zip(channels, index)]
+        assert _bits(got) == _bits(np.array(want))
+
+    def test_out_of_range_index_rejected(self):
+        stack = ChannelStack(_channels(2, 3))
+        with pytest.raises(IndexError):
+            composite_channels(stack, [(30.0, 0.0)] * 2, np.full((2, 2, 3), 2, np.uint8))
+
+    def test_mixed_stacks_rejected(self):
+        with pytest.raises(ValueError):
+            ChannelStack(_channels(1, 3) + _channels(1, 4))
+        with pytest.raises(ValueError):
+            ChannelStack(_channels(1, 3) + _channels(1, 3, jitter=0.3))
+
+
+class TestStackedOracles:
+    @pytest.mark.parametrize("noise_db", [None, -10.0])
+    def test_feedback_equals_one_oracle_per_link(self, noise_db):
+        """A stacked oracle reads each link as that link's own oracle does,
+        noise keyed by its seed and probe count; padding rows are not counted."""
+        channels, seeds = _channels(4, 6), [11, 12, 13, 14]
+        stacked = FeedbackOracle(channels, noise_db=noise_db, noise_seed=seeds)
+        alone = [FeedbackOracle(c, noise_db=noise_db, noise_seed=s)
+                 for c, s in zip(channels, seeds)]
+        rng = np.random.default_rng(0)
+        for rows in ([5, 5, 5, 5], [5, 2, 4, 1]):
+            index = rng.integers(0, len(VS), (4, 5, 6)).astype(np.uint8)
+            got = stacked.batch([VS] * 4, index, rows)
+            for k, (oracle, n) in enumerate(zip(alone, rows)):
+                assert _bits(got[k, :n]) == _bits(oracle.batch(VS, index[k, :n]))
+        assert stacked.probes.tolist() == [o.probes.item() for o in alone] == [10, 7, 9, 6]
+
+    def test_copy_counts_on_its_own(self):
+        oracle = FeedbackOracle(_channels(2, 3), noise_db=0.0, noise_seed=[1, 2])
+        oracle.batch([VS] * 2, np.zeros((2, 3, 3), np.uint8))
+        fork = copy.copy(oracle)
+        fork.batch([VS] * 2, np.zeros((2, 4, 3), np.uint8))
+        assert oracle.probes.tolist() == [3, 3] and fork.probes.tolist() == [7, 7]
+
+    def test_product_equals_one_oracle_per_link(self):
+        down, up = _channels(3, 5), _channels(3, 5, seed=7)
+        levels = _levels(3, shared=False)
+        index = np.random.default_rng(1).integers(0, 2, (3, 9, 5)).astype(np.uint8)
+        got = ProductFeedbackOracle(down, up).batch(levels, index)
+        for k in range(3):
+            want = ProductFeedbackOracle(down[k], up[k]).batch(levels[k], index[k])
+            assert _bits(got[k]) == _bits(want)
+        reciprocal = ProductFeedbackOracle(down, down).batch(levels, index)
+        assert _bits(reciprocal) == _bits(np.stack([
+            ProductFeedbackOracle(d, d).batch(lv, i) for d, lv, i in zip(down, levels, index)]))
+
+    @pytest.mark.parametrize("voltages", [VS, (30.0, 15.0, 0.0)])
+    def test_controller_runs_equal_one_link_runs(self, voltages):
+        """run_controllers over a stack gives each link the trace, best
+        readings and configuration run_controller gives it alone, noise
+        included, though stage 3 pads the links with fewer moves (and the
+        oracle reads that padding as +inf)."""
+        channels, seeds = _channels(12, 9, jitter=0.2), list(range(30, 42))
+        links = run_controllers(
+            _HighPadding(FeedbackOracle(channels, noise_db=-15.0, noise_seed=seeds)),
+            9, voltages, rng_seeds=seeds)
+        assert len({trace.stage_probe_count(3) for trace in links.traces}) > 1
+        for k, (channel, seed) in enumerate(zip(channels, seeds)):
+            cfg, trace = run_controller(FeedbackOracle(channel, noise_db=-15.0, noise_seed=seed),
+                                        9, voltages, rng_seed=seed)
+            assert links.configs()[k] == cfg
+            assert links.traces[k].serialize() == trace.serialize()
+            assert links.best_db[k].tolist() == [trace.best_probe(s).rss_db for s in (1, 2, 3)]
+
+
+class _HighPadding:
+    """A stacked oracle that reads every padding row as +inf."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def batch(self, levels, index, rows=None):
+        rss = self.oracle.batch(levels, index, rows)
+        if rows is not None:
+            rss[np.arange(rss.shape[-1]) >= np.asarray(rows)[:, None]] = np.inf
+        return rss
+
+
+def _scenario(variant: str):
+    raw = json.loads((SCENARIOS / "water_links.json").read_text())
+    raw["name"] = variant
+    channel = raw["channel"]
+    if variant == "1x1":
+        raw.update(array_rows=1, array_cols=1)
+    elif variant == "3x5-noise":
+        raw.update(array_rows=3, array_cols=5)
+        channel.update(noise_db=-10.0, rss_quantization_db=None, element_power=1.0 / 15)
+    elif variant == "4x4-uplink":
+        raw.update(array_rows=4, array_cols=4)
+        channel.update(reciprocal_uplink=False, phase_jitter_std=0.4, element_power=1.0 / 16)
+    elif variant == "silent":
+        raw.update(array_rows=2, array_cols=3)
+        channel.update(env_power=0.0, element_power=0.0)
+    return scenario_from_dict(raw)
+
+
+VARIANTS = ("8x8", "1x1", "3x5-noise", "4x4-uplink", "silent")
+
+
+@functools.lru_cache(maxsize=None)
+def _setup(variant: str):
+    scenario = _scenario(variant)
+    return scenario, scenario.responder()
+
+
+def _text(results) -> tuple:
+    """Rows as CSV text (a NaN equals a NaN there) and every file."""
+    rows = [row for row, _ in results]
+    return (table_text("row", list(zip(*rows))), [files for _, files in results])
+
+
+@functools.lru_cache(maxsize=None)
+def _alone(variant: str, mode: str, link: int) -> tuple:
+    scenario, resp = _setup(variant)
+    return _text(run_links(scenario, resp, range(link, link + 1), mode))
+
+
+class TestBatchInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(variant=st.sampled_from(VARIANTS), mode=st.sampled_from(MODES),
+           n_links=st.integers(1, 7), cuts=st.sets(st.integers(1, 6), max_size=3))
+    def test_link_outputs_ignore_the_batch(self, variant, mode, n_links, cuts):
+        """Link i's row and files are byte-identical alone and in any
+        contiguous split of links 0..n_links-1 into batches."""
+        scenario, resp = _setup(variant)
+        bounds = [0] + sorted(c for c in cuts if c < n_links) + [n_links]
+        for lo, hi in zip(bounds, bounds[1:]):
+            batch = _text(run_links(scenario, resp, range(lo, hi), mode))
+            for k, link in enumerate(range(lo, hi)):
+                row, files = _alone(variant, mode, link)
+                assert batch[0].split("\n")[1 + k] == row.split("\n")[1]
+                assert batch[1][k] == files[0]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_parallel_matches_serial(self, tmp_path, variant):
+        """Every file of every link command is the same with one process and
+        with two workers, whatever the array, noise or uplink."""
+        scenario = _scenario(variant)
+        for command in (cmd_links, cmd_backscatter, cmd_bench_controller):
+            trees = []
+            for parallel in (1, 2):
+                out = tmp_path / f"{command.__name__}-{parallel}"
+                command(scenario, out, 5, parallel=parallel)
+                trees.append({p.relative_to(out).as_posix(): p.read_text().replace(str(out), "")
+                              for p in sorted(out.rglob("*")) if p.is_file()})
+            assert trees[0] == trees[1], command.__name__
+
+    def test_200_links_parallel_matches_serial(self, tmp_path):
+        scenario = _scenario("8x8")
+        trees = []
+        for parallel in (1, 2):
+            out = tmp_path / str(parallel)
+            cmd_links(scenario, out, 200, parallel=parallel)
+            trees.append({p.relative_to(out).as_posix(): p.read_bytes()
+                          for p in sorted(out.rglob("*.csv"))})
+        assert len(trees[0]) == 401 and trees[0] == trees[1]
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size and runs inline."""
+
+    made = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers, self.tasks = max_workers, 0
+        _InlinePool.made.append(self)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        results = list(map(fn, *iterables))
+        self.tasks += len(results)
+        return iter(results)
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("n_links,parallel,workers,tasks", [
+        (2, 100000, 2, 2), (3, 2, 2, 2), (9, 4, 4, 4), (40, 2, 2, 3), (1, 8, None, 0)])
+    def test_at_most_one_worker_per_batch(self, tmp_path, monkeypatch,
+                                          n_links, parallel, workers, tasks):
+        """The pool starts min(parallel, batches) workers and gets one task
+        per batch; a single batch runs without a pool."""
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(harness, "_worker_state", None)
+        monkeypatch.setattr(_InlinePool, "made", [])
+        scenario = _scenario("8x8")
+        cmd_links(scenario, tmp_path, n_links, parallel=parallel)
+        assert [(p.max_workers, p.tasks) for p in _InlinePool.made] == (
+            [(workers, tasks)] if workers else [])
+        rows = (tmp_path / "links.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(n_links))
+
+    def test_batches_cover_the_links_in_order(self):
+        scenario = _scenario("8x8")
+        for n_links in range(0, 40):
+            for parallel in (1, 2, 3, 100000):
+                batches = harness._batches(scenario, n_links, parallel)
+                assert [i for b in batches for i in b] == list(range(n_links))
+                assert all(len(b) <= harness.LINK_BATCH // (2 * 64 * 64) for b in batches)
+                assert len(batches) == max(-(-n_links // 16), min(parallel, n_links))
+
+
+class TestSharedStage1:
+    def test_variants_share_stage1_and_match_fresh_runs(self, tmp_path, monkeypatch):
+        """With noise on, the three bench-controller variants hold equal
+        stage-1 blocks, and every row equals what three fresh one-link
+        oracles (each from probe 0) give."""
+        raw = json.loads((SCENARIOS / "controller_bench.json").read_text())
+        raw["channel"]["noise_db"] = -12.0
+        scenario = scenario_from_dict(raw)
+        runs = []
+        real = harness.run_controllers
+        monkeypatch.setattr(harness, "run_controllers",
+                            lambda *a, **kw: runs.append(real(*a, **kw)) or runs[-1])
+        cmd_bench_controller(scenario, tmp_path, 3)
+        assert len(runs) == 3
+        for k in range(3):
+            first = [run.traces[k].blocks[0] for run in runs]
+            assert all(b[0] == 1 and b[1] == first[0][1] for b in first)
+            assert all(_bits(b[2]) == _bits(first[0][2]) and _bits(b[3]) == _bits(first[0][3])
+                       for b in first)
+
+        resp, n, vs = scenario.responder(), scenario.n_elements, scenario.voltage_set
+        cols = column_groups(scenario.rows, scenario.cols)
+        rows = []
+        for i in range(3):
+            ch_seed, rng_seed, _ = harness._link_seeds(scenario, i)
+            channel = scenario.sample_link_channel(ch_seed, resp)
+
+            def fresh():
+                return FeedbackOracle(channel, noise_db=-12.0,
+                                      quantization_db=scenario.channel.rss_quantization_db,
+                                      noise_seed=ch_seed)
+
+            cfg_e, tr_e = run_controller(fresh(), n, vs, rng_seed=rng_seed)
+            cfg_c, tr_c = run_controller(fresh(), n, vs, harness.COLUMN_VOTING_CONFIGS,
+                                         rng_seed, cols)
+            oracle = fresh()
+            v1, v0, tr_n = stage1_uniform_probe(oracle, vs, n)
+            v0 = min(vs) if v1 == v0 else v0
+            cfg, _, _ = brute_force_baseline(oracle, cols, v1, v0, n, trace=tr_n)
+            on = frozenset() if cfg is None else frozenset(
+                e for e, v in enumerate(cfg.voltages) if v == v1)
+            cfg_n = stage3_fine_tune(oracle, vs, ControlState(v1, v0, on), n, tr_n)
+            rows.append((i, ch_seed, *(oneway_gain(channel, c) for c in (cfg_e, cfg_c, cfg_n)),
+                         tr_e.budget_used, tr_c.budget_used, tr_n.budget_used))
+        header = harness._LINK_CSV["bench-controller"][1]
+        assert (tmp_path / "bench_controller.csv").read_text() == table_text(
+            header, list(zip(*rows)))
+
+
+class TestModuleEntryPoint:
+    def _run(self, *args):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        return subprocess.run([sys.executable, "-m", "mediamatch", *args], cwd=REPO, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_help(self):
+        done = self._run("--help")
+        assert done.returncode == 0
+        assert "bench-controller" in done.stdout
+
+    def test_missing_scenario_file(self, tmp_path):
+        done = self._run("links", "--scenario", str(tmp_path / "absent.json"),
+                         "--out", str(tmp_path / "out"))
+        assert done.returncode == 2
+        assert done.stderr.startswith("config error:")
