@@ -7,8 +7,7 @@ steady while absolute received power falls with endpoint depth.
 
 import numpy as np
 
-from mediamatch import (backscatter_gain, best_admittance, oneway_gain,
-                        run_controller, through_power_db)
+from mediamatch import best_admittance, gains_db, run_controllers, through_power_db
 from mediamatch.channel import ProductFeedbackOracle
 from mediamatch.scenario import default_water_scenario, load_scenario
 from pathlib import Path
@@ -17,14 +16,13 @@ scenario = default_water_scenario(seed=11)
 responder = scenario.responder()
 
 print("reciprocal backscatter links (uplink == downlink):")
-for i in range(5):
-    down = scenario.sample_link_channel(11000000 + i, responder)
-    up = down  # reciprocity: the uplink retraces the downlink's paths
-    oracle = ProductFeedbackOracle(down, up)
-    cfg, _ = run_controller(oracle, scenario.n_elements,
-                            voltages=scenario.voltage_set, rng_seed=i)
-    one = oneway_gain(down, cfg)
-    two = backscatter_gain(down, up, cfg)
+downs = [scenario.sample_link_channel(11000000 + i, responder) for i in range(5)]
+ups = downs  # reciprocity: the uplink retraces the downlink's paths
+links = run_controllers(ProductFeedbackOracle(downs, ups), scenario.n_elements,
+                        voltages=scenario.voltage_set, rng_seeds=range(5))
+configs = links.configs()
+pairs = zip(gains_db(downs, configs).tolist(), gains_db(downs, configs, ups).tolist())
+for i, (one, two) in enumerate(pairs):
     print(f"  link {i}: one-way {one:+6.2f} dB, backscatter {two:+6.2f} dB "
           f"(= 2x to {abs(two - 2 * one):.1e})")
 

@@ -13,7 +13,7 @@ from .surface import (SMV1405_TABLE, admittance_approx, admittance_at_voltage,
                       admittance_exact, calibrate_inductances, varactor_at)
 from .matching import (SweepGrid, best_admittance, best_voltage, reflection_spectrum,
                        sweep_through_power)
-from .channel import backscatter_gain, baseline_channel, oneway_gain
-from .control import DEFAULT_VOLTAGE_SET, run_controller
+from .channel import baseline_channel, gains_db
+from .control import DEFAULT_VOLTAGE_SET, run_controller, run_controllers
 
 __version__ = "0.1.0"

@@ -22,24 +22,12 @@ class SurfaceConfig:
     """Per-element bias voltages, held as an index vector over a voltage alphabet.
 
     ``levels`` is the alphabet (a tuple of floats) and ``index`` a read-only
-    unsigned vector (uint8 unless more than 256 distinct voltages are given)
-    with one entry per element: element i is biased at ``levels[index[i]]``.
-    ``voltages`` is the derived per-element tuple, and two configurations are
-    equal when they bias every element alike, whatever their alphabets.
+    unsigned vector (uint8 unless the alphabet has more than 256 levels) with
+    one entry per element: element i is biased at ``levels[index[i]]``.
+    ``voltages`` is the derived per-element tuple.
     """
 
     __slots__ = ("levels", "index")
-
-    def __init__(self, voltages):
-        values = np.array(list(voltages), dtype=float)
-        if values.ndim != 1:
-            raise ValueError("voltages must be a flat sequence of numbers")
-        # unique over the float64 bits, so 0.0 and -0.0 stay distinct levels
-        _, first, index = np.unique(values.view(np.int64), return_index=True,
-                                    return_inverse=True)
-        self.levels = tuple(values[first].tolist())
-        self.index = index.astype(np.min_scalar_type(max(len(first) - 1, 0)))
-        self.index.flags.writeable = False
 
     @classmethod
     def from_index(cls, levels, index) -> "SurfaceConfig":
@@ -61,24 +49,9 @@ class SurfaceConfig:
         cfg.index.flags.writeable = False
         return cfg
 
-    @classmethod
-    def uniform(cls, voltage: float, n: int) -> "SurfaceConfig":
-        return cls.from_index((float(voltage),), np.zeros(n, dtype=np.uint8))
-
     @property
     def voltages(self) -> tuple[float, ...]:
         return tuple(np.asarray(self.levels)[self.index].tolist())
-
-    def __len__(self):
-        return len(self.index)
-
-    def __eq__(self, other):
-        if not isinstance(other, SurfaceConfig):
-            return NotImplemented
-        return self.voltages == other.voltages
-
-    def __hash__(self):
-        return hash(self.voltages)
 
     def __repr__(self):
         return f"SurfaceConfig(voltages={self.voltages!r})"
@@ -230,9 +203,12 @@ def composite_channels(channel, levels, index) -> np.ndarray:
     rows = max(1, min(n_rows, _BLOCK_VALUES // max(n, 1)))
     links = max(1, _BLOCK_VALUES // max(n * n_rows, 1)) if rows == n_rows else 1
     out = np.empty((n_links, n_rows), dtype=complex)
-    if n_links * n_rows > 1:  # blocks gather with mode="clip": check the entries once
-        if index.size and not (index.min() >= 0 and index.max() < min(map(len, tables))):
-            raise IndexError(f"index entries must lie in [0, {min(map(len, tables)) - 1}]")
+    # blocks gather with mode="clip" and a lone row would wrap a negative
+    # entry: check every entry once against its own link's alphabet
+    if index.size and (index.min() < 0 or np.any(
+            index.reshape(n_links, -1).max(axis=1) >= [len(t) for t in tables])):
+        raise IndexError("index entries must lie in [0, len(levels)) of their link")
+    if n_links * n_rows > 1:
         buffer = np.empty(min(links, n_links) * rows * n, dtype=complex)
     for l0 in range(0, n_links, links):
         ls = slice(l0, l0 + links)
@@ -258,11 +234,6 @@ def composite_channels(channel, levels, index) -> np.ndarray:
             s.sum(axis=2, out=out[ls, r0:r0 + rows])
     out += h_env
     return out[0] if isinstance(channel, MultipathChannel) else out
-
-
-def composite_channel(channel: MultipathChannel, config: SurfaceConfig) -> complex:
-    """h_env + sum_i s(V_i) h_i for one surface configuration."""
-    return complex(composite_channels(channel, config.levels, config.index[None])[0])
 
 
 def baseline_channel(channel: MultipathChannel) -> complex:
@@ -374,28 +345,30 @@ class ProductFeedbackOracle:
         return float(self.batch(config.levels, config.index[None])[0])
 
 
-def backscatter_gain(downlink: MultipathChannel, uplink: MultipathChannel,
-                     config: SurfaceConfig) -> float:
-    """Two-way (backscatter) gain in dB against the no-surface baseline.
+def gains_db(downlinks, configs, uplinks=None) -> np.ndarray:
+    """Gain in dB of each link's configuration against its no-surface baseline.
 
-    The backscatter output is taken proportional to its input power, so the
-    end-to-end magnitude is the product |h_down| * |h_up| and the dB gains of
-    the two directions add.  With the downlink passed as the uplink
-    (reciprocal mode) the result is exactly twice the one-way gain.
+    ``downlinks`` and ``configs`` hold one channel and one SurfaceConfig per
+    link; returns their L gains, each from one stacked composite_channels call
+    per direction.  Without ``uplinks`` the gain is one-way.  With them it is
+    two-way (backscatter): the output is taken proportional to its input
+    power, so the end-to-end magnitude is |h_down| * |h_up| and the dB gains of
+    the two directions add; the downlinks passed again as the uplinks
+    (reciprocal mode) give exactly twice the one-way gain.  A link whose
+    magnitude or baseline magnitude is not positive gains -inf.
     """
-    if downlink.n_elements != uplink.n_elements:
-        raise ValueError("downlink and uplink must share the element count")
-    down = abs(composite_channel(downlink, config)) * abs(composite_channel(uplink, config))
-    base = abs(baseline_channel(downlink)) * abs(baseline_channel(uplink))
-    if down <= 0 or base <= 0:
-        return float("-inf")
-    return float(20.0 * np.log10(down) - 20.0 * np.log10(base))
+    levels = [cfg.levels for cfg in configs]
+    index = np.stack([cfg.index for cfg in configs])[:, None]
 
+    def magnitudes(channels):
+        h = composite_channels(ChannelStack(channels), levels, index)[:, 0]
+        base = np.array([baseline_channel(c) for c in channels])
+        return np.hypot(h.real, h.imag), np.hypot(base.real, base.imag)
 
-def oneway_gain(channel: MultipathChannel, config: SurfaceConfig) -> float:
-    """One-way gain in dB of a configuration against the no-surface baseline."""
-    num = abs(composite_channel(channel, config))
-    den = abs(baseline_channel(channel))
-    if num <= 0 or den <= 0:
-        return float("-inf")
-    return float(20.0 * np.log10(num) - 20.0 * np.log10(den))
+    num, den = magnitudes(downlinks)
+    if uplinks is not None:
+        up, up_base = (num, den) if uplinks is downlinks else magnitudes(uplinks)
+        num, den = num * up, den * up_base
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = 20.0 * np.log10(num) - 20.0 * np.log10(den)
+    return np.where((num <= 0) | (den <= 0), float("-inf"), gain)

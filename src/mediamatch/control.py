@@ -7,20 +7,23 @@ fine-tunes v1 and v0 to adjacent control voltages without touching the
 on/off split.  The returned configuration is the argmax over everything the
 controller ever probed, so it can never regress below a measured state.
 
-The oracle is any callable SurfaceConfig -> rss_db.  It may also offer
-``batch(levels, index) -> ndarray``, which measures every row of an (n, N)
-index matrix; probe i of a batch must return exactly what the i-th of n
-sequential calls would (feedback is stateful in a real deployment, so a noisy
-oracle keys its noise by probe count).  An oracle of L stacked links (see
-channel.FeedbackOracle) also takes ``batch(levels, index, rows)`` with L
-alphabets and an (L, n, N) index stack, and returns (L, n) readings: link l's
-first rows[l] rows are its probes, read as its own one-link oracle would read
-them, and the rest is padding that it neither counts nor keys noise by.
-Every stage sends its probes through one path, ``_probe_many``: one link goes
-to ``batch`` when the oracle has it and to one call per row otherwise; a
-batch of links goes to the stacked ``batch``.  ``run_controllers`` runs the
-stages on a LinkBatch of links together, and ``run_controller`` is its
-one-link case.  Only whole controller runs may execute concurrently.
+The controller state is a LinkBatch of L links (L = 1 for one link): every
+stage takes the batch, probes its links together, keeps what it found in it
+(v1 and v0, the on/off split, each link's best probe) and returns it.
+``run_controllers`` runs the stages on a batch, and ``run_controller`` is its
+one-link case.  One link's oracle is a callable SurfaceConfig -> rss_db, and it
+may also offer ``batch(levels, index) -> ndarray``, which measures every row
+of an (n, N) index matrix; probe i of a batch must return exactly what the
+i-th of n sequential calls would (feedback is stateful in a real deployment,
+so a noisy oracle keys its noise by probe count).  An oracle of L stacked
+links (see channel.FeedbackOracle) also takes ``batch(levels, index, rows)``
+with L alphabets and an (L, n, N) index stack, and returns (L, n) readings:
+link l's first rows[l] rows are its probes, read as its own one-link oracle
+would read them, and the rest is padding that it neither counts nor keys
+noise by.  Every stage sends its probes through one path, ``_probe_many``:
+one link goes to ``batch`` when the oracle has it and to one call per row
+otherwise; more links go to the stacked ``batch``.  Only whole controller
+runs may execute concurrently.
 
 A configuration is a uint8 index vector over the voltage alphabet
 (``voltage_set``, or (v1, v0) for on/off configurations).  The trace is a
@@ -129,16 +132,6 @@ def _digests(levels, index) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class ProbeRecord:
-    """One probe of a trace, built on demand from its block."""
-
-    stage: int
-    probe_index: int
-    config: SurfaceConfig
-    rss_db: float
-
-
 @dataclass
 class ControlTrace:
     """Everything the controller measured, in the order it measured it.
@@ -172,34 +165,6 @@ class ControlTrace:
     def budget_used(self) -> int:
         return sum(len(rss) for *_, rss in self.blocks)
 
-    @property
-    def probes(self) -> list[ProbeRecord]:
-        """Every probe as a record, in trace order (an on-demand view)."""
-        counter = itertools.count()
-        return [ProbeRecord(stage, next(counter), SurfaceConfig.from_index(levels, row), r)
-                for stage, levels, index, rss in self.blocks
-                for row, r in zip(index, rss.tolist())]
-
-    def best_probe(self, through_stage: int | None = None) -> ProbeRecord:
-        """The first probe with the highest reading up to through_stage.
-
-        Picks what a running "reading > best" scan from the first probe picks:
-        a NaN reading never wins, except as the very first probe, which then
-        stays.  Raises ValueError when no probe qualifies.
-        """
-        best, offset = None, 0
-        for stage, levels, index, rss in self.blocks:
-            if len(rss) and (through_stage is None or stage <= through_stage):
-                k = 0 if best is None and np.isnan(rss[0]) else int(_first_max(rss))
-                if best is None or rss[k] > best[0]:
-                    best = (rss[k], stage, offset + k, levels, index[k])
-            offset += len(rss)
-        if best is None:
-            raise ValueError(f"no probes through stage {through_stage}")
-        rss_db, stage, probe_index, levels, row = best
-        return ProbeRecord(stage, probe_index, SurfaceConfig.from_index(levels, row),
-                           float(rss_db))
-
     def serialize(self) -> str:
         """Records stage,probe_index,config_hash,rss_db; one line template per block."""
         parts, first = ["stage,probe_index,config_hash,rss_db\n"], 0
@@ -221,9 +186,10 @@ class LinkBatch:
     Every stage probes the L links with one (L, n, N) index stack.  The batch
     keeps, per link, the on/off voltages of stage 1 (``v1``, ``v0``: length-L
     arrays), the elements stage 2 left on (``on``: an (L, N) bool matrix) and
-    the best probe so far, picked as ControlTrace.best_probe picks it from
-    the trace: ``best_db[:, s - 1]`` is the best reading through stage s, and
-    ``configs()`` the best configurations.
+    the best probe so far, picked by ``keep_best`` as a running scan of the
+    trace picks it: ``best_db[:, s - 1]`` is the best reading through stage s,
+    and ``configs()`` the best configurations.  These are the one place a
+    run's best is read.
     """
 
     def __init__(self, traces):
@@ -265,22 +231,6 @@ class LinkBatch:
         for link in np.flatnonzero(better).tolist():
             self._best[link] = (levels[link], index[link, k[link]])
         self.best_db[:, stage - 1:] = np.where(better, value, self.best_db[:, stage - 1])[:, None]
-
-
-def _as_batch(trace) -> LinkBatch:
-    """A LinkBatch as given, or a one-link batch around a trace (a new one for None)."""
-    if isinstance(trace, LinkBatch):
-        return trace
-    return LinkBatch([trace if trace is not None else ControlTrace()])
-
-
-@dataclass
-class ControlState:
-    """Interim controller state threaded through the stages."""
-
-    v1: float
-    v0: float
-    on_set: frozenset[int] = frozenset()
 
 
 def element_groups(n_elements: int) -> list[list[int]]:
@@ -326,11 +276,9 @@ def _onoff_index(groups, masks, n_elements: int) -> np.ndarray:
     return _read_only(index.view(np.uint8).reshape(*masks.shape[:-1], n_elements))
 
 
-def _probe_many(oracle, trace, stage: int, levels, index, rows=None) -> np.ndarray:
-    """Measure every probe row of one link or of a batch of links, in order.
+def _probe_many(oracle, links: LinkBatch, stage: int, levels, index, rows=None) -> np.ndarray:
+    """Measure every probe row of a batch of L links, in order.
 
-    With a ControlTrace (one link), ``levels`` is one alphabet and ``index``
-    an (n, N) matrix; returns the (n,) readings.  With a LinkBatch of L links,
     ``levels`` holds L alphabets and ``index`` is an (L, n, N) stack whose
     first rows[l] rows of link l are probes (all rows by default) and the
     rest padding; returns (L, n) readings.  One link goes to the oracle as an
@@ -339,9 +287,7 @@ def _probe_many(oracle, trace, stage: int, levels, index, rows=None) -> np.ndarr
     ``batch(levels, index, rows)``.  Each link's probes go into its trace as
     one block, padding left out, and into its best probe.
     """
-    if not isinstance(trace, LinkBatch):
-        return _probe_many(oracle, _as_batch(trace), stage, [levels], np.asarray(index)[None])[0]
-    links, rows = trace, [index.shape[1]] * len(trace) if rows is None else list(rows)
+    rows = [index.shape[1]] * len(links) if rows is None else list(rows)
     batch = getattr(oracle, "batch", None)
     if len(links) == 1:
         index, rows = index[:, :rows[0]], rows[:1]
@@ -386,17 +332,15 @@ def _validate_voltage_set(voltages) -> tuple[float, ...]:
     return vs
 
 
-def stage1_uniform_probe(oracle, voltages, n_elements: int, trace=None):
-    """Probe each control voltage uniformly; pick the extreme responders.
+def stage1_uniform_probe(oracle, links: LinkBatch, voltages, n_elements: int) -> LinkBatch:
+    """Probe each control voltage uniformly; keep the extreme responders as
+    the batch's v1 (maximizing feedback) and v0 (minimizing), one per link.
 
     Ties go to the higher voltage for both v1 and v0 (which means a constant
-    oracle degenerates to v1 == v0; the run is then flagged low-contrast).
-    Returns (v1, v0, trace).  With a LinkBatch for ``trace``, probes its L
-    links at once and returns (v1, v0, batch) with length-L v1 and v0, which
-    the batch keeps too.
+    oracle degenerates to v1 == v0; the link is then flagged low-contrast).
+    Returns the batch.
     """
     vs = _validate_voltage_set(voltages)
-    links = _as_batch(trace)
     index = np.repeat(np.arange(len(vs), dtype=np.uint8)[:, None], n_elements, axis=1)
     rss = _probe_many(oracle, links, 1, [vs] * len(links),
                       np.broadcast_to(index, (len(links), *index.shape)))
@@ -405,36 +349,31 @@ def stage1_uniform_probe(oracle, voltages, n_elements: int, trace=None):
     nan = np.isnan(rss[:, 0])
     i1, i0 = np.where(nan, 0, _first_max(rss)), np.where(nan, 0, _first_max(-rss))
     rows = np.arange(len(rss))
-    with np.errstate(invalid="ignore"):  # two -inf readings differ by NaN
+    # two -inf readings differ by NaN; readings near +-1.8e308 overflow to inf
+    with np.errstate(invalid="ignore", over="ignore"):
         low_contrast = rss[rows, i1] - rss[rows, i0] < 1e-12
     for link in np.flatnonzero(low_contrast).tolist():
         links.traces[link].low_contrast = True
         links.traces[link].notes.append("stage1: low-contrast feedback, extreme states are ties")
     links.v1, links.v0 = np.array(vs)[i1], np.array(vs)[i0]
-    if trace is links:
-        return links.v1, links.v0, links
-    return vs[i1[0]], vs[i0[0]], links.traces[0]
+    return links
 
 
-def stage2_majority_voting(oracle, v1, v0, n_elements: int,
+def stage2_majority_voting(oracle, links: LinkBatch, n_elements: int,
                            n_configs: int | None = None, rng_seed=0,
-                           groups=None, trace=None):
-    """Randomized majority voting over on/off configurations.
+                           groups=None) -> LinkBatch:
+    """Randomized majority voting over on/off configurations of the batch's v1/v0.
 
-    Draws n_configs (default 2x the number of control groups) uniform random
-    on/off assignments, measures each, and lets every configuration whose
-    feedback is strictly above the median cast one vote for each group it
-    turned on.  A group ends up on when it collects votes from more than half
-    of the voting configurations; exactly half goes to off.
-
-    Returns (on_set, off_set, trace) with element index sets.  With a
-    LinkBatch for ``trace``, v1, v0 and rng_seed hold one entry per link, each
-    link draws its masks from its own seed, and it returns (on, off, batch)
-    as (L, N) bool matrices; the batch keeps ``on``.
+    Each link draws n_configs (default 2x the number of control groups)
+    uniform random on/off assignments from its own seed (``rng_seed`` holds
+    one per link, or one for all), measures each, and lets every
+    configuration whose feedback is strictly above the median cast one vote
+    for each group it turned on.  A group ends up on when it collects votes
+    from more than half of the voting configurations; exactly half goes to
+    off.  Keeps the (L, N) bool matrix of the elements left on as the batch's
+    ``on`` and returns the batch.
     """
-    links = _as_batch(trace)
-    v1 = np.broadcast_to(np.asarray(v1, dtype=float), len(links))
-    v0 = np.broadcast_to(np.asarray(v0, dtype=float), len(links))
+    v1, v0 = links.v1, links.v0
     if np.any(v1 == v0):
         raise ValueError("stage 2 needs distinct on/off voltages (v1 != v0)")
     groups = groups if groups is not None else element_groups(n_elements)
@@ -461,46 +400,32 @@ def stage2_majority_voting(oracle, v1, v0, n_elements: int,
     votes = np.count_nonzero(masks & voting[:, :, None], axis=1)
     on_groups = np.zeros((len(links), n_groups + 1), dtype=bool)  # last column: no group
     on_groups[:, :n_groups] = votes > n_voting[:, None] / 2.0  # strict majority of the voters
-    owner = _owners(groups, n_elements)
-    links.on = on_groups[:, owner]
-    off = (owner < n_groups) & ~links.on
-    if trace is links:
-        return links.on, off, links
-    return (frozenset(np.flatnonzero(links.on[0]).tolist()),
-            frozenset(np.flatnonzero(off[0]).tolist()), links.traces[0])
+    links.on = on_groups[:, _owners(groups, n_elements)]
+    return links
 
 
-def stage3_fine_tune(oracle, voltages, state: ControlState | None, n_elements: int,
-                     trace=None):
+def stage3_fine_tune(oracle, links: LinkBatch, voltages) -> LinkBatch:
     """Fine-tune v1/v0 over adjacent control voltages, on/off split fixed.
 
-    Probes the 3x3 grid of (adjacent-lower, same, adjacent-higher) moves for
-    v1 and v0 (up to 9 probes; fewer at the ends of the voltage set) and
-    returns the best configuration over the entire trace, so anything stage 1
-    or 2 measured can still win.  With a LinkBatch for ``trace`` (and no
-    ``state``), fine-tunes its L links from the batch's v1, v0 and on, padding
-    every link's moves to the most any link has, and returns the batch.
+    Probes, per link, the 3x3 grid of (adjacent-lower, same, adjacent-higher)
+    moves for the batch's v1 and v0 (up to 9 probes; fewer at the ends of the
+    voltage set) over its ``on`` split, padding every link's moves to the most
+    any link has.  The batch's best configurations cover the entire trace, so
+    anything stage 1 or 2 measured can still win.  Returns the batch.
     """
     vs = _validate_voltage_set(voltages)
-    links = _as_batch(trace)
-    if trace is links:
-        v1, v0, on = links.v1.tolist(), links.v0.tolist(), links.on
-    else:
-        v1, v0, on = [state.v1], [state.v0], np.zeros((1, n_elements), dtype=bool)
-        on[0, list(state.on_set)] = True
 
     def neighborhood(v: float):
         i = vs.index(v)  # descending voltages: ascending indices
         return [j for j in (i - 1, i, i + 1) if 0 <= j < len(vs)]
 
-    moves = [list(itertools.product(neighborhood(a), neighborhood(b))) for a, b in zip(v1, v0)]
+    moves = [list(itertools.product(neighborhood(a), neighborhood(b)))
+             for a, b in zip(links.v1.tolist(), links.v0.tolist())]
     rows = [len(m) for m in moves]
     grid = np.array([m + m[-1:] * (max(rows) - len(m)) for m in moves], dtype=np.uint8)
-    index = np.where(on[:, None, :], grid[:, :, :1], grid[:, :, 1:])
+    index = np.where(links.on[:, None, :], grid[:, :, :1], grid[:, :, 1:])
     _probe_many(oracle, links, 3, [vs] * len(links), _read_only(index), rows)
-    if trace is links:
-        return links
-    return links.traces[0].best_probe().config
+    return links
 
 
 def run_controllers(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
@@ -510,27 +435,25 @@ def run_controllers(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
 
     The oracle reads one link per probe row, or, for more than one link, a
     stack of them (see FeedbackOracle).  ``stage2`` replaces majority voting
-    with a function called as brute_force_baseline is (``groups``, then the
-    batch for ``trace``).  A ``links`` batch that has been through stage 1
-    goes on from there.  Total probes per link are bounded by len(voltages)
-    + n_configs + 9.  A constant (low-contrast) stage-1 outcome would leave
-    v1 == v0; the controller then substitutes the lowest control voltage for
-    v0 so the later stages stay well-defined.
+    with a function called as brute_force_baseline is (the oracle, the batch,
+    ``n_elements``, ``groups``).  A ``links`` batch that has been through
+    stage 1 goes on from there.  Total probes per link are bounded by
+    len(voltages) + n_configs + 9.  A constant (low-contrast) stage-1 outcome
+    would leave v1 == v0; the controller then substitutes the lowest control
+    voltage for v0 so the later stages stay well-defined.
     """
     if links is None:
-        links = LinkBatch.new(len(rng_seeds))
-        stage1_uniform_probe(oracle, voltages, n_elements, links)
+        links = stage1_uniform_probe(oracle, LinkBatch.new(len(rng_seeds)), voltages, n_elements)
     degenerate = links.v1 == links.v0
     if degenerate.any():
         links.v0 = np.where(degenerate, min(voltages), links.v0)
         for link in np.flatnonzero(degenerate).tolist():
             links.traces[link].notes.append(f"degenerate stage1, forcing v0={min(voltages)}")
     if stage2 is None:
-        stage2_majority_voting(oracle, links.v1, links.v0, n_elements, n_configs=n_configs,
-                               rng_seed=rng_seeds, groups=groups, trace=links)
+        stage2_majority_voting(oracle, links, n_elements, n_configs, rng_seeds, groups)
     else:
-        stage2(oracle, groups, links.v1, links.v0, n_elements, trace=links)
-    return stage3_fine_tune(oracle, voltages, None, n_elements, links)
+        stage2(oracle, links, n_elements, groups)
+    return stage3_fine_tune(oracle, links, voltages)
 
 
 def run_controller(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
@@ -541,38 +464,28 @@ def run_controller(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
     return links.configs()[0], links.traces[0]
 
 
-def brute_force_baseline(oracle, groups, v1, v0, n_elements: int,
-                         cap: int = ENUMERATION_CAP, trace=None):
-    """Exhaustive argmax over all 2^len(groups) on/off assignments.
+def brute_force_baseline(oracle, links: LinkBatch, n_elements: int, groups,
+                         cap: int = ENUMERATION_CAP) -> LinkBatch:
+    """Exhaustive argmax over all 2^len(groups) on/off assignments of the
+    batch's v1/v0.
 
-    Refuses group counts whose enumeration would exceed the cap.  Returns
-    (config, rss_db, trace); config is None when no reading is above -inf.
-    With a LinkBatch for ``trace``, v1 and v0 hold one entry per link, and it
-    returns (on, rss_db, batch): ``on`` (kept by the batch) is the (L, N) bool
-    matrix of the elements each link's best assignment turns on, none where
-    no reading is above -inf.
+    Refuses group counts whose enumeration would exceed the cap.  Keeps as
+    the batch's ``on`` the (L, N) bool matrix of the elements each link's
+    best assignment turns on, none where no reading is above -inf, and
+    returns the batch.
     """
     n_groups = len(groups)
     if 2 ** n_groups > cap:
         raise ValueError(
             f"enumeration of 2^{n_groups} configs exceeds cap {cap}; "
             "use randomized voting instead")
-    links = _as_batch(trace)
-    v1 = np.broadcast_to(np.asarray(v1, dtype=float), len(links))
-    v0 = np.broadcast_to(np.asarray(v0, dtype=float), len(links))
-    levels = list(zip(v1.tolist(), v0.tolist()))
+    v1, v0 = links.v1, links.v0
     codes = np.arange(2 ** n_groups)
     index = _onoff_index(groups, (codes[:, None] >> np.arange(n_groups)) & 1, n_elements)
-    rss = _probe_many(oracle, links, 2, levels,
+    rss = _probe_many(oracle, links, 2, list(zip(v1.tolist(), v0.tolist())),
                       np.broadcast_to(index, (len(links), *index.shape)))
     # the first strict maximum above -inf, as a running "rss > best" scan finds it
     best = _first_max(rss)
-    best_db = rss[np.arange(len(rss)), best]
-    found = best_db > float("-inf")
+    found = rss[np.arange(len(rss)), best] > float("-inf")
     links.on = (index[best] == 0) & (found & (v1 != v0))[:, None]
-    if trace is links:
-        return links.on, best_db, links
-    if not found[0]:
-        return None, float("-inf"), links.traces[0]
-    return (SurfaceConfig.from_index(levels[0], index[best[0]]), float(best_db[0]),
-            links.traces[0])
+    return links

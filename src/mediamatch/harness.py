@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .cascade import DB_FLOOR
-from .channel import (FeedbackOracle, ProductFeedbackOracle, backscatter_gain,
-                      baseline_channel, oneway_gain)
+from .channel import FeedbackOracle, ProductFeedbackOracle, baseline_channel, gains_db
 from .control import (ControlTrace, LinkBatch, brute_force_baseline, column_groups,
                       run_controllers, stage1_uniform_probe)
 from .matching import SweepGrid, best_admittance, best_voltage, reflection_spectrum, sweep_through_power
@@ -222,37 +221,37 @@ def run_links(scenario: Scenario, responder, indices, mode: str) -> list[tuple]:
     if mode == "backscatter":
         uplinks = channels if scenario.channel.reciprocal_uplink \
             else [scenario.sample_link_channel(s[2], responder) for s in seeds]
-        links = control(ProductFeedbackOracle(
-            channels, uplinks, quantization_db=scenario.channel.rss_quantization_db))
-        return [((i, seed, oneway_gain(down, cfg), oneway_gain(up, cfg),
-                  backscatter_gain(down, up, cfg)), {})
-                for i, seed, down, up, cfg in zip(indices, ch_seeds, channels, uplinks,
-                                                   links.configs())]
+        configs = control(ProductFeedbackOracle(
+            channels, uplinks, quantization_db=scenario.channel.rss_quantization_db)).configs()
+        gains = (gains_db(channels, configs), gains_db(uplinks, configs),
+                 gains_db(channels, configs, uplinks))
+        return [((i, seed, *row), {})
+                for i, seed, *row in zip(indices, ch_seeds, *(g.tolist() for g in gains))]
     if mode == "bench-controller":
         # the three variants would each read stage 1 alike from a fresh oracle:
         # it is read once, and each variant goes on from there on its own copy
         cols = column_groups(scenario.rows, scenario.cols)
         oracle, start = feedback(), LinkBatch.new(len(seeds))
-        stage1_uniform_probe(oracle, vs, n, start)
+        stage1_uniform_probe(oracle, start, vs, n)
         runs = [control(copy.copy(oracle), links=start.fork()),
                 control(copy.copy(oracle), COLUMN_VOTING_CONFIGS, cols, links=start.fork()),
                 control(oracle, None, cols, brute_force_baseline, links=start)]
-        configs = [run.configs() for run in runs]
-        return [((i, seed, *(oneway_gain(channel, cfgs[k]) for cfgs in configs),
-                  *(run.traces[k].budget_used for run in runs)), {})
-                for k, (i, seed, channel) in enumerate(zip(indices, ch_seeds, channels))]
+        gains = (gains_db(channels, run.configs()).tolist() for run in runs)
+        return [((i, seed, *row, *(run.traces[k].budget_used for run in runs)), {})
+                for k, (i, seed, *row) in enumerate(zip(indices, ch_seeds, *gains))]
 
     links = control(feedback())
     results = []
-    for i, seed, channel, trace, cfg, best in zip(indices, ch_seeds, channels, links.traces,
-                                                  links.configs(), links.best_db.tolist()):
+    for i, seed, channel, trace, gain, best in zip(
+            indices, ch_seeds, channels, links.traces,
+            gains_db(channels, links.configs()).tolist(), links.best_db.tolist()):
         with np.errstate(divide="ignore"):  # a silent channel's baseline is -inf dB
             base_db = float(20.0 * np.log10(abs(baseline_channel(channel))))
         stage1_db, stage2_db, final_db = best
         h = channel.h_elements
         dump = [["env"] + [f"element_{e}" for e in range(len(h))],
                 [channel.h_env.real] + h.real.tolist(), [channel.h_env.imag] + h.imag.tolist()]
-        results.append(((i, seed, base_db, final_db, oneway_gain(channel, cfg),
+        results.append(((i, seed, base_db, final_db, gain,
                          stage1_db - base_db, stage2_db - base_db, final_db - stage2_db,
                          *(trace.stage_probe_count(s) for s in (1, 2, 3))), {
             f"traces/link_{i:04d}.csv": trace.serialize(),

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mediamatch.channel import (PROBE_BLOCK, FeedbackOracle, MultipathChannel,
-                                ProductFeedbackOracle, SurfaceConfig, composite_channel,
-                                composite_channels, rss_db, sample_channel)
-from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, ControlTrace,
+                                ProductFeedbackOracle, SurfaceConfig, composite_channels,
+                                rss_db, sample_channel)
+from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, ControlTrace, LinkBatch,
                                 _probe_many, brute_force_baseline, column_groups,
                                 config_hash, run_controller)
 from mediamatch.scenario import default_water_scenario
@@ -38,6 +38,16 @@ def _bits(values) -> bytes:
 def _channel(seed, n, jitter=0.0, env_power=0.25):
     return sample_channel(seed, n, env_power=env_power, element_power=1.0 / 64.0,
                           responder=responder(), phase_jitter_std=jitter)
+
+
+def _one_row(channel, levels, row):
+    """The composite channel of one index row, through a one-row call."""
+    return composite_channels(channel, levels, row[None])[0]
+
+
+def _probe_voltages(trace):
+    return [SurfaceConfig.from_index(levels, row).voltages
+            for _, levels, index, _ in trace.blocks for row in index]
 
 
 class Sequential:
@@ -88,8 +98,7 @@ class TestBatchEqualsSequential:
 
         rows = composite_channels(down, levels, index)
         assert _bits(rows.view(float)) == _bits(np.array(
-            [composite_channel(down, SurfaceConfig.from_index(levels, row))
-             for row in index]).view(float))
+            [_one_row(down, levels, row) for row in index]).view(float))
 
     @pytest.mark.parametrize("n_elements", [1, 2, 3, 64])
     @pytest.mark.parametrize("jitter", [0.0, 0.4])
@@ -109,8 +118,7 @@ class TestBatchEqualsSequential:
                 want.append(channel.h_env + np.sum(s * channel.h_elements))
             want = np.array(want).view(float)
             assert _bits(composite_channels(channel, VS, index).view(float)) == _bits(want)
-            alone = [composite_channel(channel, SurfaceConfig.from_index(VS, row))
-                     for row in index[:8]]
+            alone = [_one_row(channel, VS, row) for row in index[:8]]
             assert _bits(np.array(alone).view(float)) == _bits(want[:16])
 
     @pytest.mark.parametrize("noise_db", [None, -20.0])
@@ -124,15 +132,19 @@ class TestBatchEqualsSequential:
 
         cfg_b, trace_b = run_controller(fresh(), 64, rng_seed=5)
         cfg_s, trace_s = run_controller(Sequential(fresh()), 64, rng_seed=5)
-        assert cfg_b == cfg_s
+        assert cfg_b.voltages == cfg_s.voltages
         assert trace_b.serialize() == trace_s.serialize()
 
         groups = column_groups(8, 8)
-        best_b, rss_b, enum_b = brute_force_baseline(fresh(), groups, 30.0, 0.0, 64)
-        best_s, rss_s, enum_s = brute_force_baseline(Sequential(fresh()), groups,
-                                                     30.0, 0.0, 64)
-        assert (best_b, rss_b) == (best_s, rss_s)
-        assert enum_b.serialize() == enum_s.serialize()
+        enums = []
+        for oracle in (fresh(), Sequential(fresh())):
+            links = LinkBatch.new(1)
+            links.v1, links.v0 = np.array([30.0]), np.array([0.0])
+            enums.append(brute_force_baseline(oracle, links, 64, groups))
+        enum_b, enum_s = enums
+        assert enum_b.on.tolist() == enum_s.on.tolist()
+        assert _bits(enum_b.best_db) == _bits(enum_s.best_db)
+        assert enum_b.traces[0].serialize() == enum_s.traces[0].serialize()
 
 
 class TestProbePath:
@@ -143,15 +155,15 @@ class TestProbePath:
             seen.append(cfg.voltages)
             return len(seen)
 
-        trace = ControlTrace()
-        index = np.array([[0, 1], [1, 1], [1, 0]], dtype=np.uint8)
-        rss = _probe_many(oracle, trace, 2, (30.0, 0.0), index)
-        assert rss.tolist() == [1.0, 2.0, 3.0]
+        links = LinkBatch.new(1)
+        index = np.array([[[0, 1], [1, 1], [1, 0]]], dtype=np.uint8)
+        rss = _probe_many(oracle, links, 2, [(30.0, 0.0)], index)
+        assert rss.tolist() == [[1.0, 2.0, 3.0]]
         assert seen == [(30.0, 0.0), (0.0, 0.0), (0.0, 30.0)]
-        assert [(p.stage, p.probe_index, p.config.voltages, p.rss_db)
-                for p in trace.probes] == [(2, 0, (30.0, 0.0), 1.0),
-                                           (2, 1, (0.0, 0.0), 2.0),
-                                           (2, 2, (0.0, 30.0), 3.0)]
+        (stage, levels, rows, readings), = links.traces[0].blocks
+        assert (stage, levels, readings.tolist()) == (2, (30.0, 0.0), [1.0, 2.0, 3.0])
+        assert _probe_voltages(links.traces[0]) == seen
+        assert np.isnan(links.best_db[0, 0]) and links.best_db[0, 1:].tolist() == [3.0, 3.0]
 
     def test_batch_of_wrong_length_rejected(self):
         class Short:
@@ -159,7 +171,8 @@ class TestProbePath:
                 return np.zeros(len(index) - 1)
 
         with pytest.raises(ValueError, match="batch"):
-            _probe_many(Short(), ControlTrace(), 1, (30.0, 0.0), np.zeros((3, 2), np.uint8))
+            _probe_many(Short(), LinkBatch.new(1), 1, [(30.0, 0.0)],
+                        np.zeros((1, 3, 2), np.uint8))
 
     def test_one_batch_per_stage(self):
         class BatchOnly:
@@ -177,9 +190,9 @@ class TestProbePath:
         oracle = BatchOnly()
         _, trace = run_controller(oracle, 16, rng_seed=1)
         assert oracle.calls[:2] == [len(VS), 32] and len(oracle.calls) == 3
-        assert [p.probe_index for p in trace.probes] == list(range(sum(oracle.calls)))
-        assert [p.stage for p in trace.probes] == [
-            s for s, n in zip((1, 2, 3), oracle.calls) for _ in range(n)]
+        assert [(stage, len(rss)) for stage, *_, rss in trace.blocks] == list(
+            zip((1, 2, 3), oracle.calls))
+        assert trace.budget_used == sum(oracle.calls)
 
 
 class TestZeroReading:
@@ -199,7 +212,7 @@ class TestZeroReading:
                                    responder=responder())
         _, trace = run_controller(FeedbackOracle(channel), 4)
         readings = [row.split(",")[3] for row in trace.serialize().strip().split("\n")[1:]]
-        assert readings == ["0"] * len(trace.probes)
+        assert readings == ["0"] * trace.budget_used
 
 
 class TestBlockDigests:
@@ -219,11 +232,11 @@ class TestBlockDigests:
             n = 37 if k % 11 else 5
             index = rng.integers(0, len(levels), (sizes[k % len(sizes)], n)).astype(np.uint8)
             trace.append(2, levels, index, np.zeros(len(index)))
-        wide = SurfaceConfig(np.linspace(0.0, 30.0, 300))
+        wide = SurfaceConfig.from_index(np.linspace(0.0, 30.0, 300), np.arange(300))
         assert wide.index.dtype == np.uint16
         trace.append(1, wide.levels, np.stack([wide.index, wide.index[::-1]]), [0.0, 0.0])
         trace.append(1, (), np.zeros((2, 0), np.uint8), [0.0, 0.0])
         rows = trace.serialize().split("\n")[1:-1]
-        assert len(rows) == len(trace.probes)
+        assert len(rows) == trace.budget_used
         assert [row.split(",")[2] for row in rows] == [
-            config_hash(p.config.voltages) for p in trace.probes]
+            config_hash(voltages) for voltages in _probe_voltages(trace)]

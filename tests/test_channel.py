@@ -5,12 +5,22 @@ import pytest
 
 from mediamatch.cascade import StackSpec
 from mediamatch.channel import (ElementResponder, FeedbackOracle, MultipathChannel,
-                                SurfaceConfig, backscatter_gain, baseline_channel,
-                                composite_channel, oneway_gain, sample_channel)
+                                SurfaceConfig, baseline_channel, composite_channels,
+                                gains_db, sample_channel)
 from mediamatch.media import AIR
 from mediamatch.scenario import default_water_scenario
 
 F0 = 2.4e9
+
+
+def uniform(voltage, n):
+    """Every one of n elements at one voltage."""
+    return SurfaceConfig.from_index((float(voltage),), np.zeros(n, dtype=np.uint8))
+
+
+def composite(channel, cfg):
+    """The composite channel of one configuration, through a one-row stack."""
+    return complex(composite_channels(channel, cfg.levels, cfg.index[None])[0])
 
 
 @pytest.fixture(scope="module")
@@ -55,10 +65,10 @@ class TestElementResponse:
 
 class TestSurfaceConfig:
     def test_voltages_view(self):
-        cfg = SurfaceConfig((30.0, 0.0, 30.0))
+        cfg = SurfaceConfig.from_index((30.0, 0.0), [0, 1, 0])
         assert cfg.voltages == (30.0, 0.0, 30.0)
         assert all(type(v) is float for v in cfg.voltages)
-        assert len(cfg) == 3
+        assert len(cfg.index) == 3
         assert cfg.index.dtype == np.uint8
 
     def test_from_index(self):
@@ -68,19 +78,21 @@ class TestSurfaceConfig:
     def test_equality_is_on_voltages_across_alphabets(self):
         a = SurfaceConfig.from_index((30.0, 10.0, 0.0), [0, 2])
         b = SurfaceConfig.from_index((30.0, 0.0), [0, 1])
-        assert a == b == SurfaceConfig([30, 0])
-        assert hash(a) == hash(b)
-        assert a != SurfaceConfig((0.0, 30.0))
-        assert SurfaceConfig.uniform(5.0, 3) == SurfaceConfig((5.0, 5.0, 5.0))
+        assert a.voltages == b.voltages == (30.0, 0.0)
+        assert a.voltages != SurfaceConfig.from_index((30.0, 0.0), [1, 0]).voltages
+        assert uniform(5.0, 3).voltages == (5.0, 5.0, 5.0)
 
     def test_repeated_level_compares_by_voltage(self):
         a = SurfaceConfig.from_index((5.0, 5.0), [0, 1])
-        assert a == SurfaceConfig.from_index((5.0, 5.0), [1, 0]) == SurfaceConfig.uniform(5.0, 2)
+        assert a.voltages == SurfaceConfig.from_index((5.0, 5.0), [1, 0]).voltages \
+            == uniform(5.0, 2).voltages
 
     def test_many_distinct_voltages(self):
-        assert SurfaceConfig(np.arange(256.0)).index.dtype == np.uint8
+        assert SurfaceConfig.from_index(np.arange(256.0), np.arange(256)).index.dtype \
+            == np.uint8
         values = np.linspace(0.0, 30.0, 1024)
-        cfg = SurfaceConfig(values)
+        cfg = SurfaceConfig.from_index(values, np.arange(1024))
+        assert cfg.index.dtype == np.uint16
         assert cfg.voltages == tuple(values.tolist())
         assert len(cfg.levels) == 1024
 
@@ -89,7 +101,7 @@ class TestSurfaceConfig:
         instead of wrapping modulo 256."""
         levels = tuple(float(v) for v in range(300))
         assert SurfaceConfig.from_index(levels, np.array([299], np.uint16)).voltages == (299.0,)
-        cfg = SurfaceConfig(np.linspace(0.0, 30.0, 300))
+        cfg = SurfaceConfig.from_index(np.linspace(0.0, 30.0, 300), np.arange(300))
         again = SurfaceConfig.from_index(cfg.levels, cfg.index)
         assert again.index.dtype == cfg.index.dtype == np.uint16
         assert again.voltages == cfg.voltages
@@ -107,10 +119,10 @@ class TestSurfaceConfig:
             SurfaceConfig.from_index((1.0, 2.0, 3.0), index)
 
     def test_empty_index_accepted(self):
-        assert len(SurfaceConfig.from_index((1.0,), [])) == 0
+        assert SurfaceConfig.from_index((1.0,), []).voltages == ()
 
     def test_signed_zero_kept(self):
-        cfg = SurfaceConfig((0.0, -0.0, 0.0))
+        cfg = SurfaceConfig.from_index((0.0, -0.0), [0, 1, 0])
         assert [np.signbit(v) for v in cfg.voltages] == [False, True, False]
 
     def test_index_is_read_only(self):
@@ -118,7 +130,9 @@ class TestSurfaceConfig:
         cfg = SurfaceConfig.from_index((30.0, 0.0), index)
         index[0] = 1
         assert cfg.voltages == (30.0, 0.0, 30.0)
-        for c in (cfg, SurfaceConfig((30.0, 0.0)), SurfaceConfig.uniform(5.0, 2)):
+        kept = SurfaceConfig.from_index((30.0, 0.0), cfg.index)
+        assert kept.index is cfg.index  # a read-only index is not copied
+        for c in (cfg, SurfaceConfig.from_index((30.0, 0.0), np.array([1, 0])), uniform(5.0, 2)):
             with pytest.raises(ValueError):
                 c.index[0] = 1
 
@@ -126,11 +140,12 @@ class TestSurfaceConfig:
         ch = sample_channel(8, 6, env_power=0.2, element_power=1.0, responder=responder,
                             phase_jitter_std=0.3)
         a = SurfaceConfig.from_index((30.0, 20.0, 10.0, 0.0), [3, 0, 0, 2, 1, 3])
-        b = SurfaceConfig(a.voltages)
-        assert composite_channel(ch, a) == composite_channel(ch, b)
+        b = SurfaceConfig.from_index((0.0, 10.0, 20.0, 30.0), [0, 3, 3, 1, 2, 0])
+        assert a.voltages == b.voltages
+        assert composite(ch, a) == composite(ch, b)
         want = ch.h_env + sum(responder.s(v) * j * h for v, j, h in
                               zip(a.voltages, ch.phase_jitter, ch.h_elements))
-        assert composite_channel(ch, a) == pytest.approx(want, abs=1e-12)
+        assert composite(ch, a) == pytest.approx(want, abs=1e-12)
 
 
 class TestSampleChannel:
@@ -170,28 +185,28 @@ class TestCompositeChannel:
         """Uniform V: h = h_env + s(V) sum h_i."""
         ch = sample_channel(5, 16, env_power=0.3, element_power=1.0 / 16,
                             responder=responder)
-        cfg = SurfaceConfig.uniform(10.0, 16)
+        cfg = uniform(10.0, 16)
         want = ch.h_env + responder.s(10.0) * ch.h_elements.sum()
-        assert composite_channel(ch, cfg) == pytest.approx(want, abs=1e-15)
+        assert composite(ch, cfg) == pytest.approx(want, abs=1e-15)
 
     def test_single_element_identity(self, responder):
         ch = MultipathChannel(h_env=0j, h_elements=np.array([1.0 + 0j]), seed=0,
                               responder=responder)
-        cfg = SurfaceConfig((5.0,))
-        assert composite_channel(ch, cfg) == pytest.approx(responder.s(5.0), abs=1e-15)
+        cfg = uniform(5.0, 1)
+        assert composite(ch, cfg) == pytest.approx(responder.s(5.0), abs=1e-15)
 
     def test_linearity(self, responder):
         ch = sample_channel(6, 8, env_power=0.2, element_power=1.0, responder=responder)
         doubled = MultipathChannel(h_env=2 * ch.h_env, h_elements=2 * ch.h_elements,
                                    seed=6, responder=responder)
-        cfg = SurfaceConfig.uniform(15.0, 8)
-        assert composite_channel(doubled, cfg) == pytest.approx(
-            2 * composite_channel(ch, cfg), abs=1e-15)
+        cfg = uniform(15.0, 8)
+        assert composite(doubled, cfg) == pytest.approx(
+            2 * composite(ch, cfg), abs=1e-15)
 
     def test_length_mismatch(self, responder):
         ch = sample_channel(7, 8, element_power=1.0, responder=responder)
         with pytest.raises(ValueError):
-            composite_channel(ch, SurfaceConfig.uniform(5.0, 9))
+            composite(ch, uniform(5.0, 9))
 
 
 class TestRssFeedback:
@@ -203,25 +218,25 @@ class TestRssFeedback:
     def test_zero_db_at_unit_magnitude(self, responder):
         ch = self.fixed_magnitude_channel(responder, 1.0)
         s = FeedbackOracle(ch, noise_db=None, quantization_db=None)(
-            SurfaceConfig.uniform(10.0, 4))
+            uniform(10.0, 4))
         assert s == pytest.approx(0.0, abs=1e-12)
 
     def test_tenth_magnitude_is_minus_20db(self, responder):
         ch = self.fixed_magnitude_channel(responder, 0.1)
         s = FeedbackOracle(ch, noise_db=None, quantization_db=None)(
-            SurfaceConfig.uniform(30.0, 4))
+            uniform(30.0, 4))
         assert s == pytest.approx(-20.0, abs=1e-12)
 
     def test_noise_repeatable(self, responder):
         ch = sample_channel(11, 8, element_power=1.0, responder=responder)
-        cfg = SurfaceConfig.uniform(5.0, 8)
+        cfg = uniform(5.0, 8)
         a = FeedbackOracle(ch, noise_db=-20.0, noise_seed=99)(cfg)
         b = FeedbackOracle(ch, noise_db=-20.0, noise_seed=99)(cfg)
         assert a == b
 
     def test_quantization(self, responder):
         ch = sample_channel(12, 8, element_power=1.0, responder=responder)
-        cfg = SurfaceConfig.uniform(5.0, 8)
+        cfg = uniform(5.0, 8)
         s = FeedbackOracle(ch, quantization_db=0.1)(cfg)
         assert round(s * 10) == pytest.approx(s * 10, abs=1e-9)
 
@@ -230,17 +245,17 @@ class TestBackscatterGain:
     def test_reciprocal_doubles_exactly(self, responder):
         ch = sample_channel(21, 32, env_power=0.25, element_power=1.0 / 32,
                             responder=responder)
-        cfg = SurfaceConfig.uniform(10.0, 32)
-        one = oneway_gain(ch, cfg)
-        two = backscatter_gain(ch, ch, cfg)
+        cfg = uniform(10.0, 32)
+        one = gains_db([ch], [cfg])[0]
+        two = gains_db([ch], [cfg], [ch])[0]
         assert two == pytest.approx(2 * one, abs=1e-9)
 
     def test_independent_channels_gains_add(self, responder):
         down = sample_channel(22, 16, element_power=1.0 / 16, responder=responder)
         up = sample_channel(23, 16, element_power=1.0 / 16, responder=responder)
-        cfg = SurfaceConfig.uniform(10.0, 16)
-        total = backscatter_gain(down, up, cfg)
-        parts = oneway_gain(down, cfg) + oneway_gain(up, cfg)
+        cfg = uniform(10.0, 16)
+        total = gains_db([down], [cfg], [up])[0]
+        parts = gains_db([down], [cfg])[0] + gains_db([up], [cfg])[0]
         assert total == pytest.approx(parts, abs=1e-9)  # log of a product
 
     def test_gain_is_relative_to_bare_baseline(self, responder):
@@ -248,14 +263,47 @@ class TestBackscatterGain:
         the bare response on every element."""
         down = sample_channel(26, 16, element_power=1.0 / 16, responder=responder)
         up = sample_channel(27, 16, element_power=1.0 / 16, responder=responder)
-        cfg = SurfaceConfig.uniform(5.0, 16)
+        cfg = uniform(5.0, 16)
         want = 20 * np.log10(
-            abs(composite_channel(down, cfg)) * abs(composite_channel(up, cfg))
+            abs(composite(down, cfg)) * abs(composite(up, cfg))
             / (abs(baseline_channel(down)) * abs(baseline_channel(up))))
-        assert backscatter_gain(down, up, cfg) == pytest.approx(want, abs=1e-12)
+        assert gains_db([down], [cfg], [up])[0] == pytest.approx(want, abs=1e-12)
 
     def test_element_count_mismatch(self, responder):
         down = sample_channel(24, 8, element_power=1.0, responder=responder)
         up = sample_channel(25, 16, element_power=1.0, responder=responder)
         with pytest.raises(ValueError):
-            backscatter_gain(down, up, SurfaceConfig.uniform(5.0, 8))
+            gains_db([down], [uniform(5.0, 8)], [up])
+
+
+class TestGainsDb:
+    def test_silent_link_is_minus_inf(self, responder):
+        """A link with no path at all has no magnitude to gain on, one-way or
+        two-way, and does not spoil the links stacked with it."""
+        silent = MultipathChannel(h_env=0j, h_elements=np.zeros(4, complex), seed=0,
+                                  responder=responder)
+        live = sample_channel(28, 4, env_power=0.2, element_power=1.0, responder=responder)
+        cfgs = [uniform(10.0, 4)] * 2
+        one = gains_db([silent, live], cfgs)
+        assert one[0] == float("-inf") and np.isfinite(one[1])
+        two = gains_db([silent, live], cfgs, [live, silent])
+        assert two.tolist() == [float("-inf")] * 2
+
+    @pytest.mark.parametrize("reciprocal", [True, False])
+    def test_stack_equals_one_link_calls(self, scenario, responder, reciprocal):
+        """A stacked call mixing on/off pairs, the whole voltage set and a
+        wide alphabet gives every link what its one-link call gives, bit for
+        bit, one-way and two-way."""
+        rng = np.random.default_rng(29)
+        downs = [sample_channel(30 + k, 9, env_power=0.1, element_power=1.0 / 9,
+                                responder=responder, phase_jitter_std=0.2) for k in range(5)]
+        ups = downs if reciprocal else [
+            sample_channel(40 + k, 9, element_power=1.0 / 9, responder=responder,
+                           phase_jitter_std=0.2) for k in range(5)]
+        vs = scenario.voltage_set
+        alphabets = [(30.0, 0.0), vs, (20.0, 2.5), vs, tuple(np.linspace(0.0, 30.0, 300))]
+        cfgs = [SurfaceConfig.from_index(lv, rng.integers(0, len(lv), 9)) for lv in alphabets]
+        one = [gains_db([d], [c])[0] for d, c in zip(downs, cfgs)]
+        two = [gains_db([d], [c], [u])[0] for d, u, c in zip(downs, ups, cfgs)]
+        assert gains_db(downs, cfgs).tobytes() == np.array(one).tobytes()
+        assert gains_db(downs, cfgs, ups).tobytes() == np.array(two).tobytes()

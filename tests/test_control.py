@@ -4,11 +4,11 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mediamatch.channel import SurfaceConfig
-from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, MASK_BLOCK, ControlState,
-                                ControlTrace, _digests, _onoff_index, _run_codes,
+from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, MASK_BLOCK, ControlTrace,
+                                LinkBatch, _digests, _onoff_index, _probe_many, _run_codes,
                                 _run_width,
                                 brute_force_baseline, column_groups, config_hash,
                                 element_groups, run_controller,
@@ -32,6 +32,28 @@ def onoff_oracle(h, h_env=0j, s_on=1.0, s_off=0.0, on_voltage=V1):
     return oracle
 
 
+def one_link(v1=V1, v0=V0, on=None) -> LinkBatch:
+    """A one-link batch past stage 1 with on/off voltages v1, v0 (and, for
+    stage 3, the elements in ``on`` left on)."""
+    links = LinkBatch.new(1)
+    links.v1, links.v0 = np.array([float(v1)]), np.array([float(v0)])
+    if on is not None:
+        links.on = np.array([on], dtype=bool)
+    return links
+
+
+def stage1(oracle, voltages, n):
+    """Stage 1 on one link: (v1, v0, trace)."""
+    links = stage1_uniform_probe(oracle, LinkBatch.new(1), voltages, n)
+    return links.v1[0], links.v0[0], links.traces[0]
+
+
+def probe_voltages(trace):
+    """The voltages of every probe of a trace, in order."""
+    return [SurfaceConfig.from_index(levels, row).voltages
+            for _, levels, index, _ in trace.blocks for row in index]
+
+
 READINGS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, 2.0, float("inf"), float("-inf"), float("nan")]),
     st.floats(allow_nan=True, allow_infinity=True))
@@ -41,12 +63,12 @@ class TestStage1:
     @settings(max_examples=200, deadline=None)
     @given(readings=st.lists(READINGS, min_size=len(DEFAULT_VOLTAGE_SET),
                              max_size=len(DEFAULT_VOLTAGE_SET)))
+    @example(readings=[0.0] * 5 + [1.7976931348623157e308, -9.9792015476736e291])
     def test_extremes_match_running_scan(self, readings):
         """v1 and v0 are what a running strict scan from the highest voltage
         keeps, for ties, signed zeros, +-inf and NaN readings alike."""
         by_voltage = dict(zip(DEFAULT_VOLTAGE_SET, readings))
-        v1, v0, trace = stage1_uniform_probe(lambda c: by_voltage[c.voltages[0]],
-                                             DEFAULT_VOLTAGE_SET, 2)
+        v1, v0, trace = stage1(lambda c: by_voltage[c.voltages[0]], DEFAULT_VOLTAGE_SET, 2)
         seen = list(zip(DEFAULT_VOLTAGE_SET, readings))
         (w1, r1), (w0, r0) = seen[0], seen[0]
         for v, r in seen[1:]:
@@ -63,17 +85,17 @@ class TestStage1:
         def oracle(cfg):
             return 20 * np.log10(level[cfg.voltages[0]])
 
-        v1, v0, trace = stage1_uniform_probe(oracle, DEFAULT_VOLTAGE_SET, 4)
+        v1, v0, trace = stage1(oracle, DEFAULT_VOLTAGE_SET, 4)
         assert v1 == 0.0 and v0 == 30.0
         assert trace.stage_probe_count(1) == len(DEFAULT_VOLTAGE_SET)
 
     def test_constant_oracle_flagged(self):
-        v1, v0, trace = stage1_uniform_probe(lambda cfg: -3.0, DEFAULT_VOLTAGE_SET, 4)
+        v1, v0, trace = stage1(lambda cfg: -3.0, DEFAULT_VOLTAGE_SET, 4)
         assert trace.low_contrast
         assert v1 == v0 == 30.0  # ties break toward the higher voltage
 
     def test_probe_count_is_set_size(self):
-        _, _, trace = stage1_uniform_probe(lambda cfg: cfg.voltages[0], (30.0, 10.0, 0.0), 2)
+        _, _, trace = stage1(lambda cfg: cfg.voltages[0], (30.0, 10.0, 0.0), 2)
         assert trace.budget_used == 3
 
 
@@ -86,16 +108,15 @@ class TestStage2:
         vote resolve to a single element.
         """
         oracle = onoff_oracle([1.0, -1.0])
-        on, off, trace = stage2_majority_voting(oracle, V1, V0, 2, n_configs=4, rng_seed=0)
-        assert len(on) == 1
-        assert on | off == {0, 1}
-        cfg = SurfaceConfig(tuple(V1 if i in on else V0 for i in range(2)))
+        on = stage2_majority_voting(oracle, one_link(), 2, n_configs=4, rng_seed=0).on[0]
+        assert np.count_nonzero(on) == 1
+        cfg = SurfaceConfig.from_index((V1, V0), np.where(on, 0, 1))
         assert oracle(cfg) == pytest.approx(0.0, abs=1e-12)  # |h_TR| = 1
 
     def test_probe_count_exact(self):
         oracle = onoff_oracle(np.ones(8))
-        _, _, trace = stage2_majority_voting(oracle, V1, V0, 8, n_configs=16, rng_seed=1)
-        assert trace.stage_probe_count(2) == 16
+        links = stage2_majority_voting(oracle, one_link(), 8, n_configs=16, rng_seed=1)
+        assert links.traces[0].stage_probe_count(2) == 16
 
     def test_aligned_channel_on_fraction_grows(self):
         """All paths in phase: every element should be on; the voting
@@ -105,9 +126,9 @@ class TestStage2:
         for n_cfg in (64, 1024):
             on_counts = []
             for seed in range(30):
-                on, _, _ = stage2_majority_voting(oracle, V1, V0, 32,
-                                                  n_configs=n_cfg, rng_seed=seed)
-                on_counts.append(len(on) / 32)
+                on = stage2_majority_voting(oracle, one_link(), 32, n_configs=n_cfg,
+                                            rng_seed=seed).on[0]
+                on_counts.append(np.count_nonzero(on) / 32)
             fractions[n_cfg] = float(np.median(on_counts))
         assert fractions[1024] > fractions[64]
         assert fractions[1024] == 1.0
@@ -118,23 +139,23 @@ class TestStage2:
         oracle = onoff_oracle(np.ones(32))
         hits = 0
         for seed in range(100):
-            on, _, _ = stage2_majority_voting(oracle, V1, V0, 32,
-                                              n_configs=1024, rng_seed=seed)
-            hits += int(len(on) == 32)
+            on = stage2_majority_voting(oracle, one_link(), 32, n_configs=1024,
+                                        rng_seed=seed).on[0]
+            hits += int(on.all())
         assert hits >= 95
 
     def test_equal_voltages_rejected(self):
         with pytest.raises(ValueError):
-            stage2_majority_voting(lambda c: 0.0, 5.0, 5.0, 4)
+            stage2_majority_voting(lambda c: 0.0, one_link(5.0, 5.0), 4)
 
     def test_group_granularity(self):
         oracle = onoff_oracle(np.ones(8))
         groups = column_groups(2, 4)
-        on, off, _ = stage2_majority_voting(oracle, V1, V0, 8, n_configs=32,
-                                            rng_seed=3, groups=groups)
+        on = stage2_majority_voting(oracle, one_link(), 8, n_configs=32,
+                                    rng_seed=3, groups=groups).on[0]
         # group membership is preserved: each column is all-on or all-off
         for col in groups:
-            assert set(col) <= on or set(col) <= off
+            assert on[col].all() or not on[col].any()
 
 
 class TestStage3:
@@ -146,25 +167,23 @@ class TestStage3:
             key = (max(cfg.voltages), min(cfg.voltages))
             return target.get(key, -10.0)
 
-        state = ControlState(v1=30.0, v0=0.0, on_set=frozenset({0}))
-        trace = ControlTrace()
-        final = stage3_fine_tune(oracle, DEFAULT_VOLTAGE_SET, state, 2, trace)
+        links = stage3_fine_tune(oracle, one_link(30.0, 0.0, [True, False]),
+                                 DEFAULT_VOLTAGE_SET)
+        final = links.configs()[0]
         assert max(final.voltages) == 20.0 and min(final.voltages) == 2.5
-        assert trace.stage_probe_count(3) <= 9
+        assert links.traces[0].stage_probe_count(3) <= 9
 
     def test_keeps_stage2_config_when_no_improvement(self):
         oracle = onoff_oracle([1.0, 1.0])
-        state = ControlState(v1=V1, v0=V0, on_set=frozenset({0, 1}))
-        trace = ControlTrace()
-        trace.append(2, (V1,), [[0, 0]], [oracle(SurfaceConfig((V1, V1)))])
-        final = stage3_fine_tune(oracle, DEFAULT_VOLTAGE_SET, state, 2, trace)
+        links = one_link(on=[True, True])
+        _probe_many(oracle, links, 2, [(V1,)], np.zeros((1, 1, 2), np.uint8))
+        final = stage3_fine_tune(oracle, links, DEFAULT_VOLTAGE_SET).configs()[0]
         assert final.voltages == (V1, V1)
 
     def test_probe_budget(self):
-        state = ControlState(v1=15.0, v0=5.0, on_set=frozenset({0}))
-        trace = ControlTrace()
-        stage3_fine_tune(lambda c: 0.0, DEFAULT_VOLTAGE_SET, state, 2, trace)
-        assert trace.stage_probe_count(3) == 9  # interior voltages: full 3x3 grid
+        links = stage3_fine_tune(lambda c: 0.0, one_link(15.0, 5.0, [True, False]),
+                                 DEFAULT_VOLTAGE_SET)
+        assert links.traces[0].stage_probe_count(3) == 9  # interior voltages: full 3x3 grid
 
 
 class TestRunController:
@@ -183,54 +202,59 @@ class TestRunController:
         h = rng.normal(size=16) + 1j * rng.normal(size=16)
         oracle = onoff_oracle(h)
         cfg, trace = run_controller(oracle, 16, rng_seed=6)
-        assert oracle(cfg) == pytest.approx(max(p.rss_db for p in trace.probes), abs=1e-12)
+        every = np.concatenate([rss for *_, rss in trace.blocks])
+        assert oracle(cfg) == pytest.approx(every.max(), abs=1e-12)
 
     def test_deterministic_trace(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=16) + 1j * rng.normal(size=16)
         a_cfg, a_trace = run_controller(onoff_oracle(h), 16, rng_seed=7)
         b_cfg, b_trace = run_controller(onoff_oracle(h), 16, rng_seed=7)
-        assert a_cfg == b_cfg
+        assert a_cfg.voltages == b_cfg.voltages
         assert a_trace.serialize() == b_trace.serialize()
 
     def test_constant_oracle_survives(self):
         cfg, trace = run_controller(lambda c: -1.0, 8, rng_seed=8)
         assert trace.low_contrast
-        assert len(cfg) == 8
+        assert len(cfg.index) == 8
 
 
 class TestBruteForce:
     def test_single_group_two_probes(self):
         oracle = onoff_oracle(np.ones(4))
-        cfg, rss, trace = brute_force_baseline(oracle, [[0, 1, 2, 3]], V1, V0, 4)
-        assert trace.budget_used == 2
-        assert cfg.voltages == (V1,) * 4
+        links = brute_force_baseline(oracle, one_link(), 4, [[0, 1, 2, 3]])
+        assert links.traces[0].budget_used == 2
+        assert links.on[0].all()
+        assert links.configs()[0].voltages == (V1,) * 4
 
     def test_eight_groups_256_probes_and_optimal(self):
         rng = np.random.default_rng(3)
         h = rng.normal(size=8) + 1j * rng.normal(size=8)
         oracle = onoff_oracle(h)
-        cfg, rss, trace = brute_force_baseline(oracle, element_groups(8), V1, V0, 8)
-        assert trace.budget_used == 256
+        links = brute_force_baseline(oracle, one_link(), 8, element_groups(8))
+        assert links.traces[0].budget_used == 256
         want = oracles.best_subset_gain(0j, h, 1.0, 0.0, 1.0)  # oracle enumerates too
         base = 20 * np.log10(abs(h.sum()))
-        assert rss - base == pytest.approx(want, abs=1e-9)
+        assert links.best_db[0, 1] - base == pytest.approx(want, abs=1e-9)
+        on = SurfaceConfig.from_index((V1, V0), np.where(links.on[0], 0, 1))
+        assert oracle(on) == links.best_db[0, 1]
 
     def test_overlapping_groups_rejected(self):
         with pytest.raises(ValueError):
-            brute_force_baseline(lambda c: 0.0, [[0, 1], [1, 2]], V1, V0, 3)
+            brute_force_baseline(lambda c: 0.0, one_link(), 3, [[0, 1], [1, 2]])
         with pytest.raises(ValueError):
-            stage2_majority_voting(lambda c: 0.0, V1, V0, 3, groups=[[0, 1], [1, 2]])
+            stage2_majority_voting(lambda c: 0.0, one_link(), 3, groups=[[0, 1], [1, 2]])
 
     def test_ungrouped_elements_stay_off(self):
-        cfg, _, trace = brute_force_baseline(lambda c: float(c.voltages.count(V1)),
-                                             [[0], [2]], V1, V0, 4)
-        assert cfg.voltages == (V1, V0, V1, V0)
-        assert trace.budget_used == 4
+        links = brute_force_baseline(lambda c: float(c.voltages.count(V1)), one_link(), 4,
+                                     [[0], [2]])
+        assert links.on[0].tolist() == [True, False, True, False]
+        assert links.configs()[0].voltages == (V1, V0, V1, V0)
+        assert links.traces[0].budget_used == 4
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
-            brute_force_baseline(lambda c: 0.0, element_groups(17), V1, V0, 17)
+            brute_force_baseline(lambda c: 0.0, one_link(), 17, element_groups(17))
 
 
 def loop_best(probes, through_stage):
@@ -252,46 +276,54 @@ class TestColumnarTrace:
     @settings(max_examples=300, deadline=None)
     @given(readings=st.lists(READINGS, max_size=30),
            cuts=st.sets(st.integers(0, 30), max_size=6),
-           stages=st.lists(st.integers(1, 3), min_size=7, max_size=7),
-           through_stage=st.sampled_from([None, 1, 2, 3]))
-    def test_matches_per_probe_loop(self, readings, cuts, stages, through_stage):
-        """Ties, signed zeros, +-inf and NaN readings in blocks cut at random
-        boundaries (empty blocks included) pick what the per-probe scan picks."""
+           stages=st.lists(st.integers(1, 3), min_size=7, max_size=7))
+    def test_matches_per_probe_loop(self, readings, cuts, stages):
+        """Ties, signed zeros, +-inf and NaN readings in blocks of stages in
+        controller order, cut at random boundaries (empty blocks included),
+        leave as each stage's best what the per-probe scan picks."""
         bounds = [0] + sorted(c for c in cuts if c <= len(readings)) + [len(readings)]
-        trace, probes = ControlTrace(), []
-        for stage, lo, hi in zip(stages, bounds, bounds[1:]):
+        links, probes = LinkBatch.new(1), []
+        for stage, lo, hi in zip(sorted(stages), bounds, bounds[1:]):
             # probe i sits at voltage i, so the picked config names its probe
-            trace.append(stage, tuple(map(float, range(lo, hi))),
-                         np.arange(hi - lo, dtype=np.uint8)[:, None], readings[lo:hi])
+            levels, index = tuple(map(float, range(lo, hi))), np.arange(hi - lo, dtype=np.uint8)
+            links.traces[0].append(stage, levels, index[:, None], readings[lo:hi])
+            if hi > lo:  # the controller never probes an empty block
+                links.keep_best(stage, [levels], index[None, :, None],
+                                np.array([readings[lo:hi]], dtype=float), [hi - lo])
             probes += [(stage, i, readings[i]) for i in range(lo, hi)]
+        trace = links.traces[0]
         assert trace.budget_used == len(probes)
         for stage in (1, 2, 3):
             assert trace.stage_probe_count(stage) == sum(1 for p in probes if p[0] == stage)
-        try:
-            want = loop_best(probes, through_stage)
-        except IndexError:
-            with pytest.raises(ValueError, match="no probes"):
-                trace.best_probe(through_stage)
-            return
-        got = trace.best_probe(through_stage)
-        assert (got.stage, got.probe_index, _bits(got.rss_db)) == (want[0], want[1], _bits(want[2]))
-        assert got.config.voltages == (float(want[1]),)
+            if not any(p[0] <= stage for p in probes):
+                assert np.isnan(links.best_db[0, stage - 1])
+                continue
+            want = loop_best(probes, stage)
+            assert _bits(links.best_db[0, stage - 1]) == _bits(want[2])
+        if probes:
+            want = loop_best(probes, None)
+            assert links.configs()[0].voltages == (float(want[1]),)
 
     def test_nan_reading(self):
-        trace = ControlTrace()
-        trace.append(1, (30.0, 0.0), [[0], [1]], [1.0, float("nan")])
-        trace.append(2, (30.0, 0.0), [[0]], [2.0])
-        assert trace.best_probe().probe_index == 2
-        first_nan = ControlTrace()
-        first_nan.append(1, (30.0, 0.0), [[0], [1]], [float("nan"), 5.0])
-        assert first_nan.best_probe().probe_index == 0
+        links = LinkBatch.new(1)
+        links.keep_best(1, [(30.0, 0.0)], np.array([[[0], [1]]], np.uint8),
+                        np.array([[1.0, float("nan")]]), [2])
+        links.keep_best(2, [(5.0,)], np.array([[[0]]], np.uint8), np.array([[2.0]]), [1])
+        assert links.best_db[0].tolist() == [1.0, 2.0, 2.0]
+        assert links.configs()[0].voltages == (5.0,)
+        first_nan = LinkBatch.new(1)
+        first_nan.keep_best(1, [(30.0, 0.0)], np.array([[[0], [1]]], np.uint8),
+                            np.array([[float("nan"), 5.0]]), [2])
+        assert np.isnan(first_nan.best_db[0]).all()
+        assert first_nan.configs()[0].voltages == (30.0,)
 
     def test_blocks_are_read_only_copies(self):
         trace = ControlTrace()
         index = np.array([[0, 1]], dtype=np.uint8)
         trace.append(1, (30.0, 0.0), index, [1.0])
         index[0, 0] = 1
-        assert trace.best_probe().config.voltages == (30.0, 0.0)
+        assert probe_voltages(trace) == [(30.0, 0.0)]
+        assert not trace.blocks[0][2].flags.writeable
         with pytest.raises(ValueError, match="batch"):
             trace.append(1, (30.0, 0.0), index, [1.0, 2.0])
 
@@ -314,16 +346,16 @@ class TestTraceSerialization:
         h = rng.normal(size=12) + 1j * rng.normal(size=12)
         _, trace = run_controller(onoff_oracle(h), 12, rng_seed=9)
         rows = trace.serialize().strip().split("\n")[1:]
-        assert len(rows) == len(trace.probes)
-        for row, probe in zip(rows, trace.probes):
-            assert row.split(",")[2] == config_hash(probe.config.voltages)
+        assert len(rows) == trace.budget_used
+        for row, voltages in zip(rows, probe_voltages(trace)):
+            assert row.split(",")[2] == config_hash(voltages)
 
     def test_hash_of_many_distinct_voltages(self):
         values = np.linspace(0.0, 30.0, 1024)
         text = ",".join(format(v, ".6g") for v in values.tolist())
         assert config_hash(values) == hashlib.sha256(text.encode()).hexdigest()[:12]
         trace = ControlTrace()
-        cfg = SurfaceConfig(values)
+        cfg = SurfaceConfig.from_index(values, np.arange(1024))
         trace.append(1, cfg.levels, cfg.index[None], [0.0])
         assert trace.serialize().split("\n")[1].split(",")[2] == config_hash(values)
 
@@ -332,11 +364,11 @@ class TestTraceSerialization:
         trace = ControlTrace()
         for levels in ((30.0, 0.0), (30.0, -0.0)):
             trace.append(1, levels, [[0, 1]], [0.0])
-        cfg = SurfaceConfig((0.0, -0.0))
+        cfg = SurfaceConfig.from_index((0.0, -0.0), [0, 1])
         trace.append(1, cfg.levels, cfg.index[None], [0.0])
         rows = trace.serialize().strip().split("\n")[1:]
         assert [r.split(",")[2] for r in rows] == [
-            config_hash(p.config.voltages) for p in trace.probes]
+            config_hash(voltages) for voltages in probe_voltages(trace)]
         assert rows[0].split(",")[2] != rows[1].split(",")[2]
         assert rows[2].split(",")[2] == config_hash((0.0, -0.0))
 
@@ -414,9 +446,8 @@ class TestStreamedStage2:
             column_groups(self.ROWS, self.COLS)
         rng = np.random.default_rng(11)
         h = rng.normal(size=n) + 1j * rng.normal(size=n)
-        trace = ControlTrace()
-        stage2_majority_voting(onoff_oracle(h), V1, V0, n, n_configs=n_configs,
-                               rng_seed=5, groups=groups, trace=trace)
+        trace = stage2_majority_voting(onoff_oracle(h), one_link(), n, n_configs=n_configs,
+                                       rng_seed=5, groups=groups).traces[0]
         whole = np.random.default_rng(5).integers(0, 2, size=(n_configs, len(groups)))
         (_, _, index, _), = trace.blocks
         assert index.dtype == np.uint8
@@ -449,9 +480,8 @@ class TestRawWordStage2:
                                                 2 * MASK_BLOCK + 1]),
                                st.integers(1, 3 * MASK_BLOCK + 1)))
     def test_masks_equal_whole_integers_draw(self, seed, n_groups, n_configs):
-        trace = ControlTrace()
-        stage2_majority_voting(_Silent(), V1, V0, n_groups, n_configs=n_configs,
-                               rng_seed=seed, trace=trace)
+        trace = stage2_majority_voting(_Silent(), one_link(), n_groups, n_configs=n_configs,
+                                       rng_seed=seed).traces[0]
         (_, _, index, _), = trace.blocks
         whole = np.random.default_rng(seed).integers(0, 2, size=(n_configs, n_groups))
         np.testing.assert_array_equal(index == 0, whole.astype(bool))

@@ -23,11 +23,10 @@ from hypothesis import given, settings, strategies as st
 
 from mediamatch import harness
 from mediamatch.channel import (PROBE_BLOCK, ChannelStack, FeedbackOracle,
-                                ProductFeedbackOracle, composite_channels, oneway_gain,
+                                ProductFeedbackOracle, composite_channels, gains_db,
                                 sample_channel)
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, brute_force_baseline,
-                                column_groups, run_controller, run_controllers,
-                                stage1_uniform_probe, stage3_fine_tune, ControlState)
+                                column_groups, run_controller, run_controllers)
 from mediamatch.harness import (cmd_backscatter, cmd_bench_controller, cmd_links, run_links,
                                 table_text)
 from mediamatch.scenario import default_water_scenario, scenario_from_dict
@@ -54,7 +53,10 @@ def _channels(n_links, n, jitter=0.0, seed=0):
 
 
 def _levels(n_links, shared):
-    """One alphabet for every link, or a different on/off pair per link."""
+    """One alphabet for every link, a different on/off pair per link, or
+    ("mixed") on/off pairs and the whole voltage set in turn."""
+    if shared == "mixed":
+        return [VS if k % 2 else (VS[k % 3], VS[3 + k % 4]) for k in range(n_links)]
     return [VS] * n_links if shared else [(VS[k % 3], VS[3 + k % 4]) for k in range(n_links)]
 
 
@@ -62,14 +64,16 @@ class TestStackedComposite:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65])
     @pytest.mark.parametrize("n_links,n_rows", [(1, 1), (1, 2), (2, 1), (3, 7), (5, 129)])
     @pytest.mark.parametrize("jitter", [0.0, 0.4])
-    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("shared", [True, False, "mixed"])
     def test_rows_equal_one_link_calls(self, n, n_links, n_rows, jitter, shared):
         """Every (link, probe) entry of a stacked call equals the link's own
-        one-link call bit for bit, lone rows and odd element counts included."""
+        one-link call bit for bit, lone rows, odd element counts and links of
+        different alphabet lengths included."""
         channels = _channels(n_links, n, jitter)
         levels = _levels(n_links, shared)
+        sizes = np.array([len(lv) for lv in levels])[:, None, None]
         index = np.random.default_rng(n * n_rows).integers(
-            0, 2, (n_links, n_rows, n)).astype(np.uint8)
+            0, sizes, (n_links, n_rows, n)).astype(np.uint8)
         got = composite_channels(ChannelStack(channels), levels, index)
         want = [composite_channels(c, lv, i) for c, lv, i in zip(channels, levels, index)]
         assert _bits(got) == _bits(np.array(want))
@@ -89,9 +93,16 @@ class TestStackedComposite:
         assert _bits(got) == _bits(np.array(want))
 
     def test_out_of_range_index_rejected(self):
+        """An entry past its own link's alphabet raises, though a longer
+        alphabet of another link would cover it, and so does a negative one."""
         stack = ChannelStack(_channels(2, 3))
-        with pytest.raises(IndexError):
-            composite_channels(stack, [(30.0, 0.0)] * 2, np.full((2, 2, 3), 2, np.uint8))
+        for levels in ([(30.0, 0.0)] * 2, [(30.0, 0.0), VS], [VS, (30.0, 0.0)]):
+            index = np.zeros((2, 2, 3), np.uint8)
+            index[levels.index((30.0, 0.0)), 1, 2] = 2
+            with pytest.raises(IndexError):
+                composite_channels(stack, levels, index)
+        with pytest.raises(IndexError):  # a lone row must not wrap a negative entry
+            composite_channels(_channels(1, 3)[0], VS, np.array([[-1, 0, 0]]))
 
     def test_mixed_stacks_rejected(self):
         with pytest.raises(ValueError):
@@ -148,11 +159,11 @@ class TestStackedOracles:
             9, voltages, rng_seeds=seeds)
         assert len({trace.stage_probe_count(3) for trace in links.traces}) > 1
         for k, (channel, seed) in enumerate(zip(channels, seeds)):
-            cfg, trace = run_controller(FeedbackOracle(channel, noise_db=-15.0, noise_seed=seed),
-                                        9, voltages, rng_seed=seed)
-            assert links.configs()[k] == cfg
-            assert links.traces[k].serialize() == trace.serialize()
-            assert links.best_db[k].tolist() == [trace.best_probe(s).rss_db for s in (1, 2, 3)]
+            alone = run_controllers(FeedbackOracle(channel, noise_db=-15.0, noise_seed=seed),
+                                    9, voltages, rng_seeds=[seed])
+            assert links.configs()[k].voltages == alone.configs()[0].voltages
+            assert links.traces[k].serialize() == alone.traces[0].serialize()
+            assert _bits(links.best_db[k]) == _bits(alone.best_db[0])
 
 
 class _HighPadding:
@@ -332,14 +343,9 @@ class TestSharedStage1:
             cfg_e, tr_e = run_controller(fresh(), n, vs, rng_seed=rng_seed)
             cfg_c, tr_c = run_controller(fresh(), n, vs, harness.COLUMN_VOTING_CONFIGS,
                                          rng_seed, cols)
-            oracle = fresh()
-            v1, v0, tr_n = stage1_uniform_probe(oracle, vs, n)
-            v0 = min(vs) if v1 == v0 else v0
-            cfg, _, _ = brute_force_baseline(oracle, cols, v1, v0, n, trace=tr_n)
-            on = frozenset() if cfg is None else frozenset(
-                e for e, v in enumerate(cfg.voltages) if v == v1)
-            cfg_n = stage3_fine_tune(oracle, vs, ControlState(v1, v0, on), n, tr_n)
-            rows.append((i, ch_seed, *(oneway_gain(channel, c) for c in (cfg_e, cfg_c, cfg_n)),
+            enum = run_controllers(fresh(), n, vs, groups=cols, stage2=brute_force_baseline)
+            cfg_n, tr_n = enum.configs()[0], enum.traces[0]
+            rows.append((i, ch_seed, *gains_db([channel] * 3, [cfg_e, cfg_c, cfg_n]).tolist(),
                          tr_e.budget_used, tr_c.budget_used, tr_n.budget_used))
         header = harness._LINK_CSV["bench-controller"][1]
         assert (tmp_path / "bench_controller.csv").read_text() == table_text(
