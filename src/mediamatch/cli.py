@@ -6,8 +6,8 @@
     mediamatch backscatter      --scenario water.json --out out/ --links 45 [--parallel 2]
     mediamatch bench-controller --scenario water.json --out out/ [--parallel 2]
 
-Exit codes: 0 success, 2 scenario/config error, 3 infeasible calibration
-or singular stack, 4 oracle or budget violation.
+Exit codes: 0 success, 2 scenario/config error, 3 infeasible calibration,
+singular stack or a run too large for memory, 4 oracle or budget violation.
 """
 
 from __future__ import annotations
@@ -87,11 +87,15 @@ def main(argv=None) -> int:
     except DegenerateStackError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except MemoryError as exc:
+        print(f"infeasible: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except BudgetError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 
-    sys.stdout.write(report.render())
+    encoding = sys.stdout.encoding or "utf-8"  # escape what the locale cannot print
+    sys.stdout.write(report.render().encode(encoding, "backslashreplace").decode(encoding))
     return EXIT_OK
 
 

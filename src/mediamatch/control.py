@@ -31,12 +31,13 @@ list of probe blocks, one per ``_probe_many`` call: the stage, the alphabet,
 the read-only index matrix and the readings.  Probes keep the order they were
 measured in, and the trace hash is still taken over the per-element voltages
 a row stands for: ``_digests`` renders each row from a cached table of runs of
-up to 8 elements, whatever the alphabet.  Stage 2 draws its on/off masks
-MASK_BLOCK rows at a time, so only the bool masks and the uint8 index matrix
-grow with the array.  Its stream is defined by PCG64's raw 64-bit words: mask
-bit k is the sign bit of the k-th 32-bit half of the output, low half first
-(what ``default_rng(seed).integers(0, 2)`` draws today, without resting on
-``Generator.integers`` internals).  ROADMAP item 5 will still redefine it.
+up to 8 elements, whatever the alphabet.  Stage 2 draws its on/off rows
+MASK_BLOCK at a time into the uint8 index the trace keeps and counts its votes
+from it, so only that index grows with the array.  Its stream is defined by
+PCG64's raw 64-bit words: mask bit k is the sign bit of the k-th 32-bit half
+of the output, low half first (what ``default_rng(seed).integers(0, 2)``
+draws today, without resting on ``Generator.integers`` internals).  ROADMAP
+item 5 will still redefine it.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ DEFAULT_VOLTAGE_SET = (30.0, 20.0, 15.0, 10.0, 5.0, 2.5, 0.0)
 
 ENUMERATION_CAP = 65536
 
-#: Rows of stage 2's on/off masks drawn per generator call.  Even, so every
-#: block but the last uses whole raw words; each block's words are dropped
-#: before the next is drawn.
+#: Rows of stage 2's on/off index drawn per generator call and summed per vote
+#: count.  Even, so every block but the last uses whole raw words (dropped
+#: before the next block is drawn); at most 255, so a block's votes fit a uint8.
 MASK_BLOCK = 128
 
 
@@ -255,25 +256,22 @@ def _owners(groups, n_elements: int) -> np.ndarray:
     return owner
 
 
-def _onoff_index(groups, masks, n_elements: int) -> np.ndarray:
-    """Index rows over (v1, v0), one per row of the on/off group masks.
+def _onoff_index(owner, masks, out=None) -> np.ndarray:
+    """Index rows over (v1, v0), one per row of the on/off group masks (into ``out``).
 
-    Element e takes index 0 (v1) where its group is on and 1 (v0) otherwise;
-    elements in no group stay at v0.  Groups must be disjoint.  Leading axes
-    of the masks (a links axis) carry over to the index.
+    Element e takes index 0 (v1) where its group owner[e] (see _owners) is on
+    and 1 (v0) otherwise; elements in no group stay at v0.  Leading axes of
+    the masks (a links axis) carry over to the index.
     """
-    n_groups = len(groups)
-    owner = _owners(groups, n_elements)
-    if n_groups == n_elements and np.array_equal(owner, np.arange(n_elements)):
-        return _read_only(np.logical_not(masks).view(np.uint8))  # element e is group e
+    n_groups = masks.shape[-1]
     flat = masks.reshape(-1, n_groups)
-    index = np.empty((len(flat), n_elements), dtype=bool)
+    index = np.empty((len(flat), len(owner)), dtype=np.uint8) if out is None else out
     off = np.ones((MASK_BLOCK, n_groups + 1), dtype=bool)  # last column: no group
     for start in range(0, len(flat), MASK_BLOCK):
         rows = flat[start:start + MASK_BLOCK]
         np.logical_not(rows, out=off[:len(rows), :n_groups])
-        off[:len(rows)].take(owner, axis=1, out=index[start:start + len(rows)])
-    return _read_only(index.view(np.uint8).reshape(*masks.shape[:-1], n_elements))
+        off[:len(rows)].take(owner, axis=1, out=index[start:start + len(rows)].view(bool))
+    return _read_only(index.reshape(*masks.shape[:-1], len(owner)))
 
 
 def _probe_many(oracle, links: LinkBatch, stage: int, levels, index, rows=None) -> np.ndarray:
@@ -371,36 +369,43 @@ def stage2_majority_voting(oracle, links: LinkBatch, n_elements: int,
     for each group it turned on.  A group ends up on when it collects votes
     from more than half of the voting configurations; exactly half goes to
     off.  Keeps the (L, N) bool matrix of the elements left on as the batch's
-    ``on`` and returns the batch.
+    ``on`` and returns the batch.  Only the uint8 index over (v1, v0) is built
+    for the probes; the voting rows that put an element at v1 are its group's
+    votes (an element in no group gets none), so votes are counted per element.
     """
     v1, v0 = links.v1, links.v0
     if np.any(v1 == v0):
         raise ValueError("stage 2 needs distinct on/off voltages (v1 != v0)")
-    groups = groups if groups is not None else element_groups(n_elements)
-    n_groups = len(groups)
+    n_groups = n_elements if groups is None else len(groups)
     if n_configs is None:
         n_configs = 2 * n_groups
     if n_configs < 1:
         raise ValueError("n_configs must be >= 1")
 
-    masks = np.empty((len(links), n_configs, n_groups), dtype=bool)
+    index = np.empty((len(links), n_configs, n_elements), dtype=np.uint8)
+    owner = None if groups is None else _owners(groups, n_elements)
     seeds = rng_seed if np.ndim(rng_seed) else [rng_seed] * len(links)
-    for link_masks, seed in zip(masks, seeds):
+    for link_index, seed in zip(index, seeds):
         bits = np.random.PCG64(seed)
-        for start in range(0, n_configs, MASK_BLOCK):  # bit k: sign of 32-bit half k
-            block = link_masks[start:start + MASK_BLOCK]
-            words = bits.random_raw((block.size + 1) // 2).astype("<u8", copy=False).view("<i4")
-            np.less(words[:block.size].reshape(block.shape), 0, out=block)
+        for start in range(0, n_configs, MASK_BLOCK):  # mask bit k: sign of 32-bit half k
+            block = link_index[start:start + MASK_BLOCK]
+            size = len(block) * n_groups
+            words = bits.random_raw((size + 1) // 2).astype("<u8", copy=False).view("<i4")
+            words = words[:size].reshape(len(block), n_groups)
+            if owner is None:  # element e is group e: a clear sign bit is v0, index 1
+                np.greater_equal(words, 0, out=block.view(bool))
+            else:
+                _onoff_index(owner, words < 0, block)  # the block's group masks
             del words
-    rss = _probe_many(oracle, links, 2, list(zip(v1.tolist(), v0.tolist())),
-                      _onoff_index(groups, masks, n_elements))
+    rss = _probe_many(oracle, links, 2, list(zip(v1.tolist(), v0.tolist())), _read_only(index))
 
     voting = rss > np.median(rss, axis=1, keepdims=True)
-    n_voting = np.count_nonzero(voting, axis=1)
-    votes = np.count_nonzero(masks & voting[:, :, None], axis=1)
-    on_groups = np.zeros((len(links), n_groups + 1), dtype=bool)  # last column: no group
-    on_groups[:, :n_groups] = votes > n_voting[:, None] / 2.0  # strict majority of the voters
-    links.on = on_groups[:, _owners(groups, n_elements)]
+    n_voting = np.count_nonzero(voting, axis=1)[:, None]
+    off_votes = np.zeros((len(links), n_elements), dtype=np.intp)
+    for start in range(0, n_configs, MASK_BLOCK):  # uint8 sums of <= MASK_BLOCK 0/1s are exact
+        block = slice(start, start + MASK_BLOCK)
+        off_votes += np.einsum("lrn,lr->ln", index[:, block], voting[:, block].view(np.uint8))
+    links.on = 2 * (n_voting - off_votes) > n_voting  # strict majority of the voters
     return links
 
 
@@ -481,7 +486,7 @@ def brute_force_baseline(oracle, links: LinkBatch, n_elements: int, groups,
             "use randomized voting instead")
     v1, v0 = links.v1, links.v0
     codes = np.arange(2 ** n_groups)
-    index = _onoff_index(groups, (codes[:, None] >> np.arange(n_groups)) & 1, n_elements)
+    index = _onoff_index(_owners(groups, n_elements), (codes[:, None] >> np.arange(n_groups)) & 1)
     rss = _probe_many(oracle, links, 2, list(zip(v1.tolist(), v0.tolist())),
                       np.broadcast_to(index, (len(links), *index.shape)))
     # the first strict maximum above -inf, as a running "rss > best" scan finds it

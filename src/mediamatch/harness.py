@@ -87,7 +87,7 @@ def write_table(path: Path, header: str, columns) -> str:
 
 
 def _finish(report: RunReport, out_dir: Path) -> RunReport:
-    (out_dir / "summary.txt").write_text(report.render())
+    (out_dir / "summary.txt").write_text(report.render(), encoding="utf-8", newline="\n")
     return report
 
 

@@ -269,7 +269,7 @@ def read_scenario_dict(path) -> dict:
     """The JSON object of a scenario file, its fields not yet checked."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from mediamatch.channel import SurfaceConfig
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, MASK_BLOCK, ControlTrace,
-                                LinkBatch, _digests, _onoff_index, _probe_many, _run_codes,
-                                _run_width,
+                                LinkBatch, _digests, _onoff_index, _owners, _probe_many,
+                                _run_codes, _run_width,
                                 brute_force_baseline, column_groups, config_hash,
                                 element_groups, run_controller,
                                 stage1_uniform_probe, stage2_majority_voting,
@@ -451,7 +451,7 @@ class TestStreamedStage2:
         whole = np.random.default_rng(5).integers(0, 2, size=(n_configs, len(groups)))
         (_, _, index, _), = trace.blocks
         assert index.dtype == np.uint8
-        np.testing.assert_array_equal(index, _onoff_index(groups, whole, n))
+        np.testing.assert_array_equal(index, _onoff_index(_owners(groups, n), whole))
         owner = np.arange(n) if grouping == "element" else np.arange(n) % self.COLS
         np.testing.assert_array_equal(index, 1 - whole[:, owner])
 
@@ -502,9 +502,88 @@ class TestOnOffIndex:
         for g, members in enumerate(groups):
             owner[members] = g
         on = np.hstack([masks, np.zeros((len(masks), 1), dtype=bool)])  # no group: off
-        index = _onoff_index(groups, masks, self.N)
+        index = _onoff_index(_owners(groups, self.N), masks)
         assert index.dtype == np.uint8 and not index.flags.writeable
         np.testing.assert_array_equal(index, 1 - on[:, owner])
+
+
+class _WeightOracle:
+    """Reads the sum of the weights of the elements at v1, for one link's
+    (n, N) index or a stack of them."""
+
+    def __init__(self, weights):
+        self.weights = np.asarray(weights, dtype=float)
+
+    def batch(self, levels, index, rows=None):
+        return (np.asarray(index) == 0) @ self.weights
+
+
+class _RowOracle:
+    """Reads 1 for the probes at the given row numbers and 0 for the rest, so
+    those rows alone vote."""
+
+    def __init__(self, high):
+        self.high = high
+
+    def batch(self, levels, index, rows=None):
+        rss = np.zeros(np.shape(index)[:-1])
+        rss[..., [r for r in self.high if r < rss.shape[-1]]] = 1.0
+        return rss
+
+
+class TestVotesReferee:
+    """Stage 2's ``on`` equals majority voting as first written: whole
+    Generator.integers(0, 2) masks, the votes of the rows strictly above the
+    median counted per group, a strict majority, mapped to the elements
+    through the groups (an element in no group off)."""
+
+    GROUPINGS = ("default", "element", "column", "sparse")
+
+    @staticmethod
+    def reference(oracle, groups, n, n_configs, seed) -> np.ndarray:
+        masks = np.random.default_rng(seed).integers(0, 2, (n_configs, len(groups))).astype(bool)
+        owner = np.full(n, len(groups))
+        for g, members in enumerate(groups):
+            owner[members] = g
+        on = np.hstack([masks, np.zeros((n_configs, 1), dtype=bool)])[:, owner]
+        rss = oracle.batch((V1, V0), (~on).astype(np.uint8))
+        voting = rss > np.median(rss)
+        votes = np.count_nonzero(masks & voting[:, None], axis=0)
+        return np.append(votes > np.count_nonzero(voting) / 2.0, False)[owner]
+
+    def test_mask_block_fits_uint8_counts(self):
+        assert MASK_BLOCK <= 255  # a row block's votes are summed in uint8
+
+    @settings(max_examples=80, deadline=None)
+    @given(grouping=st.sampled_from(GROUPINGS), rows=st.integers(1, 4), cols=st.integers(1, 6),
+           n_configs=st.one_of(st.sampled_from([1, MASK_BLOCK - 1, MASK_BLOCK, MASK_BLOCK + 1]),
+                               st.integers(1, 2 * MASK_BLOCK + 3)),
+           seeds=st.lists(st.integers(0, 2 ** 63 - 1), min_size=1, max_size=3),
+           weights=st.one_of(st.lists(st.integers(-2, 2), min_size=24, max_size=24),
+                             st.none()),
+           high=st.lists(st.integers(0, 2 * MASK_BLOCK + 2), max_size=3))
+    @example(grouping="sparse", rows=2, cols=3, n_configs=MASK_BLOCK + 1, seeds=[0, 1],
+             weights=[0] * 24, high=[])  # every reading ties: no row votes, every element is off
+    @example(grouping="default", rows=4, cols=6, n_configs=MASK_BLOCK + 1, seeds=[0, 1],
+             weights=None, high=[MASK_BLOCK - 1])  # the one voter ends a row block
+    @example(grouping="column", rows=4, cols=6, n_configs=2 * MASK_BLOCK, seeds=[2],
+             weights=None, high=[MASK_BLOCK])  # the one voter starts a row block
+    def test_on_equals_reference(self, grouping, rows, cols, n_configs, seeds, weights, high):
+        """``weights`` None reads the rows in ``high`` as 1 and the rest as 0."""
+        n = rows * cols
+        groups = {"default": None, "element": element_groups(n),
+                  "column": column_groups(rows, cols),
+                  "sparse": [[e] for e in range(n - 1)] + [[]]}[grouping]  # element n-1 in none
+        oracle = _RowOracle(high) if weights is None else _WeightOracle(weights[:n])
+        links = LinkBatch.new(len(seeds))
+        links.v1, links.v0 = np.full(len(seeds), V1), np.full(len(seeds), V0)
+        stage2_majority_voting(oracle, links, n, n_configs, seeds, groups)
+        for link, seed in enumerate(seeds):
+            expected = self.reference(oracle, element_groups(n) if groups is None else groups,
+                                      n, n_configs, seed)
+            one = stage2_majority_voting(oracle, one_link(), n, n_configs, seed, groups)
+            np.testing.assert_array_equal(links.on[link], expected)
+            np.testing.assert_array_equal(one.on[0], expected)
 
 
 class TestOnOffRunCodes:

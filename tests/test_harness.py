@@ -5,6 +5,9 @@ import copy
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -13,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mediamatch import harness, scenario as scenario_mod
+from mediamatch import cli, harness, scenario as scenario_mod
 from mediamatch.cli import main
 from mediamatch.harness import (BudgetError, cmd_backscatter, cmd_bench_controller,
                                 cmd_links, cmd_match, cmd_sweep, median_lower,
@@ -250,12 +253,12 @@ class TestLinksCommand:
         assert len(dump) == 2 + scenario.n_elements
 
     @staticmethod
-    def _32x32_peak(n_links: int) -> int:
-        """tracemalloc peak of links 0..n_links-1 of a 32x32 scenario, batch
-        by batch as the links command cuts them, checking every row."""
+    def _link_peak(side: int, n_links: int) -> int:
+        """tracemalloc peak of links 0..n_links-1 of a side x side scenario,
+        batch by batch as the links command cuts them, checking every row."""
         raw = json.loads((SCENARIOS / "water_links.json").read_text())
-        raw.update(array_rows=32, array_cols=32)
-        raw["channel"]["element_power"] = 1.0 / 1024
+        raw.update(array_rows=side, array_cols=side)
+        raw["channel"]["element_power"] = 1.0 / side ** 2
         scenario = scenario_from_dict(raw)
         responder = scenario.responder()
         tracemalloc.start()
@@ -267,20 +270,26 @@ class TestLinksCommand:
             tracemalloc.stop()
         assert len(results) == n_links
         for i, (row, files) in enumerate(results):
-            assert row[-2] == 2 * 1024  # stage-2 probes
+            assert row[-2] == 2 * side ** 2  # stage-2 probes
             assert len(files[f"traces/link_{i:04d}.csv"].splitlines()) == 1 + sum(row[-3:])
         return peak
 
     def test_32x32_link_memory_peak(self):
-        """One 32x32 link allocates at most 12 MB at its peak: stage 2 never
-        holds all of its masks' raw words or a whole-matrix temporary."""
-        peak = self._32x32_peak(1)
-        assert peak <= 12 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+        """One 32x32 link allocates at most 7 MB at its peak: stage 2 builds
+        no array of its probes but the uint8 index the trace keeps (2 MB)."""
+        peak = self._link_peak(32, 1)
+        assert peak <= 7 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
     def test_two_32x32_links_memory_peak(self):
-        """Two 32x32 links stay within the same 12 MB: they run one per batch."""
-        peak = self._32x32_peak(2)
-        assert peak <= 12 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+        """Two 32x32 links stay within the same 7 MB: they run one per batch."""
+        peak = self._link_peak(32, 2)
+        assert peak <= 7 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+    def test_64x64_link_memory_peak(self):
+        """One 64x64 link allocates at most 48 MB at its peak, its 32 MB
+        stage-2 index included."""
+        peak = self._link_peak(64, 1)
+        assert peak <= 48 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
     def test_first_two_stages_carry_the_gain(self, tmp_path):
         """Median gain after stages 1+2 dominates the stage-3 increment."""
@@ -353,6 +362,39 @@ class TestCli:
         rc = main(["links", "--scenario", str(path), "--out", str(tmp_path), "--links", "1"])
         assert rc == 3
         assert capsys.readouterr().err.startswith("infeasible: singular stack")
+
+    def test_out_of_memory_is_infeasible(self, tmp_path, capsys, monkeypatch):
+        """A run that cannot get its memory exits 3 with a message, not a
+        traceback (the command is stubbed: a test allocates nothing large)."""
+        def starved(*args):
+            raise MemoryError("Unable to allocate 9.21 TiB for an array")
+
+        monkeypatch.setitem(cli._COMMANDS, "links", starved)
+        rc = main(["links", "--scenario", str(SCENARIOS / "water_links.json"),
+                   "--out", str(tmp_path), "--links", "1"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("infeasible: out of memory: Unable to allocate")
+
+    def test_non_ascii_scenario_under_c_locale(self, tmp_path):
+        """Scenario JSON is read and summary.txt written as UTF-8 with \\n line
+        ends whatever the locale, and the printed report escapes what an
+        ASCII stdout cannot hold."""
+        raw = json.loads((SCENARIOS / "water_links.json").read_text(encoding="utf-8"))
+        raw["name"] = "lac-d\u00e9mo \u94fe\u8def"
+        path = tmp_path / "unicode.json"
+        path.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0")
+        env.pop("PYTHONIOENCODING", None)
+        done = subprocess.run([sys.executable, "-m", "mediamatch", "links", "--scenario",
+                               str(path), "--out", str(tmp_path / "out"), "--links", "1"],
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+        assert b"Traceback" not in done.stderr
+        assert b"scenario = lac-d\\xe9mo \\u94fe\\u8def\n" in done.stdout
+        summary = (tmp_path / "out" / "summary.txt").read_bytes()
+        assert f"scenario = {raw['name']}\n".encode("utf-8") in summary
+        assert b"\r" not in summary
 
     @pytest.mark.parametrize("argv", [
         ["links", "--links", "-3"],
