@@ -19,7 +19,8 @@ channel = scenario.sample_link_channel(5000001, responder)
 oracle = FeedbackOracle(channel, quantization_db=scenario.channel.rss_quantization_db)
 links = run_controllers(oracle, scenario.n_elements,
                         voltages=scenario.voltage_set, rng_seeds=[42])
-config, trace = links.configs()[0], links.traces[0]
+(levels, row), trace = links.configs()[0], links.traces[0]
+voltages = np.asarray(levels)[row].tolist()
 
 base_db = 20 * np.log10(abs(baseline_channel(channel)))
 print(f"baseline (no surface): {base_db:7.2f} dB")
@@ -31,12 +32,11 @@ for stage, label in ((1, "uniform voltage probe"),
     print(f"stage {stage} ({label:28s}): {n:3d} probes, best so far "
           f"{best:7.2f} dB ({best - base_db:+.2f} dB)")
 
-print(f"\nfinal gain: {gains_db([channel], [config])[0]:+.2f} dB "
+print(f"\nfinal gain: {gains_db([channel], links.configs())[0]:+.2f} dB "
       f"using {trace.budget_used} probes total")
-v1 = max(config.voltages)
-v0 = min(config.voltages)
-on = sum(1 for v in config.voltages if v == v1)
-print(f"final config: {on}/{len(config.index)} elements at {v1:g} V, rest at {v0:g} V")
+v1, v0 = max(voltages), min(voltages)
+on = voltages.count(v1)
+print(f"final config: {on}/{len(row)} elements at {v1:g} V, rest at {v0:g} V")
 
 print("\nfirst probes of the trace:")
 for line in trace.serialize().splitlines()[:6]:
@@ -45,8 +45,7 @@ for line in trace.serialize().splitlines()[:6]:
 print("\nnow 45 links of the same scenario family:")
 channels = [scenario.sample_link_channel(scenario.seed * 1000000 + i, responder)
             for i in range(45)]
-stacked = FeedbackOracle(channels, quantization_db=scenario.channel.rss_quantization_db,
-                         noise_seed=[0] * 45)
+stacked = FeedbackOracle(channels, quantization_db=scenario.channel.rss_quantization_db)
 batch = run_controllers(stacked, scenario.n_elements, voltages=scenario.voltage_set,
                         rng_seeds=[scenario.seed * 1000000 + i + 500000 for i in range(45)])
 gains = sorted(gains_db(channels, batch.configs()).tolist())

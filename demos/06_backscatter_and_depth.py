@@ -8,7 +8,7 @@ steady while absolute received power falls with endpoint depth.
 import numpy as np
 
 from mediamatch import best_admittance, gains_db, run_controllers, through_power_db
-from mediamatch.channel import ProductFeedbackOracle
+from mediamatch.channel import FeedbackOracle
 from mediamatch.scenario import default_water_scenario, load_scenario
 from pathlib import Path
 
@@ -18,7 +18,7 @@ responder = scenario.responder()
 print("reciprocal backscatter links (uplink == downlink):")
 downs = [scenario.sample_link_channel(11000000 + i, responder) for i in range(5)]
 ups = downs  # reciprocity: the uplink retraces the downlink's paths
-links = run_controllers(ProductFeedbackOracle(downs, ups), scenario.n_elements,
+links = run_controllers(FeedbackOracle(downs, ups), scenario.n_elements,
                         voltages=scenario.voltage_set, rng_seeds=range(5))
 configs = links.configs()
 pairs = zip(gains_db(downs, configs).tolist(), gains_db(downs, configs, ups).tolist())

@@ -14,6 +14,6 @@ from .surface import (SMV1405_TABLE, admittance_approx, admittance_at_voltage,
 from .matching import (SweepGrid, best_admittance, best_voltage, reflection_spectrum,
                        sweep_through_power)
 from .channel import baseline_channel, gains_db
-from .control import DEFAULT_VOLTAGE_SET, run_controller, run_controllers
+from .control import DEFAULT_VOLTAGE_SET, run_controllers
 
 __version__ = "0.1.0"

@@ -3,9 +3,10 @@
 Channels are synthesized (the real system measures them): environment and
 per-element paths are circularly-symmetric complex Gaussians drawn from a
 seeded numpy Generator (PCG64), so every sampled quantity is a pure function
-of (seed, params) and full runs replay bit-identically.  FeedbackOracle and
-ProductFeedbackOracle make the RSS readings the controller sees (noise
-keying and quantization included).
+of (seed, params) and full runs replay bit-identically.  FeedbackOracle
+makes the RSS readings the controller sees, one-way or two-way (noise keying
+and quantization included).  A surface configuration is a (levels, index row)
+pair: element i is biased at levels[row[i]].
 """
 
 from __future__ import annotations
@@ -16,45 +17,6 @@ import numpy as np
 
 from .cascade import DegenerateStackError, StackSpec, solve_stack
 from .surface import ElementCircuit, admittance_at_voltage
-
-
-class SurfaceConfig:
-    """Per-element bias voltages, held as an index vector over a voltage alphabet.
-
-    ``levels`` is the alphabet (a tuple of floats) and ``index`` a read-only
-    unsigned vector (uint8 unless the alphabet has more than 256 levels) with
-    one entry per element: element i is biased at ``levels[index[i]]``.
-    ``voltages`` is the derived per-element tuple.
-    """
-
-    __slots__ = ("levels", "index")
-
-    @classmethod
-    def from_index(cls, levels, index) -> "SurfaceConfig":
-        """Element i at levels[index[i]]; a writeable index is copied.
-
-        The index is held as the narrowest unsigned type that covers the
-        alphabet; a non-empty index that is not of an integer dtype (float and
-        bool included) or has an entry outside [0, len(levels)) raises ValueError.
-        """
-        cfg = cls.__new__(cls)
-        cfg.levels = tuple(levels)
-        index = np.asarray(index)
-        if index.size and index.dtype.kind not in "iu":
-            raise ValueError(f"index must be of an integer dtype, got {index.dtype}")
-        top = len(cfg.levels) - 1
-        if index.size and not (index.min() >= 0 and index.max() <= top):
-            raise ValueError(f"index entries must lie in [0, {top}] for {top + 1} levels")
-        cfg.index = index.astype(np.min_scalar_type(max(top, 0)), copy=index.flags.writeable)
-        cfg.index.flags.writeable = False
-        return cfg
-
-    @property
-    def voltages(self) -> tuple[float, ...]:
-        return tuple(np.asarray(self.levels)[self.index].tolist())
-
-    def __repr__(self):
-        return f"SurfaceConfig(voltages={self.voltages!r})"
 
 
 class ElementResponder:
@@ -170,35 +132,31 @@ PROBE_BLOCK = 32
 _BLOCK_VALUES = PROBE_BLOCK * 1024
 
 
-def composite_channels(channel, levels, index) -> np.ndarray:
-    """h_env + sum_i s(V_i) h_i for every probe row of an index matrix.
+def composite_channels(channels: ChannelStack, levels, index) -> np.ndarray:
+    """h_env + sum_i s(V_i) h_i for every probe row of an index stack.
 
-    ``channel`` is one MultipathChannel with an (n, N) index over the alphabet
-    ``levels``, giving (n,) values, or a ChannelStack of L links with an
-    (L, n, N) index and a sequence of L alphabets, giving (L, n).  The rows
-    run in blocks of whole links, or of one link's rows, of at most
-    PROBE_BLOCK x 1024 values.  Each row is gathered from the responder's
-    table for its link's alphabet, multiplied in place and summed along its
-    own contiguous axis: the same numpy loops, in the same order, as a lone
-    row takes as a vector, so every entry equals the one-row result bit for
-    bit, whatever links and rows share its block.
+    ``channels`` is a ChannelStack of L links, ``levels`` a sequence of L
+    alphabets and ``index`` an (L, n, N) integer stack over them; returns the
+    (L, n) values.  The rows run in blocks of whole links, or of one link's
+    rows, of at most PROBE_BLOCK x 1024 values.  Each row is gathered from the
+    responder's table for its link's alphabet, multiplied in place and summed
+    along its own contiguous axis: the same numpy loops, in the same order, as
+    a lone row takes as a vector, so every entry equals the one-row result bit
+    for bit, whatever links and rows share its block.
     """
     index = np.asarray(index)
-    if isinstance(channel, MultipathChannel):
-        h_env, h = channel.h_env, channel.h_elements[None]
-        jitter = None if channel.phase_jitter is None else channel.phase_jitter[None]
-        index, levels = index[None], [levels]
-    else:
-        h_env, h, jitter = channel.h_env[:, None], channel.h_elements, channel.phase_jitter
+    h_env, h, jitter = channels.h_env[:, None], channels.h_elements, channels.phase_jitter
+    if index.dtype.kind not in "iu":
+        raise ValueError(f"index must be of an integer dtype, got {index.dtype}")
     if index.ndim != 3 or index.shape[2] != h.shape[1]:
         raise ValueError(f"config length {index.shape[-1]} != channel N {h.shape[1]}")
     if len(index) != len(h) or len(levels) != len(h):
         raise ValueError(f"{len(index)} links of probes and {len(levels)} alphabets "
                          f"for {len(h)} channels")
-    if channel.responder is None:
+    if channels.responder is None:
         raise ValueError("channel has no element responder attached")
     n_links, n_rows, n = index.shape
-    tables = [channel.responder.table(tuple(lv)) for lv in levels]
+    tables = [channels.responder.table(tuple(lv)) for lv in levels]
     shared = all(t is tables[0] for t in tables)
     rows = max(1, min(n_rows, _BLOCK_VALUES // max(n, 1)))
     links = max(1, _BLOCK_VALUES // max(n * n_rows, 1)) if rows == n_rows else 1
@@ -233,7 +191,7 @@ def composite_channels(channel, levels, index) -> np.ndarray:
             s *= h[ls, None]
             s.sum(axis=2, out=out[ls, r0:r0 + rows])
     out += h_env
-    return out[0] if isinstance(channel, MultipathChannel) else out
+    return out
 
 
 def baseline_channel(channel: MultipathChannel) -> complex:
@@ -262,43 +220,43 @@ def rss_db(magnitude, quantization_db: float | None = 0.1) -> np.ndarray:
 
 
 class FeedbackOracle:
-    """RSS feedback for the controller: the composite channel with optional
-    additive noise, read by rss_db.
+    """RSS feedback for the controller, read by rss_db: the downlink's
+    composite channel with optional additive noise (one-way), times the
+    uplink's magnitude when one is given (two-way, backscatter).
 
-    Noise is complex Gaussian with power 10^(noise_db/10) relative to a
-    unit-magnitude channel.  Each probe draws it from its own seed, derived
-    from noise_seed and the probe count, so a replay with the same base seed
-    reproduces the identical sequence.  RSS is read at 0.1 dB granularity by
-    default (typical RSSI resolution); quantization_db=None reads it
-    continuously.  ``batch`` measures every row of an index matrix at once;
-    row i reads exactly what the i-th of as many sequential calls would,
-    noise seed included.
+    ``downlink`` and ``uplink`` are one channel or a sequence of L; the same
+    sequence passed as both is reciprocal and reads the downlink's magnitude
+    squared.  ``batch(levels, index, rows)`` reads L alphabets and an
+    (L, n, N) index stack as (L, n) readings; the first rows[l] rows of link
+    l (all by default) are probes and the rest padding, read without noise
+    and not counted.  Probe i of a batch reads exactly what the i-th of as
+    many one-row batches would, noise included.
 
-    Given a sequence of L channels and as many noise seeds, the oracle reads
-    L links at once: ``batch`` then takes L alphabets and an (L, n, N) index
-    and returns (L, n) readings, each link keyed by its own seed and probe
-    count (``probes``, one per link).  ``rows`` marks how many leading rows of
-    each link are probes; the rest is padding, read without noise and not
-    counted.  copy.copy gives an oracle that goes on from the same probe
-    counts on its own.
+    Noise, added to the downlink only, is complex Gaussian with power
+    10^(noise_db/10) relative to a unit-magnitude channel; each probe draws it
+    from a seed derived from its link's ``noise_seed`` (one per link, or one
+    for all) and probe count (``probes``), so a replay repeats it.  The
+    backscatter command passes no noise_db: a scenario's channel.noise_db
+    does not reach it.  RSS is read on a 0.1 dB grid by default (typical RSSI
+    resolution), continuously with quantization_db=None.  copy.copy gives an
+    oracle that goes on from the same probe counts on its own.
     """
 
-    def __init__(self, channel, noise_db: float | None = None,
+    def __init__(self, downlink, uplink=None, noise_db: float | None = None,
                  quantization_db: float | None = 0.1, noise_seed=0):
-        self.links = ChannelStack(channel)
+        self.downlink = ChannelStack(downlink)
+        self.uplink = None if uplink is None else \
+            self.downlink if uplink is downlink else ChannelStack(uplink)
+        if self.uplink is not None and \
+                self.downlink.h_elements.shape != self.uplink.h_elements.shape:
+            raise ValueError("backscatter directions must share the link and element counts")
         self.noise_db = noise_db
         self.quantization_db = quantization_db
-        self.noise_seeds = [int(s) for s in (noise_seed if np.ndim(noise_seed) else [noise_seed])]
-        if len(self.noise_seeds) != len(self.links.h_env):
-            raise ValueError(f"{len(self.noise_seeds)} noise seeds for "
-                             f"{len(self.links.h_env)} links")
+        self.noise_seeds = [int(s) for s in np.broadcast_to(noise_seed, len(self.downlink.h_env))]
         self.probes = np.zeros(len(self.noise_seeds), dtype=np.int64)
 
     def batch(self, levels, index, rows=None) -> np.ndarray:
-        one = np.ndim(index) == 2
-        if one:
-            levels, index = [levels], np.asarray(index)[None]
-        h = composite_channels(self.links, levels, index)
+        h = composite_channels(self.downlink, levels, index)
         rows = [h.shape[1]] * len(h) if rows is None else list(rows)
         if self.noise_db is not None:
             s = np.sqrt(10.0 ** (self.noise_db / 10.0) / 2.0)
@@ -309,56 +267,30 @@ class FeedbackOracle:
                     rng = np.random.default_rng((first + k) & 0x7FFFFFFF)
                     h[link, k] += complex(rng.normal(0.0, s) + 1j * rng.normal(0.0, s))
         self.probes = self.probes + rows  # a new array: copies keep their own counts
-        rss = rss_db(np.hypot(h.real, h.imag), self.quantization_db)
-        return rss[0] if one else rss
-
-    def __call__(self, config: SurfaceConfig) -> float:
-        return float(self.batch(config.levels, config.index[None])[0])
-
-
-class ProductFeedbackOracle:
-    """Backscatter feedback: the dB sum of both directions' RSS.
-
-    Like FeedbackOracle, it reads one link or a stack of L (a sequence of
-    channels per direction; the same sequence for a reciprocal uplink).
-    """
-
-    def __init__(self, downlink, uplink, quantization_db: float | None = 0.1):
-        self.downlink = ChannelStack(downlink)
-        self.uplink = self.downlink if uplink is downlink else ChannelStack(uplink)
-        if self.downlink.h_elements.shape != self.uplink.h_elements.shape:
-            raise ValueError("backscatter directions must share the element count")
-        self.quantization_db = quantization_db
-
-    def batch(self, levels, index, rows=None) -> np.ndarray:
-        one = np.ndim(index) == 2
-        if one:
-            levels, index = [levels], np.asarray(index)[None]
-        down = composite_channels(self.downlink, levels, index)
-        up = down if self.uplink is self.downlink else \
-            composite_channels(self.uplink, levels, index)
-        magnitude = np.hypot(down.real, down.imag) * np.hypot(up.real, up.imag)
-        rss = rss_db(magnitude, self.quantization_db)
-        return rss[0] if one else rss
-
-    def __call__(self, config: SurfaceConfig) -> float:
-        return float(self.batch(config.levels, config.index[None])[0])
+        magnitude = np.hypot(h.real, h.imag)
+        if self.uplink is self.downlink:
+            magnitude = magnitude * magnitude
+        elif self.uplink is not None:
+            up = composite_channels(self.uplink, levels, index)
+            magnitude = magnitude * np.hypot(up.real, up.imag)
+        return rss_db(magnitude, self.quantization_db)
 
 
 def gains_db(downlinks, configs, uplinks=None) -> np.ndarray:
     """Gain in dB of each link's configuration against its no-surface baseline.
 
-    ``downlinks`` and ``configs`` hold one channel and one SurfaceConfig per
-    link; returns their L gains, each from one stacked composite_channels call
-    per direction.  Without ``uplinks`` the gain is one-way.  With them it is
-    two-way (backscatter): the output is taken proportional to its input
-    power, so the end-to-end magnitude is |h_down| * |h_up| and the dB gains of
-    the two directions add; the downlinks passed again as the uplinks
-    (reciprocal mode) give exactly twice the one-way gain.  A link whose
-    magnitude or baseline magnitude is not positive gains -inf.
+    ``downlinks`` and ``configs`` hold one channel and one (levels, index row)
+    pair per link, as LinkBatch.configs() gives them; returns their L gains,
+    each from one stacked composite_channels call per direction.  Without
+    ``uplinks`` the gain is one-way.  With them it is two-way (backscatter):
+    the output is taken proportional to its input power, so the end-to-end
+    magnitude is |h_down| * |h_up| and the dB gains of the two directions add;
+    the downlinks passed again as the uplinks (reciprocal mode) give exactly
+    twice the one-way gain.  A link whose magnitude or baseline magnitude is
+    not positive gains -inf.
     """
-    levels = [cfg.levels for cfg in configs]
-    index = np.stack([cfg.index for cfg in configs])[:, None]
+    levels, rows = zip(*configs)
+    index = np.stack(rows)[:, None]
 
     def magnitudes(channels):
         h = composite_channels(ChannelStack(channels), levels, index)[:, 0]

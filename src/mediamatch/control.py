@@ -9,35 +9,28 @@ controller ever probed, so it can never regress below a measured state.
 
 The controller state is a LinkBatch of L links (L = 1 for one link): every
 stage takes the batch, probes its links together, keeps what it found in it
-(v1 and v0, the on/off split, each link's best probe) and returns it.
-``run_controllers`` runs the stages on a batch, and ``run_controller`` is its
-one-link case.  One link's oracle is a callable SurfaceConfig -> rss_db, and it
-may also offer ``batch(levels, index) -> ndarray``, which measures every row
-of an (n, N) index matrix; probe i of a batch must return exactly what the
-i-th of n sequential calls would (feedback is stateful in a real deployment,
-so a noisy oracle keys its noise by probe count).  An oracle of L stacked
-links (see channel.FeedbackOracle) also takes ``batch(levels, index, rows)``
-with L alphabets and an (L, n, N) index stack, and returns (L, n) readings:
-link l's first rows[l] rows are its probes, read as its own one-link oracle
-would read them, and the rest is padding that it neither counts nor keys
-noise by.  Every stage sends its probes through one path, ``_probe_many``:
-one link goes to ``batch`` when the oracle has it and to one call per row
-otherwise; more links go to the stacked ``batch``.  Only whole controller
-runs may execute concurrently.
+(v1 and v0, the on/off split, each link's best probe) and returns it;
+``run_controllers`` runs the stages.  Every stage probes through one path,
+``_probe_many``, and one oracle protocol (see channel.FeedbackOracle):
+``batch(levels, index, rows)`` reads L alphabets and an (L, n, N) index stack
+as (L, n) readings, link l's first rows[l] rows being probes and the rest
+padding.  Probe i must read what the i-th of n one-row batches would (a noisy
+oracle keys its noise by probe count).  Only whole controller runs may
+execute concurrently.
 
-A configuration is a uint8 index vector over the voltage alphabet
-(``voltage_set``, or (v1, v0) for on/off configurations).  The trace is a
-list of probe blocks, one per ``_probe_many`` call: the stage, the alphabet,
-the read-only index matrix and the readings.  Probes keep the order they were
-measured in, and the trace hash is still taken over the per-element voltages
-a row stands for: ``_digests`` renders each row from a cached table of runs of
-up to 8 elements, whatever the alphabet.  Stage 2 draws its on/off rows
-MASK_BLOCK at a time into the uint8 index the trace keeps and counts its votes
-from it, so only that index grows with the array.  Its stream is defined by
-PCG64's raw 64-bit words: mask bit k is the sign bit of the k-th 32-bit half
-of the output, low half first (what ``default_rng(seed).integers(0, 2)``
-draws today, without resting on ``Generator.integers`` internals).  ROADMAP
-item 5 will still redefine it.
+A configuration is a (levels, index row) pair: a uint8 index vector over the
+voltage alphabet (``voltage_set``, or (v1, v0) for on/off configurations).
+The trace is a list of probe blocks, one per ``_probe_many`` call: the stage,
+the alphabet, the read-only index matrix and the readings.  Probes keep the
+order they were measured in, and the trace hash is still taken over the
+per-element voltages a row stands for: ``_digests`` renders each row from a
+cached table of runs of up to 8 elements, whatever the alphabet.  Stage 2
+draws its on/off rows MASK_BLOCK at a time into the uint8 index the trace
+keeps and counts its votes from it, so only that index grows with the array.
+Its stream is defined by PCG64's raw 64-bit words: mask bit k is the sign bit
+of the k-th 32-bit half of the output, low half first (what
+``default_rng(seed).integers(0, 2)`` draws today, without resting on
+``Generator.integers`` internals).  ROADMAP item 5 will still redefine it.
 """
 
 from __future__ import annotations
@@ -48,8 +41,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .channel import SurfaceConfig
 
 #: Control voltage alphabet (descending).  The hardware bias range allows
 #: finer steps; these levels cover the realizable susceptance span.
@@ -214,9 +205,10 @@ class LinkBatch:
         other.best_db, other._best = self.best_db.copy(), list(self._best)
         return other
 
-    def configs(self) -> list[SurfaceConfig]:
-        """Each link's best probed configuration."""
-        return [SurfaceConfig.from_index(levels, row) for levels, row in self._best]
+    def configs(self) -> list[tuple]:
+        """Each link's best probed configuration, as a (levels, read-only
+        index row) pair."""
+        return list(self._best)
 
     def keep_best(self, stage: int, levels, index, rss, rows) -> None:
         """Fold a block of (L, n) readings, the first rows[l] of link l real,
@@ -279,25 +271,12 @@ def _probe_many(oracle, links: LinkBatch, stage: int, levels, index, rows=None) 
 
     ``levels`` holds L alphabets and ``index`` is an (L, n, N) stack whose
     first rows[l] rows of link l are probes (all rows by default) and the
-    rest padding; returns (L, n) readings.  One link goes to the oracle as an
-    (n, N) matrix, through ``oracle.batch(levels, index)`` when the oracle has
-    it and one call per row otherwise; more links need a stacked oracle's
-    ``batch(levels, index, rows)``.  Each link's probes go into its trace as
-    one block, padding left out, and into its best probe.
+    rest padding; ``oracle.batch(levels, index, rows)`` returns the (L, n)
+    readings.  Each link's probes go into its trace as one block, padding
+    left out, and into its best probe.
     """
     rows = [index.shape[1]] * len(links) if rows is None else list(rows)
-    batch = getattr(oracle, "batch", None)
-    if len(links) == 1:
-        index, rows = index[:, :rows[0]], rows[:1]
-        if batch is not None:
-            rss = batch(levels[0], index[0])
-        else:
-            rss = [oracle(SurfaceConfig.from_index(levels[0], row)) for row in index[0]]
-        rss = np.array(rss, dtype=float)[None]
-    elif batch is not None:
-        rss = np.array(batch(levels, index, rows), dtype=float)
-    else:
-        raise ValueError("a batch of links needs an oracle with a stacked batch()")
+    rss = np.array(oracle.batch(levels, index, rows), dtype=float)
     if rss.shape != index.shape[:2]:
         raise ValueError(f"probe batch of {rss.shape[1:]} readings for an index of "
                          f"{index.shape[1:]}")
@@ -438,10 +417,9 @@ def run_controllers(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
                     stage2=None, links: LinkBatch | None = None) -> LinkBatch:
     """Run the three stages on a batch of links, one per rng seed; returns the batch.
 
-    The oracle reads one link per probe row, or, for more than one link, a
-    stack of them (see FeedbackOracle).  ``stage2`` replaces majority voting
-    with a function called as brute_force_baseline is (the oracle, the batch,
-    ``n_elements``, ``groups``).  A ``links`` batch that has been through
+    The oracle reads the links as one stack (see FeedbackOracle).  ``stage2``
+    replaces majority voting with a function called as brute_force_baseline
+    is (the oracle, the batch, ``n_elements``, ``groups``).  A ``links`` batch that has been through
     stage 1 goes on from there.  Total probes per link are bounded by
     len(voltages) + n_configs + 9.  A constant (low-contrast) stage-1 outcome
     would leave v1 == v0; the controller then substitutes the lowest control
@@ -459,14 +437,6 @@ def run_controllers(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
     else:
         stage2(oracle, links, n_elements, groups)
     return stage3_fine_tune(oracle, links, voltages)
-
-
-def run_controller(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
-                   n_configs: int | None = None, rng_seed: int = 0,
-                   groups=None):
-    """run_controllers on one link; returns (final config, trace)."""
-    links = run_controllers(oracle, n_elements, voltages, n_configs, [rng_seed], groups)
-    return links.configs()[0], links.traces[0]
 
 
 def brute_force_baseline(oracle, links: LinkBatch, n_elements: int, groups,

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .cascade import DB_FLOOR
-from .channel import FeedbackOracle, ProductFeedbackOracle, baseline_channel, gains_db
+from .channel import FeedbackOracle, baseline_channel, gains_db
 from .control import (ControlTrace, LinkBatch, brute_force_baseline, column_groups,
                       run_controllers, stage1_uniform_probe)
 from .matching import SweepGrid, best_admittance, best_voltage, reflection_spectrum, sweep_through_power
@@ -221,7 +221,8 @@ def run_links(scenario: Scenario, responder, indices, mode: str) -> list[tuple]:
     if mode == "backscatter":
         uplinks = channels if scenario.channel.reciprocal_uplink \
             else [scenario.sample_link_channel(s[2], responder) for s in seeds]
-        configs = control(ProductFeedbackOracle(
+        # no noise_db: a scenario's channel.noise_db does not reach backscatter
+        configs = control(FeedbackOracle(
             channels, uplinks, quantization_db=scenario.channel.rss_quantization_db)).configs()
         gains = (gains_db(channels, configs), gains_db(uplinks, configs),
                  gains_db(channels, configs, uplinks))

@@ -1,10 +1,10 @@
 """The batch probe contract and the block trace hashes.
 
-Every controller stage sends its probes as one index matrix through
-``control._probe_many``.  An oracle with ``batch`` measures the matrix at
-once, and probe i of a batch must read exactly what the i-th of as many
-sequential calls reads: same bits, signs of zero included, same noise seed,
-same probe count afterwards.  ``ControlTrace.serialize`` hashes the probes in
+Every controller stage sends its probes as one index stack through
+``control._probe_many`` to the oracle's ``batch``, which measures it at once.
+Probe i of a batch must read exactly what the i-th of as many one-row
+batches reads: same bits, signs of zero included, same noise seed, same
+probe count afterwards.  ``ControlTrace.serialize`` hashes the probes in
 blocks per alphabet, and every digest must equal ``config_hash`` of the
 voltages the configuration stands for.
 """
@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mediamatch.channel import (PROBE_BLOCK, FeedbackOracle, MultipathChannel,
-                                ProductFeedbackOracle, SurfaceConfig, composite_channels,
-                                rss_db, sample_channel)
+from mediamatch.channel import (PROBE_BLOCK, ChannelStack, FeedbackOracle, MultipathChannel,
+                                composite_channels, rss_db, sample_channel)
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, ControlTrace, LinkBatch,
                                 _probe_many, brute_force_baseline, column_groups,
-                                config_hash, run_controller)
+                                config_hash, run_controllers)
 from mediamatch.scenario import default_water_scenario
+
+from per_probe import voltages
 
 VS = DEFAULT_VOLTAGE_SET
 
@@ -40,24 +41,35 @@ def _channel(seed, n, jitter=0.0, env_power=0.25):
                           responder=responder(), phase_jitter_std=jitter)
 
 
+def _rows(channel, levels, index):
+    """The composite channel of every row of one link's (n, N) index."""
+    return composite_channels(ChannelStack(channel), [levels], index[None])[0]
+
+
 def _one_row(channel, levels, row):
     """The composite channel of one index row, through a one-row call."""
-    return composite_channels(channel, levels, row[None])[0]
+    return _rows(channel, levels, row[None])[0]
+
+
+def _one_by_one(oracle, levels, index):
+    """One link's readings of every row of an (n, N) index, one-row batches."""
+    return [oracle.batch([levels], row[None, None])[0, 0] for row in index]
 
 
 def _probe_voltages(trace):
-    return [SurfaceConfig.from_index(levels, row).voltages
-            for _, levels, index, _ in trace.blocks for row in index]
+    return [voltages(levels, row) for _, levels, index, _ in trace.blocks for row in index]
 
 
 class Sequential:
-    """An oracle without ``batch``: the controller maps it row by row."""
+    """A one-link stacked oracle that reads every probe row of a batch with a
+    one-row batch of the oracle it wraps."""
 
     def __init__(self, oracle):
         self.oracle = oracle
 
-    def __call__(self, cfg):
-        return self.oracle(cfg)
+    def batch(self, levels, index, rows):
+        (n,) = rows
+        return np.array([_one_by_one(self.oracle, levels[0], index[0, :n])])
 
 
 class TestBatchEqualsSequential:
@@ -79,24 +91,17 @@ class TestBatchEqualsSequential:
         down = _channel(seed, n_elements, jitter, env_power)
         up = _channel(seed + 1, n_elements, jitter, env_power)
 
-        batched = FeedbackOracle(down, noise_db=noise_db, quantization_db=quantization_db,
-                                 noise_seed=seed)
-        sequential = FeedbackOracle(down, noise_db=noise_db,
-                                    quantization_db=quantization_db, noise_seed=seed)
-        first = SurfaceConfig.from_index(levels, index[0])
-        for _ in range(earlier):  # the noise seeds follow the probe count
-            assert _bits([batched(first)]) == _bits([sequential(first)])
-        got = batched.batch(levels, index)
-        want = [sequential(SurfaceConfig.from_index(levels, row)) for row in index]
-        assert _bits(got) == _bits(want)
-        assert batched.probes == sequential.probes == earlier + n_probes
+        for uplink in (None, down, up):  # one-way, reciprocal and two-way
+            batched, sequential = (FeedbackOracle(down, uplink, noise_db, quantization_db,
+                                                  noise_seed=seed) for _ in range(2))
+            for _ in range(earlier):  # the noise seeds follow the probe count
+                assert _bits(_one_by_one(batched, levels, index[:1])) == _bits(
+                    _one_by_one(sequential, levels, index[:1]))
+            got = batched.batch([levels], index[None])[0]
+            assert _bits(got) == _bits(_one_by_one(sequential, levels, index))
+            assert batched.probes == sequential.probes == earlier + n_probes
 
-        product = ProductFeedbackOracle(down, up, quantization_db=quantization_db)
-        got = product.batch(levels, index)
-        want = [product(SurfaceConfig.from_index(levels, row)) for row in index]
-        assert _bits(got) == _bits(want)
-
-        rows = composite_channels(down, levels, index)
+        rows = _rows(down, levels, index)
         assert _bits(rows.view(float)) == _bits(np.array(
             [_one_row(down, levels, row) for row in index]).view(float))
 
@@ -117,23 +122,23 @@ class TestBatchEqualsSequential:
                     s = s * channel.phase_jitter
                 want.append(channel.h_env + np.sum(s * channel.h_elements))
             want = np.array(want).view(float)
-            assert _bits(composite_channels(channel, VS, index).view(float)) == _bits(want)
+            assert _bits(_rows(channel, VS, index).view(float)) == _bits(want)
             alone = [_one_row(channel, VS, row) for row in index[:8]]
             assert _bits(np.array(alone).view(float)) == _bits(want[:16])
 
     @pytest.mark.parametrize("noise_db", [None, -20.0])
     @pytest.mark.parametrize("jitter", [0.0, 0.3])
     def test_controller_runs_alike(self, noise_db, jitter):
-        """Batched and row-by-row oracles give the same run, trace and all."""
+        """Batched and one-row-batch oracles give the same run, trace and all."""
         channel = _channel(11, 64, jitter)
 
         def fresh():
             return FeedbackOracle(channel, noise_db=noise_db, noise_seed=11)
 
-        cfg_b, trace_b = run_controller(fresh(), 64, rng_seed=5)
-        cfg_s, trace_s = run_controller(Sequential(fresh()), 64, rng_seed=5)
-        assert cfg_b.voltages == cfg_s.voltages
-        assert trace_b.serialize() == trace_s.serialize()
+        run_b = run_controllers(fresh(), 64, rng_seeds=[5])
+        run_s = run_controllers(Sequential(fresh()), 64, rng_seeds=[5])
+        assert voltages(*run_b.configs()[0]) == voltages(*run_s.configs()[0])
+        assert run_b.traces[0].serialize() == run_s.traces[0].serialize()
 
         groups = column_groups(8, 8)
         enums = []
@@ -148,27 +153,10 @@ class TestBatchEqualsSequential:
 
 
 class TestProbePath:
-    def test_plain_callable_is_mapped_row_by_row(self):
-        seen = []
-
-        def oracle(cfg):
-            seen.append(cfg.voltages)
-            return len(seen)
-
-        links = LinkBatch.new(1)
-        index = np.array([[[0, 1], [1, 1], [1, 0]]], dtype=np.uint8)
-        rss = _probe_many(oracle, links, 2, [(30.0, 0.0)], index)
-        assert rss.tolist() == [[1.0, 2.0, 3.0]]
-        assert seen == [(30.0, 0.0), (0.0, 0.0), (0.0, 30.0)]
-        (stage, levels, rows, readings), = links.traces[0].blocks
-        assert (stage, levels, readings.tolist()) == (2, (30.0, 0.0), [1.0, 2.0, 3.0])
-        assert _probe_voltages(links.traces[0]) == seen
-        assert np.isnan(links.best_db[0, 0]) and links.best_db[0, 1:].tolist() == [3.0, 3.0]
-
     def test_batch_of_wrong_length_rejected(self):
         class Short:
-            def batch(self, levels, index):
-                return np.zeros(len(index) - 1)
+            def batch(self, levels, index, rows):
+                return np.zeros((len(index), index.shape[1] - 1))
 
         with pytest.raises(ValueError, match="batch"):
             _probe_many(Short(), LinkBatch.new(1), 1, [(30.0, 0.0)],
@@ -180,15 +168,12 @@ class TestProbePath:
                 self.inner = FeedbackOracle(_channel(3, 16))
                 self.calls = []
 
-            def batch(self, levels, index):
-                self.calls.append(len(index))
-                return self.inner.batch(levels, index)
-
-            def __call__(self, cfg):
-                raise AssertionError("probes must go through batch")
+            def batch(self, levels, index, rows):
+                self.calls.append(index.shape[1])
+                return self.inner.batch(levels, index, rows)
 
         oracle = BatchOnly()
-        _, trace = run_controller(oracle, 16, rng_seed=1)
+        trace = run_controllers(oracle, 16, rng_seeds=[1]).traces[0]
         assert oracle.calls[:2] == [len(VS), 32] and len(oracle.calls) == 3
         assert [(stage, len(rss)) for stage, *_, rss in trace.blocks] == list(
             zip((1, 2, 3), oracle.calls))
@@ -210,7 +195,7 @@ class TestZeroReading:
         channel = MultipathChannel(h_env=complex(self.MAGNITUDE),
                                    h_elements=np.zeros(4, dtype=complex), seed=0,
                                    responder=responder())
-        _, trace = run_controller(FeedbackOracle(channel), 4)
+        trace = run_controllers(FeedbackOracle(channel), 4).traces[0]
         readings = [row.split(",")[3] for row in trace.serialize().strip().split("\n")[1:]]
         assert readings == ["0"] * trace.budget_used
 
@@ -232,9 +217,9 @@ class TestBlockDigests:
             n = 37 if k % 11 else 5
             index = rng.integers(0, len(levels), (sizes[k % len(sizes)], n)).astype(np.uint8)
             trace.append(2, levels, index, np.zeros(len(index)))
-        wide = SurfaceConfig.from_index(np.linspace(0.0, 30.0, 300), np.arange(300))
-        assert wide.index.dtype == np.uint16
-        trace.append(1, wide.levels, np.stack([wide.index, wide.index[::-1]]), [0.0, 0.0])
+        wide = np.arange(300, dtype=np.uint16)
+        trace.append(1, np.linspace(0.0, 30.0, 300).tolist(), np.stack([wide, wide[::-1]]),
+                     [0.0, 0.0])
         trace.append(1, (), np.zeros((2, 0), np.uint8), [0.0, 0.0])
         rows = trace.serialize().split("\n")[1:-1]
         assert len(rows) == trace.budget_used

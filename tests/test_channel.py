@@ -4,23 +4,34 @@ import numpy as np
 import pytest
 
 from mediamatch.cascade import StackSpec
-from mediamatch.channel import (ElementResponder, FeedbackOracle, MultipathChannel,
-                                SurfaceConfig, baseline_channel, composite_channels,
+from mediamatch.channel import (ChannelStack, ElementResponder, FeedbackOracle,
+                                MultipathChannel, baseline_channel, composite_channels,
                                 gains_db, sample_channel)
+from mediamatch.control import run_controllers
 from mediamatch.media import AIR
 from mediamatch.scenario import default_water_scenario
+
+from per_probe import voltages
 
 F0 = 2.4e9
 
 
 def uniform(voltage, n):
-    """Every one of n elements at one voltage."""
-    return SurfaceConfig.from_index((float(voltage),), np.zeros(n, dtype=np.uint8))
+    """Every one of n elements at one voltage, as a (levels, index row) pair."""
+    return (float(voltage),), np.zeros(n, dtype=np.uint8)
 
 
 def composite(channel, cfg):
     """The composite channel of one configuration, through a one-row stack."""
-    return complex(composite_channels(channel, cfg.levels, cfg.index[None])[0])
+    levels, row = cfg
+    index = np.asarray(row)[None, None]
+    return complex(composite_channels(ChannelStack(channel), [levels], index)[0, 0])
+
+
+def reading(oracle, cfg):
+    """One link's oracle reading of one configuration."""
+    levels, row = cfg
+    return float(oracle.batch([levels], np.asarray(row)[None, None])[0, 0])
 
 
 @pytest.fixture(scope="module")
@@ -63,88 +74,57 @@ class TestElementResponse:
         assert mixed.table(levels).tobytes() == by_table.tobytes()
 
 
-class TestSurfaceConfig:
-    def test_voltages_view(self):
-        cfg = SurfaceConfig.from_index((30.0, 0.0), [0, 1, 0])
-        assert cfg.voltages == (30.0, 0.0, 30.0)
-        assert all(type(v) is float for v in cfg.voltages)
-        assert len(cfg.index) == 3
-        assert cfg.index.dtype == np.uint8
+class TestConfigIndex:
+    """A configuration is a (levels, index row) pair; every index passes
+    through composite_channels, which checks it."""
 
-    def test_from_index(self):
-        cfg = SurfaceConfig.from_index((30.0, 10.0, 0.0), [2, 0, 1])
-        assert cfg.voltages == (0.0, 30.0, 10.0)
-
-    def test_equality_is_on_voltages_across_alphabets(self):
-        a = SurfaceConfig.from_index((30.0, 10.0, 0.0), [0, 2])
-        b = SurfaceConfig.from_index((30.0, 0.0), [0, 1])
-        assert a.voltages == b.voltages == (30.0, 0.0)
-        assert a.voltages != SurfaceConfig.from_index((30.0, 0.0), [1, 0]).voltages
-        assert uniform(5.0, 3).voltages == (5.0, 5.0, 5.0)
-
-    def test_repeated_level_compares_by_voltage(self):
-        a = SurfaceConfig.from_index((5.0, 5.0), [0, 1])
-        assert a.voltages == SurfaceConfig.from_index((5.0, 5.0), [1, 0]).voltages \
-            == uniform(5.0, 2).voltages
-
-    def test_many_distinct_voltages(self):
-        assert SurfaceConfig.from_index(np.arange(256.0), np.arange(256)).index.dtype \
-            == np.uint8
-        values = np.linspace(0.0, 30.0, 1024)
-        cfg = SurfaceConfig.from_index(values, np.arange(1024))
-        assert cfg.index.dtype == np.uint16
-        assert cfg.voltages == tuple(values.tolist())
-        assert len(cfg.levels) == 1024
-
-    def test_wide_index_round_trips(self):
-        """An index over more than 256 levels keeps a wide unsigned type
-        instead of wrapping modulo 256."""
-        levels = tuple(float(v) for v in range(300))
-        assert SurfaceConfig.from_index(levels, np.array([299], np.uint16)).voltages == (299.0,)
-        cfg = SurfaceConfig.from_index(np.linspace(0.0, 30.0, 300), np.arange(300))
-        again = SurfaceConfig.from_index(cfg.levels, cfg.index)
-        assert again.index.dtype == cfg.index.dtype == np.uint16
-        assert again.voltages == cfg.voltages
-        assert SurfaceConfig.from_index((30.0, 0.0), np.array([1, 0], np.int64)).index.dtype \
-            == np.uint8
+    def channel(self, responder, n):
+        return sample_channel(9, n, env_power=0.2, element_power=1.0, responder=responder)
 
     @pytest.mark.parametrize("index", [[-1, 0], [0, 3], np.array([256], np.uint16), [300]])
-    def test_index_out_of_range_rejected(self, index):
-        with pytest.raises(ValueError, match="index entries"):
-            SurfaceConfig.from_index((30.0, 15.0, 0.0), index)
+    def test_index_out_of_range_rejected(self, responder, index):
+        with pytest.raises(IndexError, match="index entries"):
+            composite(self.channel(responder, len(index)), ((30.0, 15.0, 0.0), index))
 
     @pytest.mark.parametrize("index", [[1.5], [1.0, 0.0], [True], np.array([False, True])])
-    def test_non_integer_index_rejected(self, index):
+    def test_non_integer_index_rejected(self, responder, index):
         with pytest.raises(ValueError, match="integer dtype"):
-            SurfaceConfig.from_index((1.0, 2.0, 3.0), index)
+            composite(self.channel(responder, len(index)), ((1.0, 2.0, 3.0), index))
 
-    def test_empty_index_accepted(self):
-        assert SurfaceConfig.from_index((1.0,), []).voltages == ()
+    def test_bool_index_rejected_in_blocks(self, responder):
+        """Rows of a block are not read as indices 0/1 either (a lone row is
+        rejected above)."""
+        oracle = FeedbackOracle(self.channel(responder, 64))
+        with pytest.raises(ValueError, match="integer dtype"):
+            oracle.batch([(30.0, 0.0)], np.ones((1, 2, 64), bool))
 
-    def test_signed_zero_kept(self):
-        cfg = SurfaceConfig.from_index((0.0, -0.0), [0, 1, 0])
-        assert [np.signbit(v) for v in cfg.voltages] == [False, True, False]
+    def test_wide_index_round_trips(self, responder):
+        """An index over more than 256 levels is read with its wide unsigned
+        type instead of wrapping modulo 256."""
+        ch = self.channel(responder, 2)
+        levels = tuple(np.linspace(0.0, 30.0, 300).tolist())
+        want = ch.h_env + np.sum(np.array([responder.s(levels[299]), responder.s(levels[44])])
+                                 * ch.h_elements)
+        assert composite(ch, (levels, np.array([299, 44], np.uint16))) == want
+        assert composite(ch, (levels, np.array([299, 44]))) == want
 
-    def test_index_is_read_only(self):
-        index = np.array([0, 1, 0], dtype=np.uint8)
-        cfg = SurfaceConfig.from_index((30.0, 0.0), index)
-        index[0] = 1
-        assert cfg.voltages == (30.0, 0.0, 30.0)
-        kept = SurfaceConfig.from_index((30.0, 0.0), cfg.index)
-        assert kept.index is cfg.index  # a read-only index is not copied
-        for c in (cfg, SurfaceConfig.from_index((30.0, 0.0), np.array([1, 0])), uniform(5.0, 2)):
-            with pytest.raises(ValueError):
-                c.index[0] = 1
+    def test_index_is_read_only(self, responder):
+        """A run's best configuration is a read-only view of a row its trace keeps."""
+        links = run_controllers(FeedbackOracle(self.channel(responder, 4)), 4)
+        (levels, row), = links.configs()
+        assert any(np.shares_memory(row, index) for _, _, index, _ in links.traces[0].blocks)
+        with pytest.raises(ValueError):
+            row[0] = 1
 
     def test_composite_independent_of_alphabet(self, responder):
         ch = sample_channel(8, 6, env_power=0.2, element_power=1.0, responder=responder,
                             phase_jitter_std=0.3)
-        a = SurfaceConfig.from_index((30.0, 20.0, 10.0, 0.0), [3, 0, 0, 2, 1, 3])
-        b = SurfaceConfig.from_index((0.0, 10.0, 20.0, 30.0), [0, 3, 3, 1, 2, 0])
-        assert a.voltages == b.voltages
+        a = ((30.0, 20.0, 10.0, 0.0), [3, 0, 0, 2, 1, 3])
+        b = ((0.0, 10.0, 20.0, 30.0), [0, 3, 3, 1, 2, 0])
+        assert voltages(*a) == voltages(*b)
         assert composite(ch, a) == composite(ch, b)
         want = ch.h_env + sum(responder.s(v) * j * h for v, j, h in
-                              zip(a.voltages, ch.phase_jitter, ch.h_elements))
+                              zip(voltages(*a), ch.phase_jitter, ch.h_elements))
         assert composite(ch, a) == pytest.approx(want, abs=1e-12)
 
 
@@ -217,27 +197,25 @@ class TestRssFeedback:
 
     def test_zero_db_at_unit_magnitude(self, responder):
         ch = self.fixed_magnitude_channel(responder, 1.0)
-        s = FeedbackOracle(ch, noise_db=None, quantization_db=None)(
-            uniform(10.0, 4))
+        s = reading(FeedbackOracle(ch, noise_db=None, quantization_db=None), uniform(10.0, 4))
         assert s == pytest.approx(0.0, abs=1e-12)
 
     def test_tenth_magnitude_is_minus_20db(self, responder):
         ch = self.fixed_magnitude_channel(responder, 0.1)
-        s = FeedbackOracle(ch, noise_db=None, quantization_db=None)(
-            uniform(30.0, 4))
+        s = reading(FeedbackOracle(ch, noise_db=None, quantization_db=None), uniform(30.0, 4))
         assert s == pytest.approx(-20.0, abs=1e-12)
 
     def test_noise_repeatable(self, responder):
         ch = sample_channel(11, 8, element_power=1.0, responder=responder)
         cfg = uniform(5.0, 8)
-        a = FeedbackOracle(ch, noise_db=-20.0, noise_seed=99)(cfg)
-        b = FeedbackOracle(ch, noise_db=-20.0, noise_seed=99)(cfg)
+        a = reading(FeedbackOracle(ch, noise_db=-20.0, noise_seed=99), cfg)
+        b = reading(FeedbackOracle(ch, noise_db=-20.0, noise_seed=99), cfg)
         assert a == b
 
     def test_quantization(self, responder):
         ch = sample_channel(12, 8, element_power=1.0, responder=responder)
         cfg = uniform(5.0, 8)
-        s = FeedbackOracle(ch, quantization_db=0.1)(cfg)
+        s = reading(FeedbackOracle(ch, quantization_db=0.1), cfg)
         assert round(s * 10) == pytest.approx(s * 10, abs=1e-9)
 
 
@@ -302,7 +280,7 @@ class TestGainsDb:
                            phase_jitter_std=0.2) for k in range(5)]
         vs = scenario.voltage_set
         alphabets = [(30.0, 0.0), vs, (20.0, 2.5), vs, tuple(np.linspace(0.0, 30.0, 300))]
-        cfgs = [SurfaceConfig.from_index(lv, rng.integers(0, len(lv), 9)) for lv in alphabets]
+        cfgs = [(lv, rng.integers(0, len(lv), 9)) for lv in alphabets]
         one = [gains_db([d], [c])[0] for d, c in zip(downs, cfgs)]
         two = [gains_db([d], [c], [u])[0] for d, u, c in zip(downs, ups, cfgs)]
         assert gains_db(downs, cfgs).tobytes() == np.array(one).tobytes()

@@ -6,30 +6,36 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mediamatch.channel import SurfaceConfig
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, MASK_BLOCK, ControlTrace,
                                 LinkBatch, _digests, _onoff_index, _owners, _probe_many,
                                 _run_codes, _run_width,
                                 brute_force_baseline, column_groups, config_hash,
-                                element_groups, run_controller,
+                                element_groups, run_controllers,
                                 stage1_uniform_probe, stage2_majority_voting,
                                 stage3_fine_tune)
 
 import oracles
+from per_probe import PerProbeOracle, voltages
 
 V1, V0 = 30.0, 0.0
 
 
 def onoff_oracle(h, h_env=0j, s_on=1.0, s_off=0.0, on_voltage=V1):
-    """Feedback for a synthetic channel with binary element response."""
+    """Feedback for a synthetic channel with binary element response; its
+    ``read`` gives one configuration's reading."""
     h = np.asarray(h, dtype=complex)
 
-    def oracle(cfg: SurfaceConfig) -> float:
-        s = np.array([s_on if v == on_voltage else s_off for v in cfg.voltages])
+    def read(config_voltages) -> float:
+        s = np.array([s_on if v == on_voltage else s_off for v in config_voltages])
         mag = abs(h_env + np.sum(s * h))
         return 20 * np.log10(mag) if mag > 0 else float("-inf")
 
-    return oracle
+    return PerProbeOracle(read)
+
+
+def constant(value):
+    """An oracle that reads ``value`` for every probe."""
+    return PerProbeOracle(lambda v: value)
 
 
 def one_link(v1=V1, v0=V0, on=None) -> LinkBatch:
@@ -42,16 +48,15 @@ def one_link(v1=V1, v0=V0, on=None) -> LinkBatch:
     return links
 
 
-def stage1(oracle, voltages, n):
-    """Stage 1 on one link: (v1, v0, trace)."""
-    links = stage1_uniform_probe(oracle, LinkBatch.new(1), voltages, n)
+def stage1(read, voltage_set, n):
+    """Stage 1 on one link whose probes read read(voltages): (v1, v0, trace)."""
+    links = stage1_uniform_probe(PerProbeOracle(read), LinkBatch.new(1), voltage_set, n)
     return links.v1[0], links.v0[0], links.traces[0]
 
 
 def probe_voltages(trace):
     """The voltages of every probe of a trace, in order."""
-    return [SurfaceConfig.from_index(levels, row).voltages
-            for _, levels, index, _ in trace.blocks for row in index]
+    return [voltages(levels, row) for _, levels, index, _ in trace.blocks for row in index]
 
 
 READINGS = st.one_of(
@@ -68,7 +73,7 @@ class TestStage1:
         """v1 and v0 are what a running strict scan from the highest voltage
         keeps, for ties, signed zeros, +-inf and NaN readings alike."""
         by_voltage = dict(zip(DEFAULT_VOLTAGE_SET, readings))
-        v1, v0, trace = stage1(lambda c: by_voltage[c.voltages[0]], DEFAULT_VOLTAGE_SET, 2)
+        v1, v0, trace = stage1(lambda v: by_voltage[v[0]], DEFAULT_VOLTAGE_SET, 2)
         seen = list(zip(DEFAULT_VOLTAGE_SET, readings))
         (w1, r1), (w0, r0) = seen[0], seen[0]
         for v, r in seen[1:]:
@@ -82,20 +87,20 @@ class TestStage1:
         """Response magnitude rising as the voltage falls: v1 = 0 V, v0 = 30 V."""
         level = {v: i + 1.0 for i, v in enumerate(DEFAULT_VOLTAGE_SET)}
 
-        def oracle(cfg):
-            return 20 * np.log10(level[cfg.voltages[0]])
+        def read(config_voltages):
+            return 20 * np.log10(level[config_voltages[0]])
 
-        v1, v0, trace = stage1(oracle, DEFAULT_VOLTAGE_SET, 4)
+        v1, v0, trace = stage1(read, DEFAULT_VOLTAGE_SET, 4)
         assert v1 == 0.0 and v0 == 30.0
         assert trace.stage_probe_count(1) == len(DEFAULT_VOLTAGE_SET)
 
     def test_constant_oracle_flagged(self):
-        v1, v0, trace = stage1(lambda cfg: -3.0, DEFAULT_VOLTAGE_SET, 4)
+        v1, v0, trace = stage1(lambda v: -3.0, DEFAULT_VOLTAGE_SET, 4)
         assert trace.low_contrast
         assert v1 == v0 == 30.0  # ties break toward the higher voltage
 
     def test_probe_count_is_set_size(self):
-        _, _, trace = stage1(lambda cfg: cfg.voltages[0], (30.0, 10.0, 0.0), 2)
+        _, _, trace = stage1(lambda v: v[0], (30.0, 10.0, 0.0), 2)
         assert trace.budget_used == 3
 
 
@@ -110,8 +115,8 @@ class TestStage2:
         oracle = onoff_oracle([1.0, -1.0])
         on = stage2_majority_voting(oracle, one_link(), 2, n_configs=4, rng_seed=0).on[0]
         assert np.count_nonzero(on) == 1
-        cfg = SurfaceConfig.from_index((V1, V0), np.where(on, 0, 1))
-        assert oracle(cfg) == pytest.approx(0.0, abs=1e-12)  # |h_TR| = 1
+        cfg = voltages((V1, V0), np.where(on, 0, 1))
+        assert oracle.read(cfg) == pytest.approx(0.0, abs=1e-12)  # |h_TR| = 1
 
     def test_probe_count_exact(self):
         oracle = onoff_oracle(np.ones(8))
@@ -146,7 +151,7 @@ class TestStage2:
 
     def test_equal_voltages_rejected(self):
         with pytest.raises(ValueError):
-            stage2_majority_voting(lambda c: 0.0, one_link(5.0, 5.0), 4)
+            stage2_majority_voting(constant(0.0), one_link(5.0, 5.0), 4)
 
     def test_group_granularity(self):
         oracle = onoff_oracle(np.ones(8))
@@ -163,14 +168,14 @@ class TestStage3:
         """Feedback prefers (20 V, 2.5 V) over the stage-2 (30 V, 0 V) pick."""
         target = {(20.0, 2.5): 0.0}
 
-        def oracle(cfg):
-            key = (max(cfg.voltages), min(cfg.voltages))
+        def read(config_voltages):
+            key = (max(config_voltages), min(config_voltages))
             return target.get(key, -10.0)
 
-        links = stage3_fine_tune(oracle, one_link(30.0, 0.0, [True, False]),
+        links = stage3_fine_tune(PerProbeOracle(read), one_link(30.0, 0.0, [True, False]),
                                  DEFAULT_VOLTAGE_SET)
-        final = links.configs()[0]
-        assert max(final.voltages) == 20.0 and min(final.voltages) == 2.5
+        final = voltages(*links.configs()[0])
+        assert max(final) == 20.0 and min(final) == 2.5
         assert links.traces[0].stage_probe_count(3) <= 9
 
     def test_keeps_stage2_config_when_no_improvement(self):
@@ -178,10 +183,10 @@ class TestStage3:
         links = one_link(on=[True, True])
         _probe_many(oracle, links, 2, [(V1,)], np.zeros((1, 1, 2), np.uint8))
         final = stage3_fine_tune(oracle, links, DEFAULT_VOLTAGE_SET).configs()[0]
-        assert final.voltages == (V1, V1)
+        assert voltages(*final) == (V1, V1)
 
     def test_probe_budget(self):
-        links = stage3_fine_tune(lambda c: 0.0, one_link(15.0, 5.0, [True, False]),
+        links = stage3_fine_tune(constant(0.0), one_link(15.0, 5.0, [True, False]),
                                  DEFAULT_VOLTAGE_SET)
         assert links.traces[0].stage_probe_count(3) == 9  # interior voltages: full 3x3 grid
 
@@ -191,7 +196,7 @@ class TestRunController:
         rng = np.random.default_rng(0)
         h = rng.normal(size=64) + 1j * rng.normal(size=64)
         oracle = onoff_oracle(h)
-        cfg, trace = run_controller(oracle, 64, rng_seed=5)
+        trace = run_controllers(oracle, 64, rng_seeds=[5]).traces[0]
         assert trace.stage_probe_count(1) == len(DEFAULT_VOLTAGE_SET)
         assert trace.stage_probe_count(2) == 128
         assert trace.stage_probe_count(3) <= 9
@@ -201,22 +206,22 @@ class TestRunController:
         rng = np.random.default_rng(1)
         h = rng.normal(size=16) + 1j * rng.normal(size=16)
         oracle = onoff_oracle(h)
-        cfg, trace = run_controller(oracle, 16, rng_seed=6)
+        links = run_controllers(oracle, 16, rng_seeds=[6])
+        cfg, trace = links.configs()[0], links.traces[0]
         every = np.concatenate([rss for *_, rss in trace.blocks])
-        assert oracle(cfg) == pytest.approx(every.max(), abs=1e-12)
+        assert oracle.read(voltages(*cfg)) == pytest.approx(every.max(), abs=1e-12)
 
     def test_deterministic_trace(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=16) + 1j * rng.normal(size=16)
-        a_cfg, a_trace = run_controller(onoff_oracle(h), 16, rng_seed=7)
-        b_cfg, b_trace = run_controller(onoff_oracle(h), 16, rng_seed=7)
-        assert a_cfg.voltages == b_cfg.voltages
-        assert a_trace.serialize() == b_trace.serialize()
+        a, b = (run_controllers(onoff_oracle(h), 16, rng_seeds=[7]) for _ in range(2))
+        assert voltages(*a.configs()[0]) == voltages(*b.configs()[0])
+        assert a.traces[0].serialize() == b.traces[0].serialize()
 
     def test_constant_oracle_survives(self):
-        cfg, trace = run_controller(lambda c: -1.0, 8, rng_seed=8)
-        assert trace.low_contrast
-        assert len(cfg.index) == 8
+        links = run_controllers(constant(-1.0), 8, rng_seeds=[8])
+        assert links.traces[0].low_contrast
+        assert len(links.configs()[0][1]) == 8
 
 
 class TestBruteForce:
@@ -225,7 +230,7 @@ class TestBruteForce:
         links = brute_force_baseline(oracle, one_link(), 4, [[0, 1, 2, 3]])
         assert links.traces[0].budget_used == 2
         assert links.on[0].all()
-        assert links.configs()[0].voltages == (V1,) * 4
+        assert voltages(*links.configs()[0]) == (V1,) * 4
 
     def test_eight_groups_256_probes_and_optimal(self):
         rng = np.random.default_rng(3)
@@ -236,25 +241,25 @@ class TestBruteForce:
         want = oracles.best_subset_gain(0j, h, 1.0, 0.0, 1.0)  # oracle enumerates too
         base = 20 * np.log10(abs(h.sum()))
         assert links.best_db[0, 1] - base == pytest.approx(want, abs=1e-9)
-        on = SurfaceConfig.from_index((V1, V0), np.where(links.on[0], 0, 1))
-        assert oracle(on) == links.best_db[0, 1]
+        on = voltages((V1, V0), np.where(links.on[0], 0, 1))
+        assert oracle.read(on) == links.best_db[0, 1]
 
     def test_overlapping_groups_rejected(self):
         with pytest.raises(ValueError):
-            brute_force_baseline(lambda c: 0.0, one_link(), 3, [[0, 1], [1, 2]])
+            brute_force_baseline(constant(0.0), one_link(), 3, [[0, 1], [1, 2]])
         with pytest.raises(ValueError):
-            stage2_majority_voting(lambda c: 0.0, one_link(), 3, groups=[[0, 1], [1, 2]])
+            stage2_majority_voting(constant(0.0), one_link(), 3, groups=[[0, 1], [1, 2]])
 
     def test_ungrouped_elements_stay_off(self):
-        links = brute_force_baseline(lambda c: float(c.voltages.count(V1)), one_link(), 4,
-                                     [[0], [2]])
+        links = brute_force_baseline(PerProbeOracle(lambda v: float(v.count(V1))), one_link(),
+                                     4, [[0], [2]])
         assert links.on[0].tolist() == [True, False, True, False]
-        assert links.configs()[0].voltages == (V1, V0, V1, V0)
+        assert voltages(*links.configs()[0]) == (V1, V0, V1, V0)
         assert links.traces[0].budget_used == 4
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
-            brute_force_baseline(lambda c: 0.0, one_link(), 17, element_groups(17))
+            brute_force_baseline(constant(0.0), one_link(), 17, element_groups(17))
 
 
 def loop_best(probes, through_stage):
@@ -302,7 +307,7 @@ class TestColumnarTrace:
             assert _bits(links.best_db[0, stage - 1]) == _bits(want[2])
         if probes:
             want = loop_best(probes, None)
-            assert links.configs()[0].voltages == (float(want[1]),)
+            assert voltages(*links.configs()[0]) == (float(want[1]),)
 
     def test_nan_reading(self):
         links = LinkBatch.new(1)
@@ -310,12 +315,12 @@ class TestColumnarTrace:
                         np.array([[1.0, float("nan")]]), [2])
         links.keep_best(2, [(5.0,)], np.array([[[0]]], np.uint8), np.array([[2.0]]), [1])
         assert links.best_db[0].tolist() == [1.0, 2.0, 2.0]
-        assert links.configs()[0].voltages == (5.0,)
+        assert voltages(*links.configs()[0]) == (5.0,)
         first_nan = LinkBatch.new(1)
         first_nan.keep_best(1, [(30.0, 0.0)], np.array([[[0], [1]]], np.uint8),
                             np.array([[float("nan"), 5.0]]), [2])
         assert np.isnan(first_nan.best_db[0]).all()
-        assert first_nan.configs()[0].voltages == (30.0,)
+        assert voltages(*first_nan.configs()[0]) == (30.0,)
 
     def test_blocks_are_read_only_copies(self):
         trace = ControlTrace()
@@ -344,7 +349,7 @@ class TestTraceSerialization:
         """Index configurations hash as the voltage vectors they stand for."""
         rng = np.random.default_rng(4)
         h = rng.normal(size=12) + 1j * rng.normal(size=12)
-        _, trace = run_controller(onoff_oracle(h), 12, rng_seed=9)
+        trace = run_controllers(onoff_oracle(h), 12, rng_seeds=[9]).traces[0]
         rows = trace.serialize().strip().split("\n")[1:]
         assert len(rows) == trace.budget_used
         for row, voltages in zip(rows, probe_voltages(trace)):
@@ -355,8 +360,7 @@ class TestTraceSerialization:
         text = ",".join(format(v, ".6g") for v in values.tolist())
         assert config_hash(values) == hashlib.sha256(text.encode()).hexdigest()[:12]
         trace = ControlTrace()
-        cfg = SurfaceConfig.from_index(values, np.arange(1024))
-        trace.append(1, cfg.levels, cfg.index[None], [0.0])
+        trace.append(1, values.tolist(), np.arange(1024, dtype=np.uint16)[None], [0.0])
         assert trace.serialize().split("\n")[1].split(",")[2] == config_hash(values)
 
     def test_signed_zero_hashes_apart(self):
@@ -364,8 +368,7 @@ class TestTraceSerialization:
         trace = ControlTrace()
         for levels in ((30.0, 0.0), (30.0, -0.0)):
             trace.append(1, levels, [[0, 1]], [0.0])
-        cfg = SurfaceConfig.from_index((0.0, -0.0), [0, 1])
-        trace.append(1, cfg.levels, cfg.index[None], [0.0])
+        trace.append(1, (0.0, -0.0), [[0, 1]], [0.0])
         rows = trace.serialize().strip().split("\n")[1:]
         assert [r.split(",")[2] for r in rows] == [
             config_hash(voltages) for voltages in probe_voltages(trace)]
@@ -459,11 +462,8 @@ class TestStreamedStage2:
 class _Silent:
     """A batch oracle that reads 0 dB for every probe."""
 
-    def __call__(self, config):
-        return 0.0
-
-    def batch(self, levels, index):
-        return np.zeros(len(index))
+    def batch(self, levels, index, rows=None):
+        return np.zeros(np.shape(index)[:2])
 
 
 class TestRawWordStage2:
@@ -508,8 +508,7 @@ class TestOnOffIndex:
 
 
 class _WeightOracle:
-    """Reads the sum of the weights of the elements at v1, for one link's
-    (n, N) index or a stack of them."""
+    """Reads the sum of the weights of the elements at v1."""
 
     def __init__(self, weights):
         self.weights = np.asarray(weights, dtype=float)
@@ -546,7 +545,7 @@ class TestVotesReferee:
         for g, members in enumerate(groups):
             owner[members] = g
         on = np.hstack([masks, np.zeros((n_configs, 1), dtype=bool)])[:, owner]
-        rss = oracle.batch((V1, V0), (~on).astype(np.uint8))
+        rss = oracle.batch([(V1, V0)], (~on).astype(np.uint8)[None])[0]
         voting = rss > np.median(rss)
         votes = np.count_nonzero(masks & voting[:, None], axis=0)
         return np.append(votes > np.count_nonzero(voting) / 2.0, False)[owner]

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -312,6 +313,45 @@ class TestBackscatterCommand:
             _, _, down, up, bs = row.split(",")
             assert float(bs) == pytest.approx(2 * float(down), abs=1e-9)
             assert float(down) == pytest.approx(float(up), abs=1e-12)
+
+    def test_channel_noise_is_not_read(self, tmp_path):
+        """Backscatter feedback is read without noise: a scenario's
+        channel.noise_db leaves backscatter.csv as it is, and links reads it."""
+        raw = json.loads((SCENARIOS / "water_backscatter.json").read_text())
+        csv = {}
+        for noise_db in (None, -20.0):
+            raw["channel"]["noise_db"] = noise_db
+            scenario = scenario_from_dict(raw)
+            for command, name in ((cmd_backscatter, "backscatter.csv"), (cmd_links, "links.csv")):
+                out = tmp_path / f"{name}-{noise_db}"
+                command(scenario, out, 4)
+                csv[name, noise_db] = (out / name).read_bytes()
+        assert csv["backscatter.csv", None] == csv["backscatter.csv", -20.0]
+        assert csv["links.csv", None] != csv["links.csv", -20.0]
+
+
+class TestBenchTracerTargets:
+    def test_missing_targets_are_known(self):
+        """bench/tracer.py patches library names where their callers look them
+        up, and a name it cannot resolve reads 0 in the per-layer metrics: the
+        names it misses are exactly these five, so a deletion or rename that
+        blinds another metric fails here."""
+        spec = importlib.util.spec_from_file_location("bench_tracer",
+                                                      REPO / "bench" / "tracer.py")
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        patched = tracer.Tracer()
+        try:
+            patched.install()
+        finally:
+            patched.uninstall()
+        assert patched.missing == [
+            "mediamatch.harness.scenario_from_dict",
+            "mediamatch.channel.composite_channel",
+            "mediamatch.scenario.composite_channel",
+            "mediamatch.harness.stage3_fine_tune",
+            "mediamatch.control.ControlTrace.record",
+        ]
 
 
 class TestBudgetValidation:

@@ -23,13 +23,14 @@ from hypothesis import given, settings, strategies as st
 
 from mediamatch import harness
 from mediamatch.channel import (PROBE_BLOCK, ChannelStack, FeedbackOracle,
-                                ProductFeedbackOracle, composite_channels, gains_db,
-                                sample_channel)
+                                composite_channels, gains_db, sample_channel)
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, brute_force_baseline,
-                                column_groups, run_controller, run_controllers)
+                                column_groups, run_controllers)
 from mediamatch.harness import (cmd_backscatter, cmd_bench_controller, cmd_links, run_links,
                                 table_text)
 from mediamatch.scenario import default_water_scenario, scenario_from_dict
+
+import per_probe
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -75,7 +76,8 @@ class TestStackedComposite:
         index = np.random.default_rng(n * n_rows).integers(
             0, sizes, (n_links, n_rows, n)).astype(np.uint8)
         got = composite_channels(ChannelStack(channels), levels, index)
-        want = [composite_channels(c, lv, i) for c, lv, i in zip(channels, levels, index)]
+        want = [composite_channels(ChannelStack(c), [lv], i[None])[0]
+                for c, lv, i in zip(channels, levels, index)]
         assert _bits(got) == _bits(np.array(want))
 
     @pytest.mark.parametrize("n_links,n_rows", [(1, PROBE_BLOCK + 1), (PROBE_BLOCK + 1, 1),
@@ -102,7 +104,7 @@ class TestStackedComposite:
             with pytest.raises(IndexError):
                 composite_channels(stack, levels, index)
         with pytest.raises(IndexError):  # a lone row must not wrap a negative entry
-            composite_channels(_channels(1, 3)[0], VS, np.array([[-1, 0, 0]]))
+            composite_channels(ChannelStack(_channels(1, 3)), [VS], np.array([[[-1, 0, 0]]]))
 
     def test_mixed_stacks_rejected(self):
         with pytest.raises(ValueError):
@@ -125,7 +127,7 @@ class TestStackedOracles:
             index = rng.integers(0, len(VS), (4, 5, 6)).astype(np.uint8)
             got = stacked.batch([VS] * 4, index, rows)
             for k, (oracle, n) in enumerate(zip(alone, rows)):
-                assert _bits(got[k, :n]) == _bits(oracle.batch(VS, index[k, :n]))
+                assert _bits(got[k, :n]) == _bits(oracle.batch([VS], index[None, k, :n])[0])
         assert stacked.probes.tolist() == [o.probes.item() for o in alone] == [10, 7, 9, 6]
 
     def test_copy_counts_on_its_own(self):
@@ -136,21 +138,26 @@ class TestStackedOracles:
         assert oracle.probes.tolist() == [3, 3] and fork.probes.tolist() == [7, 7]
 
     def test_product_equals_one_oracle_per_link(self):
+        """Two-way, a stacked oracle reads each link as its own does, and a
+        reciprocal one (the downlinks again as the uplinks) reads what the
+        same channels passed as a separate uplink give."""
         down, up = _channels(3, 5), _channels(3, 5, seed=7)
         levels = _levels(3, shared=False)
         index = np.random.default_rng(1).integers(0, 2, (3, 9, 5)).astype(np.uint8)
-        got = ProductFeedbackOracle(down, up).batch(levels, index)
+        got = FeedbackOracle(down, up).batch(levels, index)
         for k in range(3):
-            want = ProductFeedbackOracle(down[k], up[k]).batch(levels[k], index[k])
+            want = FeedbackOracle(down[k], up[k]).batch([levels[k]], index[None, k])[0]
             assert _bits(got[k]) == _bits(want)
-        reciprocal = ProductFeedbackOracle(down, down).batch(levels, index)
+        reciprocal = FeedbackOracle(down, down).batch(levels, index)
         assert _bits(reciprocal) == _bits(np.stack([
-            ProductFeedbackOracle(d, d).batch(lv, i) for d, lv, i in zip(down, levels, index)]))
+            FeedbackOracle(d, d).batch([lv], i[None])[0]
+            for d, lv, i in zip(down, levels, index)]))
+        assert _bits(reciprocal) == _bits(FeedbackOracle(down, list(down)).batch(levels, index))
 
     @pytest.mark.parametrize("voltages", [VS, (30.0, 15.0, 0.0)])
     def test_controller_runs_equal_one_link_runs(self, voltages):
         """run_controllers over a stack gives each link the trace, best
-        readings and configuration run_controller gives it alone, noise
+        readings and configuration a one-link run gives it alone, noise
         included, though stage 3 pads the links with fewer moves (and the
         oracle reads that padding as +inf)."""
         channels, seeds = _channels(12, 9, jitter=0.2), list(range(30, 42))
@@ -161,7 +168,8 @@ class TestStackedOracles:
         for k, (channel, seed) in enumerate(zip(channels, seeds)):
             alone = run_controllers(FeedbackOracle(channel, noise_db=-15.0, noise_seed=seed),
                                     9, voltages, rng_seeds=[seed])
-            assert links.configs()[k].voltages == alone.configs()[0].voltages
+            assert per_probe.voltages(*links.configs()[k]) == \
+                per_probe.voltages(*alone.configs()[0])
             assert links.traces[k].serialize() == alone.traces[0].serialize()
             assert _bits(links.best_db[k]) == _bits(alone.best_db[0])
 
@@ -340,13 +348,13 @@ class TestSharedStage1:
                                       quantization_db=scenario.channel.rss_quantization_db,
                                       noise_seed=ch_seed)
 
-            cfg_e, tr_e = run_controller(fresh(), n, vs, rng_seed=rng_seed)
-            cfg_c, tr_c = run_controller(fresh(), n, vs, harness.COLUMN_VOTING_CONFIGS,
-                                         rng_seed, cols)
-            enum = run_controllers(fresh(), n, vs, groups=cols, stage2=brute_force_baseline)
-            cfg_n, tr_n = enum.configs()[0], enum.traces[0]
-            rows.append((i, ch_seed, *gains_db([channel] * 3, [cfg_e, cfg_c, cfg_n]).tolist(),
-                         tr_e.budget_used, tr_c.budget_used, tr_n.budget_used))
+            runs = [run_controllers(fresh(), n, vs, rng_seeds=[rng_seed]),
+                    run_controllers(fresh(), n, vs, harness.COLUMN_VOTING_CONFIGS,
+                                    [rng_seed], cols),
+                    run_controllers(fresh(), n, vs, groups=cols, stage2=brute_force_baseline)]
+            configs = [run.configs()[0] for run in runs]
+            rows.append((i, ch_seed, *gains_db([channel] * 3, configs).tolist(),
+                         *(run.traces[0].budget_used for run in runs)))
         header = harness._LINK_CSV["bench-controller"][1]
         assert (tmp_path / "bench_controller.csv").read_text() == table_text(
             header, list(zip(*rows)))
