@@ -20,9 +20,8 @@ downs = [scenario.sample_link_channel(11000000 + i, responder) for i in range(5)
 ups = downs  # reciprocity: the uplink retraces the downlink's paths
 links = run_controllers(FeedbackOracle(downs, ups), scenario.n_elements,
                         voltages=scenario.voltage_set, rng_seeds=range(5))
-configs = links.configs()
-pairs = zip(gains_db(downs, configs).tolist(), gains_db(downs, configs, ups).tolist())
-for i, (one, two) in enumerate(pairs):
+down, _, both = gains_db(downs, links.configs(), ups).tolist()  # one call, both directions
+for i, (one, two) in enumerate(zip(down, both)):
     print(f"  link {i}: one-way {one:+6.2f} dB, backscatter {two:+6.2f} dB "
           f"(= 2x to {abs(two - 2 * one):.1e})")
 

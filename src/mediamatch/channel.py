@@ -157,7 +157,6 @@ def composite_channels(channels: ChannelStack, levels, index) -> np.ndarray:
         raise ValueError("channel has no element responder attached")
     n_links, n_rows, n = index.shape
     tables = [channels.responder.table(tuple(lv)) for lv in levels]
-    shared = all(t is tables[0] for t in tables)
     rows = max(1, min(n_rows, _BLOCK_VALUES // max(n, 1)))
     links = max(1, _BLOCK_VALUES // max(n * n_rows, 1)) if rows == n_rows else 1
     out = np.empty((n_links, n_rows), dtype=complex)
@@ -181,11 +180,8 @@ def composite_channels(channels: ChannelStack, levels, index) -> np.ndarray:
                 out[l0, r0] = np.sum(s * h[l0])
                 continue
             s = buffer[:block.size].reshape(block.shape)
-            if shared:
-                tables[0].take(block, out=s, mode="clip")
-            else:
-                for table, link_rows, link_s in zip(tables[ls], block, s):
-                    table.take(link_rows, out=link_s, mode="clip")
+            for table, link_rows, link_s in zip(tables[ls], block, s):
+                table.take(link_rows, out=link_s, mode="clip")
             if jitter is not None:
                 s *= jitter[ls, None]
             s *= h[ls, None]
@@ -280,14 +276,15 @@ def gains_db(downlinks, configs, uplinks=None) -> np.ndarray:
     """Gain in dB of each link's configuration against its no-surface baseline.
 
     ``downlinks`` and ``configs`` hold one channel and one (levels, index row)
-    pair per link, as LinkBatch.configs() gives them; returns their L gains,
-    each from one stacked composite_channels call per direction.  Without
-    ``uplinks`` the gain is one-way.  With them it is two-way (backscatter):
-    the output is taken proportional to its input power, so the end-to-end
-    magnitude is |h_down| * |h_up| and the dB gains of the two directions add;
-    the downlinks passed again as the uplinks (reciprocal mode) give exactly
-    twice the one-way gain.  A link whose magnitude or baseline magnitude is
-    not positive gains -inf.
+    pair per link, as LinkBatch.configs() gives them.  Without ``uplinks``
+    returns the L one-way gains.  With them returns the (3, L) stack of the
+    downlink, uplink and two-way (backscatter) gains: the output is taken
+    proportional to its input power, so the end-to-end magnitude is
+    |h_down| * |h_up| and the dB gains of the two directions add.  Each
+    direction is read by one stacked composite_channels call and one baseline
+    per link; the downlinks passed again as the uplinks (reciprocal mode) are
+    read once, and their two-way gain is twice the one-way gain.  A link
+    whose magnitude or baseline magnitude is not positive gains -inf.
     """
     levels, rows = zip(*configs)
     index = np.stack(rows)[:, None]
@@ -297,10 +294,13 @@ def gains_db(downlinks, configs, uplinks=None) -> np.ndarray:
         base = np.array([baseline_channel(c) for c in channels])
         return np.hypot(h.real, h.imag), np.hypot(base.real, base.imag)
 
-    num, den = magnitudes(downlinks)
-    if uplinks is not None:
-        up, up_base = (num, den) if uplinks is downlinks else magnitudes(uplinks)
-        num, den = num * up, den * up_base
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = 20.0 * np.log10(num) - 20.0 * np.log10(den)
-    return np.where((num <= 0) | (den <= 0), float("-inf"), gain)
+    def gain(num, den):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            db = 20.0 * np.log10(num) - 20.0 * np.log10(den)
+        return np.where((num <= 0) | (den <= 0), float("-inf"), db)
+
+    down = magnitudes(downlinks)
+    if uplinks is None:
+        return gain(*down)
+    up = down if uplinks is downlinks else magnitudes(uplinks)
+    return np.stack([gain(*down), gain(*up), gain(down[0] * up[0], down[1] * up[1])])

@@ -46,6 +46,7 @@ import numpy as np
 #: finer steps; these levels cover the realizable susceptance span.
 DEFAULT_VOLTAGE_SET = (30.0, 20.0, 15.0, 10.0, 5.0, 2.5, 0.0)
 
+#: Most on/off assignments brute_force_baseline enumerates: 16 groups.
 ENUMERATION_CAP = 65536
 
 #: Rows of stage 2's on/off index drawn per generator call and summed per vote
@@ -135,7 +136,6 @@ class ControlTrace:
 
     blocks: list[tuple] = field(default_factory=list)
     low_contrast: bool = False
-    notes: list[str] = field(default_factory=list)
 
     def append(self, stage: int, levels, index, rss) -> None:
         """Record a block of probes; a writeable index or reading array is
@@ -199,8 +199,7 @@ class LinkBatch:
 
     def fork(self) -> "LinkBatch":
         """A copy whose traces go on from this batch's blocks on their own."""
-        other = LinkBatch(ControlTrace(list(t.blocks), t.low_contrast, list(t.notes))
-                          for t in self.traces)
+        other = LinkBatch(ControlTrace(list(t.blocks), t.low_contrast) for t in self.traces)
         other.v1, other.v0, other.on = self.v1, self.v0, self.on
         other.best_db, other._best = self.best_db.copy(), list(self._best)
         return other
@@ -331,7 +330,6 @@ def stage1_uniform_probe(oracle, links: LinkBatch, voltages, n_elements: int) ->
         low_contrast = rss[rows, i1] - rss[rows, i0] < 1e-12
     for link in np.flatnonzero(low_contrast).tolist():
         links.traces[link].low_contrast = True
-        links.traces[link].notes.append("stage1: low-contrast feedback, extreme states are ties")
     links.v1, links.v0 = np.array(vs)[i1], np.array(vs)[i0]
     return links
 
@@ -430,8 +428,6 @@ def run_controllers(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
     degenerate = links.v1 == links.v0
     if degenerate.any():
         links.v0 = np.where(degenerate, min(voltages), links.v0)
-        for link in np.flatnonzero(degenerate).tolist():
-            links.traces[link].notes.append(f"degenerate stage1, forcing v0={min(voltages)}")
     if stage2 is None:
         stage2_majority_voting(oracle, links, n_elements, n_configs, rng_seeds, groups)
     else:
@@ -439,20 +435,19 @@ def run_controllers(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
     return stage3_fine_tune(oracle, links, voltages)
 
 
-def brute_force_baseline(oracle, links: LinkBatch, n_elements: int, groups,
-                         cap: int = ENUMERATION_CAP) -> LinkBatch:
+def brute_force_baseline(oracle, links: LinkBatch, n_elements: int, groups) -> LinkBatch:
     """Exhaustive argmax over all 2^len(groups) on/off assignments of the
     batch's v1/v0.
 
-    Refuses group counts whose enumeration would exceed the cap.  Keeps as
-    the batch's ``on`` the (L, N) bool matrix of the elements each link's
-    best assignment turns on, none where no reading is above -inf, and
-    returns the batch.
+    Refuses group counts whose enumeration would exceed ENUMERATION_CAP.
+    Keeps as the batch's ``on`` the (L, N) bool matrix of the elements each
+    link's best assignment turns on, none where no reading is above -inf,
+    and returns the batch.
     """
     n_groups = len(groups)
-    if 2 ** n_groups > cap:
+    if 2 ** n_groups > ENUMERATION_CAP:
         raise ValueError(
-            f"enumeration of 2^{n_groups} configs exceeds cap {cap}; "
+            f"enumeration of 2^{n_groups} configs exceeds cap {ENUMERATION_CAP}; "
             "use randomized voting instead")
     v1, v0 = links.v1, links.v0
     codes = np.arange(2 ** n_groups)

@@ -3,7 +3,9 @@
 Every command consumes a Scenario, writes CSV artifacts plus a plain-text
 summary into an output directory, and returns a RunReport.  All randomness is
 derived from the scenario seed, so a command is reproducible from the
-(scenario file, seeds) pair alone; reports embed the scenario hash.
+(scenario file, seeds) pair alone; reports embed the scenario hash.  The
+link commands are rows of one table, _LINK_COMMANDS (CSV, header, count key,
+summary by column name), run by one driver over run_links' per-link rows.
 
 Medians and percentiles use the lower-interpolation rule throughout
 (numpy percentile method="lower").
@@ -195,10 +197,11 @@ def run_links(scenario: Scenario, responder, indices, mode: str) -> list[tuple]:
     """Links `indices` of the links, backscatter or bench-controller command,
     run as one batch: every controller stage probes all of them at once.
 
-    Returns one (CSV row, files) pair per link, in order: files maps a path
-    under the output directory to its text, the link's trace and channel dump
-    for links and none otherwise.  A link's row and files depend only on the
-    scenario and its index, not on the links it shares the batch with.
+    Returns one (CSV row, files) pair per link, in order: the row under
+    _LINK_COMMANDS[mode]'s header, and files mapping a path under the output
+    directory to its text, the link's trace and channel dump for links and
+    none otherwise.  A link's row and files depend only on the scenario and
+    its index, not on the links it shares the batch with.
     """
     seeds = [_link_seeds(scenario, i) for i in indices]
     ch_seeds, rng_seeds, _ = zip(*seeds)
@@ -224,10 +227,8 @@ def run_links(scenario: Scenario, responder, indices, mode: str) -> list[tuple]:
         # no noise_db: a scenario's channel.noise_db does not reach backscatter
         configs = control(FeedbackOracle(
             channels, uplinks, quantization_db=scenario.channel.rss_quantization_db)).configs()
-        gains = (gains_db(channels, configs), gains_db(uplinks, configs),
-                 gains_db(channels, configs, uplinks))
-        return [((i, seed, *row), {})
-                for i, seed, *row in zip(indices, ch_seeds, *(g.tolist() for g in gains))]
+        gains = gains_db(channels, configs, uplinks).tolist()  # down, up and two-way rows
+        return [((i, seed, *row), {}) for i, seed, *row in zip(indices, ch_seeds, *gains)]
     if mode == "bench-controller":
         # the three variants would each read stage 1 alike from a fresh oracle:
         # it is read once, and each variant goes on from there on its own copy
@@ -273,17 +274,6 @@ def _worker_links(indices: range, mode: str) -> list[tuple]:
     return run_links(*_worker_state, indices, mode)
 
 
-#: The CSV each link command writes, and its header.
-_LINK_CSV = {
-    "links": ("links.csv", "link,seed,baseline_db,final_db,gain_db,stage1_gain_db,"
-              "stage12_gain_db,stage3_increment_db,probes_stage1,probes_stage2,probes_stage3"),
-    "backscatter": ("backscatter.csv", "link,seed,gain_down_db,gain_up_db,backscatter_db"),
-    "bench-controller": ("bench_controller.csv", "seed_index,seed,element_voting_db,"
-                         "column_voting_db,column_enum_db,probes_element,probes_column,"
-                         "probes_enum"),
-}
-
-
 def _batches(scenario: Scenario, n_links: int, parallel: int) -> list[range]:
     """Links 0..n_links-1 cut into contiguous batches of near-equal size: as
     few as hold at most LINK_BATCH stage-2 index entries each (one link at
@@ -294,12 +284,45 @@ def _batches(scenario: Scenario, n_links: int, parallel: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _run_links(mode: str, scenario: Scenario, out_dir: Path, n_links: int,
-               parallel: int) -> tuple[RunReport, list[tuple]]:
+#: Each link command by run_links mode: the CSV of its run_links rows, the
+#: CSV's header, the summary key of its link count and, when it ran a link,
+#: its summary of (the scenario, the CSV's columns by header name).
+_LINK_COMMANDS = {
+    "links": (
+        "links.csv", "link,seed,baseline_db,final_db,gain_db,stage1_gain_db,stage12_gain_db,"
+        "stage3_increment_db,probes_stage1,probes_stage2,probes_stage3",
+        "n_links", lambda scenario, col: {
+            "median_gain_db": median_lower(col["gain_db"]),
+            "p10_gain_db": percentile_lower(col["gain_db"], 10.0),
+            "p90_gain_db": percentile_lower(col["gain_db"], 90.0),
+            "max_gain_db": float(max(col["gain_db"])),
+            "total_probes": sum(sum(col[f"probes_stage{s}"]) for s in (1, 2, 3))}),
+    "backscatter": (
+        "backscatter.csv", "link,seed,gain_down_db,gain_up_db,backscatter_db",
+        "n_links", lambda scenario, col: {
+            "median_backscatter_db": median_lower(col["backscatter_db"]),
+            "max_backscatter_db": float(max(col["backscatter_db"])),
+            "median_oneway_db": median_lower(col["gain_down_db"]),
+            "reciprocal_uplink": scenario.channel.reciprocal_uplink}),
+    "bench-controller": (
+        "bench_controller.csv", "seed_index,seed,element_voting_db,column_voting_db,"
+        "column_enum_db,probes_element,probes_column,probes_enum",
+        "n_seeds", lambda scenario, col: {
+            "median_element_voting_db": (elem := median_lower(col["element_voting_db"])),
+            "median_column_voting_db": (colv := median_lower(col["column_voting_db"])),
+            "median_column_enum_db": (enum := median_lower(col["column_enum_db"])),
+            "voting_vs_enum_db": enum - colv, "element_vs_column_db": elem - colv}),
+}
+
+
+def _link_command(mode: str, scenario: Scenario, out_dir, n_links: int,
+                  parallel: int) -> RunReport:
     """run_links over links 0..n_links-1, batch by batch: serially, or as one
     task per batch in min(parallel, batches) worker processes with one
-    responder each.  Writes every link's files and the command's CSV; returns
-    the report and the rows in link order."""
+    responder each.  Writes every link's files, then _LINK_COMMANDS[mode]'s
+    CSV and summary."""
+    csv, header, count_key, summary = _LINK_COMMANDS[mode]
+    out_dir = Path(out_dir)
     batches = _batches(scenario, n_links, parallel)
     workers = min(parallel, len(batches))
     if workers > 1:
@@ -317,56 +340,26 @@ def _run_links(mode: str, scenario: Scenario, out_dir: Path, n_links: int,
     for _, files in results:
         for name, text in files.items():
             (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
-    rows = [row for row, _ in results]
+    columns = list(zip(*(row for row, _ in results)))
     report = RunReport(mode, scenario.name, scenario.scenario_hash())
-    name, header = _LINK_CSV[mode]
-    report.csv_paths.append(write_table(out_dir / name, header, list(zip(*rows))))
-    return report, rows
+    report.csv_paths.append(write_table(out_dir / csv, header, columns))
+    report.summary[count_key] = len(results)
+    if results:
+        report.summary.update(summary(scenario, dict(zip(header.split(","), columns))))
+    return _finish(report, out_dir)
 
 
 def cmd_links(scenario: Scenario, out_dir, n_links: int, parallel: int = 1) -> RunReport:
     """Sample n_links seeded channels and run the controller on each."""
-    report, rows = _run_links("links", scenario, Path(out_dir), n_links, parallel)
-    report.summary["n_links"] = len(rows)
-    if rows:
-        gains = [r[4] for r in rows]
-        report.summary.update({
-            "median_gain_db": median_lower(gains),
-            "p10_gain_db": percentile_lower(gains, 10.0),
-            "p90_gain_db": percentile_lower(gains, 90.0),
-            "max_gain_db": float(max(gains)),
-            "total_probes": sum(sum(r[8:]) for r in rows),
-        })
-    return _finish(report, Path(out_dir))
+    return _link_command("links", scenario, out_dir, n_links, parallel)
 
 
 def cmd_backscatter(scenario: Scenario, out_dir, n_links: int, parallel: int = 1) -> RunReport:
     """Two-way emulation: controller driven by the product-channel feedback."""
-    report, rows = _run_links("backscatter", scenario, Path(out_dir), n_links, parallel)
-    report.summary["n_links"] = len(rows)
-    if rows:
-        bs = [r[4] for r in rows]
-        report.summary.update({
-            "median_backscatter_db": median_lower(bs),
-            "max_backscatter_db": float(max(bs)),
-            "median_oneway_db": median_lower([r[2] for r in rows]),
-            "reciprocal_uplink": scenario.channel.reciprocal_uplink,
-        })
-    return _finish(report, Path(out_dir))
+    return _link_command("backscatter", scenario, out_dir, n_links, parallel)
 
 
 def cmd_bench_controller(scenario: Scenario, out_dir, n_seeds: int = 100,
                          parallel: int = 1) -> RunReport:
     """Randomized voting vs exhaustive enumeration vs column-wise control."""
-    report, rows = _run_links("bench-controller", scenario, Path(out_dir), n_seeds, parallel)
-    if rows:
-        elem, colv, enum = (median_lower([r[c] for r in rows]) for c in (2, 3, 4))
-        report.summary.update({
-            "n_seeds": len(rows),
-            "median_element_voting_db": elem,
-            "median_column_voting_db": colv,
-            "median_column_enum_db": enum,
-            "voting_vs_enum_db": enum - colv,
-            "element_vs_column_db": elem - colv,
-        })
-    return _finish(report, Path(out_dir))
+    return _link_command("bench-controller", scenario, out_dir, n_seeds, parallel)

@@ -117,6 +117,9 @@ class Scenario:
 _MAX = sys.float_info.max
 #: Most points a {start, stop, step} sweep axis expands to.
 MAX_AXIS_POINTS = 100_000
+#: Most elements an array may have (128 x 128): a batch's stage-2 index holds
+#: 2N^2 bytes per link, 0.5 GB at this ceiling and 8.6 GB at 256 x 256.
+MAX_ELEMENTS = 128 * 128
 #: Number kinds, named as a message reads them: (type, lowest, highest value).
 _NUMBERS = {"a number": (float, -_MAX, _MAX), "a number > 0": (float, 5e-324, _MAX),
             "a number >= 0": (float, 0.0, _MAX), "a number >= 1": (float, 1.0, _MAX),
@@ -241,6 +244,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
     rows, cols = fields["array_rows"], fields["array_cols"]
     if rows < 1 or cols < 1:
         raise ScenarioError(f"array_rows and array_cols must be >= 1, got {rows}x{cols}")
+    if rows * cols > MAX_ELEMENTS:
+        raise ScenarioError(f"array_rows x array_cols must be at most {MAX_ELEMENTS} "
+                            f"(128 x 128), got {rows}x{cols}")
     sweeps = {}
     for name, axis in fields["sweep"].items():
         if type(axis) is dict:

@@ -148,10 +148,12 @@ def admittance_at_voltage(circuit: ElementCircuit, voltage: float,
     return admittance_exact(circuit, c, r, frequency)
 
 
+#: calibrate_inductances' bounds: most G per unit B, least resonance factor.
+MAX_LOSS_RATIO, RESONANCE_MARGIN = 0.1, 0.05
+
+
 def calibrate_inductances(table: VaractorTable, frequency: float,
                           target_span: tuple[float, float] = (0.0, 0.1),
-                          max_loss_ratio: float = 0.1,
-                          resonance_margin: float = 0.05,
                           control_voltages=None) -> ElementCircuit:
     """Deterministic grid search for (L1, L2) realizing a susceptance span.
 
@@ -161,8 +163,8 @@ def calibrate_inductances(table: VaractorTable, frequency: float,
     susceptance even at the top voltage.  L1 then walks a 5 pH grid from
     0.1 nH to 1.1 nH; the first value whose exact admittances satisfy
 
-      * resonance factor 1 - w^2 C L1 > resonance_margin for every table C,
-      * G <= max_loss_ratio * B at every control voltage,
+      * resonance factor 1 - w^2 C L1 > RESONANCE_MARGIN for every table C,
+      * G <= MAX_LOSS_RATIO * B at every control voltage,
       * max susceptance >= B_max,
 
     wins.  Smallest feasible L1 keeps the loss ratio as healthy as possible
@@ -184,7 +186,7 @@ def calibrate_inductances(table: VaractorTable, frequency: float,
     best_span = None
     for i in range(20, 221):  # L1 = 0.100 .. 1.100 nH in 5 pH steps
         l1 = (i * 0.005) * 1e-9
-        if np.any(1.0 - w * w * caps * l1 <= resonance_margin):
+        if np.any(1.0 - w * w * caps * l1 <= RESONANCE_MARGIN):
             continue
         branch_top = 1.0 / (1.0 / (1j * w * c_top) + r_top + 1j * w * l1)
         b_anchor = max(b_min, 12.0 * branch_top.real)
@@ -196,7 +198,7 @@ def calibrate_inductances(table: VaractorTable, frequency: float,
             continue
         circuit = ElementCircuit(l1, l2, table, frequency)
         ys = [admittance_at_voltage(circuit, v, frequency) for v in control_voltages]
-        if any(y.real < 0 or y.real > max_loss_ratio * y.imag for y in ys):
+        if any(y.real < 0 or y.real > MAX_LOSS_RATIO * y.imag for y in ys):
             continue
         span = max(y.imag for y in ys)
         if best_span is None or span > best_span:

@@ -225,16 +225,17 @@ class TestBackscatterGain:
                             responder=responder)
         cfg = uniform(10.0, 32)
         one = gains_db([ch], [cfg])[0]
-        two = gains_db([ch], [cfg], [ch])[0]
+        two = gains_db([ch], [cfg], [ch])[2, 0]
         assert two == pytest.approx(2 * one, abs=1e-9)
 
     def test_independent_channels_gains_add(self, responder):
         down = sample_channel(22, 16, element_power=1.0 / 16, responder=responder)
         up = sample_channel(23, 16, element_power=1.0 / 16, responder=responder)
         cfg = uniform(10.0, 16)
-        total = gains_db([down], [cfg], [up])[0]
-        parts = gains_db([down], [cfg])[0] + gains_db([up], [cfg])[0]
-        assert total == pytest.approx(parts, abs=1e-9)  # log of a product
+        gains = gains_db([down], [cfg], [up])[:, 0]
+        parts = gains_db([down], [cfg])[0], gains_db([up], [cfg])[0]
+        assert gains[:2].tolist() == list(parts)  # each direction's one-way gain
+        assert gains[2] == pytest.approx(sum(parts), abs=1e-9)  # log of a product
 
     def test_gain_is_relative_to_bare_baseline(self, responder):
         """The no-surface reference is the composite channel evaluated with
@@ -245,7 +246,7 @@ class TestBackscatterGain:
         want = 20 * np.log10(
             abs(composite(down, cfg)) * abs(composite(up, cfg))
             / (abs(baseline_channel(down)) * abs(baseline_channel(up))))
-        assert gains_db([down], [cfg], [up])[0] == pytest.approx(want, abs=1e-12)
+        assert gains_db([down], [cfg], [up])[2, 0] == pytest.approx(want, abs=1e-12)
 
     def test_element_count_mismatch(self, responder):
         down = sample_channel(24, 8, element_power=1.0, responder=responder)
@@ -265,7 +266,7 @@ class TestGainsDb:
         one = gains_db([silent, live], cfgs)
         assert one[0] == float("-inf") and np.isfinite(one[1])
         two = gains_db([silent, live], cfgs, [live, silent])
-        assert two.tolist() == [float("-inf")] * 2
+        assert two[2].tolist() == [float("-inf")] * 2
 
     @pytest.mark.parametrize("reciprocal", [True, False])
     def test_stack_equals_one_link_calls(self, scenario, responder, reciprocal):
@@ -282,6 +283,6 @@ class TestGainsDb:
         alphabets = [(30.0, 0.0), vs, (20.0, 2.5), vs, tuple(np.linspace(0.0, 30.0, 300))]
         cfgs = [(lv, rng.integers(0, len(lv), 9)) for lv in alphabets]
         one = [gains_db([d], [c])[0] for d, c in zip(downs, cfgs)]
-        two = [gains_db([d], [c], [u])[0] for d, u, c in zip(downs, ups, cfgs)]
+        two = [gains_db([d], [c], [u])[:, 0] for d, u, c in zip(downs, ups, cfgs)]
         assert gains_db(downs, cfgs).tobytes() == np.array(one).tobytes()
-        assert gains_db(downs, cfgs, ups).tobytes() == np.array(two).tobytes()
+        assert gains_db(downs, cfgs, ups).tobytes() == np.stack(two, axis=1).tobytes()

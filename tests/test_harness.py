@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mediamatch import cli, harness, scenario as scenario_mod
+from mediamatch import channel as channel_mod, cli, harness, scenario as scenario_mod
 from mediamatch.cli import main
 from mediamatch.harness import (BudgetError, cmd_backscatter, cmd_bench_controller,
                                 cmd_links, cmd_match, cmd_sweep, median_lower,
@@ -328,6 +328,26 @@ class TestBackscatterCommand:
                 csv[name, noise_db] = (out / name).read_bytes()
         assert csv["backscatter.csv", None] == csv["backscatter.csv", -20.0]
         assert csv["links.csv", None] != csv["links.csv", -20.0]
+
+    @pytest.mark.parametrize("reciprocal,calls,sums", [(True, 4, 9), (False, 8, 18)])
+    def test_one_gain_solve_per_direction(self, tmp_path, monkeypatch, reciprocal, calls, sums):
+        """9 links probe each direction once per stage (3 stacked calls) and
+        read their gains with one more stacked call and one baseline per link
+        per direction; a reciprocal uplink is the downlink, read once."""
+        counts = {"composite_channels": 0, "baseline_channel": 0}
+
+        def counted(name, real):
+            def call(*args):
+                counts[name] += 1
+                return real(*args)
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(channel_mod, name, counted(name, getattr(channel_mod, name)))
+        raw = json.loads((SCENARIOS / "water_backscatter.json").read_text())
+        raw["channel"]["reciprocal_uplink"] = reciprocal
+        cmd_backscatter(scenario_from_dict(raw), tmp_path, 9)
+        assert counts == {"composite_channels": calls, "baseline_channel": sums}
 
 
 class TestBenchTracerTargets:
@@ -689,6 +709,41 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="array_rows"):
             scenario_from_dict(raw)
 
+    def test_array_at_the_ceiling_accepted(self):
+        sc = scenario_from_dict(default_water_dict(name="ceiling", array_rows=128,
+                                                   array_cols=128))
+        assert sc.n_elements == scenario_mod.MAX_ELEMENTS
+
+    def test_array_past_the_ceiling_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(default_water_dict(name="big", array_rows=129,
+                                                      array_cols=128)))
+        rc = main(["links", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                   "--links", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: array_rows x array_cols")
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 2 ** 70), cols=st.integers(1, 2 ** 70),
+           calibrate=st.booleans())
+    def test_oversized_array_fails_at_parse(self, rows, cols, calibrate):
+        """Any array past MAX_ELEMENTS elements is refused by the parse alone,
+        which allocates nothing of the array's size."""
+        if rows * cols <= scenario_mod.MAX_ELEMENTS:
+            rows = scenario_mod.MAX_ELEMENTS // cols + 1
+        raw = default_water_dict(name="oversized", array_rows=rows, array_cols=cols)
+        if calibrate:
+            raw["circuit"] = "calibrate"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioError, match="array_rows x array_cols"):
+                scenario_from_dict(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, f"parse peak {peak} B"
+
     @pytest.mark.parametrize("field", ["noise_db", "phase_jitter_std"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_channel_field_rejected(self, field, value):
@@ -815,6 +870,14 @@ class TestScenarioFuzz:
 
 
 class TestBenchCommand:
+    def test_zero_seeds_report(self, tmp_path):
+        """No seeds write the seed count, as no links write n_links = 0."""
+        scenario = load_scenario(SCENARIOS / "controller_bench.json")
+        report = cmd_bench_controller(scenario, tmp_path, 0)
+        assert report.summary == {"n_seeds": 0}
+        assert "\nn_seeds = 0\n" in (tmp_path / "summary.txt").read_text()
+        assert (tmp_path / "bench_controller.csv").read_text().count("\n") == 1
+
     def test_small_bench_consistency(self, tmp_path):
         scenario = load_scenario(SCENARIOS / "controller_bench.json")
         report = cmd_bench_controller(scenario, tmp_path, n_seeds=8)

@@ -355,7 +355,7 @@ class TestSharedStage1:
             configs = [run.configs()[0] for run in runs]
             rows.append((i, ch_seed, *gains_db([channel] * 3, configs).tolist(),
                          *(run.traces[0].budget_used for run in runs)))
-        header = harness._LINK_CSV["bench-controller"][1]
+        header = harness._LINK_COMMANDS["bench-controller"][1]
         assert (tmp_path / "bench_controller.csv").read_text() == table_text(
             header, list(zip(*rows)))
 
