@@ -7,7 +7,7 @@ for the gain distribution.
 
 import numpy as np
 
-from mediamatch import baseline_channel, gains_db, run_controllers
+from mediamatch import gains_db, run_controllers
 from mediamatch.harness import median_lower
 from mediamatch.channel import FeedbackOracle
 from mediamatch.scenario import default_water_scenario
@@ -22,7 +22,7 @@ links = run_controllers(oracle, scenario.n_elements,
 (levels, row), trace = links.configs()[0], links.traces[0]
 voltages = np.asarray(levels)[row].tolist()
 
-base_db = 20 * np.log10(abs(baseline_channel(channel)))
+(gain,), (base_db,) = gains_db([channel], links.configs())  # gain and baseline rows
 print(f"baseline (no surface): {base_db:7.2f} dB")
 for stage, label in ((1, "uniform voltage probe"),
                      (2, "randomized majority voting"),
@@ -32,7 +32,7 @@ for stage, label in ((1, "uniform voltage probe"),
     print(f"stage {stage} ({label:28s}): {n:3d} probes, best so far "
           f"{best:7.2f} dB ({best - base_db:+.2f} dB)")
 
-print(f"\nfinal gain: {gains_db([channel], links.configs())[0]:+.2f} dB "
+print(f"\nfinal gain: {gain:+.2f} dB "
       f"using {trace.budget_used} probes total")
 v1, v0 = max(voltages), min(voltages)
 on = voltages.count(v1)
@@ -48,7 +48,7 @@ channels = [scenario.sample_link_channel(scenario.seed * 1000000 + i, responder)
 stacked = FeedbackOracle(channels, quantization_db=scenario.channel.rss_quantization_db)
 batch = run_controllers(stacked, scenario.n_elements, voltages=scenario.voltage_set,
                         rng_seeds=[scenario.seed * 1000000 + i + 500000 for i in range(45)])
-gains = sorted(gains_db(channels, batch.configs()).tolist())
+gains = sorted(gains_db(channels, batch.configs())[0].tolist())
 print(f"  median {median_lower(gains):5.2f} dB,  "
       f"p10 {gains[4]:5.2f} dB,  max {gains[-1]:5.2f} dB")
 print("  gain CDF:", "  ".join(f"{g:5.1f}" for g in gains[::6]))

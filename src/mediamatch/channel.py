@@ -64,7 +64,6 @@ class MultipathChannel:
 
     h_env: complex
     h_elements: np.ndarray          # shape (N,), complex
-    seed: int
     responder: ElementResponder | None = None
     phase_jitter: np.ndarray | None = None  # optional per-element unit phasors
 
@@ -101,8 +100,7 @@ def sample_channel(seed: int, n_elements: int, env_power: float = 0.0,
     jitter = None
     if phase_jitter_std > 0:
         jitter = np.exp(1j * rng.normal(0.0, phase_jitter_std, n_elements))
-    return MultipathChannel(h_env=h_env, h_elements=h, seed=seed,
-                            responder=responder, phase_jitter=jitter)
+    return MultipathChannel(h_env=h_env, h_elements=h, responder=responder, phase_jitter=jitter)
 
 
 class ChannelStack:
@@ -273,34 +271,40 @@ class FeedbackOracle:
 
 
 def gains_db(downlinks, configs, uplinks=None) -> np.ndarray:
-    """Gain in dB of each link's configuration against its no-surface baseline.
+    """Gain in dB of configurations against their link's no-surface baseline.
 
-    ``downlinks`` and ``configs`` hold one channel and one (levels, index row)
-    pair per link, as LinkBatch.configs() gives them.  Without ``uplinks``
-    returns the L one-way gains.  With them returns the (3, L) stack of the
-    downlink, uplink and two-way (backscatter) gains: the output is taken
-    proportional to its input power, so the end-to-end magnitude is
-    |h_down| * |h_up| and the dB gains of the two directions add.  Each
-    direction is read by one stacked composite_channels call and one baseline
-    per link; the downlinks passed again as the uplinks (reciprocal mode) are
-    read once, and their two-way gain is twice the one-way gain.  A link
-    whose magnitude or baseline magnitude is not positive gains -inf.
+    ``downlinks`` holds L channels and ``configs`` k (levels, index row) pairs
+    per link, variant-major (v*L + l is link l's in variant v); k is inferred,
+    and a count that is not a multiple of L is a ValueError.  One-way returns
+    the (2, k*L) stack of gains and their links' baselines in dB; with
+    ``uplinks`` the (3, k*L) stack of downlink, uplink and two-way gains.  The
+    output is taken proportional to its input power, so the two directions'
+    dB gains add.  Each direction is one stacked composite_channels call and
+    one baseline sum per link; downlinks passed again as the uplinks
+    (reciprocal) are read once.  A magnitude or baseline that is not positive
+    gains -inf, and a zero baseline reads -inf dB.
     """
+    k = len(configs) // max(len(downlinks), 1)
+    if not k or k * len(downlinks) != len(configs):
+        raise ValueError(f"{len(configs)} configurations for {len(downlinks)} links")
     levels, rows = zip(*configs)
     index = np.stack(rows)[:, None]
 
     def magnitudes(channels):
-        h = composite_channels(ChannelStack(channels), levels, index)[:, 0]
+        h = composite_channels(ChannelStack(list(channels) * k), levels, index)[:, 0]
         base = np.array([baseline_channel(c) for c in channels])
-        return np.hypot(h.real, h.imag), np.hypot(base.real, base.imag)
+        return np.hypot(h.real, h.imag), np.tile(np.hypot(base.real, base.imag), k)
+
+    def db(magnitude):
+        with np.errstate(divide="ignore"):
+            return 20.0 * np.log10(magnitude)
 
     def gain(num, den):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            db = 20.0 * np.log10(num) - 20.0 * np.log10(den)
-        return np.where((num <= 0) | (den <= 0), float("-inf"), db)
+        with np.errstate(invalid="ignore"):
+            return np.where((num <= 0) | (den <= 0), float("-inf"), db(num) - db(den))
 
     down = magnitudes(downlinks)
     if uplinks is None:
-        return gain(*down)
+        return np.stack([gain(*down), db(down[1])])
     up = down if uplinks is downlinks else magnitudes(uplinks)
     return np.stack([gain(*down), gain(*up), gain(down[0] * up[0], down[1] * up[1])])

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .cascade import DB_FLOOR
-from .channel import FeedbackOracle, baseline_channel, gains_db
+from .channel import FeedbackOracle, gains_db
 from .control import (ControlTrace, LinkBatch, brute_force_baseline, column_groups,
                       run_controllers, stage1_uniform_probe)
 from .matching import SweepGrid, best_admittance, best_voltage, reflection_spectrum, sweep_through_power
@@ -197,64 +197,58 @@ def run_links(scenario: Scenario, responder, indices, mode: str) -> list[tuple]:
     """Links `indices` of the links, backscatter or bench-controller command,
     run as one batch: every controller stage probes all of them at once.
 
+    One flow for every command: one FeedbackOracle over the sampled channels
+    (two-way over the uplinks too for backscatter, which gets no noise_db),
+    stage 1 probed once, each controller variant (three for bench-controller)
+    run on from a fork of it with its own oracle copy and budget-checked, and
+    one gains_db call for every variant's gains.
+
     Returns one (CSV row, files) pair per link, in order: the row under
     _LINK_COMMANDS[mode]'s header, and files mapping a path under the output
     directory to its text, the link's trace and channel dump for links and
     none otherwise.  A link's row and files depend only on the scenario and
     its index, not on the links it shares the batch with.
     """
-    seeds = [_link_seeds(scenario, i) for i in indices]
-    ch_seeds, rng_seeds, _ = zip(*seeds)
+    ch_seeds, rng_seeds, up_seeds = zip(*(_link_seeds(scenario, i) for i in indices))
     channels = [scenario.sample_link_channel(seed, responder) for seed in ch_seeds]
-    n, vs = scenario.n_elements, scenario.voltage_set
-
-    def control(oracle, n_configs=None, groups=None, stage2=None, links=None):
-        links = run_controllers(oracle, n, voltages=vs, n_configs=n_configs,
-                                rng_seeds=rng_seeds, groups=groups, stage2=stage2, links=links)
-        if stage2 is None:
-            for trace in links.traces:
-                validate_trace(trace, len(vs), n_configs or 2 * n)
-        return links
-
-    def feedback():
-        return FeedbackOracle(channels, noise_db=scenario.channel.noise_db,
-                              quantization_db=scenario.channel.rss_quantization_db,
-                              noise_seed=ch_seeds)
-
+    n, vs, params = scenario.n_elements, scenario.voltage_set, scenario.channel
+    uplinks = None
     if mode == "backscatter":
-        uplinks = channels if scenario.channel.reciprocal_uplink \
-            else [scenario.sample_link_channel(s[2], responder) for s in seeds]
-        # no noise_db: a scenario's channel.noise_db does not reach backscatter
-        configs = control(FeedbackOracle(
-            channels, uplinks, quantization_db=scenario.channel.rss_quantization_db)).configs()
-        gains = gains_db(channels, configs, uplinks).tolist()  # down, up and two-way rows
-        return [((i, seed, *row), {}) for i, seed, *row in zip(indices, ch_seeds, *gains)]
-    if mode == "bench-controller":
-        # the three variants would each read stage 1 alike from a fresh oracle:
-        # it is read once, and each variant goes on from there on its own copy
-        cols = column_groups(scenario.rows, scenario.cols)
-        oracle, start = feedback(), LinkBatch.new(len(seeds))
-        stage1_uniform_probe(oracle, start, vs, n)
-        runs = [control(copy.copy(oracle), links=start.fork()),
-                control(copy.copy(oracle), COLUMN_VOTING_CONFIGS, cols, links=start.fork()),
-                control(oracle, None, cols, brute_force_baseline, links=start)]
-        gains = (gains_db(channels, run.configs()).tolist() for run in runs)
-        return [((i, seed, *row, *(run.traces[k].budget_used for run in runs)), {})
-                for k, (i, seed, *row) in enumerate(zip(indices, ch_seeds, *gains))]
+        uplinks = channels if params.reciprocal_uplink \
+            else [scenario.sample_link_channel(seed, responder) for seed in up_seeds]
+    oracle = FeedbackOracle(channels, uplinks, quantization_db=params.rss_quantization_db,
+                            noise_db=params.noise_db if uplinks is None else None,
+                            noise_seed=ch_seeds)
+    start = stage1_uniform_probe(oracle, LinkBatch.new(len(channels)), vs, n)
 
-    links = control(feedback())
+    variants = [(2 * n, None, None)]  # (stage-2 probes, control groups, stage 2)
+    if mode == "bench-controller":
+        cols = column_groups(scenario.rows, scenario.cols)
+        variants += [(COLUMN_VOTING_CONFIGS, cols, None),
+                     (2 ** len(cols), cols, brute_force_baseline)]
+    runs = []
+    for n_stage2, groups, stage2 in variants:
+        runs.append(run_controllers(copy.copy(oracle), n, vs, n_stage2, rng_seeds, groups,
+                                    stage2, start.fork()))
+        for trace in runs[-1].traces:
+            validate_trace(trace, len(vs), n_stage2)
+    gains = gains_db(channels, [c for run in runs for c in run.configs()], uplinks).tolist()
+
+    if mode == "backscatter":  # down, up and two-way gain rows
+        return [((i, seed, *row), {}) for i, seed, *row in zip(indices, ch_seeds, *gains)]
+    if mode == "bench-controller":  # variant v's gain of link k is gains[0][v*L + k]
+        return [((i, seed, *gains[0][k::len(channels)],
+                  *(run.traces[k].budget_used for run in runs)), {})
+                for k, (i, seed) in enumerate(zip(indices, ch_seeds))]
     results = []
-    for i, seed, channel, trace, gain, best in zip(
-            indices, ch_seeds, channels, links.traces,
-            gains_db(channels, links.configs()).tolist(), links.best_db.tolist()):
-        with np.errstate(divide="ignore"):  # a silent channel's baseline is -inf dB
-            base_db = float(20.0 * np.log10(abs(baseline_channel(channel))))
+    for i, seed, channel, trace, gain, base, best in zip(
+            indices, ch_seeds, channels, runs[0].traces, *gains, runs[0].best_db.tolist()):
         stage1_db, stage2_db, final_db = best
         h = channel.h_elements
         dump = [["env"] + [f"element_{e}" for e in range(len(h))],
                 [channel.h_env.real] + h.real.tolist(), [channel.h_env.imag] + h.imag.tolist()]
-        results.append(((i, seed, base_db, final_db, gain,
-                         stage1_db - base_db, stage2_db - base_db, final_db - stage2_db,
+        results.append(((i, seed, base, final_db, gain,
+                         stage1_db - base, stage2_db - base, final_db - stage2_db,
                          *(trace.stage_probe_count(s) for s in (1, 2, 3))), {
             f"traces/link_{i:04d}.csv": trace.serialize(),
             f"channels/link_{i:04d}.csv": table_text("path,re,im", dump)}))

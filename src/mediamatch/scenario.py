@@ -99,14 +99,13 @@ class Scenario:
         return ElementResponder(self.stack(**stack_kwargs), self.circuit, self.frequency,
                                 coupling_offset=self.coupling_offset)
 
-    def sample_link_channel(self, link_seed: int,
-                            responder: ElementResponder | None = None) -> MultipathChannel:
+    def sample_link_channel(self, link_seed: int, responder: ElementResponder) -> MultipathChannel:
         return sample_channel(
             seed=link_seed,
             n_elements=self.n_elements,
             env_power=self.channel.env_power,
             element_power=self.channel.element_power,
-            responder=responder if responder is not None else self.responder(),
+            responder=responder,
             phase_jitter_std=self.channel.phase_jitter_std,
         )
 
@@ -234,6 +233,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
              *(layer["medium"] for layer in fields["layers"])}
     if not media.keys() >= names:
         raise ScenarioError(f"unknown medium {sorted(names - media.keys())[0]!r}")
+    rows, cols = fields["array_rows"], fields["array_cols"]
+    if rows < 1 or cols < 1:
+        raise ScenarioError(f"array_rows and array_cols must be >= 1, got {rows}x{cols}")
+    if rows * cols > MAX_ELEMENTS:
+        raise ScenarioError(f"array_rows x array_cols must be at most {MAX_ELEMENTS} "
+                            f"(128 x 128), got {rows}x{cols}")
     frequency, voltage_set = fields["frequency_hz"], fields["voltage_set_v"]
     if (nh := fields["circuit"]) == "calibrate":
         circuit = calibrate_inductances(SMV1405_TABLE, frequency, control_voltages=voltage_set,
@@ -241,12 +246,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
     else:
         circuit = ElementCircuit(nh["patch_inductance_nh"] * 1e-9,
                                  nh["bias_wire_inductance_nh"] * 1e-9, SMV1405_TABLE, frequency)
-    rows, cols = fields["array_rows"], fields["array_cols"]
-    if rows < 1 or cols < 1:
-        raise ScenarioError(f"array_rows and array_cols must be >= 1, got {rows}x{cols}")
-    if rows * cols > MAX_ELEMENTS:
-        raise ScenarioError(f"array_rows x array_cols must be at most {MAX_ELEMENTS} "
-                            f"(128 x 128), got {rows}x{cols}")
     sweeps = {}
     for name, axis in fields["sweep"].items():
         if type(axis) is dict:

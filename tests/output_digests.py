@@ -2,22 +2,26 @@
 
     python tests/output_digests.py [--links 12] > digests.txt
 
-Runs all five commands on every shipped scenario (the link commands at
---parallel 1 and 2), each in a fresh temporary directory with relative
-paths, so no line depends on where the repository or the run lives.  For
-each run it prints the exit code and the sha256 of stdout and stderr, then
-one line per file written under the output directory.  It also prints the
-sha256 of each demo's stdout, the repository's path in it replaced.  The
-package is imported from this repository's src/: run the script from two
-checkouts and diff the outputs.  This is a plain script, not a test.
+Runs all five commands on every shipped scenario, and the three link
+commands on fixed variants of water_links.json (noise at -20 dB, a
+non-reciprocal uplink, 0.3 rad phase jitter, and all three): the shipped
+scenarios are all noise-free, reciprocal and jitter-free.  The link commands
+run at --parallel 1 and 2.  Each run is in a fresh temporary directory with
+relative paths, so no line depends on where the repository or the run
+lives.  For each run it prints the exit code and the sha256 of stdout and
+stderr, then one line per file written under the output directory.  It also
+prints the sha256 of each demo's stdout, the repository's path in it
+replaced.  The package is imported from this repository's src/: run the
+script from two checkouts and diff the outputs.  This is a plain script,
+not a test.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -25,6 +29,11 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 COMMANDS = ("match", "sweep", "links", "backscatter", "bench-controller")
+LINK_COMMANDS = COMMANDS[2:]
+#: water_links.json's "channel" overrides run by the link commands, by name.
+VARIANTS = {"noise": {"noise_db": -20.0}, "nonreciprocal": {"reciprocal_uplink": False},
+            "jitter": {"phase_jitter_std": 0.3}}
+VARIANTS["all"] = {key: value for fields in VARIANTS.values() for key, value in fields.items()}
 
 
 def sha(data: bytes) -> str:
@@ -36,23 +45,33 @@ def run(argv, cwd, env) -> subprocess.CompletedProcess:
                           timeout=600)
 
 
+def scenarios():
+    """(label, scenario file bytes, commands) of every scenario the script runs."""
+    for path in sorted((REPO / "scenarios").glob("*.json")):
+        yield path.stem, path.read_bytes(), COMMANDS
+    raw = json.loads((REPO / "scenarios" / "water_links.json").read_text(encoding="utf-8"))
+    for name, fields in VARIANTS.items():
+        variant = dict(raw, channel={**raw["channel"], **fields})
+        yield f"water_links+{name}", json.dumps(variant, indent=2).encode(), LINK_COMMANDS
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--links", type=int, default=12, help="--links of the link commands")
     args = parser.parse_args()
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    for scenario in sorted((REPO / "scenarios").glob("*.json")):
-        for command in COMMANDS:
-            for parallel in (None,) if command in ("match", "sweep") else (1, 2):
+    for name, text, commands in scenarios():
+        for command in commands:
+            for parallel in (1, 2) if command in LINK_COMMANDS else (None,):
                 with tempfile.TemporaryDirectory() as tmp:
-                    shutil.copy(scenario, Path(tmp) / "scenario.json")
+                    (Path(tmp) / "scenario.json").write_bytes(text)
                     argv = ["-m", "mediamatch", command, "--scenario", "scenario.json",
                             "--out", "out"]
                     if parallel is not None:
                         argv += ["--links", str(args.links), "--parallel", str(parallel)]
                     done = run(argv, tmp, env)
-                    label = f"{scenario.stem} {command}" + (f" --parallel {parallel}"
-                                                             if parallel else "")
+                    label = f"{name} {command}" + (f" --parallel {parallel}"
+                                                   if parallel else "")
                     print(f"{label}: exit {done.returncode} stdout {sha(done.stdout)} "
                           f"stderr {sha(done.stderr)}")
                     out = Path(tmp) / "out"

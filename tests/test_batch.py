@@ -193,7 +193,7 @@ class TestZeroReading:
 
     def test_serializes_as_zero(self):
         channel = MultipathChannel(h_env=complex(self.MAGNITUDE),
-                                   h_elements=np.zeros(4, dtype=complex), seed=0,
+                                   h_elements=np.zeros(4, dtype=complex),
                                    responder=responder())
         trace = run_controllers(FeedbackOracle(channel), 4).traces[0]
         readings = [row.split(",")[3] for row in trace.serialize().strip().split("\n")[1:]]

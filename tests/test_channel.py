@@ -170,7 +170,7 @@ class TestCompositeChannel:
         assert composite(ch, cfg) == pytest.approx(want, abs=1e-15)
 
     def test_single_element_identity(self, responder):
-        ch = MultipathChannel(h_env=0j, h_elements=np.array([1.0 + 0j]), seed=0,
+        ch = MultipathChannel(h_env=0j, h_elements=np.array([1.0 + 0j]),
                               responder=responder)
         cfg = uniform(5.0, 1)
         assert composite(ch, cfg) == pytest.approx(responder.s(5.0), abs=1e-15)
@@ -178,7 +178,7 @@ class TestCompositeChannel:
     def test_linearity(self, responder):
         ch = sample_channel(6, 8, env_power=0.2, element_power=1.0, responder=responder)
         doubled = MultipathChannel(h_env=2 * ch.h_env, h_elements=2 * ch.h_elements,
-                                   seed=6, responder=responder)
+                                   responder=responder)
         cfg = uniform(15.0, 8)
         assert composite(doubled, cfg) == pytest.approx(
             2 * composite(ch, cfg), abs=1e-15)
@@ -193,7 +193,7 @@ class TestRssFeedback:
     def fixed_magnitude_channel(self, responder, magnitude):
         # zero-variance element paths leave only h_env: |h_TR| is exact
         return MultipathChannel(h_env=complex(magnitude), h_elements=np.zeros(4, complex),
-                                seed=0, responder=responder)
+                                responder=responder)
 
     def test_zero_db_at_unit_magnitude(self, responder):
         ch = self.fixed_magnitude_channel(responder, 1.0)
@@ -224,7 +224,7 @@ class TestBackscatterGain:
         ch = sample_channel(21, 32, env_power=0.25, element_power=1.0 / 32,
                             responder=responder)
         cfg = uniform(10.0, 32)
-        one = gains_db([ch], [cfg])[0]
+        one = gains_db([ch], [cfg])[0, 0]
         two = gains_db([ch], [cfg], [ch])[2, 0]
         assert two == pytest.approx(2 * one, abs=1e-9)
 
@@ -233,7 +233,7 @@ class TestBackscatterGain:
         up = sample_channel(23, 16, element_power=1.0 / 16, responder=responder)
         cfg = uniform(10.0, 16)
         gains = gains_db([down], [cfg], [up])[:, 0]
-        parts = gains_db([down], [cfg])[0], gains_db([up], [cfg])[0]
+        parts = gains_db([down], [cfg])[0, 0], gains_db([up], [cfg])[0, 0]
         assert gains[:2].tolist() == list(parts)  # each direction's one-way gain
         assert gains[2] == pytest.approx(sum(parts), abs=1e-9)  # log of a product
 
@@ -259,14 +259,43 @@ class TestGainsDb:
     def test_silent_link_is_minus_inf(self, responder):
         """A link with no path at all has no magnitude to gain on, one-way or
         two-way, and does not spoil the links stacked with it."""
-        silent = MultipathChannel(h_env=0j, h_elements=np.zeros(4, complex), seed=0,
+        silent = MultipathChannel(h_env=0j, h_elements=np.zeros(4, complex),
                                   responder=responder)
         live = sample_channel(28, 4, env_power=0.2, element_power=1.0, responder=responder)
         cfgs = [uniform(10.0, 4)] * 2
         one = gains_db([silent, live], cfgs)
-        assert one[0] == float("-inf") and np.isfinite(one[1])
+        assert one[0, 0] == float("-inf") and np.isfinite(one[0, 1])
+        assert one[1, 0] == float("-inf") and np.isfinite(one[1, 1])  # the baselines
         two = gains_db([silent, live], cfgs, [live, silent])
         assert two[2].tolist() == [float("-inf")] * 2
+
+    @pytest.mark.parametrize("reciprocal", [True, False])
+    def test_k_configs_per_link_equal_one_variant_calls(self, scenario, responder, reciprocal):
+        """k configurations per link, variant-major, give what k calls of one
+        per link give, bit for bit; the baseline row repeats each link's
+        20 log10 |baseline| k times."""
+        rng = np.random.default_rng(31)
+        downs = [sample_channel(50 + k, 6, env_power=0.1, element_power=1.0 / 6,
+                                responder=responder) for k in range(4)]
+        ups = downs if reciprocal else [
+            sample_channel(60 + k, 6, element_power=1.0 / 6, responder=responder)
+            for k in range(4)]
+        alphabets = [(30.0, 0.0), scenario.voltage_set, (20.0, 2.5)]
+        variants = [[(lv, rng.integers(0, len(lv), 6)) for _ in downs] for lv in alphabets]
+        cfgs = [c for variant in variants for c in variant]
+        for uplinks in (None, ups):
+            want = np.concatenate([gains_db(downs, v, uplinks) for v in variants], axis=1)
+            assert gains_db(downs, cfgs, uplinks).tobytes() == want.tobytes()
+        with np.errstate(divide="ignore"):
+            base = [float(20.0 * np.log10(abs(baseline_channel(d)))) for d in downs]
+        assert gains_db(downs, cfgs)[1].tolist() == base * 3
+
+    @pytest.mark.parametrize("n_configs", [0, 3, 5])
+    def test_config_count_not_a_multiple_of_links(self, responder, n_configs):
+        downs = [sample_channel(70 + k, 4, element_power=1.0, responder=responder)
+                 for k in range(2)]
+        with pytest.raises(ValueError, match="configurations for 2 links"):
+            gains_db(downs, [uniform(5.0, 4)] * n_configs)
 
     @pytest.mark.parametrize("reciprocal", [True, False])
     def test_stack_equals_one_link_calls(self, scenario, responder, reciprocal):
@@ -282,7 +311,7 @@ class TestGainsDb:
         vs = scenario.voltage_set
         alphabets = [(30.0, 0.0), vs, (20.0, 2.5), vs, tuple(np.linspace(0.0, 30.0, 300))]
         cfgs = [(lv, rng.integers(0, len(lv), 9)) for lv in alphabets]
-        one = [gains_db([d], [c])[0] for d, c in zip(downs, cfgs)]
+        one = [gains_db([d], [c])[:, 0] for d, c in zip(downs, cfgs)]
         two = [gains_db([d], [c], [u])[:, 0] for d, u, c in zip(downs, ups, cfgs)]
-        assert gains_db(downs, cfgs).tobytes() == np.array(one).tobytes()
+        assert gains_db(downs, cfgs).tobytes() == np.stack(one, axis=1).tobytes()
         assert gains_db(downs, cfgs, ups).tobytes() == np.stack(two, axis=1).tobytes()

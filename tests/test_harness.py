@@ -45,6 +45,23 @@ def read_heatmap(path: Path) -> dict:
     return out
 
 
+def count_calls(monkeypatch) -> dict:
+    """Calls from here on of the stacked channel sum, the baseline sum and
+    gains_db (where the harness looks it up), by name."""
+    counts = dict.fromkeys(("composite_channels", "baseline_channel", "gains_db"), 0)
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+
+    for name in counts:
+        module = harness if name == "gains_db" else channel_mod
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return counts
+
+
 def row_csv_text(header: str, rows) -> str:
     """The per-value CSV formatter the commands used before table_text: the
     reference its bytes are checked against."""
@@ -221,6 +238,13 @@ class TestLinksCommand:
             assert trees[0] == trees[1]
             assert "summary.txt" in trees[0]
 
+    def test_one_gain_solve_and_one_baseline_per_link(self, tmp_path, monkeypatch):
+        """9 links read their gains and their baseline_db column from one
+        gains_db call, which sums each link's baseline once."""
+        counts = count_calls(monkeypatch)
+        cmd_links(load_scenario(SCENARIOS / "water_links.json"), tmp_path, 9)
+        assert counts == {"composite_channels": 4, "baseline_channel": 9, "gains_db": 1}
+
     def test_responder_built_once_per_command(self, tmp_path, monkeypatch):
         """Serial link commands build the element responder once, not per link."""
         calls = []
@@ -334,20 +358,11 @@ class TestBackscatterCommand:
         """9 links probe each direction once per stage (3 stacked calls) and
         read their gains with one more stacked call and one baseline per link
         per direction; a reciprocal uplink is the downlink, read once."""
-        counts = {"composite_channels": 0, "baseline_channel": 0}
-
-        def counted(name, real):
-            def call(*args):
-                counts[name] += 1
-                return real(*args)
-            return call
-
-        for name in counts:
-            monkeypatch.setattr(channel_mod, name, counted(name, getattr(channel_mod, name)))
+        counts = count_calls(monkeypatch)
         raw = json.loads((SCENARIOS / "water_backscatter.json").read_text())
         raw["channel"]["reciprocal_uplink"] = reciprocal
         cmd_backscatter(scenario_from_dict(raw), tmp_path, 9)
-        assert counts == {"composite_channels": calls, "baseline_channel": sums}
+        assert counts == {"composite_channels": calls, "baseline_channel": sums, "gains_db": 1}
 
 
 class TestBenchTracerTargets:
@@ -380,6 +395,29 @@ class TestBudgetValidation:
         trace.append(1, (30.0,), [[0]], [-1.0])
         with pytest.raises(BudgetError):
             validate_trace(trace, n_voltages=7, n_stage2=128)
+
+    def test_short_enumeration_is_violation(self, tmp_path, monkeypatch, capsys):
+        """The enumeration variant's traces are budget-checked like the voting
+        ones: one that probes one of its 2^groups assignments too few fails
+        the command, and the CLI exits 4 before it writes anything."""
+        real = harness.brute_force_baseline
+
+        def short(oracle, links, n_elements, groups):
+            real(oracle, links, n_elements, groups)
+            for trace in links.traces:  # leave the last assignment out
+                stage, levels, index, rss = trace.blocks.pop()
+                trace.append(stage, levels, index[:-1], rss[:-1])
+            return links
+
+        monkeypatch.setattr(harness, "brute_force_baseline", short)
+        scenario = load_scenario(SCENARIOS / "controller_bench.json")
+        with pytest.raises(BudgetError, match="stages 7/255/"):
+            cmd_bench_controller(scenario, tmp_path / "direct", 2)
+        rc = main(["bench-controller", "--scenario", str(SCENARIOS / "controller_bench.json"),
+                   "--out", str(tmp_path / "cli"), "--links", "2"])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("violation: budget violation")
+        assert not (tmp_path / "cli").exists()
 
 
 class TestCli:
@@ -709,6 +747,23 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="array_rows"):
             scenario_from_dict(raw)
 
+    @pytest.mark.parametrize("rows,cols", [(200, 200), (0, 8)])
+    def test_array_checked_before_calibration(self, monkeypatch, rows, cols):
+        """An oversized or empty array is refused before a "calibrate" circuit
+        is calibrated, with the text explicit inductances give."""
+        raw = default_water_dict(name="array-first", array_rows=rows, array_cols=cols)
+        with pytest.raises(ScenarioError) as explicit:
+            scenario_from_dict(raw)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("calibrated before the array check")
+
+        monkeypatch.setattr(scenario_mod, "calibrate_inductances", fail)
+        with pytest.raises(ScenarioError) as calibrated:
+            scenario_from_dict(dict(raw, circuit="calibrate"))
+        assert str(calibrated.value) == str(explicit.value)
+        assert str(explicit.value).startswith("array_rows")
+
     def test_array_at_the_ceiling_accepted(self):
         sc = scenario_from_dict(default_water_dict(name="ceiling", array_rows=128,
                                                    array_cols=128))
@@ -877,6 +932,14 @@ class TestBenchCommand:
         assert report.summary == {"n_seeds": 0}
         assert "\nn_seeds = 0\n" in (tmp_path / "summary.txt").read_text()
         assert (tmp_path / "bench_controller.csv").read_text().count("\n") == 1
+
+    def test_one_stage1_and_one_gain_solve(self, tmp_path, monkeypatch):
+        """4 seeds probe stage 1 once, stages 2 and 3 once per variant, and read
+        the three variants' gains with one gains_db call: 8 stacked channel
+        calls and one baseline per seed."""
+        counts = count_calls(monkeypatch)
+        cmd_bench_controller(load_scenario(SCENARIOS / "controller_bench.json"), tmp_path, 4)
+        assert counts == {"composite_channels": 8, "baseline_channel": 4, "gains_db": 1}
 
     def test_small_bench_consistency(self, tmp_path):
         scenario = load_scenario(SCENARIOS / "controller_bench.json")

@@ -353,7 +353,7 @@ class TestSharedStage1:
                                     [rng_seed], cols),
                     run_controllers(fresh(), n, vs, groups=cols, stage2=brute_force_baseline)]
             configs = [run.configs()[0] for run in runs]
-            rows.append((i, ch_seed, *gains_db([channel] * 3, configs).tolist(),
+            rows.append((i, ch_seed, *gains_db([channel], configs)[0].tolist(),
                          *(run.traces[0].budget_used for run in runs)))
         header = harness._LINK_COMMANDS["bench-controller"][1]
         assert (tmp_path / "bench_controller.csv").read_text() == table_text(
