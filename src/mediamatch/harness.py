@@ -5,7 +5,7 @@ summary into an output directory, and returns a RunReport.  All randomness is
 derived from the scenario seed, so a command is reproducible from the
 (scenario file, seeds) pair alone; reports embed the scenario hash.  The
 link commands are rows of one table, _LINK_COMMANDS (CSV, header, count key,
-summary by column name), run by one driver over run_links' per-link rows.
+summary by column name), run by one driver; run_links writes its links' files.
 
 Medians and percentiles use the lower-interpolation rule throughout
 (numpy percentile method="lower").
@@ -26,8 +26,8 @@ import numpy as np
 
 from .cascade import DB_FLOOR
 from .channel import FeedbackOracle, gains_db
-from .control import (ControlTrace, LinkBatch, brute_force_baseline, column_groups,
-                      run_controllers, stage1_uniform_probe)
+from .control import (ENUMERATION_CAP, ControlTrace, LinkBatch, brute_force_baseline,
+                      column_groups, run_controllers, stage1_uniform_probe)
 from .matching import SweepGrid, best_admittance, best_voltage, reflection_spectrum, sweep_through_power
 from .scenario import Scenario
 
@@ -107,6 +107,8 @@ def validate_trace(trace: ControlTrace, n_voltages: int, n_stage2: int) -> None:
 
 def cmd_match(scenario: Scenario, out_dir) -> RunReport:
     """Continuous + voltage matching and the reflection-reduction spectra."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     stack = scenario.stack()
     f = scenario.frequency
 
@@ -118,8 +120,6 @@ def cmd_match(scenario: Scenario, out_dir) -> RunReport:
                                      circuit=scenario.circuit, voltage=volt.best_voltage)
 
     report = RunReport("match", scenario.name, scenario.scenario_hash())
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, spectrum in (("admittance", spectrum_a), ("voltage", spectrum_v)):
         fr, refl, red = zip(*spectrum)
         report.csv_paths.append(write_table(
@@ -193,7 +193,7 @@ def _link_seeds(scenario: Scenario, index: int) -> tuple[int, int, int]:
     return base, base + 500000, base + 10000019
 
 
-def run_links(scenario: Scenario, responder, indices, mode: str) -> list[tuple]:
+def run_links(scenario: Scenario, responder, indices, mode: str, out_dir: Path) -> list[tuple]:
     """Links `indices` of the links, backscatter or bench-controller command,
     run as one batch: every controller stage probes all of them at once.
 
@@ -203,11 +203,11 @@ def run_links(scenario: Scenario, responder, indices, mode: str) -> list[tuple]:
     run on from a fork of it with its own oracle copy and budget-checked, and
     one gains_db call for every variant's gains.
 
-    Returns one (CSV row, files) pair per link, in order: the row under
-    _LINK_COMMANDS[mode]'s header, and files mapping a path under the output
-    directory to its text, the link's trace and channel dump for links and
-    none otherwise.  A link's row and files depend only on the scenario and
-    its index, not on the links it shares the batch with.
+    Returns one CSV row per link, in order, under _LINK_COMMANDS[mode]'s
+    header.  For links it also writes each link's trace and channel dump to
+    out_dir (which must exist) as soon as the link's row is built.  A link's
+    row and files depend only on the scenario and its index, not on the
+    links it shares the batch with.
     """
     ch_seeds, rng_seeds, up_seeds = zip(*(_link_seeds(scenario, i) for i in indices))
     channels = [scenario.sample_link_channel(seed, responder) for seed in ch_seeds]
@@ -235,24 +235,26 @@ def run_links(scenario: Scenario, responder, indices, mode: str) -> list[tuple]:
     gains = gains_db(channels, [c for run in runs for c in run.configs()], uplinks).tolist()
 
     if mode == "backscatter":  # down, up and two-way gain rows
-        return [((i, seed, *row), {}) for i, seed, *row in zip(indices, ch_seeds, *gains)]
+        return [(i, seed, *row) for i, seed, *row in zip(indices, ch_seeds, *gains)]
     if mode == "bench-controller":  # variant v's gain of link k is gains[0][v*L + k]
-        return [((i, seed, *gains[0][k::len(channels)],
-                  *(run.traces[k].budget_used for run in runs)), {})
+        return [(i, seed, *gains[0][k::len(channels)],
+                 *(run.traces[k].budget_used for run in runs))
                 for k, (i, seed) in enumerate(zip(indices, ch_seeds))]
-    results = []
-    for i, seed, channel, trace, gain, base, best in zip(
+    for folder in ("traces", "channels"):
+        (out_dir / folder).mkdir(exist_ok=True)
+    rows = []
+    for i, seed, channel, trace, gain, base, (stage1_db, stage2_db, final_db) in zip(
             indices, ch_seeds, channels, runs[0].traces, *gains, runs[0].best_db.tolist()):
-        stage1_db, stage2_db, final_db = best
         h = channel.h_elements
         dump = [["env"] + [f"element_{e}" for e in range(len(h))],
                 [channel.h_env.real] + h.real.tolist(), [channel.h_env.imag] + h.imag.tolist()]
-        results.append(((i, seed, base, final_db, gain,
-                         stage1_db - base, stage2_db - base, final_db - stage2_db,
-                         *(trace.stage_probe_count(s) for s in (1, 2, 3))), {
-            f"traces/link_{i:04d}.csv": trace.serialize(),
-            f"channels/link_{i:04d}.csv": table_text("path,re,im", dump)}))
-    return results
+        rows.append((i, seed, base, final_db, gain,
+                     stage1_db - base, stage2_db - base, final_db - stage2_db,
+                     *(trace.stage_probe_count(s) for s in (1, 2, 3))))
+        (out_dir / f"traces/link_{i:04d}.csv").write_text(trace.serialize(), encoding="utf-8",
+                                                          newline="\n")
+        write_table(out_dir / f"channels/link_{i:04d}.csv", "path,re,im", dump)
+    return rows
 
 
 #: A worker process's (scenario, responder), built once by _start_worker.
@@ -264,8 +266,8 @@ def _start_worker(scenario: Scenario) -> None:
     _worker_state = (scenario, scenario.responder())
 
 
-def _worker_links(indices: range, mode: str) -> list[tuple]:
-    return run_links(*_worker_state, indices, mode)
+def _worker_links(indices: range, mode: str, out_dir: Path) -> list[tuple]:
+    return run_links(*_worker_state, indices, mode, out_dir)
 
 
 def _batches(scenario: Scenario, n_links: int, parallel: int) -> list[range]:
@@ -313,32 +315,30 @@ def _link_command(mode: str, scenario: Scenario, out_dir, n_links: int,
                   parallel: int) -> RunReport:
     """run_links over links 0..n_links-1, batch by batch: serially, or as one
     task per batch in min(parallel, batches) worker processes with one
-    responder each.  Writes every link's files, then _LINK_COMMANDS[mode]'s
-    CSV and summary."""
+    responder each, each batch writing its own links' files.  Then writes
+    _LINK_COMMANDS[mode]'s CSV and summary, which a failed batch leaves out."""
     csv, header, count_key, summary = _LINK_COMMANDS[mode]
+    if mode == "bench-controller" and 2 ** scenario.cols > ENUMERATION_CAP:
+        raise ValueError(f"enumeration of 2^{scenario.cols} configs exceeds cap "
+                         f"{ENUMERATION_CAP}; use randomized voting instead")
     out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     batches = _batches(scenario, n_links, parallel)
     workers = min(parallel, len(batches))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_start_worker,
                 initargs=(scenario,)) as pool:
-            done = list(pool.map(_worker_links, batches, [mode] * len(batches)))
+            done = list(pool.map(_worker_links, batches, [mode] * len(batches),
+                                 [out_dir] * len(batches)))
     else:
         responder = scenario.responder()
-        done = [run_links(scenario, responder, batch, mode) for batch in batches]
-    results = [result for batch in done for result in batch]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for folder in {Path(name).parent for _, files in results for name in files}:
-        (out_dir / folder).mkdir(exist_ok=True)
-    for _, files in results:
-        for name, text in files.items():
-            (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
-    columns = list(zip(*(row for row, _ in results)))
+        done = [run_links(scenario, responder, batch, mode, out_dir) for batch in batches]
+    columns = list(zip(*(row for batch in done for row in batch)))
     report = RunReport(mode, scenario.name, scenario.scenario_hash())
     report.csv_paths.append(write_table(out_dir / csv, header, columns))
-    report.summary[count_key] = len(results)
-    if results:
+    report.summary[count_key] = n_links
+    if n_links:
         report.summary.update(summary(scenario, dict(zip(header.split(","), columns))))
     return _finish(report, out_dir)
 

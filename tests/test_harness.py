@@ -278,25 +278,34 @@ class TestLinksCommand:
         assert len(dump) == 2 + scenario.n_elements
 
     @staticmethod
-    def _link_peak(side: int, n_links: int) -> int:
-        """tracemalloc peak of links 0..n_links-1 of a side x side scenario,
-        batch by batch as the links command cuts them, checking every row."""
+    def _scenario(side: int):
+        """water_links.json with a side x side array."""
         raw = json.loads((SCENARIOS / "water_links.json").read_text())
         raw.update(array_rows=side, array_cols=side)
         raw["channel"]["element_power"] = 1.0 / side ** 2
-        scenario = scenario_from_dict(raw)
+        return scenario_from_dict(raw)
+
+    @classmethod
+    def _link_peak(cls, side: int, n_links: int) -> int:
+        """tracemalloc peak of links 0..n_links-1 of a side x side scenario,
+        batch by batch as the links command cuts them, checking every row
+        against the trace file it wrote."""
+        scenario = cls._scenario(side)
         responder = scenario.responder()
-        tracemalloc.start()
-        try:
-            results = [result for batch in harness._batches(scenario, n_links, 1)
-                       for result in run_links(scenario, responder, batch, "links")]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(results) == n_links
-        for i, (row, files) in enumerate(results):
-            assert row[-2] == 2 * side ** 2  # stage-2 probes
-            assert len(files[f"traces/link_{i:04d}.csv"].splitlines()) == 1 + sum(row[-3:])
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            tracemalloc.start()
+            try:
+                rows = [row for batch in harness._batches(scenario, n_links, 1)
+                        for row in run_links(scenario, responder, batch, "links", out)]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(rows) == n_links
+            for i, row in enumerate(rows):
+                assert row[-2] == 2 * side ** 2  # stage-2 probes
+                trace = (out / f"traces/link_{i:04d}.csv").read_text(encoding="utf-8")
+                assert len(trace.splitlines()) == 1 + sum(row[-3:])
         return peak
 
     def test_32x32_link_memory_peak(self):
@@ -315,6 +324,25 @@ class TestLinksCommand:
         stage-2 index included."""
         peak = self._link_peak(64, 1)
         assert peak <= 48 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+    def test_memory_does_not_grow_with_the_link_count(self, tmp_path):
+        """A 16x16 links run (one link per batch) holds one batch's files at a
+        time: the tracemalloc peaks of 4 and 40 links differ by less than
+        256 KB.  A warm-up over the same 40 links first fills the bounded
+        caches their alphabets use (control._run_table)."""
+        scenario = self._scenario(16)
+        cmd_links(scenario, tmp_path / "warm", 40)
+        peaks = []
+        for n_links in (4, 40):
+            tracemalloc.start()
+            try:
+                cmd_links(scenario, tmp_path / str(n_links), n_links)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(list((tmp_path / "40" / "traces").iterdir())) == 40
+        assert abs(peaks[1] - peaks[0]) < 256 * 2 ** 10, (
+            f"peaks {peaks[0] / 2 ** 20:.2f} and {peaks[1] / 2 ** 20:.2f} MB")
 
     def test_first_two_stages_carry_the_gain(self, tmp_path):
         """Median gain after stages 1+2 dominates the stage-3 increment."""
@@ -399,7 +427,7 @@ class TestBudgetValidation:
     def test_short_enumeration_is_violation(self, tmp_path, monkeypatch, capsys):
         """The enumeration variant's traces are budget-checked like the voting
         ones: one that probes one of its 2^groups assignments too few fails
-        the command, and the CLI exits 4 before it writes anything."""
+        the command, and the CLI exits 4 before it writes any file."""
         real = harness.brute_force_baseline
 
         def short(oracle, links, n_elements, groups):
@@ -417,7 +445,54 @@ class TestBudgetValidation:
                    "--out", str(tmp_path / "cli"), "--links", "2"])
         assert rc == 4
         assert capsys.readouterr().err.startswith("violation: budget violation")
-        assert not (tmp_path / "cli").exists()
+        assert list((tmp_path / "cli").iterdir()) == []
+
+    @pytest.mark.parametrize("mode,target", [("bench-controller", "brute_force_baseline"),
+                                             ("links", "stage1_uniform_probe")])
+    def test_failed_later_batch_writes_no_csv_or_summary(self, tmp_path, monkeypatch,
+                                                         mode, target):
+        """A BudgetError in the second of three batches fails the command
+        before it writes its CSV or summary.txt; the first batch's trace and
+        channel files (links only) are left as they were written."""
+        real, calls = getattr(harness, target), []
+
+        def second_fails(oracle, links, *args):
+            calls.append(len(links))
+            if len(calls) == 2:
+                raise BudgetError("budget violation: injected")
+            return real(oracle, links, *args)
+
+        monkeypatch.setattr(harness, target, second_fails)
+        monkeypatch.setattr(harness, "LINK_BATCH", 2 * 2 * 64 * 64)  # two 8x8 links a batch
+        scenario = load_scenario(SCENARIOS / "controller_bench.json")
+        with pytest.raises(BudgetError, match="injected"):
+            harness._link_command(mode, scenario, tmp_path, 6, 1)
+        assert calls == [2, 2]
+        written = sorted(p.relative_to(tmp_path).as_posix()
+                         for p in tmp_path.rglob("*") if p.is_file())
+        assert written == ([] if mode == "bench-controller" else [
+            "channels/link_0000.csv", "channels/link_0001.csv",
+            "traces/link_0000.csv", "traces/link_0001.csv"])
+
+    def test_impossible_enumeration_fails_before_probing(self, tmp_path, monkeypatch, capsys):
+        """bench-controller on 17 columns (2^17 assignments, past
+        ENUMERATION_CAP) is a config error raised before stage 1 probes a
+        link or the output directory is made."""
+        def never(*args):
+            raise AssertionError("stage 1 ran")
+
+        monkeypatch.setattr(harness, "stage1_uniform_probe", never)
+        raw = json.loads((SCENARIOS / "controller_bench.json").read_text())
+        raw.update(array_rows=1, array_cols=17)
+        with pytest.raises(ValueError, match=r"enumeration of 2\^17 configs exceeds cap 65536"):
+            cmd_bench_controller(scenario_from_dict(raw), tmp_path / "direct", 4)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(raw))
+        rc = main(["bench-controller", "--scenario", str(path), "--out", str(tmp_path / "cli"),
+                   "--links", "4"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: enumeration of 2^17")
+        assert not (tmp_path / "direct").exists() and not (tmp_path / "cli").exists()
 
 
 class TestCli:
@@ -653,6 +728,27 @@ class TestCli:
         assert rc == 2
         assert captured.err.startswith("config error:")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command,scenario", [
+        ("match", "water_match.json"), ("sweep", "water_gap_heatmap.json"),
+        ("links", "water_links.json"), ("backscatter", "water_backscatter.json"),
+        ("bench-controller", "controller_bench.json")])
+    def test_unusable_out_fails_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                               command, scenario):
+        """An --out naming an existing regular file ends every command in
+        exit 2 before it runs a search, a sweep or a probe."""
+        ran = []
+        for name in ("best_admittance", "best_voltage", "reflection_spectrum",
+                     "sweep_through_power", "stage1_uniform_probe"):
+            monkeypatch.setattr(harness, name, lambda *a, name=name, **kw: ran.append(name))
+        out = tmp_path / "file"
+        out.write_text("x")
+        rc = main([command, "--scenario", str(SCENARIOS / scenario), "--out", str(out)]
+                  + ([] if command in ("match", "sweep") else ["--links", "2"]))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert ran == []
+        assert out.read_text() == "x"
 
     @pytest.mark.parametrize("argv", [
         ["match"], ["links", "--links", "0"], ["links", "--links", "1"]])

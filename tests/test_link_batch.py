@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -214,16 +215,20 @@ def _setup(variant: str):
     return scenario, scenario.responder()
 
 
-def _text(results) -> tuple:
-    """Rows as CSV text (a NaN equals a NaN there) and every file."""
-    rows = [row for row, _ in results]
-    return (table_text("row", list(zip(*rows))), [files for _, files in results])
+def _run(variant: str, mode: str, links: range) -> tuple:
+    """run_links over `links` in a fresh directory: its rows as CSV text (a
+    NaN equals a NaN there) and every file it wrote, by path."""
+    scenario, resp = _setup(variant)
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = run_links(scenario, resp, links, mode, Path(tmp))
+        files = {p.relative_to(tmp).as_posix(): p.read_bytes()
+                 for p in Path(tmp).rglob("*") if p.is_file()}
+    return table_text("row", list(zip(*rows))), files
 
 
 @functools.lru_cache(maxsize=None)
 def _alone(variant: str, mode: str, link: int) -> tuple:
-    scenario, resp = _setup(variant)
-    return _text(run_links(scenario, resp, range(link, link + 1), mode))
+    return _run(variant, mode, range(link, link + 1))
 
 
 class TestBatchInvariance:
@@ -231,16 +236,16 @@ class TestBatchInvariance:
     @given(variant=st.sampled_from(VARIANTS), mode=st.sampled_from(MODES),
            n_links=st.integers(1, 7), cuts=st.sets(st.integers(1, 6), max_size=3))
     def test_link_outputs_ignore_the_batch(self, variant, mode, n_links, cuts):
-        """Link i's row and files are byte-identical alone and in any
-        contiguous split of links 0..n_links-1 into batches."""
-        scenario, resp = _setup(variant)
+        """Link i's row and the files it writes are byte-identical alone and
+        in any contiguous split of links 0..n_links-1 into batches, and a
+        batch writes no file but its links' own."""
         bounds = [0] + sorted(c for c in cuts if c < n_links) + [n_links]
         for lo, hi in zip(bounds, bounds[1:]):
-            batch = _text(run_links(scenario, resp, range(lo, hi), mode))
-            for k, link in enumerate(range(lo, hi)):
-                row, files = _alone(variant, mode, link)
-                assert batch[0].split("\n")[1 + k] == row.split("\n")[1]
-                assert batch[1][k] == files[0]
+            rows, written = _run(variant, mode, range(lo, hi))
+            links = [_alone(variant, mode, link) for link in range(lo, hi)]
+            for k, (row, _) in enumerate(links):
+                assert rows.split("\n")[1 + k] == row.split("\n")[1]
+            assert written == {name: data for _, files in links for name, data in files.items()}
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_parallel_matches_serial(self, tmp_path, variant):
@@ -268,12 +273,13 @@ class TestBatchInvariance:
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size and runs inline."""
+    """Stands in for ProcessPoolExecutor: records its size and the arguments
+    of every task, and runs them inline."""
 
     made = []
 
     def __init__(self, max_workers, initializer, initargs):
-        self.max_workers, self.tasks = max_workers, 0
+        self.max_workers, self.tasks = max_workers, []
         _InlinePool.made.append(self)
         initializer(*initargs)
 
@@ -284,9 +290,9 @@ class _InlinePool:
         return False
 
     def map(self, fn, *iterables):
-        results = list(map(fn, *iterables))
-        self.tasks += len(results)
-        return iter(results)
+        tasks = list(zip(*iterables))
+        self.tasks += tasks
+        return iter([fn(*task) for task in tasks])
 
 
 class TestWorkerPool:
@@ -295,14 +301,18 @@ class TestWorkerPool:
     def test_at_most_one_worker_per_batch(self, tmp_path, monkeypatch,
                                           n_links, parallel, workers, tasks):
         """The pool starts min(parallel, batches) workers and gets one task
-        per batch; a single batch runs without a pool."""
+        per batch, _worker_links(batch, mode, out_dir), batches in order; a
+        single batch runs without a pool."""
         monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
         monkeypatch.setattr(harness, "_worker_state", None)
         monkeypatch.setattr(_InlinePool, "made", [])
         scenario = _scenario("8x8")
         cmd_links(scenario, tmp_path, n_links, parallel=parallel)
-        assert [(p.max_workers, p.tasks) for p in _InlinePool.made] == (
+        assert [(p.max_workers, len(p.tasks)) for p in _InlinePool.made] == (
             [(workers, tasks)] if workers else [])
+        for pool in _InlinePool.made:
+            assert [i for batch, _, _ in pool.tasks for i in batch] == list(range(n_links))
+            assert {(mode, out) for _, mode, out in pool.tasks} == {("links", tmp_path)}
         rows = (tmp_path / "links.csv").read_text().splitlines()[1:]
         assert [int(row.split(",")[0]) for row in rows] == list(range(n_links))
 
