@@ -22,22 +22,21 @@ A configuration is a (levels, index row) pair: a uint8 index vector over the
 voltage alphabet (``voltage_set``, or (v1, v0) for on/off configurations).
 The trace is a list of probe blocks, one per ``_probe_many`` call: the stage,
 the alphabet, the read-only index matrix and the readings.  Probes keep the
-order they were measured in, and the trace hash is still taken over the
-per-element voltages a row stands for: ``_digests`` renders each row from a
-cached table of runs of up to 8 elements, whatever the alphabet.  Stage 2
-draws its on/off rows MASK_BLOCK at a time into the uint8 index the trace
-keeps and counts its votes from it, so only that index grows with the array.
-Its stream is defined by PCG64's raw 64-bit words: mask bit k is the sign bit
-of the k-th 32-bit half of the output, low half first (what
-``default_rng(seed).integers(0, 2)`` draws today, without resting on
-``Generator.integers`` internals).  ROADMAP item 5 will still redefine it.
+order they were measured in.  A probe's hash (``config_hash``) is a function
+of the float64 bytes of the voltages its row stands for, whatever alphabet
+the row indexes.  Stage 2 draws its on/off rows MASK_BLOCK at a time into the
+uint8 index the trace keeps and counts its votes from it, so only that index
+grows with the array.  Its stream is defined by PCG64's raw 64-bit words:
+mask bit k is the sign bit of the k-th 32-bit half of the output, low half
+first (what ``default_rng(seed).integers(0, 2)`` draws today, without resting
+on ``Generator.integers`` internals).  ROADMAP item 5 will still redefine it.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,70 +57,67 @@ MASK_BLOCK = 128
 def config_hash(voltages) -> str:
     """Canonical 12-hex-digit hash of an element-voltage vector.
 
-    Canonical form: voltages rendered with format(v, '.6g'), joined by
-    commas, UTF-8 encoded, SHA-256, first 12 hex digits.
+    SHA-256, first 12 hex digits, over struct.pack("<II", N, k), the k
+    distinct float64 bit patterns of the N voltages as '<f8' in order of
+    first appearance (-0.0 apart from 0.0, each NaN pattern its own), then
+    each element's position among them: packed bits (np.packbits, first
+    element in the top bit) if k == 2, else little-endian
+    np.min_scalar_type(k - 1) integers.
     """
-    text = ",".join(format(float(v), ".6g") for v in voltages)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+    words = np.array([float(v) for v in voltages], dtype="<f8").view("<u8")
+    levels, first, inverse = np.unique(words, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    codes = np.argsort(order)[inverse]  # each element's position, by first appearance
+    k = len(levels)
+    body = np.packbits(codes == 1) if k == 2 else codes.astype(
+        np.min_scalar_type(k - 1).newbyteorder("<"))
+    head = struct.pack("<II", len(words), k) + levels[order].tobytes()
+    return hashlib.sha256(head + body.tobytes()).hexdigest()[:12]
 
 
 #: Probe rows hashed per block in _digests.
 HASH_BLOCK = 256
 
 
-def _run_width(n_levels: int) -> int:
-    """Elements per run in _digests: the largest w <= 8 with n_levels**w <= 256, at least 1."""
-    return max([w for w in range(1, 9) if n_levels ** w <= 256], default=1)
-
-
-@functools.lru_cache(maxsize=256)
-def _run_table(levels: bytes, width: int) -> np.ndarray:
-    """Every run of `width` levels rendered once, as an object array of bytes.
-
-    Entry c is the '.6g' renderings of the run whose base-len(levels) code is
-    c (first element most significant), each closed by a comma, joined.
-    Keyed by the alphabet's float64 bytes: a tuple key would let (0.0,) and
-    (-0.0,) share one entry, and they render differently.
-    """
-    parts = [format(v, ".6g").encode() + b"," for v in np.frombuffer(levels).tolist()]
-    table = np.empty(len(parts) ** width, dtype=object)
-    table[:] = [b"".join(run) for run in itertools.product(parts, repeat=width)]
-    return table
-
-
-def _run_codes(rows: np.ndarray, base: int, width: int) -> np.ndarray:
-    """Base-`base` code of every run of `width` elements of each row."""
-    if base == 2:  # packbits puts the first element in the top bit
-        return np.packbits(rows, axis=1) >> (8 - width)
-    runs = rows.reshape(len(rows), -1, width)
-    codes = runs[..., 0].astype(np.min_scalar_type(base ** width - 1))
-    for k in range(1, width):
-        codes *= base
-        codes += runs[..., k]
-    return codes
-
-
 def _digests(levels, index) -> list[str]:
     """config_hash of every row of an (n, N) index matrix over levels, in order.
 
-    Each row is cut into runs of _run_width(len(levels)) elements (8 for an
-    on/off pair, 2 for the 7-level set, 1 past 16 levels), with a shorter last
-    run.  A run's code picks its rendering from a cached table, so a row
-    becomes one join of N/width table entries and one SHA-256 of it without
-    its trailing comma, HASH_BLOCK rows at a time.
+    Alphabet entries that repeat a bit pattern are folded to the first.  A
+    row over at most two levels (every row the controller probes) hashes one
+    fixed-place record: its header, first level, other level (the first that
+    differs from element 0; zeros for one level) and packed "differs from
+    element 0" bits, which are the N zero bytes of a one-level row.  Records
+    of HASH_BLOCK rows share one buffer, hashed by memoryview slices.  A row
+    over three or more levels goes through config_hash.
     """
-    key = np.array(levels, dtype=float).tobytes()
-    base, n = len(levels), index.shape[1]
-    width = _run_width(base)
-    cut = n - n % width
-    table, tail = _run_table(key, width), _run_table(key, n - cut)
+    words = np.array(levels, dtype="<f8").view("<u8")
+    n, seen = index.shape[1], {}
+    canon = [seen.setdefault(w, j) for j, w in enumerate(words.tolist())]
+    if n == 0:
+        return [config_hash(())] * len(index)
+    bits = -(-n // 8)
+    stride, sizes = -(-max(24 + bits, 16 + n) // 8) * 8, (16 + n, 24 + bits)
+    head = np.array([n | 1 << 32, n | 2 << 32], dtype="<u8")  # "<II" of (N, k)
     out = []
     for start in range(0, len(index), HASH_BLOCK):
         rows = index[start:start + HASH_BLOCK]
-        text = table.take(_run_codes(rows[:, :cut], base, width))
-        if cut < n:
-            text = np.hstack([text, tail.take(_run_codes(rows[:, cut:], base, n - cut))])
-        out += [hashlib.sha256(b"".join(row)[:-1]).hexdigest()[:12] for row in text.tolist()]
+        rows = np.take(canon, rows) if len(seen) < len(words) else rows
+        first = rows[:, 0]
+        differs = rows != first[:, None]
+        other = rows[np.arange(len(rows)), differs.argmax(axis=1)]
+        two = other != first
+        record = np.zeros((len(rows), stride), dtype=np.uint8)
+        fields = record.view("<u8")
+        head.take(two, out=fields[:, 0])
+        words.take(first, out=fields[:, 1])
+        np.multiply(words.take(other), two, out=fields[:, 2])
+        record[:, 24:24 + bits] = np.packbits(differs, axis=1)
+        buffer = memoryview(record).cast("B")
+        out += [hashlib.sha256(buffer[at:at + sizes[k]]).hexdigest()[:12]
+                for at, k in zip(range(0, record.size, stride), two.tolist())]
+        if len(seen) > 2:
+            for k in np.flatnonzero(np.any(differs & (rows != other[:, None]), axis=1)).tolist():
+                out[start + k] = config_hash(words[rows[k]].view("<f8"))
     return out
 
 
@@ -303,6 +299,8 @@ def _validate_voltage_set(voltages) -> tuple[float, ...]:
         raise ValueError("need at least two control voltages")
     if len(vs) > 256:
         raise ValueError("at most 256 control voltages")
+    if not np.isfinite(vs).all():
+        raise ValueError("control voltages must be finite")
     if any(b >= a for a, b in zip(vs, vs[1:])):
         raise ValueError("control voltages must be strictly decreasing")
     return vs
@@ -435,6 +433,13 @@ def run_controllers(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
     return stage3_fine_tune(oracle, links, voltages)
 
 
+def check_enumerable(n_groups: int) -> None:
+    """Refuse an enumeration of 2^n_groups on/off assignments past ENUMERATION_CAP."""
+    if 2 ** n_groups > ENUMERATION_CAP:
+        raise ValueError(f"enumeration of 2^{n_groups} configs exceeds cap "
+                         f"{ENUMERATION_CAP}; use randomized voting instead")
+
+
 def brute_force_baseline(oracle, links: LinkBatch, n_elements: int, groups) -> LinkBatch:
     """Exhaustive argmax over all 2^len(groups) on/off assignments of the
     batch's v1/v0.
@@ -445,10 +450,7 @@ def brute_force_baseline(oracle, links: LinkBatch, n_elements: int, groups) -> L
     and returns the batch.
     """
     n_groups = len(groups)
-    if 2 ** n_groups > ENUMERATION_CAP:
-        raise ValueError(
-            f"enumeration of 2^{n_groups} configs exceeds cap {ENUMERATION_CAP}; "
-            "use randomized voting instead")
+    check_enumerable(n_groups)
     v1, v0 = links.v1, links.v0
     codes = np.arange(2 ** n_groups)
     index = _onoff_index(_owners(groups, n_elements), (codes[:, None] >> np.arange(n_groups)) & 1)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cascade import DB_FLOOR
 from .channel import FeedbackOracle, gains_db
-from .control import (ENUMERATION_CAP, ControlTrace, LinkBatch, brute_force_baseline,
+from .control import (ControlTrace, LinkBatch, brute_force_baseline, check_enumerable,
                       column_groups, run_controllers, stage1_uniform_probe)
 from .matching import SweepGrid, best_admittance, best_voltage, reflection_spectrum, sweep_through_power
 from .scenario import Scenario
@@ -318,9 +318,8 @@ def _link_command(mode: str, scenario: Scenario, out_dir, n_links: int,
     responder each, each batch writing its own links' files.  Then writes
     _LINK_COMMANDS[mode]'s CSV and summary, which a failed batch leaves out."""
     csv, header, count_key, summary = _LINK_COMMANDS[mode]
-    if mode == "bench-controller" and 2 ** scenario.cols > ENUMERATION_CAP:
-        raise ValueError(f"enumeration of 2^{scenario.cols} configs exceeds cap "
-                         f"{ENUMERATION_CAP}; use randomized voting instead")
+    if mode == "bench-controller":
+        check_enumerable(scenario.cols)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     batches = _batches(scenario, n_links, parallel)

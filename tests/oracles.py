@@ -11,6 +11,9 @@ Running it as a script regenerates the committed golden heatmap CSVs:
     python3 tests/oracles.py --write-goldens
 """
 
+import hashlib
+import struct
+
 import numpy as np
 
 Z0 = 376.730313668
@@ -75,6 +78,30 @@ def best_subset_gain(h_env, h, s_on, s_off, s_bare):
         best = max(best, abs(h_env + np.sum(s * h)))
     base = abs(h_env + s_bare * np.sum(h))
     return 20.0 * np.log10(best / base)
+
+
+def config_hash_reference(voltages):
+    """The trace hash of a voltage vector, from its definition.
+
+    SHA-256, first 12 hex digits, over: the header <II (N, k), k being the
+    number of distinct float64 bit patterns among the N voltages; those k
+    patterns as <f8 in order of first appearance; then each element's
+    position among them, as packed bits (first element in the top bit,
+    zero-padded to a byte) when k == 2, else as little-endian unsigned
+    integers of the narrowest width that holds k - 1.
+    """
+    words = [struct.pack("<d", float(v)) for v in voltages]
+    levels = list(dict.fromkeys(words))
+    position = {word: k for k, word in enumerate(levels)}
+    codes = [position[word] for word in words]
+    body = struct.pack("<II", len(words), len(levels)) + b"".join(levels)
+    if len(levels) == 2:
+        bits = "".join(map(str, codes)) + "0" * (-len(codes) % 8)
+        body += bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
+    else:
+        width = next(w for w in (1, 2, 4, 8) if len(levels) - 1 < 256 ** w)
+        body += b"".join(code.to_bytes(width, "little") for code in codes)
+    return hashlib.sha256(body).hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------

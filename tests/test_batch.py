@@ -5,8 +5,8 @@ Every controller stage sends its probes as one index stack through
 Probe i of a batch must read exactly what the i-th of as many one-row
 batches reads: same bits, signs of zero included, same noise seed, same
 probe count afterwards.  ``ControlTrace.serialize`` hashes the probes in
-blocks per alphabet, and every digest must equal ``config_hash`` of the
-voltages the configuration stands for.
+blocks per alphabet, and every digest must equal the referee's
+``oracles.config_hash_reference`` of the voltages the configuration stands for.
 """
 
 import functools
@@ -19,9 +19,10 @@ from mediamatch.channel import (PROBE_BLOCK, ChannelStack, FeedbackOracle, Multi
                                 composite_channels, rss_db, sample_channel)
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, ControlTrace, LinkBatch,
                                 _probe_many, brute_force_baseline, column_groups,
-                                config_hash, run_controllers)
+                                run_controllers)
 from mediamatch.scenario import default_water_scenario
 
+import oracles
 from per_probe import voltages
 
 VS = DEFAULT_VOLTAGE_SET
@@ -202,14 +203,14 @@ class TestZeroReading:
 
 class TestBlockDigests:
     def test_equal_config_hash(self):
-        """Mixed alphabets and lengths in one trace, signed zeros, 4-, 8- and
-        16-byte level words, the widest '.6g' rendering, more than 256
-        levels (a uint16 index), an empty config, and blocks of one row or of
-        row counts and lengths that are not multiples of HASH_BLOCK."""
+        """Mixed alphabets and lengths in one trace, signed zeros, NaNs and
+        infinities, alphabets that repeat a bit pattern, more than 256 levels
+        (a uint16 index), an empty config, and blocks of one row or of row
+        counts and lengths that are not multiples of HASH_BLOCK or of 8."""
         rng = np.random.default_rng(7)
         alphabets = [VS, (30.0, 0.0), (30.0, -0.0), (0.0, -0.0), (12.5, 2.34567),
-                     (-1.23456e-7, 2.5), (123456789.0, 1.0, 0.0),
-                     (-2.2250738585072014e-308,)]
+                     (-1.23456e-7, 2.5), (123456789.0, 1.0, 0.0), (float("nan"), float("inf")),
+                     (5.0, 0.0, 5.0, -0.0), (-2.2250738585072014e-308,)]
         sizes = (1, 2 * HASH_BLOCK + 5, 3, HASH_BLOCK, HASH_BLOCK - 1)
         trace = ControlTrace()
         for k in range(3 * len(alphabets)):
@@ -224,4 +225,4 @@ class TestBlockDigests:
         rows = trace.serialize().split("\n")[1:-1]
         assert len(rows) == trace.budget_used
         assert [row.split(",")[2] for row in rows] == [
-            config_hash(voltages) for voltages in _probe_voltages(trace)]
+            oracles.config_hash_reference(voltages) for voltages in _probe_voltages(trace)]

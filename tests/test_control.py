@@ -1,6 +1,7 @@
 """Three-stage controller: stage behavior, budgets, voting, enumeration."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, MASK_BLOCK, ControlTrace,
                                 LinkBatch, _digests, _onoff_index, _owners, _probe_many,
-                                _run_codes, _run_width,
                                 brute_force_baseline, column_groups, config_hash,
                                 element_groups, run_controllers,
                                 stage1_uniform_probe, stage2_majority_voting,
@@ -102,6 +102,16 @@ class TestStage1:
     def test_probe_count_is_set_size(self):
         _, _, trace = stage1(lambda v: v[0], (30.0, 10.0, 0.0), 2)
         assert trace.budget_used == 3
+
+    @pytest.mark.parametrize("voltages", [(30.0, float("nan"), 0.0), (float("inf"), 30.0, 0.0),
+                                          (30.0, 0.0, float("-inf"))])
+    def test_non_finite_voltages_rejected(self, voltages):
+        """Every comparison with a NaN is false, so the ordering check alone
+        would let it through; stage 3 validates its voltage set the same way."""
+        with pytest.raises(ValueError, match="control voltages must be finite"):
+            stage1_uniform_probe(constant(0.0), one_link(), voltages, 4)
+        with pytest.raises(ValueError, match="control voltages must be finite"):
+            stage3_fine_tune(constant(0.0), one_link(), voltages)
 
 
 class TestStage2:
@@ -342,7 +352,7 @@ class TestTraceSerialization:
         assert lines[0] == "stage,probe_index,config_hash,rss_db"
         stage, idx, digest, rss = lines[1].split(",")
         assert (stage, idx) == ("1", "0")
-        assert digest == config_hash((30.0, 0.0))
+        assert digest == oracles.config_hash_reference((30.0, 0.0)) == config_hash((30.0, 0.0))
         assert float(rss) == -12.5
 
     def test_trace_hash_matches_voltage_hash(self):
@@ -353,25 +363,25 @@ class TestTraceSerialization:
         rows = trace.serialize().strip().split("\n")[1:]
         assert len(rows) == trace.budget_used
         for row, voltages in zip(rows, probe_voltages(trace)):
-            assert row.split(",")[2] == config_hash(voltages)
+            assert row.split(",")[2] == oracles.config_hash_reference(voltages)
 
     def test_hash_of_many_distinct_voltages(self):
+        """1024 levels: the positions are little-endian uint16s."""
         values = np.linspace(0.0, 30.0, 1024)
-        text = ",".join(format(v, ".6g") for v in values.tolist())
-        assert config_hash(values) == hashlib.sha256(text.encode()).hexdigest()[:12]
+        assert config_hash(values) == oracles.config_hash_reference(values)
         trace = ControlTrace()
         trace.append(1, values.tolist(), np.arange(1024, dtype=np.uint16)[None], [0.0])
         assert trace.serialize().split("\n")[1].split(",")[2] == config_hash(values)
 
     def test_signed_zero_hashes_apart(self):
-        assert config_hash((0.0, -0.0)) == hashlib.sha256(b"0,-0").hexdigest()[:12]
+        assert config_hash((0.0, -0.0)) == oracles.config_hash_reference((0.0, -0.0))
         trace = ControlTrace()
         for levels in ((30.0, 0.0), (30.0, -0.0)):
             trace.append(1, levels, [[0, 1]], [0.0])
         trace.append(1, (0.0, -0.0), [[0, 1]], [0.0])
         rows = trace.serialize().strip().split("\n")[1:]
         assert [r.split(",")[2] for r in rows] == [
-            config_hash(voltages) for voltages in probe_voltages(trace)]
+            oracles.config_hash_reference(voltages) for voltages in probe_voltages(trace)]
         assert rows[0].split(",")[2] != rows[1].split(",")[2]
         assert rows[2].split(",")[2] == config_hash((0.0, -0.0))
 
@@ -395,42 +405,79 @@ class TestTraceSerialization:
         assert config_hash((30.0, 0.0)) == config_hash([30, 0])
         assert config_hash((30.0, 0.0)) == config_hash(v for v in (30, 0))
         assert config_hash((30.0, 0.0)) != config_hash((0.0, 30.0))
+        assert config_hash((30.0, 0.0)) == oracles.config_hash_reference([30, 0])
 
 
-#: Levels whose '.6g' renderings are short, long (more than 8 bytes with the
-#: comma), signed zeros, or anything a float can be.
+def _nan(payload: int) -> float:
+    """A quiet NaN with the given low payload bits."""
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | payload))[0]
+
+
+#: Levels that are signed zeros, NaNs of two bit patterns, infinities, or
+#: anything a float can be; drawn from a short list, so alphabets repeat them.
 LEVELS = st.one_of(
     st.sampled_from([0.0, -0.0, 30.0, 2.5, -1.23456e-7, -2.2250738585072014e-308,
-                     123456789.0, float("inf"), float("nan")]),
+                     123456789.0, float("inf"), float("-inf"), _nan(0), _nan(1)]),
     st.floats(allow_subnormal=True))
 
 
-class TestRunDigests:
-    """_digests codes runs of up to 8 elements into a table of renderings;
-    every row must still hash as config_hash of the voltages it stands for."""
-
-    def test_run_widths(self):
-        widths = {n: _run_width(n) for n in (1, 2, 3, 4, 6, 7, 16, 17, 256, 300)}
-        assert widths == {1: 8, 2: 8, 3: 5, 4: 4, 6: 3, 7: 2, 16: 2, 17: 1, 256: 1, 300: 1}
+class TestDigests:
+    """_digests hashes the rows of an index matrix block by block; every row
+    must hash as the referee hashes the voltages it stands for."""
 
     @settings(max_examples=150, deadline=None)
     @given(n_levels=st.sampled_from([1, 2, 3, 7, 16, 17, 300]),
            n=st.one_of(st.sampled_from([0, 1, 7, 8, 9, 17]), st.integers(0, 40)),
            n_rows=st.sampled_from([0, 1, 2, HASH_BLOCK - 1, HASH_BLOCK, HASH_BLOCK + 1,
                                    2 * HASH_BLOCK + 3]),
-           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-    def test_matches_config_hash(self, n_levels, n, n_rows, seed, data):
+           pair=st.booleans(), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_matches_referee(self, n_levels, n, n_rows, pair, seed, data):
+        """Rows over the whole alphabet, or (``pair``) over two of its entries
+        as every controller row is, possibly the same entry twice."""
         levels = tuple(data.draw(st.lists(LEVELS, min_size=n_levels, max_size=n_levels)))
         dtype = np.uint8 if n_levels <= 256 else np.uint16
-        index = np.random.default_rng(seed).integers(0, n_levels, (n_rows, n)).astype(dtype)
-        assert _digests(levels, index) == [
-            config_hash([levels[k] for k in row]) for row in index.tolist()]
+        rng = np.random.default_rng(seed)
+        used = rng.integers(0, n_levels, 2) if pair else np.arange(n_levels)
+        index = used[rng.integers(0, len(used), (n_rows, n))].astype(dtype)
+        values = np.array(levels)
+        expected = [oracles.config_hash_reference(values[row]) for row in index]
+        assert _digests(levels, index) == expected
+        assert [config_hash(values[row]) for row in index] == expected
 
-    def test_signed_zero_tables_stay_apart(self):
+    def test_signed_zero_levels_stay_apart(self):
         index = np.zeros((1, 9), dtype=np.uint8)
-        assert _digests((0.0, 1.0), index) == [config_hash((0.0,) * 9)]
-        assert _digests((-0.0, 1.0), index) == [config_hash((-0.0,) * 9)]
+        assert _digests((0.0, 1.0), index) == [oracles.config_hash_reference((0.0,) * 9)]
+        assert _digests((-0.0, 1.0), index) == [oracles.config_hash_reference((-0.0,) * 9)]
         assert config_hash((0.0,) * 9) != config_hash((-0.0,) * 9)
+
+    def test_repeated_alphabet_entries_hash_as_voltages(self):
+        """Entries 0 and 2 share a bit pattern: a row over them is one level."""
+        index = np.array([[0, 2, 0, 2], [0, 1, 2, 1], [3, 3, 3, 3]], dtype=np.uint8)
+        levels = (5.0, 0.0, 5.0, _nan(1))
+        values = np.array(levels)
+        assert _digests(levels, index) == [
+            oracles.config_hash_reference(values[row]) for row in index]
+        assert _digests(levels, index)[0] == config_hash((5.0,) * 4)
+
+    def test_onoff_row_hashes_as_its_voltages(self):
+        """An on/off row over (v1, v0), the same row over (v0, v1) and over
+        the 7-level set are one voltage vector, so they hash alike."""
+        on = np.random.default_rng(2).integers(0, 2, (3, 64)).astype(bool)
+        v1, v0 = 10.0, 2.5
+        by_pair = _digests((v1, v0), np.where(on, 0, 1).astype(np.uint8))
+        by_swap = _digests((v0, v1), np.where(on, 1, 0).astype(np.uint8))
+        vs = DEFAULT_VOLTAGE_SET
+        by_set = _digests(vs, np.where(on, vs.index(v1), vs.index(v0)).astype(np.uint8))
+        assert by_pair == by_swap == by_set == [
+            oracles.config_hash_reference(np.where(row, v1, v0)) for row in on]
+
+    def test_length_is_hashed(self):
+        """Packed bits pad to a byte: without N in the header, a 7-element
+        row and its 8-element extension would hash alike."""
+        seven, eight = [30, 0, 30, 30, 30, 30, 30], [30, 0, 30, 30, 30, 30, 30, 30]
+        assert config_hash(seven) != config_hash(eight)
+        assert _digests((30.0, 0.0), np.array([[0, 1, 0, 0, 0, 0, 0]], np.uint8)) == [
+            oracles.config_hash_reference(seven)]
 
 
 class TestStreamedStage2:
@@ -586,15 +633,21 @@ class TestVotesReferee:
 
 
 class TestOnOffRunCodes:
+    """An on/off row's positions are hashed packed 8 to a byte, first element
+    in the top bit: each byte is the base-2 multiply-add of its run of 8
+    elements, the last run padded with zeros."""
+
     @pytest.mark.parametrize("n", [7, 8, 9, 16, 17, 23])  # N % 8 in {7, 0, 1}
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
     def test_packed_codes_equal_multiply_add(self, n, dtype):
         rows = np.random.default_rng(n).integers(0, 2, (HASH_BLOCK + 1, n)).astype(dtype)
-        cut = n - n % 8
-        for part, width in ((rows[:, :cut], 8), (rows[:, cut:], n - cut)):
-            if width:
-                runs = part.reshape(len(part), -1, width).astype(np.intp)
-                expected = np.zeros(runs.shape[:2], dtype=np.intp)
-                for k in range(width):
-                    expected = expected * 2 + runs[..., k]
-                np.testing.assert_array_equal(_run_codes(part, 2, width), expected)
+        rows[:, :2] = (0, 1)  # both levels used, 30.0 first
+        runs = np.zeros((len(rows), -(-n // 8) * 8), dtype=np.intp)
+        runs[:, :n] = rows
+        runs = runs.reshape(len(rows), -1, 8)
+        codes = np.zeros(runs.shape[:2], dtype=np.intp)
+        for k in range(8):
+            codes = codes * 2 + runs[..., k]
+        head = struct.pack("<II2d", n, 2, 30.0, 0.0)
+        assert _digests((30.0, 0.0), rows) == [
+            hashlib.sha256(head + bytes(row)).hexdigest()[:12] for row in codes.tolist()]

@@ -109,13 +109,13 @@ PINNED = {
         "summary":
             "542505f43a186d09575db60ecc7b659601fb2a12f04978b11806a7a9b13d8f52",
         "traces/link_0000.csv":
-            "d4bcf97c8a6668aadde96605ab60824c450eb5f97bba6e478a0d0ab1361c6264",
+            "738030b6453123b6d23ffbc6ef20beeb2a552fbad4684952b38cdfb9a1e6b1fe",
         "traces/link_0001.csv":
-            "a28e0c70fa82cc6b4eabb310512cb9e87ac66cd5db6497d93e2ad158adb597b9",
+            "a441564a948a7d230cfc85d48b63d10626a60b96c23ed62bc04027f55c59b19c",
         "traces/link_0002.csv":
-            "0ea087d64f77a3be80f1c0d35065ce6edfae54da740103eeaf3775b83b868a1e",
+            "90293ea5b27397ca5fa4b94579f4c2f5f3252daa9c3e2f37da167f5652927dc7",
         "traces/link_0003.csv":
-            "02dcb5863d3974dc8c5773d05410ee17f017cb25fb2d2d541684dc35847ecfdf",
+            "17cc4abc41bf8cee1edb6bc1de68e2dc77a0f65482d5a33dbcb0a93c9e6c116a",
     },
     "links-jitter": {
         "channels/link_0000.csv":
@@ -131,13 +131,13 @@ PINNED = {
         "summary":
             "be52f25a4a7327c392b35f01f99b92784d6fcaa148b9d60fa1bf27337d6084bf",
         "traces/link_0000.csv":
-            "bddca92e9f21011abf804a58fb52b3671d98b90a5b1f55dfe12040bebb03a639",
+            "84e1737b403fe05aca2aa293138ecdee58b2a9f7c957385763210dfcf2cc1977",
         "traces/link_0001.csv":
-            "9d6a50f28897994a428536be29eaa16da72efc3ca68e7b2e253dff6af7b0a484",
+            "4ba77d0547224d2e6231cb9b7f645f94b01d0507293a041e1df7d3756ad27653",
         "traces/link_0002.csv":
-            "824a571773d45e44f19cf3f48bcf86282e3a2361d3f96f96d37b2670f360f2c6",
+            "4eff99e1f6edbb58dfb1ae764ad7fb14d7128348f5b8cec029985bb74b9b3e48",
         "traces/link_0003.csv":
-            "c4519037762ee705c3bd4a3b187968fa3c36b381936b5959dadab1a93da25fa3",
+            "5ceba9bd377c812e61f5a8bb904be61a48c49a769bab1dbe85bf16389c9c6250",
     },
     "links-noise": {
         "channels/link_0000.csv":
@@ -153,13 +153,13 @@ PINNED = {
         "summary":
             "4f11ec38f1c3c9230781af17b024b719eb0845579131c7170b64187d84a09d8d",
         "traces/link_0000.csv":
-            "efc37ba6e314046b4628c06e352d6592384e670fc5a9c825a3b0184d775ff6a3",
+            "78869ff3c6c09609336d224f03652083fe97438c203773ed1ec994439641e1a2",
         "traces/link_0001.csv":
-            "6f4a64f950158c9840ce36619c76c876ce286dec24ced1eec231ac0fb8cc83fc",
+            "938939e50e63c2a94b0f04044306c7352b4ce3bd365ed80a77fe19ca8a4fbf56",
         "traces/link_0002.csv":
-            "ac3ae212c1d0fe685dbb12ea7eafeb76a1e6d42de3af1116a649ddb3d6dbca49",
+            "bc0269a6aec3ea5588c8757dbe32803f6231d616ce4134d8dc91f71253faab53",
         "traces/link_0003.csv":
-            "f1568067b26ea84bf82a4101bd2581e581e6c34ab49df649da1f86ed623e48e9",
+            "7f9b4e6c42348760ac9187f4c99259ac04c5b7710599b16e527422eb6b59e1ba",
     },
     "links-water": {
         "channels/link_0000.csv":
@@ -179,17 +179,17 @@ PINNED = {
         "summary":
             "52079d5fbe4d74c18b3de95d488f295e2b1b236015c04de3d875cb747d7d26f7",
         "traces/link_0000.csv":
-            "b217f90a9dfcfb306f9b4e8c49b5728fdb5665e79f8cfb33a2cb9ddec32dfce2",
+            "588df05b713798792042eefc58785f8c277354a6a6aa8fed2e6912786e1c608d",
         "traces/link_0001.csv":
-            "eebc4df2029d022116dede5a7a2ccd31ea2a57319829d8ba24c577289cabb71e",
+            "18b0a1e723e9f29401ec8852f8ba8f9aafb6ed3f6dba8abc4127e7ba8de0c89a",
         "traces/link_0002.csv":
-            "0e58a44385a89f78b79987c1ab995a71f46294a2828523d53d611540ba24a1bc",
+            "51a3f85c7f0278bc2bcb573b4a077981df47b907efd9f5865cee906f53f1568e",
         "traces/link_0003.csv":
-            "fba4f67491e305244effd50adc875a6edc35a1fd49df639dec01d9e0da0cf449",
+            "ca7c660ca2f86bf5c0cd2ee87e34e1f9372423fb2bf0eb129ef75b86e5c9a7c3",
         "traces/link_0004.csv":
-            "d19062b072d549df0e4cce41724401d19c4d5997188a7b72b6312080b945ceaf",
+            "499816b905981945fa39b26b5e705af11fc3f85331c80de37fbfbaf2c8ffcc37",
         "traces/link_0005.csv":
-            "c7f0c0d70d0fe15f38422aa6f8c47fb6990a357f42f10f28394f4cab08528c73",
+            "2a8203f57ba608089f8581618621eb428ad86dd52ccd76482855f7402f727c58",
     },
     "match-at_load": {
         "spectrum_admittance.csv":
