@@ -10,15 +10,17 @@ import numpy as np
 from mediamatch import gains_db, run_controllers
 from mediamatch.harness import median_lower
 from mediamatch.channel import FeedbackOracle
-from mediamatch.scenario import default_water_scenario
+from mediamatch.scenario import (CHANNEL_STREAM, VOTING_STREAM, default_water_scenario,
+                                 link_stream)
 
 scenario = default_water_scenario(seed=5)
 responder = scenario.responder()
 
-channel = scenario.sample_link_channel(5000001, responder)
+# link 1 of the scenario, with the random streams `links` would give it
+channel = scenario.sample_link_channel(link_stream(scenario.seed, 1, CHANNEL_STREAM), responder)
 oracle = FeedbackOracle(channel, quantization_db=scenario.channel.rss_quantization_db)
-links = run_controllers(oracle, scenario.n_elements,
-                        voltages=scenario.voltage_set, rng_seeds=[42])
+links = run_controllers(oracle, scenario.n_elements, voltages=scenario.voltage_set,
+                        rng_seeds=[link_stream(scenario.seed, 1, VOTING_STREAM)])
 (levels, row), trace = links.configs()[0], links.traces[0]
 voltages = np.asarray(levels)[row].tolist()
 
@@ -43,11 +45,12 @@ for line in trace.serialize().splitlines()[:6]:
     print("  " + line)
 
 print("\nnow 45 links of the same scenario family:")
-channels = [scenario.sample_link_channel(scenario.seed * 1000000 + i, responder)
+channels = [scenario.sample_link_channel(link_stream(scenario.seed, i, CHANNEL_STREAM), responder)
             for i in range(45)]
 stacked = FeedbackOracle(channels, quantization_db=scenario.channel.rss_quantization_db)
+voting = [link_stream(scenario.seed, i, VOTING_STREAM) for i in range(45)]
 batch = run_controllers(stacked, scenario.n_elements, voltages=scenario.voltage_set,
-                        rng_seeds=[scenario.seed * 1000000 + i + 500000 for i in range(45)])
+                        rng_seeds=voting)
 gains = sorted(gains_db(channels, batch.configs())[0].tolist())
 print(f"  median {median_lower(gains):5.2f} dB,  "
       f"p10 {gains[4]:5.2f} dB,  max {gains[-1]:5.2f} dB")

@@ -9,17 +9,20 @@ import numpy as np
 
 from mediamatch import best_admittance, gains_db, run_controllers, through_power_db
 from mediamatch.channel import FeedbackOracle
-from mediamatch.scenario import default_water_scenario, load_scenario
+from mediamatch.scenario import (CHANNEL_STREAM, VOTING_STREAM, default_water_scenario,
+                                 link_stream, load_scenario)
 from pathlib import Path
 
 scenario = default_water_scenario(seed=11)
 responder = scenario.responder()
 
 print("reciprocal backscatter links (uplink == downlink):")
-downs = [scenario.sample_link_channel(11000000 + i, responder) for i in range(5)]
+downs = [scenario.sample_link_channel(link_stream(scenario.seed, i, CHANNEL_STREAM), responder)
+         for i in range(5)]
 ups = downs  # reciprocity: the uplink retraces the downlink's paths
 links = run_controllers(FeedbackOracle(downs, ups), scenario.n_elements,
-                        voltages=scenario.voltage_set, rng_seeds=range(5))
+                        voltages=scenario.voltage_set,
+                        rng_seeds=[link_stream(scenario.seed, i, VOTING_STREAM) for i in range(5)])
 down, _, both = gains_db(downs, links.configs(), ups).tolist()  # one call, both directions
 for i, (one, two) in enumerate(zip(down, both)):
     print(f"  link {i}: one-way {one:+6.2f} dB, backscatter {two:+6.2f} dB "

@@ -2,15 +2,15 @@
 
 Channels are synthesized (the real system measures them): environment and
 per-element paths are circularly-symmetric complex Gaussians drawn from a
-seeded numpy Generator (PCG64), so every sampled quantity is a pure function
-of (seed, params) and full runs replay bit-identically.  FeedbackOracle
-makes the RSS readings the controller sees, one-way or two-way (noise keying
-and quantization included).  A surface configuration is a (levels, index row)
-pair: element i is biased at levels[row[i]].
+seeded numpy Generator (PCG64), so full runs replay bit-identically.
+FeedbackOracle makes the RSS readings the controller sees, one-way or two-way,
+noise and quantization included.  A surface configuration is a (levels,
+index row) pair: element i is biased at levels[row[i]].
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +72,11 @@ class MultipathChannel:
         return len(self.h_elements)
 
 
-def sample_channel(seed: int, n_elements: int, env_power: float = 0.0,
+def sample_channel(seed, n_elements: int, env_power: float = 0.0,
                    element_power: float | np.ndarray = 1.0,
                    responder: ElementResponder | None = None,
                    phase_jitter_std: float = 0.0) -> MultipathChannel:
-    """Draw one channel realization from a named, seeded generator.
+    """Draw one channel realization from default_rng(seed) (an int or SeedSequence).
 
     env_power and element_power are variances of circularly-symmetric complex
     Gaussians; element_power may be a per-element profile.  env_power = 0
@@ -227,13 +227,13 @@ class FeedbackOracle:
     many one-row batches would, noise included.
 
     Noise, added to the downlink only, is complex Gaussian with power
-    10^(noise_db/10) relative to a unit-magnitude channel; each probe draws it
-    from a seed derived from its link's ``noise_seed`` (one per link, or one
-    for all) and probe count (``probes``), so a replay repeats it.  The
-    backscatter command passes no noise_db: a scenario's channel.noise_db
-    does not reach it.  RSS is read on a 0.1 dB grid by default (typical RSSI
+    10^(noise_db/10) relative to a unit-magnitude channel.  Each link draws it
+    from one Generator on its ``noise_seed`` (an int or SeedSequence; one per
+    link, or one for all), one (re, im) normal pair per probe in probe order,
+    none for padding.  RSS is read on a 0.1 dB grid by default (typical RSSI
     resolution), continuously with quantization_db=None.  copy.copy gives an
-    oracle that goes on from the same probe counts on its own.
+    oracle that goes on from the same probe counts (``probes``) and noise
+    state on its own.
     """
 
     def __init__(self, downlink, uplink=None, noise_db: float | None = None,
@@ -244,22 +244,23 @@ class FeedbackOracle:
         if self.uplink is not None and \
                 self.downlink.h_elements.shape != self.uplink.h_elements.shape:
             raise ValueError("backscatter directions must share the link and element counts")
-        self.noise_db = noise_db
-        self.quantization_db = quantization_db
-        self.noise_seeds = [int(s) for s in np.broadcast_to(noise_seed, len(self.downlink.h_env))]
-        self.probes = np.zeros(len(self.noise_seeds), dtype=np.int64)
+        self.noise_db, self.quantization_db = noise_db, quantization_db
+        self.probes = np.zeros(len(self.downlink.h_env), dtype=np.int64)
+        seeds = noise_seed if np.ndim(noise_seed) else [noise_seed] * len(self.probes)
+        self.noise = None if noise_db is None else [np.random.default_rng(s) for s in seeds]
+
+    def __copy__(self) -> "FeedbackOracle":
+        other = object.__new__(type(self))
+        other.__dict__.update(self.__dict__, noise=copy.deepcopy(self.noise))  # own generators
+        return other
 
     def batch(self, levels, index, rows=None) -> np.ndarray:
         h = composite_channels(self.downlink, levels, index)
         rows = [h.shape[1]] * len(h) if rows is None else list(rows)
-        if self.noise_db is not None:
+        if self.noise is not None:
             s = np.sqrt(10.0 ** (self.noise_db / 10.0) / 2.0)
-            for link, (seed, done, n) in enumerate(zip(self.noise_seeds, self.probes.tolist(),
-                                                      rows)):
-                first = seed * 1000003 + done
-                for k in range(n):
-                    rng = np.random.default_rng((first + k) & 0x7FFFFFFF)
-                    h[link, k] += complex(rng.normal(0.0, s) + 1j * rng.normal(0.0, s))
+            for link, (rng, n) in enumerate(zip(self.noise, rows)):
+                h[link, :n] += rng.normal(0.0, s, (n, 2)).view(complex)[:, 0]  # (re, im) pairs
         self.probes = self.probes + rows  # a new array: copies keep their own counts
         magnitude = np.hypot(h.real, h.imag)
         if self.uplink is self.downlink:

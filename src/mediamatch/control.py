@@ -15,21 +15,18 @@ stage takes the batch, probes its links together, keeps what it found in it
 ``batch(levels, index, rows)`` reads L alphabets and an (L, n, N) index stack
 as (L, n) readings, link l's first rows[l] rows being probes and the rest
 padding.  Probe i must read what the i-th of n one-row batches would (a noisy
-oracle keys its noise by probe count).  Only whole controller runs may
+oracle draws its noise in probe order).  Only whole controller runs may
 execute concurrently.
 
 A configuration is a (levels, index row) pair: a uint8 index vector over the
 voltage alphabet (``voltage_set``, or (v1, v0) for on/off configurations).
-The trace is a list of probe blocks, one per ``_probe_many`` call: the stage,
-the alphabet, the read-only index matrix and the readings.  Probes keep the
-order they were measured in.  A probe's hash (``config_hash``) is a function
-of the float64 bytes of the voltages its row stands for, whatever alphabet
-the row indexes.  Stage 2 draws its on/off rows MASK_BLOCK at a time into the
-uint8 index the trace keeps and counts its votes from it, so only that index
-grows with the array.  Its stream is defined by PCG64's raw 64-bit words:
-mask bit k is the sign bit of the k-th 32-bit half of the output, low half
-first (what ``default_rng(seed).integers(0, 2)`` draws today, without resting
-on ``Generator.integers`` internals).  ROADMAP item 5 will still redefine it.
+The trace (ControlTrace) keeps one block of probes per ``_probe_many`` call,
+in measurement order.  Stage 2 draws its on/off rows MASK_BLOCK at a time into
+the uint8 index the trace keeps and counts its votes from it, so only that
+index grows with the array.  Its masks take one bit each from PCG64 on the
+link's voting stream: mask bit k (row-major over configurations x groups) is
+bit k % 64 of raw word k // 64, least significant bit first, and a set bit
+turns the group on.
 """
 
 from __future__ import annotations
@@ -49,8 +46,8 @@ DEFAULT_VOLTAGE_SET = (30.0, 20.0, 15.0, 10.0, 5.0, 2.5, 0.0)
 ENUMERATION_CAP = 65536
 
 #: Rows of stage 2's on/off index drawn per generator call and summed per vote
-#: count.  Even, so every block but the last uses whole raw words (dropped
-#: before the next block is drawn); at most 255, so a block's votes fit a uint8.
+#: count.  A multiple of 64, so every block but the last takes whole raw words;
+#: at most 255, so a block's votes fit a uint8.
 MASK_BLOCK = 128
 
 
@@ -87,8 +84,8 @@ def _digests(levels, index) -> list[str]:
     fixed-place record: its header, first level, other level (the first that
     differs from element 0; zeros for one level) and packed "differs from
     element 0" bits, which are the N zero bytes of a one-level row.  Records
-    of HASH_BLOCK rows share one buffer, hashed by memoryview slices.  A row
-    over three or more levels goes through config_hash.
+    of HASH_BLOCK rows share one buffer sized for the block's widest record,
+    hashed by memoryview slices.  Other rows go through config_hash.
     """
     words = np.array(levels, dtype="<f8").view("<u8")
     n, seen = index.shape[1], {}
@@ -96,7 +93,7 @@ def _digests(levels, index) -> list[str]:
     if n == 0:
         return [config_hash(())] * len(index)
     bits = -(-n // 8)
-    stride, sizes = -(-max(24 + bits, 16 + n) // 8) * 8, (16 + n, 24 + bits)
+    sizes = (16 + n, 24 + bits)
     head = np.array([n | 1 << 32, n | 2 << 32], dtype="<u8")  # "<II" of (N, k)
     out = []
     for start in range(0, len(index), HASH_BLOCK):
@@ -106,6 +103,7 @@ def _digests(levels, index) -> list[str]:
         differs = rows != first[:, None]
         other = rows[np.arange(len(rows)), differs.argmax(axis=1)]
         two = other != first
+        stride = -(-(sizes[1] if two.all() else max(sizes)) // 8) * 8  # the widest record
         record = np.zeros((len(rows), stride), dtype=np.uint8)
         fields = record.view("<u8")
         head.take(two, out=fields[:, 0])
@@ -338,8 +336,8 @@ def stage2_majority_voting(oracle, links: LinkBatch, n_elements: int,
     """Randomized majority voting over on/off configurations of the batch's v1/v0.
 
     Each link draws n_configs (default 2x the number of control groups)
-    uniform random on/off assignments from its own seed (``rng_seed`` holds
-    one per link, or one for all), measures each, and lets every
+    uniform random on/off assignments from its own seed (``rng_seed``: an int
+    or SeedSequence per link, or one for all), measures each, and lets every
     configuration whose feedback is strictly above the median cast one vote
     for each group it turned on.  A group ends up on when it collects votes
     from more than half of the voting configurations; exactly half goes to
@@ -352,8 +350,7 @@ def stage2_majority_voting(oracle, links: LinkBatch, n_elements: int,
     if np.any(v1 == v0):
         raise ValueError("stage 2 needs distinct on/off voltages (v1 != v0)")
     n_groups = n_elements if groups is None else len(groups)
-    if n_configs is None:
-        n_configs = 2 * n_groups
+    n_configs = 2 * n_groups if n_configs is None else n_configs
     if n_configs < 1:
         raise ValueError("n_configs must be >= 1")
 
@@ -361,17 +358,16 @@ def stage2_majority_voting(oracle, links: LinkBatch, n_elements: int,
     owner = None if groups is None else _owners(groups, n_elements)
     seeds = rng_seed if np.ndim(rng_seed) else [rng_seed] * len(links)
     for link_index, seed in zip(index, seeds):
-        bits = np.random.PCG64(seed)
-        for start in range(0, n_configs, MASK_BLOCK):  # mask bit k: sign of 32-bit half k
+        pcg = np.random.PCG64(seed)
+        for start in range(0, n_configs, MASK_BLOCK):  # mask bit k: bit k % 64 of word k // 64
             block = link_index[start:start + MASK_BLOCK]
             size = len(block) * n_groups
-            words = bits.random_raw((size + 1) // 2).astype("<u8", copy=False).view("<i4")
-            words = words[:size].reshape(len(block), n_groups)
-            if owner is None:  # element e is group e: a clear sign bit is v0, index 1
-                np.greater_equal(words, 0, out=block.view(bool))
+            raw = pcg.random_raw(-(-size // 64)).astype("<u8", copy=False).view(np.uint8)
+            on = np.unpackbits(raw, count=size, bitorder="little").reshape(len(block), n_groups)
+            if owner is None:  # element e is group e: a clear bit is v0, index 1
+                np.logical_not(on, out=block.view(bool))
             else:
-                _onoff_index(owner, words < 0, block)  # the block's group masks
-            del words
+                _onoff_index(owner, on.view(bool), block)  # the block's group masks
     rss = _probe_many(oracle, links, 2, list(zip(v1.tolist(), v0.tolist())), _read_only(index))
 
     voting = rss > np.median(rss, axis=1, keepdims=True)

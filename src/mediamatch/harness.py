@@ -1,11 +1,11 @@
 """Scenario-driven commands: match, sweep, links, backscatter, bench-controller.
 
 Every command consumes a Scenario, writes CSV artifacts plus a plain-text
-summary into an output directory, and returns a RunReport.  All randomness is
-derived from the scenario seed, so a command is reproducible from the
-(scenario file, seeds) pair alone; reports embed the scenario hash.  The
-link commands are rows of one table, _LINK_COMMANDS (CSV, header, count key,
-summary by column name), run by one driver; run_links writes its links' files.
+summary into an output directory, and returns a RunReport.  Every random
+stream is a link_stream of the scenario seed, so the scenario file alone
+reproduces a command; reports embed the scenario hash.  The link commands
+are rows of one table, _LINK_COMMANDS (CSV, header, count key, summary by
+column name), run by _link_command; run_links writes its links' files.
 
 Medians and percentiles use the lower-interpolation rule throughout
 (numpy percentile method="lower").
@@ -29,7 +29,8 @@ from .channel import FeedbackOracle, gains_db
 from .control import (ControlTrace, LinkBatch, brute_force_baseline, check_enumerable,
                       column_groups, run_controllers, stage1_uniform_probe)
 from .matching import SweepGrid, best_admittance, best_voltage, reflection_spectrum, sweep_through_power
-from .scenario import Scenario
+from .scenario import (CHANNEL_STREAM, NOISE_STREAM, UPLINK_STREAM, VOTING_STREAM, Scenario,
+                       link_stream)
 
 
 class BudgetError(RuntimeError):
@@ -187,12 +188,6 @@ COLUMN_VOTING_CONFIGS = 32
 LINK_BATCH = 2 ** 17
 
 
-def _link_seeds(scenario: Scenario, index: int) -> tuple[int, int, int]:
-    """(channel seed, voting rng seed, uplink channel seed) for one link."""
-    base = scenario.seed * 1000000 + index
-    return base, base + 500000, base + 10000019
-
-
 def run_links(scenario: Scenario, responder, indices, mode: str, out_dir: Path) -> list[tuple]:
     """Links `indices` of the links, backscatter or bench-controller command,
     run as one batch: every controller stage probes all of them at once.
@@ -209,16 +204,18 @@ def run_links(scenario: Scenario, responder, indices, mode: str, out_dir: Path) 
     row and files depend only on the scenario and its index, not on the
     links it shares the batch with.
     """
-    ch_seeds, rng_seeds, up_seeds = zip(*(_link_seeds(scenario, i) for i in indices))
-    channels = [scenario.sample_link_channel(seed, responder) for seed in ch_seeds]
+    def streams(stream):
+        return [link_stream(scenario.seed, i, stream) for i in indices]
+
+    channels = [scenario.sample_link_channel(s, responder) for s in streams(CHANNEL_STREAM)]
     n, vs, params = scenario.n_elements, scenario.voltage_set, scenario.channel
     uplinks = None
     if mode == "backscatter":
         uplinks = channels if params.reciprocal_uplink \
-            else [scenario.sample_link_channel(seed, responder) for seed in up_seeds]
-    oracle = FeedbackOracle(channels, uplinks, quantization_db=params.rss_quantization_db,
-                            noise_db=params.noise_db if uplinks is None else None,
-                            noise_seed=ch_seeds)
+            else [scenario.sample_link_channel(s, responder) for s in streams(UPLINK_STREAM)]
+    noisy = uplinks is None and params.noise_db is not None
+    oracle = FeedbackOracle(channels, uplinks, params.noise_db if noisy else None,
+                            params.rss_quantization_db, streams(NOISE_STREAM) if noisy else 0)
     start = stage1_uniform_probe(oracle, LinkBatch.new(len(channels)), vs, n)
 
     variants = [(2 * n, None, None)]  # (stage-2 probes, control groups, stage 2)
@@ -226,29 +223,29 @@ def run_links(scenario: Scenario, responder, indices, mode: str, out_dir: Path) 
         cols = column_groups(scenario.rows, scenario.cols)
         variants += [(COLUMN_VOTING_CONFIGS, cols, None),
                      (2 ** len(cols), cols, brute_force_baseline)]
-    runs = []
+    runs, voting = [], streams(VOTING_STREAM)
     for n_stage2, groups, stage2 in variants:
-        runs.append(run_controllers(copy.copy(oracle), n, vs, n_stage2, rng_seeds, groups,
+        runs.append(run_controllers(copy.copy(oracle), n, vs, n_stage2, voting, groups,
                                     stage2, start.fork()))
         for trace in runs[-1].traces:
             validate_trace(trace, len(vs), n_stage2)
     gains = gains_db(channels, [c for run in runs for c in run.configs()], uplinks).tolist()
 
     if mode == "backscatter":  # down, up and two-way gain rows
-        return [(i, seed, *row) for i, seed, *row in zip(indices, ch_seeds, *gains)]
+        return [(i, scenario.seed, *row) for i, *row in zip(indices, *gains)]
     if mode == "bench-controller":  # variant v's gain of link k is gains[0][v*L + k]
-        return [(i, seed, *gains[0][k::len(channels)],
+        return [(i, scenario.seed, *gains[0][k::len(channels)],
                  *(run.traces[k].budget_used for run in runs))
-                for k, (i, seed) in enumerate(zip(indices, ch_seeds))]
+                for k, i in enumerate(indices)]
     for folder in ("traces", "channels"):
         (out_dir / folder).mkdir(exist_ok=True)
     rows = []
-    for i, seed, channel, trace, gain, base, (stage1_db, stage2_db, final_db) in zip(
-            indices, ch_seeds, channels, runs[0].traces, *gains, runs[0].best_db.tolist()):
+    for i, channel, trace, gain, base, (stage1_db, stage2_db, final_db) in zip(
+            indices, channels, runs[0].traces, *gains, runs[0].best_db.tolist()):
         h = channel.h_elements
         dump = [["env"] + [f"element_{e}" for e in range(len(h))],
                 [channel.h_env.real] + h.real.tolist(), [channel.h_env.imag] + h.imag.tolist()]
-        rows.append((i, seed, base, final_db, gain,
+        rows.append((i, scenario.seed, base, final_db, gain,
                      stage1_db - base, stage2_db - base, final_db - stage2_db,
                      *(trace.stage_probe_count(s) for s in (1, 2, 3))))
         (out_dir / f"traces/link_{i:04d}.csv").write_text(trace.serialize(), encoding="utf-8",

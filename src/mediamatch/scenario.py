@@ -31,6 +31,16 @@ class ScenarioError(ValueError):
     """Malformed scenario content."""
 
 
+#: A link's random streams: channel, separate uplink, stage-2 voting, noise.
+CHANNEL_STREAM, UPLINK_STREAM, VOTING_STREAM, NOISE_STREAM = range(4)
+
+
+def link_stream(seed: int, link: int, stream: int) -> np.random.SeedSequence:
+    """Stream `stream` of link `link` under scenario seed `seed` (numpy NEP 19):
+    SeedSequence([seed, link, stream]), so distinct triples never share one."""
+    return np.random.SeedSequence([seed, link, stream])
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """The scenario's "channel" object; its defaults are in _FIELDS."""
@@ -99,15 +109,11 @@ class Scenario:
         return ElementResponder(self.stack(**stack_kwargs), self.circuit, self.frequency,
                                 coupling_offset=self.coupling_offset)
 
-    def sample_link_channel(self, link_seed: int, responder: ElementResponder) -> MultipathChannel:
-        return sample_channel(
-            seed=link_seed,
-            n_elements=self.n_elements,
-            env_power=self.channel.env_power,
-            element_power=self.channel.element_power,
-            responder=responder,
-            phase_jitter_std=self.channel.phase_jitter_std,
-        )
+    def sample_link_channel(self, stream, responder: ElementResponder) -> MultipathChannel:
+        """A channel drawn from `stream` (a link_stream) with the scenario's statistics."""
+        c = self.channel
+        return sample_channel(stream, self.n_elements, c.env_power, c.element_power,
+                              responder, c.phase_jitter_std)
 
 
 # ---------------------------------------------------------------------------

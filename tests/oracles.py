@@ -104,6 +104,31 @@ def config_hash_reference(voltages):
     return hashlib.sha256(body).hexdigest()[:12]
 
 
+#: A link's voting stream: stream 2 of SeedSequence([seed, link, stream]).
+VOTING_STREAM = 2
+
+
+def reference_stage2(seed, link, n_configs, n_groups, rss):
+    """Stage 2's masks and outcome for one link, from their definition.
+
+    The masks are n_configs rows of n_groups bits drawn from PCG64 on
+    SeedSequence([seed, link, 2]): bit k, counted row by row, is bit k % 64
+    of the (k // 64)-th raw 64-bit word, least significant first, and a set
+    bit turns its group on.  The rows reading strictly above np.median(rss)
+    vote, and a group ends up on when strictly more than half of them turned
+    it on.  Returns (masks, on) as lists of bools.
+    """
+    size = n_configs * n_groups
+    stream = np.random.SeedSequence([seed, link, VOTING_STREAM])
+    words = [int(w) for w in np.random.PCG64(stream).random_raw(-(-size // 64))]
+    bits = [(words[k // 64] >> (k % 64)) & 1 == 1 for k in range(size)]
+    masks = [bits[r * n_groups:(r + 1) * n_groups] for r in range(n_configs)]
+    median = np.median(rss)
+    voters = [mask for mask, value in zip(masks, rss) if value > median]
+    on = [2 * sum(mask[g] for mask in voters) > len(voters) for g in range(n_groups)]
+    return masks, on
+
+
 # ---------------------------------------------------------------------------
 # golden heatmaps: through power (dB) for gap/fat vs susceptance grids
 

@@ -1,6 +1,7 @@
 """Print a digest of everything the CLI and the demos write, for byte checks.
 
     python tests/output_digests.py [--links 12] > digests.txt
+    python tests/output_digests.py [--links 12] --against ../other-checkout
 
 Runs all five commands on every shipped scenario, and the three link
 commands on fixed variants of water_links.json (noise at -20 dB, a
@@ -12,8 +13,11 @@ lives.  For each run it prints the exit code and the sha256 of stdout and
 stderr, then one line per file written under the output directory.  It also
 prints the sha256 of each demo's stdout, the repository's path in it
 replaced.  The package is imported from this repository's src/: run the
-script from two checkouts and diff the outputs.  This is a plain script,
-not a test.
+script from two checkouts and diff the outputs, or pass --against with the
+other checkout, which runs its copy of this script as well and prints only
+the lines that differ, grouped by command and file kind (a link number
+stands as *), with each group's count of moved and compared lines.  This is
+a plain script, not a test.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -55,10 +60,8 @@ def scenarios():
         yield f"water_links+{name}", json.dumps(variant, indent=2).encode(), LINK_COMMANDS
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--links", type=int, default=12, help="--links of the link commands")
-    args = parser.parse_args()
+def digest_lines(links: int):
+    """Every line the script prints, in order."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     for name, text, commands in scenarios():
         for command in commands:
@@ -68,20 +71,68 @@ def main() -> None:
                     argv = ["-m", "mediamatch", command, "--scenario", "scenario.json",
                             "--out", "out"]
                     if parallel is not None:
-                        argv += ["--links", str(args.links), "--parallel", str(parallel)]
+                        argv += ["--links", str(links), "--parallel", str(parallel)]
                     done = run(argv, tmp, env)
                     label = f"{name} {command}" + (f" --parallel {parallel}"
                                                    if parallel else "")
-                    print(f"{label}: exit {done.returncode} stdout {sha(done.stdout)} "
-                          f"stderr {sha(done.stderr)}")
+                    yield (f"{label}: exit {done.returncode} stdout {sha(done.stdout)} "
+                           f"stderr {sha(done.stderr)}")
                     out = Path(tmp) / "out"
                     for path in sorted(out.rglob("*")) if out.is_dir() else ():
                         if path.is_file():
-                            print(f"  {path.relative_to(out).as_posix()} {sha(path.read_bytes())}")
+                            yield f"  {path.relative_to(out).as_posix()} {sha(path.read_bytes())}"
     for demo in sorted((REPO / "demos").glob("[0-9]*.py")):
         done = run([str(demo)], REPO, env)
         stdout = done.stdout.replace(str(REPO).encode(), b"<repo>")  # demo 02 prints paths
-        print(f"demo {demo.name}: exit {done.returncode} stdout {sha(stdout)}")
+        yield f"demo {demo.name}: exit {done.returncode} stdout {sha(stdout)}"
+
+
+def keyed(lines) -> dict:
+    """{(group, line key): line}: a run's own line is keyed by its label, a
+    file's by its run's label and path; the group is the command (or "demo")
+    and the file kind, link numbers as *."""
+    out, label, command = {}, None, None
+    for line in lines:
+        if line.startswith("  "):
+            path = line.split()[0]
+            kind = re.sub(r"link_\d+", "link_*", path)
+            out[(f"{command} {kind}", f"{label} {path}")] = line
+            continue
+        label = line.split(":")[0]
+        command = "demo" if label.startswith("demo ") else label.split()[1]
+        out[(f"{command} exit, stdout and stderr", label)] = line
+    return out
+
+
+def against(links: int, other: Path) -> None:
+    """Print the lines that differ between this checkout and `other`, grouped."""
+    theirs = subprocess.run([sys.executable, str(other / "tests" / "output_digests.py"),
+                             "--links", str(links)], capture_output=True, text=True,
+                            check=True, timeout=3600).stdout.splitlines()
+    mine, theirs = keyed(digest_lines(links)), keyed(theirs)
+    keys, groups = sorted(mine.keys() | theirs.keys()), {}
+    for key in keys:
+        groups.setdefault(key[0], []).append(key)
+    moved = sum(mine.get(k) != theirs.get(k) for k in keys)
+    print(f"{moved} of {len(keys)} lines differ from {other}")
+    for group, members in groups.items():
+        differ = [k for k in members if mine.get(k) != theirs.get(k)]
+        print(f"{group}: {len(differ)} of {len(members)} differ")
+        for key in differ:
+            print(f"  {key[1]}" + ("" if key in mine and key in theirs else
+                                   " (here only)" if key in mine else " (there only)"))
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--links", type=int, default=12, help="--links of the link commands")
+    parser.add_argument("--against", type=Path, help="another checkout to compare with")
+    args = parser.parse_args()
+    if args.against is not None:
+        against(args.links, args.against.resolve())
+        return
+    for line in digest_lines(args.links):
+        print(line)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, MASK_BLOCK, Con
                                 element_groups, run_controllers,
                                 stage1_uniform_probe, stage2_majority_voting,
                                 stage3_fine_tune)
+from mediamatch.scenario import VOTING_STREAM, link_stream
 
 import oracles
 from per_probe import PerProbeOracle, voltages
@@ -480,11 +481,22 @@ class TestDigests:
             oracles.config_hash_reference(seven)]
 
 
+def _stage2_reference(seed, link, groups, n, n_configs, rss):
+    """oracles.reference_stage2 of one link, as an index over (v1, v0) and an
+    on/off element vector (an element in no group at v0 and off)."""
+    masks, on = oracles.reference_stage2(seed, link, n_configs, len(groups), rss)
+    owner = np.full(n, len(groups))
+    for g, members in enumerate(groups):
+        owner[members] = g
+    masks = np.hstack([np.array(masks, dtype=bool).reshape(n_configs, -1),
+                       np.zeros((n_configs, 1), dtype=bool)])
+    return 1 - masks[:, owner], np.append(on, False)[owner]
+
+
 class TestStreamedStage2:
-    """Stage 2 draws its masks MASK_BLOCK rows at a time from PCG64's raw
-    words, one sign bit per 32-bit half: the stream default_rng(seed).integers
-    (0, 2) gives in one whole draw, so the probed index rows are unchanged
-    (until ROADMAP item 5 redefines the stream)."""
+    """Stage 2 draws its masks MASK_BLOCK rows at a time from the voting
+    stream's raw words; the index it probes equals the referee's one whole
+    draw."""
 
     ROWS, COLS = 5, 13
 
@@ -497,41 +509,56 @@ class TestStreamedStage2:
         rng = np.random.default_rng(11)
         h = rng.normal(size=n) + 1j * rng.normal(size=n)
         trace = stage2_majority_voting(onoff_oracle(h), one_link(), n, n_configs=n_configs,
-                                       rng_seed=5, groups=groups).traces[0]
-        whole = np.random.default_rng(5).integers(0, 2, size=(n_configs, len(groups)))
-        (_, _, index, _), = trace.blocks
+                                       rng_seed=link_stream(5, 3, VOTING_STREAM),
+                                       groups=groups).traces[0]
+        (_, _, index, rss), = trace.blocks
         assert index.dtype == np.uint8
-        np.testing.assert_array_equal(index, _onoff_index(_owners(groups, n), whole))
-        owner = np.arange(n) if grouping == "element" else np.arange(n) % self.COLS
-        np.testing.assert_array_equal(index, 1 - whole[:, owner])
+        np.testing.assert_array_equal(index, _stage2_reference(5, 3, groups, n, n_configs, rss)[0])
 
 
-class _Silent:
-    """A batch oracle that reads 0 dB for every probe."""
-
-    def batch(self, levels, index, rows=None):
-        return np.zeros(np.shape(index)[:2])
+def _groups(data, grouping, n_groups):
+    """(element count, groups) of a grouping over n_groups groups: None for
+    the default element groups, each element its own group, rows x n_groups
+    columns, or sparse groups of two shuffled elements each with one to five
+    elements in none."""
+    if grouping in ("default", "element"):
+        return n_groups, None if grouping == "default" else element_groups(n_groups)
+    if grouping == "column":
+        rows = data.draw(st.integers(1, 3))
+        return rows * n_groups, column_groups(rows, n_groups)
+    n = 2 * n_groups + data.draw(st.integers(1, 5))
+    members = data.draw(st.permutations(range(n)))[:2 * n_groups]
+    return n, [members[g::n_groups] for g in range(n_groups)]
 
 
 class TestRawWordStage2:
-    """The masks come from raw PCG64 words; they must equal one whole
-    Generator.integers(0, 2) draw, a half-used last word included."""
+    """The masks take one bit each from the voting stream's raw PCG64 words;
+    masks and outcome must equal oracles.reference_stage2, batch or not."""
 
-    def test_mask_block_is_even(self):
-        assert MASK_BLOCK % 2 == 0  # only the last block can end mid-word
+    def test_mask_block_holds_whole_words(self):
+        assert MASK_BLOCK % 64 == 0  # only the last block can end mid-word
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2 ** 63 - 1),
-           n_groups=st.integers(0, 20).map(lambda k: 2 * k + 1),
-           n_configs=st.one_of(st.sampled_from([1, MASK_BLOCK - 1, MASK_BLOCK + 1,
-                                                2 * MASK_BLOCK + 1]),
-                               st.integers(1, 3 * MASK_BLOCK + 1)))
-    def test_masks_equal_whole_integers_draw(self, seed, n_groups, n_configs):
-        trace = stage2_majority_voting(_Silent(), one_link(), n_groups, n_configs=n_configs,
-                                       rng_seed=seed).traces[0]
-        (_, _, index, _), = trace.blocks
-        whole = np.random.default_rng(seed).integers(0, 2, size=(n_configs, n_groups))
-        np.testing.assert_array_equal(index == 0, whole.astype(bool))
+    @given(data=st.data(), seed=st.integers(0, 2 ** 63 - 1),
+           links=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3, unique=True),
+           n_configs=st.sampled_from([1, MASK_BLOCK - 1, MASK_BLOCK, MASK_BLOCK + 1, 300]),
+           grouping=st.sampled_from(["default", "element", "column", "sparse"]),
+           n_groups=st.sampled_from([1, 3, 64, 65]))
+    def test_masks_and_votes_equal_reference(self, data, seed, links, n_configs, grouping,
+                                             n_groups):
+        n, groups = _groups(data, grouping, n_groups)
+        weights = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        batch = LinkBatch.new(len(links))
+        batch.v1, batch.v0 = np.full(len(links), V1), np.full(len(links), V0)
+        stage2_majority_voting(_WeightOracle(weights), batch, n, n_configs,
+                               [link_stream(seed, link, VOTING_STREAM) for link in links],
+                               groups)
+        for k, link in enumerate(links):
+            (_, _, index, rss), = batch.traces[k].blocks
+            want_index, want_on = _stage2_reference(
+                seed, link, element_groups(n) if groups is None else groups, n, n_configs, rss)
+            np.testing.assert_array_equal(index, want_index)
+            np.testing.assert_array_equal(batch.on[k], want_on)
 
 
 class TestOnOffIndex:
@@ -578,24 +605,11 @@ class _RowOracle:
 
 
 class TestVotesReferee:
-    """Stage 2's ``on`` equals majority voting as first written: whole
-    Generator.integers(0, 2) masks, the votes of the rows strictly above the
-    median counted per group, a strict majority, mapped to the elements
-    through the groups (an element in no group off)."""
+    """Stage 2's ``on`` equals oracles.reference_stage2's majority vote over
+    the probes' readings, mapped to the elements through the groups (an
+    element in no group off), in a batch and alone."""
 
     GROUPINGS = ("default", "element", "column", "sparse")
-
-    @staticmethod
-    def reference(oracle, groups, n, n_configs, seed) -> np.ndarray:
-        masks = np.random.default_rng(seed).integers(0, 2, (n_configs, len(groups))).astype(bool)
-        owner = np.full(n, len(groups))
-        for g, members in enumerate(groups):
-            owner[members] = g
-        on = np.hstack([masks, np.zeros((n_configs, 1), dtype=bool)])[:, owner]
-        rss = oracle.batch([(V1, V0)], (~on).astype(np.uint8)[None])[0]
-        voting = rss > np.median(rss)
-        votes = np.count_nonzero(masks & voting[:, None], axis=0)
-        return np.append(votes > np.count_nonzero(voting) / 2.0, False)[owner]
 
     def test_mask_block_fits_uint8_counts(self):
         assert MASK_BLOCK <= 255  # a row block's votes are summed in uint8
@@ -623,11 +637,14 @@ class TestVotesReferee:
         oracle = _RowOracle(high) if weights is None else _WeightOracle(weights[:n])
         links = LinkBatch.new(len(seeds))
         links.v1, links.v0 = np.full(len(seeds), V1), np.full(len(seeds), V0)
-        stage2_majority_voting(oracle, links, n, n_configs, seeds, groups)
-        for link, seed in enumerate(seeds):
-            expected = self.reference(oracle, element_groups(n) if groups is None else groups,
-                                      n, n_configs, seed)
-            one = stage2_majority_voting(oracle, one_link(), n, n_configs, seed, groups)
+        streams = [link_stream(seed, link, VOTING_STREAM) for link, seed in enumerate(seeds)]
+        stage2_majority_voting(oracle, links, n, n_configs, streams, groups)
+        for link, (seed, stream) in enumerate(zip(seeds, streams)):
+            (_, _, index, rss), = links.traces[link].blocks
+            want_index, expected = _stage2_reference(
+                seed, link, element_groups(n) if groups is None else groups, n, n_configs, rss)
+            one = stage2_majority_voting(oracle, one_link(), n, n_configs, stream, groups)
+            np.testing.assert_array_equal(index, want_index)
             np.testing.assert_array_equal(links.on[link], expected)
             np.testing.assert_array_equal(one.on[0], expected)
 

@@ -634,7 +634,7 @@ class TestCli:
                    "--links", "1", "--seed", "5"])
         assert rc == 0
         assert len(calls) == 1
-        assert (tmp_path / "out/links.csv").read_text().split("\n")[1].startswith("0,5000000,")
+        assert (tmp_path / "out/links.csv").read_text().split("\n")[1].startswith("0,5,")
 
     @pytest.mark.parametrize("text", ["[1, 2]", "3", '"water"', "null"])
     def test_non_object_scenario_is_config_error(self, tmp_path, capsys, text):

@@ -29,7 +29,8 @@ from mediamatch.control import (DEFAULT_VOLTAGE_SET, brute_force_baseline,
                                 column_groups, run_controllers)
 from mediamatch.harness import (cmd_backscatter, cmd_bench_controller, cmd_links, run_links,
                                 table_text)
-from mediamatch.scenario import default_water_scenario, scenario_from_dict
+from mediamatch.scenario import (CHANNEL_STREAM, NOISE_STREAM, UPLINK_STREAM, VOTING_STREAM,
+                                 default_water_scenario, link_stream, scenario_from_dict)
 
 import per_probe
 
@@ -118,18 +119,19 @@ class TestStackedOracles:
     @pytest.mark.parametrize("noise_db", [None, -10.0])
     def test_feedback_equals_one_oracle_per_link(self, noise_db):
         """A stacked oracle reads each link as that link's own oracle does,
-        noise keyed by its seed and probe count; padding rows are not counted."""
+        noise drawn from its seed in probe order; padding rows are not
+        counted and draw no noise, so a later batch still reads alike."""
         channels, seeds = _channels(4, 6), [11, 12, 13, 14]
         stacked = FeedbackOracle(channels, noise_db=noise_db, noise_seed=seeds)
         alone = [FeedbackOracle(c, noise_db=noise_db, noise_seed=s)
                  for c, s in zip(channels, seeds)]
         rng = np.random.default_rng(0)
-        for rows in ([5, 5, 5, 5], [5, 2, 4, 1]):
+        for rows in ([5, 5, 5, 5], [5, 2, 4, 1], [3, 3, 3, 3]):
             index = rng.integers(0, len(VS), (4, 5, 6)).astype(np.uint8)
             got = stacked.batch([VS] * 4, index, rows)
             for k, (oracle, n) in enumerate(zip(alone, rows)):
                 assert _bits(got[k, :n]) == _bits(oracle.batch([VS], index[None, k, :n])[0])
-        assert stacked.probes.tolist() == [o.probes.item() for o in alone] == [10, 7, 9, 6]
+        assert stacked.probes.tolist() == [o.probes.item() for o in alone] == [13, 10, 12, 9]
 
     def test_copy_counts_on_its_own(self):
         oracle = FeedbackOracle(_channels(2, 3), noise_db=0.0, noise_seed=[1, 2])
@@ -350,24 +352,46 @@ class TestSharedStage1:
         cols = column_groups(scenario.rows, scenario.cols)
         rows = []
         for i in range(3):
-            ch_seed, rng_seed, _ = harness._link_seeds(scenario, i)
-            channel = scenario.sample_link_channel(ch_seed, resp)
+            channel = scenario.sample_link_channel(
+                link_stream(scenario.seed, i, CHANNEL_STREAM), resp)
+            voting = [link_stream(scenario.seed, i, VOTING_STREAM)]
 
             def fresh():
                 return FeedbackOracle(channel, noise_db=-12.0,
                                       quantization_db=scenario.channel.rss_quantization_db,
-                                      noise_seed=ch_seed)
+                                      noise_seed=link_stream(scenario.seed, i, NOISE_STREAM))
 
-            runs = [run_controllers(fresh(), n, vs, rng_seeds=[rng_seed]),
-                    run_controllers(fresh(), n, vs, harness.COLUMN_VOTING_CONFIGS,
-                                    [rng_seed], cols),
+            runs = [run_controllers(fresh(), n, vs, rng_seeds=voting),
+                    run_controllers(fresh(), n, vs, harness.COLUMN_VOTING_CONFIGS, voting, cols),
                     run_controllers(fresh(), n, vs, groups=cols, stage2=brute_force_baseline)]
             configs = [run.configs()[0] for run in runs]
-            rows.append((i, ch_seed, *gains_db([channel], configs)[0].tolist(),
+            rows.append((i, scenario.seed, *gains_db([channel], configs)[0].tolist(),
                          *(run.traces[0].budget_used for run in runs)))
         header = harness._LINK_COMMANDS["bench-controller"][1]
         assert (tmp_path / "bench_controller.csv").read_text() == table_text(
             header, list(zip(*rows)))
+
+
+class TestLinkStreams:
+    def test_former_offset_collisions_draw_apart(self):
+        """Streams were once integer offsets, seed * 10^6 + link for the
+        channel, + 500000 for voting and + 10000019 for the uplink, so link
+        i + 500000's channel was link i's voting stream, seed s + 1's link i
+        was seed s's link i + 10^6 and an uplink was seed s + 10's link
+        i + 19.  Over those (seed, link) pairs, every stream's first words
+        differ pairwise."""
+        pairs = [(seed, link) for seed in (3, 4, 13)
+                 for link in (7, 26, 500007, 1000007)]
+        first = [tuple(np.random.PCG64(link_stream(seed, link, stream)).random_raw(2))
+                 for seed, link in pairs
+                 for stream in (CHANNEL_STREAM, UPLINK_STREAM, VOTING_STREAM, NOISE_STREAM)]
+        assert len(first) == 4 * len(pairs) == len(set(first))
+
+    def test_streams_are_numbered_seed_sequences(self):
+        """The README's stream numbers: channel 0, uplink 1, voting 2, noise 3."""
+        assert [link_stream(5, 9, k).entropy for k in (
+            CHANNEL_STREAM, UPLINK_STREAM, VOTING_STREAM, NOISE_STREAM)] == [
+            [5, 9, 0], [5, 9, 1], [5, 9, 2], [5, 9, 3]]
 
 
 class TestModuleEntryPoint:

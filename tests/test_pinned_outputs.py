@@ -79,117 +79,117 @@ RUNS = {
 PINNED = {
     "backscatter-uplink": {
         "backscatter.csv":
-            "2699d64157469388723ca610fd0e6da0c25db53466715fea9bd58c171f193110",
+            "bdc0f57fe297a1026a41449b56ea966324bd5e2f4d5dfd777e4009f3da0f81bf",
         "summary":
-            "448b0b51a726e402053f044790625398afd1eb6241fe1fee284247a65fe21ac3",
+            "e88be8bfc1a7559e720cc280a02244583cda43f92396e9a94b96f31a5d5c1122",
     },
     "backscatter-water": {
         "backscatter.csv":
-            "7365978888dfa86568a698e63b1fd15e8352215c9a2f64755047fc594a860bce",
+            "fe57635c98a040e2fa9ffcd2309eee92de01abd78569a72f5ab320c3ff785a43",
         "summary":
-            "b37a5a97e0d6ca2c9531f85e63b93fba1020bba562cdd934a3c398b077d9a3d5",
+            "b37058d3066dee86151ac936d2e5b6210cf60990a282940ee9b71adea1d9143b",
     },
     "bench-controller": {
         "bench_controller.csv":
-            "5e4c3fe5b7bb5ae09c288efbc3d9bcd2e6e80d7e3c9edc3b052949fb435c49aa",
+            "1e0b87f45ff96dce71cc2761ed9a3d830114b60138850653b9d4736b2c905959",
         "summary":
-            "654307cee2dc2f9fe8c1bcce98b7178cb518912125d36fd9b59c3fcd9c45738a",
+            "76944d493d5b95dc18689827f53e2ec2aed3eb09c8681eab8e875bf39096bc47",
     },
     "links-16x16": {
         "channels/link_0000.csv":
-            "a711efcc3e1b44d31be21a6d37e4c298d7d0ada904ad2c0dd9f965f4864eda3a",
+            "023868fa62288ee6d6134aa198f64e11114a177311773ccab2ff830869fcc5f5",
         "channels/link_0001.csv":
-            "5f8e6360db8b1606b090d5ed635a19675b4cd73f6abb18a558d38f1e623abcd9",
+            "51fe1047acfa0c0df7ac1b15d0b2641706e6c5d8e8c68032375902998ab8f9f2",
         "channels/link_0002.csv":
-            "ec05453786d7ed24a326f6a63e1d959599a83504320facfce2304d4bf75b38ff",
+            "60707b9801177b53ece569e92778adfcf7a43f507f3d0df657ff3e8edf29276d",
         "channels/link_0003.csv":
-            "d0343ae7641fd078339acd8ce1b14e8b9e8bf46e8468e1bbd8bdf4e47e3c0090",
+            "b8e8840eb0778a8d0241a8387d472e98b55041144f88816c322225fa3b990d6d",
         "links.csv":
-            "a354a46d44827f60063d969b0211cf2dab144b32a8187c66b1753164e8ed6909",
+            "73fd9faacd4e0516a7b6ad019252c6ef585089fc926ca8cf8d3c5ec215993b7e",
         "summary":
-            "542505f43a186d09575db60ecc7b659601fb2a12f04978b11806a7a9b13d8f52",
+            "01da49a2c18e87a02ea3f4be57dd84d98aad3e1b0012f8698fecd32fcf0be038",
         "traces/link_0000.csv":
-            "738030b6453123b6d23ffbc6ef20beeb2a552fbad4684952b38cdfb9a1e6b1fe",
+            "536979b9dc675f241479af7e01a25ce817a4e20e693be106755cc2793cc92159",
         "traces/link_0001.csv":
-            "a441564a948a7d230cfc85d48b63d10626a60b96c23ed62bc04027f55c59b19c",
+            "7601259c070aab07e16ba72fa4471b3b0153daecc06c356b912fb7aea6e35ec0",
         "traces/link_0002.csv":
-            "90293ea5b27397ca5fa4b94579f4c2f5f3252daa9c3e2f37da167f5652927dc7",
+            "14af97d1863b45105e781fb1e7f6a97ff974617e5b3071044118c7199ff6297f",
         "traces/link_0003.csv":
-            "17cc4abc41bf8cee1edb6bc1de68e2dc77a0f65482d5a33dbcb0a93c9e6c116a",
+            "32971154ee801f278fcb1e6c06a1c4cecf8ab8c9c825499c5a156528a966fbea",
     },
     "links-jitter": {
         "channels/link_0000.csv":
-            "2f3a79ba89f1fc49078c6881d349b9f1061d226d174b10294c4aa77ea7b48f26",
+            "10de80e35ee63708c34968300c2c3e4c831907732e39e6abd952533c2c512d3f",
         "channels/link_0001.csv":
-            "74145404208ae7bc9edc0d753e3454b7c31d11e629bad16f96f7eb2a2d8977f9",
+            "041b6d7c218622c6b9847817a585886938556883623ae1ed9ff5ffe0d086c106",
         "channels/link_0002.csv":
-            "a1d9d152cd3cfd52902849a84e609a325d6b8f028039e9656344c01f4b669342",
+            "bc437bba04e530cdec76d8c4a320f1d87af8d1be611d1c7b16afc87d240c09ea",
         "channels/link_0003.csv":
-            "87109150b3b8e9f3b7d9b52a00b1f7327907c4ff18ff3cc6af5f6e24cf7bccc0",
+            "ef78766538553f1b327df974bbd62185fd3494a951b2b58c76dcc671a5c0e39e",
         "links.csv":
-            "25c448bd6873fca8c6015d800efcecad2d2eab50af4c63a66e29447673f102c3",
+            "cf36212fa0bc4ac0bd5da48d8154f5aec3ebab0c8d2ec6582d55949aa28dbdf2",
         "summary":
-            "be52f25a4a7327c392b35f01f99b92784d6fcaa148b9d60fa1bf27337d6084bf",
+            "64d28f810b50c74c9805998b814517cdaff6b750868ef74e3b5590ccbecebc2f",
         "traces/link_0000.csv":
-            "84e1737b403fe05aca2aa293138ecdee58b2a9f7c957385763210dfcf2cc1977",
+            "a3d48d7b9f6a3a5f5d59532089139046c9220feef3f6bcae1bc8695e8e9f2348",
         "traces/link_0001.csv":
-            "4ba77d0547224d2e6231cb9b7f645f94b01d0507293a041e1df7d3756ad27653",
+            "e4f83947cfaf67c485fdfe7815452f369cea72641f4829b2a0e213b2482472d5",
         "traces/link_0002.csv":
-            "4eff99e1f6edbb58dfb1ae764ad7fb14d7128348f5b8cec029985bb74b9b3e48",
+            "629a9bdf0a895e83864bd8eeca3b72e3866baa9854cdb360121f1bd060dad823",
         "traces/link_0003.csv":
-            "5ceba9bd377c812e61f5a8bb904be61a48c49a769bab1dbe85bf16389c9c6250",
+            "d79be15def0c2d7a5270f4240fdfde5c07501c87d56401dceaf4385c63a6e9ff",
     },
     "links-noise": {
         "channels/link_0000.csv":
-            "2f3a79ba89f1fc49078c6881d349b9f1061d226d174b10294c4aa77ea7b48f26",
+            "10de80e35ee63708c34968300c2c3e4c831907732e39e6abd952533c2c512d3f",
         "channels/link_0001.csv":
-            "74145404208ae7bc9edc0d753e3454b7c31d11e629bad16f96f7eb2a2d8977f9",
+            "041b6d7c218622c6b9847817a585886938556883623ae1ed9ff5ffe0d086c106",
         "channels/link_0002.csv":
-            "a1d9d152cd3cfd52902849a84e609a325d6b8f028039e9656344c01f4b669342",
+            "bc437bba04e530cdec76d8c4a320f1d87af8d1be611d1c7b16afc87d240c09ea",
         "channels/link_0003.csv":
-            "87109150b3b8e9f3b7d9b52a00b1f7327907c4ff18ff3cc6af5f6e24cf7bccc0",
+            "ef78766538553f1b327df974bbd62185fd3494a951b2b58c76dcc671a5c0e39e",
         "links.csv":
-            "11fd4b3926ba3874cc007e6f48aca776209cb35987c089b62fc2f44fac59af9c",
+            "ddbe3dc56221902a888bef0fbaf69a9f75a37914eac875c6e05be7922e5b2327",
         "summary":
-            "4f11ec38f1c3c9230781af17b024b719eb0845579131c7170b64187d84a09d8d",
+            "da84d4329e509eae725c5148b255de4c0498e4c37c9a7bbd955cb8cbea684697",
         "traces/link_0000.csv":
-            "78869ff3c6c09609336d224f03652083fe97438c203773ed1ec994439641e1a2",
+            "10d2e37e9a1a1784e308a7dd219a228d8e7f439e30f636807d601f56636bcd0b",
         "traces/link_0001.csv":
-            "938939e50e63c2a94b0f04044306c7352b4ce3bd365ed80a77fe19ca8a4fbf56",
+            "1c9085570a866a2654a64d48486276dea5a1ca28e25703b1e30b4338567dd7c6",
         "traces/link_0002.csv":
-            "bc0269a6aec3ea5588c8757dbe32803f6231d616ce4134d8dc91f71253faab53",
+            "f98f97e24116d90642c028f8a47837e142d89dcb81f982010817d2b751b8de3c",
         "traces/link_0003.csv":
-            "7f9b4e6c42348760ac9187f4c99259ac04c5b7710599b16e527422eb6b59e1ba",
+            "36be86420fa24812e828ef0c4dcaa3f5027ea23b8317daf76fea398bb4fd7232",
     },
     "links-water": {
         "channels/link_0000.csv":
-            "bffefa48982e27e84a69bbd5f91cb461e300b090146dacd697f28fef907089fe",
+            "5fa8e600b7b62724c57647070ad9dc9784d1db03cd2492c03de5f13527e1a47e",
         "channels/link_0001.csv":
-            "ce5989c3626bd595f433465b18162837db7496ca3f37274f176754e3986b7107",
+            "0ff6fbc7807132ff990c1b5e2fd0a7fba5c135b202b917526224fac395e94b62",
         "channels/link_0002.csv":
-            "779155fedb1c3c81947326cb87c6591482103eab4ad4b35ee3e652ed189c5266",
+            "0d1a41f5eca43b9c755d7eeeca6f794a09bae367b49ed8914aebb04e6bc84691",
         "channels/link_0003.csv":
-            "ca0c2fe0239cc2c51d97f49514758d3b00656c16fd555a4e59decaa4a728d705",
+            "e96e355fb415a301dc82cc442494d295a6e1d3077f67a7dbc025f5d253af1656",
         "channels/link_0004.csv":
-            "e7c2a305626fe1af9e899eaef748e7026a962076676b0adcaf402e65d27ea425",
+            "5eabfb13eb355cf9600edc55b151cb0ca42077e916a7f674d5e0b160ce9a96e5",
         "channels/link_0005.csv":
-            "39e7ca326ef60c649efdf9a4891515a8ec2916731ce64f9a2949aee6dccbb2b9",
+            "5b781985a4a98d5a1fc12d5d3f1ca0d4f885d110709bc38042716db5fb5b187e",
         "links.csv":
-            "21e69bcb59988f7d3f6dc28fc62b428f3a8a6bfd4cf80e5eba48e6ef2d604cf5",
+            "714bcf17b6b8d488ffdbfbe38ef200f47725914ab4f81e5eec6777897cb8969e",
         "summary":
-            "52079d5fbe4d74c18b3de95d488f295e2b1b236015c04de3d875cb747d7d26f7",
+            "dddc2d5e72f3df8b4184e9dcc537328f37a5d8549cd92c623174400fac59fef7",
         "traces/link_0000.csv":
-            "588df05b713798792042eefc58785f8c277354a6a6aa8fed2e6912786e1c608d",
+            "b707c555e5e14820925d4c19cd20d6a218719062e738ffa65f47625071101b72",
         "traces/link_0001.csv":
-            "18b0a1e723e9f29401ec8852f8ba8f9aafb6ed3f6dba8abc4127e7ba8de0c89a",
+            "19799fca34f036215e267c4dfaba6411d6cce53ee26144adac77f6aa334555b2",
         "traces/link_0002.csv":
-            "51a3f85c7f0278bc2bcb573b4a077981df47b907efd9f5865cee906f53f1568e",
+            "3af657f97199c02ad7a2a59f4629b9f138b65c08ca6d78050835d9131d54d35c",
         "traces/link_0003.csv":
-            "ca7c660ca2f86bf5c0cd2ee87e34e1f9372423fb2bf0eb129ef75b86e5c9a7c3",
+            "bb07610bc735dac349c20ab894718c41809e1ce94611306f2406be16ef4def0d",
         "traces/link_0004.csv":
-            "499816b905981945fa39b26b5e705af11fc3f85331c80de37fbfbaf2c8ffcc37",
+            "9f8b39d9c6d574cebcd00ac510765f660a98192b377073b487ebaf0d14cbe425",
         "traces/link_0005.csv":
-            "2a8203f57ba608089f8581618621eb428ad86dd52ccd76482855f7402f727c58",
+            "d655e75dd39fc4733c27df380f594e585866246fd7b1feda921acff84e4d5afa",
     },
     "match-at_load": {
         "spectrum_admittance.csv":
