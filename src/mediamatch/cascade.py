@@ -24,6 +24,7 @@ over rows, admittance and frequency.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -32,6 +33,19 @@ import numpy as np
 from .media import Layer, Medium, _check_frequency, _impedance, _permittivity, _wavenumber
 
 DB_FLOOR = -200.0  # clamp used when emitting dB columns to files
+
+
+def db(values, factor: float = 10.0) -> np.ndarray:
+    """factor * log10 of each value: -inf where it is not positive, NaN where NaN.
+
+    log10 is libm's (math.log10, one value at a time), not numpy's SIMD kernel,
+    whose last bits differ between CPU dispatch targets.
+    """
+    x = np.asarray(values, dtype=float)
+    out, ok = np.where(x != x, x, -math.inf), x > 0
+    out[ok] = list(map(math.log10, x[ok].tolist()))
+    out *= factor
+    return out
 
 
 class DegenerateStackError(RuntimeError):
@@ -179,8 +193,5 @@ def solve_stack(stack: StackSpec, surface_admittance, frequency,
 
 
 def through_power_db(stack: StackSpec, surface_admittance: complex, frequency: float) -> float:
-    """10 log10 of the through power; -inf when nothing gets through."""
-    p = solve_stack(stack, surface_admittance, frequency).through_power
-    if p <= 0.0:
-        return float("-inf")
-    return float(10.0 * np.log10(p))
+    """Through power in dB; -inf when nothing gets through."""
+    return float(db(solve_stack(stack, surface_admittance, frequency).through_power))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import DegenerateStackError, StackSpec, solve_stack
+from .cascade import DegenerateStackError, StackSpec, db, solve_stack
 from .surface import ElementCircuit, admittance_at_voltage
 
 
@@ -203,10 +203,8 @@ def rss_db(magnitude, quantization_db: float | None = 0.1) -> np.ndarray:
     quantized.  Rounding is half to even, as Python's round, and a reading that
     rounds to zero is +0.0, never -0.0.
     """
-    magnitude = np.asarray(magnitude, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rss = 20.0 * np.log10(magnitude)
-    rss[~(magnitude > 0)] = float("-inf")
+    rss = db(magnitude, 20.0)
+    rss[np.isnan(rss)] = float("-inf")
     if quantization_db:
         rss = np.where(np.isfinite(rss),
                        np.round(rss / quantization_db) * quantization_db + 0.0, rss)
@@ -296,16 +294,12 @@ def gains_db(downlinks, configs, uplinks=None) -> np.ndarray:
         base = np.array([baseline_channel(c) for c in channels])
         return np.hypot(h.real, h.imag), np.tile(np.hypot(base.real, base.imag), k)
 
-    def db(magnitude):
-        with np.errstate(divide="ignore"):
-            return 20.0 * np.log10(magnitude)
-
     def gain(num, den):
-        with np.errstate(invalid="ignore"):
-            return np.where((num <= 0) | (den <= 0), float("-inf"), db(num) - db(den))
+        with np.errstate(invalid="ignore"):  # -inf - -inf where both are not positive
+            return np.where((num <= 0) | (den <= 0), float("-inf"), db(num, 20.0) - db(den, 20.0))
 
     down = magnitudes(downlinks)
     if uplinks is None:
-        return np.stack([gain(*down), db(down[1])])
+        return np.stack([gain(*down), db(down[1], 20.0)])
     up = down if uplinks is downlinks else magnitudes(uplinks)
     return np.stack([gain(*down), gain(*up), gain(down[0] * up[0], down[1] * up[1])])

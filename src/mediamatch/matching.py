@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import DB_FLOOR, DegenerateStackError, StackSpec, solve_stack, stack_coefficients
+from .cascade import DB_FLOOR, DegenerateStackError, StackSpec, db, solve_stack, stack_coefficients
 from .surface import ElementCircuit, admittance_at_voltage, admittance_exact, varactor_at
 
 @dataclass(frozen=True)
@@ -47,20 +47,6 @@ class MatchResult:
     best_voltage: float | None = None
 
 
-def _db(power, floor: float) -> np.ndarray:
-    """10 log10 of each power, ``floor`` where it is not positive (or NaN)."""
-    power = np.asarray(power)
-    out, ok = np.full(power.shape, floor), power > 0
-    out[ok] = 10.0 * np.log10(power[ok])
-    return out
-
-
-def _through_db(stack: StackSpec, ys: np.ndarray, frequency: float,
-                thicknesses=None) -> np.ndarray:
-    """Through power in dB; -inf where nothing gets through or the stack is singular."""
-    return _db(solve_stack(stack, ys, frequency, thicknesses).through_power, float("-inf"))
-
-
 def _axis_admittances(name: str, values, circuit: ElementCircuit | None,
                       frequency: float) -> np.ndarray:
     """Surface admittance at each axis-2 coordinate.  A capacitance (pF) takes
@@ -71,8 +57,8 @@ def _axis_admittances(name: str, values, circuit: ElementCircuit | None,
         raise ValueError(f"axis {name!r} needs an ElementCircuit")
     if name != "capacitance_pf":
         raise ValueError(f"unknown axis-2 interpretation {name!r}")
-    # C and R both fall with the bias voltage, so sorting each sorts the rows
-    c, r = np.sort(circuit.varactors.capacitances), np.sort(circuit.varactors.resistances)
+    # C and R both fall with the bias voltage, so reversed they rise together
+    c, r = (column[::-1] for column in circuit.varactors.knots[1:])
     caps = np.asarray(values, dtype=float) * 1e-12
     res = np.interp(np.clip(caps, c[0], c[-1]), c, r)
     return np.array([admittance_exact(circuit, cap, loss, frequency)
@@ -95,7 +81,8 @@ def sweep_through_power(stack_family, grid: SweepGrid,
         raise ValueError(f"axis {grid.axis1_name!r}: stacks differ in more than thicknesses")
     # rows axes (axis 1, 1), so that the axis-2 admittances broadcast along the last
     thicknesses = [[[layer.thickness for layer in stack.layers]] for stack in stacks]
-    return np.maximum(_through_db(stacks[0], ys, grid.frequency, thicknesses), DB_FLOOR)
+    return np.fmax(db(solve_stack(stacks[0], ys, grid.frequency, thicknesses).through_power),
+                   DB_FLOOR)
 
 
 def best_admittance(stack: StackSpec, frequency: float) -> MatchResult:
@@ -109,7 +96,8 @@ def best_admittance(stack: StackSpec, frequency: float) -> MatchResult:
     """
     alpha, beta = stack_coefficients(stack, frequency)[:2]
     b_star = float(np.clip((alpha.conjugate() * beta).imag / abs(beta) ** 2, 0.0, 0.12))
-    baseline, best_db = _through_db(stack, np.array([0j, 1j * b_star]), frequency)
+    ys = np.array([0j, 1j * b_star])
+    baseline, best_db = db(solve_stack(stack, ys, frequency).through_power)
     if not best_db > baseline:
         b_star, best_db = 0.0, baseline
     return MatchResult(
@@ -137,11 +125,11 @@ def best_voltage(stack: StackSpec, circuit: ElementCircuit, frequency: float,
 
     order = sorted(voltages, reverse=True)  # descending, so strict > keeps higher V on ties
     ys = np.array([0j] + [admittance_at_voltage(circuit, v, frequency) for v in order])
-    baseline, *dbs = _through_db(stack, ys, frequency)
+    baseline, *dbs = db(solve_stack(stack, ys, frequency).through_power)
     best_v, best_db = None, float("-inf")
-    for v, db in zip(order, dbs):
-        if db > best_db:
-            best_v, best_db = v, db
+    for v, through in zip(order, dbs):
+        if through > best_db:
+            best_v, best_db = v, through
     return MatchResult(
         through_power_db=float(best_db),
         baseline_db=float(baseline),
@@ -178,5 +166,5 @@ def reflection_spectrum(stack: StackSpec, frequencies, ys: complex | None = None
     bare = solve_stack(stack, 0j, freqs).reflected_power
     if np.isnan(refl).any() or np.isnan(bare).any():
         raise DegenerateStackError("singular stack inside the spectrum")
-    refl_db, bare_db = _db(refl, DB_FLOOR), _db(bare, DB_FLOOR)
+    refl_db, bare_db = (np.where(p > 0, db(p), DB_FLOOR) for p in (refl, bare))
     return list(zip(freqs.tolist(), refl_db.tolist(), (bare_db - refl_db).tolist()))

@@ -14,7 +14,7 @@ voltage range, then frozen into scenario files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +40,8 @@ class VaractorTable:
     voltages: tuple[float, ...]
     capacitances: tuple[float, ...]
     resistances: tuple[float, ...]
+    #: (voltage, capacitance, resistance) arrays in order of rising voltage
+    knots: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.voltages, dtype=float)
@@ -51,8 +53,10 @@ class VaractorTable:
         if not (np.all(dv > 0) or np.all(dv < 0)):
             raise ValueError("voltages must be strictly monotone without duplicates")
         order = np.argsort(v)
-        if not (np.all(np.diff(c[order]) < 0) and np.all(np.diff(r[order]) < 0)):
+        v, c, r = v[order], c[order], r[order]
+        if not (np.all(np.diff(c) < 0) and np.all(np.diff(r) < 0)):
             raise ValueError("capacitance and resistance must strictly decrease with voltage")
+        object.__setattr__(self, "knots", (v, c, r))
 
     @property
     def voltage_range(self) -> tuple[float, float]:
@@ -64,11 +68,7 @@ def varactor_at(table: VaractorTable, voltage: float) -> tuple[float, float]:
     lo, hi = table.voltage_range
     if not (lo <= voltage <= hi):
         raise ValueError(f"voltage {voltage} V outside table range [{lo}, {hi}] V")
-    v = np.asarray(table.voltages, dtype=float)
-    order = np.argsort(v)
-    v = v[order]
-    c = np.asarray(table.capacitances, dtype=float)[order]
-    r = np.asarray(table.resistances, dtype=float)[order]
+    v, c, r = table.knots
     return float(np.interp(voltage, v, c)), float(np.interp(voltage, v, r))
 
 

@@ -16,8 +16,14 @@ replaced.  The package is imported from this repository's src/: run the
 script from two checkouts and diff the outputs, or pass --against with the
 other checkout, which runs its copy of this script as well and prints only
 the lines that differ, grouped by command and file kind (a link number
-stands as *), with each group's count of moved and compared lines.  This is
-a plain script, not a test.
+stands as *), with each group's count of moved and compared lines.  Every
+run gets this process's environment, NPY_DISABLE_CPU_FEATURES included, so
+the output can also be diffed across numpy's SIMD dispatch settings:
+
+    NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" \
+        python tests/output_digests.py > digests-avx2.txt
+
+This is a plain script, not a test.
 """
 
 from __future__ import annotations

@@ -6,14 +6,21 @@ matrices are unimodular (so transmission is reciprocal), and line matrices
 compose.
 """
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mediamatch.cascade import (DegenerateStackError, StackSpec, solve_stack,
+from mediamatch import cascade, matching
+from mediamatch.cascade import (DB_FLOOR, DegenerateStackError, StackSpec, db, solve_stack,
                                 stack_coefficients, through_power_db)
+from mediamatch.channel import MultipathChannel, gains_db, rss_db
+from mediamatch.matching import SweepGrid, reflection_spectrum, sweep_through_power
 from mediamatch.media import (AIR, Layer, Medium, WATER, fresnel_interface,
                               intrinsic_impedance, phase_constant)
+from mediamatch.scenario import default_water_scenario
 
 import oracles
 
@@ -260,3 +267,80 @@ class TestBroadcast:
             assert _bits(sol.t[i]) == _bits(solve_stack(stack, ys[i], F0).t)
         with pytest.raises(DegenerateStackError):
             solve_stack(stack, ys[1], F0)
+
+
+def _want_db(x: float, factor: float = 10.0) -> float:
+    """The dB rule written out on libm: -inf where not positive, NaN where NaN."""
+    if math.isnan(x):
+        return x
+    return factor * math.log10(x) if x > 0 else -math.inf
+
+
+def _reprs(values) -> list[str]:
+    """repr tells every float apart, -0.0 from 0.0, and shows every NaN alike."""
+    return [repr(float(v)) for v in values]
+
+
+class TestDb:
+    """Every dB value is libm's factor * log10, each caller's rule for values
+    that are not positive or NaN on top of it, bit for bit."""
+
+    XS = (1e-300, 0.5, 1.0, 2.0, 0.0, -1.0, float("nan"), float("inf"))
+
+    def test_rss_db(self):
+        rss = [-math.inf if math.isnan(x) else _want_db(x, 20.0) for x in self.XS]
+        assert _reprs(rss_db(self.XS, None)) == _reprs(rss)
+        assert _reprs([rss_db(x, None) for x in self.XS]) == _reprs(rss)  # 0-d arrays too
+        # the 0.1 dB grid, half to even; a reading that rounds to zero is +0.0
+        grid = [round(v / 0.1) * 0.1 + 0.0 if math.isfinite(v) else v for v in rss]
+        assert _reprs(rss_db(self.XS)) == _reprs(grid)
+
+    def test_gains_db(self):
+        """Channels with no element paths: every configuration's magnitude
+        and its baseline are |h_env|."""
+        responder = default_water_scenario().responder()
+        links = [MultipathChannel(complex(x), np.zeros(1, dtype=complex), responder)
+                 for x in self.XS]
+        config = ((5.0,), np.zeros(1, dtype=np.uint8))
+        mags = [abs(complex(x)) for x in self.XS]
+        gains = [-math.inf if m <= 0 else _want_db(m, 20.0) - _want_db(m, 20.0) for m in mags]
+        got = gains_db(links, [config] * len(links))
+        assert _reprs(got[0]) == _reprs(gains)
+        assert _reprs(got[1]) == _reprs([_want_db(m, 20.0) for m in mags])
+
+    def test_through_power_db(self, monkeypatch):
+        for x in self.XS:
+            monkeypatch.setattr(cascade, "solve_stack",
+                                lambda *args, x=x: SimpleNamespace(through_power=x))
+            assert _reprs([through_power_db(StackSpec(AIR, AIR), 0j, F0)]) == _reprs([_want_db(x)])
+
+    def test_sweep_clamps_at_the_floor(self, monkeypatch):
+        """NaN (a singular point) and powers that are not positive read DB_FLOOR."""
+        monkeypatch.setattr(matching, "solve_stack",
+                            lambda *args: SimpleNamespace(through_power=np.array(self.XS)))
+        grid = SweepGrid("gap_mm", (1.0,), "susceptance_s",
+                         tuple(0.01 * k for k in range(len(self.XS))), F0)
+        want = [max(_want_db(x), DB_FLOOR) if x > 0 else DB_FLOOR for x in self.XS]
+        assert _reprs(sweep_through_power(lambda gap: StackSpec(AIR, AIR), grid)) == _reprs(want)
+
+    def test_spectrum_floors_only_what_is_not_positive(self, monkeypatch):
+        """A tiny positive reflection stays below DB_FLOOR; the bare stack
+        reflects 1 (0 dB), so the reduction is minus the reflection."""
+        xs = [x for x in self.XS if not math.isnan(x)]
+        monkeypatch.setattr(matching, "solve_stack", lambda stack, ys, f: SimpleNamespace(
+            reflected_power=np.ones(len(f)) if ys == 0 else np.array(xs)))
+        freqs = [2.0e9 + 1e8 * k for k in range(len(xs))]
+        got = reflection_spectrum(StackSpec(AIR, AIR), freqs, ys=0.01j)
+        refl = [_want_db(x) if x > 0 else DB_FLOOR for x in xs]
+        assert [f for f, _, _ in got] == freqs
+        assert _reprs(r for _, r, _ in got) == _reprs(refl)
+        assert _reprs(d for _, _, d in got) == _reprs(0.0 - r for r in refl)
+        xs[0] = math.nan  # the patched solve reads xs: a singular reflection
+        with pytest.raises(DegenerateStackError):
+            reflection_spectrum(StackSpec(AIR, AIR), freqs, ys=0.01j)
+
+    @settings(max_examples=200, deadline=None)
+    @given(xs=st.lists(st.floats(0.0, exclude_min=True), max_size=8),
+           factor=st.sampled_from([10.0, 20.0]))
+    def test_positive_values_are_libm_log10(self, xs, factor):
+        assert db(xs, factor).tolist() == [factor * math.log10(x) for x in xs]

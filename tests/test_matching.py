@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mediamatch import cascade, matching
-from mediamatch.cascade import (DB_FLOOR, DegenerateStackError, StackSpec, solve_stack,
+from mediamatch.cascade import (DB_FLOOR, DegenerateStackError, StackSpec, db, solve_stack,
                                 through_power_db)
 from mediamatch.matching import (SweepGrid, best_admittance, best_voltage,
                                  reflection_spectrum, sweep_through_power)
@@ -156,8 +156,7 @@ class TestSweep:
         """The reference sweep: one solve_stack per axis-1 value, floor included."""
         ys = matching._axis_admittances(grid.axis2_name, grid.axis2_values, circuit, F0)
         return np.array([
-            np.maximum(matching._db(solve_stack(stack_family(a1), ys, F0).through_power,
-                                    float("-inf")), DB_FLOOR)
+            np.fmax(db(solve_stack(stack_family(a1), ys, F0).through_power), DB_FLOOR)
             for a1 in grid.axis1_values])
 
     _LOSSY_FAT = FAT.with_conductivity(40.0)

@@ -11,8 +11,12 @@ surface against the load half-space, which no shipped scenario exercises.
 A change that is meant to alter these outputs must say so and re-record them.
 """
 
+import ast
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,7 +91,7 @@ PINNED = {
         "backscatter.csv":
             "fe57635c98a040e2fa9ffcd2309eee92de01abd78569a72f5ab320c3ff785a43",
         "summary":
-            "b37058d3066dee86151ac936d2e5b6210cf60990a282940ee9b71adea1d9143b",
+            "de0d316460f0ce3cf3d6169014f381ae3032b983bbc0fb1350fe38c7b7bfa11d",
     },
     "bench-controller": {
         "bench_controller.csv":
@@ -151,7 +155,7 @@ PINNED = {
         "links.csv":
             "ddbe3dc56221902a888bef0fbaf69a9f75a37914eac875c6e05be7922e5b2327",
         "summary":
-            "da84d4329e509eae725c5148b255de4c0498e4c37c9a7bbd955cb8cbea684697",
+            "7e85c7cfe5b3a490366e551652dda35157b8152b5a67ed1649c2986f80fe480e",
         "traces/link_0000.csv":
             "10d2e37e9a1a1784e308a7dd219a228d8e7f439e30f636807d601f56636bcd0b",
         "traces/link_0001.csv":
@@ -177,7 +181,7 @@ PINNED = {
         "links.csv":
             "714bcf17b6b8d488ffdbfbe38ef200f47725914ab4f81e5eec6777897cb8969e",
         "summary":
-            "dddc2d5e72f3df8b4184e9dcc537328f37a5d8549cd92c623174400fac59fef7",
+            "a3a0afbf2070b8f006731999e6b3f78f7af8ba11bda76634a3cccc9abb03c4d4",
         "traces/link_0000.csv":
             "b707c555e5e14820925d4c19cd20d6a218719062e738ffa65f47625071101b72",
         "traces/link_0001.csv":
@@ -195,9 +199,9 @@ PINNED = {
         "spectrum_admittance.csv":
             "9cba709c8ed1db03a1421918813a600f44b7e321f2511af1be56db3832a4047e",
         "spectrum_voltage.csv":
-            "567c60771a0e791acc29dde8e4d47b2ce79ce54da63375e0e8d45739272b9473",
+            "a8857e062c4c1b1392cb5aec08295c71bc84cd72fdbc2f90924763ea448c8a58",
         "summary":
-            "424435bbfb519e3249d3883cda97665d6c16fe4e6ba36d68d4053632c8acc562",
+            "e4370a723be0f70d32c6b84f4076e4028b8413acf546b30a45e02fa6211bdc8e",
     },
     "match-lossy": {
         "spectrum_admittance.csv":
@@ -205,7 +209,7 @@ PINNED = {
         "spectrum_voltage.csv":
             "83c2cda94934fdded64f681aeca09769924b8077136627b34680f47c9b08d9cf",
         "summary":
-            "3cb77943f624ef5f6e0b81af459ad128db5c6128dc9c2bcb4438b34b3803d872",
+            "2bde6d2e679d520b7d4f490fa6f7e8b63e6aa287536b6d95f759cfcb40a86d3d",
     },
     "match-tissue_depth": {
         "spectrum_admittance.csv":
@@ -213,7 +217,7 @@ PINNED = {
         "spectrum_voltage.csv":
             "073008183d0f0b32cf032cb73a2ec640785653ae802730f62b0f6289a570c989",
         "summary":
-            "a4e743d0343596800b659f942193d4c3559f4c6bac9601b6b1d8a3ce04293efc",
+            "995b2bf0270edd3d5cb027eeea44c875cd2748060dd6e333cc6121b8ec7645f6",
     },
     "match-tissue_fat_capacitance": {
         "spectrum_admittance.csv":
@@ -253,7 +257,7 @@ PINNED = {
         "spectrum_voltage.csv":
             "3acdbd5bc6dd820bc47c006336224fe1f5c5f13d4465e032c8a324125cb404f6",
         "summary":
-            "7932405ba18da8f2803c7a30eafa4f4e1f5ee6093ec9b21eeada40c33cdb85c8",
+            "84362fe39b09abe09c59f5ace9b5100fc95d289c6dbb9f8f2f44726ea41d9944",
     },
     "match-water_gap_heatmap": {
         "spectrum_admittance.csv":
@@ -261,7 +265,7 @@ PINNED = {
         "spectrum_voltage.csv":
             "3acdbd5bc6dd820bc47c006336224fe1f5c5f13d4465e032c8a324125cb404f6",
         "summary":
-            "7932405ba18da8f2803c7a30eafa4f4e1f5ee6093ec9b21eeada40c33cdb85c8",
+            "84362fe39b09abe09c59f5ace9b5100fc95d289c6dbb9f8f2f44726ea41d9944",
     },
     "match-water_match": {
         "spectrum_admittance.csv":
@@ -269,7 +273,7 @@ PINNED = {
         "spectrum_voltage.csv":
             "3acdbd5bc6dd820bc47c006336224fe1f5c5f13d4465e032c8a324125cb404f6",
         "summary":
-            "7932405ba18da8f2803c7a30eafa4f4e1f5ee6093ec9b21eeada40c33cdb85c8",
+            "84362fe39b09abe09c59f5ace9b5100fc95d289c6dbb9f8f2f44726ea41d9944",
     },
     "sweep-at_load": {
         "summary":
@@ -285,7 +289,7 @@ PINNED = {
     },
     "sweep-lossy": {
         "summary":
-            "aa48393541e5a9e15e1dd2fa81b9375dded826566d93c865ba055c7c4bfd8a7f",
+            "49bf66b9bd2c3cebb27cdc27e02e84e2b821dba3cde172f4c122eedc301db7c2",
         "sweep_gap_mm_capacitance_pf.csv":
             "6558fbbd2d33750ccb2c0b82cdab5450770a560c3018b1feb082ee08285ff7da",
         "sweep_gap_mm_susceptance_s.csv":
@@ -311,19 +315,19 @@ PINNED = {
     },
     "sweep-tissue_fat_heatmap": {
         "summary":
-            "e8532007d907a28109e04c48039f7ce732e4ab0a8b3f59e2cf2e3a14d6ace26a",
+            "34fa528a678ab7ff72179d7014ce53b81e9bb405c2f4f7510457e6fc01dfb444",
         "sweep_fat_mm_susceptance_s.csv":
             "82596048038a6e413e0b93bb30d12ecd6892a0b2c8dc89635d5fdc8d434d9609",
     },
     "sweep-tissue_gap_heatmap": {
         "summary":
-            "b74afd883d02cca88ad320883494511d25c1c0fc5768cbf37e6255ccdf7054c9",
+            "1ef006536a0ab7f43bdf54f002ea76c5c2ff47bf0bffe57109b38c4abcd5a904",
         "sweep_gap_mm_susceptance_s.csv":
             "7a8c64f629d6c41b9622511056f6df11f2382cb5d0af295e26e4910d2c3fbece",
     },
     "sweep-tissue_match": {
         "summary":
-            "7e0aa21ee6256efb658e852b8847818568d2086623e1f16a41ff7f157490faa8",
+            "2e0a3a2540cc652d0236e643a2efa070db1da9909e9612295494e5be0b2bcc7b",
         "sweep_fat_mm_capacitance_pf.csv":
             "1f7da0c4c65d1ca6f2816c28f8f1e7680048e01b369e20110c5ae7f8b857982d",
         "sweep_fat_mm_susceptance_s.csv":
@@ -341,13 +345,13 @@ PINNED = {
     },
     "sweep-water_gap_heatmap": {
         "summary":
-            "60af9ed5ada9ec59cbb61ecaccde52041773afad02993d545ca586d05e7e93fb",
+            "67a001bc0c8a5b0ae27efa8d34e1bdc6aea013cd0a87c63532fa1fe58b90fbe8",
         "sweep_gap_mm_susceptance_s.csv":
             "e4f8106fc1a9f7c126527be146ed47cd80416e948dc7ce5bdb0fc4f88ed36ac1",
     },
     "sweep-water_match": {
         "summary":
-            "e2565282261d71406beb7efa399562967f9986508d9a3b19a327ada9575fe728",
+            "25501214c75b56435b8ce444e5feaab92ac0dc1885bc4067ee90f39d36905a18",
         "sweep_gap_mm_capacitance_pf.csv":
             "44ae07ddca49542220b74d768a414147734622eeb6fae8640ddf1a26971e9178",
         "sweep_gap_mm_susceptance_s.csv":
@@ -368,6 +372,24 @@ def test_csv_outputs_byte_identical(tmp_path, run):
     # floats render with repr, so the canonical JSON changes with any bit
     got["summary"] = _sha256(json.dumps(report.summary, sort_keys=True).encode())
     assert got == PINNED[run]
+
+
+def test_pins_hold_under_avx2_dispatch():
+    """The pinned runs give PINNED with numpy's AVX-512 kernels turned off.
+
+    The process-local NPY_DISABLE_CPU_FEATURES makes numpy in a subprocess
+    dispatch as on an AVX2-only (x86-64-v3) CPU, and the printer below runs
+    every pinned run there.  On a host without AVX-512 the variable disables
+    nothing and this test checks nothing new.  CPUs without X86_V3 (AVX2/FMA)
+    are out of scope: there numpy's complex multiply and abs still move bits,
+    so x86-64-v3 is the floor the pins hold from.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True,
+                          check=True, timeout=600)
+    assert ast.literal_eval(done.stdout.removeprefix("PINNED = ")) == PINNED
 
 
 if __name__ == "__main__":
