@@ -26,7 +26,7 @@ links = run_controllers(FeedbackOracle(downs, ups), scenario.n_elements,
 down, _, both = gains_db(downs, links.configs(), ups).tolist()  # one call, both directions
 for i, (one, two) in enumerate(zip(down, both)):
     print(f"  link {i}: one-way {one:+6.2f} dB, backscatter {two:+6.2f} dB "
-          f"(= 2x to {abs(two - 2 * one):.1e})")
+          f"(= 2x within 1e-12: {abs(two - 2 * one) < 1e-12})")
 
 print("\nendpoint depth inside a conductive load (tissue stack, sigma = 1 S/m):")
 depth_scenario = load_scenario(Path(__file__).parent.parent / "scenarios/tissue_depth.json")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import DegenerateStackError, StackSpec, db, solve_stack
+from .cascade import DegenerateStackError, StackSpec, _scalar_times, db, solve_stack
 from .surface import ElementCircuit, admittance_at_voltage
 
 
@@ -120,6 +120,13 @@ class ChannelStack:
         self.phase_jitter = None if channels[0].phase_jitter is None else \
             np.stack([c.phase_jitter for c in channels])
 
+    def __getitem__(self, links) -> "ChannelStack":
+        """The stack of the links an index array picks."""
+        sub = copy.copy(self)
+        sub.h_env, sub.h_elements = self.h_env[links], self.h_elements[links]
+        sub.phase_jitter = None if self.phase_jitter is None else self.phase_jitter[links]
+        return sub
+
 
 #: Probe rows per composite_channels block at N = 1024.  A block holds whole
 #: links, or rows of one link, of at most PROBE_BLOCK x 1024 complex values
@@ -128,6 +135,27 @@ class ChannelStack:
 #: stage 2 of 8 x 8 links four links at a time.
 PROBE_BLOCK = 32
 _BLOCK_VALUES = PROBE_BLOCK * 1024
+
+
+def _checked(channels: ChannelStack, levels, index) -> tuple:
+    """The probe kernels' input checks: returns the index array and s(V) tables."""
+    index, h = np.asarray(index), channels.h_elements
+    if index.dtype.kind not in "iu":
+        raise ValueError(f"index must be of an integer dtype, got {index.dtype}")
+    if index.ndim != 3 or index.shape[2] != h.shape[1]:
+        raise ValueError(f"config length {index.shape[-1]} != channel N {h.shape[1]}")
+    if len(index) != len(h) or len(levels) != len(h):
+        raise ValueError(f"{len(index)} links of probes and {len(levels)} alphabets "
+                         f"for {len(h)} channels")
+    if channels.responder is None:
+        raise ValueError("channel has no element responder attached")
+    tables = [channels.responder.table(tuple(lv)) for lv in levels]
+    # mode="clip" gathers, a lone row's negative entry and packbits (any entry
+    # past 0 reads 1) would pass: check each entry against its own alphabet
+    if index.size and (index.min() < 0 or np.any(
+            index.reshape(len(h), -1).max(axis=1) >= [len(t) for t in tables])):
+        raise IndexError("index entries must lie in [0, len(levels)) of their link")
+    return index, tables
 
 
 def composite_channels(channels: ChannelStack, levels, index) -> np.ndarray:
@@ -142,27 +170,12 @@ def composite_channels(channels: ChannelStack, levels, index) -> np.ndarray:
     a lone row takes as a vector, so every entry equals the one-row result bit
     for bit, whatever links and rows share its block.
     """
-    index = np.asarray(index)
+    index, tables = _checked(channels, levels, index)
     h_env, h, jitter = channels.h_env[:, None], channels.h_elements, channels.phase_jitter
-    if index.dtype.kind not in "iu":
-        raise ValueError(f"index must be of an integer dtype, got {index.dtype}")
-    if index.ndim != 3 or index.shape[2] != h.shape[1]:
-        raise ValueError(f"config length {index.shape[-1]} != channel N {h.shape[1]}")
-    if len(index) != len(h) or len(levels) != len(h):
-        raise ValueError(f"{len(index)} links of probes and {len(levels)} alphabets "
-                         f"for {len(h)} channels")
-    if channels.responder is None:
-        raise ValueError("channel has no element responder attached")
     n_links, n_rows, n = index.shape
-    tables = [channels.responder.table(tuple(lv)) for lv in levels]
     rows = max(1, min(n_rows, _BLOCK_VALUES // max(n, 1)))
     links = max(1, _BLOCK_VALUES // max(n * n_rows, 1)) if rows == n_rows else 1
     out = np.empty((n_links, n_rows), dtype=complex)
-    # blocks gather with mode="clip" and a lone row would wrap a negative
-    # entry: check every entry once against its own link's alphabet
-    if index.size and (index.min() < 0 or np.any(
-            index.reshape(n_links, -1).max(axis=1) >= [len(t) for t in tables])):
-        raise IndexError("index entries must lie in [0, len(levels)) of their link")
     if n_links * n_rows > 1:
         buffer = np.empty(min(links, n_links) * rows * n, dtype=complex)
     for l0 in range(0, n_links, links):
@@ -185,6 +198,59 @@ def composite_channels(channels: ChannelStack, levels, index) -> np.ndarray:
             s *= h[ls, None]
             s.sum(axis=2, out=out[ls, r0:r0 + rows])
     out += h_env
+    return out
+
+
+#: N from which FeedbackOracle reads links over at most two levels with
+#: onoff_channels (16 x 16; the crossover is in BENCH_onoff_tables.json).
+ONOFF_MIN_ELEMENTS = 256
+#: Probe rows per onoff_channels block (temporaries of 25 bytes per row and group).
+ONOFF_ROWS = 256
+
+
+def onoff_channels(channels: ChannelStack, levels, index) -> np.ndarray:
+    """composite_channels over alphabets of at most two levels, read from
+    per-byte subset-sum tables; same checks and errors, other last bits.
+
+    Its arithmetic is its definition.  q_i = h_i u_i (u the phase jitter, or
+    q = h), zero-padded to G = ceil(N/8) groups of 8; s0, s1 are the levels'
+    responses (s0 twice for one level).  Group g's table holds, for c = 0..255,
+    T_g[c] = s_{bit j of c} q_{8g+j} added in order j = 0..7, each complex
+    product by cascade._scalar_times.  A row reads h_env + np.sum of T_g[byte
+    g of np.packbits(row, bitorder="little")] over g: its link's channel,
+    alphabet and row alone fix it.  Tables take 512 N bytes per link.
+    """
+    index, tables = _checked(channels, levels, index)
+    if max(map(len, tables)) > 2:
+        raise ValueError("onoff_channels reads alphabets of at most two levels")
+    h, jitter, (n_links, n_rows, n) = channels.h_elements, channels.phase_jitter, index.shape
+    q = np.pad(h if jitter is None else _scalar_times(h, jitter), ((0, 0), (0, -n % 8)))
+    groups, out = q.shape[1] // 8, np.empty((n_links, n_rows), dtype=complex)
+    for link, s in enumerate(tables):
+        terms = np.ascontiguousarray(  # [g, j, b]: s_b q_{8g+j}
+            _scalar_times(s[[0, -1], None], q[link]).reshape(2, groups, 8).transpose(1, 2, 0))
+        t = terms[:, 0]
+        for j in range(1, 8):  # entry b 2^j + c: entry c of bits 0..j-1 plus s_b q_{8g+j}
+            t = (t[:, None, :] + terms[:, j, :, None]).reshape(groups, -1)
+        for r0 in range(0, n_rows, ONOFF_ROWS):
+            packed = np.packbits(index[link, r0:r0 + ONOFF_ROWS], axis=1, bitorder="little")
+            t.take(packed + np.arange(0, 256 * groups, 256)).sum(
+                axis=1, out=out[link, r0:r0 + ONOFF_ROWS])
+    return out + channels.h_env[:, None]
+
+
+def _probe_channels(channels: ChannelStack, levels, index) -> np.ndarray:
+    """FeedbackOracle's read: onoff_channels for the links over at most two
+    levels from ONOFF_MIN_ELEMENTS on, composite_channels for the others."""
+    tables = channels.h_elements.shape[1] >= ONOFF_MIN_ELEMENTS
+    onoff = [tables and len(lv) <= 2 for lv in levels]
+    if len(set(onoff)) < 2:
+        return (onoff_channels if all(onoff) else composite_channels)(channels, levels, index)
+    index = _checked(channels, levels, index)[0]
+    out = np.empty(index.shape[:2], dtype=complex)
+    for kernel, links in ((onoff_channels, np.flatnonzero(onoff)),
+                          (composite_channels, np.flatnonzero(np.logical_not(onoff)))):
+        out[links] = kernel(channels[links], [levels[k] for k in links], index[links])
     return out
 
 
@@ -221,8 +287,11 @@ class FeedbackOracle:
     squared.  ``batch(levels, index, rows)`` reads L alphabets and an
     (L, n, N) index stack as (L, n) readings; the first rows[l] rows of link
     l (all by default) are probes and the rest padding, read without noise
-    and not counted.  Probe i of a batch reads exactly what the i-th of as
-    many one-row batches would, noise included.
+    and not counted.  A link reads its channel values from onoff_channels
+    when its alphabet has at most two levels and N >= ONOFF_MIN_ELEMENTS,
+    else from composite_channels; either value depends only on the link's
+    channel, alphabet and row, so probe i of a batch reads exactly what the
+    i-th of as many one-row batches would, noise included.
 
     Noise, added to the downlink only, is complex Gaussian with power
     10^(noise_db/10) relative to a unit-magnitude channel.  Each link draws it
@@ -253,7 +322,7 @@ class FeedbackOracle:
         return other
 
     def batch(self, levels, index, rows=None) -> np.ndarray:
-        h = composite_channels(self.downlink, levels, index)
+        h = _probe_channels(self.downlink, levels, index)
         rows = [h.shape[1]] * len(h) if rows is None else list(rows)
         if self.noise is not None:
             s = np.sqrt(10.0 ** (self.noise_db / 10.0) / 2.0)
@@ -264,7 +333,7 @@ class FeedbackOracle:
         if self.uplink is self.downlink:
             magnitude = magnitude * magnitude
         elif self.uplink is not None:
-            up = composite_channels(self.uplink, levels, index)
+            up = _probe_channels(self.uplink, levels, index)
             magnitude = magnitude * np.hypot(up.real, up.imag)
         return rss_db(magnitude, self.quantization_db)
 

@@ -129,6 +129,32 @@ def reference_stage2(seed, link, n_configs, n_groups, rss):
     return masks, on
 
 
+def reference_onoff_channel(h_env, h, jitter, s0, s1, row):
+    """An on/off probe's channel value, from the subset-sum table rule.
+
+    q_i = h_i u_i (u the phase jitter, or q = h when jitter is None), padded
+    with zeros to whole groups of 8 elements whose padded row entries read 0.
+    Each group sums s_{row[i]} q_i over its 8 elements in order, every complex
+    product written as four real multiplies; the value is np.sum of the group
+    sums, plus h_env.
+    """
+    def times(a, b):
+        return complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+    q = [complex(x) if jitter is None else times(complex(x), complex(u))
+         for x, u in zip(h, h if jitter is None else jitter)]
+    q += [0j] * (-len(q) % 8)
+    row = [int(r) for r in row] + [0] * (-len(row) % 8)
+    sums = []
+    for g in range(0, len(q), 8):
+        terms = [times(s1 if row[i] else s0, q[i]) for i in range(g, g + 8)]
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        sums.append(total)
+    return np.sum(np.array(sums)) + h_env
+
+
 # ---------------------------------------------------------------------------
 # golden heatmaps: through power (dB) for gap/fat vs susceptance grids
 

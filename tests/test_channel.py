@@ -8,7 +8,7 @@ import pytest
 from mediamatch.cascade import StackSpec
 from mediamatch.channel import (ChannelStack, ElementResponder, FeedbackOracle,
                                 MultipathChannel, baseline_channel, composite_channels,
-                                gains_db, sample_channel)
+                                gains_db, onoff_channels, sample_channel)
 from mediamatch.control import run_controllers
 from mediamatch.media import AIR
 from mediamatch.scenario import default_water_scenario
@@ -23,11 +23,11 @@ def uniform(voltage, n):
     return (float(voltage),), np.zeros(n, dtype=np.uint8)
 
 
-def composite(channel, cfg):
+def composite(channel, cfg, kernel=composite_channels):
     """The composite channel of one configuration, through a one-row stack."""
     levels, row = cfg
     index = np.asarray(row)[None, None]
-    return complex(composite_channels(ChannelStack(channel), [levels], index)[0, 0])
+    return complex(kernel(ChannelStack(channel), [levels], index)[0, 0])
 
 
 def reading(oracle, cfg):
@@ -92,6 +92,23 @@ class TestConfigIndex:
     def test_non_integer_index_rejected(self, responder, index):
         with pytest.raises(ValueError, match="integer dtype"):
             composite(self.channel(responder, len(index)), ((1.0, 2.0, 3.0), index))
+
+    @pytest.mark.parametrize("levels,index,error", [
+        *[((30.0, 15.0, 0.0), index, IndexError)
+          for index in ([-1, 0], [0, 3], np.array([256], np.uint16), [300])],
+        *[((1.0, 2.0, 3.0), index, ValueError)
+          for index in ([1.5], [1.0, 0.0], [True], np.array([False, True]))],
+        ((30.0, 0.0), [0, 2], IndexError), ((30.0,), [0, 1], IndexError)])
+    def test_onoff_kernel_rejects_alike(self, responder, levels, index, error):
+        """onoff_channels runs composite_channels' input checks, so the cases
+        above raise the same errors from both; so does an entry of 2 under two
+        levels (or of 1 under one), which packbits alone would read as 1."""
+        messages = []
+        for kernel in (composite_channels, onoff_channels):
+            with pytest.raises(error) as raised:
+                composite(self.channel(responder, len(index)), (levels, index), kernel)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
     def test_bool_index_rejected_in_blocks(self, responder):
         """Rows of a block are not read as indices 0/1 either (a lone row is

@@ -23,8 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mediamatch import harness
-from mediamatch.channel import (PROBE_BLOCK, ChannelStack, FeedbackOracle,
-                                composite_channels, gains_db, sample_channel)
+from mediamatch.channel import (ONOFF_MIN_ELEMENTS, ONOFF_ROWS, PROBE_BLOCK, ChannelStack,
+                                FeedbackOracle, composite_channels, gains_db, onoff_channels,
+                                rss_db, sample_channel)
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, brute_force_baseline,
                                 column_groups, run_controllers)
 from mediamatch.harness import (cmd_backscatter, cmd_bench_controller, cmd_links, run_links,
@@ -32,6 +33,7 @@ from mediamatch.harness import (cmd_backscatter, cmd_bench_controller, cmd_links
 from mediamatch.scenario import (CHANNEL_STREAM, NOISE_STREAM, UPLINK_STREAM, VOTING_STREAM,
                                  default_water_scenario, link_stream, scenario_from_dict)
 
+import oracles
 import per_probe
 
 REPO = Path(__file__).resolve().parent.parent
@@ -113,6 +115,73 @@ class TestStackedComposite:
             ChannelStack(_channels(1, 3) + _channels(1, 4))
         with pytest.raises(ValueError):
             ChannelStack(_channels(1, 3) + _channels(1, 3, jitter=0.3))
+
+
+class TestOnoffTables:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.one_of(st.sampled_from([256, 257, 263, 1024]), st.integers(256, 1100)),
+           n_links=st.integers(1, 3), n_levels=st.sampled_from([1, 2]),
+           jitter=st.sampled_from([0.0, 0.3]), env_power=st.sampled_from([0.0, 0.25]),
+           n_rows=st.sampled_from([1, 2, 5, ONOFF_ROWS + 1, 2 * ONOFF_ROWS + 3]),
+           seed=st.integers(0, 2 ** 31))
+    def test_values_follow_the_table_rule(self, n, n_links, n_levels, jitter, env_power,
+                                          n_rows, seed):
+        """Every value equals the referee's bit for bit, in every block: rows
+        are drawn from three per link, so rows past ONOFF_ROWS repeat earlier
+        ones and are checked too."""
+        rng = np.random.default_rng(seed)
+        channels = [sample_channel(seed + k, n, env_power=env_power, element_power=1.0 / n,
+                                   responder=responder(), phase_jitter_std=jitter)
+                    for k in range(n_links)]
+        levels = [tuple(rng.choice(VS, n_levels, replace=False).tolist()) for _ in channels]
+        distinct = rng.integers(0, n_levels, (n_links, 3, n)).astype(np.uint8)
+        pick = rng.integers(0, 3, n_rows)
+        got = onoff_channels(ChannelStack(channels), levels, distinct[:, pick])
+        for c, lv, rows, values in zip(channels, levels, distinct, got):
+            s = responder().table(lv)
+            want = [oracles.reference_onoff_channel(c.h_env, c.h_elements, c.phase_jitter,
+                                                    s[0], s[-1], row) for row in rows]
+            assert _bits(values) == _bits(np.array(want)[pick])
+
+    @pytest.mark.parametrize("n", [ONOFF_MIN_ELEMENTS - 1, ONOFF_MIN_ELEMENTS])
+    def test_oracle_routes_each_link(self, n):
+        """From ONOFF_MIN_ELEMENTS on, the oracle reads a link over one or two
+        levels from the tables and a longer alphabet by composite_channels,
+        both within one call; below it every link takes composite_channels."""
+        channels, levels = _channels(3, n), [(30.0, 0.0), VS, (20.0,)]
+        sizes = np.array([len(lv) for lv in levels])[:, None, None]
+        index = np.random.default_rng(n).integers(0, sizes, (3, 8, n)).astype(np.uint8)
+
+        def read(kernel, k):
+            h = kernel(ChannelStack(channels[k]), [levels[k]], index[k, None])[0]
+            return rss_db(np.hypot(h.real, h.imag), None)
+
+        got = FeedbackOracle(channels, quantization_db=None).batch(levels, index)
+        tables = n >= ONOFF_MIN_ELEMENTS
+        want = [read(onoff_channels if tables and k != 1 else composite_channels, k)
+                for k in range(3)]
+        assert _bits(got) == _bits(np.array(want))
+        if tables:  # the kernels differ in last bits here, so the route shows
+            assert _bits(want[0]) != _bits(read(composite_channels, 0))
+
+    def test_out_of_range_index_rejected(self):
+        """onoff_channels checks entries as composite_channels does; an entry
+        of 2 under two levels raises, though packbits would read it as 1."""
+        stack = ChannelStack(_channels(2, 3))
+        for levels in ([(30.0, 0.0)] * 2, [(30.0, 0.0), VS], [VS, (30.0, 0.0)]):
+            index = np.zeros((2, 2, 3), np.uint8)
+            index[levels.index((30.0, 0.0)), 1, 2] = 2
+            with pytest.raises(IndexError):
+                onoff_channels(stack, levels, index)
+        with pytest.raises(IndexError):
+            onoff_channels(ChannelStack(_channels(1, 3)), [VS], np.array([[[-1, 0, 0]]]))
+        oracle, index = FeedbackOracle(_channels(1, ONOFF_MIN_ELEMENTS)), np.zeros(
+            (1, 1, ONOFF_MIN_ELEMENTS), np.uint8)
+        index[0, 0, 5] = 2
+        with pytest.raises(IndexError, match="index entries"):
+            oracle.batch([(30.0, 0.0)], index)
+        with pytest.raises(ValueError, match="at most two levels"):
+            onoff_channels(stack, [VS] * 2, np.zeros((2, 1, 3), np.uint8))
 
 
 class TestStackedOracles:

@@ -6,7 +6,8 @@ per-link traces and channel dumps, backscatter.csv, bench_controller.csv,
 the match spectra or the sweep heatmaps, and on any change of a value in the
 command's RunReport summary (summary.txt is left out: it embeds the absolute
 artifact paths).  Besides the shipped scenarios they cover the feedback-noise,
-phase-jitter, separate-uplink and 16x16 paths, a lossy gap and load, and a
+phase-jitter, separate-uplink, 16x16, 17x17, 24x24 and 32x32 paths (from 16x16
+on, on/off probes are read from subset-sum tables), a lossy gap and load, and a
 surface against the load half-space, which no shipped scenario exercises.
 A change that is meant to alter these outputs must say so and re-record them.
 """
@@ -74,6 +75,13 @@ RUNS = {
     "links-jitter": lambda out: cmd_links(_variant("jitter", {"phase_jitter_std": 0.3}), out, 4),
     "links-16x16": lambda out: cmd_links(
         _variant("16x16", array_rows=16, array_cols=16), out, 4),
+    "links-32x32": lambda out: cmd_links(
+        _variant("32x32", array_rows=32, array_cols=32), out, 2),
+    "links-17x17": lambda out: cmd_links(
+        _variant("17x17", {"noise_db": -20.0, "phase_jitter_std": 0.3},
+                 array_rows=17, array_cols=17), out, 2),
+    "backscatter-24x24": lambda out: cmd_backscatter(
+        _variant("24x24", {"reciprocal_uplink": False}, array_rows=24, array_cols=24), out, 2),
     **{f"match-{name}": (lambda out, make=make: cmd_match(make(), out))
        for name, make in PHYSICS.items()},
     **{f"sweep-{name}": (lambda out, make=make: cmd_sweep(make(), out))
@@ -81,6 +89,12 @@ RUNS = {
 }
 
 PINNED = {
+    "backscatter-24x24": {
+        "backscatter.csv":
+            "35216e32fd8ef31cd55bcddbb708d0ea105bad5f048d277739679cd753470e1a",
+        "summary":
+            "1002f2c09830fcc056e6028371efe6ebd32814d459fffcfbc8a2aef8412399a4",
+    },
     "backscatter-uplink": {
         "backscatter.csv":
             "bdc0f57fe297a1026a41449b56ea966324bd5e2f4d5dfd777e4009f3da0f81bf",
@@ -120,6 +134,34 @@ PINNED = {
             "14af97d1863b45105e781fb1e7f6a97ff974617e5b3071044118c7199ff6297f",
         "traces/link_0003.csv":
             "32971154ee801f278fcb1e6c06a1c4cecf8ab8c9c825499c5a156528a966fbea",
+    },
+    "links-17x17": {
+        "channels/link_0000.csv":
+            "82b4b53e07fb83f5f4398e10d2a9f5b300a4586f05253adad75dcaaf3dacc6a9",
+        "channels/link_0001.csv":
+            "70544150c383a36373ec02a601367605b6760b2c466bf3bb071e5f1f7fc996d7",
+        "links.csv":
+            "c6099c9d5fbca29980da3bd290a2f5ee9fcb63c7da6174a72e92d17755635784",
+        "summary":
+            "eefb26e5ebeb3265e26ed0e2b29f2c8ed1324de849789fb360734ded778a0df8",
+        "traces/link_0000.csv":
+            "4bd409a89916618ebb505969f5b88b3ab2aea0a47b5c6b285e8c746455b96337",
+        "traces/link_0001.csv":
+            "606411b929e0162fa61ecd8e4f019f9628d5f7bd1e7db70c9087a10df1126d31",
+    },
+    "links-32x32": {
+        "channels/link_0000.csv":
+            "63069797b7fa31792a4eddea227f727b2807d7557d08bfe5583af77c2213e20e",
+        "channels/link_0001.csv":
+            "f16b0160aee5d96dccd80d7f93f991fb0feabf0857b24158c690cc4315d11fef",
+        "links.csv":
+            "4404cef31d52593341654e64c58fce93a4ef8f9b9d22de7104b62ecd04f3d959",
+        "summary":
+            "8fc69a7407d627ddad62599fe83db685cfc758a933147bd07e33d164c1410355",
+        "traces/link_0000.csv":
+            "ff52804d5cd29374fb4a902222dd672a40895e6de870e2685c03975ab13cf21f",
+        "traces/link_0001.csv":
+            "576578d8dec09278171157815a3d60f9500ba26911d243e02d0659525f08eef1",
     },
     "links-jitter": {
         "channels/link_0000.csv":
