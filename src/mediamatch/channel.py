@@ -150,9 +150,9 @@ def _checked(channels: ChannelStack, levels, index) -> tuple:
     if channels.responder is None:
         raise ValueError("channel has no element responder attached")
     tables = [channels.responder.table(tuple(lv)) for lv in levels]
-    # mode="clip" gathers, a lone row's negative entry and packbits (any entry
-    # past 0 reads 1) would pass: check each entry against its own alphabet
-    if index.size and (index.min() < 0 or np.any(
+    # mode="clip" gathers, a lone row's negative entry and packbits (any entry past 0
+    # reads 1) would pass: check each entry against its own alphabet (and >= 0 if signed)
+    if index.size and (index.dtype.kind == "i" and index.min() < 0 or np.any(
             index.reshape(len(h), -1).max(axis=1) >= [len(t) for t in tables])):
         raise IndexError("index entries must lie in [0, len(levels)) of their link")
     return index, tables

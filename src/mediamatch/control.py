@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .table import table_text
+
 #: Control voltage alphabet (descending).  The hardware bias range allows
 #: finer steps; these levels cover the realizable susceptance span.
 DEFAULT_VOLTAGE_SET = (30.0, 20.0, 15.0, 10.0, 5.0, 2.5, 0.0)
@@ -71,6 +73,9 @@ def config_hash(voltages) -> str:
     head = struct.pack("<II", len(words), k) + levels[order].tobytes()
     return hashlib.sha256(head + body.tobytes()).hexdigest()[:12]
 
+
+#: A trace's CSV header and row template (see table.py).
+TRACE_TABLE = ("stage,probe_index,config_hash,rss_db", "%s,%s,%s,%.10g")
 
 #: Probe rows hashed per block in _digests.
 HASH_BLOCK = 256
@@ -152,17 +157,13 @@ class ControlTrace:
         return sum(len(rss) for *_, rss in self.blocks)
 
     def serialize(self) -> str:
-        """Records stage,probe_index,config_hash,rss_db; one line template per block."""
-        parts, first = ["stage,probe_index,config_hash,rss_db\n"], 0
+        """The trace as CSV text, one TRACE_TABLE row per probe."""
+        stages, hashes, readings = [], [], []
         for stage, levels, index, rss in self.blocks:
-            n = len(rss)
-            values = [stage] * (4 * n)
-            values[1::4] = range(first, first + n)
-            values[2::4] = _digests(levels, index)
-            values[3::4] = rss.tolist()
-            parts.append("%d,%d,%s,%.10g\n" * n % tuple(values))
-            first += n
-        return "".join(parts)
+            stages += [stage] * len(rss)
+            hashes += _digests(levels, index)
+            readings += rss.tolist()
+        return table_text(*TRACE_TABLE, [stages, range(len(stages)), hashes, readings])
 
 
 class LinkBatch:

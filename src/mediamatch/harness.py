@@ -9,14 +9,11 @@ column name), run by _link_command; run_links writes its links' files.
 
 Medians and percentiles use the lower-interpolation rule throughout
 (numpy percentile method="lower").
-
-CSV numbers: a float (numpy float64 included) is written format(x, ".12g"),
-an int or a string str(x), a trace's rss_db format(x, ".10g").  table_text
-renders whole columns through one line template and one ``%`` over all values.
 """
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import copy
 from dataclasses import dataclass, field
@@ -31,6 +28,7 @@ from .control import (ControlTrace, LinkBatch, brute_force_baseline, check_enume
 from .matching import SweepGrid, best_admittance, best_voltage, reflection_spectrum, sweep_through_power
 from .scenario import (CHANNEL_STREAM, NOISE_STREAM, UPLINK_STREAM, VOTING_STREAM, Scenario,
                        link_stream)
+from .table import write_table
 
 
 class BudgetError(RuntimeError):
@@ -63,32 +61,6 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _column(values) -> tuple[str, list]:
-    """A column's format and values: '%.12g' if every value is a float, else
-    '%s' with any float in it rendered by format(x, ".12g")."""
-    if isinstance(values, np.ndarray) and values.dtype == np.float64:
-        return "%.12g", values.tolist()
-    values = list(values)
-    if all(isinstance(x, float) for x in values):
-        return "%.12g", values
-    return "%s", [format(x, ".12g") if isinstance(x, float) else x for x in values]
-
-
-def table_text(header: str, columns) -> str:
-    """CSV text of equal-length columns (a sequence of them) under a header."""
-    formats, columns = zip(*map(_column, columns)) if len(columns) else ((), ((),))
-    flat = [None] * (len(columns) * len(columns[0]))
-    for k, column in enumerate(columns):
-        flat[k::len(columns)] = column
-    return header + "\n" + (",".join(formats) + "\n") * len(columns[0]) % tuple(flat)
-
-
-def write_table(path: Path, header: str, columns) -> str:
-    """Write table_text(header, columns) to path (whose folder must exist)."""
-    path.write_text(table_text(header, columns), encoding="utf-8", newline="\n")
-    return str(path)
-
-
 def _finish(report: RunReport, out_dir: Path) -> RunReport:
     (out_dir / "summary.txt").write_text(report.render(), encoding="utf-8", newline="\n")
     return report
@@ -105,6 +77,12 @@ def validate_trace(trace: ControlTrace, n_voltages: int, n_stage2: int) -> None:
 
 # ---------------------------------------------------------------------------
 # match
+
+#: Header and row template (see table.py) of a spectrum, a heatmap and a channel dump.
+_SPECTRUM = ("frequency_hz,reflection_db,reduction_db", "%.12g,%.12g,%.12g")
+_SWEEP = ("axis1,axis2,through_power_db", "%s,%s,%.12g")
+_CHANNEL_DUMP = ("path,re,im", "%s,%.12g,%.12g")
+
 
 def cmd_match(scenario: Scenario, out_dir) -> RunReport:
     """Continuous + voltage matching and the reflection-reduction spectra."""
@@ -124,7 +102,7 @@ def cmd_match(scenario: Scenario, out_dir) -> RunReport:
     for name, spectrum in (("admittance", spectrum_a), ("voltage", spectrum_v)):
         fr, refl, red = zip(*spectrum)
         report.csv_paths.append(write_table(
-            out_dir / f"spectrum_{name}.csv", "frequency_hz,reflection_db,reduction_db",
+            out_dir / f"spectrum_{name}.csv", *_SPECTRUM,
             [fr, [max(r, DB_FLOOR) for r in refl], red]))
 
     at_f0 = min(spectrum_a, key=lambda row: abs(row[0] - f))
@@ -160,17 +138,17 @@ def cmd_sweep(scenario: Scenario, out_dir) -> RunReport:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     axes = {a: np.asarray(scenario.sweeps[a], dtype=float) for pair in pairs for a in pair}
-    # each axis value formatted once, to the text table_text gives a float; the
-    # axis columns repeat references to these strings, not one string per cell
+    # each axis value formatted once as a float cell is; the axis columns are
+    # text columns repeating references to these strings, not one per cell
     text = {a: ["%.12g" % x for x in v.tolist()] for a, v in axes.items()}
     for a1, a2 in pairs:
         v1, v2 = axes[a1], axes[a2]
         grid = SweepGrid(a1, tuple(v1), a2, tuple(v2), scenario.frequency)
         matrix = sweep_through_power(lambda v: scenario.stack(**{a1: v}), grid,
                                      circuit=scenario.circuit)
-        report.csv_paths.append(write_table(
-            out_dir / f"sweep_{a1}_{a2}.csv", "axis1,axis2,through_power_db",
-            [[s for s in text[a1] for _ in range(len(v2))], text[a2] * len(v1), matrix.ravel()]))
+        axis1 = [s for s in text[a1] for _ in text[a2]]
+        report.csv_paths.append(write_table(out_dir / f"sweep_{a1}_{a2}.csv", *_SWEEP,
+                                            [axis1, text[a2] * len(v1), matrix.ravel().tolist()]))
         report.summary[f"max_db[{a1}x{a2}]"] = float(matrix.max())
     return _finish(report, out_dir)
 
@@ -250,7 +228,7 @@ def run_links(scenario: Scenario, responder, indices, mode: str, out_dir: Path) 
                      *(trace.stage_probe_count(s) for s in (1, 2, 3))))
         (out_dir / f"traces/link_{i:04d}.csv").write_text(trace.serialize(), encoding="utf-8",
                                                           newline="\n")
-        write_table(out_dir / f"channels/link_{i:04d}.csv", "path,re,im", dump)
+        write_table(out_dir / f"channels/link_{i:04d}.csv", *_CHANNEL_DUMP, dump)
     return rows
 
 
@@ -277,30 +255,31 @@ def _batches(scenario: Scenario, n_links: int, parallel: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-#: Each link command by run_links mode: the CSV of its run_links rows, the
-#: CSV's header, the summary key of its link count and, when it ran a link,
-#: its summary of (the scenario, the CSV's columns by header name).
+#: Each link command by run_links mode: the CSV of its run_links rows and, when it
+#: ran a link, its summary of (the scenario, the CSV's columns by header name).
+_LinkCommand = collections.namedtuple("_LinkCommand", "csv header line count_key summary")
 _LINK_COMMANDS = {
-    "links": (
+    "links": _LinkCommand(
         "links.csv", "link,seed,baseline_db,final_db,gain_db,stage1_gain_db,stage12_gain_db,"
         "stage3_increment_db,probes_stage1,probes_stage2,probes_stage3",
+        "%s,%s,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s,%s",
         "n_links", lambda scenario, col: {
             "median_gain_db": median_lower(col["gain_db"]),
             "p10_gain_db": percentile_lower(col["gain_db"], 10.0),
             "p90_gain_db": percentile_lower(col["gain_db"], 90.0),
             "max_gain_db": float(max(col["gain_db"])),
             "total_probes": sum(sum(col[f"probes_stage{s}"]) for s in (1, 2, 3))}),
-    "backscatter": (
+    "backscatter": _LinkCommand(
         "backscatter.csv", "link,seed,gain_down_db,gain_up_db,backscatter_db",
-        "n_links", lambda scenario, col: {
+        "%s,%s,%.12g,%.12g,%.12g", "n_links", lambda scenario, col: {
             "median_backscatter_db": median_lower(col["backscatter_db"]),
             "max_backscatter_db": float(max(col["backscatter_db"])),
             "median_oneway_db": median_lower(col["gain_down_db"]),
             "reciprocal_uplink": scenario.channel.reciprocal_uplink}),
-    "bench-controller": (
+    "bench-controller": _LinkCommand(
         "bench_controller.csv", "seed_index,seed,element_voting_db,column_voting_db,"
         "column_enum_db,probes_element,probes_column,probes_enum",
-        "n_seeds", lambda scenario, col: {
+        "%s,%s,%.12g,%.12g,%.12g,%s,%s,%s", "n_seeds", lambda scenario, col: {
             "median_element_voting_db": (elem := median_lower(col["element_voting_db"])),
             "median_column_voting_db": (colv := median_lower(col["column_voting_db"])),
             "median_column_enum_db": (enum := median_lower(col["column_enum_db"])),
@@ -314,7 +293,7 @@ def _link_command(mode: str, scenario: Scenario, out_dir, n_links: int,
     task per batch in min(parallel, batches) worker processes with one
     responder each, each batch writing its own links' files.  Then writes
     _LINK_COMMANDS[mode]'s CSV and summary, which a failed batch leaves out."""
-    csv, header, count_key, summary = _LINK_COMMANDS[mode]
+    csv, header, line, count_key, summary = _LINK_COMMANDS[mode]
     if mode == "bench-controller":
         check_enumerable(scenario.cols)
     out_dir = Path(out_dir)
@@ -332,7 +311,7 @@ def _link_command(mode: str, scenario: Scenario, out_dir, n_links: int,
         done = [run_links(scenario, responder, batch, mode, out_dir) for batch in batches]
     columns = list(zip(*(row for batch in done for row in batch)))
     report = RunReport(mode, scenario.name, scenario.scenario_hash())
-    report.csv_paths.append(write_table(out_dir / csv, header, columns))
+    report.csv_paths.append(write_table(out_dir / csv, header, line, columns))
     report.summary[count_key] = n_links
     if n_links:
         report.summary.update(summary(scenario, dict(zip(header.split(","), columns))))

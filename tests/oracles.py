@@ -155,6 +155,14 @@ def reference_onoff_channel(h_env, h, jitter, s0, s1, row):
     return np.sum(np.array(sums)) + h_env
 
 
+def row_csv_text(header, rows, float_format=".12g"):
+    """CSV text of rows under a header, one format call per value: a float
+    (numpy float64 included) format(x, float_format), anything else str(x)."""
+    return "".join([header + "\n"] + [
+        ",".join(format(x, float_format) if isinstance(x, float) else str(x) for x in row) + "\n"
+        for row in rows])
+
+
 # ---------------------------------------------------------------------------
 # golden heatmaps: through power (dB) for gap/fat vs susceptance grids
 

@@ -391,7 +391,7 @@ class TestTraceSerialization:
         st.one_of(st.floats(allow_subnormal=True), st.sampled_from([0.0, -0.0, 5e300])),
         min_size=1, max_size=20)), max_size=5))
     def test_matches_per_line_rendering(self, blocks):
-        """One template per block gives the bytes of one f-string per probe."""
+        """The trace's CSV gives the bytes of one f-string per probe."""
         trace = ControlTrace()
         for stage, rss in blocks:
             trace.append(stage, (30.0, 0.0), np.zeros((len(rss), 3), dtype=np.uint8), rss)

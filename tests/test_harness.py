@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,12 +22,15 @@ from mediamatch import channel as channel_mod, cli, harness, scenario as scenari
 from mediamatch.cli import main
 from mediamatch.harness import (BudgetError, cmd_backscatter, cmd_bench_controller,
                                 cmd_links, cmd_match, cmd_sweep, median_lower,
-                                run_links, table_text, validate_trace, write_table)
-from mediamatch.control import ControlTrace
+                                run_links, validate_trace)
+from mediamatch.control import TRACE_TABLE, ControlTrace
+from mediamatch.table import table_text, write_table
 from mediamatch.surface import admittance_at_voltage
 from mediamatch.scenario import (ScenarioError, default_tissue_dict,
                                  default_water_dict, load_scenario,
                                  scenario_from_dict)
+
+from oracles import row_csv_text
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -62,75 +66,87 @@ def count_calls(monkeypatch) -> dict:
     return counts
 
 
-def row_csv_text(header: str, rows) -> str:
-    """The per-value CSV formatter the commands used before table_text: the
-    reference its bytes are checked against."""
-    return "".join([header + "\n"] + [
-        ",".join(format(x, ".12g") if isinstance(x, float) else str(x) for x in row) + "\n"
-        for row in rows])
-
-
 _EDGE_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e300, -5e300,
                 5e-324, 2.2250738585072014e-308, 1e-310, 0.1, 1 / 3, 123456789012.5]
 _floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_subnormal=True))
-_ints = st.one_of(st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1))
 
-#: Column kinds: each draws one value of the kind for a given row count.
+#: The column kinds the tables hold, by name: a strategy drawing one value of
+#: the kind, and its conversion (None: the table's float conversion).
 _KINDS = {
-    "float": _floats,
-    "np.float64": _floats.map(np.float64),
-    "np.float32": st.floats(width=32).map(np.float32),
-    "int": _ints,
-    "np.int64": st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
-    "np.int32": st.integers(-2 ** 31, 2 ** 31 - 1).map(np.int32),
-    "bool": st.booleans(),
-    "str": st.text(max_size=8),
-    "mixed": st.one_of(_floats, _ints, _floats.map(np.float64)),
+    "float": (_floats, None),
+    "np.float64": (_floats.map(np.float64), None),
+    "int": (st.one_of(st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1)), "%s"),
+    "str": (st.text(max_size=8), "%s"),
 }
 
 
 @st.composite
 def _tables(draw):
+    """A table's float format, row template and columns."""
     n_rows = draw(st.integers(0, 12))
-    columns = []
+    float_format = draw(st.sampled_from([".12g", ".10g"]))
+    conversions, columns = [], []
     for kind in draw(st.lists(st.sampled_from(sorted(_KINDS) + ["float64 array"]),
                               min_size=1, max_size=6)):
         if kind == "float64 array":
             columns.append(np.array(draw(st.lists(_floats, min_size=n_rows,
                                                   max_size=n_rows)), dtype=float))
+            conversions.append("%" + float_format)
         else:
-            values = draw(st.lists(_KINDS[kind], min_size=n_rows, max_size=n_rows))
+            strategy, conversion = _KINDS[kind]
+            values = draw(st.lists(strategy, min_size=n_rows, max_size=n_rows))
             columns.append(draw(st.sampled_from([values, tuple(values)])))
-    return columns
+            conversions.append(conversion or "%" + float_format)
+    return float_format, ",".join(conversions), columns
 
 
 class TestTableText:
-    """table_text renders whole columns with one template, byte for byte what
-    the per-value formatter gives: floats '.12g', anything else str."""
+    """table_text renders whole columns through a declared row template, byte
+    for byte what the per-value formatter gives: a float column's '%.12g' or
+    '%.10g' is format(x, ".12g") or format(x, ".10g"), an int or text
+    column's '%s' str(x)."""
 
     @settings(max_examples=300, deadline=None)
     @given(_tables())
-    @example([np.array(_EDGE_FLOATS), list(range(len(_EDGE_FLOATS))),
-              [np.float64(x) for x in _EDGE_FLOATS], [str(x) for x in _EDGE_FLOATS]])
-    def test_matches_per_value_formatter(self, columns):
-        rows = list(zip(*columns))
+    @example((".12g", "%.12g,%s,%.12g,%s",
+              [np.array(_EDGE_FLOATS), list(range(len(_EDGE_FLOATS))),
+               [np.float64(x) for x in _EDGE_FLOATS], [str(x) for x in _EDGE_FLOATS]]))
+    @example((".10g", "%s,%.10g", [range(len(_EDGE_FLOATS)), _EDGE_FLOATS]))
+    def test_matches_per_value_formatter(self, table):
+        float_format, line, columns = table
         header = ",".join(f"c{k}" for k in range(len(columns)))
-        assert table_text(header, columns) == row_csv_text(header, rows)
+        assert table_text(header, line, columns) == \
+            row_csv_text(header, zip(*columns), float_format)
 
     def test_no_rows_and_no_columns(self):
-        assert table_text("a,b", [[], ()]) == "a,b\n"
-        assert table_text("a,b", []) == "a,b\n"
+        assert table_text("a,b", "%s,%s", [[], ()]) == "a,b\n"
+        assert table_text("a,b", "%s,%s", []) == "a,b\n"
 
     def test_unequal_columns_raise(self):
         with pytest.raises(ValueError):
-            table_text("a,b", [[1.0, 2.0], [3.0]])
+            table_text("a,b", "%.12g,%.12g", [[1.0, 2.0], [3.0]])
+        with pytest.raises(ValueError):
+            table_text("a,b", "%.12g,%.12g", [[1.0], [2.0, 3.0]])
 
     def test_write_table_bytes(self, tmp_path):
         columns = [["env", "element_0"], [0.5, -0.0], np.array([float("nan"), 1e-310])]
-        path = write_table(tmp_path / "t.csv", "path,re,im", columns)
+        path = write_table(tmp_path / "t.csv", "path,re,im", "%s,%.12g,%.12g", columns)
         assert path == str(tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_bytes() == \
             row_csv_text("path,re,im", zip(*columns)).encode()
+
+    def test_templates_declare_one_conversion_per_column(self):
+        """Every table's template has one conversion per header name: a table
+        with no rows (a zero-link run) writes only its header, which no pin of
+        its bytes would catch."""
+        tables = {"spectrum": harness._SPECTRUM, "sweep": harness._SWEEP,
+                  "channel dump": harness._CHANNEL_DUMP, "trace": TRACE_TABLE,
+                  **{mode: (c.header, c.line) for mode, c in harness._LINK_COMMANDS.items()}}
+        assert len(tables) == 7
+        for name, (header, line) in tables.items():
+            conversions = line.split(",")
+            assert len(conversions) == len(header.split(",")), name
+            assert all(re.fullmatch(r"%s|%\.1[02]g", c) for c in conversions), name
 
 
 class TestGoldenHeatmaps:

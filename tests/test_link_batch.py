@@ -28,8 +28,7 @@ from mediamatch.channel import (ONOFF_MIN_ELEMENTS, ONOFF_ROWS, PROBE_BLOCK, Cha
                                 rss_db, sample_channel)
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, brute_force_baseline,
                                 column_groups, run_controllers)
-from mediamatch.harness import (cmd_backscatter, cmd_bench_controller, cmd_links, run_links,
-                                table_text)
+from mediamatch.harness import cmd_backscatter, cmd_bench_controller, cmd_links, run_links
 from mediamatch.scenario import (CHANNEL_STREAM, NOISE_STREAM, UPLINK_STREAM, VOTING_STREAM,
                                  default_water_scenario, link_stream, scenario_from_dict)
 
@@ -294,7 +293,7 @@ def _run(variant: str, mode: str, links: range) -> tuple:
         rows = run_links(scenario, resp, links, mode, Path(tmp))
         files = {p.relative_to(tmp).as_posix(): p.read_bytes()
                  for p in Path(tmp).rglob("*") if p.is_file()}
-    return table_text("row", list(zip(*rows))), files
+    return oracles.row_csv_text("row", rows), files
 
 
 @functools.lru_cache(maxsize=None)
@@ -436,9 +435,8 @@ class TestSharedStage1:
             configs = [run.configs()[0] for run in runs]
             rows.append((i, scenario.seed, *gains_db([channel], configs)[0].tolist(),
                          *(run.traces[0].budget_used for run in runs)))
-        header = harness._LINK_COMMANDS["bench-controller"][1]
-        assert (tmp_path / "bench_controller.csv").read_text() == table_text(
-            header, list(zip(*rows)))
+        header = harness._LINK_COMMANDS["bench-controller"].header
+        assert (tmp_path / "bench_controller.csv").read_text() == oracles.row_csv_text(header, rows)
 
 
 class TestLinkStreams:
