@@ -21,7 +21,8 @@ channel = scenario.sample_link_channel(link_stream(scenario.seed, 1, CHANNEL_STR
 oracle = FeedbackOracle(channel, quantization_db=scenario.channel.rss_quantization_db)
 links = run_controllers(oracle, scenario.n_elements, voltages=scenario.voltage_set,
                         rng_seeds=[link_stream(scenario.seed, 1, VOTING_STREAM)])
-(levels, row), trace = links.configs()[0], links.traces[0]
+trace = links.traces[0]
+(levels, row), best_db = trace.best()  # best probe, and best reading through each stage
 voltages = np.asarray(levels)[row].tolist()
 
 (gain,), (base_db,) = gains_db([channel], links.configs())  # gain and baseline rows
@@ -29,7 +30,7 @@ print(f"baseline (no surface): {base_db:7.2f} dB")
 for stage, label in ((1, "uniform voltage probe"),
                      (2, "randomized majority voting"),
                      (3, "adjacent-voltage fine tune")):
-    best = links.best_db[0, stage - 1]
+    best = best_db[stage - 1]
     n = trace.stage_probe_count(stage)
     print(f"stage {stage} ({label:28s}): {n:3d} probes, best so far "
           f"{best:7.2f} dB ({best - base_db:+.2f} dB)")

@@ -286,12 +286,12 @@ class FeedbackOracle:
     sequence passed as both is reciprocal and reads the downlink's magnitude
     squared.  ``batch(levels, index, rows)`` reads L alphabets and an
     (L, n, N) index stack as (L, n) readings; the first rows[l] rows of link
-    l (all by default) are probes and the rest padding, read without noise
-    and not counted.  A link reads its channel values from onoff_channels
-    when its alphabet has at most two levels and N >= ONOFF_MIN_ELEMENTS,
-    else from composite_channels; either value depends only on the link's
-    channel, alphabet and row, so probe i of a batch reads exactly what the
-    i-th of as many one-row batches would, noise included.
+    l (all by default) are probes and the rest padding, read without noise.
+    A link reads its channel values from onoff_channels when its alphabet has
+    at most two levels and N >= ONOFF_MIN_ELEMENTS, else from
+    composite_channels; either value depends only on the link's channel,
+    alphabet and row, so probe i of a batch reads exactly what the i-th of as
+    many one-row batches would, noise included.
 
     Noise, added to the downlink only, is complex Gaussian with power
     10^(noise_db/10) relative to a unit-magnitude channel.  Each link draws it
@@ -299,8 +299,7 @@ class FeedbackOracle:
     link, or one for all), one (re, im) normal pair per probe in probe order,
     none for padding.  RSS is read on a 0.1 dB grid by default (typical RSSI
     resolution), continuously with quantization_db=None.  copy.copy gives an
-    oracle that goes on from the same probe counts (``probes``) and noise
-    state on its own.
+    oracle that goes on from the same noise state on its own.
     """
 
     def __init__(self, downlink, uplink=None, noise_db: float | None = None,
@@ -312,8 +311,7 @@ class FeedbackOracle:
                 self.downlink.h_elements.shape != self.uplink.h_elements.shape:
             raise ValueError("backscatter directions must share the link and element counts")
         self.noise_db, self.quantization_db = noise_db, quantization_db
-        self.probes = np.zeros(len(self.downlink.h_env), dtype=np.int64)
-        seeds = noise_seed if np.ndim(noise_seed) else [noise_seed] * len(self.probes)
+        seeds = noise_seed if np.ndim(noise_seed) else [noise_seed] * len(self.downlink.h_env)
         self.noise = None if noise_db is None else [np.random.default_rng(s) for s in seeds]
 
     def __copy__(self) -> "FeedbackOracle":
@@ -328,7 +326,6 @@ class FeedbackOracle:
             s = np.sqrt(10.0 ** (self.noise_db / 10.0) / 2.0)
             for link, (rng, n) in enumerate(zip(self.noise, rows)):
                 h[link, :n] += rng.normal(0.0, s, (n, 2)).view(complex)[:, 0]  # (re, im) pairs
-        self.probes = self.probes + rows  # a new array: copies keep their own counts
         magnitude = np.hypot(h.real, h.imag)
         if self.uplink is self.downlink:
             magnitude = magnitude * magnitude

@@ -9,8 +9,9 @@ controller ever probed, so it can never regress below a measured state.
 
 The controller state is a LinkBatch of L links (L = 1 for one link): every
 stage takes the batch, probes its links together, keeps what it found in it
-(v1 and v0, the on/off split, each link's best probe) and returns it;
-``run_controllers`` runs the stages.  Every stage probes through one path,
+(v1 and v0, the on/off split, each link's trace) and returns it;
+``run_controllers`` runs the stages.  A link's best probe is read from its
+trace (ControlTrace.best).  Every stage probes through one path,
 ``_probe_many``, and one oracle protocol (see channel.FeedbackOracle):
 ``batch(levels, index, rows)`` reads L alphabets and an (L, n, N) index stack
 as (L, n) readings, link l's first rows[l] rows being probes and the rest
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -134,7 +136,6 @@ class ControlTrace:
     """
 
     blocks: list[tuple] = field(default_factory=list)
-    low_contrast: bool = False
 
     def append(self, stage: int, levels, index, rss) -> None:
         """Record a block of probes; a writeable index or reading array is
@@ -156,6 +157,20 @@ class ControlTrace:
     def budget_used(self) -> int:
         return sum(len(rss) for *_, rss in self.blocks)
 
+    def best(self) -> tuple:
+        """The best probe's (levels, read-only index row), None before any
+        probe, and the best reading through stages 1, 2 and 3 (NaN before
+        any probe), as a running scan picks them: the first probe, then each
+        strictly higher reading, so a NaN first reading stays best."""
+        config, top, through = None, math.nan, [math.nan] * 3
+        for stage, levels, index, rss in self.blocks:
+            if len(rss):
+                k = 0 if config is None and math.isnan(rss[0]) else int(_first_max(rss))
+                if config is None or rss[k] > top:
+                    config, top = (levels, index[k]), float(rss[k])
+                through[stage - 1:] = [top] * (4 - stage)
+        return config, tuple(through)
+
     def serialize(self) -> str:
         """The trace as CSV text, one TRACE_TABLE row per probe."""
         stages, hashes, readings = [], [], []
@@ -172,18 +187,12 @@ class LinkBatch:
 
     Every stage probes the L links with one (L, n, N) index stack.  The batch
     keeps, per link, the on/off voltages of stage 1 (``v1``, ``v0``: length-L
-    arrays), the elements stage 2 left on (``on``: an (L, N) bool matrix) and
-    the best probe so far, picked by ``keep_best`` as a running scan of the
-    trace picks it: ``best_db[:, s - 1]`` is the best reading through stage s,
-    and ``configs()`` the best configurations.  These are the one place a
-    run's best is read.
+    arrays) and the elements stage 2 left on (``on``: an (L, N) bool matrix).
     """
 
     def __init__(self, traces):
         self.traces = list(traces)
         self.v1 = self.v0 = self.on = None
-        self.best_db = np.full((len(self.traces), 3), np.nan)
-        self._best = [None] * len(self.traces)  # (levels, index row) of each link's best
 
     @classmethod
     def new(cls, n_links: int) -> "LinkBatch":
@@ -194,35 +203,13 @@ class LinkBatch:
 
     def fork(self) -> "LinkBatch":
         """A copy whose traces go on from this batch's blocks on their own."""
-        other = LinkBatch(ControlTrace(list(t.blocks), t.low_contrast) for t in self.traces)
+        other = LinkBatch(ControlTrace(list(t.blocks)) for t in self.traces)
         other.v1, other.v0, other.on = self.v1, self.v0, self.on
-        other.best_db, other._best = self.best_db.copy(), list(self._best)
         return other
 
     def configs(self) -> list[tuple]:
-        """Each link's best probed configuration, as a (levels, read-only
-        index row) pair."""
-        return list(self._best)
-
-    def keep_best(self, stage: int, levels, index, rss, rows) -> None:
-        """Fold a block of (L, n) readings, the first rows[l] of link l real,
-        into each link's best probe: the first maximum of the block (a NaN
-        counting as -inf) replaces the best when strictly above it, and a NaN
-        very first reading stays best, as in a running scan."""
-        real = np.arange(rss.shape[1]) < np.asarray(rows)[:, None]
-        k = _first_max(np.where(real, rss, -np.inf))
-        fresh = np.array([best is None for best in self._best])
-        k[fresh & np.isnan(rss[:, 0])] = 0
-        value = rss[np.arange(len(rss)), k]
-        better = fresh | (value > self.best_db[:, stage - 1])
-        for link in np.flatnonzero(better).tolist():
-            self._best[link] = (levels[link], index[link, k[link]])
-        self.best_db[:, stage - 1:] = np.where(better, value, self.best_db[:, stage - 1])[:, None]
-
-
-def element_groups(n_elements: int) -> list[list[int]]:
-    """Element-wise control: every element is its own group."""
-    return [[i] for i in range(n_elements)]
+        """Each link's best probed configuration (see ControlTrace.best)."""
+        return [trace.best()[0] for trace in self.traces]
 
 
 def column_groups(rows: int, cols: int) -> list[list[int]]:
@@ -267,7 +254,7 @@ def _probe_many(oracle, links: LinkBatch, stage: int, levels, index, rows=None) 
     first rows[l] rows of link l are probes (all rows by default) and the
     rest padding; ``oracle.batch(levels, index, rows)`` returns the (L, n)
     readings.  Each link's probes go into its trace as one block, padding
-    left out, and into its best probe.
+    left out.
     """
     rows = [index.shape[1]] * len(links) if rows is None else list(rows)
     rss = np.array(oracle.batch(levels, index, rows), dtype=float)
@@ -277,7 +264,6 @@ def _probe_many(oracle, links: LinkBatch, stage: int, levels, index, rows=None) 
     _read_only(rss)
     for link, (trace, n) in enumerate(zip(links.traces, rows)):
         trace.append(stage, levels[link], index[link, :n], rss[link, :n])
-    links.keep_best(stage, levels, index, rss, rows)
     return rss
 
 
@@ -309,9 +295,8 @@ def stage1_uniform_probe(oracle, links: LinkBatch, voltages, n_elements: int) ->
     """Probe each control voltage uniformly; keep the extreme responders as
     the batch's v1 (maximizing feedback) and v0 (minimizing), one per link.
 
-    Ties go to the higher voltage for both v1 and v0 (which means a constant
-    oracle degenerates to v1 == v0; the link is then flagged low-contrast).
-    Returns the batch.
+    Ties go to the higher voltage for both v1 and v0, so a constant oracle
+    degenerates to v1 == v0 (see run_controllers).  Returns the batch.
     """
     vs = _validate_voltage_set(voltages)
     index = np.repeat(np.arange(len(vs), dtype=np.uint8)[:, None], n_elements, axis=1)
@@ -321,12 +306,6 @@ def stage1_uniform_probe(oracle, links: LinkBatch, voltages, n_elements: int) ->
     # running scan, a NaN first reading stays both extremes
     nan = np.isnan(rss[:, 0])
     i1, i0 = np.where(nan, 0, _first_max(rss)), np.where(nan, 0, _first_max(-rss))
-    rows = np.arange(len(rss))
-    # two -inf readings differ by NaN; readings near +-1.8e308 overflow to inf
-    with np.errstate(invalid="ignore", over="ignore"):
-        low_contrast = rss[rows, i1] - rss[rows, i0] < 1e-12
-    for link in np.flatnonzero(low_contrast).tolist():
-        links.traces[link].low_contrast = True
     links.v1, links.v0 = np.array(vs)[i1], np.array(vs)[i0]
     return links
 
@@ -414,8 +393,8 @@ def run_controllers(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
     replaces majority voting with a function called as brute_force_baseline
     is (the oracle, the batch, ``n_elements``, ``groups``).  A ``links`` batch that has been through
     stage 1 goes on from there.  Total probes per link are bounded by
-    len(voltages) + n_configs + 9.  A constant (low-contrast) stage-1 outcome
-    would leave v1 == v0; the controller then substitutes the lowest control
+    len(voltages) + n_configs + 9.  A constant stage-1 outcome would leave
+    v1 == v0; the controller then substitutes the lowest control
     voltage for v0 so the later stages stay well-defined.
     """
     if links is None:

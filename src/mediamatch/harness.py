@@ -218,8 +218,8 @@ def run_links(scenario: Scenario, responder, indices, mode: str, out_dir: Path) 
     for folder in ("traces", "channels"):
         (out_dir / folder).mkdir(exist_ok=True)
     rows = []
-    for i, channel, trace, gain, base, (stage1_db, stage2_db, final_db) in zip(
-            indices, channels, runs[0].traces, *gains, runs[0].best_db.tolist()):
+    for i, channel, trace, gain, base in zip(indices, channels, runs[0].traces, *gains):
+        _, (stage1_db, stage2_db, final_db) = trace.best()
         h = channel.h_elements
         dump = [["env"] + [f"element_{e}" for e in range(len(h))],
                 [channel.h_env.real] + h.real.tolist(), [channel.h_env.imag] + h.imag.tolist()]

@@ -129,6 +129,22 @@ def reference_stage2(seed, link, n_configs, n_groups, rss):
     return masks, on
 
 
+def reference_best(probes, through_stage):
+    """A controller run's best probe, as a running scan over its probes picks it.
+
+    ``probes`` are (stage, ..., reading) tuples in measurement order.  Over
+    the probes of stages up to ``through_stage`` (all for None), the scan
+    keeps the first, then each strictly higher reading, so ties keep the
+    earlier probe and a NaN first reading stays best.  Returns the picked tuple.
+    """
+    pool = probes if through_stage is None else [p for p in probes if p[0] <= through_stage]
+    best = pool[0]
+    for p in pool[1:]:
+        if p[-1] > best[-1]:
+            best = p
+    return best
+
+
 def reference_onoff_channel(h_env, h, jitter, s0, s1, row):
     """An on/off probe's channel value, from the subset-sum table rule.
 

@@ -10,8 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, MASK_BLOCK, ControlTrace,
                                 LinkBatch, _digests, _onoff_index, _owners, _probe_many,
                                 brute_force_baseline, column_groups, config_hash,
-                                element_groups, run_controllers,
-                                stage1_uniform_probe, stage2_majority_voting,
+                                run_controllers, stage1_uniform_probe, stage2_majority_voting,
                                 stage3_fine_tune)
 from mediamatch.scenario import VOTING_STREAM, link_stream
 
@@ -82,7 +81,7 @@ class TestStage1:
                 w1, r1 = v, r
             if r < r0:
                 w0, r0 = v, r
-        assert (v1, v0, trace.low_contrast) == (w1, w0, r1 - r0 < 1e-12)
+        assert (v1, v0) == (w1, w0)
 
     def test_extremes_on_monotone_toy(self):
         """Response magnitude rising as the voltage falls: v1 = 0 V, v0 = 30 V."""
@@ -96,8 +95,8 @@ class TestStage1:
         assert trace.stage_probe_count(1) == len(DEFAULT_VOLTAGE_SET)
 
     def test_constant_oracle_flagged(self):
-        v1, v0, trace = stage1(lambda v: -3.0, DEFAULT_VOLTAGE_SET, 4)
-        assert trace.low_contrast
+        """A constant oracle leaves v1 == v0; run_controllers then substitutes v0."""
+        v1, v0, _ = stage1(lambda v: -3.0, DEFAULT_VOLTAGE_SET, 4)
         assert v1 == v0 == 30.0  # ties break toward the higher voltage
 
     def test_probe_count_is_set_size(self):
@@ -231,7 +230,7 @@ class TestRunController:
 
     def test_constant_oracle_survives(self):
         links = run_controllers(constant(-1.0), 8, rng_seeds=[8])
-        assert links.traces[0].low_contrast
+        assert links.v0[0] == min(DEFAULT_VOLTAGE_SET) != links.v1[0]  # v0 substituted
         assert len(links.configs()[0][1]) == 8
 
 
@@ -247,13 +246,14 @@ class TestBruteForce:
         rng = np.random.default_rng(3)
         h = rng.normal(size=8) + 1j * rng.normal(size=8)
         oracle = onoff_oracle(h)
-        links = brute_force_baseline(oracle, one_link(), 8, element_groups(8))
+        links = brute_force_baseline(oracle, one_link(), 8, [[i] for i in range(8)])
         assert links.traces[0].budget_used == 256
         want = oracles.best_subset_gain(0j, h, 1.0, 0.0, 1.0)  # oracle enumerates too
         base = 20 * np.log10(abs(h.sum()))
-        assert links.best_db[0, 1] - base == pytest.approx(want, abs=1e-9)
+        _, (_, best_db, _) = links.traces[0].best()
+        assert best_db - base == pytest.approx(want, abs=1e-9)
         on = voltages((V1, V0), np.where(links.on[0], 0, 1))
-        assert oracle.read(on) == links.best_db[0, 1]
+        assert oracle.read(on) == best_db
 
     def test_overlapping_groups_rejected(self):
         with pytest.raises(ValueError):
@@ -270,18 +270,7 @@ class TestBruteForce:
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
-            brute_force_baseline(constant(0.0), one_link(), 17, element_groups(17))
-
-
-def loop_best(probes, through_stage):
-    """The per-probe scan the columnar trace replaced, kept as the reference:
-    the first probe, then every strictly higher reading."""
-    pool = probes if through_stage is None else [p for p in probes if p[0] <= through_stage]
-    best = pool[0]
-    for p in pool[1:]:
-        if p[2] > best[2]:
-            best = p
-    return best
+            brute_force_baseline(constant(0.0), one_link(), 17, [[i] for i in range(17)])
 
 
 def _bits(x) -> bytes:
@@ -298,40 +287,39 @@ class TestColumnarTrace:
         controller order, cut at random boundaries (empty blocks included),
         leave as each stage's best what the per-probe scan picks."""
         bounds = [0] + sorted(c for c in cuts if c <= len(readings)) + [len(readings)]
-        links, probes = LinkBatch.new(1), []
+        trace, probes = ControlTrace(), []
         for stage, lo, hi in zip(sorted(stages), bounds, bounds[1:]):
             # probe i sits at voltage i, so the picked config names its probe
             levels, index = tuple(map(float, range(lo, hi))), np.arange(hi - lo, dtype=np.uint8)
-            links.traces[0].append(stage, levels, index[:, None], readings[lo:hi])
-            if hi > lo:  # the controller never probes an empty block
-                links.keep_best(stage, [levels], index[None, :, None],
-                                np.array([readings[lo:hi]], dtype=float), [hi - lo])
+            trace.append(stage, levels, index[:, None], readings[lo:hi])
             probes += [(stage, i, readings[i]) for i in range(lo, hi)]
-        trace = links.traces[0]
         assert trace.budget_used == len(probes)
+        config, best_db = trace.best()
         for stage in (1, 2, 3):
             assert trace.stage_probe_count(stage) == sum(1 for p in probes if p[0] == stage)
             if not any(p[0] <= stage for p in probes):
-                assert np.isnan(links.best_db[0, stage - 1])
+                assert np.isnan(best_db[stage - 1])
                 continue
-            want = loop_best(probes, stage)
-            assert _bits(links.best_db[0, stage - 1]) == _bits(want[2])
+            want = oracles.reference_best(probes, stage)
+            assert _bits(best_db[stage - 1]) == _bits(want[2])
         if probes:
-            want = loop_best(probes, None)
-            assert voltages(*links.configs()[0]) == (float(want[1]),)
+            want = oracles.reference_best(probes, None)
+            assert voltages(*config) == (float(want[1]),)
+        else:
+            assert config is None
 
     def test_nan_reading(self):
-        links = LinkBatch.new(1)
-        links.keep_best(1, [(30.0, 0.0)], np.array([[[0], [1]]], np.uint8),
-                        np.array([[1.0, float("nan")]]), [2])
-        links.keep_best(2, [(5.0,)], np.array([[[0]]], np.uint8), np.array([[2.0]]), [1])
-        assert links.best_db[0].tolist() == [1.0, 2.0, 2.0]
-        assert voltages(*links.configs()[0]) == (5.0,)
-        first_nan = LinkBatch.new(1)
-        first_nan.keep_best(1, [(30.0, 0.0)], np.array([[[0], [1]]], np.uint8),
-                            np.array([[float("nan"), 5.0]]), [2])
-        assert np.isnan(first_nan.best_db[0]).all()
-        assert voltages(*first_nan.configs()[0]) == (30.0,)
+        trace = ControlTrace()
+        trace.append(1, (30.0, 0.0), np.array([[0], [1]], np.uint8), [1.0, float("nan")])
+        trace.append(2, (5.0,), np.array([[0]], np.uint8), [2.0])
+        config, best_db = trace.best()
+        assert best_db == (1.0, 2.0, 2.0)
+        assert voltages(*config) == (5.0,)
+        first_nan = ControlTrace()
+        first_nan.append(1, (30.0, 0.0), np.array([[0], [1]], np.uint8), [float("nan"), 5.0])
+        config, best_db = first_nan.best()
+        assert np.isnan(best_db).all()
+        assert voltages(*config) == (30.0,)
 
     def test_blocks_are_read_only_copies(self):
         trace = ControlTrace()
@@ -504,7 +492,7 @@ class TestStreamedStage2:
     @pytest.mark.parametrize("grouping", ["element", "column"])
     def test_index_equals_whole_draw(self, n_configs, grouping):
         n = self.ROWS * self.COLS
-        groups = element_groups(n) if grouping == "element" else \
+        groups = [[i] for i in range(n)] if grouping == "element" else \
             column_groups(self.ROWS, self.COLS)
         rng = np.random.default_rng(11)
         h = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -522,7 +510,7 @@ def _groups(data, grouping, n_groups):
     columns, or sparse groups of two shuffled elements each with one to five
     elements in none."""
     if grouping in ("default", "element"):
-        return n_groups, None if grouping == "default" else element_groups(n_groups)
+        return n_groups, None if grouping == "default" else [[i] for i in range(n_groups)]
     if grouping == "column":
         rows = data.draw(st.integers(1, 3))
         return rows * n_groups, column_groups(rows, n_groups)
@@ -556,7 +544,8 @@ class TestRawWordStage2:
         for k, link in enumerate(links):
             (_, _, index, rss), = batch.traces[k].blocks
             want_index, want_on = _stage2_reference(
-                seed, link, element_groups(n) if groups is None else groups, n, n_configs, rss)
+                seed, link, [[i] for i in range(n)] if groups is None else groups, n,
+                n_configs, rss)
             np.testing.assert_array_equal(index, want_index)
             np.testing.assert_array_equal(batch.on[k], want_on)
 
@@ -631,7 +620,7 @@ class TestVotesReferee:
     def test_on_equals_reference(self, grouping, rows, cols, n_configs, seeds, weights, high):
         """``weights`` None reads the rows in ``high`` as 1 and the rest as 0."""
         n = rows * cols
-        groups = {"default": None, "element": element_groups(n),
+        groups = {"default": None, "element": [[i] for i in range(n)],
                   "column": column_groups(rows, cols),
                   "sparse": [[e] for e in range(n - 1)] + [[]]}[grouping]  # element n-1 in none
         oracle = _RowOracle(high) if weights is None else _WeightOracle(weights[:n])
@@ -642,7 +631,8 @@ class TestVotesReferee:
         for link, (seed, stream) in enumerate(zip(seeds, streams)):
             (_, _, index, rss), = links.traces[link].blocks
             want_index, expected = _stage2_reference(
-                seed, link, element_groups(n) if groups is None else groups, n, n_configs, rss)
+                seed, link, [[i] for i in range(n)] if groups is None else groups, n,
+                n_configs, rss)
             one = stage2_majority_voting(oracle, one_link(), n, n_configs, stream, groups)
             np.testing.assert_array_equal(index, want_index)
             np.testing.assert_array_equal(links.on[link], expected)
