@@ -42,7 +42,7 @@ on = voltages.count(v1)
 print(f"final config: {on}/{len(row)} elements at {v1:g} V, rest at {v0:g} V")
 
 print("\nfirst probes of the trace:")
-for line in trace.serialize().splitlines()[:6]:
+for line in trace.serialize()[0].splitlines()[:6]:
     print("  " + line)
 
 print("\nnow 45 links of the same scenario family:")

@@ -79,51 +79,83 @@ def config_hash(voltages) -> str:
 #: A trace's CSV header and row template (see table.py).
 TRACE_TABLE = ("stage,probe_index,config_hash,rss_db", "%s,%s,%s,%.10g")
 
-#: Probe rows hashed per block in _digests.
+#: Most probe rows hashed together by _hash_blocks.
 HASH_BLOCK = 256
 
 
-def _digests(levels, index) -> list[str]:
-    """config_hash of every row of an (n, N) index matrix over levels, in order.
+def _hash_blocks(blocks) -> list[list[str]]:
+    """config_hash of every row of each (levels, index) block, per block.
 
-    Alphabet entries that repeat a bit pattern are folded to the first.  A
-    row over at most two levels (every row the controller probes) hashes one
-    fixed-place record: its header, first level, other level (the first that
-    differs from element 0; zeros for one level) and packed "differs from
-    element 0" bits, which are the N zero bytes of a one-level row.  Records
-    of HASH_BLOCK rows share one buffer sized for the block's widest record,
-    hashed by memoryview slices.  Other rows go through config_hash.
+    Rows of one length N are hashed in chunks of up to HASH_BLOCK rows that
+    cross blocks (a chunk inside one block is a view of it), rows over
+    alphabets of more than two bit patterns last.  An alphabet's entries
+    that repeat a bit pattern are folded to the first.  A row of at most two
+    levels (every row the controller probes) hashes one fixed-place record:
+    its header, first level, other level (the first that differs from
+    element 0; zeros for one level) and packed "differs from element 0"
+    bits, which are the N zero bytes of a one-level row.  Other rows go
+    through config_hash.
     """
-    words = np.array(levels, dtype="<f8").view("<u8")
-    n, seen = index.shape[1], {}
-    canon = [seen.setdefault(w, j) for j, w in enumerate(words.tolist())]
-    if n == 0:
-        return [config_hash(())] * len(index)
-    bits = -(-n // 8)
-    sizes = (16 + n, 24 + bits)
-    head = np.array([n | 1 << 32, n | 2 << 32], dtype="<u8")  # "<II" of (N, k)
-    out = []
-    for start in range(0, len(index), HASH_BLOCK):
-        rows = index[start:start + HASH_BLOCK]
-        rows = np.take(canon, rows) if len(seen) < len(words) else rows
-        first = rows[:, 0]
-        differs = rows != first[:, None]
-        other = rows[np.arange(len(rows)), differs.argmax(axis=1)]
-        two = other != first
-        stride = -(-(sizes[1] if two.all() else max(sizes)) // 8) * 8  # the widest record
-        record = np.zeros((len(rows), stride), dtype=np.uint8)
-        fields = record.view("<u8")
-        head.take(two, out=fields[:, 0])
-        words.take(first, out=fields[:, 1])
-        np.multiply(words.take(other), two, out=fields[:, 2])
-        record[:, 24:24 + bits] = np.packbits(differs, axis=1)
-        buffer = memoryview(record).cast("B")
-        out += [hashlib.sha256(buffer[at:at + sizes[k]]).hexdigest()[:12]
-                for at, k in zip(range(0, record.size, stride), two.tolist())]
-        if len(seen) > 2:
-            for k in np.flatnonzero(np.any(differs & (rows != other[:, None]), axis=1)).tolist():
-                out[start + k] = config_hash(words[rows[k]].view("<f8"))
+    words, alphabets, out, pools = [], {}, [], {}
+    for levels, index in blocks:
+        key = struct.pack(f"<{len(levels)}d", *levels)
+        if key not in alphabets:
+            bits, first = struct.unpack(f"<{len(levels)}Q", key), {}
+            fold = [first.setdefault(w, j) for j, w in enumerate(bits)]
+            alphabets[key] = (len(words), np.array(fold) if len(first) < len(bits) else None,
+                              len(first) > 2)
+            words += bits
+        out.append([] if index.shape[1] else [config_hash(())] * len(index))
+        if index.size:
+            pools.setdefault(index.shape[1], []).append((out[-1], index, *alphabets[key]))
+    words = np.array(words, dtype="<u8")
+    for pool in pools.values():
+        chunk, size = [], 0
+        for digests, index, offset, fold, many in sorted(pool, key=lambda piece: piece[4]):
+            at = 0
+            while at < len(index):
+                part = index[at:at + HASH_BLOCK - size]
+                chunk.append((digests, part if fold is None else fold[part], offset, many))
+                at, size = at + len(part), size + len(part)
+                if size == HASH_BLOCK:
+                    _hash_chunk(chunk, words)
+                    chunk, size = [], 0
+        if chunk:
+            _hash_chunk(chunk, words)
     return out
+
+
+def _hash_chunk(chunk, words) -> None:
+    """Extend the digests of a chunk's (digests, rows, alphabet offset in words,
+    more than two patterns) pieces, hashing slices of one record buffer at one
+    stride, as wide as the chunk's widest record (see _hash_blocks)."""
+    rows = np.concatenate([piece[1] for piece in chunk]) if len(chunk) > 1 else chunk[0][1]
+    base = np.repeat([piece[2] for piece in chunk], [len(piece[1]) for piece in chunk])
+    n, bits = rows.shape[1], -(-rows.shape[1] // 8)
+    first = rows[:, 0]
+    differs = rows != first[:, None]
+    other = rows[np.arange(len(rows)), differs.argmax(axis=1)]
+    two = other != first
+    sizes = (16 + n, 24 + bits)
+    stride = -(-(sizes[1] if two.all() else max(sizes)) // 8) * 8  # the widest record
+    record = np.zeros((len(rows), stride), dtype=np.uint8)
+    fields = record.view("<u8")
+    head = np.array([n | 1 << 32, n | 2 << 32], dtype="<u8")  # "<II" of (N, k)
+    head.take(two, out=fields[:, 0])
+    words.take(base + first, out=fields[:, 1])
+    np.multiply(words.take(base + other), two, out=fields[:, 2])
+    record[:, 24:24 + bits] = np.packbits(differs, axis=1)
+    buffer = memoryview(record).cast("B")
+    digests = [hashlib.sha256(buffer[at:at + sizes[k]]).hexdigest()[:12]
+               for at, k in zip(range(0, record.size, stride), two.tolist())]
+    skip = len(rows) - sum(len(piece[1]) for piece in chunk if piece[3])  # those come last
+    if skip < len(rows):
+        rest = differs[skip:] & (rows[skip:] != other[skip:, None])
+        for k in (skip + np.flatnonzero(np.any(rest, axis=1))).tolist():
+            digests[k] = config_hash(words[base[k] + rows[k]].view("<f8"))
+    for target, part, *_ in chunk:
+        target += digests[:len(part)]
+        del digests[:len(part)]
 
 
 @dataclass
@@ -171,14 +203,22 @@ class ControlTrace:
                 through[stage - 1:] = [top] * (4 - stage)
         return config, tuple(through)
 
-    def serialize(self) -> str:
-        """The trace as CSV text, one TRACE_TABLE row per probe."""
-        stages, hashes, readings = [], [], []
-        for stage, levels, index, rss in self.blocks:
-            stages += [stage] * len(rss)
-            hashes += _digests(levels, index)
-            readings += rss.tolist()
-        return table_text(*TRACE_TABLE, [stages, range(len(stages)), hashes, readings])
+    def serialize(self, *others) -> list[str]:
+        """The CSV texts of this trace and of ``others``, one TRACE_TABLE row
+        per probe; all their rows are hashed together (see _hash_blocks)."""
+        traces = (self, *others)
+        hashes = iter(_hash_blocks([(levels, index) for trace in traces
+                                    for _, levels, index, _ in trace.blocks]))
+        texts = []
+        for trace in traces:
+            stages, digests, readings = [], [], []
+            for stage, *_, rss in trace.blocks:
+                stages += [stage] * len(rss)
+                digests += next(hashes)
+                readings += rss.tolist()
+            texts.append(table_text(*TRACE_TABLE, [stages, range(len(stages)), digests,
+                                                   readings]))
+        return texts
 
 
 class LinkBatch:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import copy
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,12 +36,17 @@ class BudgetError(RuntimeError):
     """A controller trace violated the per-stage probe budget."""
 
 
-def percentile_lower(values, q: float) -> float:
-    return float(np.percentile(np.asarray(values, dtype=float), q, method="lower"))
+def percentiles_lower(values, qs) -> list[float]:
+    """The qs-th percentiles of values by numpy's method="lower" rule, from
+    one sorted copy: the value at floor((n - 1) * q / 100), NaN for every q if
+    any value is NaN."""
+    ordered = np.sort(np.asarray(values, dtype=float)).tolist()  # NaNs sort last
+    return [math.nan if math.isnan(ordered[-1]) else
+            ordered[math.floor((len(ordered) - 1) * (q / 100))] for q in qs]
 
 
 def median_lower(values) -> float:
-    return percentile_lower(values, 50.0)
+    return percentiles_lower(values, [50.0])[0]
 
 
 @dataclass
@@ -62,7 +68,7 @@ class RunReport:
 
 
 def _finish(report: RunReport, out_dir: Path) -> RunReport:
-    (out_dir / "summary.txt").write_text(report.render(), encoding="utf-8", newline="\n")
+    (out_dir / "summary.txt").write_bytes(report.render().encode())
     return report
 
 
@@ -177,10 +183,10 @@ def run_links(scenario: Scenario, responder, indices, mode: str, out_dir: Path) 
     one gains_db call for every variant's gains.
 
     Returns one CSV row per link, in order, under _LINK_COMMANDS[mode]'s
-    header.  For links it also writes each link's trace and channel dump to
-    out_dir (which must exist) as soon as the link's row is built.  A link's
-    row and files depend only on the scenario and its index, not on the
-    links it shares the batch with.
+    header.  For links it also writes each link's trace (all of the batch's
+    traces rendered by one ControlTrace.serialize call) and channel dump to
+    out_dir (which must exist).  A link's row and files depend only on the
+    scenario and its index, not on the links it shares the batch with.
     """
     def streams(stream):
         return [link_stream(scenario.seed, i, stream) for i in indices]
@@ -207,7 +213,8 @@ def run_links(scenario: Scenario, responder, indices, mode: str, out_dir: Path) 
                                     stage2, start.fork()))
         for trace in runs[-1].traces:
             validate_trace(trace, len(vs), n_stage2)
-    gains = gains_db(channels, [c for run in runs for c in run.configs()], uplinks).tolist()
+    bests = [[trace.best() for trace in run.traces] for run in runs]
+    gains = gains_db(channels, [config for run in bests for config, _ in run], uplinks).tolist()
 
     if mode == "backscatter":  # down, up and two-way gain rows
         return [(i, scenario.seed, *row) for i, *row in zip(indices, *gains)]
@@ -217,18 +224,18 @@ def run_links(scenario: Scenario, responder, indices, mode: str, out_dir: Path) 
                 for k, i in enumerate(indices)]
     for folder in ("traces", "channels"):
         (out_dir / folder).mkdir(exist_ok=True)
-    rows = []
-    for i, channel, trace, gain, base in zip(indices, channels, runs[0].traces, *gains):
-        _, (stage1_db, stage2_db, final_db) = trace.best()
+    traces, rows = runs[0].traces, []
+    paths = ["env"] + [f"element_{e}" for e in range(n)]
+    for i, channel, trace, text, (_, (stage1_db, stage2_db, final_db)), gain, base in zip(
+            indices, channels, traces, ControlTrace.serialize(*traces), bests[0], *gains):
         h = channel.h_elements
-        dump = [["env"] + [f"element_{e}" for e in range(len(h))],
-                [channel.h_env.real] + h.real.tolist(), [channel.h_env.imag] + h.imag.tolist()]
         rows.append((i, scenario.seed, base, final_db, gain,
                      stage1_db - base, stage2_db - base, final_db - stage2_db,
                      *(trace.stage_probe_count(s) for s in (1, 2, 3))))
-        (out_dir / f"traces/link_{i:04d}.csv").write_text(trace.serialize(), encoding="utf-8",
-                                                          newline="\n")
-        write_table(out_dir / f"channels/link_{i:04d}.csv", *_CHANNEL_DUMP, dump)
+        (out_dir / f"traces/link_{i:04d}.csv").write_bytes(text.encode())
+        write_table(out_dir / f"channels/link_{i:04d}.csv", *_CHANNEL_DUMP,
+                    [paths, [channel.h_env.real] + h.real.tolist(),
+                     [channel.h_env.imag] + h.imag.tolist()])
     return rows
 
 
@@ -264,9 +271,8 @@ _LINK_COMMANDS = {
         "stage3_increment_db,probes_stage1,probes_stage2,probes_stage3",
         "%s,%s,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s,%s",
         "n_links", lambda scenario, col: {
-            "median_gain_db": median_lower(col["gain_db"]),
-            "p10_gain_db": percentile_lower(col["gain_db"], 10.0),
-            "p90_gain_db": percentile_lower(col["gain_db"], 90.0),
+            **dict(zip(("median_gain_db", "p10_gain_db", "p90_gain_db"),
+                       percentiles_lower(col["gain_db"], (50.0, 10.0, 90.0)))),
             "max_gain_db": float(max(col["gain_db"])),
             "total_probes": sum(sum(col[f"probes_stage{s}"]) for s in (1, 2, 3))}),
     "backscatter": _LinkCommand(

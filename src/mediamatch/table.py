@@ -15,5 +15,5 @@ def table_text(header: str, line: str, columns) -> str:
 
 def write_table(path, header: str, line: str, columns) -> str:
     """Write table_text(header, line, columns) to path, a pathlib.Path in an existing folder."""
-    path.write_text(table_text(header, line, columns), encoding="utf-8", newline="\n")
+    path.write_bytes(table_text(header, line, columns).encode())
     return str(path)

@@ -7,16 +7,18 @@ Runs all five commands on every shipped scenario, and the three link
 commands on fixed variants of water_links.json (noise at -20 dB, a
 non-reciprocal uplink, 0.3 rad phase jitter, and all three): the shipped
 scenarios are all noise-free, reciprocal and jitter-free.  The link commands
-run at --parallel 1 and 2.  Each run is in a fresh temporary directory with
-relative paths, so no line depends on where the repository or the run
-lives.  For each run it prints the exit code and the sha256 of stdout and
-stderr, then one line per file written under the output directory.  It also
-prints the sha256 of each demo's stdout, the repository's path in it
-replaced.  The package is imported from this repository's src/: run the
-script from two checkouts and diff the outputs, or pass --against with the
-other checkout, which runs its copy of this script as well and prints only
-the lines that differ, grouped by command and file kind (a link number
-stands as *), with each group's count of moved and compared lines.  Every
+run at --parallel 1 and 2, and links once more on water_links.json with
+--links 40 --parallel 1: three batches of at most 16 links.  Each run is in
+a fresh temporary directory with relative paths, so no line depends on
+where the repository or the run lives.  For each run it prints the exit
+code and the sha256 of stdout and stderr, then one line per file written
+under the output directory.  It also prints the sha256 of each demo's
+stdout, the repository's path in it replaced.  The package is imported from
+this repository's src/: run the script from two checkouts and diff the
+outputs, or pass --against with the other checkout, which runs its copy of
+this script as well and prints only the lines that differ, grouped by
+command and file kind (a link number stands as *), with each group's count
+of moved and compared lines.  Every
 run gets this process's environment, NPY_DISABLE_CPU_FEATURES included, so
 the output can also be diffed across numpy's SIMD dispatch settings:
 
@@ -66,27 +68,35 @@ def scenarios():
         yield f"water_links+{name}", json.dumps(variant, indent=2).encode(), LINK_COMMANDS
 
 
+def run_lines(label: str, text: bytes, argv, env):
+    """The lines of one CLI run on scenario bytes in a fresh temporary
+    directory: exit code and output digests, then one line per file written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "scenario.json").write_bytes(text)
+        done = run(["-m", "mediamatch", *argv, "--scenario", "scenario.json", "--out", "out"],
+                   tmp, env)
+        yield f"{label}: exit {done.returncode} stdout {sha(done.stdout)} stderr {sha(done.stderr)}"
+        out = Path(tmp) / "out"
+        for path in sorted(out.rglob("*")) if out.is_dir() else ():
+            if path.is_file():
+                yield f"  {path.relative_to(out).as_posix()} {sha(path.read_bytes())}"
+
+
 def digest_lines(links: int):
     """Every line the script prints, in order."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     for name, text, commands in scenarios():
         for command in commands:
             for parallel in (1, 2) if command in LINK_COMMANDS else (None,):
-                with tempfile.TemporaryDirectory() as tmp:
-                    (Path(tmp) / "scenario.json").write_bytes(text)
-                    argv = ["-m", "mediamatch", command, "--scenario", "scenario.json",
-                            "--out", "out"]
-                    if parallel is not None:
-                        argv += ["--links", str(links), "--parallel", str(parallel)]
-                    done = run(argv, tmp, env)
-                    label = f"{name} {command}" + (f" --parallel {parallel}"
-                                                   if parallel else "")
-                    yield (f"{label}: exit {done.returncode} stdout {sha(done.stdout)} "
-                           f"stderr {sha(done.stderr)}")
-                    out = Path(tmp) / "out"
-                    for path in sorted(out.rglob("*")) if out.is_dir() else ():
-                        if path.is_file():
-                            yield f"  {path.relative_to(out).as_posix()} {sha(path.read_bytes())}"
+                argv, label = [command], f"{name} {command}"
+                if parallel is not None:
+                    argv += ["--links", str(links), "--parallel", str(parallel)]
+                    label += f" --parallel {parallel}"
+                yield from run_lines(label, text, argv, env)
+    # three batches of at most 16 links, so batch boundaries show in every diff
+    yield from run_lines("water_links links --links 40 --parallel 1",
+                         (REPO / "scenarios" / "water_links.json").read_bytes(),
+                         ["links", "--links", "40", "--parallel", "1"], env)
     for demo in sorted((REPO / "demos").glob("[0-9]*.py")):
         done = run([str(demo)], REPO, env)
         stdout = done.stdout.replace(str(REPO).encode(), b"<repo>")  # demo 02 prints paths

@@ -4,8 +4,8 @@ Every controller stage sends its probes as one index stack through
 ``control._probe_many`` to the oracle's ``batch``, which measures it at once.
 Probe i of a batch must read exactly what the i-th of as many one-row
 batches reads: same bits, signs of zero included, same noise seed, same
-probe count afterwards.  ``ControlTrace.serialize`` hashes the probes in
-blocks per alphabet, and every digest must equal the referee's
+probe count afterwards.  ``ControlTrace.serialize`` hashes the probes of
+its traces in chunks, and every digest must equal the referee's
 ``oracles.config_hash_reference`` of the voltages the configuration stands for.
 """
 
@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from mediamatch.channel import (PROBE_BLOCK, ChannelStack, FeedbackOracle, MultipathChannel,
                                 composite_channels, rss_db, sample_channel)
-from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, ControlTrace, LinkBatch,
+from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, TRACE_TABLE, ControlTrace,
+                                LinkBatch,
                                 _probe_many, brute_force_baseline, column_groups,
                                 run_controllers)
 from mediamatch.scenario import default_water_scenario
@@ -196,7 +197,7 @@ class TestZeroReading:
                                    h_elements=np.zeros(4, dtype=complex),
                                    responder=responder())
         trace = run_controllers(FeedbackOracle(channel), 4).traces[0]
-        readings = [row.split(",")[3] for row in trace.serialize().strip().split("\n")[1:]]
+        readings = [row.split(",")[3] for row in trace.serialize()[0].strip().split("\n")[1:]]
         assert readings == ["0"] * trace.budget_used
 
 
@@ -221,7 +222,74 @@ class TestBlockDigests:
         trace.append(1, np.linspace(0.0, 30.0, 300).tolist(), np.stack([wide, wide[::-1]]),
                      [0.0, 0.0])
         trace.append(1, (), np.zeros((2, 0), np.uint8), [0.0, 0.0])
-        rows = trace.serialize().split("\n")[1:-1]
+        rows = trace.serialize()[0].split("\n")[1:-1]
         assert len(rows) == trace.budget_used
         assert [row.split(",")[2] for row in rows] == [
             oracles.config_hash_reference(voltages) for voltages in _probe_voltages(trace)]
+
+
+class _Readings:
+    """A stacked oracle that reads any batch as the readings it was given."""
+
+    def __init__(self, rss):
+        self.rss = rss
+
+    def batch(self, levels, index, rows):
+        return self.rss
+
+
+#: Alphabet entries: signed zeros, NaNs of two bit patterns (0.0/-0.0 and the
+#: NaNs repeat within an alphabet as often as drawn), or anything.
+_LEVELS = st.one_of(st.sampled_from([0.0, -0.0, 30.0, 2.5, float("inf"), float("nan"),
+                                     -float("nan")]), st.floats(allow_subnormal=True))
+
+#: Readings that only their bit patterns tell apart, or that format alike.
+_SPECIAL = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), float("-inf"), 5e-324,
+            -12.3, 1e16]
+
+
+class TestBatchRendering:
+    """ControlTrace.serialize renders a batch of traces in one pass; each text
+    must equal its trace rendered alone, and the plain rendering of one
+    referee hash and one format call per probe."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_links=st.integers(1, 5), n_blocks=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_matches_plain_rendering(self, n_links, n_blocks, seed, data):
+        """Blocks of 1 to 80 elements, of rows over at most 1, 2 or 3 of their
+        alphabet's entries, with or without stage-3 style padding, empty or
+        straddling HASH_BLOCK; one index and alphabet for all links (as
+        stage 1's) or one per link, so chunks mix alphabets."""
+        rng = np.random.default_rng(seed)
+        links = LinkBatch.new(n_links)
+        # at most two lengths, so blocks of one N over both kinds of alphabet share chunks
+        lengths = data.draw(st.lists(st.one_of(st.sampled_from([1, 7, 8, 9, 64, 80]),
+                                               st.integers(1, 80)), min_size=1, max_size=2))
+        for block in range(n_blocks):
+            n = data.draw(st.sampled_from(lengths))
+            n_rows = data.draw(st.sampled_from([0, 1, 7, 9, HASH_BLOCK - 3, HASH_BLOCK + 5]))
+            used = data.draw(st.integers(1, 3))
+            k = data.draw(st.integers(used, used + 3))
+            alphabets = [tuple(data.draw(st.lists(_LEVELS, min_size=k, max_size=k)))
+                         for _ in range(n_links)]
+            choice = rng.integers(0, k, (n_links, n_rows, used))
+            index = np.take_along_axis(choice, rng.integers(0, used, (n_links, n_rows, n)),
+                                       axis=2).astype(np.uint8)
+            if data.draw(st.booleans()):
+                alphabets = alphabets[:1] * n_links
+                index = np.broadcast_to(index[0], index.shape)
+            rss = np.round(rng.normal(-40.0, 5.0, (n_links, n_rows)), 1)
+            special = rng.random(rss.shape) < 0.2
+            rss[special] = rng.choice(_SPECIAL, np.count_nonzero(special))
+            rows = rng.integers(0, n_rows + 1, n_links) if data.draw(st.booleans()) else None
+            _probe_many(_Readings(rss), links, 1 + block % 3, alphabets, index, rows)
+        texts = ControlTrace.serialize(*links.traces)
+        assert len(texts) == n_links
+        for trace, text in zip(links.traces, texts):
+            probes = [(stage, oracles.config_hash_reference([levels[e] for e in row]), r)
+                      for stage, levels, index, rss in trace.blocks
+                      for row, r in zip(index.tolist(), rss.tolist())]
+            assert text == oracles.row_csv_text(
+                TRACE_TABLE[0], [(s, k, h, r) for k, (s, h, r) in enumerate(probes)], ".10g")
+            assert trace.serialize() == [text]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, MASK_BLOCK, ControlTrace,
-                                LinkBatch, _digests, _onoff_index, _owners, _probe_many,
+                                LinkBatch, _hash_blocks, _onoff_index, _owners, _probe_many,
                                 brute_force_baseline, column_groups, config_hash,
                                 run_controllers, stage1_uniform_probe, stage2_majority_voting,
                                 stage3_fine_tune)
@@ -336,7 +336,7 @@ class TestTraceSerialization:
     def test_line_format(self):
         trace = ControlTrace()
         trace.append(1, (30.0, 0.0), [[0, 1]], [-12.5])
-        text = trace.serialize()
+        text, = trace.serialize()
         lines = text.strip().split("\n")
         assert lines[0] == "stage,probe_index,config_hash,rss_db"
         stage, idx, digest, rss = lines[1].split(",")
@@ -349,7 +349,7 @@ class TestTraceSerialization:
         rng = np.random.default_rng(4)
         h = rng.normal(size=12) + 1j * rng.normal(size=12)
         trace = run_controllers(onoff_oracle(h), 12, rng_seeds=[9]).traces[0]
-        rows = trace.serialize().strip().split("\n")[1:]
+        rows = trace.serialize()[0].strip().split("\n")[1:]
         assert len(rows) == trace.budget_used
         for row, voltages in zip(rows, probe_voltages(trace)):
             assert row.split(",")[2] == oracles.config_hash_reference(voltages)
@@ -360,7 +360,7 @@ class TestTraceSerialization:
         assert config_hash(values) == oracles.config_hash_reference(values)
         trace = ControlTrace()
         trace.append(1, values.tolist(), np.arange(1024, dtype=np.uint16)[None], [0.0])
-        assert trace.serialize().split("\n")[1].split(",")[2] == config_hash(values)
+        assert trace.serialize()[0].split("\n")[1].split(",")[2] == config_hash(values)
 
     def test_signed_zero_hashes_apart(self):
         assert config_hash((0.0, -0.0)) == oracles.config_hash_reference((0.0, -0.0))
@@ -368,7 +368,7 @@ class TestTraceSerialization:
         for levels in ((30.0, 0.0), (30.0, -0.0)):
             trace.append(1, levels, [[0, 1]], [0.0])
         trace.append(1, (0.0, -0.0), [[0, 1]], [0.0])
-        rows = trace.serialize().strip().split("\n")[1:]
+        rows = trace.serialize()[0].strip().split("\n")[1:]
         assert [r.split(",")[2] for r in rows] == [
             oracles.config_hash_reference(voltages) for voltages in probe_voltages(trace)]
         assert rows[0].split(",")[2] != rows[1].split(",")[2]
@@ -388,7 +388,7 @@ class TestTraceSerialization:
             first = len(lines) - 1
             lines += [f"{stage},{first + k},{config_hash((30.0,) * 3)},{r:.10g}"
                       for k, r in enumerate(rss)]
-        assert trace.serialize() == "\n".join(lines) + "\n"
+        assert trace.serialize() == ["\n".join(lines) + "\n"]
 
     def test_hash_is_canonical(self):
         assert config_hash((30.0, 0.0)) == config_hash([30, 0])
@@ -410,9 +410,14 @@ LEVELS = st.one_of(
     st.floats(allow_subnormal=True))
 
 
+def block_digests(levels, index) -> list[str]:
+    """The trace hashes of an index matrix's rows, rendered as a block alone."""
+    return _hash_blocks([(tuple(levels), index)])[0]
+
+
 class TestDigests:
-    """_digests hashes the rows of an index matrix block by block; every row
-    must hash as the referee hashes the voltages it stands for."""
+    """_hash_blocks hashes the rows of an index matrix chunk by chunk; every
+    row must hash as the referee hashes the voltages it stands for."""
 
     @settings(max_examples=150, deadline=None)
     @given(n_levels=st.sampled_from([1, 2, 3, 7, 16, 17, 300]),
@@ -430,13 +435,13 @@ class TestDigests:
         index = used[rng.integers(0, len(used), (n_rows, n))].astype(dtype)
         values = np.array(levels)
         expected = [oracles.config_hash_reference(values[row]) for row in index]
-        assert _digests(levels, index) == expected
+        assert block_digests(levels, index) == expected
         assert [config_hash(values[row]) for row in index] == expected
 
     def test_signed_zero_levels_stay_apart(self):
         index = np.zeros((1, 9), dtype=np.uint8)
-        assert _digests((0.0, 1.0), index) == [oracles.config_hash_reference((0.0,) * 9)]
-        assert _digests((-0.0, 1.0), index) == [oracles.config_hash_reference((-0.0,) * 9)]
+        assert block_digests((0.0, 1.0), index) == [oracles.config_hash_reference((0.0,) * 9)]
+        assert block_digests((-0.0, 1.0), index) == [oracles.config_hash_reference((-0.0,) * 9)]
         assert config_hash((0.0,) * 9) != config_hash((-0.0,) * 9)
 
     def test_repeated_alphabet_entries_hash_as_voltages(self):
@@ -444,19 +449,19 @@ class TestDigests:
         index = np.array([[0, 2, 0, 2], [0, 1, 2, 1], [3, 3, 3, 3]], dtype=np.uint8)
         levels = (5.0, 0.0, 5.0, _nan(1))
         values = np.array(levels)
-        assert _digests(levels, index) == [
+        assert block_digests(levels, index) == [
             oracles.config_hash_reference(values[row]) for row in index]
-        assert _digests(levels, index)[0] == config_hash((5.0,) * 4)
+        assert block_digests(levels, index)[0] == config_hash((5.0,) * 4)
 
     def test_onoff_row_hashes_as_its_voltages(self):
         """An on/off row over (v1, v0), the same row over (v0, v1) and over
         the 7-level set are one voltage vector, so they hash alike."""
         on = np.random.default_rng(2).integers(0, 2, (3, 64)).astype(bool)
         v1, v0 = 10.0, 2.5
-        by_pair = _digests((v1, v0), np.where(on, 0, 1).astype(np.uint8))
-        by_swap = _digests((v0, v1), np.where(on, 1, 0).astype(np.uint8))
+        by_pair = block_digests((v1, v0), np.where(on, 0, 1).astype(np.uint8))
+        by_swap = block_digests((v0, v1), np.where(on, 1, 0).astype(np.uint8))
         vs = DEFAULT_VOLTAGE_SET
-        by_set = _digests(vs, np.where(on, vs.index(v1), vs.index(v0)).astype(np.uint8))
+        by_set = block_digests(vs, np.where(on, vs.index(v1), vs.index(v0)).astype(np.uint8))
         assert by_pair == by_swap == by_set == [
             oracles.config_hash_reference(np.where(row, v1, v0)) for row in on]
 
@@ -465,7 +470,7 @@ class TestDigests:
         row and its 8-element extension would hash alike."""
         seven, eight = [30, 0, 30, 30, 30, 30, 30], [30, 0, 30, 30, 30, 30, 30, 30]
         assert config_hash(seven) != config_hash(eight)
-        assert _digests((30.0, 0.0), np.array([[0, 1, 0, 0, 0, 0, 0]], np.uint8)) == [
+        assert block_digests((30.0, 0.0), np.array([[0, 1, 0, 0, 0, 0, 0]], np.uint8)) == [
             oracles.config_hash_reference(seven)]
 
 
@@ -656,5 +661,5 @@ class TestOnOffRunCodes:
         for k in range(8):
             codes = codes * 2 + runs[..., k]
         head = struct.pack("<II2d", n, 2, 30.0, 0.0)
-        assert _digests((30.0, 0.0), rows) == [
+        assert block_digests((30.0, 0.0), rows) == [
             hashlib.sha256(head + bytes(row)).hexdigest()[:12] for row in codes.tolist()]

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -22,7 +23,7 @@ from mediamatch import channel as channel_mod, cli, harness, scenario as scenari
 from mediamatch.cli import main
 from mediamatch.harness import (BudgetError, cmd_backscatter, cmd_bench_controller,
                                 cmd_links, cmd_match, cmd_sweep, median_lower,
-                                run_links, validate_trace)
+                                percentiles_lower, run_links, validate_trace)
 from mediamatch.control import TRACE_TABLE, ControlTrace
 from mediamatch.table import table_text, write_table
 from mediamatch.surface import admittance_at_voltage
@@ -135,6 +136,18 @@ class TestTableText:
         assert (tmp_path / "t.csv").read_bytes() == \
             row_csv_text("path,re,im", zip(*columns)).encode()
 
+    def test_write_table_long_and_over_a_longer_file(self, tmp_path):
+        """write_table writes all of a table over 1 MB, the bytes
+        Path.write_text writes, and truncates a longer file it writes over."""
+        columns = [[f"{k},\u00e9" for k in range(60000)], [k / 7 for k in range(60000)]]
+        text = table_text("a,b,c", "%s,%.12g", columns)
+        assert len(text.encode()) > 2 ** 20
+        (tmp_path / "path").write_text(text, encoding="utf-8", newline="\n")
+        write_table(tmp_path / "full", "a,b,c", "%s,%.12g", columns)
+        assert (tmp_path / "full").read_bytes() == (tmp_path / "path").read_bytes()
+        write_table(tmp_path / "full", "a", "%s", [["short"]])
+        assert (tmp_path / "full").read_bytes() == b"a\nshort\n"
+
     def test_templates_declare_one_conversion_per_column(self):
         """Every table's template has one conversion per header name: a table
         with no rows (a zero-link run) writes only its header, which no pin of
@@ -147,6 +160,25 @@ class TestTableText:
             conversions = line.split(",")
             assert len(conversions) == len(header.split(",")), name
             assert all(re.fullmatch(r"%s|%\.1[02]g", c) for c in conversions), name
+
+
+class TestLowerPercentiles:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(
+               st.sampled_from([0.0, -0.0, 1.5, 1.5, float("inf"), float("-inf"), float("nan")]),
+               st.floats(allow_nan=False)), min_size=1, max_size=50),
+           qs=st.lists(st.one_of(st.sampled_from([10.0, 50.0, 90.0]), st.floats(0.0, 100.0)),
+                       min_size=1, max_size=4))
+    def test_equal_numpy_lower(self, values, qs):
+        """One sort gives numpy's method="lower" percentiles, ties and
+        infinities included, and NaN for every q when a value is NaN."""
+        got = percentiles_lower(values, qs) + [median_lower(values)]
+        for q, value in zip([*qs, 50.0], got):
+            want = float(np.percentile(np.array(values), q, method="lower"))
+            if any(math.isnan(v) for v in values):
+                assert math.isnan(value) and math.isnan(want)
+            else:
+                assert value == want
 
 
 class TestGoldenHeatmaps:

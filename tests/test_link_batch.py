@@ -26,7 +26,7 @@ from mediamatch import harness
 from mediamatch.channel import (ONOFF_MIN_ELEMENTS, ONOFF_ROWS, PROBE_BLOCK, ChannelStack,
                                 FeedbackOracle, composite_channels, gains_db, onoff_channels,
                                 rss_db, sample_channel)
-from mediamatch.control import (DEFAULT_VOLTAGE_SET, brute_force_baseline,
+from mediamatch.control import (DEFAULT_VOLTAGE_SET, ControlTrace, brute_force_baseline,
                                 column_groups, run_controllers)
 from mediamatch.harness import cmd_backscatter, cmd_bench_controller, cmd_links, run_links
 from mediamatch.scenario import (CHANNEL_STREAM, NOISE_STREAM, UPLINK_STREAM, VOTING_STREAM,
@@ -245,12 +245,13 @@ class TestStackedOracles:
             _HighPadding(FeedbackOracle(channels, noise_db=-15.0, noise_seed=seeds)),
             9, voltages, rng_seeds=seeds)
         assert len({trace.stage_probe_count(3) for trace in links.traces}) > 1
+        texts = ControlTrace.serialize(*links.traces)
         for k, (channel, seed) in enumerate(zip(channels, seeds)):
             alone = run_controllers(FeedbackOracle(channel, noise_db=-15.0, noise_seed=seed),
                                     9, voltages, rng_seeds=[seed])
             assert per_probe.voltages(*links.configs()[k]) == \
                 per_probe.voltages(*alone.configs()[0])
-            assert links.traces[k].serialize() == alone.traces[0].serialize()
+            assert [texts[k]] == alone.traces[0].serialize()
             assert _bits(links.traces[k].best()[1]) == _bits(alone.traces[0].best()[1])
 
 
