@@ -17,8 +17,10 @@ is |T|^2 kappa with kappa = Re(1/Z_load*) / Re(1/Z_src*).
 stack_coefficients does the chain product once per (structure, layer
 thicknesses, frequencies), memoized.  The thicknesses may carry leading rows
 axes, over which bl = k d broadcasts, so one build covers a sweep's family of
-stacks.  solve_stack evaluates the expressions above with numpy broadcasting
-over rows, admittance and frequency.
+stacks.  A build reads each medium's impedance and wavenumber from
+media._quantities, memoized per (medium, frequencies): stacks that differ in
+their thicknesses share them.  solve_stack evaluates the expressions above
+with numpy broadcasting over rows, admittance and frequency.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .media import Layer, Medium, _check_frequency, _impedance, _permittivity, _wavenumber
+from .media import Layer, Medium, _quantities
 
 DB_FLOOR = -200.0  # clamp used when emitting dB columns to files
 
@@ -103,8 +105,9 @@ class CascadeSolution:
 def _scalar_times(p, q) -> np.ndarray:
     """p * q with each real product rounded apart, as numpy complex scalars
     multiply; numpy's array loop fuses them (FMA) where the CPU has it."""
-    out = np.empty(np.broadcast_shapes(np.shape(p), np.shape(q)), dtype=complex)
-    out.real, out.imag = p.real * q.real - p.imag * q.imag, p.real * q.imag + p.imag * q.real
+    real = p.real * q.real - p.imag * q.imag
+    out = np.empty(real.shape, dtype=complex)
+    out.real, out.imag = real, p.real * q.imag + p.imag * q.real
     return out
 
 
@@ -114,19 +117,17 @@ def _scalar_times(p, q) -> np.ndarray:
 def _coefficients(structure: tuple, rows: tuple, thicknesses: bytes, shape: tuple,
                   data: bytes) -> tuple:
     source, load, layer_media, surface_index = structure
-    f = np.frombuffer(data).reshape(shape)
     d = np.frombuffer(thicknesses).reshape(rows + (len(layer_media),))
-    _check_frequency(f)  # once per build: every medium's quantities share f
     # A one-frequency stack's entries are numpy scalars, which round each real
     # product apart: a rows build multiplies as they do, keeping each row's bits.
-    times = _scalar_times if rows and f.ndim == 0 else operator.mul
-    eps = {m: _permittivity(m, f) for m in (source, load, *layer_media)}
-    z_src, z_load = _impedance(source, eps[source]), _impedance(load, eps[load])
+    times = _scalar_times if rows and not shape else operator.mul
+    z_src, z_load = _quantities(source, shape, data)[0], _quantities(load, shape, data)[0]
     lines = []  # (A = D, B, C) of each layer's line matrix
     for j, m in enumerate(layer_media):
-        z = _impedance(m, eps[m])
-        bl = _wavenumber(m, eps[m], f) * d[..., j].reshape(rows + (1,) * len(shape))
-        lines.append((np.cos(bl), times(1j * z, np.sin(bl)), 1j * np.sin(bl) / z))
+        z, k = _quantities(m, shape, data)
+        bl = k * d[..., j].reshape(rows + (1,) * len(shape))
+        sin = np.sin(bl)
+        lines.append((np.cos(bl), times(1j * z, sin), 1j * sin / z))
     x = np.ones((2,) + rows + shape, dtype=complex)  # rows r, r', stacked ahead of rows
     y = np.array([z_src, -z_src]).reshape((2,) + (1,) * len(rows) + shape)
     y_after = [y]  # second entries of the rows after 0, 1, ... lines

@@ -9,12 +9,31 @@ affine coefficients.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cascade import DB_FLOOR, DegenerateStackError, StackSpec, db, solve_stack, stack_coefficients
 from .surface import ElementCircuit, admittance_at_voltage, admittance_exact, varactor_at
+
+
+def _admittances(circuit: ElementCircuit, capacitance, resistance, frequency) -> np.ndarray:
+    """admittance_exact at each broadcast (C, R, f) point, read-only."""
+    points = np.array(np.broadcast_arrays(capacitance, resistance, frequency), dtype=float)
+    return _admittance_table(circuit, points.shape[1:], points.tobytes())
+
+
+# Every match and sweep of a circuit asks for the same (C, R, f) points:
+# memoized per (circuit, points), each point one call on Python floats.
+@functools.lru_cache(maxsize=256)
+def _admittance_table(circuit: ElementCircuit, shape: tuple, data: bytes) -> np.ndarray:
+    c, r, f = np.frombuffer(data).reshape((3, -1)).tolist()
+    ys = np.array([admittance_exact(circuit, *point) for point in zip(c, r, f)],
+                  dtype=complex).reshape(shape)
+    ys.flags.writeable = False
+    return ys
+
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -60,9 +79,7 @@ def _axis_admittances(name: str, values, circuit: ElementCircuit | None,
     # C and R both fall with the bias voltage, so reversed they rise together
     c, r = (column[::-1] for column in circuit.varactors.knots[1:])
     caps = np.asarray(values, dtype=float) * 1e-12
-    res = np.interp(np.clip(caps, c[0], c[-1]), c, r)
-    return np.array([admittance_exact(circuit, cap, loss, frequency)
-                     for cap, loss in zip(caps.tolist(), res.tolist())])
+    return _admittances(circuit, caps, np.interp(np.clip(caps, c[0], c[-1]), c, r), frequency)
 
 
 def sweep_through_power(stack_family, grid: SweepGrid,
@@ -160,8 +177,7 @@ def reflection_spectrum(stack: StackSpec, frequencies, ys: complex | None = None
         raise ValueError("voltage mode needs the element circuit")
 
     if ys is None:
-        c, r = varactor_at(circuit.varactors, voltage)
-        ys = np.array([admittance_exact(circuit, c, r, f) for f in freqs.tolist()])
+        ys = _admittances(circuit, *varactor_at(circuit.varactors, voltage), freqs)
     refl = solve_stack(stack, ys, freqs).reflected_power
     bare = solve_stack(stack, 0j, freqs).reflected_power
     if np.isnan(refl).any() or np.isnan(bare).any():

@@ -10,6 +10,7 @@ them; interface reflection/transmission) follow from those three numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,6 +119,21 @@ def _impedance(medium: Medium, eps_c):
 def _wavenumber(medium: Medium, eps_c, frequency):
     omega = 2.0 * np.pi * frequency
     return (omega / C_VACUUM) * np.sqrt(medium.relative_permeability * eps_c)
+
+
+# Stacks over the same media and frequencies differ only in their thicknesses:
+# each medium's quantities are memoized per frequencies, read-only.
+@functools.lru_cache(maxsize=256)
+def _quantities(medium: Medium, shape: tuple, data: bytes) -> tuple:
+    """(impedance, wavenumber) at the frequencies whose float64 bytes are data."""
+    f = np.frombuffer(data).reshape(shape)
+    _check_frequency(f)
+    eps_c = _permittivity(medium, f)
+    out = _impedance(medium, eps_c), _wavenumber(medium, eps_c, f)
+    for q in out:
+        if isinstance(q, np.ndarray):  # a one-frequency medium's are numpy scalars
+            q.flags.writeable = False
+    return out
 
 
 def fresnel_interface(src: Medium, dst: Medium, frequency: float) -> FresnelResult:

@@ -70,16 +70,15 @@ class Scenario:
     coupling_offset: complex
     sweeps: dict[str, np.ndarray]
     spectrum: np.ndarray
-    raw: dict = field(repr=False, default_factory=dict)
+    digest: str = field(repr=False)  # see scenario_hash
 
     @property
     def n_elements(self) -> int:
         return self.rows * self.cols
 
     def scenario_hash(self) -> str:
-        """SHA-256 over the canonical JSON rendering of the raw scenario."""
-        canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        """SHA-256 over the canonical JSON rendering of the dict as parsed."""
+        return self.digest
 
     def stack(self, gap_mm: float | None = None, fat_mm: float | None = None,
               load_depth_m: float | None = None) -> StackSpec:
@@ -273,7 +272,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
         surface_index=fields["surface_index"], circuit=circuit, voltage_set=voltage_set,
         rows=rows, cols=cols, channel=ChannelParams(**fields["channel"]), seed=fields["seed"],
         coupling_offset=complex(*fields["coupling_offset_s"]), sweeps=sweeps,
-        spectrum=np.linspace(*fields["spectrum_hz"].values()), raw=raw)
+        spectrum=np.linspace(*fields["spectrum_hz"].values()),
+        digest=hashlib.sha256(json.dumps(raw, sort_keys=True, separators=(",", ":"))
+                              .encode("utf-8")).hexdigest()[:16])
 
 
 def read_scenario_dict(path) -> dict:

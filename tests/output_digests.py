@@ -15,10 +15,11 @@ code and the sha256 of stdout and stderr, then one line per file written
 under the output directory.  It also prints the sha256 of each demo's
 stdout, the repository's path in it replaced.  The package is imported from
 this repository's src/: run the script from two checkouts and diff the
-outputs, or pass --against with the other checkout, which runs its copy of
-this script as well and prints only the lines that differ, grouped by
-command and file kind (a link number stands as *), with each group's count
-of moved and compared lines.  Every
+outputs, or pass --against with the other checkout, which runs this
+script's runs and demos a second time with the other checkout's src/ on
+PYTHONPATH, so both sides run the same list, and prints only the lines that
+differ, grouped by command and file kind (a link number stands as *), with
+each group's count of moved and compared lines.  Every
 run gets this process's environment, NPY_DISABLE_CPU_FEATURES included, so
 the output can also be diffed across numpy's SIMD dispatch settings:
 
@@ -82,9 +83,9 @@ def run_lines(label: str, text: bytes, argv, env):
                 yield f"  {path.relative_to(out).as_posix()} {sha(path.read_bytes())}"
 
 
-def digest_lines(links: int):
-    """Every line the script prints, in order."""
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+def digest_lines(links: int, src: Path = REPO / "src"):
+    """Every line the script prints, in order, with the package from `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src))
     for name, text, commands in scenarios():
         for command in commands:
             for parallel in (1, 2) if command in LINK_COMMANDS else (None,):
@@ -121,11 +122,9 @@ def keyed(lines) -> dict:
 
 
 def against(links: int, other: Path) -> None:
-    """Print the lines that differ between this checkout and `other`, grouped."""
-    theirs = subprocess.run([sys.executable, str(other / "tests" / "output_digests.py"),
-                             "--links", str(links)], capture_output=True, text=True,
-                            check=True, timeout=3600).stdout.splitlines()
-    mine, theirs = keyed(digest_lines(links)), keyed(theirs)
+    """Print the lines that differ between this checkout's package and
+    `other`'s, both on this checkout's runs, grouped."""
+    mine, theirs = keyed(digest_lines(links)), keyed(digest_lines(links, other / "src"))
     keys, groups = sorted(mine.keys() | theirs.keys()), {}
     for key in keys:
         groups.setdefault(key[0], []).append(key)

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mediamatch import channel as channel_mod, cli, harness, scenario as scenario_mod
+from mediamatch import (cascade, channel as channel_mod, cli, harness, matching, media,
+                        scenario as scenario_mod)
 from mediamatch.cli import main
 from mediamatch.harness import (BudgetError, cmd_backscatter, cmd_bench_controller,
                                 cmd_links, cmd_match, cmd_sweep, median_lower,
@@ -225,6 +226,26 @@ class TestMatchCommand:
         rw = cmd_match(scenario_from_dict(w), tmp_path / "w")
         rt = cmd_match(scenario_from_dict(t), tmp_path / "t")
         assert rw.summary["best_voltage_v"] != rt.summary["best_voltage_v"]
+
+    def test_new_thickness_reuses_media_and_admittances(self, tmp_path):
+        """A stack that differs from the last one only in its fat thickness
+        builds new chains, but over the media quantities and element
+        admittances the last one memoized."""
+        memos = (media._quantities, matching._admittance_table, cascade._coefficients)
+
+        def misses():
+            return [memo.cache_info().misses for memo in memos]
+
+        for i, fat_mm in enumerate((15.0, 22.5)):
+            raw = default_tissue_dict(name="reuse")
+            raw["layers"][2]["thickness_mm"] = fat_mm
+            scenario = scenario_from_dict(raw)
+            before = misses()
+            cmd_match(scenario, tmp_path / f"match{i}")
+            cmd_sweep(scenario, tmp_path / f"sweep{i}")
+        after = misses()
+        assert after[:2] == before[:2]
+        assert after[2] > before[2]
 
 
 class TestSweepCommand:
@@ -978,6 +999,14 @@ class TestScenarioParsing:
         assert a.scenario_hash() == b.scenario_hash()
         c = scenario_from_dict(default_water_dict(seed=2))
         assert c.scenario_hash() != a.scenario_hash()
+
+    def test_hash_is_of_the_dict_as_parsed(self):
+        raw = json.loads((SCENARIOS / "water_links.json").read_text(encoding="utf-8"))
+        parsed = scenario_from_dict(raw)
+        before, seed = parsed.scenario_hash(), parsed.seed
+        raw["seed"] = seed + 1
+        assert parsed.scenario_hash() == before
+        assert scenario_from_dict(raw).scenario_hash() != before
 
     def test_coupling_offset_shifts_best_voltage(self):
         """Media coupling lowers the effective admittance; the voltage the

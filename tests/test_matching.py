@@ -11,7 +11,7 @@ from mediamatch.matching import (SweepGrid, best_admittance, best_voltage,
                                  reflection_spectrum, sweep_through_power)
 from mediamatch.media import AIR, FAT, Layer, MUSCLE, Medium, SKIN, WATER
 from mediamatch.scenario import default_tissue_scenario, default_water_scenario
-from mediamatch.surface import admittance_at_voltage, admittance_exact
+from mediamatch.surface import ResonanceError, admittance_at_voltage, admittance_exact
 
 import oracles
 
@@ -345,3 +345,36 @@ class TestSingularPoint:
     def test_spectrum_raises(self):
         with pytest.raises(DegenerateStackError):
             reflection_spectrum(StackSpec(AIR, AIR), [2.0e9, 2.4e9], ys=self.SINGULAR)
+
+
+class TestAdmittanceMemo:
+    circuit = default_water_scenario().circuit
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.5e-12, 3.72e-12), min_size=1, max_size=6),
+           st.floats(0.1, 1.0),
+           st.one_of(st.floats(1e8, F0), st.lists(st.floats(1e8, F0), min_size=1, max_size=4)))
+    def test_bits_equal_uncached_points(self, caps, resistance, frequency):
+        """Frequencies down one axis and capacitances along the other, missed
+        or hit: each point is admittance_exact's on Python floats."""
+        f = np.reshape(frequency, (-1, 1) if isinstance(frequency, list) else ())
+        want = np.array([[admittance_exact(self.circuit, c, resistance, x) for c in caps]
+                         for x in np.ravel(f).tolist()])
+        for _ in range(2):
+            got = matching._admittances(self.circuit, caps, resistance, f)
+            assert got.shape == np.broadcast_shapes(np.shape(caps), f.shape)
+            assert got.tobytes() == want.tobytes()
+
+    def test_array_is_read_only(self):
+        ys = matching._admittances(self.circuit, [1e-12, 2e-12], 0.5, F0)
+        with pytest.raises(ValueError):
+            ys[0] = 0j
+
+    def test_errors_raise_every_call(self):
+        w = 2.0 * np.pi * F0
+        resonant = 2.0 / (w * w * self.circuit.patch_inductance)
+        for _ in range(2):
+            with pytest.raises(ResonanceError):
+                matching._admittances(self.circuit, [1e-12, resonant], 0.5, F0)
+            with pytest.raises(ValueError, match="must be positive"):
+                matching._admittances(self.circuit, 1e-12, 0.5, [F0, -F0])

@@ -1,8 +1,12 @@
 """Media properties and the bare-interface solution."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mediamatch import media
 from mediamatch.media import (AIR, BUILTIN_MEDIA, FAT, MUSCLE, SKIN, WATER,
                               Medium, complex_permittivity, fresnel_interface,
                               get_medium, intrinsic_impedance, phase_constant)
@@ -140,3 +144,38 @@ class TestFresnelInterface:
         for _ in range(50):
             m = Medium("m", float(rng.uniform(1, 100)), conductivity=float(rng.uniform(0, 3)))
             assert fresnel_interface(m, m, F0).gamma == 0
+
+
+_frequencies = st.floats(1e6, 1e11)
+
+
+class TestQuantitiesMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(st.builds(Medium, st.just("m"), st.floats(1.0, 90.0), st.floats(0.5, 2.0),
+                     st.one_of(st.just(0.0), st.floats(0.0, 5.0))),
+           st.one_of(_frequencies, st.lists(_frequencies, min_size=1, max_size=8)))
+    def test_bits_equal_uncached_points(self, medium, frequency):
+        """Lossless or lossy, one frequency or several, missed or hit: the
+        memoized quantities are the public functions' at each point."""
+        f = np.asarray(frequency, dtype=float)
+        points = f.ravel().tolist()
+        want = [np.array([fn(medium, x) for x in points])
+                for fn in (intrinsic_impedance, phase_constant)]
+        for _ in range(2):
+            got = media._quantities(medium, f.shape, f.tobytes())
+            for q, w in zip(got, want):
+                assert np.shape(q) == f.shape
+                assert np.asarray(q).tobytes() == w.tobytes()
+
+    def test_arrays_are_read_only(self):
+        f = np.linspace(1e9, 3e9, 5)
+        for q in media._quantities(WATER.with_conductivity(1.0), f.shape, f.tobytes()):
+            with pytest.raises(ValueError):
+                q[0] = 0.0
+
+    @pytest.mark.parametrize("bad", [0.0, -1e9, math.nan])
+    def test_invalid_frequency_raises_every_call(self, bad):
+        f = np.array([1e9, bad])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="frequency must be positive"):
+                media._quantities(AIR, f.shape, f.tobytes())
