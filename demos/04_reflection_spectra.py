@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mediamatch import best_voltage, reflection_spectrum
+from mediamatch import admittances, best_voltage, reflection_spectrum, varactor_at
 from mediamatch.scenario import default_water_scenario
 
 OUT = Path(__file__).parent / "out"
@@ -23,8 +23,10 @@ matched = best_voltage(stack, scenario.circuit, scenario.frequency,
                        scenario.voltage_set).best_voltage
 print(f"matched bias on the water stack: {matched:.1f} V")
 
+circuit = scenario.circuit
 for voltage in (matched, 20.0, 30.0):
-    rows = reflection_spectrum(stack, freqs, circuit=scenario.circuit, voltage=voltage)
+    ys = admittances(circuit, *varactor_at(circuit.varactors, voltage), freqs)
+    rows = reflection_spectrum(stack, freqs, ys)
     path = OUT / f"spectrum_{voltage:g}V.csv"
     with open(path, "w") as fh:
         fh.write("frequency_hz,reflection_db,reduction_db\n")

@@ -10,7 +10,7 @@ which ``import mediamatch`` leaves unloaded.
 from .media import AIR, BUILTIN_MEDIA, fresnel_interface, intrinsic_impedance, phase_constant
 from .cascade import through_power_db
 from .surface import (SMV1405_TABLE, admittance_approx, admittance_at_voltage,
-                      admittance_exact, calibrate_inductances, varactor_at)
+                      admittance_exact, admittances, calibrate_inductances, varactor_at)
 from .matching import (SweepGrid, best_admittance, best_voltage, reflection_spectrum,
                        sweep_through_power)
 from .channel import baseline_channel, gains_db

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import DegenerateStackError, StackSpec, _scalar_times, db, solve_stack
-from .surface import ElementCircuit, admittance_at_voltage
+from .surface import ElementCircuit, admittances, varactor_at
 
 
 class ElementResponder:
@@ -26,8 +26,9 @@ class ElementResponder:
     element's admittance at that voltage inserted as the shunt surface; it is
     identical for every element (infinite-surface approximation).  The bare
     response (no surface, Y_s = 0) anchors all gain comparisons.  Responses
-    are cached per voltage and tabulated per voltage alphabet; repeated calls
-    are bit-identical.
+    are cached per voltage and tabulated per voltage alphabet; the voltages
+    not cached yet take their admittances from one surface.admittances call
+    and are solved in one solve_stack call.  Repeated calls are bit-identical.
     """
 
     def __init__(self, stack: StackSpec, circuit: ElementCircuit, frequency: float,
@@ -44,12 +45,12 @@ class ElementResponder:
         return complex(self.table((float(voltage),))[0])
 
     def table(self, levels: tuple[float, ...]) -> np.ndarray:
-        """s(V) at every level of a voltage alphabet, as a complex array; the
-        levels not cached yet are solved in one call."""
+        """s(V) at every level of a voltage alphabet, as a complex array."""
         if levels not in self._tables:
             new = [v for v in dict.fromkeys(map(float, levels)) if v not in self._cache]
             if new:
-                ys = np.array([admittance_at_voltage(self.circuit, v, self.frequency) for v in new])
+                ys = admittances(self.circuit, *varactor_at(self.circuit.varactors, new),
+                                 self.frequency)
                 t = solve_stack(self.stack, ys + self.coupling_offset, self.frequency).t
                 if np.isnan(t).any():
                     raise DegenerateStackError("singular stack at a bias voltage")

@@ -29,6 +29,7 @@ from .control import (ControlTrace, LinkBatch, brute_force_baseline, check_enume
 from .matching import SweepGrid, best_admittance, best_voltage, reflection_spectrum, sweep_through_power
 from .scenario import (CHANNEL_STREAM, NOISE_STREAM, UPLINK_STREAM, VOTING_STREAM, Scenario,
                        link_stream)
+from .surface import admittances, varactor_at
 from .table import write_table
 
 
@@ -100,9 +101,10 @@ def cmd_match(scenario: Scenario, out_dir) -> RunReport:
     adm = best_admittance(stack, f)
     volt = best_voltage(stack, scenario.circuit, f, scenario.voltage_set)
 
-    spectrum_a = reflection_spectrum(stack, scenario.spectrum, ys=adm.best_admittance)
-    spectrum_v = reflection_spectrum(stack, scenario.spectrum,
-                                     circuit=scenario.circuit, voltage=volt.best_voltage)
+    spectrum_a = reflection_spectrum(stack, scenario.spectrum, adm.best_admittance)
+    circuit = scenario.circuit
+    spectrum_v = reflection_spectrum(stack, scenario.spectrum, admittances(
+        circuit, *varactor_at(circuit.varactors, volt.best_voltage), scenario.spectrum))
 
     report = RunReport("match", scenario.name, scenario.scenario_hash())
     for name, spectrum in (("admittance", spectrum_a), ("voltage", spectrum_v)):

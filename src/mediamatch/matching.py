@@ -2,37 +2,20 @@
 
 The matcher only ever searches purely imaginary surface admittances (an
 idealized lossless surface); conductance enters through the varactor path
-when optimizing over bias voltages instead.  Every grid is one solve_stack
-call, and the continuous search reads the minimiser straight off the stack's
-affine coefficients.
+when optimizing over bias voltages instead, whose element admittances come
+from surface.admittances.  Every grid is one solve_stack call, and the
+continuous search reads the minimiser straight off the stack's affine
+coefficients.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cascade import DB_FLOOR, DegenerateStackError, StackSpec, db, solve_stack, stack_coefficients
-from .surface import ElementCircuit, admittance_at_voltage, admittance_exact, varactor_at
-
-
-def _admittances(circuit: ElementCircuit, capacitance, resistance, frequency) -> np.ndarray:
-    """admittance_exact at each broadcast (C, R, f) point, read-only."""
-    points = np.array(np.broadcast_arrays(capacitance, resistance, frequency), dtype=float)
-    return _admittance_table(circuit, points.shape[1:], points.tobytes())
-
-
-# Every match and sweep of a circuit asks for the same (C, R, f) points:
-# memoized per (circuit, points), each point one call on Python floats.
-@functools.lru_cache(maxsize=256)
-def _admittance_table(circuit: ElementCircuit, shape: tuple, data: bytes) -> np.ndarray:
-    c, r, f = np.frombuffer(data).reshape((3, -1)).tolist()
-    ys = np.array([admittance_exact(circuit, *point) for point in zip(c, r, f)],
-                  dtype=complex).reshape(shape)
-    ys.flags.writeable = False
-    return ys
+from .surface import ElementCircuit, admittances, varactor_at
 
 
 @dataclass(frozen=True)
@@ -79,7 +62,7 @@ def _axis_admittances(name: str, values, circuit: ElementCircuit | None,
     # C and R both fall with the bias voltage, so reversed they rise together
     c, r = (column[::-1] for column in circuit.varactors.knots[1:])
     caps = np.asarray(values, dtype=float) * 1e-12
-    return _admittances(circuit, caps, np.interp(np.clip(caps, c[0], c[-1]), c, r), frequency)
+    return admittances(circuit, caps, np.interp(np.clip(caps, c[0], c[-1]), c, r), frequency)
 
 
 def sweep_through_power(stack_family, grid: SweepGrid,
@@ -94,7 +77,8 @@ def sweep_through_power(stack_family, grid: SweepGrid,
     """
     ys = _axis_admittances(grid.axis2_name, grid.axis2_values, circuit, grid.frequency)
     stacks = [stack_family(a1) for a1 in grid.axis1_values]
-    if any(stack.structure != stacks[0].structure for stack in stacks):
+    structure = stacks[0].structure
+    if any(stack.structure != structure for stack in stacks):
         raise ValueError(f"axis {grid.axis1_name!r}: stacks differ in more than thicknesses")
     # rows axes (axis 1, 1), so that the axis-2 admittances broadcast along the last
     thicknesses = [[[layer.thickness for layer in stack.layers]] for stack in stacks]
@@ -132,17 +116,11 @@ def best_voltage(stack: StackSpec, circuit: ElementCircuit, frequency: float,
     Ties go to the higher voltage: the varactor table says higher bias means
     lower loss resistance.
     """
-    voltages = list(voltage_set)
-    if not voltages:
+    order = sorted(voltage_set, reverse=True)  # descending, so strict > keeps higher V on ties
+    if not order:
         raise ValueError("voltage set is empty")
-    lo, hi = circuit.varactors.voltage_range
-    for v in voltages:
-        if not lo <= v <= hi:
-            raise ValueError(f"voltage {v} V outside varactor table range [{lo}, {hi}] V")
-
-    order = sorted(voltages, reverse=True)  # descending, so strict > keeps higher V on ties
-    ys = np.array([0j] + [admittance_at_voltage(circuit, v, frequency) for v in order])
-    baseline, *dbs = db(solve_stack(stack, ys, frequency).through_power)
+    ys = admittances(circuit, *varactor_at(circuit.varactors, order), frequency)
+    baseline, *dbs = db(solve_stack(stack, np.concatenate(([0j], ys)), frequency).through_power)
     best_v, best_db = None, float("-inf")
     for v, through in zip(order, dbs):
         if through > best_db:
@@ -155,29 +133,19 @@ def best_voltage(stack: StackSpec, circuit: ElementCircuit, frequency: float,
     )
 
 
-def reflection_spectrum(stack: StackSpec, frequencies, ys: complex | None = None,
-                        circuit: ElementCircuit | None = None,
-                        voltage: float | None = None):
+def reflection_spectrum(stack: StackSpec, frequencies, ys):
     """Reflection vs frequency and the reduction against the bare stack.
 
-    Exactly one of ys (a frequency-independent admittance) or
-    (circuit, voltage) must be given; in the latter case the voltage's (C, R)
-    is read off the varactor table once and the admittance is re-evaluated at
-    every frequency, which is what moves the reflection trough as the
-    capacitance changes.
+    ys is the surface admittance: one for every frequency, or one per
+    frequency, such as a bias voltage's element admittances
+    admittances(circuit, *varactor_at(circuit.varactors, voltage), frequencies),
+    which move the reflection trough as the capacitance changes.
 
     Returns a list of (frequency, reflection_db, reduction_db) tuples.
     """
     freqs = np.array(list(frequencies), dtype=float)
     if np.any(freqs[1:] < freqs[:-1]):
         raise ValueError("frequency list must be monotone non-decreasing")
-    if (ys is None) == (voltage is None):
-        raise ValueError("give either a fixed admittance or a (circuit, voltage) pair")
-    if voltage is not None and circuit is None:
-        raise ValueError("voltage mode needs the element circuit")
-
-    if ys is None:
-        ys = _admittances(circuit, *varactor_at(circuit.varactors, voltage), freqs)
     refl = solve_stack(stack, ys, freqs).reflected_power
     bare = solve_stack(stack, 0j, freqs).reflected_power
     if np.isnan(refl).any() or np.isnan(bare).any():

@@ -73,23 +73,21 @@ class FresnelResult:
     through_power: float    # |t|^2 * Re(Z_src) / Re(Z_dst) in the lossless case
 
 
-def _check_frequency(frequency) -> None:
-    if not np.all(np.isfinite(frequency) & (np.asarray(frequency) > 0.0)):
-        raise ValueError(f"frequency must be positive, got {frequency}")
-
-
 def complex_permittivity(medium: Medium, frequency):
     """Relative permittivity including the conductive loss term.
 
     Under e^{+j omega t}: eps = eps_r - j sigma / (omega eps_0).
     """
-    _check_frequency(frequency)
-    return _permittivity(medium, frequency)
+    if not np.all(np.isfinite(frequency) & (np.asarray(frequency) > 0.0)):
+        raise ValueError(f"frequency must be positive, got {frequency}")
+    omega = 2.0 * np.pi * frequency
+    return medium.relative_permittivity - 1j * (medium.conductivity / (omega * EPS_VACUUM))
 
 
 def intrinsic_impedance(medium: Medium, frequency):
     """Intrinsic wave impedance Z = Z_vac * sqrt(mu_r / eps_c), principal root."""
-    return _impedance(medium, complex_permittivity(medium, frequency))
+    f = np.asarray(frequency, dtype=float)
+    return _quantities(medium, f.shape, f.tobytes())[0]
 
 
 def phase_constant(medium: Medium, frequency):
@@ -98,38 +96,22 @@ def phase_constant(medium: Medium, frequency):
     Purely real for lossless media; a positive imaginary magnitude encodes
     attenuation when sigma > 0.
     """
-    return _wavenumber(medium, complex_permittivity(medium, frequency), frequency)
+    f = np.asarray(frequency, dtype=float)
+    return _quantities(medium, f.shape, f.tobytes())[1]
 
 
-# The three quantities above without the frequency check, for callers that
-# validate a frequency array once and derive several quantities from it.
-
-def _permittivity(medium: Medium, frequency):
-    omega = 2.0 * np.pi * frequency
-    return medium.relative_permittivity - 1j * (medium.conductivity / (omega * EPS_VACUUM))
-
-
-def _impedance(medium: Medium, eps_c):
-    eps_c = np.asarray(eps_c)
-    # Python's complex division point by point: numpy's rounds arrays differently
-    ratio = [medium.relative_permeability / complex(e) for e in eps_c.flat]
-    return Z_VACUUM * np.sqrt(np.reshape(ratio, eps_c.shape))
-
-
-def _wavenumber(medium: Medium, eps_c, frequency):
-    omega = 2.0 * np.pi * frequency
-    return (omega / C_VACUUM) * np.sqrt(medium.relative_permeability * eps_c)
-
-
-# Stacks over the same media and frequencies differ only in their thicknesses:
-# each medium's quantities are memoized per frequencies, read-only.
+# The one evaluator of both quantities.  Stacks over the same media and
+# frequencies differ only in their thicknesses: each medium's quantities are
+# memoized per frequencies, read-only.
 @functools.lru_cache(maxsize=256)
 def _quantities(medium: Medium, shape: tuple, data: bytes) -> tuple:
     """(impedance, wavenumber) at the frequencies whose float64 bytes are data."""
     f = np.frombuffer(data).reshape(shape)
-    _check_frequency(f)
-    eps_c = _permittivity(medium, f)
-    out = _impedance(medium, eps_c), _wavenumber(medium, eps_c, f)
+    eps_c = complex_permittivity(medium, f)
+    # Python's complex division point by point: numpy's rounds arrays differently
+    ratio = [medium.relative_permeability / complex(e) for e in np.ravel(eps_c)]
+    out = (Z_VACUUM * np.sqrt(np.reshape(ratio, shape)),
+           (2.0 * np.pi * f / C_VACUUM) * np.sqrt(medium.relative_permeability * eps_c))
     for q in out:
         if isinstance(q, np.ndarray):  # a one-frequency medium's are numpy scalars
             q.flags.writeable = False
@@ -143,7 +125,6 @@ def fresnel_interface(src: Medium, dst: Medium, frequency: float) -> FresnelResu
     bookkeeping divides out the wave impedances so that, for lossless media,
     reflected_power + through_power == 1.
     """
-    _check_frequency(frequency)
     z_src = intrinsic_impedance(src, frequency)
     z_dst = intrinsic_impedance(dst, frequency)
     gamma = (z_dst - z_src) / (z_dst + z_src)

@@ -104,8 +104,8 @@ class Scenario:
         return StackSpec(source_medium=self.source_medium, load_medium=self.load_medium,
                          layers=tuple(layers), surface_index=self.surface_index)
 
-    def responder(self, **stack_kwargs) -> ElementResponder:
-        return ElementResponder(self.stack(**stack_kwargs), self.circuit, self.frequency,
+    def responder(self) -> ElementResponder:
+        return ElementResponder(self.stack(), self.circuit, self.frequency,
                                 coupling_offset=self.coupling_offset)
 
     def sample_link_channel(self, stream, responder: ElementResponder) -> MultipathChannel:

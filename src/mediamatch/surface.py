@@ -6,7 +6,9 @@ branch (series C, R, L1) and the biasing-wire branch (L2):
     Y_s = 1 / (1/(j w C) + R + j w L1) + 1 / (j w L2)
 
 The reverse-bias voltage sets C and R through the measured varactor table,
-so voltage -> (C, R) -> Y_s is the whole control path.  L1 and L2 are not
+so voltage -> (C, R) -> Y_s is the whole control path, and this module is the
+only one that evaluates it: admittances(circuit, *varactor_at(table, vs), f)
+for any list of voltages, admittance_at_voltage for one.  L1 and L2 are not
 direct measurements; they are produced once by calibrate_inductances so that
 the susceptance sweeps from ~0 up past the target at the bottom of the
 voltage range, then frozen into scenario files.
@@ -14,6 +16,7 @@ voltage range, then frozen into scenario files.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,13 +66,15 @@ class VaractorTable:
         return min(self.voltages), max(self.voltages)
 
 
-def varactor_at(table: VaractorTable, voltage: float) -> tuple[float, float]:
-    """(capacitance, resistance) at a bias voltage, piecewise-linear between knots."""
+def varactor_at(table: VaractorTable, voltage):
+    """(capacitance, resistance) at a bias voltage, piecewise-linear between
+    knots: floats for one voltage, lists for a sequence of them."""
     lo, hi = table.voltage_range
-    if not (lo <= voltage <= hi):
-        raise ValueError(f"voltage {voltage} V outside table range [{lo}, {hi}] V")
+    for v in voltage if np.ndim(voltage) else (voltage,):
+        if not (lo <= v <= hi):
+            raise ValueError(f"voltage {v} V outside table range [{lo}, {hi}] V")
     v, c, r = table.knots
-    return float(np.interp(voltage, v, c)), float(np.interp(voltage, v, r))
+    return np.interp(voltage, v, c).tolist(), np.interp(voltage, v, r).tolist()
 
 
 # SMV1405-class varactor: SPICE-derived capacitance/resistance vs reverse bias.
@@ -117,6 +122,23 @@ def admittance_exact(circuit: ElementCircuit, capacitance: float, resistance: fl
             f"1 - w^2 C L1 <= 0 at C={capacitance:.3e} F, f={frequency:.3e} Hz")
     branch = 1.0 / (1.0 / (1j * w * capacitance) + resistance + 1j * w * circuit.patch_inductance)
     return _passive(complex(branch + 1.0 / (1j * w * circuit.bias_wire_inductance)))
+
+
+def admittances(circuit: ElementCircuit, capacitance, resistance, frequency) -> np.ndarray:
+    """admittance_exact at each broadcast (C, R, f) point, read-only."""
+    points = np.array(np.broadcast_arrays(capacitance, resistance, frequency), dtype=float)
+    return _admittance_table(circuit, points.shape[1:], points.tobytes())
+
+
+# Every match, sweep and responder of a circuit asks for the same (C, R, f)
+# points: memoized per (circuit, points), each point one call on Python floats.
+@functools.lru_cache(maxsize=256)
+def _admittance_table(circuit: ElementCircuit, shape: tuple, data: bytes) -> np.ndarray:
+    c, r, f = np.frombuffer(data).reshape((3, -1)).tolist()
+    ys = np.array([admittance_exact(circuit, *point) for point in zip(c, r, f)],
+                  dtype=complex).reshape(shape)
+    ys.flags.writeable = False
+    return ys
 
 
 def admittance_approx(circuit: ElementCircuit, capacitance: float, resistance: float,
@@ -182,6 +204,7 @@ def calibrate_inductances(table: VaractorTable, frequency: float,
     if control_voltages is None:
         control_voltages = tuple(sorted(table.voltages, reverse=True))
     c_top, r_top = varactor_at(table, top_voltage)
+    control_points = list(zip(*varactor_at(table, control_voltages)))
 
     best_span = None
     for i in range(20, 221):  # L1 = 0.100 .. 1.100 nH in 5 pH steps
@@ -197,7 +220,7 @@ def calibrate_inductances(table: VaractorTable, frequency: float,
         if not 1e-9 <= l2 <= 50e-9:
             continue
         circuit = ElementCircuit(l1, l2, table, frequency)
-        ys = [admittance_at_voltage(circuit, v, frequency) for v in control_voltages]
+        ys = [admittance_exact(circuit, c, r, frequency) for c, r in control_points]
         if any(y.real < 0 or y.real > MAX_LOSS_RATIO * y.imag for y in ys):
             continue
         span = max(y.imag for y in ys)

@@ -16,12 +16,14 @@ under the output directory.  It also prints the sha256 of each demo's
 stdout, the repository's path in it replaced.  The package is imported from
 this repository's src/: run the script from two checkouts and diff the
 outputs, or pass --against with the other checkout, which runs this
-script's runs and demos a second time with the other checkout's src/ on
-PYTHONPATH, so both sides run the same list, and prints only the lines that
-differ, grouped by command and file kind (a link number stands as *), with
-each group's count of moved and compared lines.  Every
-run gets this process's environment, NPY_DISABLE_CPU_FEATURES included, so
-the output can also be diffed across numpy's SIMD dispatch settings:
+script's runs a second time with the other checkout's src/ on PYTHONPATH,
+so both sides run the same list, and the other checkout's own demos, so a
+demo ported to a changed API runs on the package it was written for.  It
+prints only the lines that differ, grouped by command and file kind (a link
+number stands as *), with each group's count of moved and compared lines.
+Every run gets this process's environment, NPY_DISABLE_CPU_FEATURES
+included, so the output can also be diffed across numpy's SIMD dispatch
+settings:
 
     NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" \
         python tests/output_digests.py > digests-avx2.txt
@@ -83,9 +85,10 @@ def run_lines(label: str, text: bytes, argv, env):
                 yield f"  {path.relative_to(out).as_posix()} {sha(path.read_bytes())}"
 
 
-def digest_lines(links: int, src: Path = REPO / "src"):
-    """Every line the script prints, in order, with the package from `src`."""
-    env = dict(os.environ, PYTHONPATH=str(src))
+def digest_lines(links: int, root: Path = REPO):
+    """Every line the script prints, in order: this script's runs on the
+    package in checkout `root`, then `root`'s own demos."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for name, text, commands in scenarios():
         for command in commands:
             for parallel in (1, 2) if command in LINK_COMMANDS else (None,):
@@ -98,9 +101,9 @@ def digest_lines(links: int, src: Path = REPO / "src"):
     yield from run_lines("water_links links --links 40 --parallel 1",
                          (REPO / "scenarios" / "water_links.json").read_bytes(),
                          ["links", "--links", "40", "--parallel", "1"], env)
-    for demo in sorted((REPO / "demos").glob("[0-9]*.py")):
-        done = run([str(demo)], REPO, env)
-        stdout = done.stdout.replace(str(REPO).encode(), b"<repo>")  # demo 02 prints paths
+    for demo in sorted((root / "demos").glob("[0-9]*.py")):
+        done = run([str(demo)], root, env)
+        stdout = done.stdout.replace(str(root).encode(), b"<repo>")  # demo 02 prints paths
         yield f"demo {demo.name}: exit {done.returncode} stdout {sha(stdout)}"
 
 
@@ -122,9 +125,9 @@ def keyed(lines) -> dict:
 
 
 def against(links: int, other: Path) -> None:
-    """Print the lines that differ between this checkout's package and
-    `other`'s, both on this checkout's runs, grouped."""
-    mine, theirs = keyed(digest_lines(links)), keyed(digest_lines(links, other / "src"))
+    """Print the lines that differ between this checkout and `other`, each
+    package on this checkout's runs and each checkout's demos, grouped."""
+    mine, theirs = keyed(digest_lines(links)), keyed(digest_lines(links, other))
     keys, groups = sorted(mine.keys() | theirs.keys()), {}
     for key in keys:
         groups.setdefault(key[0], []).append(key)

@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mediamatch import (cascade, channel as channel_mod, cli, harness, matching, media,
-                        scenario as scenario_mod)
+from mediamatch import (cascade, channel as channel_mod, cli, harness, media,
+                        scenario as scenario_mod, surface)
 from mediamatch.cli import main
 from mediamatch.harness import (BudgetError, cmd_backscatter, cmd_bench_controller,
                                 cmd_links, cmd_match, cmd_sweep, median_lower,
@@ -231,7 +231,7 @@ class TestMatchCommand:
         """A stack that differs from the last one only in its fat thickness
         builds new chains, but over the media quantities and element
         admittances the last one memoized."""
-        memos = (media._quantities, matching._admittance_table, cascade._coefficients)
+        memos = (media._quantities, surface._admittance_table, cascade._coefficients)
 
         def misses():
             return [memo.cache_info().misses for memo in memos]
@@ -468,7 +468,7 @@ class TestBenchTracerTargets:
     def test_missing_targets_are_known(self):
         """bench/tracer.py patches library names where their callers look them
         up, and a name it cannot resolve reads 0 in the per-layer metrics: the
-        names it misses are exactly these five, so a deletion or rename that
+        names it misses are exactly these eight, so a deletion or rename that
         blinds another metric fails here."""
         spec = importlib.util.spec_from_file_location("bench_tracer",
                                                       REPO / "bench" / "tracer.py")
@@ -480,6 +480,9 @@ class TestBenchTracerTargets:
         finally:
             patched.uninstall()
         assert patched.missing == [
+            "mediamatch.matching.admittance_at_voltage",
+            "mediamatch.matching.admittance_exact",
+            "mediamatch.channel.admittance_at_voltage",
             "mediamatch.harness.scenario_from_dict",
             "mediamatch.channel.composite_channel",
             "mediamatch.scenario.composite_channel",

@@ -11,7 +11,7 @@ from mediamatch.matching import (SweepGrid, best_admittance, best_voltage,
                                  reflection_spectrum, sweep_through_power)
 from mediamatch.media import AIR, FAT, Layer, MUSCLE, Medium, SKIN, WATER
 from mediamatch.scenario import default_tissue_scenario, default_water_scenario
-from mediamatch.surface import ResonanceError, admittance_at_voltage, admittance_exact
+from mediamatch.surface import admittance_at_voltage, admittance_exact, admittances, varactor_at
 
 import oracles
 
@@ -234,20 +234,17 @@ class TestReflectionSpectrum:
         stack = water_stack()
         freqs = list(np.linspace(1.8e9, 3.0e9, 121))
         matched = best_voltage(stack, scenario.circuit, F0, scenario.voltage_set).best_voltage
-        rows_m = reflection_spectrum(stack, freqs, circuit=scenario.circuit, voltage=matched)
-        rows_hi = reflection_spectrum(stack, freqs, circuit=scenario.circuit,
-                                      voltage=30.0)  # smallest capacitance
+        circuit = scenario.circuit
+        rows_m, rows_hi = (reflection_spectrum(stack, freqs, admittances(
+            circuit, *varactor_at(circuit.varactors, v), freqs))
+            for v in (matched, 30.0))  # 30 V: the smallest capacitance
         trough_m = freqs[int(np.argmin([r[1] for r in rows_m]))]
         trough_hi = freqs[int(np.argmin([r[1] for r in rows_hi]))]
         assert trough_hi != trough_m
         assert trough_hi > trough_m  # less capacitance matches higher up
 
-    def test_argument_validation(self, scenario):
+    def test_argument_validation(self):
         stack = water_stack()
-        with pytest.raises(ValueError):
-            reflection_spectrum(stack, [2.4e9])  # neither ys nor voltage
-        with pytest.raises(ValueError):
-            reflection_spectrum(stack, [2.4e9], ys=0.01j, circuit=scenario.circuit, voltage=5.0)
         with pytest.raises(ValueError):
             reflection_spectrum(stack, [2.7e9, 2.4e9], ys=0.01j)
 
@@ -302,8 +299,8 @@ class TestHoistedLookups:
 
         matching.solve_stack = spy
         try:
-            reflection_spectrum(water_stack(), freqs, circuit=circuit,
-                                voltage=voltage)
+            reflection_spectrum(water_stack(), freqs, admittances(
+                circuit, *varactor_at(circuit.varactors, voltage), freqs))
         finally:
             matching.solve_stack = real
         want = [admittance_at_voltage(circuit, voltage, f)
@@ -311,8 +308,10 @@ class TestHoistedLookups:
         assert _bits(seen[0]) == _bits(want)
 
     def test_voltage_outside_table_raises(self, scenario):
+        circuit = scenario.circuit
         with pytest.raises(ValueError, match="outside table range"):
-            reflection_spectrum(water_stack(), [2.4e9], circuit=scenario.circuit, voltage=31.0)
+            reflection_spectrum(water_stack(), [2.4e9], admittances(
+                circuit, *varactor_at(circuit.varactors, 31.0), [2.4e9]))
 
 
 class TestSingularPoint:
@@ -335,9 +334,9 @@ class TestSingularPoint:
         assert np.all(m[:, [0, 1, 3]] > DB_FLOOR)
 
     def test_voltage_search_skips_it(self, monkeypatch, scenario):
-        real = matching.admittance_at_voltage
-        monkeypatch.setattr(matching, "admittance_at_voltage", lambda circuit, v, f:
-                            self.SINGULAR if v == 30.0 else real(circuit, v, f))
+        real, c30 = matching.admittances, varactor_at(scenario.circuit.varactors, 30.0)[0]
+        monkeypatch.setattr(matching, "admittances", lambda circuit, c, r, f:
+                            np.where(np.equal(c, c30), self.SINGULAR, real(circuit, c, r, f)))
         m = best_voltage(StackSpec(AIR, AIR), scenario.circuit, F0, [30.0, 5.0])
         assert m.best_voltage == 5.0
         assert np.isfinite(m.through_power_db)
@@ -345,36 +344,3 @@ class TestSingularPoint:
     def test_spectrum_raises(self):
         with pytest.raises(DegenerateStackError):
             reflection_spectrum(StackSpec(AIR, AIR), [2.0e9, 2.4e9], ys=self.SINGULAR)
-
-
-class TestAdmittanceMemo:
-    circuit = default_water_scenario().circuit
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.floats(0.5e-12, 3.72e-12), min_size=1, max_size=6),
-           st.floats(0.1, 1.0),
-           st.one_of(st.floats(1e8, F0), st.lists(st.floats(1e8, F0), min_size=1, max_size=4)))
-    def test_bits_equal_uncached_points(self, caps, resistance, frequency):
-        """Frequencies down one axis and capacitances along the other, missed
-        or hit: each point is admittance_exact's on Python floats."""
-        f = np.reshape(frequency, (-1, 1) if isinstance(frequency, list) else ())
-        want = np.array([[admittance_exact(self.circuit, c, resistance, x) for c in caps]
-                         for x in np.ravel(f).tolist()])
-        for _ in range(2):
-            got = matching._admittances(self.circuit, caps, resistance, f)
-            assert got.shape == np.broadcast_shapes(np.shape(caps), f.shape)
-            assert got.tobytes() == want.tobytes()
-
-    def test_array_is_read_only(self):
-        ys = matching._admittances(self.circuit, [1e-12, 2e-12], 0.5, F0)
-        with pytest.raises(ValueError):
-            ys[0] = 0j
-
-    def test_errors_raise_every_call(self):
-        w = 2.0 * np.pi * F0
-        resonant = 2.0 / (w * w * self.circuit.patch_inductance)
-        for _ in range(2):
-            with pytest.raises(ResonanceError):
-                matching._admittances(self.circuit, [1e-12, resonant], 0.5, F0)
-            with pytest.raises(ValueError, match="must be positive"):
-                matching._admittances(self.circuit, 1e-12, 0.5, [F0, -F0])

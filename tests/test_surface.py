@@ -1,11 +1,18 @@
 """Varactor table, element circuit admittance, inductance calibration."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mediamatch import channel, matching
+from mediamatch.cascade import StackSpec
+from mediamatch.media import AIR, WATER, Layer
+from mediamatch.scenario import default_water_scenario
 from mediamatch.surface import (CalibrationError, ElementCircuit, ResonanceError,
                                 SMV1405_TABLE, VaractorTable, admittance_approx,
-                                admittance_at_voltage, admittance_exact,
+                                admittance_at_voltage, admittance_exact, admittances,
                                 calibrate_inductances, varactor_at)
 
 F0 = 2.4e9
@@ -144,3 +151,92 @@ class TestVoltageControl:
         a = admittance_at_voltage(circuit, 12.3, F0)
         b = admittance_at_voltage(circuit, 12.3, F0)
         assert a == b
+
+
+def _outcome(call):
+    """A call's result, or its ValueError's message."""
+    try:
+        return call()
+    except ValueError as err:
+        return str(err)
+
+
+class TestVoltageLists:
+    """Lists of voltages take (C, R) from one varactor_at call and their
+    admittances from one admittances call; admittance_at_voltage per point
+    stays the referee."""
+
+    stack = StackSpec(AIR, WATER, (Layer(AIR, 6e-3),))
+
+    @staticmethod
+    def spied(module, call):
+        """call() and the admittance of each solve_stack it made in `module`."""
+        seen, real = [], module.solve_stack
+
+        def spy(stack, admittance, frequency, *rest):
+            seen.append(np.asarray(admittance, dtype=complex))
+            return real(stack, admittance, frequency, *rest)
+
+        module.solve_stack = spy
+        try:
+            return _outcome(call), seen
+        finally:
+            module.solve_stack = real
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from(SMV1405_TABLE.voltages + (2.5, 31.0, -0.5, math.nan))
+                    | st.floats(-1.0, 31.0) | st.integers(-1, 31), min_size=1, max_size=8))
+    def test_equal_to_per_voltage_calls(self, circuit, voltages):
+        per_voltage = [_outcome(lambda v=v: varactor_at(SMV1405_TABLE, v)) for v in voltages]
+        errors = [p for p in per_voltage if isinstance(p, str)]
+        got = _outcome(lambda: varactor_at(SMV1405_TABLE, voltages))
+        if errors:
+            assert got == errors[0]
+        else:
+            assert np.array(got).tobytes() == np.array(per_voltage).T.tobytes()
+
+        found, seen = self.spied(matching, lambda: matching.best_voltage(
+            self.stack, circuit, F0, voltages))
+        levels = tuple(map(float, voltages))
+        responder = channel.ElementResponder(self.stack, circuit, F0, coupling_offset=1e-3j)
+        table, seen_t = self.spied(channel, lambda: responder.table(levels))
+        if errors:
+            assert "outside table range" in found and "outside table range" in table
+            return
+        want = [admittance_at_voltage(circuit, v, F0) for v in sorted(voltages, reverse=True)]
+        assert seen[0].tobytes() == np.array([0j] + want).tobytes()
+        want = [admittance_at_voltage(circuit, v, F0) + 1e-3j for v in dict.fromkeys(levels)]
+        assert seen_t[0].tobytes() == np.array(want).tobytes()
+
+
+class TestAdmittanceMemo:
+    circuit = default_water_scenario().circuit
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.5e-12, 3.72e-12), min_size=1, max_size=6),
+           st.floats(0.1, 1.0),
+           st.one_of(st.floats(1e8, F0), st.lists(st.floats(1e8, F0), min_size=1, max_size=4)))
+    def test_bits_equal_uncached_points(self, caps, resistance, frequency):
+        """Frequencies down one axis and capacitances along the other, missed
+        or hit: each point is admittance_exact's on Python floats."""
+        f = np.reshape(frequency, (-1, 1) if isinstance(frequency, list) else ())
+        want = np.array([[admittance_exact(self.circuit, c, resistance, x) for c in caps]
+                         for x in np.ravel(f).tolist()])
+        for _ in range(2):
+            got = admittances(self.circuit, caps, resistance, f)
+            assert got.shape == np.broadcast_shapes(np.shape(caps), f.shape)
+            assert got.tobytes() == want.tobytes()
+
+    def test_array_is_read_only(self):
+        ys = admittances(self.circuit, [1e-12, 2e-12], 0.5, F0)
+        with pytest.raises(ValueError):
+            ys[0] = 0j
+
+    def test_errors_raise_every_call(self):
+        w = 2.0 * np.pi * F0
+        resonant = 2.0 / (w * w * self.circuit.patch_inductance)
+        for _ in range(2):
+            with pytest.raises(ResonanceError):
+                admittances(self.circuit, [1e-12, resonant], 0.5, F0)
+            with pytest.raises(ValueError, match="must be positive"):
+                admittances(self.circuit, 1e-12, 0.5, [F0, -F0])
