@@ -11,7 +11,9 @@ Running it as a script regenerates the committed golden heatmap CSVs:
     python3 tests/oracles.py --write-goldens
 """
 
+import copy
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -169,6 +171,156 @@ def reference_onoff_channel(h_env, h, jitter, s0, s1, row):
             total += term
         sums.append(total)
     return np.sum(np.array(sums)) + h_env
+
+
+#: A link's noise stream: stream 3 of SeedSequence([seed, link, stream]).
+NOISE_STREAM = 3
+#: From this many elements on, a probe over at most two levels reads as
+#: reference_onoff_channel does.
+ONOFF_MIN_ELEMENTS = 256
+
+
+def reference_link(down, s, s_bare, voltage_set, seed, link, variants, noise_db=None,
+                   quantization_db=0.1, up=None):
+    """One link's controller runs, from the algorithm's definition.
+
+    ``down`` (and ``up``) are (h_env, h, jitter) channels, jitter None or one
+    phasor per element; ``up`` is None one-way, ``down`` itself for a
+    reciprocal two-way link, or its own channel.  ``s`` maps a voltage to the
+    element response s(V) and ``s_bare`` is the bare response.  ``variants``
+    are (n_configs, groups, enumerate) stage-2 settings, groups None for one
+    group per element; every variant goes on from one shared stage 1 with
+    its own copy of the noise generator.
+
+    A probe over an alphabet (the voltage set, or (v1, v0) in stage 2) sets
+    element e to alphabet[row[e]].  Its channel value is h_env + np.sum(s *
+    jitter * h), or reference_onoff_channel's for an alphabet of at most two
+    levels from ONOFF_MIN_ELEMENTS elements on; noise (one (re, im) normal
+    pair per probe from the link's noise stream) is added to the downlink.
+    Its reading is 20 log10 of the magnitude (times the uplink's, or squared
+    when reciprocal) on the quantization grid, half to even, -inf when not
+    positive.
+
+    - Stage 1 probes each level uniformly: v1 is the first maximum, v0 the
+      first minimum, so ties go to the higher voltage; v1 == v0 takes the
+      lowest voltage as v0.
+    - Stage 2 is reference_stage2's vote, or with ``enumerate`` every on/off
+      code c of the groups (group g on where bit g of c is set) in order,
+      keeping the first reading above -inf that no later one exceeds.
+      Elements in no group stay at v0.
+    - Stage 3 probes (a, b) over the levels adjacent to v1 (a) and v0 (b), a
+      major, on the stage-2 split.
+
+    Returns per variant a dict: ``probes`` [(stage, voltages, reading)],
+    ``through`` the best reading through stages 1, 2 and 3 (reference_best),
+    and the gains of the best probe against the bare surface, read without
+    noise by the first rule: ``gain`` and ``baseline_db`` one-way, ``gains``
+    (down, up, two-way) with an uplink.
+    """
+    n = len(down[1])
+    vs = [float(v) for v in voltage_set]
+
+    def value(channel, levels, row):
+        h_env, h, jitter = channel
+        if n >= ONOFF_MIN_ELEMENTS and len(levels) <= 2:
+            return reference_onoff_channel(h_env, h, jitter, s[levels[0]], s[levels[-1]], row)
+        return direct(channel, [levels[r] for r in row])
+
+    def direct(channel, voltages):
+        h_env, h, jitter = channel
+        terms = np.array([s[v] for v in voltages], dtype=complex)
+        if jitter is not None:
+            terms = terms * np.asarray(jitter)
+        return np.sum(terms * np.asarray(h)) + h_env
+
+    def reading(rng, levels, row):
+        x = value(down, levels, row)
+        if rng is not None:
+            re, im = rng.normal(0.0, np.sqrt(10.0 ** (noise_db / 10.0) / 2.0), 2)
+            x = x + complex(re, im)
+        magnitude = np.hypot(x.real, x.imag)
+        if up is down:
+            magnitude = magnitude * magnitude
+        elif up is not None:
+            u = value(up, levels, row)
+            magnitude = magnitude * np.hypot(u.real, u.imag)
+        if not magnitude > 0:
+            return float("-inf")
+        rss = 20.0 * math.log10(magnitude)
+        return round(rss / quantization_db) * quantization_db + 0.0 if quantization_db else rss
+
+    def probe(probes, rng, stage, levels, row):
+        probes.append((stage, tuple(levels[r] for r in row),
+                       reading(rng, levels, row)))
+        return probes[-1][2]
+
+    rng = None if noise_db is None else np.random.default_rng(
+        np.random.SeedSequence([seed, link, NOISE_STREAM]))
+    shared = []
+    stage1 = [probe(shared, rng, 1, vs, [k] * n) for k in range(len(vs))]
+    v1 = vs[stage1.index(max(stage1))]
+    v0 = vs[stage1.index(min(stage1))]
+    if v1 == v0:
+        v0 = min(vs)
+
+    out = []
+    for n_configs, groups, enumerate_groups in variants:
+        probes, noise = list(shared), copy.deepcopy(rng)
+        groups = [[e] for e in range(n)] if groups is None else groups
+
+        def elements_on(mask):
+            on = [False] * n
+            for g, members in enumerate(groups):
+                for e in members:
+                    on[e] = bool(mask[g])
+            return on
+
+        if enumerate_groups:
+            masks = [[(code >> g) & 1 for g in range(len(groups))]
+                     for code in range(2 ** len(groups))]
+            readings = [probe(probes, noise, 2, (v1, v0), [0 if on else 1 for on in
+                                                          elements_on(mask)])
+                        for mask in masks]
+            best = readings.index(max(readings))
+            on = elements_on(masks[best]) if readings[best] > float("-inf") else [False] * n
+        else:
+            masks, _ = reference_stage2(seed, link, n_configs, len(groups), [0.0] * n_configs)
+            readings = [probe(probes, noise, 2, (v1, v0), [0 if on else 1 for on in
+                                                          elements_on(mask)])
+                        for mask in masks]
+            on = elements_on(reference_stage2(seed, link, n_configs, len(groups), readings)[1])
+
+        def adjacent(v):
+            i = vs.index(v)
+            return [j for j in (i - 1, i, i + 1) if 0 <= j < len(vs)]
+
+        for a in adjacent(v1):
+            for b in adjacent(v0):
+                probe(probes, noise, 3, vs, [a if e else b for e in on])
+
+        through = tuple(reference_best(probes, stage)[2] for stage in (1, 2, 3))
+        voltages = reference_best(probes, None)[1]
+
+        def magnitudes(channel):
+            x = direct(channel, voltages)
+            base = complex(channel[0] + s_bare * np.sum(np.asarray(channel[1])))
+            return np.hypot(x.real, x.imag), np.hypot(base.real, base.imag)
+
+        def db(x):
+            return 20.0 * math.log10(x) if x > 0 else float("-inf")
+
+        def gain(num, den):
+            return db(num) - db(den) if num > 0 and den > 0 else float("-inf")
+
+        result = {"probes": probes, "through": through}
+        d = magnitudes(down)
+        if up is None:
+            result.update(gain=gain(*d), baseline_db=db(d[1]))
+        else:
+            u = d if up is down else magnitudes(up)
+            result["gains"] = (gain(*d), gain(*u), gain(d[0] * u[0], d[1] * u[1]))
+        out.append(result)
+    return out
 
 
 def row_csv_text(header, rows, float_format=".12g"):

@@ -7,7 +7,9 @@ the match spectra or the sweep heatmaps, and on any change of a value in the
 command's RunReport summary (summary.txt is left out: it embeds the absolute
 artifact paths).  Besides the shipped scenarios they cover the feedback-noise,
 phase-jitter, separate-uplink, 16x16, 17x17, 24x24 and 32x32 paths (from 16x16
-on, on/off probes are read from subset-sum tables), a lossy gap and load, and a
+on, on/off probes are read from subset-sum tables, and with a two-level voltage
+set the uniform and fine-tune probes too), a 3x5 bench-controller run (an
+element count that is not a multiple of 8), a lossy gap and load, and a
 surface against the load half-space, which no shipped scenario exercises.
 A change that is meant to alter these outputs must say so and re-record them.
 """
@@ -75,6 +77,11 @@ RUNS = {
     "links-jitter": lambda out: cmd_links(_variant("jitter", {"phase_jitter_std": 0.3}), out, 4),
     "links-16x16": lambda out: cmd_links(
         _variant("16x16", array_rows=16, array_cols=16), out, 4),
+    "links-16x16-two-level": lambda out: cmd_links(
+        _variant("16x16-two-level", array_rows=16, array_cols=16, voltage_set_v=[30.0, 0.0]),
+        out, 2),
+    "bench-controller-3x5": lambda out: cmd_bench_controller(
+        _variant("3x5", array_rows=3, array_cols=5), out, 3),
     "links-32x32": lambda out: cmd_links(
         _variant("32x32", array_rows=32, array_cols=32), out, 2),
     "links-17x17": lambda out: cmd_links(
@@ -113,6 +120,12 @@ PINNED = {
         "summary":
             "76944d493d5b95dc18689827f53e2ec2aed3eb09c8681eab8e875bf39096bc47",
     },
+    "bench-controller-3x5": {
+        "bench_controller.csv":
+            "b3d15c51bfe6211ee806010062b80bab94a2557ea435524f0bff8eedab01b77c",
+        "summary":
+            "ceef8509386314678652fd7cef10b2ea9a553bc60c5909d4c744114636062cf6",
+    },
     "links-16x16": {
         "channels/link_0000.csv":
             "023868fa62288ee6d6134aa198f64e11114a177311773ccab2ff830869fcc5f5",
@@ -134,6 +147,20 @@ PINNED = {
             "14af97d1863b45105e781fb1e7f6a97ff974617e5b3071044118c7199ff6297f",
         "traces/link_0003.csv":
             "32971154ee801f278fcb1e6c06a1c4cecf8ab8c9c825499c5a156528a966fbea",
+    },
+    "links-16x16-two-level": {
+        "channels/link_0000.csv":
+            "023868fa62288ee6d6134aa198f64e11114a177311773ccab2ff830869fcc5f5",
+        "channels/link_0001.csv":
+            "51fe1047acfa0c0df7ac1b15d0b2641706e6c5d8e8c68032375902998ab8f9f2",
+        "links.csv":
+            "aa60779b2d1349bcd04e311072dad4917f334fa4ae90f041164b933611714b17",
+        "summary":
+            "a82adfd044d8ccd0450cd91bf8e15a5808f413b1977afa9a94e6e57a77d18337",
+        "traces/link_0000.csv":
+            "e39a0975d216974a9036dfc24f5cd6216e0b098ea4412df49b17643d6849ebeb",
+        "traces/link_0001.csv":
+            "2763ec9944f3053d2953b2defb3b1966d1baaa6a91fbdc8b5e345412fbea7da9",
     },
     "links-17x17": {
         "channels/link_0000.csv":
