@@ -22,8 +22,9 @@ oracle = FeedbackOracle(channel, quantization_db=scenario.channel.rss_quantizati
 links = run_controllers(oracle, scenario.n_elements, voltages=scenario.voltage_set,
                         rng_seeds=[link_stream(scenario.seed, 1, VOTING_STREAM)])
 trace = links.traces[0]
-(levels, row), best_db = trace.best()  # best probe, and best reading through each stage
-voltages = np.asarray(levels)[row].tolist()
+(levels, codes, bits), best_db = trace.best()  # best probe, and best reading through each stage
+on_bits = np.unpackbits(bits, count=scenario.n_elements, bitorder="little")
+voltages = np.asarray(levels)[np.where(on_bits, *codes)].tolist()  # on: codes[0], off: codes[1]
 
 (gain,), (base_db,) = gains_db([channel], links.configs())  # gain and baseline rows
 print(f"baseline (no surface): {base_db:7.2f} dB")
@@ -39,7 +40,7 @@ print(f"\nfinal gain: {gain:+.2f} dB "
       f"using {trace.budget_used} probes total")
 v1, v0 = max(voltages), min(voltages)
 on = voltages.count(v1)
-print(f"final config: {on}/{len(row)} elements at {v1:g} V, rest at {v0:g} V")
+print(f"final config: {on}/{len(voltages)} elements at {v1:g} V, rest at {v0:g} V")
 
 print("\nfirst probes of the trace:")
 for line in trace.serialize()[0].splitlines()[:6]:

@@ -5,7 +5,8 @@ per-element paths are circularly-symmetric complex Gaussians drawn from a
 seeded numpy Generator (PCG64), so full runs replay bit-identically.
 FeedbackOracle makes the RSS readings the controller sees, one-way or two-way,
 noise and quantization included.  A surface configuration is a (levels,
-index row) pair: element i is biased at levels[row[i]].
+codes, bits) triple (see control): element i is biased at levels[codes[0]]
+where bit i of the packed row is set and at levels[codes[1]] where it is clear.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ def sample_channel(seed, n_elements: int, env_power: float = 0.0,
     if n_elements < 1:
         raise ValueError("n_elements must be >= 1")
     profile = np.broadcast_to(np.asarray(element_power, dtype=float), (n_elements,))
-    if np.any(profile < 0) or env_power < 0:
-        raise ValueError("path variances must be non-negative")
+    if np.any(profile < 0) or env_power < 0 or phase_jitter_std < 0:
+        raise ValueError("path variances and phase_jitter_std must be non-negative")
     rng = np.random.default_rng(seed)
     scale = np.sqrt(profile / 2.0)
     h = rng.normal(0.0, 1.0, n_elements) * scale + 1j * rng.normal(0.0, 1.0, n_elements) * scale
@@ -138,51 +139,56 @@ PROBE_BLOCK = 32
 _BLOCK_VALUES = PROBE_BLOCK * 1024
 
 
-def _checked(channels: ChannelStack, levels, index) -> tuple:
-    """The probe kernels' input checks: returns the index array and s(V) tables."""
-    index, h = np.asarray(index), channels.h_elements
-    if index.dtype.kind not in "iu":
-        raise ValueError(f"index must be of an integer dtype, got {index.dtype}")
-    if index.ndim != 3 or index.shape[2] != h.shape[1]:
-        raise ValueError(f"config length {index.shape[-1]} != channel N {h.shape[1]}")
-    if len(index) != len(h) or len(levels) != len(h):
-        raise ValueError(f"{len(index)} links of probes and {len(levels)} alphabets "
+def _checked(channels: ChannelStack, levels, codes, bits) -> tuple:
+    """The probe kernels' input checks: returns the code and bit arrays and
+    the s(V) tables."""
+    codes, bits, h = np.asarray(codes), np.asarray(bits), channels.h_elements
+    if codes.dtype.kind not in "iu":
+        raise ValueError(f"codes must be of an integer dtype, got {codes.dtype}")
+    if codes.ndim != 3 or codes.shape[2] != 2 or bits.dtype != np.uint8 or \
+            bits.shape != (*codes.shape[:2], -(-h.shape[1] // 8)):
+        raise ValueError(f"codes of shape {codes.shape} and {bits.dtype} bit rows of shape "
+                         f"{bits.shape} for channel N {h.shape[1]}")
+    if len(codes) != len(h) or len(levels) != len(h):
+        raise ValueError(f"{len(codes)} links of probes and {len(levels)} alphabets "
                          f"for {len(h)} channels")
     if channels.responder is None:
         raise ValueError("channel has no element responder attached")
     tables = [channels.responder.table(tuple(lv)) for lv in levels]
-    # mode="clip" gathers, a lone row's negative entry and packbits (any entry past 0
-    # reads 1) would pass: check each entry against its own alphabet (and >= 0 if signed)
-    if index.size and (index.dtype.kind == "i" and index.min() < 0 or np.any(
-            index.reshape(len(h), -1).max(axis=1) >= [len(t) for t in tables])):
-        raise IndexError("index entries must lie in [0, len(levels)) of their link")
-    return index, tables
+    # each link's code pairs against its own alphabet (and >= 0 if signed)
+    if codes.size and (codes.dtype.kind == "i" and codes.min() < 0 or np.any(
+            codes.max(axis=(1, 2)) >= [len(t) for t in tables])):
+        raise IndexError("codes must lie in [0, len(levels)) of their link")
+    return codes, bits, tables
 
 
-def composite_channels(channels: ChannelStack, levels, index) -> np.ndarray:
-    """h_env + sum_i s(V_i) h_i for every probe row of an index stack.
+def composite_channels(channels: ChannelStack, levels, codes, bits) -> np.ndarray:
+    """h_env + sum_i s(V_i) h_i for every probe row of a (codes, bits) stack.
 
     ``channels`` is a ChannelStack of L links, ``levels`` a sequence of L
-    alphabets and ``index`` an (L, n, N) integer stack over them; returns the
-    (L, n) values.  The rows run in blocks of whole links, or of one link's
-    rows, of at most PROBE_BLOCK x 1024 values.  Each row is gathered from the
-    responder's table for its link's alphabet, multiplied in place and summed
-    along its own contiguous axis: the same numpy loops, in the same order, as
-    a lone row takes as a vector, so every entry equals the one-row result bit
-    for bit, whatever links and rows share its block.
+    alphabets, ``codes`` an (L, n, 2) integer stack of (on, off) positions in
+    them and ``bits`` the (L, n, ceil(N/8)) packed on bits; returns the (L, n)
+    values.  The rows run in blocks of whole links, or of one link's rows, of
+    at most PROBE_BLOCK x 1024 values, each block's bits unpacked once.  Each
+    row's responses are gathered from its link's table (the on level where
+    its bit is set, the off level elsewhere), multiplied in place and summed
+    along its own contiguous axis: the same numpy loops, in the same order,
+    as a lone row takes as a vector, so every entry equals the one-row result
+    bit for bit, whatever links and rows share its block.
     """
-    index, tables = _checked(channels, levels, index)
+    codes, bits, tables = _checked(channels, levels, codes, bits)
     h_env, h, jitter = channels.h_env[:, None], channels.h_elements, channels.phase_jitter
-    n_links, n_rows, n = index.shape
+    (n_links, n_rows, _), n = codes.shape, h.shape[1]
     rows = max(1, min(n_rows, _BLOCK_VALUES // max(n, 1)))
     links = max(1, _BLOCK_VALUES // max(n * n_rows, 1)) if rows == n_rows else 1
     out = np.empty((n_links, n_rows), dtype=complex)
-    if n_links * n_rows > 1:
-        buffer = np.empty(min(links, n_links) * rows * n, dtype=complex)
+    buffer = np.empty(min(links, n_links) * rows * n, dtype=complex)
     for l0 in range(0, n_links, links):
         ls = slice(l0, l0 + links)
         for r0 in range(0, n_rows, rows):
-            block = index[ls, r0:r0 + rows]
+            on = np.unpackbits(bits[ls, r0:r0 + rows], axis=2, count=n, bitorder="little")
+            pair = codes[ls, r0:r0 + rows]  # each element's level: off, or on where its bit is set
+            block = on * (pair[..., :1] - pair[..., 1:]) + pair[..., 1:]
             if block.shape[0] * block.shape[1] == 1:
                 # a lone row stays a vector: numpy multiplies a 1 x 1 block by
                 # another loop than a length-1 vector, and the last bit can differ
@@ -209,7 +215,7 @@ ONOFF_MIN_ELEMENTS = 256
 ONOFF_ROWS = 256
 
 
-def onoff_channels(channels: ChannelStack, levels, index) -> np.ndarray:
+def onoff_channels(channels: ChannelStack, levels, codes, bits) -> np.ndarray:
     """composite_channels over alphabets of at most two levels, read from
     per-byte subset-sum tables; same checks and errors, other last bits.
 
@@ -218,14 +224,16 @@ def onoff_channels(channels: ChannelStack, levels, index) -> np.ndarray:
     responses (s0 twice for one level).  Group g's table holds, for c = 0..255,
     T_g[c] = s_{bit j of c} q_{8g+j} added in order j = 0..7, each complex
     product by cascade._scalar_times.  A row reads h_env + np.sum of T_g[byte
-    g of np.packbits(row, bitorder="little")] over g: its link's channel,
-    alphabet and row alone fix it.  Tables take 512 N bytes per link.
+    g of its level bits] over g, bit i of the little-endian level bits being
+    1 where element i takes position 1 of the alphabet and the tail bits 0:
+    its link's channel, alphabet, codes and on bits alone fix it.  Tables take
+    512 N bytes per link.
     """
-    index, tables = _checked(channels, levels, index)
+    codes, bits, tables = _checked(channels, levels, codes, bits)
     if max(map(len, tables)) > 2:
         raise ValueError("onoff_channels reads alphabets of at most two levels")
-    h, jitter, (n_links, n_rows, n) = channels.h_elements, channels.phase_jitter, index.shape
-    q = np.pad(h if jitter is None else _scalar_times(h, jitter), ((0, 0), (0, -n % 8)))
+    h, jitter, (n_links, n_rows, _) = channels.h_elements, channels.phase_jitter, codes.shape
+    q = np.pad(h if jitter is None else _scalar_times(h, jitter), ((0, 0), (0, -h.shape[1] % 8)))
     groups, out = q.shape[1] // 8, np.empty((n_links, n_rows), dtype=complex)
     for link, s in enumerate(tables):
         terms = np.ascontiguousarray(  # [g, j, b]: s_b q_{8g+j}
@@ -234,24 +242,28 @@ def onoff_channels(channels: ChannelStack, levels, index) -> np.ndarray:
         for j in range(1, 8):  # entry b 2^j + c: entry c of bits 0..j-1 plus s_b q_{8g+j}
             t = (t[:, None, :] + terms[:, j, :, None]).reshape(groups, -1)
         for r0 in range(0, n_rows, ONOFF_ROWS):
-            packed = np.packbits(index[link, r0:r0 + ONOFF_ROWS], axis=1, bitorder="little")
-            t.take(packed + np.arange(0, 256 * groups, 256)).sum(
+            on, block = bits[link, r0:r0 + ONOFF_ROWS], codes[link, r0:r0 + ONOFF_ROWS]
+            last = np.where(block == 1, 255, 0).astype(np.uint8)  # (on, off) at position 1
+            level_bits = on & last[:, :1] | ~on & last[:, 1:]
+            level_bits[:, -1] &= 255 >> (-h.shape[1] % 8)  # the tail bits
+            t.take(level_bits + np.arange(0, 256 * groups, 256)).sum(
                 axis=1, out=out[link, r0:r0 + ONOFF_ROWS])
     return out + channels.h_env[:, None]
 
 
-def _probe_channels(channels: ChannelStack, levels, index) -> np.ndarray:
+def _probe_channels(channels: ChannelStack, levels, codes, bits) -> np.ndarray:
     """FeedbackOracle's read: onoff_channels for the links over at most two
     levels from ONOFF_MIN_ELEMENTS on, composite_channels for the others."""
     tables = channels.h_elements.shape[1] >= ONOFF_MIN_ELEMENTS
     onoff = [tables and len(lv) <= 2 for lv in levels]
     if len(set(onoff)) < 2:
-        return (onoff_channels if all(onoff) else composite_channels)(channels, levels, index)
-    index = _checked(channels, levels, index)[0]
-    out = np.empty(index.shape[:2], dtype=complex)
+        return (onoff_channels if all(onoff) else composite_channels)(channels, levels, codes,
+                                                                        bits)
+    codes, bits, _ = _checked(channels, levels, codes, bits)
+    out = np.empty(codes.shape[:2], dtype=complex)
     for kernel, links in ((onoff_channels, np.flatnonzero(onoff)),
                           (composite_channels, np.flatnonzero(np.logical_not(onoff)))):
-        out[links] = kernel(channels[links], [levels[k] for k in links], index[links])
+        out[links] = kernel(channels[links], [levels[k] for k in links], codes[links], bits[links])
     return out
 
 
@@ -285,14 +297,15 @@ class FeedbackOracle:
 
     ``downlink`` and ``uplink`` are one channel or a sequence of L; the same
     sequence passed as both is reciprocal and reads the downlink's magnitude
-    squared.  ``batch(levels, index, rows)`` reads L alphabets and an
-    (L, n, N) index stack as (L, n) readings; the first rows[l] rows of link
-    l (all by default) are probes and the rest padding, read without noise.
-    A link reads its channel values from onoff_channels when its alphabet has
-    at most two levels and N >= ONOFF_MIN_ELEMENTS, else from
-    composite_channels; either value depends only on the link's channel,
-    alphabet and row, so probe i of a batch reads exactly what the i-th of as
-    many one-row batches would, noise included.
+    squared.  ``batch(levels, codes, bits, rows)`` reads L alphabets, an
+    (L, n, 2) stack of (on, off) code pairs and an (L, n, ceil(N/8)) stack of
+    packed on bits as (L, n) readings; the first rows[l] rows of link l (all
+    by default) are probes and the rest padding, read without noise.  A link
+    reads its channel values from onoff_channels when its alphabet has at most
+    two levels and N >= ONOFF_MIN_ELEMENTS, else from composite_channels;
+    either value depends only on the link's channel, alphabet and row, so
+    probe i of a batch reads exactly what the i-th of as many one-row batches
+    would, noise included.
 
     Noise, added to the downlink only, is complex Gaussian with power
     10^(noise_db/10) relative to a unit-magnitude channel.  Each link draws it
@@ -320,8 +333,8 @@ class FeedbackOracle:
         other.__dict__.update(self.__dict__, noise=copy.deepcopy(self.noise))  # own generators
         return other
 
-    def batch(self, levels, index, rows=None) -> np.ndarray:
-        h = _probe_channels(self.downlink, levels, index)
+    def batch(self, levels, codes, bits, rows=None) -> np.ndarray:
+        h = _probe_channels(self.downlink, levels, codes, bits)
         rows = [h.shape[1]] * len(h) if rows is None else list(rows)
         if self.noise is not None:
             s = np.sqrt(10.0 ** (self.noise_db / 10.0) / 2.0)
@@ -331,7 +344,7 @@ class FeedbackOracle:
         if self.uplink is self.downlink:
             magnitude = magnitude * magnitude
         elif self.uplink is not None:
-            up = _probe_channels(self.uplink, levels, index)
+            up = _probe_channels(self.uplink, levels, codes, bits)
             magnitude = magnitude * np.hypot(up.real, up.imag)
         return rss_db(magnitude, self.quantization_db)
 
@@ -339,8 +352,8 @@ class FeedbackOracle:
 def gains_db(downlinks, configs, uplinks=None) -> np.ndarray:
     """Gain in dB of configurations against their link's no-surface baseline.
 
-    ``downlinks`` holds L channels and ``configs`` k (levels, index row) pairs
-    per link, variant-major (v*L + l is link l's in variant v); k is inferred,
+    ``downlinks`` holds L channels and ``configs`` k (levels, codes, bits)
+    configurations per link, variant-major (v*L + l is link l's in variant v); k is inferred,
     and a count that is not a multiple of L is a ValueError.  One-way returns
     the (2, k*L) stack of gains and their links' baselines in dB; with
     ``uplinks`` the (3, k*L) stack of downlink, uplink and two-way gains.  The
@@ -353,11 +366,11 @@ def gains_db(downlinks, configs, uplinks=None) -> np.ndarray:
     k = len(configs) // max(len(downlinks), 1)
     if not k or k * len(downlinks) != len(configs):
         raise ValueError(f"{len(configs)} configurations for {len(downlinks)} links")
-    levels, rows = zip(*configs)
-    index = np.stack(rows)[:, None]
+    levels, codes, bits = zip(*configs)
+    codes, bits = np.stack(codes)[:, None], np.stack(bits)[:, None]
 
     def magnitudes(channels):
-        h = composite_channels(ChannelStack(list(channels) * k), levels, index)[:, 0]
+        h = composite_channels(ChannelStack(list(channels) * k), levels, codes, bits)[:, 0]
         base = np.array([baseline_channel(c) for c in channels])
         return np.hypot(h.real, h.imag), np.tile(np.hypot(base.real, base.imag), k)
 

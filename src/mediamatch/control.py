@@ -13,21 +13,27 @@ stage takes the batch, probes its links together, keeps what it found in it
 ``run_controllers`` runs the stages.  A link's best probe is read from its
 trace (ControlTrace.best).  Every stage probes through one path,
 ``_probe_many``, and one oracle protocol (see channel.FeedbackOracle):
-``batch(levels, index, rows)`` reads L alphabets and an (L, n, N) index stack
-as (L, n) readings, link l's first rows[l] rows being probes and the rest
-padding.  Probe i must read what the i-th of n one-row batches would (a noisy
-oracle draws its noise in probe order).  Only whole controller runs may
-execute concurrently.
+``batch(levels, codes, bits, rows)`` reads L alphabets, an (L, n, 2) stack of
+code pairs and an (L, n, ceil(N/8)) stack of bit rows as (L, n) readings,
+link l's first rows[l] rows being probes and the rest padding.  Probe i must
+read what the i-th of n one-row batches would (a noisy oracle draws its noise
+in probe order).  Only whole controller runs may execute concurrently.
 
-A configuration is a (levels, index row) pair: a uint8 index vector over the
-voltage alphabet (``voltage_set``, or (v1, v0) for on/off configurations).
+A configuration is a (levels, codes, bits) triple: codes is an (on, off) pair
+of positions in the voltage alphabet ``levels`` and bits the packed on bits,
+ceil(N/8) uint8 in little bit order (element e is bit e % 8 of byte e // 8)
+with the tail bits clear.  Element e is biased at levels[codes[0]] where its
+bit is set and at levels[codes[1]] where it is clear.  Every probe is two
+voltages and a bit row: stage 1's row k is codes (k, k) over ``voltage_set``,
+stage 2's and the enumeration's are codes (0, 1) over (v1, v0), and stage 3's
+are per-row (i1, i0) over ``voltage_set`` on the batch's packed ``on`` split.
 The trace (ControlTrace) keeps one block of probes per ``_probe_many`` call,
-in measurement order.  Stage 2 draws its on/off rows MASK_BLOCK at a time into
-the uint8 index the trace keeps and counts its votes from it, so only that
-index grows with the array.  Its masks take one bit each from PCG64 on the
-link's voting stream: mask bit k (row-major over configurations x groups) is
-bit k % 64 of raw word k // 64, least significant bit first, and a set bit
-turns the group on.
+in measurement order.  Stage 2 draws its masks MASK_BLOCK rows at a time into
+the bit rows the trace keeps (2N ceil(N/8) bytes a link) and counts its votes
+from them.  Its masks take one bit each from PCG64 on the link's voting
+stream: mask bit k (row-major over configurations x groups) is bit k % 64 of
+raw word k // 64, least significant bit first, and a set bit turns the group
+on.
 """
 
 from __future__ import annotations
@@ -49,9 +55,9 @@ DEFAULT_VOLTAGE_SET = (30.0, 20.0, 15.0, 10.0, 5.0, 2.5, 0.0)
 #: Most on/off assignments brute_force_baseline enumerates: 16 groups.
 ENUMERATION_CAP = 65536
 
-#: Rows of stage 2's on/off index drawn per generator call and summed per vote
-#: count.  A multiple of 64, so every block but the last takes whole raw words;
-#: at most 255, so a block's votes fit a uint8.
+#: Stage-2 bit rows drawn per generator call and summed per vote count.  A
+#: multiple of 64, so every block but the last takes whole raw words; at most
+#: 255, so a block's votes fit a uint8.
 MASK_BLOCK = 128
 
 
@@ -82,124 +88,115 @@ TRACE_TABLE = ("stage,probe_index,config_hash,rss_db", "%s,%s,%s,%.10g")
 #: Most probe rows hashed together by _hash_blocks.
 HASH_BLOCK = 256
 
+#: Every byte bit-reversed: little-endian packed bits in np.packbits' order.
+_REVERSED = np.packbits(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1),
+                        axis=1, bitorder="little").ravel()
+
 
 def _hash_blocks(blocks) -> list[list[str]]:
-    """config_hash of every row of each (levels, index) block, per block.
+    """config_hash of every probe row of each (levels, codes, bits, N) block,
+    per block.
 
     Rows of one length N are hashed in chunks of up to HASH_BLOCK rows that
-    cross blocks (a chunk inside one block is a view of it), rows over
-    alphabets of more than two bit patterns last.  An alphabet's entries
-    that repeat a bit pattern are folded to the first.  A row of at most two
-    levels (every row the controller probes) hashes one fixed-place record:
-    its header, first level, other level (the first that differs from
-    element 0; zeros for one level) and packed "differs from element 0"
-    bits, which are the N zero bytes of a one-level row.  Other rows go
-    through config_hash.
+    cross blocks (a chunk inside one block is a view of it).  A row's
+    voltages take at most two bit patterns, so it hashes one fixed-place
+    record: its header, element 0's level, the other level (zeros for one
+    level) and the packed "differs from element 0" bits, which are the N zero
+    bytes of a one-level row.
     """
-    words, alphabets, out, pools = [], {}, [], {}
-    for levels, index in blocks:
+    alphabets, out, pools = {}, [], {}
+    for levels, codes, bits, n in blocks:
         key = struct.pack(f"<{len(levels)}d", *levels)
-        if key not in alphabets:
-            bits, first = struct.unpack(f"<{len(levels)}Q", key), {}
-            fold = [first.setdefault(w, j) for j, w in enumerate(bits)]
-            alphabets[key] = (len(words), np.array(fold) if len(first) < len(bits) else None,
-                              len(first) > 2)
-            words += bits
-        out.append([] if index.shape[1] else [config_hash(())] * len(index))
-        if index.size:
-            pools.setdefault(index.shape[1], []).append((out[-1], index, *alphabets[key]))
-    words = np.array(words, dtype="<u8")
-    for pool in pools.values():
+        words = alphabets.setdefault(key, np.frombuffer(key, dtype="<u8"))
+        out.append([])
+        if len(codes):
+            pools.setdefault(n, []).append((out[-1], words, codes, bits))
+    for n, pool in pools.items():
         chunk, size = [], 0
-        for digests, index, offset, fold, many in sorted(pool, key=lambda piece: piece[4]):
+        for digests, words, codes, bits in pool:
             at = 0
-            while at < len(index):
-                part = index[at:at + HASH_BLOCK - size]
-                chunk.append((digests, part if fold is None else fold[part], offset, many))
-                at, size = at + len(part), size + len(part)
+            while at < len(codes):
+                part = slice(at, at + HASH_BLOCK - size)
+                chunk.append((digests, words.take(codes[part]), bits[part]))
+                at, size = at + len(chunk[-1][1]), size + len(chunk[-1][1])
                 if size == HASH_BLOCK:
-                    _hash_chunk(chunk, words)
+                    _hash_chunk(chunk, n)
                     chunk, size = [], 0
         if chunk:
-            _hash_chunk(chunk, words)
+            _hash_chunk(chunk, n)
     return out
 
 
-def _hash_chunk(chunk, words) -> None:
-    """Extend the digests of a chunk's (digests, rows, alphabet offset in words,
-    more than two patterns) pieces, hashing slices of one record buffer at one
-    stride, as wide as the chunk's widest record (see _hash_blocks)."""
-    rows = np.concatenate([piece[1] for piece in chunk]) if len(chunk) > 1 else chunk[0][1]
-    base = np.repeat([piece[2] for piece in chunk], [len(piece[1]) for piece in chunk])
-    n, bits = rows.shape[1], -(-rows.shape[1] // 8)
-    first = rows[:, 0]
-    differs = rows != first[:, None]
-    other = rows[np.arange(len(rows)), differs.argmax(axis=1)]
-    two = other != first
-    sizes = (16 + n, 24 + bits)
+def _hash_chunk(chunk, n: int) -> None:
+    """Extend the digests of a chunk's (digests, (on, off) level words, bit
+    rows) pieces of N-element rows, hashing slices of one record buffer at
+    one stride, as wide as the chunk's widest record (see _hash_blocks)."""
+    words, bits = (np.concatenate(x) if len(x) > 1 else x[0] for x in list(zip(*chunk))[1:])
+    lead = (bits[:, 0] & 1).astype(bool)  # element 0 on
+    first = np.where(lead, words[:, 0], words[:, 1])
+    other = np.where(lead, words[:, 1], words[:, 0])
+    differs = bits ^ np.where(lead, 255, 0).astype(np.uint8)[:, None]
+    differs[:, -1] &= 255 >> (-n % 8)  # the tail bits
+    two = (first != other) & differs.any(axis=1)
+    sizes = (16 + n, 24 + bits.shape[1])
     stride = -(-(sizes[1] if two.all() else max(sizes)) // 8) * 8  # the widest record
-    record = np.zeros((len(rows), stride), dtype=np.uint8)
+    record = np.zeros((len(bits), stride), dtype=np.uint8)
     fields = record.view("<u8")
     head = np.array([n | 1 << 32, n | 2 << 32], dtype="<u8")  # "<II" of (N, k)
     head.take(two, out=fields[:, 0])
-    words.take(base + first, out=fields[:, 1])
-    np.multiply(words.take(base + other), two, out=fields[:, 2])
-    record[:, 24:24 + bits] = np.packbits(differs, axis=1)
+    fields[:, 1] = first
+    np.multiply(other, two, out=fields[:, 2])
+    np.multiply(_REVERSED.take(differs), two[:, None], out=record[:, 24:sizes[1]])
     buffer = memoryview(record).cast("B")
     digests = [hashlib.sha256(buffer[at:at + sizes[k]]).hexdigest()[:12]
                for at, k in zip(range(0, record.size, stride), two.tolist())]
-    skip = len(rows) - sum(len(piece[1]) for piece in chunk if piece[3])  # those come last
-    if skip < len(rows):
-        rest = differs[skip:] & (rows[skip:] != other[skip:, None])
-        for k in (skip + np.flatnonzero(np.any(rest, axis=1))).tolist():
-            digests[k] = config_hash(words[base[k] + rows[k]].view("<f8"))
-    for target, part, *_ in chunk:
+    for target, part, _ in chunk:
         target += digests[:len(part)]
         del digests[:len(part)]
 
 
 @dataclass
 class ControlTrace:
-    """Everything the controller measured, in the order it measured it.
+    """Everything the controller measured on one link of N elements, in the
+    order it measured it.
 
-    ``blocks`` holds one (stage, levels, index, rss) entry per batch of
-    probes: row k of the read-only (n, N) index matrix over the alphabet
-    ``levels`` read rss[k].  Probe indices run on across blocks.
+    ``blocks`` holds one (stage, levels, codes, bits, rss) entry per batch of
+    probes: row k of the read-only (n, 2) codes and (n, ceil(N/8)) bits over
+    the alphabet ``levels`` read rss[k].  Probe indices run on across blocks.
     """
 
+    n_elements: int
     blocks: list[tuple] = field(default_factory=list)
 
-    def append(self, stage: int, levels, index, rss) -> None:
-        """Record a block of probes; a writeable index or reading array is
-        copied, a read-only one (a view of a batch) is kept as it is."""
-        index = np.asarray(index)
-        rss = np.asarray(rss, dtype=float)
-        if index.ndim != 2 or rss.shape != (len(index),):
-            raise ValueError(f"probe batch of {rss.shape} readings for an index of {index.shape}")
-        if index.flags.writeable:
-            index = index.copy()
-        if rss.flags.writeable:
-            rss = rss.copy()
-        self.blocks.append((stage, tuple(levels), _read_only(index), _read_only(rss)))
+    def append(self, stage: int, levels, codes, bits, rss) -> None:
+        """Record a block of probes; a writeable array is copied, a read-only
+        one (a view of a batch) is kept as it is."""
+        codes, bits, rss = np.asarray(codes), np.asarray(bits), np.asarray(rss, dtype=float)
+        if codes.shape != (len(rss), 2) or bits.dtype != np.uint8 or \
+                bits.shape != (len(rss), -(-self.n_elements // 8)):
+            raise ValueError(f"probe batch of {rss.shape} readings for codes {codes.shape} and "
+                             f"{bits.dtype} bits {bits.shape} of N = {self.n_elements}")
+        copies = [_read_only(a.copy() if a.flags.writeable else a) for a in (codes, bits, rss)]
+        self.blocks.append((stage, tuple(levels), *copies))
 
     def stage_probe_count(self, stage: int) -> int:
-        return sum(len(rss) for s, _, _, rss in self.blocks if s == stage)
+        return sum(len(rss) for s, *_, rss in self.blocks if s == stage)
 
     @property
     def budget_used(self) -> int:
         return sum(len(rss) for *_, rss in self.blocks)
 
     def best(self) -> tuple:
-        """The best probe's (levels, read-only index row), None before any
-        probe, and the best reading through stages 1, 2 and 3 (NaN before
-        any probe), as a running scan picks them: the first probe, then each
-        strictly higher reading, so a NaN first reading stays best."""
+        """The best probe's (levels, codes, bits) with read-only rows, None
+        before any probe, and the best reading through stages 1, 2 and 3 (NaN
+        before any probe), as a running scan picks them: the first probe,
+        then each strictly higher reading, so a NaN first reading stays best."""
         config, top, through = None, math.nan, [math.nan] * 3
-        for stage, levels, index, rss in self.blocks:
+        for stage, levels, codes, bits, rss in self.blocks:
             if len(rss):
                 k = 0 if config is None and math.isnan(rss[0]) else int(_first_max(rss))
                 if config is None or rss[k] > top:
-                    config, top = (levels, index[k]), float(rss[k])
+                    config, top = (levels, codes[k], bits[k]), float(rss[k])
                 through[stage - 1:] = [top] * (4 - stage)
         return config, tuple(through)
 
@@ -207,8 +204,8 @@ class ControlTrace:
         """The CSV texts of this trace and of ``others``, one TRACE_TABLE row
         per probe; all their rows are hashed together (see _hash_blocks)."""
         traces = (self, *others)
-        hashes = iter(_hash_blocks([(levels, index) for trace in traces
-                                    for _, levels, index, _ in trace.blocks]))
+        hashes = iter(_hash_blocks([(levels, codes, bits, trace.n_elements) for trace in traces
+                                    for _, levels, codes, bits, _ in trace.blocks]))
         texts = []
         for trace in traces:
             stages, digests, readings = [], [], []
@@ -225,9 +222,10 @@ class LinkBatch:
     """Controller runs on L links, one trace each, carried through the stages
     together.
 
-    Every stage probes the L links with one (L, n, N) index stack.  The batch
-    keeps, per link, the on/off voltages of stage 1 (``v1``, ``v0``: length-L
-    arrays) and the elements stage 2 left on (``on``: an (L, N) bool matrix).
+    Every stage probes the L links with one (L, n, 2) code stack and one
+    (L, n, ceil(N/8)) bit stack.  The batch keeps, per link, the on/off
+    voltages of stage 1 (``v1``, ``v0``: length-L arrays) and the elements
+    stage 2 left on (``on``: read-only (L, ceil(N/8)) packed bits).
     """
 
     def __init__(self, traces):
@@ -235,15 +233,15 @@ class LinkBatch:
         self.v1 = self.v0 = self.on = None
 
     @classmethod
-    def new(cls, n_links: int) -> "LinkBatch":
-        return cls(ControlTrace() for _ in range(n_links))
+    def new(cls, n_links: int, n_elements: int) -> "LinkBatch":
+        return cls(ControlTrace(n_elements) for _ in range(n_links))
 
     def __len__(self) -> int:
         return len(self.traces)
 
     def fork(self) -> "LinkBatch":
         """A copy whose traces go on from this batch's blocks on their own."""
-        other = LinkBatch(ControlTrace(list(t.blocks)) for t in self.traces)
+        other = LinkBatch(ControlTrace(t.n_elements, list(t.blocks)) for t in self.traces)
         other.v1, other.v0, other.on = self.v1, self.v0, self.on
         return other
 
@@ -269,41 +267,31 @@ def _owners(groups, n_elements: int) -> np.ndarray:
     return owner
 
 
-def _onoff_index(owner, masks, out=None) -> np.ndarray:
-    """Index rows over (v1, v0), one per row of the on/off group masks (into ``out``).
-
-    Element e takes index 0 (v1) where its group owner[e] (see _owners) is on
-    and 1 (v0) otherwise; elements in no group stay at v0.  Leading axes of
-    the masks (a links axis) carry over to the index.
-    """
-    n_groups = masks.shape[-1]
-    flat = masks.reshape(-1, n_groups)
-    index = np.empty((len(flat), len(owner)), dtype=np.uint8) if out is None else out
-    off = np.ones((MASK_BLOCK, n_groups + 1), dtype=bool)  # last column: no group
-    for start in range(0, len(flat), MASK_BLOCK):
-        rows = flat[start:start + MASK_BLOCK]
-        np.logical_not(rows, out=off[:len(rows), :n_groups])
-        off[:len(rows)].take(owner, axis=1, out=index[start:start + len(rows)].view(bool))
-    return _read_only(index.reshape(*masks.shape[:-1], len(owner)))
+def _element_bits(owner, masks) -> np.ndarray:
+    """The packed on bits of the rows of 0/1 group masks: element e takes the
+    bit of its group owner[e] (see _owners), and an element in no group is off."""
+    on = np.zeros((len(masks), masks.shape[1] + 1), dtype=np.uint8)  # last column: no group
+    on[:, :-1] = masks
+    return np.packbits(on.take(owner, axis=1), axis=1, bitorder="little")
 
 
-def _probe_many(oracle, links: LinkBatch, stage: int, levels, index, rows=None) -> np.ndarray:
+def _probe_many(oracle, links: LinkBatch, stage: int, levels, codes, bits,
+                rows=None) -> np.ndarray:
     """Measure every probe row of a batch of L links, in order.
 
-    ``levels`` holds L alphabets and ``index`` is an (L, n, N) stack whose
-    first rows[l] rows of link l are probes (all rows by default) and the
-    rest padding; ``oracle.batch(levels, index, rows)`` returns the (L, n)
-    readings.  Each link's probes go into its trace as one block, padding
-    left out.
+    ``levels`` holds L alphabets, ``codes`` and ``bits`` the (L, n, 2) and
+    (L, n, ceil(N/8)) stacks whose first rows[l] rows of link l are probes
+    (all rows by default) and the rest padding; ``oracle.batch(levels, codes,
+    bits, rows)`` returns the (L, n) readings.  Each link's probes go into its
+    trace as one block, padding left out.
     """
-    rows = [index.shape[1]] * len(links) if rows is None else list(rows)
-    rss = np.array(oracle.batch(levels, index, rows), dtype=float)
-    if rss.shape != index.shape[:2]:
-        raise ValueError(f"probe batch of {rss.shape[1:]} readings for an index of "
-                         f"{index.shape[1:]}")
+    rows = [codes.shape[1]] * len(links) if rows is None else list(rows)
+    rss = np.array(oracle.batch(levels, codes, bits, rows), dtype=float)
+    if rss.shape != codes.shape[:2]:
+        raise ValueError(f"probe batch of {rss.shape[1:]} readings for codes {codes.shape[1:]}")
     _read_only(rss)
     for link, (trace, n) in enumerate(zip(links.traces, rows)):
-        trace.append(stage, levels[link], index[link, :n], rss[link, :n])
+        trace.append(stage, levels[link], codes[link, :n], bits[link, :n], rss[link, :n])
     return rss
 
 
@@ -312,10 +300,10 @@ def _first_max(rss: np.ndarray):
     return np.argmax(np.where(np.isnan(rss), -np.inf, rss), axis=-1)
 
 
-def _read_only(index: np.ndarray) -> np.ndarray:
-    """The array made read-only: index rows become configurations' indices."""
-    index.flags.writeable = False
-    return index
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """The array made read-only: its rows become configurations' rows."""
+    array.flags.writeable = False
+    return array
 
 
 def _validate_voltage_set(voltages) -> tuple[float, ...]:
@@ -339,9 +327,10 @@ def stage1_uniform_probe(oracle, links: LinkBatch, voltages, n_elements: int) ->
     degenerates to v1 == v0 (see run_controllers).  Returns the batch.
     """
     vs = _validate_voltage_set(voltages)
-    index = np.repeat(np.arange(len(vs), dtype=np.uint8)[:, None], n_elements, axis=1)
-    rss = _probe_many(oracle, links, 1, [vs] * len(links),
-                      np.broadcast_to(index, (len(links), *index.shape)))
+    codes = np.repeat(np.arange(len(vs), dtype=np.uint8)[:, None], 2, axis=1)  # row k: (k, k)
+    shape = (len(links), len(vs))
+    rss = _probe_many(oracle, links, 1, [vs] * len(links), np.broadcast_to(codes, (*shape, 2)),
+                      np.broadcast_to(np.zeros(1, np.uint8), (*shape, -(-n_elements // 8))))
     # descending order makes first extremes resolve ties upward; as in a
     # running scan, a NaN first reading stays both extremes
     nan = np.isnan(rss[:, 0])
@@ -361,10 +350,10 @@ def stage2_majority_voting(oracle, links: LinkBatch, n_elements: int,
     configuration whose feedback is strictly above the median cast one vote
     for each group it turned on.  A group ends up on when it collects votes
     from more than half of the voting configurations; exactly half goes to
-    off.  Keeps the (L, N) bool matrix of the elements left on as the batch's
-    ``on`` and returns the batch.  Only the uint8 index over (v1, v0) is built
-    for the probes; the voting rows that put an element at v1 are its group's
-    votes (an element in no group gets none), so votes are counted per element.
+    off.  Keeps the packed bits of the elements left on as the batch's ``on``
+    and returns the batch.  Only the probes' bit rows are built, a block's
+    group bits expanded to element bits once; an element's votes are the
+    voting rows that turn it on (an element in no group gets none).
     """
     v1, v0 = links.v1, links.v0
     if np.any(v1 == v0):
@@ -374,29 +363,32 @@ def stage2_majority_voting(oracle, links: LinkBatch, n_elements: int,
     if n_configs < 1:
         raise ValueError("n_configs must be >= 1")
 
-    index = np.empty((len(links), n_configs, n_elements), dtype=np.uint8)
-    owner = None if groups is None else _owners(groups, n_elements)
+    bits = np.empty((len(links), n_configs, -(-n_elements // 8)), dtype=np.uint8)
+    owner = np.arange(n_elements) if groups is None else _owners(groups, n_elements)
     seeds = rng_seed if np.ndim(rng_seed) else [rng_seed] * len(links)
-    for link_index, seed in zip(index, seeds):
+    for link_bits, seed in zip(bits, seeds):
         pcg = np.random.PCG64(seed)
         for start in range(0, n_configs, MASK_BLOCK):  # mask bit k: bit k % 64 of word k // 64
-            block = link_index[start:start + MASK_BLOCK]
+            block = link_bits[start:start + MASK_BLOCK]
             size = len(block) * n_groups
             raw = pcg.random_raw(-(-size // 64)).astype("<u8", copy=False).view(np.uint8)
-            on = np.unpackbits(raw, count=size, bitorder="little").reshape(len(block), n_groups)
-            if owner is None:  # element e is group e: a clear bit is v0, index 1
-                np.logical_not(on, out=block.view(bool))
+            if groups is None and n_elements % 8 == 0:  # a row is whole raw bytes
+                block[:] = raw[:block.size].reshape(block.shape)
             else:
-                _onoff_index(owner, on.view(bool), block)  # the block's group masks
-    rss = _probe_many(oracle, links, 2, list(zip(v1.tolist(), v0.tolist())), _read_only(index))
+                masks = np.unpackbits(raw, count=size, bitorder="little")
+                block[:] = _element_bits(owner, masks.reshape(len(block), n_groups))
+    rss = _probe_many(oracle, links, 2, list(zip(v1.tolist(), v0.tolist())),
+                      np.broadcast_to(np.uint8([0, 1]), (*bits.shape[:2], 2)), _read_only(bits))
 
     voting = rss > np.median(rss, axis=1, keepdims=True)
     n_voting = np.count_nonzero(voting, axis=1)[:, None]
-    off_votes = np.zeros((len(links), n_elements), dtype=np.intp)
+    votes = np.zeros((len(links), n_elements), dtype=np.intp)
     for start in range(0, n_configs, MASK_BLOCK):  # uint8 sums of <= MASK_BLOCK 0/1s are exact
         block = slice(start, start + MASK_BLOCK)
-        off_votes += np.einsum("lrn,lr->ln", index[:, block], voting[:, block].view(np.uint8))
-    links.on = 2 * (n_voting - off_votes) > n_voting  # strict majority of the voters
+        on = np.unpackbits(bits[:, block], axis=2, count=n_elements, bitorder="little")
+        votes += np.einsum("lrn,lr->ln", on, voting[:, block].view(np.uint8))
+    on = 2 * votes > n_voting  # a strict majority of the voters
+    links.on = _read_only(np.packbits(on, axis=1, bitorder="little"))
     return links
 
 
@@ -418,9 +410,9 @@ def stage3_fine_tune(oracle, links: LinkBatch, voltages) -> LinkBatch:
     moves = [list(itertools.product(neighborhood(a), neighborhood(b)))
              for a, b in zip(links.v1.tolist(), links.v0.tolist())]
     rows = [len(m) for m in moves]
-    grid = np.array([m + m[-1:] * (max(rows) - len(m)) for m in moves], dtype=np.uint8)
-    index = np.where(links.on[:, None, :], grid[:, :, :1], grid[:, :, 1:])
-    _probe_many(oracle, links, 3, [vs] * len(links), _read_only(index), rows)
+    codes = np.array([m + m[-1:] * (max(rows) - len(m)) for m in moves], dtype=np.uint8)
+    bits = np.broadcast_to(links.on[:, None], (len(links), max(rows), links.on.shape[1]))
+    _probe_many(oracle, links, 3, [vs] * len(links), _read_only(codes), bits, rows)
     return links
 
 
@@ -438,7 +430,8 @@ def run_controllers(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
     voltage for v0 so the later stages stay well-defined.
     """
     if links is None:
-        links = stage1_uniform_probe(oracle, LinkBatch.new(len(rng_seeds)), voltages, n_elements)
+        links = stage1_uniform_probe(oracle, LinkBatch.new(len(rng_seeds), n_elements),
+                                     voltages, n_elements)
     degenerate = links.v1 == links.v0
     if degenerate.any():
         links.v0 = np.where(degenerate, min(voltages), links.v0)
@@ -461,19 +454,20 @@ def brute_force_baseline(oracle, links: LinkBatch, n_elements: int, groups) -> L
     batch's v1/v0.
 
     Refuses group counts whose enumeration would exceed ENUMERATION_CAP.
-    Keeps as the batch's ``on`` the (L, N) bool matrix of the elements each
-    link's best assignment turns on, none where no reading is above -inf,
-    and returns the batch.
+    Keeps as the batch's ``on`` the packed bits of the elements each link's
+    best assignment turns on, none where no reading is above -inf, and
+    returns the batch.
     """
     n_groups = len(groups)
     check_enumerable(n_groups)
     v1, v0 = links.v1, links.v0
-    codes = np.arange(2 ** n_groups)
-    index = _onoff_index(_owners(groups, n_elements), (codes[:, None] >> np.arange(n_groups)) & 1)
+    masks = (np.arange(2 ** n_groups)[:, None] >> np.arange(n_groups)) & 1
+    bits = _read_only(_element_bits(_owners(groups, n_elements), masks))
     rss = _probe_many(oracle, links, 2, list(zip(v1.tolist(), v0.tolist())),
-                      np.broadcast_to(index, (len(links), *index.shape)))
+                      np.broadcast_to(np.uint8([0, 1]), (len(links), len(bits), 2)),
+                      np.broadcast_to(bits, (len(links), *bits.shape)))
     # the first strict maximum above -inf, as a running "rss > best" scan finds it
     best = _first_max(rss)
     found = rss[np.arange(len(rss)), best] > float("-inf")
-    links.on = (index[best] == 0) & (found & (v1 != v0))[:, None]
+    links.on = _read_only(bits[best] * (found & (v1 != v0))[:, None])
     return links

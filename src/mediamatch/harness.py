@@ -169,8 +169,8 @@ def cmd_sweep(scenario: Scenario, out_dir) -> RunReport:
 COLUMN_VOTING_CONFIGS = 32
 
 
-#: Stage-2 index entries (probes x elements) one batch of links may hold: 16
-#: links of 8 x 8, one of 16 x 16 or larger.  A batch has at least one link.
+#: Stage-2 probe bits (2N^2 a link, packed in 2N ceil(N/8) bytes) one batch of
+#: links may hold: 16 links of 8 x 8, one of 16 x 16 or larger, at least one.
 LINK_BATCH = 2 ** 17
 
 
@@ -202,7 +202,7 @@ def run_links(scenario: Scenario, responder, indices, mode: str, out_dir: Path) 
     noisy = uplinks is None and params.noise_db is not None
     oracle = FeedbackOracle(channels, uplinks, params.noise_db if noisy else None,
                             params.rss_quantization_db, streams(NOISE_STREAM) if noisy else 0)
-    start = stage1_uniform_probe(oracle, LinkBatch.new(len(channels)), vs, n)
+    start = stage1_uniform_probe(oracle, LinkBatch.new(len(channels), n), vs, n)
 
     variants = [(2 * n, None, None)]  # (stage-2 probes, control groups, stage 2)
     if mode == "bench-controller":
@@ -256,7 +256,7 @@ def _worker_links(indices: range, mode: str, out_dir: Path) -> list[tuple]:
 
 def _batches(scenario: Scenario, n_links: int, parallel: int) -> list[range]:
     """Links 0..n_links-1 cut into contiguous batches of near-equal size: as
-    few as hold at most LINK_BATCH stage-2 index entries each (one link at
+    few as hold at most LINK_BATCH stage-2 probe bits each (one link at
     least), but no fewer than `parallel` while there are links to spread."""
     n = scenario.n_elements
     count = max(-(-n_links // max(1, LINK_BATCH // (2 * n * n))), min(parallel, n_links))

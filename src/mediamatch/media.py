@@ -150,11 +150,3 @@ FAT = Medium("fat", 5.46)
 MUSCLE = Medium("muscle", 55.03)
 
 BUILTIN_MEDIA = {m.name: m for m in (AIR, WATER, SKIN, FAT, MUSCLE)}
-
-
-def get_medium(name: str) -> Medium:
-    """Look up a built-in medium by name."""
-    try:
-        return BUILTIN_MEDIA[name]
-    except KeyError:
-        raise KeyError(f"unknown medium {name!r}; built-ins: {sorted(BUILTIN_MEDIA)}") from None

@@ -121,8 +121,8 @@ class Scenario:
 _MAX = sys.float_info.max
 #: Most points a {start, stop, step} sweep axis expands to.
 MAX_AXIS_POINTS = 100_000
-#: Most elements an array may have (128 x 128): a batch's stage-2 index holds
-#: 2N^2 bytes per link, 0.5 GB at this ceiling and 8.6 GB at 256 x 256.
+#: Most elements an array may have (128 x 128): a batch's stage-2 bit rows
+#: hold 2N ceil(N/8) bytes per link, 64 MB at this ceiling and 1 GB at 256 x 256.
 MAX_ELEMENTS = 128 * 128
 #: Number kinds, named as a message reads them: (type, lowest, highest value).
 _NUMBERS = {"a number": (float, -_MAX, _MAX), "a number > 0": (float, 5e-324, _MAX),
@@ -160,7 +160,7 @@ _FIELDS = {
     "channel.noise_db": ("null|a number", None),
     "channel.rss_quantization_db": ("null|a number > 0", 0.1),
     "channel.reciprocal_uplink": ("true or false", True),
-    "channel.phase_jitter_std": ("a number", 0.0),
+    "channel.phase_jitter_std": ("a number >= 0", 0.0),
     "seed": ("a whole number >= 0", 1),
     "coupling_offset_s": ("a list of two numbers", [0.0, 0.0]),
     "sweep": ("an object", {}),

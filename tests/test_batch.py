@@ -1,6 +1,6 @@
 """The batch probe contract and the block trace hashes.
 
-Every controller stage sends its probes as one index stack through
+Every controller stage sends its probes as one (codes, bits) stack through
 ``control._probe_many`` to the oracle's ``batch``, which measures it at once.
 Probe i of a batch must read exactly what the i-th of as many one-row
 batches reads: same bits, signs of zero included, same noise seed, same
@@ -18,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 from mediamatch.channel import (PROBE_BLOCK, ChannelStack, FeedbackOracle, MultipathChannel,
                                 composite_channels, rss_db, sample_channel)
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, TRACE_TABLE, ControlTrace,
-                                LinkBatch,
-                                _probe_many, brute_force_baseline, column_groups,
+                                LinkBatch, _probe_many, brute_force_baseline, column_groups,
                                 run_controllers)
 from mediamatch.scenario import default_water_scenario
 
@@ -43,23 +42,32 @@ def _channel(seed, n, jitter=0.0, env_power=0.25):
                           responder=responder(), phase_jitter_std=jitter)
 
 
-def _rows(channel, levels, index):
-    """The composite channel of every row of one link's (n, N) index."""
-    return composite_channels(ChannelStack(channel), [levels], index[None])[0]
+def _random_rows(rng, n_levels, n_rows, n):
+    """(codes, bits) of n_rows random rows of n elements over n_levels levels."""
+    codes = rng.integers(0, n_levels, (n_rows, 2)).astype(np.uint8)
+    on = rng.integers(0, 2, (n_rows, n)).astype(bool)
+    return codes, np.packbits(on, axis=1, bitorder="little")
 
 
-def _one_row(channel, levels, row):
-    """The composite channel of one index row, through a one-row call."""
-    return _rows(channel, levels, row[None])[0]
+def _rows(channel, levels, codes, bits):
+    """The composite channel of every row of one link's (n, 2) codes and bits."""
+    return composite_channels(ChannelStack(channel), [levels], codes[None], bits[None])[0]
 
 
-def _one_by_one(oracle, levels, index):
-    """One link's readings of every row of an (n, N) index, one-row batches."""
-    return [oracle.batch([levels], row[None, None])[0, 0] for row in index]
+def _one_row(channel, levels, codes, bits):
+    """The composite channel of one row, through a one-row call."""
+    return _rows(channel, levels, codes[None], bits[None])[0]
+
+
+def _one_by_one(oracle, levels, codes, bits):
+    """One link's readings of every row of its codes and bits, one-row batches."""
+    return [oracle.batch([levels], c[None, None], b[None, None])[0, 0]
+            for c, b in zip(codes, bits)]
 
 
 def _probe_voltages(trace):
-    return [voltages(levels, row) for _, levels, index, _ in trace.blocks for row in index]
+    return [voltages(levels, c, b, trace.n_elements)
+            for _, levels, codes, bits, _ in trace.blocks for c, b in zip(codes, bits)]
 
 
 class Sequential:
@@ -69,9 +77,9 @@ class Sequential:
     def __init__(self, oracle):
         self.oracle = oracle
 
-    def batch(self, levels, index, rows):
+    def batch(self, levels, codes, bits, rows):
         (n,) = rows
-        return np.array([_one_by_one(self.oracle, levels[0], index[0, :n])])
+        return np.array([_one_by_one(self.oracle, levels[0], codes[0, :n], bits[0, :n])])
 
 
 class TestBatchEqualsSequential:
@@ -89,7 +97,7 @@ class TestBatchEqualsSequential:
                               quantization_db, jitter, env_power, earlier):
         rng = np.random.default_rng(seed)
         levels = tuple(rng.permutation(VS)[:n_levels].tolist())
-        index = rng.integers(0, n_levels, (n_probes, n_elements)).astype(np.uint8)
+        codes, bits = _random_rows(rng, n_levels, n_probes, n_elements)
         down = _channel(seed, n_elements, jitter, env_power)
         up = _channel(seed + 1, n_elements, jitter, env_power)
 
@@ -97,14 +105,14 @@ class TestBatchEqualsSequential:
             batched, sequential = (FeedbackOracle(down, uplink, noise_db, quantization_db,
                                                   noise_seed=seed) for _ in range(2))
             for _ in range(earlier):  # the noise seeds follow the probe count
-                assert _bits(_one_by_one(batched, levels, index[:1])) == _bits(
-                    _one_by_one(sequential, levels, index[:1]))
-            got = batched.batch([levels], index[None])[0]
-            assert _bits(got) == _bits(_one_by_one(sequential, levels, index))
+                assert _bits(_one_by_one(batched, levels, codes[:1], bits[:1])) == _bits(
+                    _one_by_one(sequential, levels, codes[:1], bits[:1]))
+            got = batched.batch([levels], codes[None], bits[None])[0]
+            assert _bits(got) == _bits(_one_by_one(sequential, levels, codes, bits))
 
-        rows = _rows(down, levels, index)
+        rows = _rows(down, levels, codes, bits)
         assert _bits(rows.view(float)) == _bits(np.array(
-            [_one_row(down, levels, row) for row in index]).view(float))
+            [_one_row(down, levels, c, b) for c, b in zip(codes, bits)]).view(float))
 
     @pytest.mark.parametrize("n_elements", [1, 2, 3, 64])
     @pytest.mark.parametrize("jitter", [0.0, 0.4])
@@ -114,17 +122,18 @@ class TestBatchEqualsSequential:
         table = responder().table(VS)
         for seed in range(4):
             channel = _channel(seed, n_elements, jitter)
-            index = np.random.default_rng(seed).integers(
-                0, len(VS), (PROBE_BLOCK + 1, n_elements)).astype(np.uint8)
+            codes, bits = _random_rows(np.random.default_rng(seed), len(VS), PROBE_BLOCK + 1,
+                                       n_elements)
             want = []
-            for row in index:
-                s = table[row]
+            for (on_level, off_level), row in zip(codes, bits):
+                on = np.unpackbits(row, count=n_elements, bitorder="little")
+                s = table[np.where(on, on_level, off_level)]
                 if channel.phase_jitter is not None:
                     s = s * channel.phase_jitter
                 want.append(channel.h_env + np.sum(s * channel.h_elements))
             want = np.array(want).view(float)
-            assert _bits(_rows(channel, VS, index).view(float)) == _bits(want)
-            alone = [_one_row(channel, VS, row) for row in index[:8]]
+            assert _bits(_rows(channel, VS, codes, bits).view(float)) == _bits(want)
+            alone = [_one_row(channel, VS, c, b) for c, b in zip(codes[:8], bits[:8])]
             assert _bits(np.array(alone).view(float)) == _bits(want[:16])
 
     @pytest.mark.parametrize("noise_db", [None, -20.0])
@@ -138,13 +147,13 @@ class TestBatchEqualsSequential:
 
         run_b = run_controllers(fresh(), 64, rng_seeds=[5])
         run_s = run_controllers(Sequential(fresh()), 64, rng_seeds=[5])
-        assert voltages(*run_b.configs()[0]) == voltages(*run_s.configs()[0])
+        assert voltages(*run_b.configs()[0], 64) == voltages(*run_s.configs()[0], 64)
         assert run_b.traces[0].serialize() == run_s.traces[0].serialize()
 
         groups = column_groups(8, 8)
         enums = []
         for oracle in (fresh(), Sequential(fresh())):
-            links = LinkBatch.new(1)
+            links = LinkBatch.new(1, 64)
             links.v1, links.v0 = np.array([30.0]), np.array([0.0])
             enums.append(brute_force_baseline(oracle, links, 64, groups))
         enum_b, enum_s = enums
@@ -156,12 +165,12 @@ class TestBatchEqualsSequential:
 class TestProbePath:
     def test_batch_of_wrong_length_rejected(self):
         class Short:
-            def batch(self, levels, index, rows):
-                return np.zeros((len(index), index.shape[1] - 1))
+            def batch(self, levels, codes, bits, rows):
+                return np.zeros((len(codes), codes.shape[1] - 1))
 
         with pytest.raises(ValueError, match="batch"):
-            _probe_many(Short(), LinkBatch.new(1), 1, [(30.0, 0.0)],
-                        np.zeros((1, 3, 2), np.uint8))
+            _probe_many(Short(), LinkBatch.new(1, 2), 1, [(30.0, 0.0)],
+                        np.zeros((1, 3, 2), np.uint8), np.zeros((1, 3, 1), np.uint8))
 
     def test_one_batch_per_stage(self):
         class BatchOnly:
@@ -169,9 +178,9 @@ class TestProbePath:
                 self.inner = FeedbackOracle(_channel(3, 16))
                 self.calls = []
 
-            def batch(self, levels, index, rows):
-                self.calls.append(index.shape[1])
-                return self.inner.batch(levels, index, rows)
+            def batch(self, levels, codes, bits, rows):
+                self.calls.append(codes.shape[1])
+                return self.inner.batch(levels, codes, bits, rows)
 
         oracle = BatchOnly()
         trace = run_controllers(oracle, 16, rng_seeds=[1]).traces[0]
@@ -203,29 +212,30 @@ class TestZeroReading:
 
 class TestBlockDigests:
     def test_equal_config_hash(self):
-        """Mixed alphabets and lengths in one trace, signed zeros, NaNs and
-        infinities, alphabets that repeat a bit pattern, more than 256 levels
-        (a uint16 index), an empty config, and blocks of one row or of row
-        counts and lengths that are not multiples of HASH_BLOCK or of 8."""
+        """Mixed alphabets and lengths in one batch of traces, signed zeros,
+        NaNs and infinities, alphabets that repeat a bit pattern, more than
+        256 levels (uint16 codes), code pairs of one position, and blocks of
+        one row or of row counts and lengths that are not multiples of
+        HASH_BLOCK or of 8."""
         rng = np.random.default_rng(7)
         alphabets = [VS, (30.0, 0.0), (30.0, -0.0), (0.0, -0.0), (12.5, 2.34567),
                      (-1.23456e-7, 2.5), (123456789.0, 1.0, 0.0), (float("nan"), float("inf")),
                      (5.0, 0.0, 5.0, -0.0), (-2.2250738585072014e-308,)]
         sizes = (1, 2 * HASH_BLOCK + 5, 3, HASH_BLOCK, HASH_BLOCK - 1)
-        trace = ControlTrace()
+        traces = [ControlTrace(37), ControlTrace(5), ControlTrace(1)]
         for k in range(3 * len(alphabets)):
             levels = alphabets[k % len(alphabets)] if k % 3 else (30.0, 0.0)
-            n = 37 if k % 11 else 5
-            index = rng.integers(0, len(levels), (sizes[k % len(sizes)], n)).astype(np.uint8)
-            trace.append(2, levels, index, np.zeros(len(index)))
-        wide = np.arange(300, dtype=np.uint16)
-        trace.append(1, np.linspace(0.0, 30.0, 300).tolist(), np.stack([wide, wide[::-1]]),
-                     [0.0, 0.0])
-        trace.append(1, (), np.zeros((2, 0), np.uint8), [0.0, 0.0])
-        rows = trace.serialize()[0].split("\n")[1:-1]
-        assert len(rows) == trace.budget_used
-        assert [row.split(",")[2] for row in rows] == [
-            oracles.config_hash_reference(voltages) for voltages in _probe_voltages(trace)]
+            trace = traces[0 if k % 11 else 1 + k % 2]
+            codes, bits = _random_rows(rng, len(levels), sizes[k % len(sizes)], trace.n_elements)
+            trace.append(2, levels, codes, bits, np.zeros(len(codes)))
+        wide = np.array([[299, 0], [44, 299], [299, 299]], dtype=np.uint16)
+        traces[0].append(1, np.linspace(0.0, 30.0, 300).tolist(), wide,
+                         _random_rows(rng, 1, 3, 37)[1], [0.0] * 3)
+        for trace, text in zip(traces, ControlTrace.serialize(*traces)):
+            rows = text.split("\n")[1:-1]
+            assert len(rows) == trace.budget_used
+            assert [row.split(",")[2] for row in rows] == [
+                oracles.config_hash_reference(voltages) for voltages in _probe_voltages(trace)]
 
 
 class _Readings:
@@ -234,7 +244,7 @@ class _Readings:
     def __init__(self, rss):
         self.rss = rss
 
-    def batch(self, levels, index, rows):
+    def batch(self, levels, codes, bits, rows):
         return self.rss
 
 
@@ -257,39 +267,44 @@ class TestBatchRendering:
     @given(n_links=st.integers(1, 5), n_blocks=st.integers(1, 4),
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
     def test_matches_plain_rendering(self, n_links, n_blocks, seed, data):
-        """Blocks of 1 to 80 elements, of rows over at most 1, 2 or 3 of their
+        """Links of 1 to 80 elements, blocks of rows over one or two of their
         alphabet's entries, with or without stage-3 style padding, empty or
-        straddling HASH_BLOCK; one index and alphabet for all links (as
+        straddling HASH_BLOCK; one set of rows and alphabet for all links (as
         stage 1's) or one per link, so chunks mix alphabets."""
         rng = np.random.default_rng(seed)
-        links = LinkBatch.new(n_links)
-        # at most two lengths, so blocks of one N over both kinds of alphabet share chunks
+        # at most two lengths, so links of one N over both kinds of alphabet share chunks
         lengths = data.draw(st.lists(st.one_of(st.sampled_from([1, 7, 8, 9, 64, 80]),
                                                st.integers(1, 80)), min_size=1, max_size=2))
+        traces = [ControlTrace(data.draw(st.sampled_from(lengths))) for _ in range(n_links)]
         for block in range(n_blocks):
-            n = data.draw(st.sampled_from(lengths))
             n_rows = data.draw(st.sampled_from([0, 1, 7, 9, HASH_BLOCK - 3, HASH_BLOCK + 5]))
-            used = data.draw(st.integers(1, 3))
-            k = data.draw(st.integers(used, used + 3))
+            one_level = data.draw(st.booleans())
+            k = data.draw(st.integers(2 - one_level, 5 - one_level))
             alphabets = [tuple(data.draw(st.lists(_LEVELS, min_size=k, max_size=k)))
                          for _ in range(n_links)]
-            choice = rng.integers(0, k, (n_links, n_rows, used))
-            index = np.take_along_axis(choice, rng.integers(0, used, (n_links, n_rows, n)),
-                                       axis=2).astype(np.uint8)
-            if data.draw(st.booleans()):
-                alphabets = alphabets[:1] * n_links
-                index = np.broadcast_to(index[0], index.shape)
+            codes = rng.integers(0, k, (n_links, n_rows, 2)).astype(np.uint8)
+            if one_level:
+                codes[..., 1] = codes[..., 0]
+            on = rng.integers(0, 2, (n_links, n_rows, 80)).astype(bool)
+            shared = data.draw(st.booleans())
+            if shared:
+                alphabets, codes, on = alphabets[:1] * n_links, codes[:1], on[:1]
             rss = np.round(rng.normal(-40.0, 5.0, (n_links, n_rows)), 1)
             special = rng.random(rss.shape) < 0.2
             rss[special] = rng.choice(_SPECIAL, np.count_nonzero(special))
-            rows = rng.integers(0, n_rows + 1, n_links) if data.draw(st.booleans()) else None
-            _probe_many(_Readings(rss), links, 1 + block % 3, alphabets, index, rows)
-        texts = ControlTrace.serialize(*links.traces)
+            padded = data.draw(st.booleans())
+            rows = rng.integers(0, n_rows + 1, n_links) if padded else [n_rows] * n_links
+            for link, (trace, n) in enumerate(zip(traces, rows)):
+                pick = 0 if shared else link
+                bits = np.packbits(on[pick, :n, :trace.n_elements], axis=1, bitorder="little")
+                trace.append(1 + block % 3, alphabets[link], codes[pick, :n], bits, rss[link, :n])
+        texts = ControlTrace.serialize(*traces)
         assert len(texts) == n_links
-        for trace, text in zip(links.traces, texts):
-            probes = [(stage, oracles.config_hash_reference([levels[e] for e in row]), r)
-                      for stage, levels, index, rss in trace.blocks
-                      for row, r in zip(index.tolist(), rss.tolist())]
+        for trace, text in zip(traces, texts):
+            probes = [(stage, oracles.config_hash_reference(voltages(levels, c, b,
+                                                                     trace.n_elements)), r)
+                      for stage, levels, codes, bits, rss in trace.blocks
+                      for c, b, r in zip(codes, bits, rss.tolist())]
             assert text == oracles.row_csv_text(
                 TRACE_TABLE[0], [(s, k, h, r) for k, (s, h, r) in enumerate(probes)], ".10g")
             assert trace.serialize() == [text]

@@ -301,7 +301,7 @@ class TestDb:
         responder = default_water_scenario().responder()
         links = [MultipathChannel(complex(x), np.zeros(1, dtype=complex), responder)
                  for x in self.XS]
-        config = ((5.0,), np.zeros(1, dtype=np.uint8))
+        config = ((5.0,), np.zeros(2, dtype=np.uint8), np.zeros(1, dtype=np.uint8))
         mags = [abs(complex(x)) for x in self.XS]
         gains = [-math.inf if m <= 0 else _want_db(m, 20.0) - _want_db(m, 20.0) for m in mags]
         got = gains_db(links, [config] * len(links))

@@ -19,21 +19,25 @@ F0 = 2.4e9
 
 
 def uniform(voltage, n):
-    """Every one of n elements at one voltage, as a (levels, index row) pair."""
-    return (float(voltage),), np.zeros(n, dtype=np.uint8)
+    """Every one of n elements at one voltage, as a (levels, codes, bits)
+    configuration."""
+    return (float(voltage),), np.zeros(2, dtype=np.uint8), np.zeros(-(-n // 8), dtype=np.uint8)
+
+
+def stacked(cfg):
+    """A configuration's alphabets, codes and bits as a one-link, one-row stack."""
+    levels, codes, bits = cfg
+    return [levels], np.asarray(codes)[None, None], np.asarray(bits)[None, None]
 
 
 def composite(channel, cfg, kernel=composite_channels):
     """The composite channel of one configuration, through a one-row stack."""
-    levels, row = cfg
-    index = np.asarray(row)[None, None]
-    return complex(kernel(ChannelStack(channel), [levels], index)[0, 0])
+    return complex(kernel(ChannelStack(channel), *stacked(cfg))[0, 0])
 
 
 def reading(oracle, cfg):
     """One link's oracle reading of one configuration."""
-    levels, row = cfg
-    return float(oracle.batch([levels], np.asarray(row)[None, None])[0, 0])
+    return float(oracle.batch(*stacked(cfg))[0, 0])
 
 
 @pytest.fixture(scope="module")
@@ -77,73 +81,91 @@ class TestElementResponse:
 
 
 class TestConfigIndex:
-    """A configuration is a (levels, index row) pair; every index passes
+    """A configuration is a (levels, codes, bits) triple; every code pair (the
+    ``index`` of each case: the on and off positions in the alphabet) passes
     through composite_channels, which checks it."""
 
     def channel(self, responder, n):
         return sample_channel(9, n, env_power=0.2, element_power=1.0, responder=responder)
 
-    @pytest.mark.parametrize("index", [[-1, 0], [0, 3], np.array([256], np.uint16), [300]])
-    def test_index_out_of_range_rejected(self, responder, index):
-        with pytest.raises(IndexError, match="index entries"):
-            composite(self.channel(responder, len(index)), ((30.0, 15.0, 0.0), index))
+    def config(self, levels, index, n=2):
+        """Elements 0, 2, 4, ... on, the others off."""
+        return levels, np.asarray(index), np.packbits(np.arange(n) % 2 == 0, bitorder="little")
 
-    @pytest.mark.parametrize("index", [[1.5], [1.0, 0.0], [True], np.array([False, True])])
+    @pytest.mark.parametrize("index", [[-1, 0], [0, 3], np.array([256, 0], np.uint16), [300, 1]])
+    def test_index_out_of_range_rejected(self, responder, index):
+        with pytest.raises(IndexError, match="codes must lie"):
+            composite(self.channel(responder, 2), self.config((30.0, 15.0, 0.0), index))
+
+    @pytest.mark.parametrize("index", [[1.5, 0.5], [1.0, 0.0], [True, False],
+                                       np.array([False, True])])
     def test_non_integer_index_rejected(self, responder, index):
         with pytest.raises(ValueError, match="integer dtype"):
-            composite(self.channel(responder, len(index)), ((1.0, 2.0, 3.0), index))
+            composite(self.channel(responder, 2), self.config((1.0, 2.0, 3.0), index))
 
     @pytest.mark.parametrize("levels,index,error", [
         *[((30.0, 15.0, 0.0), index, IndexError)
-          for index in ([-1, 0], [0, 3], np.array([256], np.uint16), [300])],
+          for index in ([-1, 0], [0, 3], np.array([256, 0], np.uint16), [300, 1])],
         *[((1.0, 2.0, 3.0), index, ValueError)
-          for index in ([1.5], [1.0, 0.0], [True], np.array([False, True]))],
+          for index in ([1.5, 0.5], [1.0, 0.0], [True, False], np.array([False, True]))],
         ((30.0, 0.0), [0, 2], IndexError), ((30.0,), [0, 1], IndexError)])
     def test_onoff_kernel_rejects_alike(self, responder, levels, index, error):
         """onoff_channels runs composite_channels' input checks, so the cases
-        above raise the same errors from both; so does an entry of 2 under two
-        levels (or of 1 under one), which packbits alone would read as 1."""
+        above raise the same errors from both; so does a code of 2 under two
+        levels (or of 1 under one), which the table bits alone would read as 0."""
         messages = []
         for kernel in (composite_channels, onoff_channels):
             with pytest.raises(error) as raised:
-                composite(self.channel(responder, len(index)), (levels, index), kernel)
+                composite(self.channel(responder, 2), self.config(levels, index), kernel)
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
 
     def test_bool_index_rejected_in_blocks(self, responder):
-        """Rows of a block are not read as indices 0/1 either (a lone row is
-        rejected above)."""
+        """Code pairs of a block are not read as positions 0/1 either (a lone
+        row is rejected above)."""
         oracle = FeedbackOracle(self.channel(responder, 64))
         with pytest.raises(ValueError, match="integer dtype"):
-            oracle.batch([(30.0, 0.0)], np.ones((1, 2, 64), bool))
+            oracle.batch([(30.0, 0.0)], np.ones((1, 2, 2), bool), np.zeros((1, 2, 8), np.uint8))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 7), (1, 3, 8), (1, 2, 9)])
+    def test_bit_rows_of_another_shape_rejected(self, responder, shape):
+        """Bit rows are ceil(N/8) bytes, one row per code pair."""
+        oracle = FeedbackOracle(self.channel(responder, 64))
+        with pytest.raises(ValueError, match="bit rows"):
+            oracle.batch([(30.0, 0.0)], np.zeros((1, 2, 2), np.uint8), np.zeros(shape, np.uint8))
 
     def test_wide_index_round_trips(self, responder):
-        """An index over more than 256 levels is read with its wide unsigned
+        """A code over more than 256 levels is read with its wide unsigned
         type instead of wrapping modulo 256."""
         ch = self.channel(responder, 2)
         levels = tuple(np.linspace(0.0, 30.0, 300).tolist())
         want = ch.h_env + np.sum(np.array([responder.s(levels[299]), responder.s(levels[44])])
                                  * ch.h_elements)
-        assert composite(ch, (levels, np.array([299, 44], np.uint16))) == want
-        assert composite(ch, (levels, np.array([299, 44]))) == want
+        assert composite(ch, self.config(levels, np.array([299, 44], np.uint16))) == want
+        assert composite(ch, self.config(levels, np.array([299, 44]))) == want
 
     def test_index_is_read_only(self, responder):
-        """A run's best configuration is a read-only view of a row its trace keeps."""
+        """A run's best configuration is read-only views of rows its trace keeps."""
         links = run_controllers(FeedbackOracle(self.channel(responder, 4)), 4)
-        (levels, row), = links.configs()
-        assert any(np.shares_memory(row, index) for _, _, index, _ in links.traces[0].blocks)
-        with pytest.raises(ValueError):
-            row[0] = 1
+        (levels, codes, bits), = links.configs()
+        blocks = links.traces[0].blocks
+        assert any(np.shares_memory(codes, block[2]) for block in blocks)
+        assert any(np.shares_memory(bits, block[3]) for block in blocks)
+        for row in (codes, bits):
+            with pytest.raises(ValueError):
+                row[0] = 1
 
     def test_composite_independent_of_alphabet(self, responder):
         ch = sample_channel(8, 6, env_power=0.2, element_power=1.0, responder=responder,
                             phase_jitter_std=0.3)
-        a = ((30.0, 20.0, 10.0, 0.0), [3, 0, 0, 2, 1, 3])
-        b = ((0.0, 10.0, 20.0, 30.0), [0, 3, 3, 1, 2, 0])
-        assert voltages(*a) == voltages(*b)
-        assert composite(ch, a) == composite(ch, b)
+        on = np.packbits([1, 0, 0, 1, 1, 0], bitorder="little")
+        a = ((30.0, 20.0, 10.0, 0.0), np.array([3, 1]), on)
+        b = ((0.0, 10.0, 20.0, 30.0), np.array([0, 2]), on)
+        c = ((20.0, 0.0), np.array([1, 0]), on)
+        assert voltages(*a, 6) == voltages(*b, 6) == voltages(*c, 6)
+        assert composite(ch, a) == composite(ch, b) == composite(ch, c)
         want = ch.h_env + sum(responder.s(v) * j * h for v, j, h in
-                              zip(voltages(*a), ch.phase_jitter, ch.h_elements))
+                              zip(voltages(*a, 6), ch.phase_jitter, ch.h_elements))
         assert composite(ch, a) == pytest.approx(want, abs=1e-12)
 
 
@@ -177,6 +199,8 @@ class TestSampleChannel:
             sample_channel(0, 0)
         with pytest.raises(ValueError):
             sample_channel(0, 4, env_power=-1.0)
+        with pytest.raises(ValueError, match="phase_jitter_std"):
+            sample_channel(0, 4, phase_jitter_std=-0.3)
 
 
 class TestCompositeChannel:
@@ -300,7 +324,9 @@ class TestGainsDb:
             sample_channel(60 + k, 6, element_power=1.0 / 6, responder=responder)
             for k in range(4)]
         alphabets = [(30.0, 0.0), scenario.voltage_set, (20.0, 2.5)]
-        variants = [[(lv, rng.integers(0, len(lv), 6)) for _ in downs] for lv in alphabets]
+        variants = [[(lv, rng.integers(0, len(lv), 2), np.packbits(rng.integers(0, 2, 6),
+                                                                    bitorder="little"))
+                     for _ in downs] for lv in alphabets]
         cfgs = [c for variant in variants for c in variant]
         for uplinks in (None, ups):
             want = np.concatenate([gains_db(downs, v, uplinks) for v in variants], axis=1)
@@ -328,7 +354,9 @@ class TestGainsDb:
                            phase_jitter_std=0.2) for k in range(5)]
         vs = scenario.voltage_set
         alphabets = [(30.0, 0.0), vs, (20.0, 2.5), vs, tuple(np.linspace(0.0, 30.0, 300))]
-        cfgs = [(lv, rng.integers(0, len(lv), 9)) for lv in alphabets]
+        cfgs = [(lv, rng.integers(0, len(lv), 2), np.packbits(rng.integers(0, 2, 9),
+                                                               bitorder="little"))
+                for lv in alphabets]
         one = [gains_db([d], [c])[:, 0] for d, c in zip(downs, cfgs)]
         two = [gains_db([d], [c], [u])[:, 0] for d, u, c in zip(downs, ups, cfgs)]
         assert gains_db(downs, cfgs).tobytes() == np.stack(one, axis=1).tobytes()

@@ -379,7 +379,7 @@ class TestLinksCommand:
 
     def test_32x32_link_memory_peak(self):
         """One 32x32 link allocates at most 7 MB at its peak: stage 2 builds
-        no array of its probes but the uint8 index the trace keeps (2 MB)."""
+        no array of its probes but the bit rows the trace keeps (256 KB)."""
         peak = self._link_peak(32, 1)
         assert peak <= 7 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
@@ -389,10 +389,24 @@ class TestLinksCommand:
         assert peak <= 7 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
     def test_64x64_link_memory_peak(self):
-        """One 64x64 link allocates at most 48 MB at its peak, its 32 MB
-        stage-2 index included."""
+        """One 64x64 link allocates at most 48 MB at its peak, its 4 MB of
+        stage-2 bit rows included."""
         peak = self._link_peak(64, 1)
         assert peak <= 48 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+    def test_64x64_links_command_peak(self, tmp_path):
+        """A one-link 64x64 links command, after a warm-up run, allocates at
+        most 12 MB at its peak: 2N ceil(N/8) = 4 MB of stage-2 bit rows, 2 MB
+        of on/off tables and a few MB of block temporaries."""
+        scenario = self._scenario(64)
+        cmd_links(scenario, tmp_path / "warm", 1)
+        tracemalloc.start()
+        try:
+            cmd_links(scenario, tmp_path / "run", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
     def test_memory_does_not_grow_with_the_link_count(self, tmp_path):
         """A 16x16 links run (one link per batch) holds one batch's files at a
@@ -493,8 +507,8 @@ class TestBenchTracerTargets:
 
 class TestBudgetValidation:
     def test_validate_trace_raises(self):
-        trace = ControlTrace()
-        trace.append(1, (30.0,), [[0]], [-1.0])
+        trace = ControlTrace(1)
+        trace.append(1, (30.0,), [[0, 0]], np.zeros((1, 1), np.uint8), [-1.0])
         with pytest.raises(BudgetError):
             validate_trace(trace, n_voltages=7, n_stage2=128)
 
@@ -507,8 +521,8 @@ class TestBudgetValidation:
         def short(oracle, links, n_elements, groups):
             real(oracle, links, n_elements, groups)
             for trace in links.traces:  # leave the last assignment out
-                stage, levels, index, rss = trace.blocks.pop()
-                trace.append(stage, levels, index[:-1], rss[:-1])
+                stage, levels, codes, bits, rss = trace.blocks.pop()
+                trace.append(stage, levels, codes[:-1], bits[:-1], rss[:-1])
             return links
 
         monkeypatch.setattr(harness, "brute_force_baseline", short)
@@ -754,6 +768,7 @@ class TestCli:
         ("sweep", "sweep.susceptance_s", [0.0, float("nan")]),
         ("links", "array_row", 16),
         ("links", "channel.env_powr", 0.25),
+        ("links", "channel.phase_jitter_std", -0.3),
     ])
     def test_malformed_number_is_config_error(self, tmp_path, capsys, command, field, value):
         """A malformed field, a number or otherwise, exits 2 naming the field."""
@@ -975,6 +990,13 @@ class TestScenarioParsing:
         raw = default_water_dict(name="bad-channel")
         raw["channel"][field] = value
         with pytest.raises(ScenarioError, match=field):
+            scenario_from_dict(raw)
+
+    def test_negative_phase_jitter_rejected(self):
+        """A negative jitter is an error, not a run without jitter."""
+        raw = default_water_dict(name="bad-jitter")
+        raw["channel"]["phase_jitter_std"] = -0.3
+        with pytest.raises(ScenarioError, match="channel.phase_jitter_std must be a number >= 0"):
             scenario_from_dict(raw)
 
     @pytest.mark.parametrize("rows,cols", [(2.5, 8), (8, 7.9), (float("nan"), 8),

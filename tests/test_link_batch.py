@@ -2,11 +2,11 @@
 outputs, the bounded worker pool, the shared stage 1 of bench-controller and
 ``python -m mediamatch``.
 
-A batch of L links goes through every controller stage at once: one (L, n, N)
-index stack per stage, read by an oracle that holds L channels.  A link's CSV
-row, trace and channel dump must not depend on which links share its batch,
-how the command cuts its links into batches, or how many worker processes
-run them.
+A batch of L links goes through every controller stage at once: one (L, n, 2)
+code stack and one (L, n, ceil(N/8)) bit stack per stage, read by an oracle
+that holds L channels.  A link's CSV row, trace and channel dump must not
+depend on which links share its batch, how the command cuts its links into
+batches, or how many worker processes run them.
 """
 
 import copy
@@ -64,6 +64,14 @@ def _levels(n_links, shared):
     return [VS] * n_links if shared else [(VS[k % 3], VS[3 + k % 4]) for k in range(n_links)]
 
 
+def _probes(rng, sizes, n_links, n_rows, n):
+    """Random (codes, bits) stacks of n_links links' n_rows rows of n
+    elements, link l's codes below sizes[l]."""
+    codes = rng.integers(0, sizes, (n_links, n_rows, 2)).astype(np.uint8)
+    on = rng.integers(0, 2, (n_links, n_rows, n)).astype(bool)
+    return codes, np.packbits(on, axis=2, bitorder="little")
+
+
 class TestStackedComposite:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65])
     @pytest.mark.parametrize("n_links,n_rows", [(1, 1), (1, 2), (2, 1), (3, 7), (5, 129)])
@@ -76,11 +84,10 @@ class TestStackedComposite:
         channels = _channels(n_links, n, jitter)
         levels = _levels(n_links, shared)
         sizes = np.array([len(lv) for lv in levels])[:, None, None]
-        index = np.random.default_rng(n * n_rows).integers(
-            0, sizes, (n_links, n_rows, n)).astype(np.uint8)
-        got = composite_channels(ChannelStack(channels), levels, index)
-        want = [composite_channels(ChannelStack(c), [lv], i[None])[0]
-                for c, lv, i in zip(channels, levels, index)]
+        codes, bits = _probes(np.random.default_rng(n * n_rows), sizes, n_links, n_rows, n)
+        got = composite_channels(ChannelStack(channels), levels, codes, bits)
+        want = [composite_channels(ChannelStack(c), [lv], cs[None], bs[None])[0]
+                for c, lv, cs, bs in zip(channels, levels, codes, bits)]
         assert _bits(got) == _bits(np.array(want))
 
     @pytest.mark.parametrize("n_links,n_rows", [(1, PROBE_BLOCK + 1), (PROBE_BLOCK + 1, 1),
@@ -89,25 +96,27 @@ class TestStackedComposite:
         """At N = 1024 a block holds PROBE_BLOCK rows of one link, or
         PROBE_BLOCK one-row links: the row past them is a block of its own."""
         channels = _channels(n_links, 1024)
-        index = np.random.default_rng(n_links).integers(
-            0, len(VS), (n_links, n_rows, 1024)).astype(np.uint8)
-        got = composite_channels(ChannelStack(channels), [VS] * n_links, index)
+        codes, bits = _probes(np.random.default_rng(n_links), len(VS), n_links, n_rows, 1024)
+        got = composite_channels(ChannelStack(channels), [VS] * n_links, codes, bits)
         table = responder().table(VS)
+        index = np.where(np.unpackbits(bits, axis=2, bitorder="little"), codes[..., :1],
+                         codes[..., 1:])  # the level of every element
         want = [[c.h_env + np.sum(table[row] * c.h_elements) for row in rows]
                 for c, rows in zip(channels, index)]
         assert _bits(got) == _bits(np.array(want))
 
     def test_out_of_range_index_rejected(self):
-        """An entry past its own link's alphabet raises, though a longer
+        """A code past its own link's alphabet raises, though a longer
         alphabet of another link would cover it, and so does a negative one."""
-        stack = ChannelStack(_channels(2, 3))
+        stack, bits = ChannelStack(_channels(2, 3)), np.zeros((2, 2, 1), np.uint8)
         for levels in ([(30.0, 0.0)] * 2, [(30.0, 0.0), VS], [VS, (30.0, 0.0)]):
-            index = np.zeros((2, 2, 3), np.uint8)
-            index[levels.index((30.0, 0.0)), 1, 2] = 2
+            codes = np.zeros((2, 2, 2), np.uint8)
+            codes[levels.index((30.0, 0.0)), 1, 1] = 2
             with pytest.raises(IndexError):
-                composite_channels(stack, levels, index)
-        with pytest.raises(IndexError):  # a lone row must not wrap a negative entry
-            composite_channels(ChannelStack(_channels(1, 3)), [VS], np.array([[[-1, 0, 0]]]))
+                composite_channels(stack, levels, codes, bits)
+        with pytest.raises(IndexError):  # a lone row must not wrap a negative code
+            composite_channels(ChannelStack(_channels(1, 3)), [VS], np.array([[[-1, 0]]]),
+                               bits[:1, :1])
 
     def test_mixed_stacks_rejected(self):
         with pytest.raises(ValueError):
@@ -133,13 +142,15 @@ class TestOnoffTables:
                                    responder=responder(), phase_jitter_std=jitter)
                     for k in range(n_links)]
         levels = [tuple(rng.choice(VS, n_levels, replace=False).tolist()) for _ in channels]
-        distinct = rng.integers(0, n_levels, (n_links, 3, n)).astype(np.uint8)
+        codes, bits = _probes(rng, n_levels, n_links, 3, n)
         pick = rng.integers(0, 3, n_rows)
-        got = onoff_channels(ChannelStack(channels), levels, distinct[:, pick])
-        for c, lv, rows, values in zip(channels, levels, distinct, got):
+        got = onoff_channels(ChannelStack(channels), levels, codes[:, pick], bits[:, pick])
+        for c, lv, link_codes, link_bits, values in zip(channels, levels, codes, bits, got):
             s = responder().table(lv)
-            want = [oracles.reference_onoff_channel(c.h_env, c.h_elements, c.phase_jitter,
-                                                    s[0], s[-1], row) for row in rows]
+            want = [oracles.reference_onoff_channel(
+                c.h_env, c.h_elements, c.phase_jitter, s[0], s[-1],
+                np.where(np.unpackbits(b, count=n, bitorder="little"), *cs))
+                for cs, b in zip(link_codes, link_bits)]
             assert _bits(values) == _bits(np.array(want)[pick])
 
     @pytest.mark.parametrize("n", [ONOFF_MIN_ELEMENTS - 1, ONOFF_MIN_ELEMENTS])
@@ -149,13 +160,13 @@ class TestOnoffTables:
         both within one call; below it every link takes composite_channels."""
         channels, levels = _channels(3, n), [(30.0, 0.0), VS, (20.0,)]
         sizes = np.array([len(lv) for lv in levels])[:, None, None]
-        index = np.random.default_rng(n).integers(0, sizes, (3, 8, n)).astype(np.uint8)
+        codes, bits = _probes(np.random.default_rng(n), sizes, 3, 8, n)
 
         def read(kernel, k):
-            h = kernel(ChannelStack(channels[k]), [levels[k]], index[k, None])[0]
+            h = kernel(ChannelStack(channels[k]), [levels[k]], codes[k, None], bits[k, None])[0]
             return rss_db(np.hypot(h.real, h.imag), None)
 
-        got = FeedbackOracle(channels, quantization_db=None).batch(levels, index)
+        got = FeedbackOracle(channels, quantization_db=None).batch(levels, codes, bits)
         tables = n >= ONOFF_MIN_ELEMENTS
         want = [read(onoff_channels if tables and k != 1 else composite_channels, k)
                 for k in range(3)]
@@ -164,23 +175,24 @@ class TestOnoffTables:
             assert _bits(want[0]) != _bits(read(composite_channels, 0))
 
     def test_out_of_range_index_rejected(self):
-        """onoff_channels checks entries as composite_channels does; an entry
-        of 2 under two levels raises, though packbits would read it as 1."""
-        stack = ChannelStack(_channels(2, 3))
+        """onoff_channels checks codes as composite_channels does; a code of 2
+        under two levels raises, though the table bits would read it as 0."""
+        stack, bits = ChannelStack(_channels(2, 3)), np.zeros((2, 2, 1), np.uint8)
         for levels in ([(30.0, 0.0)] * 2, [(30.0, 0.0), VS], [VS, (30.0, 0.0)]):
-            index = np.zeros((2, 2, 3), np.uint8)
-            index[levels.index((30.0, 0.0)), 1, 2] = 2
+            codes = np.zeros((2, 2, 2), np.uint8)
+            codes[levels.index((30.0, 0.0)), 1, 1] = 2
             with pytest.raises(IndexError):
-                onoff_channels(stack, levels, index)
+                onoff_channels(stack, levels, codes, bits)
         with pytest.raises(IndexError):
-            onoff_channels(ChannelStack(_channels(1, 3)), [VS], np.array([[[-1, 0, 0]]]))
-        oracle, index = FeedbackOracle(_channels(1, ONOFF_MIN_ELEMENTS)), np.zeros(
-            (1, 1, ONOFF_MIN_ELEMENTS), np.uint8)
-        index[0, 0, 5] = 2
-        with pytest.raises(IndexError, match="index entries"):
-            oracle.batch([(30.0, 0.0)], index)
+            onoff_channels(ChannelStack(_channels(1, 3)), [VS], np.array([[[-1, 0]]]),
+                           bits[:1, :1])
+        oracle, codes = FeedbackOracle(_channels(1, ONOFF_MIN_ELEMENTS)), np.zeros(
+            (1, 1, 2), np.uint8)
+        codes[0, 0, 1] = 2
+        with pytest.raises(IndexError, match="codes must lie"):
+            oracle.batch([(30.0, 0.0)], codes, np.zeros((1, 1, ONOFF_MIN_ELEMENTS // 8), np.uint8))
         with pytest.raises(ValueError, match="at most two levels"):
-            onoff_channels(stack, [VS] * 2, np.zeros((2, 1, 3), np.uint8))
+            onoff_channels(stack, [VS] * 2, np.zeros((2, 1, 2), np.uint8), bits[:, :1])
 
 
 class TestStackedOracles:
@@ -195,10 +207,11 @@ class TestStackedOracles:
                  for c, s in zip(channels, seeds)]
         rng = np.random.default_rng(0)
         for rows in ([5, 5, 5, 5], [5, 2, 4, 1], [3, 3, 3, 3]):
-            index = rng.integers(0, len(VS), (4, 5, 6)).astype(np.uint8)
-            got = stacked.batch([VS] * 4, index, rows)
+            codes, bits = _probes(rng, len(VS), 4, 5, 6)
+            got = stacked.batch([VS] * 4, codes, bits, rows)
             for k, (oracle, n) in enumerate(zip(alone, rows)):
-                assert _bits(got[k, :n]) == _bits(oracle.batch([VS], index[None, k, :n])[0])
+                assert _bits(got[k, :n]) == _bits(
+                    oracle.batch([VS], codes[None, k, :n], bits[None, k, :n])[0])
 
     def test_copy_counts_on_its_own(self):
         """After copy.copy, the original and the copy each read what a fresh
@@ -207,14 +220,15 @@ class TestStackedOracles:
         def fresh():
             return FeedbackOracle(_channels(2, 3), noise_db=0.0, noise_seed=[1, 2])
 
-        index = np.random.default_rng(3).integers(0, len(VS), (3, 2, 4, 3)).astype(np.uint8)
+        rng = np.random.default_rng(3)
+        probes = [_probes(rng, len(VS), 2, 4, 3) for _ in range(3)]
         oracle = fresh()
-        oracle.batch([VS] * 2, index[0])
+        oracle.batch([VS] * 2, *probes[0])
         fork = copy.copy(oracle)
         for reader, k in ((fork, 1), (oracle, 2)):
             replay = fresh()
-            replay.batch([VS] * 2, index[0])
-            got, want = (o.batch([VS] * 2, index[k]) for o in (reader, replay))
+            replay.batch([VS] * 2, *probes[0])
+            got, want = (o.batch([VS] * 2, *probes[k]) for o in (reader, replay))
             assert _bits(got) == _bits(want)
 
     def test_product_equals_one_oracle_per_link(self):
@@ -223,16 +237,18 @@ class TestStackedOracles:
         same channels passed as a separate uplink give."""
         down, up = _channels(3, 5), _channels(3, 5, seed=7)
         levels = _levels(3, shared=False)
-        index = np.random.default_rng(1).integers(0, 2, (3, 9, 5)).astype(np.uint8)
-        got = FeedbackOracle(down, up).batch(levels, index)
+        codes, bits = _probes(np.random.default_rng(1), 2, 3, 9, 5)
+        got = FeedbackOracle(down, up).batch(levels, codes, bits)
         for k in range(3):
-            want = FeedbackOracle(down[k], up[k]).batch([levels[k]], index[None, k])[0]
+            want = FeedbackOracle(down[k], up[k]).batch([levels[k]], codes[None, k],
+                                                        bits[None, k])[0]
             assert _bits(got[k]) == _bits(want)
-        reciprocal = FeedbackOracle(down, down).batch(levels, index)
+        reciprocal = FeedbackOracle(down, down).batch(levels, codes, bits)
         assert _bits(reciprocal) == _bits(np.stack([
-            FeedbackOracle(d, d).batch([lv], i[None])[0]
-            for d, lv, i in zip(down, levels, index)]))
-        assert _bits(reciprocal) == _bits(FeedbackOracle(down, list(down)).batch(levels, index))
+            FeedbackOracle(d, d).batch([lv], cs[None], bs[None])[0]
+            for d, lv, cs, bs in zip(down, levels, codes, bits)]))
+        assert _bits(reciprocal) == _bits(
+            FeedbackOracle(down, list(down)).batch(levels, codes, bits))
 
     @pytest.mark.parametrize("voltages", [VS, (30.0, 15.0, 0.0)])
     def test_controller_runs_equal_one_link_runs(self, voltages):
@@ -249,8 +265,8 @@ class TestStackedOracles:
         for k, (channel, seed) in enumerate(zip(channels, seeds)):
             alone = run_controllers(FeedbackOracle(channel, noise_db=-15.0, noise_seed=seed),
                                     9, voltages, rng_seeds=[seed])
-            assert per_probe.voltages(*links.configs()[k]) == \
-                per_probe.voltages(*alone.configs()[0])
+            assert per_probe.voltages(*links.configs()[k], 9) == \
+                per_probe.voltages(*alone.configs()[0], 9)
             assert [texts[k]] == alone.traces[0].serialize()
             assert _bits(links.traces[k].best()[1]) == _bits(alone.traces[0].best()[1])
 
@@ -261,8 +277,8 @@ class _HighPadding:
     def __init__(self, oracle):
         self.oracle = oracle
 
-    def batch(self, levels, index, rows=None):
-        rss = self.oracle.batch(levels, index, rows)
+    def batch(self, levels, codes, bits, rows=None):
+        rss = self.oracle.batch(levels, codes, bits, rows)
         if rows is not None:
             rss[np.arange(rss.shape[-1]) >= np.asarray(rows)[:, None]] = np.inf
         return rss
@@ -423,8 +439,7 @@ class TestSharedStage1:
         for k in range(3):
             first = [run.traces[k].blocks[0] for run in runs]
             assert all(b[0] == 1 and b[1] == first[0][1] for b in first)
-            assert all(_bits(b[2]) == _bits(first[0][2]) and _bits(b[3]) == _bits(first[0][3])
-                       for b in first)
+            assert all(_bits(b[k]) == _bits(first[0][k]) for b in first for k in (2, 3, 4))
 
         resp, n, vs = scenario.responder(), scenario.n_elements, scenario.voltage_set
         cols = column_groups(scenario.rows, scenario.cols)

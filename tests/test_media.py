@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mediamatch import media
 from mediamatch.media import (AIR, BUILTIN_MEDIA, FAT, MUSCLE, SKIN, WATER,
                               Medium, complex_permittivity, fresnel_interface,
-                              get_medium, intrinsic_impedance, phase_constant)
+                              intrinsic_impedance, phase_constant)
 
 F0 = 2.4e9
 
@@ -34,9 +34,11 @@ class TestMediumValidation:
         assert m.relative_permittivity == MUSCLE.relative_permittivity
 
     def test_registry_lookup(self):
-        assert get_medium("water") is WATER
+        assert BUILTIN_MEDIA["water"] is WATER
+        assert sorted(BUILTIN_MEDIA) == ["air", "fat", "muscle", "skin", "water"]
+        assert all(name == medium.name for name, medium in BUILTIN_MEDIA.items())
         with pytest.raises(KeyError):
-            get_medium("adamantium")
+            BUILTIN_MEDIA["adamantium"]
 
 
 class TestComplexPermittivity:
