@@ -7,12 +7,12 @@ fine-tunes v1 and v0 to adjacent control voltages without touching the
 on/off split.  The returned configuration is the argmax over everything the
 controller ever probed, so it can never regress below a measured state.
 
-The controller state is a LinkBatch of L links (L = 1 for one link): every
-stage takes the batch, probes its links together, keeps what it found in it
-(v1 and v0, the on/off split, each link's trace) and returns it;
-``run_controllers`` runs the stages.  A link's best probe is read from its
-trace (ControlTrace.best).  Every stage probes through one path,
-``_probe_many``, and one oracle protocol (see channel.FeedbackOracle):
+The controller's one record of a batch of L links (L = 1 for one link) is a
+ControlTrace: every stage takes it, probes its links together, keeps what it
+found in it (v1 and v0, the on/off split, the probe block) and returns it;
+``run_controllers`` runs the stages.  Each link's best probe is read from it
+(ControlTrace.best).  Every stage probes through one path, ``_probe_many``,
+and one oracle protocol (see channel.FeedbackOracle):
 ``batch(levels, codes, bits, rows)`` reads L alphabets, an (L, n, 2) stack of
 code pairs and an (L, n, ceil(N/8)) stack of bit rows as (L, n) readings,
 link l's first rows[l] rows being probes and the rest padding.  Probe i must
@@ -27,22 +27,20 @@ bit is set and at levels[codes[1]] where it is clear.  Every probe is two
 voltages and a bit row: stage 1's row k is codes (k, k) over ``voltage_set``,
 stage 2's and the enumeration's are codes (0, 1) over (v1, v0), and stage 3's
 are per-row (i1, i0) over ``voltage_set`` on the batch's packed ``on`` split.
-The trace (ControlTrace) keeps one block of probes per ``_probe_many`` call,
-in measurement order.  Stage 2 draws its masks MASK_BLOCK rows at a time into
-the bit rows the trace keeps (2N ceil(N/8) bytes a link) and counts its votes
-from them.  Its masks take one bit each from PCG64 on the link's voting
-stream: mask bit k (row-major over configurations x groups) is bit k % 64 of
-raw word k // 64, least significant bit first, and a set bit turns the group
-on.
+Stage 2 draws its masks MASK_BLOCK rows at a time into the bit rows the trace
+keeps (2N ceil(N/8) bytes a link) and counts its votes from them.  Its masks
+take one bit each from PCG64 on the link's voting stream: mask bit k
+(row-major over configurations x groups) is bit k % 64 of raw word k // 64,
+least significant bit first, and a set bit turns the group on.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import math
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,37 +91,32 @@ _REVERSED = np.packbits(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], a
                         axis=1, bitorder="little").ravel()
 
 
-def _hash_blocks(blocks) -> list[list[str]]:
-    """config_hash of every probe row of each (levels, codes, bits, N) block,
-    per block.
+def _hash_blocks(blocks, n: int) -> list[list[str]]:
+    """config_hash of every N-element probe row of each (levels, codes, bits)
+    block, per block.
 
-    Rows of one length N are hashed in chunks of up to HASH_BLOCK rows that
-    cross blocks (a chunk inside one block is a view of it).  A row's
-    voltages take at most two bit patterns, so it hashes one fixed-place
-    record: its header, element 0's level, the other level (zeros for one
-    level) and the packed "differs from element 0" bits, which are the N zero
-    bytes of a one-level row.
+    The rows are hashed in chunks of up to HASH_BLOCK rows that cross blocks
+    (a chunk inside one block is a view of it).  A row's voltages take at
+    most two bit patterns, so it hashes one fixed-place record: its header,
+    element 0's level, the other level (zeros for one level) and the packed
+    "differs from element 0" bits, which are the N zero bytes of a one-level
+    row.
     """
-    alphabets, out, pools = {}, [], {}
-    for levels, codes, bits, n in blocks:
+    alphabets, out, chunk, size = {}, [], [], 0
+    for levels, codes, bits in blocks:
         key = struct.pack(f"<{len(levels)}d", *levels)
         words = alphabets.setdefault(key, np.frombuffer(key, dtype="<u8"))
         out.append([])
-        if len(codes):
-            pools.setdefault(n, []).append((out[-1], words, codes, bits))
-    for n, pool in pools.items():
-        chunk, size = [], 0
-        for digests, words, codes, bits in pool:
-            at = 0
-            while at < len(codes):
-                part = slice(at, at + HASH_BLOCK - size)
-                chunk.append((digests, words.take(codes[part]), bits[part]))
-                at, size = at + len(chunk[-1][1]), size + len(chunk[-1][1])
-                if size == HASH_BLOCK:
-                    _hash_chunk(chunk, n)
-                    chunk, size = [], 0
-        if chunk:
-            _hash_chunk(chunk, n)
+        at = 0
+        while at < len(codes):
+            part = slice(at, at + HASH_BLOCK - size)
+            chunk.append((out[-1], words.take(codes[part]), bits[part]))
+            at, size = at + len(chunk[-1][1]), size + len(chunk[-1][1])
+            if size == HASH_BLOCK:
+                _hash_chunk(chunk, n)
+                chunk, size = [], 0
+    if chunk:
+        _hash_chunk(chunk, n)
     return out
 
 
@@ -155,99 +148,78 @@ def _hash_chunk(chunk, n: int) -> None:
         del digests[:len(part)]
 
 
-@dataclass
 class ControlTrace:
-    """Everything the controller measured on one link of N elements, in the
-    order it measured it.
+    """Everything the controller measured on a batch of L links of N
+    elements, in the order it measured it, and the stage state.
 
-    ``blocks`` holds one (stage, levels, codes, bits, rss) entry per batch of
-    probes: row k of the read-only (n, 2) codes and (n, ceil(N/8)) bits over
-    the alphabet ``levels`` read rss[k].  Probe indices run on across blocks.
+    ``blocks`` holds one (stage, levels, codes, bits, rss, rows) entry per
+    ``_probe_many`` call, as the oracle read it: L alphabets, the read-only
+    (L, n, 2) codes, (L, n, ceil(N/8)) bits and (L, n) readings, and rows[l],
+    the number of link l's rows that are probes (the rest is stage-3 padding,
+    never read).  Row k of link l over the alphabet levels[l] read rss[l, k];
+    a link's probe indices run on across blocks.  The batch keeps, per link,
+    the on/off voltages of stage 1 (``v1``, ``v0``: length-L arrays) and the
+    elements stage 2 left on (``on``: read-only (L, ceil(N/8)) packed bits).
     """
 
-    n_elements: int
-    blocks: list[tuple] = field(default_factory=list)
+    def __init__(self, n_links: int, n_elements: int):
+        self.n_links, self.n_elements = n_links, n_elements
+        self.blocks = []
+        self.v1 = self.v0 = self.on = None
 
-    def append(self, stage: int, levels, codes, bits, rss) -> None:
-        """Record a block of probes; a writeable array is copied, a read-only
-        one (a view of a batch) is kept as it is."""
-        codes, bits, rss = np.asarray(codes), np.asarray(bits), np.asarray(rss, dtype=float)
-        if codes.shape != (len(rss), 2) or bits.dtype != np.uint8 or \
-                bits.shape != (len(rss), -(-self.n_elements // 8)):
-            raise ValueError(f"probe batch of {rss.shape} readings for codes {codes.shape} and "
-                             f"{bits.dtype} bits {bits.shape} of N = {self.n_elements}")
-        copies = [_read_only(a.copy() if a.flags.writeable else a) for a in (codes, bits, rss)]
-        self.blocks.append((stage, tuple(levels), *copies))
+    def __len__(self) -> int:
+        return self.n_links
 
-    def stage_probe_count(self, stage: int) -> int:
-        return sum(len(rss) for s, *_, rss in self.blocks if s == stage)
+    def fork(self) -> "ControlTrace":
+        """A copy that goes on from this trace's blocks and state on its own."""
+        other = copy.copy(self)
+        other.blocks = list(self.blocks)
+        return other
 
-    @property
-    def budget_used(self) -> int:
-        return sum(len(rss) for *_, rss in self.blocks)
+    def probes(self, stage: int | None = None) -> list[int]:
+        """Each link's number of probes, in one stage if ``stage`` is given."""
+        return np.array([rows for s, *_, rows in self.blocks if stage in (None, s)],
+                        dtype=int).reshape(-1, self.n_links).sum(axis=0).tolist()
 
-    def best(self) -> tuple:
-        """The best probe's (levels, codes, bits) with read-only rows, None
-        before any probe, and the best reading through stages 1, 2 and 3 (NaN
-        before any probe), as a running scan picks them: the first probe,
+    def best(self) -> list[tuple]:
+        """Each link's best probe as (levels, codes, bits) with read-only rows,
+        None before any probe, and its best reading through stages 1, 2 and 3
+        (NaN before any probe), as a running scan picks them: the first probe,
         then each strictly higher reading, so a NaN first reading stays best."""
-        config, top, through = None, math.nan, [math.nan] * 3
-        for stage, levels, codes, bits, rss in self.blocks:
-            if len(rss):
-                k = 0 if config is None and math.isnan(rss[0]) else int(_first_max(rss))
-                if config is None or rss[k] > top:
-                    config, top = (levels, codes[k], bits[k]), float(rss[k])
-                through[stage - 1:] = [top] * (4 - stage)
-        return config, tuple(through)
+        out = []
+        for link in range(self.n_links):
+            config, top, through = None, math.nan, [math.nan] * 3
+            for stage, levels, codes, bits, rss, rows in self.blocks:
+                rss = rss[link, :rows[link]]
+                if len(rss):
+                    k = 0 if config is None and math.isnan(rss[0]) else int(_first_max(rss))
+                    if config is None or rss[k] > top:
+                        config, top = (levels[link], codes[link, k], bits[link, k]), float(rss[k])
+                    through[stage - 1:] = [top] * (4 - stage)
+            out.append((config, tuple(through)))
+        return out
 
-    def serialize(self, *others) -> list[str]:
-        """The CSV texts of this trace and of ``others``, one TRACE_TABLE row
-        per probe; all their rows are hashed together (see _hash_blocks)."""
-        traces = (self, *others)
-        hashes = iter(_hash_blocks([(levels, codes, bits, trace.n_elements) for trace in traces
-                                    for _, levels, codes, bits, _ in trace.blocks]))
+    def configs(self) -> list[tuple]:
+        """Each link's best probed configuration (see best)."""
+        return [config for config, _ in self.best()]
+
+    def serialize(self) -> list[str]:
+        """Each link's CSV text, one TRACE_TABLE row per probe; the rows of all
+        links are hashed together (see _hash_blocks)."""
+        links = range(self.n_links)
+        hashes = iter(_hash_blocks([(levels[l], codes[l, :rows[l]], bits[l, :rows[l]])
+                                    for l in links for _, levels, codes, bits, _, rows
+                                    in self.blocks], self.n_elements))
         texts = []
-        for trace in traces:
+        for link in links:
             stages, digests, readings = [], [], []
-            for stage, *_, rss in trace.blocks:
-                stages += [stage] * len(rss)
+            for stage, *_, rss, rows in self.blocks:
+                stages += [stage] * rows[link]
                 digests += next(hashes)
-                readings += rss.tolist()
+                readings += rss[link, :rows[link]].tolist()
             texts.append(table_text(*TRACE_TABLE, [stages, range(len(stages)), digests,
                                                    readings]))
         return texts
-
-
-class LinkBatch:
-    """Controller runs on L links, one trace each, carried through the stages
-    together.
-
-    Every stage probes the L links with one (L, n, 2) code stack and one
-    (L, n, ceil(N/8)) bit stack.  The batch keeps, per link, the on/off
-    voltages of stage 1 (``v1``, ``v0``: length-L arrays) and the elements
-    stage 2 left on (``on``: read-only (L, ceil(N/8)) packed bits).
-    """
-
-    def __init__(self, traces):
-        self.traces = list(traces)
-        self.v1 = self.v0 = self.on = None
-
-    @classmethod
-    def new(cls, n_links: int, n_elements: int) -> "LinkBatch":
-        return cls(ControlTrace(n_elements) for _ in range(n_links))
-
-    def __len__(self) -> int:
-        return len(self.traces)
-
-    def fork(self) -> "LinkBatch":
-        """A copy whose traces go on from this batch's blocks on their own."""
-        other = LinkBatch(ControlTrace(t.n_elements, list(t.blocks)) for t in self.traces)
-        other.v1, other.v0, other.on = self.v1, self.v0, self.on
-        return other
-
-    def configs(self) -> list[tuple]:
-        """Each link's best probed configuration (see ControlTrace.best)."""
-        return [trace.best()[0] for trace in self.traces]
 
 
 def column_groups(rows: int, cols: int) -> list[list[int]]:
@@ -275,24 +247,35 @@ def _element_bits(owner, masks) -> np.ndarray:
     return np.packbits(on.take(owner, axis=1), axis=1, bitorder="little")
 
 
-def _probe_many(oracle, links: LinkBatch, stage: int, levels, codes, bits,
+def _probe_many(oracle, trace: ControlTrace, stage: int, levels, codes, bits,
                 rows=None) -> np.ndarray:
     """Measure every probe row of a batch of L links, in order.
 
     ``levels`` holds L alphabets, ``codes`` and ``bits`` the (L, n, 2) and
-    (L, n, ceil(N/8)) stacks whose first rows[l] rows of link l are probes
-    (all rows by default) and the rest padding; ``oracle.batch(levels, codes,
-    bits, rows)`` returns the (L, n) readings.  Each link's probes go into its
-    trace as one block, padding left out.
+    (L, n, ceil(N/8)) uint8 stacks whose first rows[l] rows of link l are
+    probes (all rows by default) and the rest padding; ``oracle.batch(levels,
+    codes, bits, rows)`` returns the (L, n) readings.  The stacks and
+    readings go into the trace as one block, made read-only, not copied.
     """
-    rows = [codes.shape[1]] * len(links) if rows is None else list(rows)
+    shape = (len(trace), codes.shape[1] if codes.ndim == 3 else -1)
+    if codes.shape != (*shape, 2) or bits.dtype != np.uint8 or \
+            bits.shape != (*shape, -(-trace.n_elements // 8)):
+        raise ValueError(f"probe batch of codes {codes.shape} and {bits.dtype} bits "
+                         f"{bits.shape} for {shape[0]} links of N = {trace.n_elements}")
+    rows = (shape[1],) * shape[0] if rows is None else tuple(rows)
     rss = np.array(oracle.batch(levels, codes, bits, rows), dtype=float)
-    if rss.shape != codes.shape[:2]:
-        raise ValueError(f"probe batch of {rss.shape[1:]} readings for codes {codes.shape[1:]}")
-    _read_only(rss)
-    for link, (trace, n) in enumerate(zip(links.traces, rows)):
-        trace.append(stage, levels[link], codes[link, :n], bits[link, :n], rss[link, :n])
+    if rss.shape != shape:
+        raise ValueError(f"probe batch of {rss.shape} readings for codes {codes.shape}")
+    trace.blocks.append((stage, [tuple(v) for v in levels], *map(_read_only, (codes, bits, rss)),
+                         rows))
     return rss
+
+
+def _probe_onoff(oracle, trace: ControlTrace, bits) -> np.ndarray:
+    """Probe (L, n, ceil(N/8)) on/off bit rows as stage 2 does: an element is
+    on at its link's v1 where its bit is set and off at v0 where it is clear."""
+    return _probe_many(oracle, trace, 2, list(zip(trace.v1.tolist(), trace.v0.tolist())),
+                       np.broadcast_to(np.uint8([0, 1]), (*bits.shape[:2], 2)), bits)
 
 
 def _first_max(rss: np.ndarray):
@@ -319,29 +302,29 @@ def _validate_voltage_set(voltages) -> tuple[float, ...]:
     return vs
 
 
-def stage1_uniform_probe(oracle, links: LinkBatch, voltages, n_elements: int) -> LinkBatch:
+def stage1_uniform_probe(oracle, trace: ControlTrace, voltages) -> ControlTrace:
     """Probe each control voltage uniformly; keep the extreme responders as
     the batch's v1 (maximizing feedback) and v0 (minimizing), one per link.
 
     Ties go to the higher voltage for both v1 and v0, so a constant oracle
-    degenerates to v1 == v0 (see run_controllers).  Returns the batch.
+    degenerates to v1 == v0 (see run_controllers).  Returns the trace.
     """
     vs = _validate_voltage_set(voltages)
     codes = np.repeat(np.arange(len(vs), dtype=np.uint8)[:, None], 2, axis=1)  # row k: (k, k)
-    shape = (len(links), len(vs))
-    rss = _probe_many(oracle, links, 1, [vs] * len(links), np.broadcast_to(codes, (*shape, 2)),
-                      np.broadcast_to(np.zeros(1, np.uint8), (*shape, -(-n_elements // 8))))
+    shape = (len(trace), len(vs))
+    rss = _probe_many(oracle, trace, 1, [vs] * len(trace), np.broadcast_to(codes, (*shape, 2)),
+                      np.broadcast_to(np.zeros(1, np.uint8),
+                                      (*shape, -(-trace.n_elements // 8))))
     # descending order makes first extremes resolve ties upward; as in a
     # running scan, a NaN first reading stays both extremes
     nan = np.isnan(rss[:, 0])
     i1, i0 = np.where(nan, 0, _first_max(rss)), np.where(nan, 0, _first_max(-rss))
-    links.v1, links.v0 = np.array(vs)[i1], np.array(vs)[i0]
-    return links
+    trace.v1, trace.v0 = np.array(vs)[i1], np.array(vs)[i0]
+    return trace
 
 
-def stage2_majority_voting(oracle, links: LinkBatch, n_elements: int,
-                           n_configs: int | None = None, rng_seed=0,
-                           groups=None) -> LinkBatch:
+def stage2_majority_voting(oracle, trace: ControlTrace, n_configs: int | None = None,
+                           rng_seed=0, groups=None) -> ControlTrace:
     """Randomized majority voting over on/off configurations of the batch's v1/v0.
 
     Each link draws n_configs (default 2x the number of control groups)
@@ -351,21 +334,21 @@ def stage2_majority_voting(oracle, links: LinkBatch, n_elements: int,
     for each group it turned on.  A group ends up on when it collects votes
     from more than half of the voting configurations; exactly half goes to
     off.  Keeps the packed bits of the elements left on as the batch's ``on``
-    and returns the batch.  Only the probes' bit rows are built, a block's
+    and returns the trace.  Only the probes' bit rows are built, a block's
     group bits expanded to element bits once; an element's votes are the
     voting rows that turn it on (an element in no group gets none).
     """
-    v1, v0 = links.v1, links.v0
-    if np.any(v1 == v0):
+    if np.any(trace.v1 == trace.v0):
         raise ValueError("stage 2 needs distinct on/off voltages (v1 != v0)")
+    n_elements = trace.n_elements
     n_groups = n_elements if groups is None else len(groups)
     n_configs = 2 * n_groups if n_configs is None else n_configs
     if n_configs < 1:
         raise ValueError("n_configs must be >= 1")
 
-    bits = np.empty((len(links), n_configs, -(-n_elements // 8)), dtype=np.uint8)
+    bits = np.empty((len(trace), n_configs, -(-n_elements // 8)), dtype=np.uint8)
     owner = np.arange(n_elements) if groups is None else _owners(groups, n_elements)
-    seeds = rng_seed if np.ndim(rng_seed) else [rng_seed] * len(links)
+    seeds = rng_seed if np.ndim(rng_seed) else [rng_seed] * len(trace)
     for link_bits, seed in zip(bits, seeds):
         pcg = np.random.PCG64(seed)
         for start in range(0, n_configs, MASK_BLOCK):  # mask bit k: bit k % 64 of word k // 64
@@ -377,29 +360,28 @@ def stage2_majority_voting(oracle, links: LinkBatch, n_elements: int,
             else:
                 masks = np.unpackbits(raw, count=size, bitorder="little")
                 block[:] = _element_bits(owner, masks.reshape(len(block), n_groups))
-    rss = _probe_many(oracle, links, 2, list(zip(v1.tolist(), v0.tolist())),
-                      np.broadcast_to(np.uint8([0, 1]), (*bits.shape[:2], 2)), _read_only(bits))
+    rss = _probe_onoff(oracle, trace, bits)
 
     voting = rss > np.median(rss, axis=1, keepdims=True)
     n_voting = np.count_nonzero(voting, axis=1)[:, None]
-    votes = np.zeros((len(links), n_elements), dtype=np.intp)
+    votes = np.zeros((len(trace), n_elements), dtype=np.intp)
     for start in range(0, n_configs, MASK_BLOCK):  # uint8 sums of <= MASK_BLOCK 0/1s are exact
         block = slice(start, start + MASK_BLOCK)
         on = np.unpackbits(bits[:, block], axis=2, count=n_elements, bitorder="little")
         votes += np.einsum("lrn,lr->ln", on, voting[:, block].view(np.uint8))
     on = 2 * votes > n_voting  # a strict majority of the voters
-    links.on = _read_only(np.packbits(on, axis=1, bitorder="little"))
-    return links
+    trace.on = _read_only(np.packbits(on, axis=1, bitorder="little"))
+    return trace
 
 
-def stage3_fine_tune(oracle, links: LinkBatch, voltages) -> LinkBatch:
+def stage3_fine_tune(oracle, trace: ControlTrace, voltages) -> ControlTrace:
     """Fine-tune v1/v0 over adjacent control voltages, on/off split fixed.
 
     Probes, per link, the 3x3 grid of (adjacent-lower, same, adjacent-higher)
     moves for the batch's v1 and v0 (up to 9 probes; fewer at the ends of the
     voltage set) over its ``on`` split, padding every link's moves to the most
     any link has.  The batch's best configurations cover the entire trace, so
-    anything stage 1 or 2 measured can still win.  Returns the batch.
+    anything stage 1 or 2 measured can still win.  Returns the trace.
     """
     vs = _validate_voltage_set(voltages)
 
@@ -408,38 +390,38 @@ def stage3_fine_tune(oracle, links: LinkBatch, voltages) -> LinkBatch:
         return [j for j in (i - 1, i, i + 1) if 0 <= j < len(vs)]
 
     moves = [list(itertools.product(neighborhood(a), neighborhood(b)))
-             for a, b in zip(links.v1.tolist(), links.v0.tolist())]
+             for a, b in zip(trace.v1.tolist(), trace.v0.tolist())]
     rows = [len(m) for m in moves]
     codes = np.array([m + m[-1:] * (max(rows) - len(m)) for m in moves], dtype=np.uint8)
-    bits = np.broadcast_to(links.on[:, None], (len(links), max(rows), links.on.shape[1]))
-    _probe_many(oracle, links, 3, [vs] * len(links), _read_only(codes), bits, rows)
-    return links
+    bits = np.broadcast_to(trace.on[:, None], (len(trace), max(rows), trace.on.shape[1]))
+    _probe_many(oracle, trace, 3, [vs] * len(trace), codes, bits, rows)
+    return trace
 
 
 def run_controllers(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
                     n_configs: int | None = None, rng_seeds=(0,), groups=None,
-                    stage2=None, links: LinkBatch | None = None) -> LinkBatch:
-    """Run the three stages on a batch of links, one per rng seed; returns the batch.
+                    stage2=None, trace: ControlTrace | None = None) -> ControlTrace:
+    """Run the three stages on a batch of links of N = ``n_elements``, one per
+    rng seed; returns its trace.
 
     The oracle reads the links as one stack (see FeedbackOracle).  ``stage2``
     replaces majority voting with a function called as brute_force_baseline
-    is (the oracle, the batch, ``n_elements``, ``groups``).  A ``links`` batch that has been through
-    stage 1 goes on from there.  Total probes per link are bounded by
+    is (the oracle, the trace, ``groups``).  A ``trace`` that has been
+    through stage 1 goes on from there.  Total probes per link are bounded by
     len(voltages) + n_configs + 9.  A constant stage-1 outcome would leave
     v1 == v0; the controller then substitutes the lowest control
     voltage for v0 so the later stages stay well-defined.
     """
-    if links is None:
-        links = stage1_uniform_probe(oracle, LinkBatch.new(len(rng_seeds), n_elements),
-                                     voltages, n_elements)
-    degenerate = links.v1 == links.v0
+    if trace is None:
+        trace = stage1_uniform_probe(oracle, ControlTrace(len(rng_seeds), n_elements), voltages)
+    degenerate = trace.v1 == trace.v0
     if degenerate.any():
-        links.v0 = np.where(degenerate, min(voltages), links.v0)
+        trace.v0 = np.where(degenerate, min(voltages), trace.v0)
     if stage2 is None:
-        stage2_majority_voting(oracle, links, n_elements, n_configs, rng_seeds, groups)
+        stage2_majority_voting(oracle, trace, n_configs, rng_seeds, groups)
     else:
-        stage2(oracle, links, n_elements, groups)
-    return stage3_fine_tune(oracle, links, voltages)
+        stage2(oracle, trace, groups)
+    return stage3_fine_tune(oracle, trace, voltages)
 
 
 def check_enumerable(n_groups: int) -> None:
@@ -449,25 +431,22 @@ def check_enumerable(n_groups: int) -> None:
                          f"{ENUMERATION_CAP}; use randomized voting instead")
 
 
-def brute_force_baseline(oracle, links: LinkBatch, n_elements: int, groups) -> LinkBatch:
+def brute_force_baseline(oracle, trace: ControlTrace, groups) -> ControlTrace:
     """Exhaustive argmax over all 2^len(groups) on/off assignments of the
     batch's v1/v0.
 
     Refuses group counts whose enumeration would exceed ENUMERATION_CAP.
     Keeps as the batch's ``on`` the packed bits of the elements each link's
     best assignment turns on, none where no reading is above -inf, and
-    returns the batch.
+    returns the trace.
     """
     n_groups = len(groups)
     check_enumerable(n_groups)
-    v1, v0 = links.v1, links.v0
     masks = (np.arange(2 ** n_groups)[:, None] >> np.arange(n_groups)) & 1
-    bits = _read_only(_element_bits(_owners(groups, n_elements), masks))
-    rss = _probe_many(oracle, links, 2, list(zip(v1.tolist(), v0.tolist())),
-                      np.broadcast_to(np.uint8([0, 1]), (len(links), len(bits), 2)),
-                      np.broadcast_to(bits, (len(links), *bits.shape)))
+    bits = _element_bits(_owners(groups, trace.n_elements), masks)
+    rss = _probe_onoff(oracle, trace, np.broadcast_to(bits, (len(trace), *bits.shape)))
     # the first strict maximum above -inf, as a running "rss > best" scan finds it
     best = _first_max(rss)
     found = rss[np.arange(len(rss)), best] > float("-inf")
-    links.on = _read_only(bits[best] * (found & (v1 != v0))[:, None])
-    return links
+    trace.on = _read_only(bits[best] * (found & (trace.v1 != trace.v0))[:, None])
+    return trace

@@ -24,8 +24,8 @@ import numpy as np
 
 from .cascade import DB_FLOOR
 from .channel import FeedbackOracle, gains_db
-from .control import (ControlTrace, LinkBatch, brute_force_baseline, check_enumerable,
-                      column_groups, run_controllers, stage1_uniform_probe)
+from .control import (ControlTrace, brute_force_baseline, check_enumerable, column_groups,
+                      run_controllers, stage1_uniform_probe)
 from .matching import SweepGrid, best_admittance, best_voltage, reflection_spectrum, sweep_through_power
 from .scenario import (CHANNEL_STREAM, NOISE_STREAM, UPLINK_STREAM, VOTING_STREAM, Scenario,
                        link_stream)
@@ -74,12 +74,12 @@ def _finish(report: RunReport, out_dir: Path) -> RunReport:
 
 
 def validate_trace(trace: ControlTrace, n_voltages: int, n_stage2: int) -> None:
-    """Assert the 8/2N/9-style probe budget from the trace itself."""
-    s1, s2, s3 = (trace.stage_probe_count(stage) for stage in (1, 2, 3))
-    if s1 != n_voltages or s2 != n_stage2 or s3 > 9:
-        raise BudgetError(
-            f"budget violation: stages {s1}/{s2}/{s3}, expected "
-            f"{n_voltages}/{n_stage2}/<=9")
+    """Assert the 8/2N/9-style probe budget of every link from the trace itself."""
+    for s1, s2, s3 in zip(*(trace.probes(stage) for stage in (1, 2, 3))):
+        if s1 != n_voltages or s2 != n_stage2 or s3 > 9:
+            raise BudgetError(
+                f"budget violation: stages {s1}/{s2}/{s3}, expected "
+                f"{n_voltages}/{n_stage2}/<=9")
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,7 @@ def run_links(scenario: Scenario, responder, indices, mode: str, out_dir: Path) 
 
     Returns one CSV row per link, in order, under _LINK_COMMANDS[mode]'s
     header.  For links it also writes each link's trace (all of the batch's
-    traces rendered by one ControlTrace.serialize call) and channel dump to
+    links rendered by one ControlTrace.serialize call) and channel dump to
     out_dir (which must exist).  A link's row and files depend only on the
     scenario and its index, not on the links it shares the batch with.
     """
@@ -202,7 +202,7 @@ def run_links(scenario: Scenario, responder, indices, mode: str, out_dir: Path) 
     noisy = uplinks is None and params.noise_db is not None
     oracle = FeedbackOracle(channels, uplinks, params.noise_db if noisy else None,
                             params.rss_quantization_db, streams(NOISE_STREAM) if noisy else 0)
-    start = stage1_uniform_probe(oracle, LinkBatch.new(len(channels), n), vs, n)
+    start = stage1_uniform_probe(oracle, ControlTrace(len(channels), n), vs)
 
     variants = [(2 * n, None, None)]  # (stage-2 probes, control groups, stage 2)
     if mode == "bench-controller":
@@ -213,27 +213,24 @@ def run_links(scenario: Scenario, responder, indices, mode: str, out_dir: Path) 
     for n_stage2, groups, stage2 in variants:
         runs.append(run_controllers(copy.copy(oracle), n, vs, n_stage2, voting, groups,
                                     stage2, start.fork()))
-        for trace in runs[-1].traces:
-            validate_trace(trace, len(vs), n_stage2)
-    bests = [[trace.best() for trace in run.traces] for run in runs]
+        validate_trace(runs[-1], len(vs), n_stage2)
+    bests = [run.best() for run in runs]
     gains = gains_db(channels, [config for run in bests for config, _ in run], uplinks).tolist()
 
     if mode == "backscatter":  # down, up and two-way gain rows
         return [(i, scenario.seed, *row) for i, *row in zip(indices, *gains)]
     if mode == "bench-controller":  # variant v's gain of link k is gains[0][v*L + k]
-        return [(i, scenario.seed, *gains[0][k::len(channels)],
-                 *(run.traces[k].budget_used for run in runs))
-                for k, i in enumerate(indices)]
+        return [(i, scenario.seed, *gains[0][k::len(channels)], *probes)
+                for k, (i, *probes) in enumerate(zip(indices, *(run.probes() for run in runs)))]
     for folder in ("traces", "channels"):
         (out_dir / folder).mkdir(exist_ok=True)
-    traces, rows = runs[0].traces, []
-    paths = ["env"] + [f"element_{e}" for e in range(n)]
-    for i, channel, trace, text, (_, (stage1_db, stage2_db, final_db)), gain, base in zip(
-            indices, channels, traces, ControlTrace.serialize(*traces), bests[0], *gains):
+    rows, paths = [], ["env"] + [f"element_{e}" for e in range(n)]
+    for i, channel, text, (_, (stage1_db, stage2_db, final_db)), gain, base, *probes in zip(
+            indices, channels, runs[0].serialize(), bests[0], *gains,
+            *(runs[0].probes(s) for s in (1, 2, 3))):
         h = channel.h_elements
         rows.append((i, scenario.seed, base, final_db, gain,
-                     stage1_db - base, stage2_db - base, final_db - stage2_db,
-                     *(trace.stage_probe_count(s) for s in (1, 2, 3))))
+                     stage1_db - base, stage2_db - base, final_db - stage2_db, *probes))
         (out_dir / f"traces/link_{i:04d}.csv").write_bytes(text.encode())
         write_table(out_dir / f"channels/link_{i:04d}.csv", *_CHANNEL_DUMP,
                     [paths, [channel.h_env.real] + h.real.tolist(),

@@ -5,10 +5,14 @@ only: L alphabets, an (L, n, 2) stack of (on, off) code pairs, an
 (L, n, ceil(N/8)) stack of packed on bits (little bit order) and the number
 of real rows of each link.  ``PerProbeOracle`` turns a plain function of one
 probe's voltages into such an oracle, so a test can state its feedback one
-configuration at a time.
+configuration at a time.  ``Readings`` reads any batch as given readings,
+``append`` records one link's block of them in a one-link trace through
+``control._probe_many``, and ``link_blocks`` reads one link's blocks back.
 """
 
 import numpy as np
+
+from mediamatch.control import _probe_many
 
 
 def voltages(levels, codes, bits, n) -> tuple:
@@ -37,3 +41,27 @@ class PerProbeOracle:
             rss[link, :n] = [self.read(voltages(link_levels, c, b, self.n))
                              for c, b in zip(codes[link, :n], bits[link, :n])]
         return rss
+
+
+class Readings:
+    """A stacked oracle that reads any batch as the readings it was given."""
+
+    def __init__(self, rss):
+        self.rss = rss
+
+    def batch(self, levels, codes, bits, rows):
+        return self.rss
+
+
+def append(trace, stage, levels, codes, bits, rss) -> None:
+    """Record one block of a one-link trace: rows of (n, 2) codes and
+    (n, ceil(N/8)) bits over ``levels`` that read ``rss``."""
+    _probe_many(Readings([rss]), trace, stage, [levels], np.asarray(codes)[None],
+                np.asarray(bits)[None])
+
+
+def link_blocks(trace, link=0) -> list[tuple]:
+    """Link ``link``'s (stage, levels, codes, bits, rss) blocks of a trace,
+    padding left out."""
+    return [(stage, levels[link], codes[link, :rows[link]], bits[link, :rows[link]],
+             rss[link, :rows[link]]) for stage, levels, codes, bits, rss, rows in trace.blocks]

@@ -5,7 +5,7 @@ Every controller stage sends its probes as one (codes, bits) stack through
 Probe i of a batch must read exactly what the i-th of as many one-row
 batches reads: same bits, signs of zero included, same noise seed, same
 probe count afterwards.  ``ControlTrace.serialize`` hashes the probes of
-its traces in chunks, and every digest must equal the referee's
+all its links in chunks, and every digest must equal the referee's
 ``oracles.config_hash_reference`` of the voltages the configuration stands for.
 """
 
@@ -18,12 +18,12 @@ from hypothesis import given, settings, strategies as st
 from mediamatch.channel import (PROBE_BLOCK, ChannelStack, FeedbackOracle, MultipathChannel,
                                 composite_channels, rss_db, sample_channel)
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, TRACE_TABLE, ControlTrace,
-                                LinkBatch, _probe_many, brute_force_baseline, column_groups,
+                                _probe_many, brute_force_baseline, column_groups,
                                 run_controllers)
 from mediamatch.scenario import default_water_scenario
 
 import oracles
-from per_probe import voltages
+from per_probe import Readings, append, link_blocks, voltages
 
 VS = DEFAULT_VOLTAGE_SET
 
@@ -65,9 +65,17 @@ def _one_by_one(oracle, levels, codes, bits):
             for c, b in zip(codes, bits)]
 
 
-def _probe_voltages(trace):
+def _probe_voltages(trace, link=0):
     return [voltages(levels, c, b, trace.n_elements)
-            for _, levels, codes, bits, _ in trace.blocks for c, b in zip(codes, bits)]
+            for _, levels, codes, bits, _ in link_blocks(trace, link) for c, b in zip(codes, bits)]
+
+
+def _alone(trace, link) -> ControlTrace:
+    """A one-link trace of one link's probes of a trace, block by block."""
+    one = ControlTrace(1, trace.n_elements)
+    for block in link_blocks(trace, link):
+        append(one, *block)
+    return one
 
 
 class Sequential:
@@ -148,18 +156,18 @@ class TestBatchEqualsSequential:
         run_b = run_controllers(fresh(), 64, rng_seeds=[5])
         run_s = run_controllers(Sequential(fresh()), 64, rng_seeds=[5])
         assert voltages(*run_b.configs()[0], 64) == voltages(*run_s.configs()[0], 64)
-        assert run_b.traces[0].serialize() == run_s.traces[0].serialize()
+        assert run_b.serialize() == run_s.serialize()
 
         groups = column_groups(8, 8)
         enums = []
         for oracle in (fresh(), Sequential(fresh())):
-            links = LinkBatch.new(1, 64)
+            links = ControlTrace(1, 64)
             links.v1, links.v0 = np.array([30.0]), np.array([0.0])
-            enums.append(brute_force_baseline(oracle, links, 64, groups))
+            enums.append(brute_force_baseline(oracle, links, groups))
         enum_b, enum_s = enums
         assert enum_b.on.tolist() == enum_s.on.tolist()
-        assert _bits(enum_b.traces[0].best()[1]) == _bits(enum_s.traces[0].best()[1])
-        assert enum_b.traces[0].serialize() == enum_s.traces[0].serialize()
+        assert _bits(enum_b.best()[0][1]) == _bits(enum_s.best()[0][1])
+        assert enum_b.serialize() == enum_s.serialize()
 
 
 class TestProbePath:
@@ -169,8 +177,28 @@ class TestProbePath:
                 return np.zeros((len(codes), codes.shape[1] - 1))
 
         with pytest.raises(ValueError, match="batch"):
-            _probe_many(Short(), LinkBatch.new(1, 2), 1, [(30.0, 0.0)],
+            _probe_many(Short(), ControlTrace(1, 2), 1, [(30.0, 0.0)],
                         np.zeros((1, 3, 2), np.uint8), np.zeros((1, 3, 1), np.uint8))
+
+    @pytest.mark.parametrize("codes,bits", [
+        ((1, 2, 2), (1, 2, 7)), ((1, 2, 2), (1, 3, 8)), ((1, 2, 2), (1, 2, 9)),  # bit rows
+        ((1, 2, 3), (1, 2, 8)), ((2, 2, 2), (2, 2, 8)), ((2, 2), (1, 2, 8))])  # codes, links
+    def test_stacks_of_another_shape_rejected(self, codes, bits):
+        """Codes are (L, n, 2) and bits (L, n, ceil(N/8)) uint8 for the
+        trace's L links of N elements; a stack of another shape is refused
+        before the oracle reads it, and the trace keeps no block of it."""
+        class Never:
+            def batch(self, *args):
+                raise AssertionError("the oracle read the batch")
+
+        trace = ControlTrace(1, 64)
+        with pytest.raises(ValueError, match="batch"):
+            _probe_many(Never(), trace, 1, [(30.0, 0.0)], np.zeros(codes, np.uint8),
+                        np.zeros(bits, np.uint8))
+        with pytest.raises(ValueError, match="batch"):  # bits are uint8
+            _probe_many(Never(), trace, 1, [(30.0, 0.0)], np.zeros((1, 2, 2), np.uint8),
+                        np.zeros((1, 2, 8), np.int64))
+        assert trace.blocks == []
 
     def test_one_batch_per_stage(self):
         class BatchOnly:
@@ -183,11 +211,11 @@ class TestProbePath:
                 return self.inner.batch(levels, codes, bits, rows)
 
         oracle = BatchOnly()
-        trace = run_controllers(oracle, 16, rng_seeds=[1]).traces[0]
+        trace = run_controllers(oracle, 16, rng_seeds=[1])
         assert oracle.calls[:2] == [len(VS), 32] and len(oracle.calls) == 3
-        assert [(stage, len(rss)) for stage, *_, rss in trace.blocks] == list(
-            zip((1, 2, 3), oracle.calls))
-        assert trace.budget_used == sum(oracle.calls)
+        assert [(stage, rows) for stage, *_, rows in trace.blocks] == list(
+            zip((1, 2, 3), ((n,) for n in oracle.calls)))
+        assert trace.probes() == [sum(oracle.calls)]
 
 
 class TestZeroReading:
@@ -205,47 +233,36 @@ class TestZeroReading:
         channel = MultipathChannel(h_env=complex(self.MAGNITUDE),
                                    h_elements=np.zeros(4, dtype=complex),
                                    responder=responder())
-        trace = run_controllers(FeedbackOracle(channel), 4).traces[0]
+        trace = run_controllers(FeedbackOracle(channel), 4)
         readings = [row.split(",")[3] for row in trace.serialize()[0].strip().split("\n")[1:]]
-        assert readings == ["0"] * trace.budget_used
+        assert readings == ["0"] * trace.probes()[0]
 
 
 class TestBlockDigests:
     def test_equal_config_hash(self):
-        """Mixed alphabets and lengths in one batch of traces, signed zeros,
-        NaNs and infinities, alphabets that repeat a bit pattern, more than
-        256 levels (uint16 codes), code pairs of one position, and blocks of
-        one row or of row counts and lengths that are not multiples of
-        HASH_BLOCK or of 8."""
+        """Mixed alphabets in one trace, signed zeros, NaNs and infinities,
+        alphabets that repeat a bit pattern, more than 256 levels (uint16
+        codes), code pairs of one position, and blocks of one row or of row
+        counts and lengths that are not multiples of HASH_BLOCK or of 8."""
         rng = np.random.default_rng(7)
         alphabets = [VS, (30.0, 0.0), (30.0, -0.0), (0.0, -0.0), (12.5, 2.34567),
                      (-1.23456e-7, 2.5), (123456789.0, 1.0, 0.0), (float("nan"), float("inf")),
                      (5.0, 0.0, 5.0, -0.0), (-2.2250738585072014e-308,)]
         sizes = (1, 2 * HASH_BLOCK + 5, 3, HASH_BLOCK, HASH_BLOCK - 1)
-        traces = [ControlTrace(37), ControlTrace(5), ControlTrace(1)]
-        for k in range(3 * len(alphabets)):
-            levels = alphabets[k % len(alphabets)] if k % 3 else (30.0, 0.0)
-            trace = traces[0 if k % 11 else 1 + k % 2]
-            codes, bits = _random_rows(rng, len(levels), sizes[k % len(sizes)], trace.n_elements)
-            trace.append(2, levels, codes, bits, np.zeros(len(codes)))
-        wide = np.array([[299, 0], [44, 299], [299, 299]], dtype=np.uint16)
-        traces[0].append(1, np.linspace(0.0, 30.0, 300).tolist(), wide,
-                         _random_rows(rng, 1, 3, 37)[1], [0.0] * 3)
-        for trace, text in zip(traces, ControlTrace.serialize(*traces)):
+        for n in (37, 5, 1):
+            trace = ControlTrace(1, n)
+            for k in range(3 * len(alphabets)):
+                levels = alphabets[k % len(alphabets)] if k % 3 else (30.0, 0.0)
+                codes, bits = _random_rows(rng, len(levels), sizes[k % len(sizes)], n)
+                append(trace, 2, levels, codes, bits, np.zeros(len(codes)))
+            wide = np.array([[299, 0], [44, 299], [299, 299]], dtype=np.uint16)
+            append(trace, 1, np.linspace(0.0, 30.0, 300).tolist(), wide,
+                   _random_rows(rng, 1, 3, n)[1], [0.0] * 3)
+            text, = trace.serialize()
             rows = text.split("\n")[1:-1]
-            assert len(rows) == trace.budget_used
+            assert [len(rows)] == trace.probes()
             assert [row.split(",")[2] for row in rows] == [
                 oracles.config_hash_reference(voltages) for voltages in _probe_voltages(trace)]
-
-
-class _Readings:
-    """A stacked oracle that reads any batch as the readings it was given."""
-
-    def __init__(self, rss):
-        self.rss = rss
-
-    def batch(self, levels, codes, bits, rows):
-        return self.rss
 
 
 #: Alphabet entries: signed zeros, NaNs of two bit patterns (0.0/-0.0 and the
@@ -259,23 +276,22 @@ _SPECIAL = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), float("-inf"),
 
 
 class TestBatchRendering:
-    """ControlTrace.serialize renders a batch of traces in one pass; each text
-    must equal its trace rendered alone, and the plain rendering of one
-    referee hash and one format call per probe."""
+    """ControlTrace.serialize renders all the links of a trace in one pass;
+    each link's text must equal the plain rendering of one referee hash and
+    one format call per probe, and that link's rows rendered as a one-link
+    trace."""
 
     @settings(max_examples=40, deadline=None)
     @given(n_links=st.integers(1, 5), n_blocks=st.integers(1, 4),
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
     def test_matches_plain_rendering(self, n_links, n_blocks, seed, data):
-        """Links of 1 to 80 elements, blocks of rows over one or two of their
-        alphabet's entries, with or without stage-3 style padding, empty or
-        straddling HASH_BLOCK; one set of rows and alphabet for all links (as
-        stage 1's) or one per link, so chunks mix alphabets."""
+        """Links of 1 to 80 elements (one N per trace), blocks of rows over
+        one or two of their alphabet's entries, with or without stage-3 style
+        padding, empty or straddling HASH_BLOCK; one set of rows and alphabet
+        for all links (as stage 1's) or one per link, so chunks mix alphabets."""
         rng = np.random.default_rng(seed)
-        # at most two lengths, so links of one N over both kinds of alphabet share chunks
-        lengths = data.draw(st.lists(st.one_of(st.sampled_from([1, 7, 8, 9, 64, 80]),
-                                               st.integers(1, 80)), min_size=1, max_size=2))
-        traces = [ControlTrace(data.draw(st.sampled_from(lengths))) for _ in range(n_links)]
+        n = data.draw(st.one_of(st.sampled_from([1, 7, 8, 9, 64, 80]), st.integers(1, 80)))
+        trace = ControlTrace(n_links, n)
         for block in range(n_blocks):
             n_rows = data.draw(st.sampled_from([0, 1, 7, 9, HASH_BLOCK - 3, HASH_BLOCK + 5]))
             one_level = data.draw(st.booleans())
@@ -285,26 +301,65 @@ class TestBatchRendering:
             codes = rng.integers(0, k, (n_links, n_rows, 2)).astype(np.uint8)
             if one_level:
                 codes[..., 1] = codes[..., 0]
-            on = rng.integers(0, 2, (n_links, n_rows, 80)).astype(bool)
-            shared = data.draw(st.booleans())
-            if shared:
-                alphabets, codes, on = alphabets[:1] * n_links, codes[:1], on[:1]
+            bits = np.packbits(rng.integers(0, 2, (n_links, n_rows, n)).astype(bool), axis=2,
+                               bitorder="little")
+            if data.draw(st.booleans()):  # shared
+                alphabets = alphabets[:1] * n_links
+                codes, bits = (np.broadcast_to(x[:1], x.shape) for x in (codes, bits))
             rss = np.round(rng.normal(-40.0, 5.0, (n_links, n_rows)), 1)
             special = rng.random(rss.shape) < 0.2
             rss[special] = rng.choice(_SPECIAL, np.count_nonzero(special))
-            padded = data.draw(st.booleans())
-            rows = rng.integers(0, n_rows + 1, n_links) if padded else [n_rows] * n_links
-            for link, (trace, n) in enumerate(zip(traces, rows)):
-                pick = 0 if shared else link
-                bits = np.packbits(on[pick, :n, :trace.n_elements], axis=1, bitorder="little")
-                trace.append(1 + block % 3, alphabets[link], codes[pick, :n], bits, rss[link, :n])
-        texts = ControlTrace.serialize(*traces)
+            rows = rng.integers(0, n_rows + 1, n_links) if data.draw(st.booleans()) else None
+            _probe_many(Readings(rss), trace, 1 + block % 3, alphabets, codes, bits, rows)
+        texts = trace.serialize()
         assert len(texts) == n_links
-        for trace, text in zip(traces, texts):
-            probes = [(stage, oracles.config_hash_reference(voltages(levels, c, b,
-                                                                     trace.n_elements)), r)
-                      for stage, levels, codes, bits, rss in trace.blocks
+        for link, text in enumerate(texts):
+            probes = [(stage, oracles.config_hash_reference(voltages(levels, c, b, n)), r)
+                      for stage, levels, codes, bits, rss in link_blocks(trace, link)
                       for c, b, r in zip(codes, bits, rss.tolist())]
             assert text == oracles.row_csv_text(
                 TRACE_TABLE[0], [(s, k, h, r) for k, (s, h, r) in enumerate(probes)], ".10g")
-            assert trace.serialize() == [text]
+            assert _alone(trace, link).serialize() == [text]
+
+
+#: Real readings: a 0.1 dB grid, signed zeros, +-inf and NaN.
+_READINGS = [-40.0, -39.9, -12.3, 0.0, -0.0, float("inf"), float("-inf"), float("nan")]
+
+
+class TestOneRecord:
+    """A trace of L links reads, link by link, what a one-link trace of that
+    link's rows reads: best(), probes() and serialize() never look at the
+    padding past rows[l], whatever it holds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_links=st.integers(1, 4), n=st.integers(1, 20),
+           blocks=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 12)), max_size=5),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_links_read_as_alone(self, n_links, n, blocks, seed, data):
+        """Ragged rows whose padding holds NaN, +inf or readings above every
+        real one, and real readings of ties, signed zeros, +-inf and NaN."""
+        rng = np.random.default_rng(seed)
+        trace = ControlTrace(n_links, n)
+        for stage, n_rows in sorted(blocks):
+            rows = data.draw(st.lists(st.integers(0, n_rows), min_size=n_links,
+                                      max_size=n_links))
+            rss = rng.choice(_READINGS, (n_links, n_rows))
+            padding = np.arange(n_rows) >= np.array(rows)[:, None]
+            rss[padding] = rng.choice([float("nan"), float("inf"), 1e300],
+                                      np.count_nonzero(padding))
+            codes, bits = _random_rows(rng, len(VS), n_links * n_rows, n)
+            _probe_many(Readings(rss), trace, stage, [VS] * n_links,
+                        codes.reshape(n_links, n_rows, 2), bits.reshape(n_links, n_rows, -(-n // 8)),
+                        rows)
+        texts, bests = trace.serialize(), trace.best()
+        for link in range(n_links):
+            alone = _alone(trace, link)
+            for stage in (None, 1, 2, 3):
+                assert trace.probes(stage)[link] == alone.probes(stage)[0]
+            (config, through), = alone.best()
+            assert _bits(bests[link][1]) == _bits(through)
+            if config is None:
+                assert bests[link][0] is None
+            else:
+                assert voltages(*bests[link][0], n) == voltages(*config, n)
+            assert texts[link] == alone.serialize()[0]

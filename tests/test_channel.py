@@ -146,9 +146,9 @@ class TestConfigIndex:
 
     def test_index_is_read_only(self, responder):
         """A run's best configuration is read-only views of rows its trace keeps."""
-        links = run_controllers(FeedbackOracle(self.channel(responder, 4)), 4)
-        (levels, codes, bits), = links.configs()
-        blocks = links.traces[0].blocks
+        trace = run_controllers(FeedbackOracle(self.channel(responder, 4)), 4)
+        (levels, codes, bits), = trace.configs()
+        blocks = trace.blocks
         assert any(np.shares_memory(codes, block[2]) for block in blocks)
         assert any(np.shares_memory(bits, block[3]) for block in blocks)
         for row in (codes, bits):

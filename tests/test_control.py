@@ -8,14 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, MASK_BLOCK, ControlTrace,
-                                LinkBatch, _element_bits, _hash_blocks, _owners, _probe_many,
+                                _element_bits, _hash_blocks, _owners, _probe_many,
                                 brute_force_baseline, column_groups, config_hash,
                                 run_controllers, stage1_uniform_probe, stage2_majority_voting,
                                 stage3_fine_tune)
 from mediamatch.scenario import VOTING_STREAM, link_stream
 
 import oracles
-from per_probe import PerProbeOracle, config, voltages
+from per_probe import PerProbeOracle, Readings, append, config, link_blocks, voltages
 
 V1, V0 = 30.0, 0.0
 
@@ -38,10 +38,10 @@ def constant(value):
     return PerProbeOracle(lambda v: value, 0)
 
 
-def one_link(v1=V1, v0=V0, on=None, n=None) -> LinkBatch:
-    """A one-link batch of n elements past stage 1 with on/off voltages v1,
+def one_link(v1=V1, v0=V0, on=None, n=None) -> ControlTrace:
+    """A one-link trace of n elements past stage 1 with on/off voltages v1,
     v0 (and, for stage 3, the elements in ``on`` left on; n is its length)."""
-    links = LinkBatch.new(1, len(on) if n is None else n)
+    links = ControlTrace(1, len(on) if n is None else n)
     links.v1, links.v0 = np.array([float(v1)]), np.array([float(v0)])
     if on is not None:
         links.on = np.packbits([on], axis=1, bitorder="little")
@@ -55,14 +55,14 @@ def on_elements(links, link, n) -> np.ndarray:
 
 def stage1(read, voltage_set, n):
     """Stage 1 on one link whose probes read read(voltages): (v1, v0, trace)."""
-    links = stage1_uniform_probe(PerProbeOracle(read, n), LinkBatch.new(1, n), voltage_set, n)
-    return links.v1[0], links.v0[0], links.traces[0]
+    trace = stage1_uniform_probe(PerProbeOracle(read, n), ControlTrace(1, n), voltage_set)
+    return trace.v1[0], trace.v0[0], trace
 
 
 def probe_voltages(trace):
-    """The voltages of every probe of a trace, in order."""
+    """The voltages of every probe of a one-link trace, in order."""
     return [voltages(levels, c, b, trace.n_elements)
-            for _, levels, codes, bits, _ in trace.blocks for c, b in zip(codes, bits)]
+            for _, levels, codes, bits, _ in link_blocks(trace) for c, b in zip(codes, bits)]
 
 
 READINGS = st.one_of(
@@ -98,7 +98,7 @@ class TestStage1:
 
         v1, v0, trace = stage1(read, DEFAULT_VOLTAGE_SET, 4)
         assert v1 == 0.0 and v0 == 30.0
-        assert trace.stage_probe_count(1) == len(DEFAULT_VOLTAGE_SET)
+        assert trace.probes(1) == [len(DEFAULT_VOLTAGE_SET)]
 
     def test_constant_oracle_flagged(self):
         """A constant oracle leaves v1 == v0; run_controllers then substitutes v0."""
@@ -107,7 +107,7 @@ class TestStage1:
 
     def test_probe_count_is_set_size(self):
         _, _, trace = stage1(lambda v: v[0], (30.0, 10.0, 0.0), 2)
-        assert trace.budget_used == 3
+        assert trace.probes() == [3]
 
     @pytest.mark.parametrize("voltages", [(30.0, float("nan"), 0.0), (float("inf"), 30.0, 0.0),
                                           (30.0, 0.0, float("-inf"))])
@@ -115,7 +115,7 @@ class TestStage1:
         """Every comparison with a NaN is false, so the ordering check alone
         would let it through; stage 3 validates its voltage set the same way."""
         with pytest.raises(ValueError, match="control voltages must be finite"):
-            stage1_uniform_probe(constant(0.0), one_link(n=4), voltages, 4)
+            stage1_uniform_probe(constant(0.0), one_link(n=4), voltages)
         with pytest.raises(ValueError, match="control voltages must be finite"):
             stage3_fine_tune(constant(0.0), one_link(n=4), voltages)
 
@@ -129,7 +129,7 @@ class TestStage2:
         vote resolve to a single element.
         """
         oracle = onoff_oracle([1.0, -1.0])
-        on = on_elements(stage2_majority_voting(oracle, one_link(n=2), 2, n_configs=4,
+        on = on_elements(stage2_majority_voting(oracle, one_link(n=2), n_configs=4,
                                                 rng_seed=0), 0, 2)
         assert np.count_nonzero(on) == 1
         cfg = voltages(*config((V1, V0), on), 2)
@@ -137,8 +137,8 @@ class TestStage2:
 
     def test_probe_count_exact(self):
         oracle = onoff_oracle(np.ones(8))
-        links = stage2_majority_voting(oracle, one_link(n=8), 8, n_configs=16, rng_seed=1)
-        assert links.traces[0].stage_probe_count(2) == 16
+        links = stage2_majority_voting(oracle, one_link(n=8), n_configs=16, rng_seed=1)
+        assert links.probes(2) == [16]
 
     def test_aligned_channel_on_fraction_grows(self):
         """All paths in phase: every element should be on; the voting
@@ -148,7 +148,7 @@ class TestStage2:
         for n_cfg in (64, 1024):
             on_counts = []
             for seed in range(30):
-                on = on_elements(stage2_majority_voting(oracle, one_link(n=32), 32,
+                on = on_elements(stage2_majority_voting(oracle, one_link(n=32),
                                                         n_configs=n_cfg, rng_seed=seed), 0, 32)
                 on_counts.append(np.count_nonzero(on) / 32)
             fractions[n_cfg] = float(np.median(on_counts))
@@ -161,19 +161,19 @@ class TestStage2:
         oracle = onoff_oracle(np.ones(32))
         hits = 0
         for seed in range(100):
-            on = on_elements(stage2_majority_voting(oracle, one_link(n=32), 32, n_configs=1024,
+            on = on_elements(stage2_majority_voting(oracle, one_link(n=32), n_configs=1024,
                                                     rng_seed=seed), 0, 32)
             hits += int(on.all())
         assert hits >= 95
 
     def test_equal_voltages_rejected(self):
         with pytest.raises(ValueError):
-            stage2_majority_voting(constant(0.0), one_link(5.0, 5.0, n=4), 4)
+            stage2_majority_voting(constant(0.0), one_link(5.0, 5.0, n=4))
 
     def test_group_granularity(self):
         oracle = onoff_oracle(np.ones(8))
         groups = column_groups(2, 4)
-        on = on_elements(stage2_majority_voting(oracle, one_link(n=8), 8, n_configs=32,
+        on = on_elements(stage2_majority_voting(oracle, one_link(n=8), n_configs=32,
                                                 rng_seed=3, groups=groups), 0, 8)
         # group membership is preserved: each column is all-on or all-off
         for col in groups:
@@ -193,7 +193,7 @@ class TestStage3:
                                  DEFAULT_VOLTAGE_SET)
         final = voltages(*links.configs()[0], 2)
         assert max(final) == 20.0 and min(final) == 2.5
-        assert links.traces[0].stage_probe_count(3) <= 9
+        assert links.probes(3)[0] <= 9
 
     def test_keeps_stage2_config_when_no_improvement(self):
         oracle = onoff_oracle([1.0, 1.0])
@@ -206,7 +206,7 @@ class TestStage3:
     def test_probe_budget(self):
         links = stage3_fine_tune(constant(0.0), one_link(15.0, 5.0, [True, False]),
                                  DEFAULT_VOLTAGE_SET)
-        assert links.traces[0].stage_probe_count(3) == 9  # interior voltages: full 3x3 grid
+        assert links.probes(3) == [9]  # interior voltages: full 3x3 grid
 
 
 class TestRunController:
@@ -214,19 +214,19 @@ class TestRunController:
         rng = np.random.default_rng(0)
         h = rng.normal(size=64) + 1j * rng.normal(size=64)
         oracle = onoff_oracle(h)
-        trace = run_controllers(oracle, 64, rng_seeds=[5]).traces[0]
-        assert trace.stage_probe_count(1) == len(DEFAULT_VOLTAGE_SET)
-        assert trace.stage_probe_count(2) == 128
-        assert trace.stage_probe_count(3) <= 9
-        assert trace.budget_used <= 145
+        trace = run_controllers(oracle, 64, rng_seeds=[5])
+        assert trace.probes(1) == [len(DEFAULT_VOLTAGE_SET)]
+        assert trace.probes(2) == [128]
+        assert trace.probes(3)[0] <= 9
+        assert trace.probes()[0] <= 145
 
     def test_final_is_argmax_over_all_probes(self):
         rng = np.random.default_rng(1)
         h = rng.normal(size=16) + 1j * rng.normal(size=16)
         oracle = onoff_oracle(h)
         links = run_controllers(oracle, 16, rng_seeds=[6])
-        cfg, trace = links.configs()[0], links.traces[0]
-        every = np.concatenate([rss for *_, rss in trace.blocks])
+        cfg = links.configs()[0]
+        every = np.concatenate([rss for *_, rss in link_blocks(links)])
         assert oracle.read(voltages(*cfg, 16)) == pytest.approx(every.max(), abs=1e-12)
 
     def test_deterministic_trace(self):
@@ -234,7 +234,7 @@ class TestRunController:
         h = rng.normal(size=16) + 1j * rng.normal(size=16)
         a, b = (run_controllers(onoff_oracle(h), 16, rng_seeds=[7]) for _ in range(2))
         assert voltages(*a.configs()[0], 16) == voltages(*b.configs()[0], 16)
-        assert a.traces[0].serialize() == b.traces[0].serialize()
+        assert a.serialize() == b.serialize()
 
     def test_constant_oracle_survives(self):
         links = run_controllers(constant(-1.0), 8, rng_seeds=[8])
@@ -245,8 +245,8 @@ class TestRunController:
 class TestBruteForce:
     def test_single_group_two_probes(self):
         oracle = onoff_oracle(np.ones(4))
-        links = brute_force_baseline(oracle, one_link(n=4), 4, [[0, 1, 2, 3]])
-        assert links.traces[0].budget_used == 2
+        links = brute_force_baseline(oracle, one_link(n=4), [[0, 1, 2, 3]])
+        assert links.probes() == [2]
         assert on_elements(links, 0, 4).all()
         assert voltages(*links.configs()[0], 4) == (V1,) * 4
 
@@ -254,31 +254,31 @@ class TestBruteForce:
         rng = np.random.default_rng(3)
         h = rng.normal(size=8) + 1j * rng.normal(size=8)
         oracle = onoff_oracle(h)
-        links = brute_force_baseline(oracle, one_link(n=8), 8, [[i] for i in range(8)])
-        assert links.traces[0].budget_used == 256
+        links = brute_force_baseline(oracle, one_link(n=8), [[i] for i in range(8)])
+        assert links.probes() == [256]
         want = oracles.best_subset_gain(0j, h, 1.0, 0.0, 1.0)  # oracle enumerates too
         base = 20 * np.log10(abs(h.sum()))
-        _, (_, best_db, _) = links.traces[0].best()
+        _, (_, best_db, _) = links.best()[0]
         assert best_db - base == pytest.approx(want, abs=1e-9)
         on = voltages(*config((V1, V0), on_elements(links, 0, 8)), 8)
         assert oracle.read(on) == best_db
 
     def test_overlapping_groups_rejected(self):
         with pytest.raises(ValueError):
-            brute_force_baseline(constant(0.0), one_link(n=3), 3, [[0, 1], [1, 2]])
+            brute_force_baseline(constant(0.0), one_link(n=3), [[0, 1], [1, 2]])
         with pytest.raises(ValueError):
-            stage2_majority_voting(constant(0.0), one_link(n=3), 3, groups=[[0, 1], [1, 2]])
+            stage2_majority_voting(constant(0.0), one_link(n=3), groups=[[0, 1], [1, 2]])
 
     def test_ungrouped_elements_stay_off(self):
         links = brute_force_baseline(PerProbeOracle(lambda v: float(v.count(V1)), 4),
-                                     one_link(n=4), 4, [[0], [2]])
+                                     one_link(n=4), [[0], [2]])
         assert on_elements(links, 0, 4).tolist() == [True, False, True, False]
         assert voltages(*links.configs()[0], 4) == (V1, V0, V1, V0)
-        assert links.traces[0].budget_used == 4
+        assert links.probes() == [4]
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
-            brute_force_baseline(constant(0.0), one_link(n=17), 17, [[i] for i in range(17)])
+            brute_force_baseline(constant(0.0), one_link(n=17), [[i] for i in range(17)])
 
 
 def _bits(x) -> bytes:
@@ -295,17 +295,17 @@ class TestColumnarTrace:
         controller order, cut at random boundaries (empty blocks included),
         leave as each stage's best what the per-probe scan picks."""
         bounds = [0] + sorted(c for c in cuts if c <= len(readings)) + [len(readings)]
-        trace, probes = ControlTrace(1), []
+        trace, probes = ControlTrace(1, 1), []
         for stage, lo, hi in zip(sorted(stages), bounds, bounds[1:]):
             # probe i sits at voltage i, so the picked config names its probe
             levels, codes = tuple(map(float, range(lo, hi))), np.arange(hi - lo, dtype=np.uint8)
-            trace.append(stage, levels, np.stack([codes, codes], axis=1),
-                         np.zeros((hi - lo, 1), np.uint8), readings[lo:hi])
+            append(trace, stage, levels, np.stack([codes, codes], axis=1),
+                   np.zeros((hi - lo, 1), np.uint8), readings[lo:hi])
             probes += [(stage, i, readings[i]) for i in range(lo, hi)]
-        assert trace.budget_used == len(probes)
-        config, best_db = trace.best()
+        assert trace.probes() == [len(probes)]
+        (config, best_db), = trace.best()
         for stage in (1, 2, 3):
-            assert trace.stage_probe_count(stage) == sum(1 for p in probes if p[0] == stage)
+            assert trace.probes(stage) == [sum(1 for p in probes if p[0] == stage)]
             if not any(p[0] <= stage for p in probes):
                 assert np.isnan(best_db[stage - 1])
                 continue
@@ -319,35 +319,41 @@ class TestColumnarTrace:
 
     def test_nan_reading(self):
         uniform, bits = np.array([[0, 0], [1, 1]], np.uint8), np.zeros((2, 1), np.uint8)
-        trace = ControlTrace(1)
-        trace.append(1, (30.0, 0.0), uniform, bits, [1.0, float("nan")])
-        trace.append(2, (5.0,), uniform[:1], bits[:1], [2.0])
-        best, best_db = trace.best()
+        trace = ControlTrace(1, 1)
+        append(trace, 1, (30.0, 0.0), uniform, bits, [1.0, float("nan")])
+        append(trace, 2, (5.0,), uniform[:1], bits[:1], [2.0])
+        (best, best_db), = trace.best()
         assert best_db == (1.0, 2.0, 2.0)
         assert voltages(*best, 1) == (5.0,)
-        first_nan = ControlTrace(1)
-        first_nan.append(1, (30.0, 0.0), uniform, bits, [float("nan"), 5.0])
-        best, best_db = first_nan.best()
+        first_nan = ControlTrace(1, 1)
+        append(first_nan, 1, (30.0, 0.0), uniform, bits, [float("nan"), 5.0])
+        (best, best_db), = first_nan.best()
         assert np.isnan(best_db).all()
         assert voltages(*best, 1) == (30.0,)
 
-    def test_blocks_are_read_only_copies(self):
-        trace = ControlTrace(2)
-        codes, bits = np.array([[0, 1]], dtype=np.uint8), np.array([[1]], dtype=np.uint8)
-        trace.append(1, (30.0, 0.0), codes, bits, [1.0])
-        codes[0, 0], bits[0, 0] = 1, 2
+    def test_blocks_are_kept_read_only(self):
+        """_probe_many keeps the stacks and readings as the oracle read them,
+        made read-only rather than copied, so nothing changes them later."""
+        trace = ControlTrace(1, 2)
+        codes, bits = np.array([[[0, 1]]], dtype=np.uint8), np.array([[[1]]], dtype=np.uint8)
+        rss = _probe_many(Readings([[1.0]]), trace, 1, [(30.0, 0.0)], codes, bits)
+        (_, _, *kept, rows), = trace.blocks
+        assert all(a is b and not a.flags.writeable for a, b in zip(kept, (codes, bits, rss)))
+        assert rows == (1,)
+        with pytest.raises(ValueError):
+            codes[0, 0, 0] = 1
         assert probe_voltages(trace) == [(30.0, 0.0)]
-        assert not trace.blocks[0][2].flags.writeable and not trace.blocks[0][3].flags.writeable
         with pytest.raises(ValueError, match="batch"):
-            trace.append(1, (30.0, 0.0), codes, bits, [1.0, 2.0])
+            _probe_many(Readings([[1.0, 2.0]]), trace, 1, [(30.0, 0.0)], codes, bits)
         with pytest.raises(ValueError, match="batch"):  # bit rows are ceil(N/8) uint8
-            trace.append(1, (30.0, 0.0), codes, np.array([[1]]), [1.0])
+            _probe_many(Readings([[1.0]]), trace, 1, [(30.0, 0.0)], codes, np.array([[[1]]]))
+        assert len(trace.blocks) == 1
 
 
 class TestTraceSerialization:
     def test_line_format(self):
-        trace = ControlTrace(2)
-        trace.append(1, (30.0, 0.0), [[0, 1]], np.array([[1]], np.uint8), [-12.5])
+        trace = ControlTrace(1, 2)
+        append(trace, 1, (30.0, 0.0), [[0, 1]], np.array([[1]], np.uint8), [-12.5])
         text, = trace.serialize()
         lines = text.strip().split("\n")
         assert lines[0] == "stage,probe_index,config_hash,rss_db"
@@ -360,9 +366,9 @@ class TestTraceSerialization:
         """Index configurations hash as the voltage vectors they stand for."""
         rng = np.random.default_rng(4)
         h = rng.normal(size=12) + 1j * rng.normal(size=12)
-        trace = run_controllers(onoff_oracle(h), 12, rng_seeds=[9]).traces[0]
+        trace = run_controllers(onoff_oracle(h), 12, rng_seeds=[9])
         rows = trace.serialize()[0].strip().split("\n")[1:]
-        assert len(rows) == trace.budget_used
+        assert [len(rows)] == trace.probes()
         for row, voltages in zip(rows, probe_voltages(trace)):
             assert row.split(",")[2] == oracles.config_hash_reference(voltages)
 
@@ -371,18 +377,18 @@ class TestTraceSerialization:
         a trace row picks two of 1024 levels by uint16 codes."""
         values = np.linspace(0.0, 30.0, 1024)
         assert config_hash(values) == oracles.config_hash_reference(values)
-        trace = ControlTrace(3)
-        trace.append(1, values.tolist(), np.array([[1023, 700]], np.uint16),
+        trace = ControlTrace(1, 3)
+        append(trace, 1, values.tolist(), np.array([[1023, 700]], np.uint16),
                      np.array([[0b101]], np.uint8), [0.0])
         picked = (values[1023], values[700], values[1023])
         assert trace.serialize()[0].split("\n")[1].split(",")[2] == config_hash(picked)
 
     def test_signed_zero_hashes_apart(self):
         assert config_hash((0.0, -0.0)) == oracles.config_hash_reference((0.0, -0.0))
-        trace, on = ControlTrace(2), np.array([[1]], np.uint8)
+        trace, on = ControlTrace(1, 2), np.array([[1]], np.uint8)
         for levels in ((30.0, 0.0), (30.0, -0.0)):
-            trace.append(1, levels, [[0, 1]], on, [0.0])
-        trace.append(1, (0.0, -0.0), [[0, 1]], on, [0.0])
+            append(trace, 1, levels, [[0, 1]], on, [0.0])
+        append(trace, 1, (0.0, -0.0), [[0, 1]], on, [0.0])
         rows = trace.serialize()[0].strip().split("\n")[1:]
         assert [r.split(",")[2] for r in rows] == [
             oracles.config_hash_reference(voltages) for voltages in probe_voltages(trace)]
@@ -395,10 +401,10 @@ class TestTraceSerialization:
         min_size=1, max_size=20)), max_size=5))
     def test_matches_per_line_rendering(self, blocks):
         """The trace's CSV gives the bytes of one f-string per probe."""
-        trace = ControlTrace(3)
+        trace = ControlTrace(1, 3)
         for stage, rss in blocks:
-            trace.append(stage, (30.0, 0.0), np.zeros((len(rss), 2), dtype=np.uint8),
-                         np.zeros((len(rss), 1), dtype=np.uint8), rss)
+            append(trace, stage, (30.0, 0.0), np.zeros((len(rss), 2), dtype=np.uint8),
+                   np.zeros((len(rss), 1), dtype=np.uint8), rss)
         lines = ["stage,probe_index,config_hash,rss_db"]
         for stage, rss in blocks:
             first = len(lines) - 1
@@ -428,7 +434,7 @@ LEVELS = st.one_of(
 
 def block_digests(levels, codes, bits, n) -> list[str]:
     """The trace hashes of a block's rows of n elements, rendered as a block alone."""
-    return _hash_blocks([(tuple(levels), np.asarray(codes), bits, n)])[0]
+    return _hash_blocks([(tuple(levels), np.asarray(codes), bits)], n)[0]
 
 
 def _row_voltages(levels, codes, bits, n) -> np.ndarray:
@@ -543,10 +549,9 @@ class TestStreamedStage2:
             column_groups(self.ROWS, self.COLS)
         rng = np.random.default_rng(11)
         h = rng.normal(size=n) + 1j * rng.normal(size=n)
-        trace = stage2_majority_voting(onoff_oracle(h), one_link(n=n), n, n_configs=n_configs,
-                                       rng_seed=link_stream(5, 3, VOTING_STREAM),
-                                       groups=groups).traces[0]
-        (_, _, codes, bits, rss), = trace.blocks
+        trace = stage2_majority_voting(onoff_oracle(h), one_link(n=n), n_configs=n_configs,
+                                       rng_seed=link_stream(5, 3, VOTING_STREAM), groups=groups)
+        (_, _, codes, bits, rss), = link_blocks(trace)
         _assert_probes(codes, bits, _stage2_reference(5, 3, groups, n, n_configs, rss)[0])
 
 
@@ -582,13 +587,13 @@ class TestRawWordStage2:
                                              n_groups):
         n, groups = _groups(data, grouping, n_groups)
         weights = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
-        batch = LinkBatch.new(len(links), n)
+        batch = ControlTrace(len(links), n)
         batch.v1, batch.v0 = np.full(len(links), V1), np.full(len(links), V0)
-        stage2_majority_voting(_WeightOracle(weights), batch, n, n_configs,
+        stage2_majority_voting(_WeightOracle(weights), batch, n_configs,
                                [link_stream(seed, link, VOTING_STREAM) for link in links],
                                groups)
         for k, link in enumerate(links):
-            (_, _, codes, bits, rss), = batch.traces[k].blocks
+            (_, _, codes, bits, rss), = link_blocks(batch, k)
             want_probes, want_on = _stage2_reference(
                 seed, link, [[i] for i in range(n)] if groups is None else groups, n,
                 n_configs, rss)
@@ -673,16 +678,16 @@ class TestVotesReferee:
                   "column": column_groups(rows, cols),
                   "sparse": [[e] for e in range(n - 1)] + [[]]}[grouping]  # element n-1 in none
         oracle = _RowOracle(high) if weights is None else _WeightOracle(weights[:n])
-        links = LinkBatch.new(len(seeds), n)
+        links = ControlTrace(len(seeds), n)
         links.v1, links.v0 = np.full(len(seeds), V1), np.full(len(seeds), V0)
         streams = [link_stream(seed, link, VOTING_STREAM) for link, seed in enumerate(seeds)]
-        stage2_majority_voting(oracle, links, n, n_configs, streams, groups)
+        stage2_majority_voting(oracle, links, n_configs, streams, groups)
         for link, (seed, stream) in enumerate(zip(seeds, streams)):
-            (_, _, codes, bits, rss), = links.traces[link].blocks
+            (_, _, codes, bits, rss), = link_blocks(links, link)
             want_probes, expected = _stage2_reference(
                 seed, link, [[i] for i in range(n)] if groups is None else groups, n,
                 n_configs, rss)
-            one = stage2_majority_voting(oracle, one_link(n=n), n, n_configs, stream, groups)
+            one = stage2_majority_voting(oracle, one_link(n=n), n_configs, stream, groups)
             _assert_probes(codes, bits, want_probes)
             np.testing.assert_array_equal(on_elements(links, link, n), expected)
             np.testing.assert_array_equal(on_elements(one, 0, n), expected)

@@ -25,7 +25,7 @@ from mediamatch.cli import main
 from mediamatch.harness import (BudgetError, cmd_backscatter, cmd_bench_controller,
                                 cmd_links, cmd_match, cmd_sweep, median_lower,
                                 percentiles_lower, run_links, validate_trace)
-from mediamatch.control import TRACE_TABLE, ControlTrace
+from mediamatch.control import TRACE_TABLE, ControlTrace, _probe_many
 from mediamatch.table import table_text, write_table
 from mediamatch.surface import admittance_at_voltage
 from mediamatch.scenario import (ScenarioError, default_tissue_dict,
@@ -33,6 +33,7 @@ from mediamatch.scenario import (ScenarioError, default_tissue_dict,
                                  scenario_from_dict)
 
 from oracles import row_csv_text
+from per_probe import Readings, append
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -507,10 +508,21 @@ class TestBenchTracerTargets:
 
 class TestBudgetValidation:
     def test_validate_trace_raises(self):
-        trace = ControlTrace(1)
-        trace.append(1, (30.0,), [[0, 0]], np.zeros((1, 1), np.uint8), [-1.0])
+        trace = ControlTrace(1, 1)
+        append(trace, 1, (30.0,), [[0, 0]], np.zeros((1, 1), np.uint8), [-1.0])
         with pytest.raises(BudgetError):
             validate_trace(trace, n_voltages=7, n_stage2=128)
+
+    def test_validate_trace_checks_every_link(self):
+        """A batch passes only if each of its links keeps the budget: here
+        link 1 probes one stage-2 row too few."""
+        trace = ControlTrace(2, 1)
+        for stage, n_rows, rows in ((1, 2, None), (2, 2, (2, 1)), (3, 9, (9, 9))):
+            _probe_many(Readings(np.zeros((2, n_rows))), trace, stage, [(30.0, 0.0)] * 2,
+                        np.zeros((2, n_rows, 2), np.uint8), np.zeros((2, n_rows, 1), np.uint8),
+                        rows)
+        with pytest.raises(BudgetError, match="stages 2/1/9"):
+            validate_trace(trace, n_voltages=2, n_stage2=2)
 
     def test_short_enumeration_is_violation(self, tmp_path, monkeypatch, capsys):
         """The enumeration variant's traces are budget-checked like the voting
@@ -518,12 +530,11 @@ class TestBudgetValidation:
         the command, and the CLI exits 4 before it writes any file."""
         real = harness.brute_force_baseline
 
-        def short(oracle, links, n_elements, groups):
-            real(oracle, links, n_elements, groups)
-            for trace in links.traces:  # leave the last assignment out
-                stage, levels, codes, bits, rss = trace.blocks.pop()
-                trace.append(stage, levels, codes[:-1], bits[:-1], rss[:-1])
-            return links
+        def short(oracle, trace, groups):
+            real(oracle, trace, groups)
+            *block, rows = trace.blocks.pop()  # leave every link's last assignment out
+            trace.blocks.append((*block, tuple(n - 1 for n in rows)))
+            return trace
 
         monkeypatch.setattr(harness, "brute_force_baseline", short)
         scenario = load_scenario(SCENARIOS / "controller_bench.json")
@@ -544,11 +555,11 @@ class TestBudgetValidation:
         channel files (links only) are left as they were written."""
         real, calls = getattr(harness, target), []
 
-        def second_fails(oracle, links, *args):
-            calls.append(len(links))
+        def second_fails(oracle, trace, *args):
+            calls.append(len(trace))
             if len(calls) == 2:
                 raise BudgetError("budget violation: injected")
-            return real(oracle, links, *args)
+            return real(oracle, trace, *args)
 
         monkeypatch.setattr(harness, target, second_fails)
         monkeypatch.setattr(harness, "LINK_BATCH", 2 * 2 * 64 * 64)  # two 8x8 links a batch

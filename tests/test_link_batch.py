@@ -26,8 +26,8 @@ from mediamatch import harness
 from mediamatch.channel import (ONOFF_MIN_ELEMENTS, ONOFF_ROWS, PROBE_BLOCK, ChannelStack,
                                 FeedbackOracle, composite_channels, gains_db, onoff_channels,
                                 rss_db, sample_channel)
-from mediamatch.control import (DEFAULT_VOLTAGE_SET, ControlTrace, brute_force_baseline,
-                                column_groups, run_controllers)
+from mediamatch.control import (DEFAULT_VOLTAGE_SET, brute_force_baseline, column_groups,
+                                run_controllers)
 from mediamatch.harness import cmd_backscatter, cmd_bench_controller, cmd_links, run_links
 from mediamatch.scenario import (CHANNEL_STREAM, NOISE_STREAM, UPLINK_STREAM, VOTING_STREAM,
                                  default_water_scenario, link_stream, scenario_from_dict)
@@ -260,15 +260,15 @@ class TestStackedOracles:
         links = run_controllers(
             _HighPadding(FeedbackOracle(channels, noise_db=-15.0, noise_seed=seeds)),
             9, voltages, rng_seeds=seeds)
-        assert len({trace.stage_probe_count(3) for trace in links.traces}) > 1
-        texts = ControlTrace.serialize(*links.traces)
+        assert len(set(links.probes(3))) > 1
+        texts, bests = links.serialize(), links.best()
         for k, (channel, seed) in enumerate(zip(channels, seeds)):
             alone = run_controllers(FeedbackOracle(channel, noise_db=-15.0, noise_seed=seed),
                                     9, voltages, rng_seeds=[seed])
             assert per_probe.voltages(*links.configs()[k], 9) == \
                 per_probe.voltages(*alone.configs()[0], 9)
-            assert [texts[k]] == alone.traces[0].serialize()
-            assert _bits(links.traces[k].best()[1]) == _bits(alone.traces[0].best()[1])
+            assert [texts[k]] == alone.serialize()
+            assert _bits(bests[k][1]) == _bits(alone.best()[0][1])
 
 
 class _HighPadding:
@@ -436,10 +436,9 @@ class TestSharedStage1:
                             lambda *a, **kw: runs.append(real(*a, **kw)) or runs[-1])
         cmd_bench_controller(scenario, tmp_path, 3)
         assert len(runs) == 3
-        for k in range(3):
-            first = [run.traces[k].blocks[0] for run in runs]
-            assert all(b[0] == 1 and b[1] == first[0][1] for b in first)
-            assert all(_bits(b[k]) == _bits(first[0][k]) for b in first for k in (2, 3, 4))
+        first = [run.blocks[0] for run in runs]
+        assert all(b[0] == 1 and b[1] == first[0][1] and b[5] == first[0][5] for b in first)
+        assert all(_bits(b[k]) == _bits(first[0][k]) for b in first for k in (2, 3, 4))
 
         resp, n, vs = scenario.responder(), scenario.n_elements, scenario.voltage_set
         cols = column_groups(scenario.rows, scenario.cols)
@@ -459,7 +458,7 @@ class TestSharedStage1:
                     run_controllers(fresh(), n, vs, groups=cols, stage2=brute_force_baseline)]
             configs = [run.configs()[0] for run in runs]
             rows.append((i, scenario.seed, *gains_db([channel], configs)[0].tolist(),
-                         *(run.traces[0].budget_used for run in runs)))
+                         *(run.probes()[0] for run in runs)))
         header = harness._LINK_COMMANDS["bench-controller"].header
         assert (tmp_path / "bench_controller.csv").read_text() == oracles.row_csv_text(header, rows)
 
