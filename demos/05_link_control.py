@@ -21,11 +21,12 @@ channel = scenario.sample_link_channel(link_stream(scenario.seed, 1, CHANNEL_STR
 oracle = FeedbackOracle(channel, quantization_db=scenario.channel.rss_quantization_db)
 trace = run_controllers(oracle, scenario.n_elements, voltages=scenario.voltage_set,
                         rng_seeds=[link_stream(scenario.seed, 1, VOTING_STREAM)])  # one link
-(levels, codes, bits), best_db = trace.best()[0]  # best probe, best reading through each stage
+(codes, bits), best_db = trace.best()[0]  # best probe, best reading through each stage
 on_bits = np.unpackbits(bits, count=scenario.n_elements, bitorder="little")
-voltages = np.asarray(levels)[np.where(on_bits, *codes)].tolist()  # on: codes[0], off: codes[1]
+# codes are positions in the trace's one alphabet: on at codes[0], off at codes[1]
+voltages = np.asarray(trace.levels)[np.where(on_bits, *codes)].tolist()
 
-(gain,), (base_db,) = gains_db([channel], trace.configs())  # gain and baseline rows
+(gain,), (base_db,) = gains_db([channel], trace.levels, trace.configs())  # gain and baseline
 print(f"baseline (no surface): {base_db:7.2f} dB")
 for stage, label in ((1, "uniform voltage probe"),
                      (2, "randomized majority voting"),
@@ -52,7 +53,7 @@ stacked = FeedbackOracle(channels, quantization_db=scenario.channel.rss_quantiza
 voting = [link_stream(scenario.seed, i, VOTING_STREAM) for i in range(45)]
 batch = run_controllers(stacked, scenario.n_elements, voltages=scenario.voltage_set,
                         rng_seeds=voting)  # one trace of 45 links
-gains = sorted(gains_db(channels, batch.configs())[0].tolist())
+gains = sorted(gains_db(channels, batch.levels, batch.configs())[0].tolist())
 print(f"  median {median_lower(gains):5.2f} dB,  "
       f"p10 {gains[4]:5.2f} dB,  max {gains[-1]:5.2f} dB")
 print("  gain CDF:", "  ".join(f"{g:5.1f}" for g in gains[::6]))

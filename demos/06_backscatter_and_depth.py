@@ -23,7 +23,7 @@ ups = downs  # reciprocity: the uplink retraces the downlink's paths
 links = run_controllers(FeedbackOracle(downs, ups), scenario.n_elements,
                         voltages=scenario.voltage_set,
                         rng_seeds=[link_stream(scenario.seed, i, VOTING_STREAM) for i in range(5)])
-down, _, both = gains_db(downs, links.configs(), ups).tolist()  # one call, both directions
+down, _, both = gains_db(downs, links.levels, links.configs(), ups).tolist()  # both directions
 for i, (one, two) in enumerate(zip(down, both)):
     print(f"  link {i}: one-way {one:+6.2f} dB, backscatter {two:+6.2f} dB "
           f"(= 2x within 1e-12: {abs(two - 2 * one) < 1e-12})")

@@ -4,9 +4,9 @@ Channels are synthesized (the real system measures them): environment and
 per-element paths are circularly-symmetric complex Gaussians drawn from a
 seeded numpy Generator (PCG64), so full runs replay bit-identically.
 FeedbackOracle makes the RSS readings the controller sees, one-way or two-way,
-noise and quantization included.  A surface configuration is a (levels,
-codes, bits) triple (see control): element i is biased at levels[codes[0]]
-where bit i of the packed row is set and at levels[codes[1]] where it is clear.
+noise and quantization included.  A surface configuration is a (codes, bits)
+pair over a voltage alphabet (see control): element i is biased at
+levels[codes[0]] where bit i of the packed row is set, else at levels[codes[1]].
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ _BLOCK_VALUES = PROBE_BLOCK * 1024
 
 def _checked(channels: ChannelStack, levels, codes, bits) -> tuple:
     """The probe kernels' input checks: returns the code and bit arrays and
-    the s(V) tables."""
+    the alphabet's s(V) table."""
     codes, bits, h = np.asarray(codes), np.asarray(bits), channels.h_elements
     if codes.dtype.kind not in "iu":
         raise ValueError(f"codes must be of an integer dtype, got {codes.dtype}")
@@ -149,34 +149,31 @@ def _checked(channels: ChannelStack, levels, codes, bits) -> tuple:
             bits.shape != (*codes.shape[:2], -(-h.shape[1] // 8)):
         raise ValueError(f"codes of shape {codes.shape} and {bits.dtype} bit rows of shape "
                          f"{bits.shape} for channel N {h.shape[1]}")
-    if len(codes) != len(h) or len(levels) != len(h):
-        raise ValueError(f"{len(codes)} links of probes and {len(levels)} alphabets "
-                         f"for {len(h)} channels")
+    if len(codes) != len(h):
+        raise ValueError(f"{len(codes)} links of probes for {len(h)} channels")
     if channels.responder is None:
         raise ValueError("channel has no element responder attached")
-    tables = [channels.responder.table(tuple(lv)) for lv in levels]
-    # each link's code pairs against its own alphabet (and >= 0 if signed)
-    if codes.size and (codes.dtype.kind == "i" and codes.min() < 0 or np.any(
-            codes.max(axis=(1, 2)) >= [len(t) for t in tables])):
-        raise IndexError("codes must lie in [0, len(levels)) of their link")
-    return codes, bits, tables
+    table = channels.responder.table(tuple(levels))
+    if codes.size and (codes.dtype.kind == "i" and codes.min() < 0 or codes.max() >= len(table)):
+        raise IndexError("codes must lie in [0, len(levels))")
+    return codes, bits, table
 
 
 def composite_channels(channels: ChannelStack, levels, codes, bits) -> np.ndarray:
     """h_env + sum_i s(V_i) h_i for every probe row of a (codes, bits) stack.
 
-    ``channels`` is a ChannelStack of L links, ``levels`` a sequence of L
-    alphabets, ``codes`` an (L, n, 2) integer stack of (on, off) positions in
-    them and ``bits`` the (L, n, ceil(N/8)) packed on bits; returns the (L, n)
-    values.  The rows run in blocks of whole links, or of one link's rows, of
-    at most PROBE_BLOCK x 1024 values, each block's bits unpacked once.  Each
-    row's responses are gathered from its link's table (the on level where
-    its bit is set, the off level elsewhere), multiplied in place and summed
+    ``channels`` is a ChannelStack of L links, ``levels`` an alphabet,
+    ``codes`` an (L, n, 2) integer stack of (on, off) positions in it and
+    ``bits`` the (L, n, ceil(N/8)) packed on bits; returns the (L, n) values.
+    The rows run in blocks of whole links, or of one link's rows, of at most
+    PROBE_BLOCK x 1024 values, each block's bits unpacked once and its
+    responses gathered from the alphabet's table in one take (the on level
+    where a bit is set, the off level elsewhere), multiplied in place and summed
     along its own contiguous axis: the same numpy loops, in the same order,
     as a lone row takes as a vector, so every entry equals the one-row result
     bit for bit, whatever links and rows share its block.
     """
-    codes, bits, tables = _checked(channels, levels, codes, bits)
+    codes, bits, table = _checked(channels, levels, codes, bits)
     h_env, h, jitter = channels.h_env[:, None], channels.h_elements, channels.phase_jitter
     (n_links, n_rows, _), n = codes.shape, h.shape[1]
     rows = max(1, min(n_rows, _BLOCK_VALUES // max(n, 1)))
@@ -192,14 +189,13 @@ def composite_channels(channels: ChannelStack, levels, codes, bits) -> np.ndarra
             if block.shape[0] * block.shape[1] == 1:
                 # a lone row stays a vector: numpy multiplies a 1 x 1 block by
                 # another loop than a length-1 vector, and the last bit can differ
-                s = tables[l0][block[0, 0]]
+                s = table[block[0, 0]]
                 if jitter is not None:
                     s = s * jitter[l0]
                 out[l0, r0] = np.sum(s * h[l0])
                 continue
             s = buffer[:block.size].reshape(block.shape)
-            for table, link_rows, link_s in zip(tables[ls], block, s):
-                table.take(link_rows, out=link_s, mode="clip")
+            table.take(block, out=s, mode="clip")
             if jitter is not None:
                 s *= jitter[ls, None]
             s *= h[ls, None]
@@ -208,42 +204,45 @@ def composite_channels(channels: ChannelStack, levels, codes, bits) -> np.ndarra
     return out
 
 
-#: N from which FeedbackOracle reads links over at most two levels with
-#: onoff_channels (16 x 16; the crossover is in BENCH_onoff_tables.json).
+#: N from which FeedbackOracle reads links whose codes take at most two
+#: positions with onoff_channels (16 x 16; crossover in BENCH_onoff_tables.json).
 ONOFF_MIN_ELEMENTS = 256
 #: Probe rows per onoff_channels block (temporaries of 25 bytes per row and group).
 ONOFF_ROWS = 256
 
 
 def onoff_channels(channels: ChannelStack, levels, codes, bits) -> np.ndarray:
-    """composite_channels over alphabets of at most two levels, read from
-    per-byte subset-sum tables; same checks and errors, other last bits.
+    """composite_channels over links whose codes take at most two positions,
+    read from per-byte subset-sum tables; same checks and errors, other last bits.
 
     Its arithmetic is its definition.  q_i = h_i u_i (u the phase jitter, or
-    q = h), zero-padded to G = ceil(N/8) groups of 8; s0, s1 are the levels'
-    responses (s0 twice for one level).  Group g's table holds, for c = 0..255,
-    T_g[c] = s_{bit j of c} q_{8g+j} added in order j = 0..7, each complex
-    product by cascade._scalar_times.  A row reads h_env + np.sum of T_g[byte
-    g of its level bits] over g, bit i of the little-endian level bits being
-    1 where element i takes position 1 of the alphabet and the tail bits 0:
-    its link's channel, alphabet, codes and on bits alone fix it.  Tables take
-    512 N bytes per link.
+    q = h), zero-padded to G = ceil(N/8) groups of 8; s0, s1 are the
+    responses at a link's two positions in order (s0 twice for one).  Group
+    g's table holds, for c = 0..255, T_g[c] = s_{bit j of c} q_{8g+j} added in
+    order j = 0..7, each complex product by cascade._scalar_times.  A row
+    reads h_env + np.sum of T_g[byte g of its level bits] over g, bit i of the
+    little-endian level bits being 1 where element i takes the second
+    position and the tail bits 0.  Each sum adds the same products whichever
+    position is labelled 1: its link's channel and responses alone fix it.
+    Tables take 512 N bytes per link.
     """
-    codes, bits, tables = _checked(channels, levels, codes, bits)
-    if max(map(len, tables)) > 2:
-        raise ValueError("onoff_channels reads alphabets of at most two levels")
+    codes, bits, table = _checked(channels, levels, codes, bits)
+    positions = [np.unique(c) for c in codes]
+    if max(map(len, positions), default=0) > 2:
+        raise ValueError("onoff_channels reads links whose codes take at most two positions")
     h, jitter, (n_links, n_rows, _) = channels.h_elements, channels.phase_jitter, codes.shape
     q = np.pad(h if jitter is None else _scalar_times(h, jitter), ((0, 0), (0, -h.shape[1] % 8)))
     groups, out = q.shape[1] // 8, np.empty((n_links, n_rows), dtype=complex)
-    for link, s in enumerate(tables):
+    for link, p in enumerate(positions):
+        s = table[np.resize(p, 2)]  # two positions, one twice, or (no rows) 0 twice
         terms = np.ascontiguousarray(  # [g, j, b]: s_b q_{8g+j}
-            _scalar_times(s[[0, -1], None], q[link]).reshape(2, groups, 8).transpose(1, 2, 0))
+            _scalar_times(s[:, None], q[link]).reshape(2, groups, 8).transpose(1, 2, 0))
         t = terms[:, 0]
         for j in range(1, 8):  # entry b 2^j + c: entry c of bits 0..j-1 plus s_b q_{8g+j}
             t = (t[:, None, :] + terms[:, j, :, None]).reshape(groups, -1)
         for r0 in range(0, n_rows, ONOFF_ROWS):
             on, block = bits[link, r0:r0 + ONOFF_ROWS], codes[link, r0:r0 + ONOFF_ROWS]
-            last = np.where(block == 1, 255, 0).astype(np.uint8)  # (on, off) at position 1
+            last = np.where(block != p[0], 255, 0).astype(np.uint8)  # (on, off) at p[1]
             level_bits = on & last[:, :1] | ~on & last[:, 1:]
             level_bits[:, -1] &= 255 >> (-h.shape[1] % 8)  # the tail bits
             t.take(level_bits + np.arange(0, 256 * groups, 256)).sum(
@@ -252,10 +251,11 @@ def onoff_channels(channels: ChannelStack, levels, codes, bits) -> np.ndarray:
 
 
 def _probe_channels(channels: ChannelStack, levels, codes, bits) -> np.ndarray:
-    """FeedbackOracle's read: onoff_channels for the links over at most two
-    levels from ONOFF_MIN_ELEMENTS on, composite_channels for the others."""
+    """FeedbackOracle's read: onoff_channels for the links whose codes in the
+    call take at most two positions from ONOFF_MIN_ELEMENTS on,
+    composite_channels for the others."""
     tables = channels.h_elements.shape[1] >= ONOFF_MIN_ELEMENTS
-    onoff = [tables and len(lv) <= 2 for lv in levels]
+    onoff = [tables and len(np.unique(c)) <= 2 for c in np.asarray(codes)]
     if len(set(onoff)) < 2:
         return (onoff_channels if all(onoff) else composite_channels)(channels, levels, codes,
                                                                         bits)
@@ -263,7 +263,7 @@ def _probe_channels(channels: ChannelStack, levels, codes, bits) -> np.ndarray:
     out = np.empty(codes.shape[:2], dtype=complex)
     for kernel, links in ((onoff_channels, np.flatnonzero(onoff)),
                           (composite_channels, np.flatnonzero(np.logical_not(onoff)))):
-        out[links] = kernel(channels[links], [levels[k] for k in links], codes[links], bits[links])
+        out[links] = kernel(channels[links], levels, codes[links], bits[links])
     return out
 
 
@@ -297,15 +297,14 @@ class FeedbackOracle:
 
     ``downlink`` and ``uplink`` are one channel or a sequence of L; the same
     sequence passed as both is reciprocal and reads the downlink's magnitude
-    squared.  ``batch(levels, codes, bits, rows)`` reads L alphabets, an
-    (L, n, 2) stack of (on, off) code pairs and an (L, n, ceil(N/8)) stack of
-    packed on bits as (L, n) readings; the first rows[l] rows of link l (all
-    by default) are probes and the rest padding, read without noise.  A link
-    reads its channel values from onoff_channels when its alphabet has at most
-    two levels and N >= ONOFF_MIN_ELEMENTS, else from composite_channels;
-    either value depends only on the link's channel, alphabet and row, so
-    probe i of a batch reads exactly what the i-th of as many one-row batches
-    would, noise included.
+    squared.  ``batch(levels, codes, bits, rows)`` reads an alphabet, an
+    (L, n, 2) stack of (on, off) code pairs in it and an (L, n, ceil(N/8))
+    stack of packed on bits as (L, n) readings; the first rows[l] rows of
+    link l (all by default) are probes and the rest padding, read without
+    noise.  A link reads its values from onoff_channels when its codes in the
+    call take at most two positions and N >= ONOFF_MIN_ELEMENTS, else from
+    composite_channels, whatever the other links; so probe i of a batch reads
+    what the i-th of as many one-row batches would through the same kernel.
 
     Noise, added to the downlink only, is complex Gaussian with power
     10^(noise_db/10) relative to a unit-magnitude channel.  Each link draws it
@@ -326,6 +325,8 @@ class FeedbackOracle:
             raise ValueError("backscatter directions must share the link and element counts")
         self.noise_db, self.quantization_db = noise_db, quantization_db
         seeds = noise_seed if np.ndim(noise_seed) else [noise_seed] * len(self.downlink.h_env)
+        if len(seeds) != len(self.downlink.h_env):
+            raise ValueError(f"{len(seeds)} noise seeds for {len(self.downlink.h_env)} links")
         self.noise = None if noise_db is None else [np.random.default_rng(s) for s in seeds]
 
     def __copy__(self) -> "FeedbackOracle":
@@ -349,11 +350,12 @@ class FeedbackOracle:
         return rss_db(magnitude, self.quantization_db)
 
 
-def gains_db(downlinks, configs, uplinks=None) -> np.ndarray:
+def gains_db(downlinks, levels, configs, uplinks=None) -> np.ndarray:
     """Gain in dB of configurations against their link's no-surface baseline.
 
-    ``downlinks`` holds L channels and ``configs`` k (levels, codes, bits)
-    configurations per link, variant-major (v*L + l is link l's in variant v); k is inferred,
+    ``downlinks`` holds L channels and ``configs`` k (codes, bits)
+    configurations over ``levels`` per link, variant-major (v*L + l is link
+    l's in variant v); k is inferred,
     and a count that is not a multiple of L is a ValueError.  One-way returns
     the (2, k*L) stack of gains and their links' baselines in dB; with
     ``uplinks`` the (3, k*L) stack of downlink, uplink and two-way gains.  The
@@ -366,7 +368,7 @@ def gains_db(downlinks, configs, uplinks=None) -> np.ndarray:
     k = len(configs) // max(len(downlinks), 1)
     if not k or k * len(downlinks) != len(configs):
         raise ValueError(f"{len(configs)} configurations for {len(downlinks)} links")
-    levels, codes, bits = zip(*configs)
+    codes, bits = zip(*configs)
     codes, bits = np.stack(codes)[:, None], np.stack(bits)[:, None]
 
     def magnitudes(channels):

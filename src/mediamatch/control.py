@@ -8,25 +8,25 @@ on/off split.  The returned configuration is the argmax over everything the
 controller ever probed, so it can never regress below a measured state.
 
 The controller's one record of a batch of L links (L = 1 for one link) is a
-ControlTrace: every stage takes it, probes its links together, keeps what it
-found in it (v1 and v0, the on/off split, the probe block) and returns it;
-``run_controllers`` runs the stages.  Each link's best probe is read from it
-(ControlTrace.best).  Every stage probes through one path, ``_probe_many``,
-and one oracle protocol (see channel.FeedbackOracle):
-``batch(levels, codes, bits, rows)`` reads L alphabets, an (L, n, 2) stack of
-code pairs and an (L, n, ceil(N/8)) stack of bit rows as (L, n) readings,
-link l's first rows[l] rows being probes and the rest padding.  Probe i must
-read what the i-th of n one-row batches would (a noisy oracle draws its noise
-in probe order).  Only whole controller runs may execute concurrently.
+ControlTrace over the run's voltage set: every stage takes it, probes its
+links together, keeps what it found in it (v1 and v0 as positions i1 and
+i0, the on/off split, the probe block) and returns it; ``run_controllers``
+runs the stages.  Each link's best probe is read from it (ControlTrace.best).
+Every stage probes through one path, ``_probe_many``, and one oracle
+protocol (see channel.FeedbackOracle): ``batch(levels, codes, bits, rows)``
+reads the voltage set, an (L, n, 2) stack of code pairs and an
+(L, n, ceil(N/8)) stack of bit rows as (L, n) readings, link l's first
+rows[l] rows being probes and the rest padding.  A link's readings must not
+depend on the other links (a noisy oracle draws its noise in probe order).
+Only whole controller runs may execute concurrently.
 
-A configuration is a (levels, codes, bits) triple: codes is an (on, off) pair
-of positions in the voltage alphabet ``levels`` and bits the packed on bits,
+A configuration is a (codes, bits) pair: codes is an (on, off) pair of
+positions in the voltage set ``levels`` and bits the packed on bits,
 ceil(N/8) uint8 in little bit order (element e is bit e % 8 of byte e // 8)
 with the tail bits clear.  Element e is biased at levels[codes[0]] where its
-bit is set and at levels[codes[1]] where it is clear.  Every probe is two
-voltages and a bit row: stage 1's row k is codes (k, k) over ``voltage_set``,
-stage 2's and the enumeration's are codes (0, 1) over (v1, v0), and stage 3's
-are per-row (i1, i0) over ``voltage_set`` on the batch's packed ``on`` split.
+bit is set and at levels[codes[1]] where it is clear.  Stage 1's row k is
+codes (k, k), stage 2's and the enumeration's are (i1, i0), and stage 3's
+are moves of (i1, i0), each over the batch's packed ``on`` split.
 Stage 2 draws its masks MASK_BLOCK rows at a time into the bit rows the trace
 keeps (2N ceil(N/8) bytes a link) and counts its votes from them.  Its masks
 take one bit each from PCG64 on the link's voting stream: mask bit k
@@ -91,9 +91,9 @@ _REVERSED = np.packbits(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], a
                         axis=1, bitorder="little").ravel()
 
 
-def _hash_blocks(blocks, n: int) -> list[list[str]]:
-    """config_hash of every N-element probe row of each (levels, codes, bits)
-    block, per block.
+def _hash_blocks(levels, blocks, n: int) -> list[list[str]]:
+    """config_hash of every N-element probe row of each (codes, bits) block
+    over the alphabet ``levels``, per block.
 
     The rows are hashed in chunks of up to HASH_BLOCK rows that cross blocks
     (a chunk inside one block is a view of it).  A row's voltages take at
@@ -102,10 +102,8 @@ def _hash_blocks(blocks, n: int) -> list[list[str]]:
     "differs from element 0" bits, which are the N zero bytes of a one-level
     row.
     """
-    alphabets, out, chunk, size = {}, [], [], 0
-    for levels, codes, bits in blocks:
-        key = struct.pack(f"<{len(levels)}d", *levels)
-        words = alphabets.setdefault(key, np.frombuffer(key, dtype="<u8"))
+    words, out, chunk, size = np.array(levels, dtype="<f8").view("<u8"), [], [], 0
+    for codes, bits in blocks:
         out.append([])
         at = 0
         while at < len(codes):
@@ -150,22 +148,24 @@ def _hash_chunk(chunk, n: int) -> None:
 
 class ControlTrace:
     """Everything the controller measured on a batch of L links of N
-    elements, in the order it measured it, and the stage state.
+    elements over the voltage set ``levels``, in the order it measured it,
+    and the stage state.
 
-    ``blocks`` holds one (stage, levels, codes, bits, rss, rows) entry per
-    ``_probe_many`` call, as the oracle read it: L alphabets, the read-only
-    (L, n, 2) codes, (L, n, ceil(N/8)) bits and (L, n) readings, and rows[l],
-    the number of link l's rows that are probes (the rest is stage-3 padding,
-    never read).  Row k of link l over the alphabet levels[l] read rss[l, k];
-    a link's probe indices run on across blocks.  The batch keeps, per link,
-    the on/off voltages of stage 1 (``v1``, ``v0``: length-L arrays) and the
-    elements stage 2 left on (``on``: read-only (L, ceil(N/8)) packed bits).
+    ``blocks`` holds one (stage, codes, bits, rss, rows) entry per
+    ``_probe_many`` call, as the oracle read it: the read-only (L, n, 2)
+    codes, (L, n, ceil(N/8)) bits and (L, n) readings, and rows[l], the
+    number of link l's rows that are probes (the rest is stage-3 padding,
+    never read).  Row k of link l read rss[l, k]; a link's probe indices run
+    on across blocks.  The batch keeps, per link, the positions of stage 1's
+    v1 and v0 (``i1``, ``i0``: length-L arrays) and the elements stage 2 left
+    on (``on``: read-only (L, ceil(N/8)) packed bits).
     """
 
-    def __init__(self, n_links: int, n_elements: int):
+    def __init__(self, n_links: int, n_elements: int, levels):
         self.n_links, self.n_elements = n_links, n_elements
+        self.levels = _validate_voltage_set(levels)
         self.blocks = []
-        self.v1 = self.v0 = self.on = None
+        self.i1 = self.i0 = self.on = None
 
     def __len__(self) -> int:
         return self.n_links
@@ -182,19 +182,19 @@ class ControlTrace:
                         dtype=int).reshape(-1, self.n_links).sum(axis=0).tolist()
 
     def best(self) -> list[tuple]:
-        """Each link's best probe as (levels, codes, bits) with read-only rows,
+        """Each link's best probe as (codes, bits) with read-only rows,
         None before any probe, and its best reading through stages 1, 2 and 3
         (NaN before any probe), as a running scan picks them: the first probe,
         then each strictly higher reading, so a NaN first reading stays best."""
         out = []
         for link in range(self.n_links):
             config, top, through = None, math.nan, [math.nan] * 3
-            for stage, levels, codes, bits, rss, rows in self.blocks:
+            for stage, codes, bits, rss, rows in self.blocks:
                 rss = rss[link, :rows[link]]
                 if len(rss):
                     k = 0 if config is None and math.isnan(rss[0]) else int(_first_max(rss))
                     if config is None or rss[k] > top:
-                        config, top = (levels[link], codes[link, k], bits[link, k]), float(rss[k])
+                        config, top = (codes[link, k], bits[link, k]), float(rss[k])
                     through[stage - 1:] = [top] * (4 - stage)
             out.append((config, tuple(through)))
         return out
@@ -207,9 +207,9 @@ class ControlTrace:
         """Each link's CSV text, one TRACE_TABLE row per probe; the rows of all
         links are hashed together (see _hash_blocks)."""
         links = range(self.n_links)
-        hashes = iter(_hash_blocks([(levels[l], codes[l, :rows[l]], bits[l, :rows[l]])
-                                    for l in links for _, levels, codes, bits, _, rows
-                                    in self.blocks], self.n_elements))
+        hashes = iter(_hash_blocks(self.levels, [(codes[l, :rows[l]], bits[l, :rows[l]])
+                                                 for l in links for _, codes, bits, _, rows
+                                                 in self.blocks], self.n_elements))
         texts = []
         for link in links:
             stages, digests, readings = [], [], []
@@ -247,15 +247,15 @@ def _element_bits(owner, masks) -> np.ndarray:
     return np.packbits(on.take(owner, axis=1), axis=1, bitorder="little")
 
 
-def _probe_many(oracle, trace: ControlTrace, stage: int, levels, codes, bits,
-                rows=None) -> np.ndarray:
+def _probe_many(oracle, trace: ControlTrace, stage: int, codes, bits, rows=None) -> np.ndarray:
     """Measure every probe row of a batch of L links, in order.
 
-    ``levels`` holds L alphabets, ``codes`` and ``bits`` the (L, n, 2) and
-    (L, n, ceil(N/8)) uint8 stacks whose first rows[l] rows of link l are
-    probes (all rows by default) and the rest padding; ``oracle.batch(levels,
-    codes, bits, rows)`` returns the (L, n) readings.  The stacks and
-    readings go into the trace as one block, made read-only, not copied.
+    ``codes`` and ``bits`` are the (L, n, 2) and (L, n, ceil(N/8)) uint8
+    stacks over the trace's alphabet whose first rows[l] rows of link l are
+    probes (all rows by default) and the rest padding;
+    ``oracle.batch(trace.levels, codes, bits, rows)`` returns the (L, n)
+    readings.  The stacks and readings go into the trace as one block, made
+    read-only, not copied.
     """
     shape = (len(trace), codes.shape[1] if codes.ndim == 3 else -1)
     if codes.shape != (*shape, 2) or bits.dtype != np.uint8 or \
@@ -263,19 +263,18 @@ def _probe_many(oracle, trace: ControlTrace, stage: int, levels, codes, bits,
         raise ValueError(f"probe batch of codes {codes.shape} and {bits.dtype} bits "
                          f"{bits.shape} for {shape[0]} links of N = {trace.n_elements}")
     rows = (shape[1],) * shape[0] if rows is None else tuple(rows)
-    rss = np.array(oracle.batch(levels, codes, bits, rows), dtype=float)
+    rss = np.array(oracle.batch(trace.levels, codes, bits, rows), dtype=float)
     if rss.shape != shape:
         raise ValueError(f"probe batch of {rss.shape} readings for codes {codes.shape}")
-    trace.blocks.append((stage, [tuple(v) for v in levels], *map(_read_only, (codes, bits, rss)),
-                         rows))
+    trace.blocks.append((stage, *map(_read_only, (codes, bits, rss)), rows))
     return rss
 
 
 def _probe_onoff(oracle, trace: ControlTrace, bits) -> np.ndarray:
     """Probe (L, n, ceil(N/8)) on/off bit rows as stage 2 does: an element is
     on at its link's v1 where its bit is set and off at v0 where it is clear."""
-    return _probe_many(oracle, trace, 2, list(zip(trace.v1.tolist(), trace.v0.tolist())),
-                       np.broadcast_to(np.uint8([0, 1]), (*bits.shape[:2], 2)), bits)
+    pairs = np.stack([trace.i1, trace.i0], axis=1).astype(np.uint8)[:, None]
+    return _probe_many(oracle, trace, 2, np.broadcast_to(pairs, (*bits.shape[:2], 2)), bits)
 
 
 def _first_max(rss: np.ndarray):
@@ -302,24 +301,21 @@ def _validate_voltage_set(voltages) -> tuple[float, ...]:
     return vs
 
 
-def stage1_uniform_probe(oracle, trace: ControlTrace, voltages) -> ControlTrace:
+def stage1_uniform_probe(oracle, trace: ControlTrace) -> ControlTrace:
     """Probe each control voltage uniformly; keep the extreme responders as
     the batch's v1 (maximizing feedback) and v0 (minimizing), one per link.
 
     Ties go to the higher voltage for both v1 and v0, so a constant oracle
     degenerates to v1 == v0 (see run_controllers).  Returns the trace.
     """
-    vs = _validate_voltage_set(voltages)
-    codes = np.repeat(np.arange(len(vs), dtype=np.uint8)[:, None], 2, axis=1)  # row k: (k, k)
-    shape = (len(trace), len(vs))
-    rss = _probe_many(oracle, trace, 1, [vs] * len(trace), np.broadcast_to(codes, (*shape, 2)),
-                      np.broadcast_to(np.zeros(1, np.uint8),
-                                      (*shape, -(-trace.n_elements // 8))))
+    shape = (len(trace), len(trace.levels))
+    codes = np.broadcast_to(np.arange(shape[1], dtype=np.uint8)[:, None], (*shape, 2))  # (k, k)
+    bits = np.broadcast_to(np.zeros(1, np.uint8), (*shape, -(-trace.n_elements // 8)))
+    rss = _probe_many(oracle, trace, 1, codes, bits)
     # descending order makes first extremes resolve ties upward; as in a
     # running scan, a NaN first reading stays both extremes
     nan = np.isnan(rss[:, 0])
-    i1, i0 = np.where(nan, 0, _first_max(rss)), np.where(nan, 0, _first_max(-rss))
-    trace.v1, trace.v0 = np.array(vs)[i1], np.array(vs)[i0]
+    trace.i1, trace.i0 = np.where(nan, 0, _first_max(rss)), np.where(nan, 0, _first_max(-rss))
     return trace
 
 
@@ -338,17 +334,19 @@ def stage2_majority_voting(oracle, trace: ControlTrace, n_configs: int | None = 
     group bits expanded to element bits once; an element's votes are the
     voting rows that turn it on (an element in no group gets none).
     """
-    if np.any(trace.v1 == trace.v0):
+    if np.any(trace.i1 == trace.i0):
         raise ValueError("stage 2 needs distinct on/off voltages (v1 != v0)")
     n_elements = trace.n_elements
     n_groups = n_elements if groups is None else len(groups)
     n_configs = 2 * n_groups if n_configs is None else n_configs
     if n_configs < 1:
         raise ValueError("n_configs must be >= 1")
+    seeds = rng_seed if np.ndim(rng_seed) else [rng_seed] * len(trace)
+    if len(seeds) != len(trace):
+        raise ValueError(f"{len(seeds)} voting seeds for {len(trace)} links")
 
     bits = np.empty((len(trace), n_configs, -(-n_elements // 8)), dtype=np.uint8)
     owner = np.arange(n_elements) if groups is None else _owners(groups, n_elements)
-    seeds = rng_seed if np.ndim(rng_seed) else [rng_seed] * len(trace)
     for link_bits, seed in zip(bits, seeds):
         pcg = np.random.PCG64(seed)
         for start in range(0, n_configs, MASK_BLOCK):  # mask bit k: bit k % 64 of word k // 64
@@ -374,7 +372,7 @@ def stage2_majority_voting(oracle, trace: ControlTrace, n_configs: int | None = 
     return trace
 
 
-def stage3_fine_tune(oracle, trace: ControlTrace, voltages) -> ControlTrace:
+def stage3_fine_tune(oracle, trace: ControlTrace) -> ControlTrace:
     """Fine-tune v1/v0 over adjacent control voltages, on/off split fixed.
 
     Probes, per link, the 3x3 grid of (adjacent-lower, same, adjacent-higher)
@@ -383,18 +381,15 @@ def stage3_fine_tune(oracle, trace: ControlTrace, voltages) -> ControlTrace:
     any link has.  The batch's best configurations cover the entire trace, so
     anything stage 1 or 2 measured can still win.  Returns the trace.
     """
-    vs = _validate_voltage_set(voltages)
-
-    def neighborhood(v: float):
-        i = vs.index(v)  # descending voltages: ascending indices
-        return [j for j in (i - 1, i, i + 1) if 0 <= j < len(vs)]
+    def neighborhood(i: int):  # descending voltages: ascending positions
+        return [j for j in (i - 1, i, i + 1) if 0 <= j < len(trace.levels)]
 
     moves = [list(itertools.product(neighborhood(a), neighborhood(b)))
-             for a, b in zip(trace.v1.tolist(), trace.v0.tolist())]
+             for a, b in zip(trace.i1.tolist(), trace.i0.tolist())]
     rows = [len(m) for m in moves]
     codes = np.array([m + m[-1:] * (max(rows) - len(m)) for m in moves], dtype=np.uint8)
     bits = np.broadcast_to(trace.on[:, None], (len(trace), max(rows), trace.on.shape[1]))
-    _probe_many(oracle, trace, 3, [vs] * len(trace), codes, bits, rows)
+    _probe_many(oracle, trace, 3, codes, bits, rows)
     return trace
 
 
@@ -407,21 +402,19 @@ def run_controllers(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
     The oracle reads the links as one stack (see FeedbackOracle).  ``stage2``
     replaces majority voting with a function called as brute_force_baseline
     is (the oracle, the trace, ``groups``).  A ``trace`` that has been
-    through stage 1 goes on from there.  Total probes per link are bounded by
-    len(voltages) + n_configs + 9.  A constant stage-1 outcome would leave
-    v1 == v0; the controller then substitutes the lowest control
-    voltage for v0 so the later stages stay well-defined.
+    through stage 1 goes on from there, on its own N and alphabet.  Total
+    probes per link are bounded by len(voltages) + n_configs + 9.  A constant
+    stage-1 outcome would leave v1 == v0; the controller then substitutes the
+    lowest control voltage for v0 so the later stages stay well-defined.
     """
     if trace is None:
-        trace = stage1_uniform_probe(oracle, ControlTrace(len(rng_seeds), n_elements), voltages)
-    degenerate = trace.v1 == trace.v0
-    if degenerate.any():
-        trace.v0 = np.where(degenerate, min(voltages), trace.v0)
+        trace = stage1_uniform_probe(oracle, ControlTrace(len(rng_seeds), n_elements, voltages))
+    trace.i0 = np.where(trace.i1 == trace.i0, len(trace.levels) - 1, trace.i0)
     if stage2 is None:
         stage2_majority_voting(oracle, trace, n_configs, rng_seeds, groups)
     else:
         stage2(oracle, trace, groups)
-    return stage3_fine_tune(oracle, trace, voltages)
+    return stage3_fine_tune(oracle, trace)
 
 
 def check_enumerable(n_groups: int) -> None:
@@ -448,5 +441,5 @@ def brute_force_baseline(oracle, trace: ControlTrace, groups) -> ControlTrace:
     # the first strict maximum above -inf, as a running "rss > best" scan finds it
     best = _first_max(rss)
     found = rss[np.arange(len(rss)), best] > float("-inf")
-    trace.on = _read_only(bits[best] * (found & (trace.v1 != trace.v0))[:, None])
+    trace.on = _read_only(bits[best] * (found & (trace.i1 != trace.i0))[:, None])
     return trace

@@ -202,7 +202,7 @@ def run_links(scenario: Scenario, responder, indices, mode: str, out_dir: Path) 
     noisy = uplinks is None and params.noise_db is not None
     oracle = FeedbackOracle(channels, uplinks, params.noise_db if noisy else None,
                             params.rss_quantization_db, streams(NOISE_STREAM) if noisy else 0)
-    start = stage1_uniform_probe(oracle, ControlTrace(len(channels), n), vs)
+    start = stage1_uniform_probe(oracle, ControlTrace(len(channels), n, vs))
 
     variants = [(2 * n, None, None)]  # (stage-2 probes, control groups, stage 2)
     if mode == "bench-controller":
@@ -215,7 +215,8 @@ def run_links(scenario: Scenario, responder, indices, mode: str, out_dir: Path) 
                                     stage2, start.fork()))
         validate_trace(runs[-1], len(vs), n_stage2)
     bests = [run.best() for run in runs]
-    gains = gains_db(channels, [config for run in bests for config, _ in run], uplinks).tolist()
+    configs = [config for run in bests for config, _ in run]
+    gains = gains_db(channels, vs, configs, uplinks).tolist()
 
     if mode == "backscatter":  # down, up and two-way gain rows
         return [(i, scenario.seed, *row) for i, *row in zip(indices, *gains)]

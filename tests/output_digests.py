@@ -6,7 +6,11 @@
 Runs all five commands on every shipped scenario, and the three link
 commands on fixed variants of water_links.json (noise at -20 dB, a
 non-reciprocal uplink, 0.3 rad phase jitter, and all three): the shipped
-scenarios are all noise-free, reciprocal and jitter-free.  The link commands
+scenarios are all noise-free, reciprocal and jitter-free.  They are all 8 x 8
+too, so the link commands also run on 16 x 16 variants over a two-level and
+a three-level voltage set, with noise at -20 dB and 0.3 rad jitter: the
+first reads every probe from the on/off tables, the second stage 2 from the
+tables and stages 1 and 3 by direct sums.  The link commands
 run at --parallel 1 and 2, and links once more on water_links.json with
 --links 40 --parallel 1: three batches of at most 16 links.  Each run is in
 a fresh temporary directory with relative paths, so no line depends on
@@ -50,6 +54,11 @@ LINK_COMMANDS = COMMANDS[2:]
 VARIANTS = {"noise": {"noise_db": -20.0}, "nonreciprocal": {"reciprocal_uplink": False},
             "jitter": {"phase_jitter_std": 0.3}}
 VARIANTS["all"] = {key: value for fields in VARIANTS.values() for key, value in fields.items()}
+#: 16 x 16 variants of water_links.json (N >= ONOFF_MIN_ELEMENTS) by name:
+#: their top-level fields; each runs noisy and jittered.
+WIDE = {f"16x16-{len(vs)}levels": {"array_rows": 16, "array_cols": 16, "voltage_set_v": vs}
+        for vs in ([30.0, 0.0], [30.0, 10.0, 0.0])}
+WIDE_CHANNEL = {"element_power": 1.0 / 256, "noise_db": -20.0, "phase_jitter_std": 0.3}
 
 
 def sha(data: bytes) -> str:
@@ -68,6 +77,9 @@ def scenarios():
     raw = json.loads((REPO / "scenarios" / "water_links.json").read_text(encoding="utf-8"))
     for name, fields in VARIANTS.items():
         variant = dict(raw, channel={**raw["channel"], **fields})
+        yield f"water_links+{name}", json.dumps(variant, indent=2).encode(), LINK_COMMANDS
+    for name, fields in WIDE.items():
+        variant = dict(raw, **fields, channel={**raw["channel"], **WIDE_CHANNEL})
         yield f"water_links+{name}", json.dumps(variant, indent=2).encode(), LINK_COMMANDS
 
 

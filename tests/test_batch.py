@@ -3,22 +3,25 @@
 Every controller stage sends its probes as one (codes, bits) stack through
 ``control._probe_many`` to the oracle's ``batch``, which measures it at once.
 Probe i of a batch must read exactly what the i-th of as many one-row
-batches reads: same bits, signs of zero included, same noise seed, same
-probe count afterwards.  ``ControlTrace.serialize`` hashes the probes of
+batches reads through the same kernel: same bits, signs of zero included,
+same noise seed, same probe count afterwards.  ``ControlTrace.serialize`` hashes the probes of
 all its links in chunks, and every digest must equal the referee's
 ``oracles.config_hash_reference`` of the voltages the configuration stands for.
 """
 
 import functools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mediamatch.channel import (PROBE_BLOCK, ChannelStack, FeedbackOracle, MultipathChannel,
-                                composite_channels, rss_db, sample_channel)
+from mediamatch import channel as channel_mod
+from mediamatch.channel import (ONOFF_MIN_ELEMENTS, PROBE_BLOCK, ChannelStack, FeedbackOracle,
+                                MultipathChannel, composite_channels, rss_db, sample_channel)
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, TRACE_TABLE, ControlTrace,
-                                _probe_many, brute_force_baseline, column_groups,
+                                _hash_blocks, _probe_many, brute_force_baseline, column_groups,
                                 run_controllers)
 from mediamatch.scenario import default_water_scenario
 
@@ -51,7 +54,7 @@ def _random_rows(rng, n_levels, n_rows, n):
 
 def _rows(channel, levels, codes, bits):
     """The composite channel of every row of one link's (n, 2) codes and bits."""
-    return composite_channels(ChannelStack(channel), [levels], codes[None], bits[None])[0]
+    return composite_channels(ChannelStack(channel), levels, codes[None], bits[None])[0]
 
 
 def _one_row(channel, levels, codes, bits):
@@ -61,18 +64,18 @@ def _one_row(channel, levels, codes, bits):
 
 def _one_by_one(oracle, levels, codes, bits):
     """One link's readings of every row of its codes and bits, one-row batches."""
-    return [oracle.batch([levels], c[None, None], b[None, None])[0, 0]
+    return [oracle.batch(levels, c[None, None], b[None, None])[0, 0]
             for c, b in zip(codes, bits)]
 
 
 def _probe_voltages(trace, link=0):
-    return [voltages(levels, c, b, trace.n_elements)
-            for _, levels, codes, bits, _ in link_blocks(trace, link) for c, b in zip(codes, bits)]
+    return [voltages(trace.levels, c, b, trace.n_elements)
+            for _, codes, bits, _ in link_blocks(trace, link) for c, b in zip(codes, bits)]
 
 
 def _alone(trace, link) -> ControlTrace:
     """A one-link trace of one link's probes of a trace, block by block."""
-    one = ControlTrace(1, trace.n_elements)
+    one = ControlTrace(1, trace.n_elements, trace.levels)
     for block in link_blocks(trace, link):
         append(one, *block)
     return one
@@ -87,7 +90,7 @@ class Sequential:
 
     def batch(self, levels, codes, bits, rows):
         (n,) = rows
-        return np.array([_one_by_one(self.oracle, levels[0], codes[0, :n], bits[0, :n])])
+        return np.array([_one_by_one(self.oracle, levels, codes[0, :n], bits[0, :n])])
 
 
 class TestBatchEqualsSequential:
@@ -103,11 +106,16 @@ class TestBatchEqualsSequential:
            earlier=st.integers(0, 3))
     def test_feedback_oracles(self, n_elements, n_probes, seed, n_levels, noise_db,
                               quantization_db, jitter, env_power, earlier):
+        """A one-row batch takes at most two positions, so from
+        ONOFF_MIN_ELEMENTS on it reads the on/off tables; a batch whose pairs
+        take three or more reads composite_channels, and its one-row batches
+        are made to take it too."""
         rng = np.random.default_rng(seed)
         levels = tuple(rng.permutation(VS)[:n_levels].tolist())
         codes, bits = _random_rows(rng, n_levels, n_probes, n_elements)
         down = _channel(seed, n_elements, jitter, env_power)
         up = _channel(seed + 1, n_elements, jitter, env_power)
+        direct = n_elements >= ONOFF_MIN_ELEMENTS and len(np.unique(codes)) > 2
 
         for uplink in (None, down, up):  # one-way, reciprocal and two-way
             batched, sequential = (FeedbackOracle(down, uplink, noise_db, quantization_db,
@@ -115,8 +123,10 @@ class TestBatchEqualsSequential:
             for _ in range(earlier):  # the noise seeds follow the probe count
                 assert _bits(_one_by_one(batched, levels, codes[:1], bits[:1])) == _bits(
                     _one_by_one(sequential, levels, codes[:1], bits[:1]))
-            got = batched.batch([levels], codes[None], bits[None])[0]
-            assert _bits(got) == _bits(_one_by_one(sequential, levels, codes, bits))
+            got = batched.batch(levels, codes[None], bits[None])[0]
+            with mock.patch.object(channel_mod, "ONOFF_MIN_ELEMENTS",
+                                   math.inf if direct else ONOFF_MIN_ELEMENTS):
+                assert _bits(got) == _bits(_one_by_one(sequential, levels, codes, bits))
 
         rows = _rows(down, levels, codes, bits)
         assert _bits(rows.view(float)) == _bits(np.array(
@@ -155,14 +165,14 @@ class TestBatchEqualsSequential:
 
         run_b = run_controllers(fresh(), 64, rng_seeds=[5])
         run_s = run_controllers(Sequential(fresh()), 64, rng_seeds=[5])
-        assert voltages(*run_b.configs()[0], 64) == voltages(*run_s.configs()[0], 64)
+        assert voltages(VS, *run_b.configs()[0], 64) == voltages(VS, *run_s.configs()[0], 64)
         assert run_b.serialize() == run_s.serialize()
 
         groups = column_groups(8, 8)
         enums = []
         for oracle in (fresh(), Sequential(fresh())):
-            links = ControlTrace(1, 64)
-            links.v1, links.v0 = np.array([30.0]), np.array([0.0])
+            links = ControlTrace(1, 64, VS)
+            links.i1, links.i0 = np.array([VS.index(30.0)]), np.array([VS.index(0.0)])
             enums.append(brute_force_baseline(oracle, links, groups))
         enum_b, enum_s = enums
         assert enum_b.on.tolist() == enum_s.on.tolist()
@@ -177,8 +187,8 @@ class TestProbePath:
                 return np.zeros((len(codes), codes.shape[1] - 1))
 
         with pytest.raises(ValueError, match="batch"):
-            _probe_many(Short(), ControlTrace(1, 2), 1, [(30.0, 0.0)],
-                        np.zeros((1, 3, 2), np.uint8), np.zeros((1, 3, 1), np.uint8))
+            _probe_many(Short(), ControlTrace(1, 2, VS), 1, np.zeros((1, 3, 2), np.uint8),
+                        np.zeros((1, 3, 1), np.uint8))
 
     @pytest.mark.parametrize("codes,bits", [
         ((1, 2, 2), (1, 2, 7)), ((1, 2, 2), (1, 3, 8)), ((1, 2, 2), (1, 2, 9)),  # bit rows
@@ -191,12 +201,11 @@ class TestProbePath:
             def batch(self, *args):
                 raise AssertionError("the oracle read the batch")
 
-        trace = ControlTrace(1, 64)
+        trace = ControlTrace(1, 64, VS)
         with pytest.raises(ValueError, match="batch"):
-            _probe_many(Never(), trace, 1, [(30.0, 0.0)], np.zeros(codes, np.uint8),
-                        np.zeros(bits, np.uint8))
+            _probe_many(Never(), trace, 1, np.zeros(codes, np.uint8), np.zeros(bits, np.uint8))
         with pytest.raises(ValueError, match="batch"):  # bits are uint8
-            _probe_many(Never(), trace, 1, [(30.0, 0.0)], np.zeros((1, 2, 2), np.uint8),
+            _probe_many(Never(), trace, 1, np.zeros((1, 2, 2), np.uint8),
                         np.zeros((1, 2, 8), np.int64))
         assert trace.blocks == []
 
@@ -240,35 +249,34 @@ class TestZeroReading:
 
 class TestBlockDigests:
     def test_equal_config_hash(self):
-        """Mixed alphabets in one trace, signed zeros, NaNs and infinities,
-        alphabets that repeat a bit pattern, more than 256 levels (uint16
-        codes), code pairs of one position, and blocks of one row or of row
-        counts and lengths that are not multiples of HASH_BLOCK or of 8."""
+        """Every alphabet's blocks hashed in one _hash_blocks call: signed
+        zeros, NaNs and infinities, alphabets that repeat a bit pattern, more
+        than 256 levels (uint16 codes), code pairs of one position, and blocks
+        of one row or of row counts and lengths that are not multiples of
+        HASH_BLOCK or of 8."""
         rng = np.random.default_rng(7)
         alphabets = [VS, (30.0, 0.0), (30.0, -0.0), (0.0, -0.0), (12.5, 2.34567),
                      (-1.23456e-7, 2.5), (123456789.0, 1.0, 0.0), (float("nan"), float("inf")),
                      (5.0, 0.0, 5.0, -0.0), (-2.2250738585072014e-308,)]
         sizes = (1, 2 * HASH_BLOCK + 5, 3, HASH_BLOCK, HASH_BLOCK - 1)
+        wide = np.array([[299, 0], [44, 299], [299, 299]], dtype=np.uint16)
         for n in (37, 5, 1):
-            trace = ControlTrace(1, n)
-            for k in range(3 * len(alphabets)):
-                levels = alphabets[k % len(alphabets)] if k % 3 else (30.0, 0.0)
-                codes, bits = _random_rows(rng, len(levels), sizes[k % len(sizes)], n)
-                append(trace, 2, levels, codes, bits, np.zeros(len(codes)))
-            wide = np.array([[299, 0], [44, 299], [299, 299]], dtype=np.uint16)
-            append(trace, 1, np.linspace(0.0, 30.0, 300).tolist(), wide,
-                   _random_rows(rng, 1, 3, n)[1], [0.0] * 3)
-            text, = trace.serialize()
-            rows = text.split("\n")[1:-1]
-            assert [len(rows)] == trace.probes()
-            assert [row.split(",")[2] for row in rows] == [
-                oracles.config_hash_reference(voltages) for voltages in _probe_voltages(trace)]
+            cases = [(levels, [_random_rows(rng, len(levels), size, n) for size in sizes])
+                     for levels in alphabets]
+            cases.append((np.linspace(0.0, 30.0, 300).tolist(),
+                          [(wide, _random_rows(rng, 1, 3, n)[1])]))
+            for levels, blocks in cases:
+                assert _hash_blocks(levels, blocks, n) == [
+                    [oracles.config_hash_reference(voltages(levels, c, b, n)) for c, b in
+                     zip(*block)] for block in blocks]
 
 
-#: Alphabet entries: signed zeros, NaNs of two bit patterns (0.0/-0.0 and the
-#: NaNs repeat within an alphabet as often as drawn), or anything.
-_LEVELS = st.one_of(st.sampled_from([0.0, -0.0, 30.0, 2.5, float("inf"), float("nan"),
-                                     -float("nan")]), st.floats(allow_subnormal=True))
+#: Voltage sets: two to five distinct finite levels, signed zeros and
+#: subnormals among them, in descending order.
+_VOLTAGE_SETS = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 30.0, 2.5]),
+                                   st.floats(allow_nan=False, allow_infinity=False)),
+                         min_size=2, max_size=5, unique=True).map(
+                             lambda vs: tuple(sorted(vs, reverse=True)))
 
 #: Readings that only their bit patterns tell apart, or that format alike.
 _SPECIAL = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), float("-inf"), 5e-324,
@@ -285,37 +293,33 @@ class TestBatchRendering:
     @given(n_links=st.integers(1, 5), n_blocks=st.integers(1, 4),
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
     def test_matches_plain_rendering(self, n_links, n_blocks, seed, data):
-        """Links of 1 to 80 elements (one N per trace), blocks of rows over
-        one or two of their alphabet's entries, with or without stage-3 style
-        padding, empty or straddling HASH_BLOCK; one set of rows and alphabet
-        for all links (as stage 1's) or one per link, so chunks mix alphabets."""
+        """Links of 1 to 80 elements (one N and voltage set per trace),
+        blocks of rows over one or two of the alphabet's entries, with or
+        without stage-3 style padding, empty or straddling HASH_BLOCK; one set
+        of rows for all links (as stage 1's) or one per link."""
         rng = np.random.default_rng(seed)
         n = data.draw(st.one_of(st.sampled_from([1, 7, 8, 9, 64, 80]), st.integers(1, 80)))
-        trace = ControlTrace(n_links, n)
+        trace = ControlTrace(n_links, n, data.draw(_VOLTAGE_SETS))
         for block in range(n_blocks):
             n_rows = data.draw(st.sampled_from([0, 1, 7, 9, HASH_BLOCK - 3, HASH_BLOCK + 5]))
             one_level = data.draw(st.booleans())
-            k = data.draw(st.integers(2 - one_level, 5 - one_level))
-            alphabets = [tuple(data.draw(st.lists(_LEVELS, min_size=k, max_size=k)))
-                         for _ in range(n_links)]
-            codes = rng.integers(0, k, (n_links, n_rows, 2)).astype(np.uint8)
+            codes = rng.integers(0, len(trace.levels), (n_links, n_rows, 2)).astype(np.uint8)
             if one_level:
                 codes[..., 1] = codes[..., 0]
             bits = np.packbits(rng.integers(0, 2, (n_links, n_rows, n)).astype(bool), axis=2,
                                bitorder="little")
             if data.draw(st.booleans()):  # shared
-                alphabets = alphabets[:1] * n_links
                 codes, bits = (np.broadcast_to(x[:1], x.shape) for x in (codes, bits))
             rss = np.round(rng.normal(-40.0, 5.0, (n_links, n_rows)), 1)
             special = rng.random(rss.shape) < 0.2
             rss[special] = rng.choice(_SPECIAL, np.count_nonzero(special))
             rows = rng.integers(0, n_rows + 1, n_links) if data.draw(st.booleans()) else None
-            _probe_many(Readings(rss), trace, 1 + block % 3, alphabets, codes, bits, rows)
+            _probe_many(Readings(rss), trace, 1 + block % 3, codes, bits, rows)
         texts = trace.serialize()
         assert len(texts) == n_links
         for link, text in enumerate(texts):
-            probes = [(stage, oracles.config_hash_reference(voltages(levels, c, b, n)), r)
-                      for stage, levels, codes, bits, rss in link_blocks(trace, link)
+            probes = [(stage, oracles.config_hash_reference(voltages(trace.levels, c, b, n)), r)
+                      for stage, codes, bits, rss in link_blocks(trace, link)
                       for c, b, r in zip(codes, bits, rss.tolist())]
             assert text == oracles.row_csv_text(
                 TRACE_TABLE[0], [(s, k, h, r) for k, (s, h, r) in enumerate(probes)], ".10g")
@@ -339,7 +343,7 @@ class TestOneRecord:
         """Ragged rows whose padding holds NaN, +inf or readings above every
         real one, and real readings of ties, signed zeros, +-inf and NaN."""
         rng = np.random.default_rng(seed)
-        trace = ControlTrace(n_links, n)
+        trace = ControlTrace(n_links, n, VS)
         for stage, n_rows in sorted(blocks):
             rows = data.draw(st.lists(st.integers(0, n_rows), min_size=n_links,
                                       max_size=n_links))
@@ -348,9 +352,8 @@ class TestOneRecord:
             rss[padding] = rng.choice([float("nan"), float("inf"), 1e300],
                                       np.count_nonzero(padding))
             codes, bits = _random_rows(rng, len(VS), n_links * n_rows, n)
-            _probe_many(Readings(rss), trace, stage, [VS] * n_links,
-                        codes.reshape(n_links, n_rows, 2), bits.reshape(n_links, n_rows, -(-n // 8)),
-                        rows)
+            _probe_many(Readings(rss), trace, stage, codes.reshape(n_links, n_rows, 2),
+                        bits.reshape(n_links, n_rows, -(-n // 8)), rows)
         texts, bests = trace.serialize(), trace.best()
         for link in range(n_links):
             alone = _alone(trace, link)
@@ -361,5 +364,5 @@ class TestOneRecord:
             if config is None:
                 assert bests[link][0] is None
             else:
-                assert voltages(*bests[link][0], n) == voltages(*config, n)
+                assert voltages(VS, *bests[link][0], n) == voltages(VS, *config, n)
             assert texts[link] == alone.serialize()[0]

@@ -19,25 +19,26 @@ F0 = 2.4e9
 
 
 def uniform(voltage, n):
-    """Every one of n elements at one voltage, as a (levels, codes, bits)
-    configuration."""
-    return (float(voltage),), np.zeros(2, dtype=np.uint8), np.zeros(-(-n // 8), dtype=np.uint8)
+    """Every one of n elements at one voltage: the alphabet (voltage,) and
+    its (codes, bits) configuration."""
+    return (float(voltage),), (np.zeros(2, dtype=np.uint8), np.zeros(-(-n // 8), dtype=np.uint8))
 
 
-def stacked(cfg):
-    """A configuration's alphabets, codes and bits as a one-link, one-row stack."""
-    levels, codes, bits = cfg
-    return [levels], np.asarray(codes)[None, None], np.asarray(bits)[None, None]
+def stacked(levels, cfg):
+    """An alphabet and a configuration's codes and bits as a one-link,
+    one-row stack."""
+    codes, bits = cfg
+    return levels, np.asarray(codes)[None, None], np.asarray(bits)[None, None]
 
 
-def composite(channel, cfg, kernel=composite_channels):
+def composite(channel, levels, cfg, kernel=composite_channels):
     """The composite channel of one configuration, through a one-row stack."""
-    return complex(kernel(ChannelStack(channel), *stacked(cfg))[0, 0])
+    return complex(kernel(ChannelStack(channel), *stacked(levels, cfg))[0, 0])
 
 
-def reading(oracle, cfg):
+def reading(oracle, levels, cfg):
     """One link's oracle reading of one configuration."""
-    return float(oracle.batch(*stacked(cfg))[0, 0])
+    return float(oracle.batch(*stacked(levels, cfg))[0, 0])
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,7 @@ class TestElementResponse:
 
 
 class TestConfigIndex:
-    """A configuration is a (levels, codes, bits) triple; every code pair (the
+    """A configuration is a (codes, bits) pair over an alphabet; every code pair (the
     ``index`` of each case: the on and off positions in the alphabet) passes
     through composite_channels, which checks it."""
 
@@ -89,19 +90,20 @@ class TestConfigIndex:
         return sample_channel(9, n, env_power=0.2, element_power=1.0, responder=responder)
 
     def config(self, levels, index, n=2):
-        """Elements 0, 2, 4, ... on, the others off."""
-        return levels, np.asarray(index), np.packbits(np.arange(n) % 2 == 0, bitorder="little")
+        """The alphabet and the configuration of elements 0, 2, 4, ... on, the
+        others off."""
+        return levels, (np.asarray(index), np.packbits(np.arange(n) % 2 == 0, bitorder="little"))
 
     @pytest.mark.parametrize("index", [[-1, 0], [0, 3], np.array([256, 0], np.uint16), [300, 1]])
     def test_index_out_of_range_rejected(self, responder, index):
         with pytest.raises(IndexError, match="codes must lie"):
-            composite(self.channel(responder, 2), self.config((30.0, 15.0, 0.0), index))
+            composite(self.channel(responder, 2), *self.config((30.0, 15.0, 0.0), index))
 
     @pytest.mark.parametrize("index", [[1.5, 0.5], [1.0, 0.0], [True, False],
                                        np.array([False, True])])
     def test_non_integer_index_rejected(self, responder, index):
         with pytest.raises(ValueError, match="integer dtype"):
-            composite(self.channel(responder, 2), self.config((1.0, 2.0, 3.0), index))
+            composite(self.channel(responder, 2), *self.config((1.0, 2.0, 3.0), index))
 
     @pytest.mark.parametrize("levels,index,error", [
         *[((30.0, 15.0, 0.0), index, IndexError)
@@ -116,7 +118,7 @@ class TestConfigIndex:
         messages = []
         for kernel in (composite_channels, onoff_channels):
             with pytest.raises(error) as raised:
-                composite(self.channel(responder, 2), self.config(levels, index), kernel)
+                composite(self.channel(responder, 2), *self.config(levels, index), kernel=kernel)
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
 
@@ -125,14 +127,14 @@ class TestConfigIndex:
         row is rejected above)."""
         oracle = FeedbackOracle(self.channel(responder, 64))
         with pytest.raises(ValueError, match="integer dtype"):
-            oracle.batch([(30.0, 0.0)], np.ones((1, 2, 2), bool), np.zeros((1, 2, 8), np.uint8))
+            oracle.batch((30.0, 0.0), np.ones((1, 2, 2), bool), np.zeros((1, 2, 8), np.uint8))
 
     @pytest.mark.parametrize("shape", [(1, 2, 7), (1, 3, 8), (1, 2, 9)])
     def test_bit_rows_of_another_shape_rejected(self, responder, shape):
         """Bit rows are ceil(N/8) bytes, one row per code pair."""
         oracle = FeedbackOracle(self.channel(responder, 64))
         with pytest.raises(ValueError, match="bit rows"):
-            oracle.batch([(30.0, 0.0)], np.zeros((1, 2, 2), np.uint8), np.zeros(shape, np.uint8))
+            oracle.batch((30.0, 0.0), np.zeros((1, 2, 2), np.uint8), np.zeros(shape, np.uint8))
 
     def test_wide_index_round_trips(self, responder):
         """A code over more than 256 levels is read with its wide unsigned
@@ -141,16 +143,16 @@ class TestConfigIndex:
         levels = tuple(np.linspace(0.0, 30.0, 300).tolist())
         want = ch.h_env + np.sum(np.array([responder.s(levels[299]), responder.s(levels[44])])
                                  * ch.h_elements)
-        assert composite(ch, self.config(levels, np.array([299, 44], np.uint16))) == want
-        assert composite(ch, self.config(levels, np.array([299, 44]))) == want
+        assert composite(ch, *self.config(levels, np.array([299, 44], np.uint16))) == want
+        assert composite(ch, *self.config(levels, np.array([299, 44]))) == want
 
     def test_index_is_read_only(self, responder):
         """A run's best configuration is read-only views of rows its trace keeps."""
         trace = run_controllers(FeedbackOracle(self.channel(responder, 4)), 4)
-        (levels, codes, bits), = trace.configs()
+        (codes, bits), = trace.configs()
         blocks = trace.blocks
-        assert any(np.shares_memory(codes, block[2]) for block in blocks)
-        assert any(np.shares_memory(bits, block[3]) for block in blocks)
+        assert any(np.shares_memory(codes, block[1]) for block in blocks)
+        assert any(np.shares_memory(bits, block[2]) for block in blocks)
         for row in (codes, bits):
             with pytest.raises(ValueError):
                 row[0] = 1
@@ -159,14 +161,14 @@ class TestConfigIndex:
         ch = sample_channel(8, 6, env_power=0.2, element_power=1.0, responder=responder,
                             phase_jitter_std=0.3)
         on = np.packbits([1, 0, 0, 1, 1, 0], bitorder="little")
-        a = ((30.0, 20.0, 10.0, 0.0), np.array([3, 1]), on)
-        b = ((0.0, 10.0, 20.0, 30.0), np.array([0, 2]), on)
-        c = ((20.0, 0.0), np.array([1, 0]), on)
-        assert voltages(*a, 6) == voltages(*b, 6) == voltages(*c, 6)
-        assert composite(ch, a) == composite(ch, b) == composite(ch, c)
+        a = ((30.0, 20.0, 10.0, 0.0), (np.array([3, 1]), on))
+        b = ((0.0, 10.0, 20.0, 30.0), (np.array([0, 2]), on))
+        c = ((20.0, 0.0), (np.array([1, 0]), on))
+        assert voltages(a[0], *a[1], 6) == voltages(b[0], *b[1], 6) == voltages(c[0], *c[1], 6)
+        assert composite(ch, *a) == composite(ch, *b) == composite(ch, *c)
         want = ch.h_env + sum(responder.s(v) * j * h for v, j, h in
-                              zip(voltages(*a, 6), ch.phase_jitter, ch.h_elements))
-        assert composite(ch, a) == pytest.approx(want, abs=1e-12)
+                              zip(voltages(a[0], *a[1], 6), ch.phase_jitter, ch.h_elements))
+        assert composite(ch, *a) == pytest.approx(want, abs=1e-12)
 
 
 class TestSampleChannel:
@@ -208,28 +210,28 @@ class TestCompositeChannel:
         """Uniform V: h = h_env + s(V) sum h_i."""
         ch = sample_channel(5, 16, env_power=0.3, element_power=1.0 / 16,
                             responder=responder)
-        cfg = uniform(10.0, 16)
+        levels, cfg = uniform(10.0, 16)
         want = ch.h_env + responder.s(10.0) * ch.h_elements.sum()
-        assert composite(ch, cfg) == pytest.approx(want, abs=1e-15)
+        assert composite(ch, levels, cfg) == pytest.approx(want, abs=1e-15)
 
     def test_single_element_identity(self, responder):
         ch = MultipathChannel(h_env=0j, h_elements=np.array([1.0 + 0j]),
                               responder=responder)
-        cfg = uniform(5.0, 1)
-        assert composite(ch, cfg) == pytest.approx(responder.s(5.0), abs=1e-15)
+        levels, cfg = uniform(5.0, 1)
+        assert composite(ch, levels, cfg) == pytest.approx(responder.s(5.0), abs=1e-15)
 
     def test_linearity(self, responder):
         ch = sample_channel(6, 8, env_power=0.2, element_power=1.0, responder=responder)
         doubled = MultipathChannel(h_env=2 * ch.h_env, h_elements=2 * ch.h_elements,
                                    responder=responder)
-        cfg = uniform(15.0, 8)
-        assert composite(doubled, cfg) == pytest.approx(
-            2 * composite(ch, cfg), abs=1e-15)
+        levels, cfg = uniform(15.0, 8)
+        assert composite(doubled, levels, cfg) == pytest.approx(
+            2 * composite(ch, levels, cfg), abs=1e-15)
 
     def test_length_mismatch(self, responder):
         ch = sample_channel(7, 8, element_power=1.0, responder=responder)
         with pytest.raises(ValueError):
-            composite(ch, uniform(5.0, 9))
+            composite(ch, *uniform(5.0, 9))
 
 
 class TestRssFeedback:
@@ -240,25 +242,25 @@ class TestRssFeedback:
 
     def test_zero_db_at_unit_magnitude(self, responder):
         ch = self.fixed_magnitude_channel(responder, 1.0)
-        s = reading(FeedbackOracle(ch, noise_db=None, quantization_db=None), uniform(10.0, 4))
+        s = reading(FeedbackOracle(ch, noise_db=None, quantization_db=None), *uniform(10.0, 4))
         assert s == pytest.approx(0.0, abs=1e-12)
 
     def test_tenth_magnitude_is_minus_20db(self, responder):
         ch = self.fixed_magnitude_channel(responder, 0.1)
-        s = reading(FeedbackOracle(ch, noise_db=None, quantization_db=None), uniform(30.0, 4))
+        s = reading(FeedbackOracle(ch, noise_db=None, quantization_db=None), *uniform(30.0, 4))
         assert s == pytest.approx(-20.0, abs=1e-12)
 
     def test_noise_repeatable(self, responder):
         ch = sample_channel(11, 8, element_power=1.0, responder=responder)
-        cfg = uniform(5.0, 8)
-        a = reading(FeedbackOracle(ch, noise_db=-20.0, noise_seed=99), cfg)
-        b = reading(FeedbackOracle(ch, noise_db=-20.0, noise_seed=99), cfg)
+        levels, cfg = uniform(5.0, 8)
+        a = reading(FeedbackOracle(ch, noise_db=-20.0, noise_seed=99), levels, cfg)
+        b = reading(FeedbackOracle(ch, noise_db=-20.0, noise_seed=99), levels, cfg)
         assert a == b
 
     def test_quantization(self, responder):
         ch = sample_channel(12, 8, element_power=1.0, responder=responder)
-        cfg = uniform(5.0, 8)
-        s = reading(FeedbackOracle(ch, quantization_db=0.1), cfg)
+        levels, cfg = uniform(5.0, 8)
+        s = reading(FeedbackOracle(ch, quantization_db=0.1), levels, cfg)
         assert round(s * 10) == pytest.approx(s * 10, abs=1e-9)
 
 
@@ -266,17 +268,17 @@ class TestBackscatterGain:
     def test_reciprocal_doubles_exactly(self, responder):
         ch = sample_channel(21, 32, env_power=0.25, element_power=1.0 / 32,
                             responder=responder)
-        cfg = uniform(10.0, 32)
-        one = gains_db([ch], [cfg])[0, 0]
-        two = gains_db([ch], [cfg], [ch])[2, 0]
+        levels, cfg = uniform(10.0, 32)
+        one = gains_db([ch], levels, [cfg])[0, 0]
+        two = gains_db([ch], levels, [cfg], [ch])[2, 0]
         assert two == pytest.approx(2 * one, abs=1e-9)
 
     def test_independent_channels_gains_add(self, responder):
         down = sample_channel(22, 16, element_power=1.0 / 16, responder=responder)
         up = sample_channel(23, 16, element_power=1.0 / 16, responder=responder)
-        cfg = uniform(10.0, 16)
-        gains = gains_db([down], [cfg], [up])[:, 0]
-        parts = gains_db([down], [cfg])[0, 0], gains_db([up], [cfg])[0, 0]
+        levels, cfg = uniform(10.0, 16)
+        gains = gains_db([down], levels, [cfg], [up])[:, 0]
+        parts = gains_db([down], levels, [cfg])[0, 0], gains_db([up], levels, [cfg])[0, 0]
         assert gains[:2].tolist() == list(parts)  # each direction's one-way gain
         assert gains[2] == pytest.approx(sum(parts), abs=1e-9)  # log of a product
 
@@ -285,17 +287,18 @@ class TestBackscatterGain:
         the bare response on every element."""
         down = sample_channel(26, 16, element_power=1.0 / 16, responder=responder)
         up = sample_channel(27, 16, element_power=1.0 / 16, responder=responder)
-        cfg = uniform(5.0, 16)
+        levels, cfg = uniform(5.0, 16)
         want = 20 * np.log10(
-            abs(composite(down, cfg)) * abs(composite(up, cfg))
+            abs(composite(down, levels, cfg)) * abs(composite(up, levels, cfg))
             / (abs(baseline_channel(down)) * abs(baseline_channel(up))))
-        assert gains_db([down], [cfg], [up])[2, 0] == pytest.approx(want, abs=1e-12)
+        assert gains_db([down], levels, [cfg], [up])[2, 0] == pytest.approx(want, abs=1e-12)
 
     def test_element_count_mismatch(self, responder):
         down = sample_channel(24, 8, element_power=1.0, responder=responder)
         up = sample_channel(25, 16, element_power=1.0, responder=responder)
+        levels, cfg = uniform(5.0, 8)
         with pytest.raises(ValueError):
-            gains_db([down], [uniform(5.0, 8)], [up])
+            gains_db([down], levels, [cfg], [up])
 
 
 class TestGainsDb:
@@ -305,11 +308,11 @@ class TestGainsDb:
         silent = MultipathChannel(h_env=0j, h_elements=np.zeros(4, complex),
                                   responder=responder)
         live = sample_channel(28, 4, env_power=0.2, element_power=1.0, responder=responder)
-        cfgs = [uniform(10.0, 4)] * 2
-        one = gains_db([silent, live], cfgs)
+        levels, cfg = uniform(10.0, 4)
+        one = gains_db([silent, live], levels, [cfg] * 2)
         assert one[0, 0] == float("-inf") and np.isfinite(one[0, 1])
         assert one[1, 0] == float("-inf") and np.isfinite(one[1, 1])  # the baselines
-        two = gains_db([silent, live], cfgs, [live, silent])
+        two = gains_db([silent, live], levels, [cfg] * 2, [live, silent])
         assert two[2].tolist() == [float("-inf")] * 2
 
     @pytest.mark.parametrize("reciprocal", [True, False])
@@ -323,41 +326,41 @@ class TestGainsDb:
         ups = downs if reciprocal else [
             sample_channel(60 + k, 6, element_power=1.0 / 6, responder=responder)
             for k in range(4)]
-        alphabets = [(30.0, 0.0), scenario.voltage_set, (20.0, 2.5)]
-        variants = [[(lv, rng.integers(0, len(lv), 2), np.packbits(rng.integers(0, 2, 6),
-                                                                    bitorder="little"))
-                     for _ in downs] for lv in alphabets]
+        vs = scenario.voltage_set
+        variants = [[(rng.integers(0, len(vs), 2), np.packbits(rng.integers(0, 2, 6),
+                                                              bitorder="little"))
+                     for _ in downs] for _ in range(3)]
         cfgs = [c for variant in variants for c in variant]
         for uplinks in (None, ups):
-            want = np.concatenate([gains_db(downs, v, uplinks) for v in variants], axis=1)
-            assert gains_db(downs, cfgs, uplinks).tobytes() == want.tobytes()
+            want = np.concatenate([gains_db(downs, vs, v, uplinks) for v in variants], axis=1)
+            assert gains_db(downs, vs, cfgs, uplinks).tobytes() == want.tobytes()
         base = [20.0 * math.log10(abs(baseline_channel(d))) for d in downs]
-        assert gains_db(downs, cfgs)[1].tolist() == base * 3
+        assert gains_db(downs, vs, cfgs)[1].tolist() == base * 3
 
     @pytest.mark.parametrize("n_configs", [0, 3, 5])
     def test_config_count_not_a_multiple_of_links(self, responder, n_configs):
         downs = [sample_channel(70 + k, 4, element_power=1.0, responder=responder)
                  for k in range(2)]
+        levels, cfg = uniform(5.0, 4)
         with pytest.raises(ValueError, match="configurations for 2 links"):
-            gains_db(downs, [uniform(5.0, 4)] * n_configs)
+            gains_db(downs, levels, [cfg] * n_configs)
 
     @pytest.mark.parametrize("reciprocal", [True, False])
     def test_stack_equals_one_link_calls(self, scenario, responder, reciprocal):
-        """A stacked call mixing on/off pairs, the whole voltage set and a
-        wide alphabet gives every link what its one-link call gives, bit for
-        bit, one-way and two-way."""
+        """A stacked call over a wide alphabet, mixing on/off pairs at its
+        ends, one position and random pairs, gives every link what its
+        one-link call gives, bit for bit, one-way and two-way."""
         rng = np.random.default_rng(29)
         downs = [sample_channel(30 + k, 9, env_power=0.1, element_power=1.0 / 9,
                                 responder=responder, phase_jitter_std=0.2) for k in range(5)]
         ups = downs if reciprocal else [
             sample_channel(40 + k, 9, element_power=1.0 / 9, responder=responder,
                            phase_jitter_std=0.2) for k in range(5)]
-        vs = scenario.voltage_set
-        alphabets = [(30.0, 0.0), vs, (20.0, 2.5), vs, tuple(np.linspace(0.0, 30.0, 300))]
-        cfgs = [(lv, rng.integers(0, len(lv), 2), np.packbits(rng.integers(0, 2, 9),
-                                                               bitorder="little"))
-                for lv in alphabets]
-        one = [gains_db([d], [c])[:, 0] for d, c in zip(downs, cfgs)]
-        two = [gains_db([d], [c], [u])[:, 0] for d, u, c in zip(downs, ups, cfgs)]
-        assert gains_db(downs, cfgs).tobytes() == np.stack(one, axis=1).tobytes()
-        assert gains_db(downs, cfgs, ups).tobytes() == np.stack(two, axis=1).tobytes()
+        levels = tuple(np.linspace(30.0, 0.0, 300).tolist())
+        pairs = [(0, 299), rng.integers(0, 300, 2), (150, 150), (299, 0), rng.integers(0, 300, 2)]
+        cfgs = [(np.asarray(pair, dtype=np.uint16),
+                 np.packbits(rng.integers(0, 2, 9), bitorder="little")) for pair in pairs]
+        one = [gains_db([d], levels, [c])[:, 0] for d, c in zip(downs, cfgs)]
+        two = [gains_db([d], levels, [c], [u])[:, 0] for d, u, c in zip(downs, ups, cfgs)]
+        assert gains_db(downs, levels, cfgs).tobytes() == np.stack(one, axis=1).tobytes()
+        assert gains_db(downs, levels, cfgs, ups).tobytes() == np.stack(two, axis=1).tobytes()

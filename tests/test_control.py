@@ -18,6 +18,8 @@ import oracles
 from per_probe import PerProbeOracle, Readings, append, config, link_blocks, voltages
 
 V1, V0 = 30.0, 0.0
+#: The positions of V1 and V0 in the default voltage set.
+I1, I0 = DEFAULT_VOLTAGE_SET.index(V1), DEFAULT_VOLTAGE_SET.index(V0)
 
 
 def onoff_oracle(h, h_env=0j, s_on=1.0, s_off=0.0, on_voltage=V1):
@@ -38,11 +40,18 @@ def constant(value):
     return PerProbeOracle(lambda v: value, 0)
 
 
+def past_stage1(n_links, n, v1=V1, v0=V0) -> ControlTrace:
+    """A trace of n_links links of n elements over the default voltage set,
+    past stage 1 with on/off voltages v1, v0 on every link."""
+    links = ControlTrace(n_links, n, DEFAULT_VOLTAGE_SET)
+    links.i1, links.i0 = (np.full(n_links, DEFAULT_VOLTAGE_SET.index(v)) for v in (v1, v0))
+    return links
+
+
 def one_link(v1=V1, v0=V0, on=None, n=None) -> ControlTrace:
     """A one-link trace of n elements past stage 1 with on/off voltages v1,
     v0 (and, for stage 3, the elements in ``on`` left on; n is its length)."""
-    links = ControlTrace(1, len(on) if n is None else n)
-    links.v1, links.v0 = np.array([float(v1)]), np.array([float(v0)])
+    links = past_stage1(1, len(on) if n is None else n, v1, v0)
     if on is not None:
         links.on = np.packbits([on], axis=1, bitorder="little")
     return links
@@ -55,14 +64,14 @@ def on_elements(links, link, n) -> np.ndarray:
 
 def stage1(read, voltage_set, n):
     """Stage 1 on one link whose probes read read(voltages): (v1, v0, trace)."""
-    trace = stage1_uniform_probe(PerProbeOracle(read, n), ControlTrace(1, n), voltage_set)
-    return trace.v1[0], trace.v0[0], trace
+    trace = stage1_uniform_probe(PerProbeOracle(read, n), ControlTrace(1, n, voltage_set))
+    return trace.levels[trace.i1[0]], trace.levels[trace.i0[0]], trace
 
 
 def probe_voltages(trace):
     """The voltages of every probe of a one-link trace, in order."""
-    return [voltages(levels, c, b, trace.n_elements)
-            for _, levels, codes, bits, _ in link_blocks(trace) for c, b in zip(codes, bits)]
+    return [voltages(trace.levels, c, b, trace.n_elements)
+            for _, codes, bits, _ in link_blocks(trace) for c, b in zip(codes, bits)]
 
 
 READINGS = st.one_of(
@@ -113,11 +122,19 @@ class TestStage1:
                                           (30.0, 0.0, float("-inf"))])
     def test_non_finite_voltages_rejected(self, voltages):
         """Every comparison with a NaN is false, so the ordering check alone
-        would let it through; stage 3 validates its voltage set the same way."""
+        would let it through; the trace validates its alphabet once, for
+        every stage, and run_controllers goes through it."""
         with pytest.raises(ValueError, match="control voltages must be finite"):
-            stage1_uniform_probe(constant(0.0), one_link(n=4), voltages)
+            ControlTrace(1, 4, voltages)
         with pytest.raises(ValueError, match="control voltages must be finite"):
-            stage3_fine_tune(constant(0.0), one_link(n=4), voltages)
+            run_controllers(constant(0.0), 4, voltages)
+
+    @pytest.mark.parametrize("voltages,message", [
+        ((30.0,), "at least two"), (tuple(range(257, 0, -1)), "at most 256"),
+        ((0.0, 30.0), "strictly decreasing"), ((30.0, 30.0), "strictly decreasing")])
+    def test_alphabet_validated_once(self, voltages, message):
+        with pytest.raises(ValueError, match=message):
+            ControlTrace(1, 4, voltages)
 
 
 class TestStage2:
@@ -132,7 +149,7 @@ class TestStage2:
         on = on_elements(stage2_majority_voting(oracle, one_link(n=2), n_configs=4,
                                                 rng_seed=0), 0, 2)
         assert np.count_nonzero(on) == 1
-        cfg = voltages(*config((V1, V0), on), 2)
+        cfg = voltages((V1, V0), *config(on), 2)
         assert oracle.read(cfg) == pytest.approx(0.0, abs=1e-12)  # |h_TR| = 1
 
     def test_probe_count_exact(self):
@@ -170,6 +187,25 @@ class TestStage2:
         with pytest.raises(ValueError):
             stage2_majority_voting(constant(0.0), one_link(5.0, 5.0, n=4))
 
+    def test_seed_list_of_another_length_rejected(self):
+        """A sequence of seeds gives one per link: one of another length is
+        refused before any probe, where a zip would leave links without masks."""
+        for seeds in ([5], [5, 6], [5, 6, 7, 8]):
+            trace = past_stage1(3, 8)
+            with pytest.raises(ValueError, match=f"{len(seeds)} voting seeds for 3 links"):
+                stage2_majority_voting(onoff_oracle(np.ones(8)), trace, 4, seeds)
+            assert trace.blocks == []
+
+    @pytest.mark.parametrize("seed", [5, link_stream(5, 0, VOTING_STREAM)])
+    def test_one_seed_serves_every_link(self, seed):
+        """A bare int or SeedSequence draws every link's masks as it draws a
+        lone link's."""
+        trace = stage2_majority_voting(onoff_oracle(np.ones(8)), past_stage1(3, 8), 4, seed)
+        alone = stage2_majority_voting(onoff_oracle(np.ones(8)), one_link(n=8), 4, seed)
+        (_, _, want, _), = link_blocks(alone)
+        for link in range(3):
+            np.testing.assert_array_equal(link_blocks(trace, link)[0][2], want)
+
     def test_group_granularity(self):
         oracle = onoff_oracle(np.ones(8))
         groups = column_groups(2, 4)
@@ -189,23 +225,21 @@ class TestStage3:
             key = (max(config_voltages), min(config_voltages))
             return target.get(key, -10.0)
 
-        links = stage3_fine_tune(PerProbeOracle(read, 2), one_link(30.0, 0.0, [True, False]),
-                                 DEFAULT_VOLTAGE_SET)
-        final = voltages(*links.configs()[0], 2)
+        links = stage3_fine_tune(PerProbeOracle(read, 2), one_link(30.0, 0.0, [True, False]))
+        final = voltages(links.levels, *links.configs()[0], 2)
         assert max(final) == 20.0 and min(final) == 2.5
         assert links.probes(3)[0] <= 9
 
     def test_keeps_stage2_config_when_no_improvement(self):
         oracle = onoff_oracle([1.0, 1.0])
         links = one_link(on=[True, True])
-        _probe_many(oracle, links, 2, [(V1,)], np.zeros((1, 1, 2), np.uint8),
+        _probe_many(oracle, links, 2, np.full((1, 1, 2), I1, np.uint8),
                     np.zeros((1, 1, 1), np.uint8))
-        final = stage3_fine_tune(oracle, links, DEFAULT_VOLTAGE_SET).configs()[0]
-        assert voltages(*final, 2) == (V1, V1)
+        final = stage3_fine_tune(oracle, links).configs()[0]
+        assert voltages(links.levels, *final, 2) == (V1, V1)
 
     def test_probe_budget(self):
-        links = stage3_fine_tune(constant(0.0), one_link(15.0, 5.0, [True, False]),
-                                 DEFAULT_VOLTAGE_SET)
+        links = stage3_fine_tune(constant(0.0), one_link(15.0, 5.0, [True, False]))
         assert links.probes(3) == [9]  # interior voltages: full 3x3 grid
 
 
@@ -227,19 +261,21 @@ class TestRunController:
         links = run_controllers(oracle, 16, rng_seeds=[6])
         cfg = links.configs()[0]
         every = np.concatenate([rss for *_, rss in link_blocks(links)])
-        assert oracle.read(voltages(*cfg, 16)) == pytest.approx(every.max(), abs=1e-12)
+        assert oracle.read(voltages(links.levels, *cfg, 16)) == pytest.approx(every.max(),
+                                                                              abs=1e-12)
 
     def test_deterministic_trace(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=16) + 1j * rng.normal(size=16)
         a, b = (run_controllers(onoff_oracle(h), 16, rng_seeds=[7]) for _ in range(2))
-        assert voltages(*a.configs()[0], 16) == voltages(*b.configs()[0], 16)
+        assert voltages(a.levels, *a.configs()[0], 16) == voltages(b.levels, *b.configs()[0], 16)
         assert a.serialize() == b.serialize()
 
     def test_constant_oracle_survives(self):
         links = run_controllers(constant(-1.0), 8, rng_seeds=[8])
-        assert links.v0[0] == min(DEFAULT_VOLTAGE_SET) != links.v1[0]  # v0 substituted
-        assert links.configs()[0][2].shape == (1,)  # ceil(8 / 8) bytes of on bits
+        assert links.i0[0] == len(DEFAULT_VOLTAGE_SET) - 1 != links.i1[0]  # v0 substituted
+        assert links.levels[links.i0[0]] == min(DEFAULT_VOLTAGE_SET)
+        assert links.configs()[0][1].shape == (1,)  # ceil(8 / 8) bytes of on bits
 
 
 class TestBruteForce:
@@ -248,7 +284,7 @@ class TestBruteForce:
         links = brute_force_baseline(oracle, one_link(n=4), [[0, 1, 2, 3]])
         assert links.probes() == [2]
         assert on_elements(links, 0, 4).all()
-        assert voltages(*links.configs()[0], 4) == (V1,) * 4
+        assert voltages(links.levels, *links.configs()[0], 4) == (V1,) * 4
 
     def test_eight_groups_256_probes_and_optimal(self):
         rng = np.random.default_rng(3)
@@ -260,7 +296,7 @@ class TestBruteForce:
         base = 20 * np.log10(abs(h.sum()))
         _, (_, best_db, _) = links.best()[0]
         assert best_db - base == pytest.approx(want, abs=1e-9)
-        on = voltages(*config((V1, V0), on_elements(links, 0, 8)), 8)
+        on = voltages((V1, V0), *config(on_elements(links, 0, 8)), 8)
         assert oracle.read(on) == best_db
 
     def test_overlapping_groups_rejected(self):
@@ -273,7 +309,7 @@ class TestBruteForce:
         links = brute_force_baseline(PerProbeOracle(lambda v: float(v.count(V1)), 4),
                                      one_link(n=4), [[0], [2]])
         assert on_elements(links, 0, 4).tolist() == [True, False, True, False]
-        assert voltages(*links.configs()[0], 4) == (V1, V0, V1, V0)
+        assert voltages(links.levels, *links.configs()[0], 4) == (V1, V0, V1, V0)
         assert links.probes() == [4]
 
     def test_cap_enforced(self):
@@ -295,11 +331,11 @@ class TestColumnarTrace:
         controller order, cut at random boundaries (empty blocks included),
         leave as each stage's best what the per-probe scan picks."""
         bounds = [0] + sorted(c for c in cuts if c <= len(readings)) + [len(readings)]
-        trace, probes = ControlTrace(1, 1), []
+        trace, probes = ControlTrace(1, 1, tuple(float(-i) for i in range(31))), []
         for stage, lo, hi in zip(sorted(stages), bounds, bounds[1:]):
-            # probe i sits at voltage i, so the picked config names its probe
-            levels, codes = tuple(map(float, range(lo, hi))), np.arange(hi - lo, dtype=np.uint8)
-            append(trace, stage, levels, np.stack([codes, codes], axis=1),
+            # probe i sits at position i, so the picked config names its probe
+            codes = np.arange(lo, hi, dtype=np.uint8)
+            append(trace, stage, np.stack([codes, codes], axis=1),
                    np.zeros((hi - lo, 1), np.uint8), readings[lo:hi])
             probes += [(stage, i, readings[i]) for i in range(lo, hi)]
         assert trace.probes() == [len(probes)]
@@ -313,47 +349,48 @@ class TestColumnarTrace:
             assert _bits(best_db[stage - 1]) == _bits(want[2])
         if probes:
             want = oracles.reference_best(probes, None)
-            assert voltages(*config, 1) == (float(want[1]),)
+            assert voltages(trace.levels, *config, 1) == (trace.levels[want[1]],)
         else:
             assert config is None
 
     def test_nan_reading(self):
-        uniform, bits = np.array([[0, 0], [1, 1]], np.uint8), np.zeros((2, 1), np.uint8)
-        trace = ControlTrace(1, 1)
-        append(trace, 1, (30.0, 0.0), uniform, bits, [1.0, float("nan")])
-        append(trace, 2, (5.0,), uniform[:1], bits[:1], [2.0])
+        levels, bits = (30.0, 5.0, 0.0), np.zeros((2, 1), np.uint8)
+        uniform = np.array([[0, 0], [2, 2]], np.uint8)  # 30 V, then 0 V
+        trace = ControlTrace(1, 1, levels)
+        append(trace, 1, uniform, bits, [1.0, float("nan")])
+        append(trace, 2, [[1, 1]], bits[:1], [2.0])
         (best, best_db), = trace.best()
         assert best_db == (1.0, 2.0, 2.0)
-        assert voltages(*best, 1) == (5.0,)
-        first_nan = ControlTrace(1, 1)
-        append(first_nan, 1, (30.0, 0.0), uniform, bits, [float("nan"), 5.0])
+        assert voltages(levels, *best, 1) == (5.0,)
+        first_nan = ControlTrace(1, 1, levels)
+        append(first_nan, 1, uniform, bits, [float("nan"), 5.0])
         (best, best_db), = first_nan.best()
         assert np.isnan(best_db).all()
-        assert voltages(*best, 1) == (30.0,)
+        assert voltages(levels, *best, 1) == (30.0,)
 
     def test_blocks_are_kept_read_only(self):
         """_probe_many keeps the stacks and readings as the oracle read them,
         made read-only rather than copied, so nothing changes them later."""
-        trace = ControlTrace(1, 2)
+        trace = ControlTrace(1, 2, (30.0, 0.0))
         codes, bits = np.array([[[0, 1]]], dtype=np.uint8), np.array([[[1]]], dtype=np.uint8)
-        rss = _probe_many(Readings([[1.0]]), trace, 1, [(30.0, 0.0)], codes, bits)
-        (_, _, *kept, rows), = trace.blocks
+        rss = _probe_many(Readings([[1.0]]), trace, 1, codes, bits)
+        (_, *kept, rows), = trace.blocks
         assert all(a is b and not a.flags.writeable for a, b in zip(kept, (codes, bits, rss)))
         assert rows == (1,)
         with pytest.raises(ValueError):
             codes[0, 0, 0] = 1
         assert probe_voltages(trace) == [(30.0, 0.0)]
         with pytest.raises(ValueError, match="batch"):
-            _probe_many(Readings([[1.0, 2.0]]), trace, 1, [(30.0, 0.0)], codes, bits)
+            _probe_many(Readings([[1.0, 2.0]]), trace, 1, codes, bits)
         with pytest.raises(ValueError, match="batch"):  # bit rows are ceil(N/8) uint8
-            _probe_many(Readings([[1.0]]), trace, 1, [(30.0, 0.0)], codes, np.array([[[1]]]))
+            _probe_many(Readings([[1.0]]), trace, 1, codes, np.array([[[1]]]))
         assert len(trace.blocks) == 1
 
 
 class TestTraceSerialization:
     def test_line_format(self):
-        trace = ControlTrace(1, 2)
-        append(trace, 1, (30.0, 0.0), [[0, 1]], np.array([[1]], np.uint8), [-12.5])
+        trace = ControlTrace(1, 2, (30.0, 0.0))
+        append(trace, 1, [[0, 1]], np.array([[1]], np.uint8), [-12.5])
         text, = trace.serialize()
         lines = text.strip().split("\n")
         assert lines[0] == "stage,probe_index,config_hash,rss_db"
@@ -374,26 +411,23 @@ class TestTraceSerialization:
 
     def test_hash_of_many_distinct_voltages(self):
         """1024 levels: config_hash's positions are little-endian uint16s, and
-        a trace row picks two of 1024 levels by uint16 codes."""
+        _hash_blocks picks two of 1024 levels by uint16 codes."""
         values = np.linspace(0.0, 30.0, 1024)
         assert config_hash(values) == oracles.config_hash_reference(values)
-        trace = ControlTrace(1, 3)
-        append(trace, 1, values.tolist(), np.array([[1023, 700]], np.uint16),
-                     np.array([[0b101]], np.uint8), [0.0])
         picked = (values[1023], values[700], values[1023])
-        assert trace.serialize()[0].split("\n")[1].split(",")[2] == config_hash(picked)
+        assert block_digests(values.tolist(), np.array([[1023, 700]], np.uint16),
+                             np.array([[0b101]], np.uint8), 3) == [config_hash(picked)]
 
     def test_signed_zero_hashes_apart(self):
         assert config_hash((0.0, -0.0)) == oracles.config_hash_reference((0.0, -0.0))
-        trace, on = ControlTrace(1, 2), np.array([[1]], np.uint8)
+        on, digests = np.array([[1]], np.uint8), []
         for levels in ((30.0, 0.0), (30.0, -0.0)):
-            append(trace, 1, levels, [[0, 1]], on, [0.0])
-        append(trace, 1, (0.0, -0.0), [[0, 1]], on, [0.0])
-        rows = trace.serialize()[0].strip().split("\n")[1:]
-        assert [r.split(",")[2] for r in rows] == [
-            oracles.config_hash_reference(voltages) for voltages in probe_voltages(trace)]
-        assert rows[0].split(",")[2] != rows[1].split(",")[2]
-        assert rows[2].split(",")[2] == config_hash((0.0, -0.0))
+            trace = ControlTrace(1, 2, levels)
+            append(trace, 1, [[0, 1]], on, [0.0])
+            digests.append(trace.serialize()[0].strip().split("\n")[1].split(",")[2])
+        assert digests == [oracles.config_hash_reference((30.0, v0)) for v0 in (0.0, -0.0)]
+        assert digests[0] != digests[1]
+        assert block_digests((0.0, -0.0), [[0, 1]], on, 2) == [config_hash((0.0, -0.0))]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 3), st.lists(
@@ -401,9 +435,9 @@ class TestTraceSerialization:
         min_size=1, max_size=20)), max_size=5))
     def test_matches_per_line_rendering(self, blocks):
         """The trace's CSV gives the bytes of one f-string per probe."""
-        trace = ControlTrace(1, 3)
+        trace = ControlTrace(1, 3, (30.0, 0.0))
         for stage, rss in blocks:
-            append(trace, stage, (30.0, 0.0), np.zeros((len(rss), 2), dtype=np.uint8),
+            append(trace, stage, np.zeros((len(rss), 2), dtype=np.uint8),
                    np.zeros((len(rss), 1), dtype=np.uint8), rss)
         lines = ["stage,probe_index,config_hash,rss_db"]
         for stage, rss in blocks:
@@ -434,7 +468,7 @@ LEVELS = st.one_of(
 
 def block_digests(levels, codes, bits, n) -> list[str]:
     """The trace hashes of a block's rows of n elements, rendered as a block alone."""
-    return _hash_blocks([(tuple(levels), np.asarray(codes), bits)], n)[0]
+    return _hash_blocks(levels, [(np.asarray(codes), bits)], n)[0]
 
 
 def _row_voltages(levels, codes, bits, n) -> np.ndarray:
@@ -527,9 +561,9 @@ def _stage2_reference(seed, link, groups, n, n_configs, rss):
 
 
 def _assert_probes(codes, bits, elements_on):
-    """Stage 2's probes: codes (0, 1) over (v1, v0) and the packed elements
-    on, tail bits clear."""
-    assert codes.tolist() == [[0, 1]] * len(codes)
+    """Stage 2's probes: codes (i1, i0), the positions of (v1, v0), and the
+    packed elements on, tail bits clear."""
+    assert codes.tolist() == [[I1, I0]] * len(codes)
     assert bits.dtype == np.uint8
     np.testing.assert_array_equal(bits, np.packbits(elements_on, axis=1, bitorder="little"))
 
@@ -551,7 +585,7 @@ class TestStreamedStage2:
         h = rng.normal(size=n) + 1j * rng.normal(size=n)
         trace = stage2_majority_voting(onoff_oracle(h), one_link(n=n), n_configs=n_configs,
                                        rng_seed=link_stream(5, 3, VOTING_STREAM), groups=groups)
-        (_, _, codes, bits, rss), = link_blocks(trace)
+        (_, codes, bits, rss), = link_blocks(trace)
         _assert_probes(codes, bits, _stage2_reference(5, 3, groups, n, n_configs, rss)[0])
 
 
@@ -587,13 +621,12 @@ class TestRawWordStage2:
                                              n_groups):
         n, groups = _groups(data, grouping, n_groups)
         weights = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
-        batch = ControlTrace(len(links), n)
-        batch.v1, batch.v0 = np.full(len(links), V1), np.full(len(links), V0)
+        batch = past_stage1(len(links), n)
         stage2_majority_voting(_WeightOracle(weights), batch, n_configs,
                                [link_stream(seed, link, VOTING_STREAM) for link in links],
                                groups)
         for k, link in enumerate(links):
-            (_, _, codes, bits, rss), = link_blocks(batch, k)
+            (_, codes, bits, rss), = link_blocks(batch, k)
             want_probes, want_on = _stage2_reference(
                 seed, link, [[i] for i in range(n)] if groups is None else groups, n,
                 n_configs, rss)
@@ -678,12 +711,11 @@ class TestVotesReferee:
                   "column": column_groups(rows, cols),
                   "sparse": [[e] for e in range(n - 1)] + [[]]}[grouping]  # element n-1 in none
         oracle = _RowOracle(high) if weights is None else _WeightOracle(weights[:n])
-        links = ControlTrace(len(seeds), n)
-        links.v1, links.v0 = np.full(len(seeds), V1), np.full(len(seeds), V0)
+        links = past_stage1(len(seeds), n)
         streams = [link_stream(seed, link, VOTING_STREAM) for link, seed in enumerate(seeds)]
         stage2_majority_voting(oracle, links, n_configs, streams, groups)
         for link, (seed, stream) in enumerate(zip(seeds, streams)):
-            (_, _, codes, bits, rss), = link_blocks(links, link)
+            (_, codes, bits, rss), = link_blocks(links, link)
             want_probes, expected = _stage2_reference(
                 seed, link, [[i] for i in range(n)] if groups is None else groups, n,
                 n_configs, rss)

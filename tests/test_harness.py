@@ -508,17 +508,17 @@ class TestBenchTracerTargets:
 
 class TestBudgetValidation:
     def test_validate_trace_raises(self):
-        trace = ControlTrace(1, 1)
-        append(trace, 1, (30.0,), [[0, 0]], np.zeros((1, 1), np.uint8), [-1.0])
+        trace = ControlTrace(1, 1, (30.0, 0.0))
+        append(trace, 1, [[0, 0]], np.zeros((1, 1), np.uint8), [-1.0])
         with pytest.raises(BudgetError):
             validate_trace(trace, n_voltages=7, n_stage2=128)
 
     def test_validate_trace_checks_every_link(self):
         """A batch passes only if each of its links keeps the budget: here
         link 1 probes one stage-2 row too few."""
-        trace = ControlTrace(2, 1)
+        trace = ControlTrace(2, 1, (30.0, 0.0))
         for stage, n_rows, rows in ((1, 2, None), (2, 2, (2, 1)), (3, 9, (9, 9))):
-            _probe_many(Readings(np.zeros((2, n_rows))), trace, stage, [(30.0, 0.0)] * 2,
+            _probe_many(Readings(np.zeros((2, n_rows))), trace, stage,
                         np.zeros((2, n_rows, 2), np.uint8), np.zeros((2, n_rows, 1), np.uint8),
                         rows)
         with pytest.raises(BudgetError, match="stages 2/1/9"):

@@ -3,8 +3,8 @@ outputs, the bounded worker pool, the shared stage 1 of bench-controller and
 ``python -m mediamatch``.
 
 A batch of L links goes through every controller stage at once: one (L, n, 2)
-code stack and one (L, n, ceil(N/8)) bit stack per stage, read by an oracle
-that holds L channels.  A link's CSV row, trace and channel dump must not
+code stack over the run's voltage set and one (L, n, ceil(N/8)) bit stack per
+stage, read by an oracle that holds L channels.  A link's CSV row, trace and channel dump must not
 depend on which links share its batch, how the command cuts its links into
 batches, or how many worker processes run them.
 """
@@ -56,18 +56,23 @@ def _channels(n_links, n, jitter=0.0, seed=0):
             for k in range(n_links)]
 
 
-def _levels(n_links, shared):
-    """One alphabet for every link, a different on/off pair per link, or
-    ("mixed") on/off pairs and the whole voltage set in turn."""
+def _positions(n_links, shared):
+    """The positions in VS each link's codes take: the whole voltage set for
+    every link, a different on/off pair per link, or ("mixed") on/off pairs
+    and the whole voltage set in turn."""
+    pairs = [(k % 3, 3 + k % 4) for k in range(n_links)]
     if shared == "mixed":
-        return [VS if k % 2 else (VS[k % 3], VS[3 + k % 4]) for k in range(n_links)]
-    return [VS] * n_links if shared else [(VS[k % 3], VS[3 + k % 4]) for k in range(n_links)]
+        return [range(len(VS)) if k % 2 else pairs[k] for k in range(n_links)]
+    return [range(len(VS))] * n_links if shared else pairs
 
 
-def _probes(rng, sizes, n_links, n_rows, n):
+def _probes(rng, positions, n_links, n_rows, n):
     """Random (codes, bits) stacks of n_links links' n_rows rows of n
-    elements, link l's codes below sizes[l]."""
-    codes = rng.integers(0, sizes, (n_links, n_rows, 2)).astype(np.uint8)
+    elements, link l's codes drawn from positions[l] (from range(positions)
+    for an int)."""
+    if isinstance(positions, int):
+        positions = [range(positions)] * n_links
+    codes = np.stack([rng.choice(list(p), (n_rows, 2)) for p in positions]).astype(np.uint8)
     on = rng.integers(0, 2, (n_links, n_rows, n)).astype(bool)
     return codes, np.packbits(on, axis=2, bitorder="little")
 
@@ -79,15 +84,14 @@ class TestStackedComposite:
     @pytest.mark.parametrize("shared", [True, False, "mixed"])
     def test_rows_equal_one_link_calls(self, n, n_links, n_rows, jitter, shared):
         """Every (link, probe) entry of a stacked call equals the link's own
-        one-link call bit for bit, lone rows, odd element counts and links of
-        different alphabet lengths included."""
+        one-link call bit for bit, lone rows, odd element counts and links
+        whose codes take two positions or the whole set included."""
         channels = _channels(n_links, n, jitter)
-        levels = _levels(n_links, shared)
-        sizes = np.array([len(lv) for lv in levels])[:, None, None]
-        codes, bits = _probes(np.random.default_rng(n * n_rows), sizes, n_links, n_rows, n)
-        got = composite_channels(ChannelStack(channels), levels, codes, bits)
-        want = [composite_channels(ChannelStack(c), [lv], cs[None], bs[None])[0]
-                for c, lv, cs, bs in zip(channels, levels, codes, bits)]
+        codes, bits = _probes(np.random.default_rng(n * n_rows), _positions(n_links, shared),
+                              n_links, n_rows, n)
+        got = composite_channels(ChannelStack(channels), VS, codes, bits)
+        want = [composite_channels(ChannelStack(c), VS, cs[None], bs[None])[0]
+                for c, cs, bs in zip(channels, codes, bits)]
         assert _bits(got) == _bits(np.array(want))
 
     @pytest.mark.parametrize("n_links,n_rows", [(1, PROBE_BLOCK + 1), (PROBE_BLOCK + 1, 1),
@@ -97,7 +101,7 @@ class TestStackedComposite:
         PROBE_BLOCK one-row links: the row past them is a block of its own."""
         channels = _channels(n_links, 1024)
         codes, bits = _probes(np.random.default_rng(n_links), len(VS), n_links, n_rows, 1024)
-        got = composite_channels(ChannelStack(channels), [VS] * n_links, codes, bits)
+        got = composite_channels(ChannelStack(channels), VS, codes, bits)
         table = responder().table(VS)
         index = np.where(np.unpackbits(bits, axis=2, bitorder="little"), codes[..., :1],
                          codes[..., 1:])  # the level of every element
@@ -106,16 +110,16 @@ class TestStackedComposite:
         assert _bits(got) == _bits(np.array(want))
 
     def test_out_of_range_index_rejected(self):
-        """A code past its own link's alphabet raises, though a longer
-        alphabet of another link would cover it, and so does a negative one."""
+        """A code past the alphabet raises in any link, and so does a
+        negative one."""
         stack, bits = ChannelStack(_channels(2, 3)), np.zeros((2, 2, 1), np.uint8)
-        for levels in ([(30.0, 0.0)] * 2, [(30.0, 0.0), VS], [VS, (30.0, 0.0)]):
+        for link in (0, 1):
             codes = np.zeros((2, 2, 2), np.uint8)
-            codes[levels.index((30.0, 0.0)), 1, 1] = 2
+            codes[link, 1, 1] = 2
             with pytest.raises(IndexError):
-                composite_channels(stack, levels, codes, bits)
+                composite_channels(stack, (30.0, 0.0), codes, bits)
         with pytest.raises(IndexError):  # a lone row must not wrap a negative code
-            composite_channels(ChannelStack(_channels(1, 3)), [VS], np.array([[[-1, 0]]]),
+            composite_channels(ChannelStack(_channels(1, 3)), VS, np.array([[[-1, 0]]]),
                                bits[:1, :1])
 
     def test_mixed_stacks_rejected(self):
@@ -128,71 +132,78 @@ class TestStackedComposite:
 class TestOnoffTables:
     @settings(max_examples=40, deadline=None)
     @given(n=st.one_of(st.sampled_from([256, 257, 263, 1024]), st.integers(256, 1100)),
-           n_links=st.integers(1, 3), n_levels=st.sampled_from([1, 2]),
+           n_links=st.integers(1, 3), n_positions=st.sampled_from([1, 2]),
            jitter=st.sampled_from([0.0, 0.3]), env_power=st.sampled_from([0.0, 0.25]),
            n_rows=st.sampled_from([1, 2, 5, ONOFF_ROWS + 1, 2 * ONOFF_ROWS + 3]),
            seed=st.integers(0, 2 ** 31))
-    def test_values_follow_the_table_rule(self, n, n_links, n_levels, jitter, env_power,
+    def test_values_follow_the_table_rule(self, n, n_links, n_positions, jitter, env_power,
                                           n_rows, seed):
         """Every value equals the referee's bit for bit, in every block: rows
         are drawn from three per link, so rows past ONOFF_ROWS repeat earlier
-        ones and are checked too."""
+        ones and are checked too.  Each link's codes take one or two
+        positions of the voltage set, the referee's s1 being the response at
+        the second one drawn, whichever the kernel labels 1."""
         rng = np.random.default_rng(seed)
         channels = [sample_channel(seed + k, n, env_power=env_power, element_power=1.0 / n,
                                    responder=responder(), phase_jitter_std=jitter)
                     for k in range(n_links)]
-        levels = [tuple(rng.choice(VS, n_levels, replace=False).tolist()) for _ in channels]
-        codes, bits = _probes(rng, n_levels, n_links, 3, n)
+        positions = [rng.choice(len(VS), n_positions, replace=False) for _ in channels]
+        codes, bits = _probes(rng, positions, n_links, 3, n)
         pick = rng.integers(0, 3, n_rows)
-        got = onoff_channels(ChannelStack(channels), levels, codes[:, pick], bits[:, pick])
-        for c, lv, link_codes, link_bits, values in zip(channels, levels, codes, bits, got):
-            s = responder().table(lv)
+        got = onoff_channels(ChannelStack(channels), VS, codes[:, pick], bits[:, pick])
+        s = responder().table(VS)
+        for c, p, link_codes, link_bits, values in zip(channels, positions, codes, bits, got):
             want = [oracles.reference_onoff_channel(
-                c.h_env, c.h_elements, c.phase_jitter, s[0], s[-1],
-                np.where(np.unpackbits(b, count=n, bitorder="little"), *cs))
+                c.h_env, c.h_elements, c.phase_jitter, s[p[0]], s[p[-1]],
+                np.where(np.unpackbits(b, count=n, bitorder="little"), *cs) == p[-1])
                 for cs, b in zip(link_codes, link_bits)]
             assert _bits(values) == _bits(np.array(want)[pick])
 
     @pytest.mark.parametrize("n", [ONOFF_MIN_ELEMENTS - 1, ONOFF_MIN_ELEMENTS])
     def test_oracle_routes_each_link(self, n):
-        """From ONOFF_MIN_ELEMENTS on, the oracle reads a link over one or two
-        levels from the tables and a longer alphabet by composite_channels,
-        both within one call; below it every link takes composite_channels."""
-        channels, levels = _channels(3, n), [(30.0, 0.0), VS, (20.0,)]
-        sizes = np.array([len(lv) for lv in levels])[:, None, None]
-        codes, bits = _probes(np.random.default_rng(n), sizes, 3, 8, n)
+        """In one call over the seven-level set, from ONOFF_MIN_ELEMENTS on,
+        the oracle reads a link whose code pairs take two positions (link 0)
+        or one (link 2) from the tables and one whose pairs take three (link
+        1) by composite_channels, which onoff_channels refuses; below it
+        every link takes composite_channels.  Each link reads bit for bit
+        what it reads alone."""
+        channels = _channels(3, n)
+        codes, bits = _probes(np.random.default_rng(n), [(6, 0), (1, 3, 5), (4,)], 3, 8, n)
+        codes[1, :2] = [(1, 5), (3, 3)]  # link 1 takes all three positions
 
         def read(kernel, k):
-            h = kernel(ChannelStack(channels[k]), [levels[k]], codes[k, None], bits[k, None])[0]
+            h = kernel(ChannelStack(channels[k]), VS, codes[k, None], bits[k, None])[0]
             return rss_db(np.hypot(h.real, h.imag), None)
 
-        got = FeedbackOracle(channels, quantization_db=None).batch(levels, codes, bits)
+        got = FeedbackOracle(channels, quantization_db=None).batch(VS, codes, bits)
+        alone = [FeedbackOracle(c, quantization_db=None).batch(VS, codes[k, None], bits[k, None])
+                 for k, c in enumerate(channels)]
+        assert _bits(got) == _bits(np.concatenate(alone))
         tables = n >= ONOFF_MIN_ELEMENTS
         want = [read(onoff_channels if tables and k != 1 else composite_channels, k)
                 for k in range(3)]
         assert _bits(got) == _bits(np.array(want))
         if tables:  # the kernels differ in last bits here, so the route shows
             assert _bits(want[0]) != _bits(read(composite_channels, 0))
+        with pytest.raises(ValueError, match="at most two positions"):
+            onoff_channels(ChannelStack(channels), VS, codes, bits)
 
     def test_out_of_range_index_rejected(self):
         """onoff_channels checks codes as composite_channels does; a code of 2
-        under two levels raises, though the table bits would read it as 0."""
+        under two levels raises, though it takes only two positions."""
         stack, bits = ChannelStack(_channels(2, 3)), np.zeros((2, 2, 1), np.uint8)
-        for levels in ([(30.0, 0.0)] * 2, [(30.0, 0.0), VS], [VS, (30.0, 0.0)]):
+        for link in (0, 1):
             codes = np.zeros((2, 2, 2), np.uint8)
-            codes[levels.index((30.0, 0.0)), 1, 1] = 2
+            codes[link, 1, 1] = 2
             with pytest.raises(IndexError):
-                onoff_channels(stack, levels, codes, bits)
+                onoff_channels(stack, (30.0, 0.0), codes, bits)
         with pytest.raises(IndexError):
-            onoff_channels(ChannelStack(_channels(1, 3)), [VS], np.array([[[-1, 0]]]),
-                           bits[:1, :1])
+            onoff_channels(ChannelStack(_channels(1, 3)), VS, np.array([[[-1, 0]]]), bits[:1, :1])
         oracle, codes = FeedbackOracle(_channels(1, ONOFF_MIN_ELEMENTS)), np.zeros(
             (1, 1, 2), np.uint8)
         codes[0, 0, 1] = 2
         with pytest.raises(IndexError, match="codes must lie"):
-            oracle.batch([(30.0, 0.0)], codes, np.zeros((1, 1, ONOFF_MIN_ELEMENTS // 8), np.uint8))
-        with pytest.raises(ValueError, match="at most two levels"):
-            onoff_channels(stack, [VS] * 2, np.zeros((2, 1, 2), np.uint8), bits[:, :1])
+            oracle.batch((30.0, 0.0), codes, np.zeros((1, 1, ONOFF_MIN_ELEMENTS // 8), np.uint8))
 
 
 class TestStackedOracles:
@@ -208,10 +219,24 @@ class TestStackedOracles:
         rng = np.random.default_rng(0)
         for rows in ([5, 5, 5, 5], [5, 2, 4, 1], [3, 3, 3, 3]):
             codes, bits = _probes(rng, len(VS), 4, 5, 6)
-            got = stacked.batch([VS] * 4, codes, bits, rows)
+            got = stacked.batch(VS, codes, bits, rows)
             for k, (oracle, n) in enumerate(zip(alone, rows)):
                 assert _bits(got[k, :n]) == _bits(
-                    oracle.batch([VS], codes[None, k, :n], bits[None, k, :n])[0])
+                    oracle.batch(VS, codes[None, k, :n], bits[None, k, :n])[0])
+
+    def test_noise_seeds_of_another_length_rejected(self):
+        """A sequence of noise seeds gives one per link: one of another
+        length is refused, where a zip would leave links without noise; a
+        bare seed serves every link."""
+        for seeds in ([1], [1, 2], [1, 2, 3, 4]):
+            with pytest.raises(ValueError, match=f"{len(seeds)} noise seeds for 3 links"):
+                FeedbackOracle(_channels(3, 4), noise_db=-20.0, noise_seed=seeds)
+        codes, bits = _probes(np.random.default_rng(2), len(VS), 3, 5, 4)
+        got = FeedbackOracle(_channels(3, 4), noise_db=-20.0, noise_seed=1).batch(VS, codes, bits)
+        for k, channel in enumerate(_channels(3, 4)):
+            want = FeedbackOracle(channel, noise_db=-20.0, noise_seed=1).batch(
+                VS, codes[None, k], bits[None, k])
+            assert _bits(got[k]) == _bits(want[0])
 
     def test_copy_counts_on_its_own(self):
         """After copy.copy, the original and the copy each read what a fresh
@@ -223,12 +248,12 @@ class TestStackedOracles:
         rng = np.random.default_rng(3)
         probes = [_probes(rng, len(VS), 2, 4, 3) for _ in range(3)]
         oracle = fresh()
-        oracle.batch([VS] * 2, *probes[0])
+        oracle.batch(VS, *probes[0])
         fork = copy.copy(oracle)
         for reader, k in ((fork, 1), (oracle, 2)):
             replay = fresh()
-            replay.batch([VS] * 2, *probes[0])
-            got, want = (o.batch([VS] * 2, *probes[k]) for o in (reader, replay))
+            replay.batch(VS, *probes[0])
+            got, want = (o.batch(VS, *probes[k]) for o in (reader, replay))
             assert _bits(got) == _bits(want)
 
     def test_product_equals_one_oracle_per_link(self):
@@ -236,19 +261,17 @@ class TestStackedOracles:
         reciprocal one (the downlinks again as the uplinks) reads what the
         same channels passed as a separate uplink give."""
         down, up = _channels(3, 5), _channels(3, 5, seed=7)
-        levels = _levels(3, shared=False)
-        codes, bits = _probes(np.random.default_rng(1), 2, 3, 9, 5)
-        got = FeedbackOracle(down, up).batch(levels, codes, bits)
+        codes, bits = _probes(np.random.default_rng(1), _positions(3, False), 3, 9, 5)
+        got = FeedbackOracle(down, up).batch(VS, codes, bits)
         for k in range(3):
-            want = FeedbackOracle(down[k], up[k]).batch([levels[k]], codes[None, k],
-                                                        bits[None, k])[0]
+            want = FeedbackOracle(down[k], up[k]).batch(VS, codes[None, k], bits[None, k])[0]
             assert _bits(got[k]) == _bits(want)
-        reciprocal = FeedbackOracle(down, down).batch(levels, codes, bits)
+        reciprocal = FeedbackOracle(down, down).batch(VS, codes, bits)
         assert _bits(reciprocal) == _bits(np.stack([
-            FeedbackOracle(d, d).batch([lv], cs[None], bs[None])[0]
-            for d, lv, cs, bs in zip(down, levels, codes, bits)]))
+            FeedbackOracle(d, d).batch(VS, cs[None], bs[None])[0]
+            for d, cs, bs in zip(down, codes, bits)]))
         assert _bits(reciprocal) == _bits(
-            FeedbackOracle(down, list(down)).batch(levels, codes, bits))
+            FeedbackOracle(down, list(down)).batch(VS, codes, bits))
 
     @pytest.mark.parametrize("voltages", [VS, (30.0, 15.0, 0.0)])
     def test_controller_runs_equal_one_link_runs(self, voltages):
@@ -265,8 +288,8 @@ class TestStackedOracles:
         for k, (channel, seed) in enumerate(zip(channels, seeds)):
             alone = run_controllers(FeedbackOracle(channel, noise_db=-15.0, noise_seed=seed),
                                     9, voltages, rng_seeds=[seed])
-            assert per_probe.voltages(*links.configs()[k], 9) == \
-                per_probe.voltages(*alone.configs()[0], 9)
+            assert per_probe.voltages(voltages, *links.configs()[k], 9) == \
+                per_probe.voltages(voltages, *alone.configs()[0], 9)
             assert [texts[k]] == alone.serialize()
             assert _bits(bests[k][1]) == _bits(alone.best()[0][1])
 
@@ -437,8 +460,8 @@ class TestSharedStage1:
         cmd_bench_controller(scenario, tmp_path, 3)
         assert len(runs) == 3
         first = [run.blocks[0] for run in runs]
-        assert all(b[0] == 1 and b[1] == first[0][1] and b[5] == first[0][5] for b in first)
-        assert all(_bits(b[k]) == _bits(first[0][k]) for b in first for k in (2, 3, 4))
+        assert all(b[0] == 1 and b[4] == first[0][4] for b in first)
+        assert all(_bits(b[k]) == _bits(first[0][k]) for b in first for k in (1, 2, 3))
 
         resp, n, vs = scenario.responder(), scenario.n_elements, scenario.voltage_set
         cols = column_groups(scenario.rows, scenario.cols)
@@ -457,7 +480,7 @@ class TestSharedStage1:
                     run_controllers(fresh(), n, vs, harness.COLUMN_VOTING_CONFIGS, voting, cols),
                     run_controllers(fresh(), n, vs, groups=cols, stage2=brute_force_baseline)]
             configs = [run.configs()[0] for run in runs]
-            rows.append((i, scenario.seed, *gains_db([channel], configs)[0].tolist(),
+            rows.append((i, scenario.seed, *gains_db([channel], vs, configs)[0].tolist(),
                          *(run.probes()[0] for run in runs)))
         header = harness._LINK_COMMANDS["bench-controller"].header
         assert (tmp_path / "bench_controller.csv").read_text() == oracles.row_csv_text(header, rows)

@@ -26,10 +26,10 @@ def _recording(monkeypatch, module, name) -> list:
     return calls
 
 
-@pytest.mark.parametrize("voltage_set", [(30.0, 0.0), DEFAULT_VOLTAGE_SET])
+@pytest.mark.parametrize("voltage_set", [(30.0, 0.0), (30.0, 10.0, 0.0), DEFAULT_VOLTAGE_SET])
 def test_16x16_readings_equal_the_referee(tmp_path, monkeypatch, voltage_set):
-    """With two levels every probe reads the subset-sum tables; with seven,
-    stages 1 and 3 read direct sums and stage 2 the tables."""
+    """With two levels every probe reads the subset-sum tables; with three
+    or seven, stages 1 and 3 read direct sums and stage 2 the tables."""
     scenario = _scenario(16, 16, 4, voltage_set, noise_db=-20.0, phase_jitter_std=0.3,
                          element_power=1 / 256, rss_quantization_db=None)
     runs = _recording(monkeypatch, harness, "run_controllers")
