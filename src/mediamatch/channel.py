@@ -122,13 +122,6 @@ class ChannelStack:
         self.phase_jitter = None if channels[0].phase_jitter is None else \
             np.stack([c.phase_jitter for c in channels])
 
-    def __getitem__(self, links) -> "ChannelStack":
-        """The stack of the links an index array picks."""
-        sub = copy.copy(self)
-        sub.h_env, sub.h_elements = self.h_env[links], self.h_elements[links]
-        sub.phase_jitter = None if self.phase_jitter is None else self.phase_jitter[links]
-        return sub
-
 
 #: Probe rows per composite_channels block at N = 1024.  A block holds whole
 #: links, or rows of one link, of at most PROBE_BLOCK x 1024 complex values
@@ -230,13 +223,22 @@ def onoff_channels(channels: ChannelStack, levels, codes, bits) -> np.ndarray:
     positions = [np.unique(c) for c in codes]
     if max(map(len, positions), default=0) > 2:
         raise ValueError("onoff_channels reads links whose codes take at most two positions")
-    h, jitter, (n_links, n_rows, _) = channels.h_elements, channels.phase_jitter, codes.shape
-    q = np.pad(h if jitter is None else _scalar_times(h, jitter), ((0, 0), (0, -h.shape[1] % 8)))
-    groups, out = q.shape[1] // 8, np.empty((n_links, n_rows), dtype=complex)
+    return _onoff_tables(channels, table, codes, bits, positions,
+                         np.empty(codes.shape[:2], dtype=complex))
+
+
+def _onoff_tables(channels: ChannelStack, table, codes, bits, positions, out) -> np.ndarray:
+    """Write onoff_channels' values of checked stacks into ``out``: the rows
+    of each link whose ``positions`` are at most two; the others are left."""
+    h, jitter, n_rows = channels.h_elements, channels.phase_jitter, codes.shape[1]
     for link, p in enumerate(positions):
-        s = table[np.resize(p, 2)]  # two positions, one twice, or (no rows) 0 twice
+        if len(p) > 2:
+            continue
+        q = h[link] if jitter is None else _scalar_times(h[link], jitter[link])
+        q, s = np.pad(q, (0, -len(q) % 8)), table[np.resize(p, 2)]  # s: p, p[0] twice or 0 twice
+        groups = len(q) // 8
         terms = np.ascontiguousarray(  # [g, j, b]: s_b q_{8g+j}
-            _scalar_times(s[:, None], q[link]).reshape(2, groups, 8).transpose(1, 2, 0))
+            _scalar_times(s[:, None], q).reshape(2, groups, 8).transpose(1, 2, 0))
         t = terms[:, 0]
         for j in range(1, 8):  # entry b 2^j + c: entry c of bits 0..j-1 plus s_b q_{8g+j}
             t = (t[:, None, :] + terms[:, j, :, None]).reshape(groups, -1)
@@ -247,24 +249,22 @@ def onoff_channels(channels: ChannelStack, levels, codes, bits) -> np.ndarray:
             level_bits[:, -1] &= 255 >> (-h.shape[1] % 8)  # the tail bits
             t.take(level_bits + np.arange(0, 256 * groups, 256)).sum(
                 axis=1, out=out[link, r0:r0 + ONOFF_ROWS])
-    return out + channels.h_env[:, None]
+        out[link] += channels.h_env[link]
+    return out
 
 
 def _probe_channels(channels: ChannelStack, levels, codes, bits) -> np.ndarray:
-    """FeedbackOracle's read: onoff_channels for the links whose codes in the
-    call take at most two positions from ONOFF_MIN_ELEMENTS on,
-    composite_channels for the others."""
-    tables = channels.h_elements.shape[1] >= ONOFF_MIN_ELEMENTS
-    onoff = [tables and len(np.unique(c)) <= 2 for c in np.asarray(codes)]
-    if len(set(onoff)) < 2:
-        return (onoff_channels if all(onoff) else composite_channels)(channels, levels, codes,
-                                                                        bits)
-    codes, bits, _ = _checked(channels, levels, codes, bits)
-    out = np.empty(codes.shape[:2], dtype=complex)
-    for kernel, links in ((onoff_channels, np.flatnonzero(onoff)),
-                          (composite_channels, np.flatnonzero(np.logical_not(onoff)))):
-        out[links] = kernel(channels[links], levels, codes[links], bits[links])
-    return out
+    """FeedbackOracle's read, one np.unique per link: onoff_channels for the
+    links whose codes in the call take at most two positions from
+    ONOFF_MIN_ELEMENTS on, composite_channels for the others.  A call mixing
+    them (the controller makes none) reads all by composite_channels first."""
+    if channels.h_elements.shape[1] < ONOFF_MIN_ELEMENTS:
+        return composite_channels(channels, levels, codes, bits)
+    codes, bits, table = _checked(channels, levels, codes, bits)
+    positions = [np.unique(c) for c in codes]
+    out = np.empty(codes.shape[:2], dtype=complex) if max(map(len, positions), default=0) <= 2 \
+        else composite_channels(channels, levels, codes, bits)
+    return _onoff_tables(channels, table, codes, bits, positions, out)
 
 
 def baseline_channel(channel: MultipathChannel) -> complex:
@@ -303,8 +303,10 @@ class FeedbackOracle:
     link l (all by default) are probes and the rest padding, read without
     noise.  A link reads its values from onoff_channels when its codes in the
     call take at most two positions and N >= ONOFF_MIN_ELEMENTS, else from
-    composite_channels, whatever the other links; so probe i of a batch reads
-    what the i-th of as many one-row batches would through the same kernel.
+    composite_channels, whatever the other links.  So probe i of a batch reads
+    what the i-th of as many one-row batches would, but where a link's codes
+    take three or more positions at such N (stage 3 over three or more
+    levels): each row alone reads the tables, to other last bits.
 
     Noise, added to the downlink only, is complex Gaussian with power
     10^(noise_db/10) relative to a unit-magnitude channel.  Each link draws it

@@ -17,8 +17,10 @@ protocol (see channel.FeedbackOracle): ``batch(levels, codes, bits, rows)``
 reads the voltage set, an (L, n, 2) stack of code pairs and an
 (L, n, ceil(N/8)) stack of bit rows as (L, n) readings, link l's first
 rows[l] rows being probes and the rest padding.  A link's readings must not
-depend on the other links (a noisy oracle draws its noise in probe order).
-Only whole controller runs may execute concurrently.
+depend on the other links, and probe i reads what the i-th of n one-row
+batches would (a noisy oracle draws its noise in probe order) up to
+FeedbackOracle's kernel rule.  Only whole controller runs may execute
+concurrently.
 
 A configuration is a (codes, bits) pair: codes is an (on, off) pair of
 positions in the voltage set ``levels`` and bits the packed on bits,
@@ -163,7 +165,15 @@ class ControlTrace:
 
     def __init__(self, n_links: int, n_elements: int, levels):
         self.n_links, self.n_elements = n_links, n_elements
-        self.levels = _validate_voltage_set(levels)
+        self.levels = vs = tuple(float(v) for v in levels)
+        if len(vs) < 2:
+            raise ValueError("need at least two control voltages")
+        if len(vs) > 256:
+            raise ValueError("at most 256 control voltages")
+        if not np.isfinite(vs).all():
+            raise ValueError("control voltages must be finite")
+        if any(b >= a for a, b in zip(vs, vs[1:])):
+            raise ValueError("control voltages must be strictly decreasing")
         self.blocks = []
         self.i1 = self.i0 = self.on = None
 
@@ -288,19 +298,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _validate_voltage_set(voltages) -> tuple[float, ...]:
-    vs = tuple(float(v) for v in voltages)
-    if len(vs) < 2:
-        raise ValueError("need at least two control voltages")
-    if len(vs) > 256:
-        raise ValueError("at most 256 control voltages")
-    if not np.isfinite(vs).all():
-        raise ValueError("control voltages must be finite")
-    if any(b >= a for a, b in zip(vs, vs[1:])):
-        raise ValueError("control voltages must be strictly decreasing")
-    return vs
-
-
 def stage1_uniform_probe(oracle, trace: ControlTrace) -> ControlTrace:
     """Probe each control voltage uniformly; keep the extreme responders as
     the batch's v1 (maximizing feedback) and v0 (minimizing), one per link.
@@ -402,7 +399,8 @@ def run_controllers(oracle, n_elements: int, voltages=DEFAULT_VOLTAGE_SET,
     The oracle reads the links as one stack (see FeedbackOracle).  ``stage2``
     replaces majority voting with a function called as brute_force_baseline
     is (the oracle, the trace, ``groups``).  A ``trace`` that has been
-    through stage 1 goes on from there, on its own N and alphabet.  Total
+    through stage 1 goes on from there, on its own N and alphabet:
+    ``n_elements`` and ``voltages`` only build a new trace.  Total
     probes per link are bounded by len(voltages) + n_configs + 9.  A constant
     stage-1 outcome would leave v1 == v0; the controller then substitutes the
     lowest control voltage for v0 so the later stages stay well-defined.

@@ -211,8 +211,8 @@ def run_links(scenario: Scenario, responder, indices, mode: str, out_dir: Path) 
                      (2 ** len(cols), cols, brute_force_baseline)]
     runs, voting = [], streams(VOTING_STREAM)
     for n_stage2, groups, stage2 in variants:
-        runs.append(run_controllers(copy.copy(oracle), n, vs, n_stage2, voting, groups,
-                                    stage2, start.fork()))
+        runs.append(run_controllers(copy.copy(oracle), n, n_configs=n_stage2, rng_seeds=voting,
+                                    groups=groups, stage2=stage2, trace=start.fork()))
         validate_trace(runs[-1], len(vs), n_stage2)
     bests = [run.best() for run in runs]
     configs = [config for run in bests for config, _ in run]
