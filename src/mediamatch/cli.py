@@ -30,6 +30,9 @@ EXIT_VIOLATION = 4
 _COMMANDS = {"match": cmd_match, "sweep": cmd_sweep, "links": cmd_links,
              "backscatter": cmd_backscatter, "bench-controller": cmd_bench_controller}
 
+#: Most worker processes --parallel may ask for: a pool starts them all at once.
+MAX_PARALLEL = 64
+
 #: A --scenario or --out path that cannot be read or made a directory.
 _PATH_ERRORS = (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError)
 
@@ -61,11 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_counts(args) -> None:
-    """Link and worker counts must be usable: --links >= 0, --parallel >= 1."""
+    """Link and worker counts must be usable: --links >= 0, 1 <= --parallel <= MAX_PARALLEL."""
     if getattr(args, "links", 0) < 0:
         raise ValueError(f"--links must be >= 0, got {args.links}")
-    if getattr(args, "parallel", 1) < 1:
-        raise ValueError(f"--parallel must be >= 1, got {args.parallel}")
+    if not 1 <= getattr(args, "parallel", 1) <= MAX_PARALLEL:
+        raise ValueError(f"--parallel must be 1 to {MAX_PARALLEL}, got {args.parallel}")
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,9 @@ The controller's one record of a batch of L links (L = 1 for one link) is a
 ControlTrace over the run's voltage set: every stage takes it, probes its
 links together, keeps what it found in it (v1 and v0 as positions i1 and
 i0, the on/off split, the probe block) and returns it; ``run_controllers``
-runs the stages.  Each link's best probe is read from it (ControlTrace.best).
+runs the stages.  Each link's best probe (ControlTrace.best) and trace text
+(ControlTrace.serialize) are read from it; a trace hash chunk is a slice of
+one block, and link l's digests are its slice of the block's.
 Every stage probes through one path, ``_probe_many``, and one oracle
 protocol (see channel.FeedbackOracle): ``batch(levels, codes, bits, rows)``
 reads the voltage set, an (L, n, 2) stack of code pairs and an
@@ -61,6 +63,18 @@ ENUMERATION_CAP = 65536
 MASK_BLOCK = 128
 
 
+def check_voltage_set(levels) -> tuple[float, ...]:
+    """The control voltage set as floats: 2 to 256 finite, strictly decreasing levels."""
+    vs = tuple(float(v) for v in levels)
+    if not 2 <= len(vs) <= 256:
+        raise ValueError(f"need at least two and at most 256 control voltages, got {len(vs)}")
+    if not all(map(math.isfinite, vs)):
+        raise ValueError("control voltages must be finite")
+    if any(b >= a for a, b in zip(vs, vs[1:])):
+        raise ValueError("control voltages must be strictly decreasing")
+    return vs
+
+
 def config_hash(voltages) -> str:
     """Canonical 12-hex-digit hash of an element-voltage vector.
 
@@ -85,7 +99,7 @@ def config_hash(voltages) -> str:
 #: A trace's CSV header and row template (see table.py).
 TRACE_TABLE = ("stage,probe_index,config_hash,rss_db", "%s,%s,%s,%.10g")
 
-#: Most probe rows hashed together by _hash_blocks.
+#: Most probe rows hashed together by _hash_rows.
 HASH_BLOCK = 256
 
 #: Every byte bit-reversed: little-endian packed bits in np.packbits' order.
@@ -93,38 +107,24 @@ _REVERSED = np.packbits(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], a
                         axis=1, bitorder="little").ravel()
 
 
-def _hash_blocks(levels, blocks, n: int) -> list[list[str]]:
-    """config_hash of every N-element probe row of each (codes, bits) block
-    over the alphabet ``levels``, per block.
+def _hash_rows(levels, codes, bits, n: int) -> list[str]:
+    """config_hash of every N-element row of (rows, 2) codes and (rows,
+    ceil(N/8)) bits over the alphabet ``levels``, in slices of HASH_BLOCK rows.
 
-    The rows are hashed in chunks of up to HASH_BLOCK rows that cross blocks
-    (a chunk inside one block is a view of it).  A row's voltages take at
-    most two bit patterns, so it hashes one fixed-place record: its header,
-    element 0's level, the other level (zeros for one level) and the packed
-    "differs from element 0" bits, which are the N zero bytes of a one-level
-    row.
+    A row's voltages take at most two bit patterns, so it hashes one
+    fixed-place record: its header, element 0's level, the other level
+    (zeros for one level) and the packed "differs from element 0" bits,
+    which are the N zero bytes of a one-level row.
     """
-    words, out, chunk, size = np.array(levels, dtype="<f8").view("<u8"), [], [], 0
-    for codes, bits in blocks:
-        out.append([])
-        at = 0
-        while at < len(codes):
-            part = slice(at, at + HASH_BLOCK - size)
-            chunk.append((out[-1], words.take(codes[part]), bits[part]))
-            at, size = at + len(chunk[-1][1]), size + len(chunk[-1][1])
-            if size == HASH_BLOCK:
-                _hash_chunk(chunk, n)
-                chunk, size = [], 0
-    if chunk:
-        _hash_chunk(chunk, n)
-    return out
+    words = np.array(levels, dtype="<f8").view("<u8")
+    return [digest for at in range(0, len(codes), HASH_BLOCK) for digest in _hash_chunk(
+        words.take(codes[at:at + HASH_BLOCK]), bits[at:at + HASH_BLOCK], n)]
 
 
-def _hash_chunk(chunk, n: int) -> None:
-    """Extend the digests of a chunk's (digests, (on, off) level words, bit
-    rows) pieces of N-element rows, hashing slices of one record buffer at
-    one stride, as wide as the chunk's widest record (see _hash_blocks)."""
-    words, bits = (np.concatenate(x) if len(x) > 1 else x[0] for x in list(zip(*chunk))[1:])
+def _hash_chunk(words, bits, n: int) -> list[str]:
+    """The digests of N-element rows of (on, off) level words and bit rows,
+    hashing slices of one record buffer at one stride, as wide as the
+    widest record (see _hash_rows)."""
     lead = (bits[:, 0] & 1).astype(bool)  # element 0 on
     first = np.where(lead, words[:, 0], words[:, 1])
     other = np.where(lead, words[:, 1], words[:, 0])
@@ -141,11 +141,8 @@ def _hash_chunk(chunk, n: int) -> None:
     np.multiply(other, two, out=fields[:, 2])
     np.multiply(_REVERSED.take(differs), two[:, None], out=record[:, 24:sizes[1]])
     buffer = memoryview(record).cast("B")
-    digests = [hashlib.sha256(buffer[at:at + sizes[k]]).hexdigest()[:12]
-               for at, k in zip(range(0, record.size, stride), two.tolist())]
-    for target, part, _ in chunk:
-        target += digests[:len(part)]
-        del digests[:len(part)]
+    return [hashlib.sha256(buffer[at:at + sizes[k]]).hexdigest()[:12]
+            for at, k in zip(range(0, record.size, stride), two.tolist())]
 
 
 class ControlTrace:
@@ -157,23 +154,15 @@ class ControlTrace:
     ``_probe_many`` call, as the oracle read it: the read-only (L, n, 2)
     codes, (L, n, ceil(N/8)) bits and (L, n) readings, and rows[l], the
     number of link l's rows that are probes (the rest is stage-3 padding,
-    never read).  Row k of link l read rss[l, k]; a link's probe indices run
-    on across blocks.  The batch keeps, per link, the positions of stage 1's
-    v1 and v0 (``i1``, ``i0``: length-L arrays) and the elements stage 2 left
-    on (``on``: read-only (L, ceil(N/8)) packed bits).
+    hashed but never read).  Row k of link l read rss[l, k]; a link's probe
+    indices run on across blocks.  The batch keeps, per link, the positions
+    of stage 1's v1 and v0 (``i1``, ``i0``: length-L arrays) and the elements
+    stage 2 left on (``on``: read-only (L, ceil(N/8)) packed bits).
     """
 
     def __init__(self, n_links: int, n_elements: int, levels):
         self.n_links, self.n_elements = n_links, n_elements
-        self.levels = vs = tuple(float(v) for v in levels)
-        if len(vs) < 2:
-            raise ValueError("need at least two control voltages")
-        if len(vs) > 256:
-            raise ValueError("at most 256 control voltages")
-        if not np.isfinite(vs).all():
-            raise ValueError("control voltages must be finite")
-        if any(b >= a for a, b in zip(vs, vs[1:])):
-            raise ValueError("control voltages must be strictly decreasing")
+        self.levels = check_voltage_set(levels)
         self.blocks = []
         self.i1 = self.i0 = self.on = None
 
@@ -214,22 +203,19 @@ class ControlTrace:
         return [config for config, _ in self.best()]
 
     def serialize(self) -> list[str]:
-        """Each link's CSV text, one TRACE_TABLE row per probe; the rows of all
-        links are hashed together (see _hash_blocks)."""
-        links = range(self.n_links)
-        hashes = iter(_hash_blocks(self.levels, [(codes[l, :rows[l]], bits[l, :rows[l]])
-                                                 for l in links for _, codes, bits, _, rows
-                                                 in self.blocks], self.n_elements))
-        texts = []
-        for link in links:
-            stages, digests, readings = [], [], []
-            for stage, *_, rss, rows in self.blocks:
+        """Each link's CSV text, one TRACE_TABLE row per probe: a hash chunk is a
+        slice of one block, and link l's digests are its slice [l n, l n + rows[l])."""
+        links = [([], [], []) for _ in range(self.n_links)]
+        for stage, codes, bits, rss, rows in self.blocks:
+            n_rows = codes.shape[1]
+            digests = _hash_rows(self.levels, codes.reshape(-1, 2),
+                                 bits.reshape(-1, bits.shape[2]), self.n_elements)
+            for link, (stages, hashes, readings) in enumerate(links):
                 stages += [stage] * rows[link]
-                digests += next(hashes)
+                hashes += digests[link * n_rows:link * n_rows + rows[link]]
                 readings += rss[link, :rows[link]].tolist()
-            texts.append(table_text(*TRACE_TABLE, [stages, range(len(stages)), digests,
-                                                   readings]))
-        return texts
+        return [table_text(*TRACE_TABLE, [stages, range(len(stages)), hashes, readings])
+                for stages, hashes, readings in links]
 
 
 def column_groups(rows: int, cols: int) -> list[list[int]]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cascade import StackSpec
 from .channel import ElementResponder, MultipathChannel, sample_channel
-from .control import DEFAULT_VOLTAGE_SET
+from .control import DEFAULT_VOLTAGE_SET, check_voltage_set
 from .media import BUILTIN_MEDIA, Layer, Medium
 from .surface import SMV1405_TABLE, ElementCircuit, calibrate_inductances
 
@@ -244,7 +244,13 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if rows * cols > MAX_ELEMENTS:
         raise ScenarioError(f"array_rows x array_cols must be at most {MAX_ELEMENTS} "
                             f"(128 x 128), got {rows}x{cols}")
-    frequency, voltage_set = fields["frequency_hz"], fields["voltage_set_v"]
+    frequency, (low, high) = fields["frequency_hz"], SMV1405_TABLE.voltage_range
+    try:  # the controller's levels, inside the varactor table's range
+        voltage_set = check_voltage_set(fields["voltage_set_v"])
+        if not low <= voltage_set[-1] < voltage_set[0] <= high:
+            raise ValueError(f"control voltages must lie in [{low}, {high}] V")
+    except ValueError as exc:
+        raise ScenarioError(f"voltage_set_v: {exc}") from None
     if (nh := fields["circuit"]) == "calibrate":
         circuit = calibrate_inductances(SMV1405_TABLE, frequency, control_voltages=voltage_set,
                                         target_span=fields["calibration_target_s"])

@@ -8,11 +8,13 @@ probe count afterwards.  The one exception is the kernel rule: from
 ONOFF_MIN_ELEMENTS on, a link whose pairs in a batch take three or more
 positions (stage 3 over three or more levels) reads composite_channels,
 while each of its one-row batches reads the on/off tables, to other last
-bits.  ``ControlTrace.serialize`` hashes the probes of all its links in chunks, and every digest must equal the referee's
+bits.  ``ControlTrace.serialize`` hashes each block's probes, all its links'
+at once, in slices of the block, and every digest must equal the referee's
 ``oracles.config_hash_reference`` of the voltages the configuration stands for.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from mediamatch.channel import (ONOFF_MIN_ELEMENTS, PROBE_BLOCK, ChannelStack, FeedbackOracle,
                                 MultipathChannel, composite_channels, rss_db, sample_channel)
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, TRACE_TABLE, ControlTrace,
-                                _hash_blocks, _probe_many, brute_force_baseline, column_groups,
+                                _hash_rows, _probe_many, brute_force_baseline, column_groups,
                                 run_controllers)
 from mediamatch.scenario import default_water_scenario
 
@@ -253,7 +255,7 @@ class TestZeroReading:
 
 class TestBlockDigests:
     def test_equal_config_hash(self):
-        """Every alphabet's blocks hashed in one _hash_blocks call: signed
+        """Every alphabet's blocks, each hashed by its own _hash_rows call: signed
         zeros, NaNs and infinities, alphabets that repeat a bit pattern, more
         than 256 levels (uint16 codes), code pairs of one position, and blocks
         of one row or of row counts and lengths that are not multiples of
@@ -270,9 +272,10 @@ class TestBlockDigests:
             cases.append((np.linspace(0.0, 30.0, 300).tolist(),
                           [(wide, _random_rows(rng, 1, 3, n)[1])]))
             for levels, blocks in cases:
-                assert _hash_blocks(levels, blocks, n) == [
-                    [oracles.config_hash_reference(voltages(levels, c, b, n)) for c, b in
-                     zip(*block)] for block in blocks]
+                for codes, bits in blocks:
+                    assert _hash_rows(levels, codes, bits, n) == [
+                        oracles.config_hash_reference(voltages(levels, c, b, n))
+                        for c, b in zip(codes, bits)]
 
 
 #: Voltage sets: two to five distinct finite levels, signed zeros and
@@ -288,10 +291,11 @@ _SPECIAL = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), float("-inf"),
 
 
 class TestBatchRendering:
-    """ControlTrace.serialize renders all the links of a trace in one pass;
-    each link's text must equal the plain rendering of one referee hash and
-    one format call per probe, and that link's rows rendered as a one-link
-    trace."""
+    """ControlTrace.serialize renders all the links of a trace in one pass,
+    hashing each block's rows of every link flat, in slices of HASH_BLOCK
+    rows that stay inside the block; each link's text must equal the plain
+    rendering of one referee hash and one format call per probe, and that
+    link's rows rendered as a one-link trace."""
 
     @settings(max_examples=40, deadline=None)
     @given(n_links=st.integers(1, 5), n_blocks=st.integers(1, 4),
@@ -329,6 +333,25 @@ class TestBatchRendering:
                 TRACE_TABLE[0], [(s, k, h, r) for k, (s, h, r) in enumerate(probes)], ".10g")
             assert _alone(trace, link).serialize() == [text]
 
+    def test_no_copy_of_the_stage2_rows(self):
+        """Serializing a one-link 64x64 trace, after a warm call, peaks under
+        3 MiB: its stage-2 bit rows (2N ceil(N/8) = 4 MiB) are hashed as
+        views, never concatenated or copied."""
+        class FirstByte:  # reads each row's first bit byte
+            def batch(self, levels, codes, bits, rows):
+                return bits[..., 0].astype(float)
+
+        trace = run_controllers(FirstByte(), 64 * 64, rng_seeds=[0])
+        assert trace.blocks[1][2].nbytes == 4 * 2 ** 20
+        trace.serialize()
+        tracemalloc.start()
+        try:
+            trace.serialize()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
 
 #: Real readings: a 0.1 dB grid, signed zeros, +-inf and NaN.
 _READINGS = [-40.0, -39.9, -12.3, 0.0, -0.0, float("inf"), float("-inf"), float("nan")]
@@ -336,8 +359,8 @@ _READINGS = [-40.0, -39.9, -12.3, 0.0, -0.0, float("inf"), float("-inf"), float(
 
 class TestOneRecord:
     """A trace of L links reads, link by link, what a one-link trace of that
-    link's rows reads: best(), probes() and serialize() never look at the
-    padding past rows[l], whatever it holds."""
+    link's rows reads: best() and probes() never look at the padding past
+    rows[l], whatever it holds, and serialize() drops its digests."""
 
     @settings(max_examples=150, deadline=None)
     @given(n_links=st.integers(1, 4), n=st.integers(1, 20),

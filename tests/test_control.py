@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mediamatch.control import (DEFAULT_VOLTAGE_SET, HASH_BLOCK, MASK_BLOCK, ControlTrace,
-                                _element_bits, _hash_blocks, _owners, _probe_many,
+                                _element_bits, _hash_rows, _owners, _probe_many,
                                 brute_force_baseline, column_groups, config_hash,
                                 run_controllers, stage1_uniform_probe, stage2_majority_voting,
                                 stage3_fine_tune)
@@ -411,7 +411,7 @@ class TestTraceSerialization:
 
     def test_hash_of_many_distinct_voltages(self):
         """1024 levels: config_hash's positions are little-endian uint16s, and
-        _hash_blocks picks two of 1024 levels by uint16 codes."""
+        _hash_rows picks two of 1024 levels by uint16 codes."""
         values = np.linspace(0.0, 30.0, 1024)
         assert config_hash(values) == oracles.config_hash_reference(values)
         picked = (values[1023], values[700], values[1023])
@@ -467,8 +467,8 @@ LEVELS = st.one_of(
 
 
 def block_digests(levels, codes, bits, n) -> list[str]:
-    """The trace hashes of a block's rows of n elements, rendered as a block alone."""
-    return _hash_blocks(levels, [(np.asarray(codes), bits)], n)[0]
+    """The trace hashes of a block's flat rows of n elements."""
+    return _hash_rows(levels, np.asarray(codes), bits, n)
 
 
 def _row_voltages(levels, codes, bits, n) -> np.ndarray:
@@ -478,8 +478,8 @@ def _row_voltages(levels, codes, bits, n) -> np.ndarray:
 
 
 class TestDigests:
-    """_hash_blocks hashes the rows of a block chunk by chunk; every row must
-    hash as the referee hashes the voltages it stands for."""
+    """_hash_rows hashes a block's flat rows in slices of HASH_BLOCK rows;
+    every row must hash as the referee hashes the voltages it stands for."""
 
     @settings(max_examples=150, deadline=None)
     @given(n_levels=st.sampled_from([1, 2, 3, 7, 16, 17, 300]),

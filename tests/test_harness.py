@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mediamatch import (cascade, channel as channel_mod, cli, harness, media,
                         scenario as scenario_mod, surface)
-from mediamatch.cli import main
+from mediamatch.cli import MAX_PARALLEL, main
 from mediamatch.harness import (BudgetError, cmd_backscatter, cmd_bench_controller,
                                 cmd_links, cmd_match, cmd_sweep, median_lower,
                                 percentiles_lower, run_links, validate_trace)
@@ -685,6 +685,21 @@ class TestCli:
         assert captured.out == ""
         assert not (tmp_path / "summary.txt").exists()
 
+    def test_parallel_is_bounded(self, tmp_path, capsys, monkeypatch):
+        """--parallel above MAX_PARALLEL exits 2 naming the flag before the
+        scenario is read (here it does not exist); MAX_PARALLEL itself runs,
+        and with no link there is no batch, so no pool is made."""
+        rc = main(["links", "--scenario", str(tmp_path / "absent.json"), "--out",
+                   str(tmp_path / "over"), "--parallel", str(MAX_PARALLEL + 1)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and "--parallel" in err
+        assert not (tmp_path / "over").exists()
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", None)
+        assert main(["links", "--scenario", str(SCENARIOS / "water_links.json"), "--out",
+                     str(tmp_path / "at"), "--links", "0", "--parallel", str(MAX_PARALLEL)]) == 0
+        assert (tmp_path / "at" / "summary.txt").exists()
+
     @pytest.mark.parametrize("command", ["links", "backscatter", "bench-controller"])
     def test_parallel_flag_on_every_link_command(self, tmp_path, capsys, command):
         outputs = []
@@ -780,6 +795,16 @@ class TestCli:
         ("links", "array_row", 16),
         ("links", "channel.env_powr", 0.25),
         ("links", "channel.phase_jitter_std", -0.3),
+        # voltage sets the controller or the varactor table cannot take, for
+        # every command: too few or many levels, not strictly decreasing,
+        # outside the table's range
+        ("match", "voltage_set_v", [30]),
+        ("sweep", "voltage_set_v", list(range(256, -1, -1))),
+        ("match", "voltage_set_v", [0, 30]),
+        ("match", "voltage_set_v", [10, 10]),
+        ("links", "voltage_set_v", [30, 20, 20]),
+        ("match", "voltage_set_v", [30, 40, 0]),
+        ("bench-controller", "voltage_set_v", [30.0, -1.0]),
     ])
     def test_malformed_number_is_config_error(self, tmp_path, capsys, command, field, value):
         """A malformed field, a number or otherwise, exits 2 naming the field."""
